@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -49,6 +49,7 @@ from .models import (
 )
 
 SCHEMA_VERSION = "1"
+ANALYSIS_STAGE = "analysis"
 ANALYSES = ("delta-table", "gromov", "chain", "graph-class", "bounds")
 MODEL_KINDS = ("projective", "multiprojective", "abelian", "surface_lattice", "custom")
 MAP_KINDS = ("power", "product", "exterior", "isometry", "matrices", "identity")
@@ -188,6 +189,47 @@ def _is_rational(x) -> bool:
     return False
 
 
+def _is_index(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_index_key(x) -> bool:
+    """An integer, or a string holding one (JSON object keys are strings)."""
+    if isinstance(x, str):
+        try:
+            int(x)
+        except ValueError:
+            return False
+        return True
+    return _is_index(x)
+
+
+def _is_product_value(value) -> bool:
+    """A map basis index -> rational: an object, or a list of [index, coeff]."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list) and all(
+        isinstance(item, list) and len(item) == 2 for item in value
+    ):
+        items = value
+    else:
+        return False
+    return all(_is_index_key(k) and _is_rational(x) for k, x in items)
+
+
+def _check_product(c: _Collector, path: str, entry) -> None:
+    if not isinstance(entry, dict) or not ({"a", "b", "value"} <= set(entry)):
+        c.add(path, "expected {a: [deg, idx], b: [deg, idx], value: ...}")
+        return
+    for side in ("a", "b"):
+        pair = entry[side]
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(_is_index(x) for x in pair)):
+            c.add(f"{path}/{side}", "expected a [degree, index] pair of integers")
+    if not _is_product_value(entry["value"]):
+        c.add(f"{path}/value", "expected a map of basis index -> rational")
+
+
 def _check_matrix(c: _Collector, path: str, value, rows=None, cols=None) -> bool:
     if not isinstance(value, list) or not value:
         c.add(path, "expected a nonempty matrix (list of rows)", "matrix")
@@ -308,15 +350,25 @@ def _validate_model(c: _Collector, model) -> None:
                 c.add("/model/products", "expected a list of product entries")
             else:
                 for t, entry in enumerate(prods):
-                    if not isinstance(entry, dict) or not (
-                        {"a", "b", "value"} <= set(entry)
-                    ):
-                        c.add(f"/model/products/{t}",
-                              "expected {a: [deg, idx], b: [deg, idx], value: ...}")
-        if "integrate" in model:
-            _check_vector(c, "/model/integrate", model["integrate"])
-        if "h" in model:
-            _check_vector(c, "/model/h", model["h"])
+                    _check_product(c, f"/model/products/{t}", entry)
+        for key, low in (("top_degree", 0), ("ambient_dim", 1)):
+            if key in model and not (_is_index(model[key]) and model[key] >= low):
+                c.add(f"/model/{key}", f"expected an integer >= {low}")
+        for key in ("integrate", "h", "unit"):
+            if key in model:
+                _check_vector(c, f"/model/{key}", model[key])
+        if "effective" in model:
+            effective = model["effective"]
+            if not isinstance(effective, list):
+                c.add("/model/effective", "expected a list of effective classes")
+            else:
+                for t, entry in enumerate(effective):
+                    path = f"/model/effective/{t}"
+                    if not (isinstance(entry, dict) and "coords" in entry
+                            and _is_index(entry.get("degree"))):
+                        c.add(path, "expected {label, degree: int, coords: [...]}")
+                    else:
+                        _check_vector(c, f"{path}/coords", entry["coords"])
     for key in model:
         if key not in known:
             c.add(f"/model/{key}", "unknown field")
@@ -362,6 +414,10 @@ def _validate_map(c: _Collector, map_spec, model_kind) -> None:
         blocks = map_spec.get("blocks")
         if not isinstance(blocks, list):
             c.add("/map/blocks", "expected a list of per-degree matrices")
+        else:
+            for i, block in enumerate(blocks):
+                if block != []:  # [] is the block of a zero-dimensional degree
+                    _check_matrix(c, f"/map/blocks/{i}", block)
     for key in map_spec:
         if key not in known:
             c.add(f"/map/{key}", "unknown field")
@@ -544,8 +600,7 @@ def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
 # analyses
 # ---------------------------------------------------------------------------
 
-def _run_delta_table(model, pull, config):
-    table = delta_table(model, pull, config.m_max)
+def _run_delta_table(model, pull, config, table):
     rates = growth_rates(table)
     return {
         "m_max": table.m_max,
@@ -598,11 +653,11 @@ def _run_chain(model, pull, config):
     }
 
 
-def _run_graph_class(model, pull, config):
+def _run_graph_class(model, pull, config, table):
     per_m = []
     for m in range(1, config.m_max + 1):
-        comps = graph_class(model, pull, m)
-        segre = segre_graph_degree(model, pull, m)
+        comps = graph_class(model, pull, m, table)
+        segre = segre_graph_degree(model, pull, m, table)
         per_m.append({
             "m": m,
             "coefficients": [comp.coefficient for comp in comps],
@@ -656,10 +711,16 @@ _ANALYSIS_RUNNERS = {
     "graph-class": _run_graph_class,
     "bounds": _run_bounds,
 }
+# analyses whose runners also take the run's one DeltaTable
+_TABLE_ANALYSES = frozenset({"delta-table", "graph-class"})
 
 
 def run(config: RunConfig) -> Report:
-    """Execute every requested analysis; deterministic for identical configs."""
+    """Execute every requested analysis; deterministic for identical configs.
+
+    A :class:`DynDegError` raised once the model and map are built carries
+    ``stage = ANALYSIS_STAGE``; one raised while building them carries none.
+    """
     started = time.monotonic()
     model, pull = build_model_and_map(config)
     results = {
@@ -673,8 +734,18 @@ def run(config: RunConfig) -> Report:
             "map_realizability": pull.realizability,
         }
     }
-    for analysis in dict.fromkeys(config.analyses):
-        results[analysis] = _ANALYSIS_RUNNERS[analysis](model, pull, config)
+    try:
+        table = None
+        if not _TABLE_ANALYSES.isdisjoint(config.analyses):
+            table = delta_table(model, pull, config.m_max)
+        for analysis in dict.fromkeys(config.analyses):
+            shared = (table,) if analysis in _TABLE_ANALYSES else ()
+            results[analysis] = _ANALYSIS_RUNNERS[analysis](
+                model, pull, config, *shared
+            )
+    except DynDegError as exc:
+        exc.stage = ANALYSIS_STAGE
+        raise
     return Report(config=config, results=results, elapsed=time.monotonic() - started)
 
 
@@ -685,19 +756,11 @@ def run(config: RunConfig) -> Report:
 def _load_config(args) -> RunConfig:
     with open(args.config, "r", encoding="utf-8") as fh:
         text = fh.read()
-    config = parse_config(text)
-    if args.max_power is not None or args.tol is not None or args.out is not None:
-        config = RunConfig(
-            model=config.model,
-            map=config.map,
-            analyses=config.analyses,
-            ample=config.ample,
-            m_max=args.max_power if args.max_power is not None else config.m_max,
-            tol=args.tol if args.tol is not None else config.tol,
-            out=args.out if args.out is not None else config.out,
-            schema_version=config.schema_version,
-        )
-    return config
+    overrides = {"m_max": args.max_power, "tol": args.tol, "out": args.out}
+    return replace(
+        parse_config(text),
+        **{k: v for k, v in overrides.items() if v is not None},
+    )
 
 
 def _emit(report_json: str, out_path: str | None):
@@ -764,29 +827,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "delta":
-        config = RunConfig(
-            model=config.model,
-            map=config.map,
-            analyses=("delta-table",),
-            ample=config.ample,
-            m_max=config.m_max,
-            tol=config.tol,
-            out=config.out,
-            schema_version=config.schema_version,
-        )
+        config = replace(config, analyses=("delta-table",))
 
     try:
         report = run(config)
-    except SchemaError as exc:
-        return _fail(exc, 2)
     except DynDegError as exc:
         # model/map construction failures are validation errors (exit 2);
         # anything raised past that point is an analysis error (exit 3)
-        try:
-            build_model_and_map(config)
-        except DynDegError:
-            return _fail(exc, 2)
-        return _fail(exc, 3)
+        return _fail(exc, 3 if getattr(exc, "stage", None) == ANALYSIS_STAGE else 2)
 
     _emit(report.to_json(include_timing=args.timing), config.out)
     return 0

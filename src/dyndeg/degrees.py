@@ -104,9 +104,20 @@ class DeltaTable:
     def value(self, j: int, m: int) -> Fraction:
         return self.rows[j][m - 1]
 
+    def column(self, m: int) -> tuple[Fraction, ...]:
+        """(delta_0(f^m), ..., delta_r(f^m)): the m-th iterate across all j."""
+        if not (1 <= m <= self.m_max):
+            raise ShapeMismatch(f"m must be in [1, {self.m_max}]")
+        return tuple(row[m - 1] for row in self.rows)
+
 
 def delta(model: EmbeddedModel, f: PullbackMap, m: int, j: int) -> Fraction:
-    """The intersection number pair(h^{r-j}, f^{m*}(h^j))."""
+    """The intersection number pair(h^{r-j}, f^{m*}(h^j)).
+
+    Computed from power_map(f, m) by repeated squaring, independently of
+    :func:`delta_table`, so it serves as the reference the table is tested
+    against.
+    """
     if not (0 <= j <= model.r):
         raise ShapeMismatch(f"j must be in [0, {model.r}]")
     if m < 1:
@@ -171,24 +182,34 @@ class GraphComponent:
     label: str
 
 
-def graph_class(model: EmbeddedModel, f: PullbackMap, m: int) -> list[GraphComponent]:
+def _graph_coefficients(
+    model: EmbeddedModel, f: PullbackMap, m: int, table: DeltaTable | None
+) -> tuple[Fraction, ...]:
+    """(delta_r(f^m), ..., delta_0(f^m)), read off ``table`` (built if None)."""
+    if table is None:
+        table = delta_table(model, f, m)
+    return table.column(m)[::-1]
+
+
+def graph_class(
+    model: EmbeddedModel, f: PullbackMap, m: int, table: DeltaTable | None = None
+) -> list[GraphComponent]:
     """Coefficients of the graph of f^m on the product of ambient spaces.
 
     Entry j carries delta_{r-j}(f^m) on the component [P^{r-j}] x [P^j],
-    j = 0..r, i.e. the list reads (delta_r, ..., delta_0).
+    j = 0..r, i.e. the list reads (delta_r, ..., delta_0): column m of the
+    dynamical-degree table in reverse.  Pass the table of f when one with
+    m_max >= m is at hand; otherwise one is built up to m.
     """
     r = model.r
-    out = []
-    for j in range(r + 1):
-        coeff = delta(model, f, m, r - j)
-        out.append(
-            GraphComponent(
-                coefficient=coeff,
-                factor_dims=(r - j, j),
-                label=f"[P^{r - j}]x[P^{j}]",
-            )
+    return [
+        GraphComponent(
+            coefficient=coeff,
+            factor_dims=(r - j, j),
+            label=f"[P^{r - j}]x[P^{j}]",
         )
-    return out
+        for j, coeff in enumerate(_graph_coefficients(model, f, m, table))
+    ]
 
 
 @dataclass(frozen=True)
@@ -198,18 +219,21 @@ class SegreDegree:
     matches: bool | None
 
 
-def segre_graph_degree(model: EmbeddedModel, f: PullbackMap, m: int) -> SegreDegree:
+def segre_graph_degree(
+    model: EmbeddedModel, f: PullbackMap, m: int, table: DeltaTable | None = None
+) -> SegreDegree:
     """Degree of the graph class under the Segre embedding of the product.
 
     The component [P^a] x [P^b] has Segre degree binomial(a+b, a), so the
     total is sum_j delta_{r-j}(f^m) * binomial(r, j).  For degree-d power maps
     of P^n this must equal (1 + d^m)^n, which is cross-checked when the
-    builder provenance identifies such a map.
+    builder provenance identifies such a map.  ``table`` is as for
+    :func:`graph_class`.
     """
     r = model.r
     total = Fraction(0)
-    for j in range(r + 1):
-        total += delta(model, f, m, r - j) * math.comb(r, j)
+    for j, coeff in enumerate(_graph_coefficients(model, f, m, table)):
+        total += coeff * math.comb(r, j)
     expected = None
     matches = None
     if model.provenance.startswith("projective_space") and (

@@ -98,6 +98,81 @@ class TestParseConfig:
         assert parse_config(serialize_config(config)) == config
 
 
+# the two configs that crashed the schema pass with a traceback
+BAD_PRODUCT = {
+    "model": {"kind": "custom", "top_degree": 2, "dims": [1, 0, 1],
+              "products": [{"a": "x", "b": [2, 0], "value": {"0": 1}}],
+              "integrate": [1], "h": [1], "ambient_dim": 1},
+    "map": {"kind": "identity"},
+    "analyses": ["delta-table"],
+}
+BAD_BLOCK = {
+    "model": {"kind": "projective", "n": 1},
+    "map": {"kind": "matrices", "blocks": [[[1]], [], [["x"]]]},
+    "analyses": ["delta-table"],
+}
+
+
+class TestCoercionErrors:
+    def _paths(self, cfg):
+        with pytest.raises(SchemaError) as exc:
+            parse_config(json.dumps(cfg))
+        return {p for p, _ in exc.value.violations}
+
+    def test_product_pairs_and_values_are_located(self):
+        assert self._paths(BAD_PRODUCT) == {"/model/products/0/a"}
+        cfg = json.loads(json.dumps(BAD_PRODUCT))
+        cfg["model"]["products"] = [
+            {"a": [2, 0], "b": [2, "0"], "value": {"0": 1}},
+            {"a": [2, 0], "b": [2, 0], "value": {"x": 1}},
+            {"a": [2, 0], "b": [2, 0], "value": [[0, "1/0"]]},
+            {"a": [2, 0, 1], "b": [True, 0], "value": 3},
+        ]
+        assert self._paths(cfg) == {
+            "/model/products/0/b", "/model/products/1/value",
+            "/model/products/2/value", "/model/products/3/a",
+            "/model/products/3/b", "/model/products/3/value",
+        }
+
+    def test_block_entries_are_located(self):
+        assert self._paths(BAD_BLOCK) == {"/map/blocks/2/0/0"}
+        cfg = p2_config(map={"kind": "matrices",
+                             "blocks": [[[1]], [], 7, [], [[{"num": "1"}]]]})
+        assert self._paths(cfg) == {"/map/blocks/2", "/map/blocks/4/0/0"}
+
+    @pytest.mark.parametrize("field,value,path", [
+        ("unit", ["x"], "/model/unit/0"),
+        ("top_degree", "x", "/model/top_degree"),
+        ("ambient_dim", "x", "/model/ambient_dim"),
+        ("effective", [5], "/model/effective/0"),
+        ("effective", [{"degree": 2, "coords": ["x"]}],
+         "/model/effective/0/coords/0"),
+    ])
+    def test_other_custom_fields_are_located(self, field, value, path):
+        cfg = json.loads(json.dumps(BAD_PRODUCT))
+        cfg["model"]["products"] = []
+        cfg["model"][field] = value
+        assert self._paths(cfg) == {path}
+
+    def test_empty_blocks_of_zero_dimensional_degrees_stay_valid(self):
+        cfg = p2_config(map={"kind": "matrices",
+                             "blocks": [[[1]], [], [["2"]], [], [[4]]]},
+                        analyses=["delta-table"])
+        report = run(parse_config(json.dumps(cfg)))
+        assert report.results["delta-table"]["rows"][1][0] == 2
+
+    @pytest.mark.parametrize("cfg", [BAD_PRODUCT, BAD_BLOCK],
+                             ids=["product", "block"])
+    @pytest.mark.parametrize("command", ["report", "delta", "validate"])
+    def test_exit_two_with_json_on_stderr(self, tmp_path, capsys, cfg, command):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["violations"]
+
+
 class TestRun:
     def test_p2_full_report_values(self):
         config = parse_config(json.dumps(p2_config(
@@ -259,6 +334,78 @@ class TestExitCodes:
         assert main(["report", "--config", str(path)]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SpectralNonconvergence"
+
+
+    def test_stage_decides_the_exit_code_without_a_rebuild(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from dyndeg import cli as cli_module
+        from dyndeg.errors import SpectralNonconvergence
+
+        builds = []
+        original = cli_module.build_model_and_map
+
+        def counting_build(config):
+            builds.append(config)
+            return original(config)
+
+        def boom(model, pull, config):
+            raise SpectralNonconvergence(1.0, 0.5)
+
+        monkeypatch.setattr(cli_module, "build_model_and_map", counting_build)
+        monkeypatch.setitem(cli_module._ANALYSIS_RUNNERS, "chain", boom)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(p2_config()))
+        assert main(["report", "--config", str(path)]) == 3
+        assert len(builds) == 1
+        # a map that fails validation at build time is still exit 2
+        builds.clear()
+        path.write_text(json.dumps(p2_config(
+            map={"kind": "matrices", "blocks": [[[1]], [], [[2]], [], [[5]]]}
+        )))
+        assert main(["report", "--config", str(path)]) == 2
+        assert len(builds) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "MultiplicativityViolation"
+
+
+class TestOneDeltaTable:
+    def test_report_builds_one_table_and_no_map_powers(self, monkeypatch):
+        from dyndeg import cli as cli_module, degrees, endo
+
+        calls = {"delta_table": 0, "power_map": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        table_fn = counted("delta_table", degrees.delta_table)
+        power_fn = counted("power_map", endo.power_map)
+        for module in (cli_module, degrees):
+            monkeypatch.setattr(module, "delta_table", table_fn)
+        for module in (endo, degrees):
+            monkeypatch.setattr(module, "power_map", power_fn)
+        config = parse_config(json.dumps(p2_config(
+            analyses=["delta-table", "graph-class", "bounds"], M=6
+        )))
+        results = run(config).results
+        assert calls == {"delta_table": 1, "power_map": 0}
+        rows = results["delta-table"]["rows"]
+        for entry in results["graph-class"]["per_m"]:
+            column = [row[entry["m"] - 1] for row in rows]
+            assert entry["coefficients"] == column[::-1]
+            assert entry["segre_matches"] is True
+
+    def test_no_table_without_a_table_analysis(self, monkeypatch):
+        from dyndeg import cli as cli_module
+
+        def forbidden(*args):
+            raise AssertionError("delta_table built for a chain-only report")
+
+        monkeypatch.setattr(cli_module, "delta_table", forbidden)
+        run(parse_config(json.dumps(p2_config())))
 
 
 class TestCanonicalEncoding:

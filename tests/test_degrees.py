@@ -14,7 +14,7 @@ from dyndeg.degrees import (
     segre_graph_degree,
 )
 from dyndeg.endo import identity_map, power_map
-from dyndeg.errors import NonComplementaryDegrees, StepOutOfRange
+from dyndeg.errors import NonComplementaryDegrees, ShapeMismatch, StepOutOfRange
 from dyndeg.gromov import spectral_chain
 from dyndeg.models import (
     elliptic_square,
@@ -143,6 +143,31 @@ class TestGraphClass:
         model = projective_space(1)
         comps = graph_class(model, pn_power_map(model, 2), 3)
         assert [c.coefficient for c in comps] == [8, 1]
+
+
+    def test_table_and_oracle_agree_on_the_battery(self):
+        # graph class and Segre degree are read off the delta table; the
+        # repeated-squaring oracle delta(model, f, m, j) must give the same
+        for name, model, f in builder_battery():
+            r = model.r
+            table = delta_table(model, f, 6)
+            for m in range(1, 7):
+                oracle = [delta(model, f, m, r - j) for j in range(r + 1)]
+                for given in (None, table):
+                    comps = graph_class(model, f, m, given)
+                    assert [c.coefficient for c in comps] == oracle, (name, m)
+                    segre = segre_graph_degree(model, f, m, given).value
+                    assert segre == sum(
+                        x * math.comb(r, j) for j, x in enumerate(oracle)
+                    ), (name, m)
+
+    def test_table_too_short_is_rejected(self):
+        model = projective_space(1)
+        f = pn_power_map(model, 2)
+        with pytest.raises(ShapeMismatch):
+            graph_class(model, f, 4, delta_table(model, f, 3))
+        with pytest.raises(ShapeMismatch):
+            segre_graph_degree(model, f, 0)
 
 
 class TestSegreGraphDegree:
