@@ -612,8 +612,7 @@ def _run_delta_table(model, pull, config, table):
     }
 
 
-def _run_gromov(model, pull, config):
-    closure = gromov_closure(model.algebra, pull, model.h)
+def _run_gromov(model, pull, config, closure):
     rho, err = lambda_gr(closure, config.tol)
     return {
         "dimension": closure.dimension,
@@ -626,7 +625,7 @@ def _run_gromov(model, pull, config):
     }
 
 
-def _run_chain(model, pull, config):
+def _run_chain(model, pull, config, closure):
     report = spectral_chain(
         model.algebra,
         pull,
@@ -634,6 +633,7 @@ def _run_chain(model, pull, config):
         tol=config.tol,
         realizability=model.realizability,
         scope_note=model.scope_note,
+        closure=closure,
     )
     return {
         "lambda_gr": report.lambda_gr,
@@ -711,8 +711,10 @@ _ANALYSIS_RUNNERS = {
     "graph-class": _run_graph_class,
     "bounds": _run_bounds,
 }
-# analyses whose runners also take the run's one DeltaTable
+# analyses whose runners also take the run's one DeltaTable, or its one
+# Gromov closure
 _TABLE_ANALYSES = frozenset({"delta-table", "graph-class"})
+_CLOSURE_ANALYSES = frozenset({"gromov", "chain"})
 
 
 def run(config: RunConfig) -> Report:
@@ -735,11 +737,18 @@ def run(config: RunConfig) -> Report:
         }
     }
     try:
-        table = None
+        table = closure = None
         if not _TABLE_ANALYSES.isdisjoint(config.analyses):
             table = delta_table(model, pull, config.m_max)
+        if not _CLOSURE_ANALYSES.isdisjoint(config.analyses):
+            closure = gromov_closure(model.algebra, pull, model.h)
         for analysis in dict.fromkeys(config.analyses):
-            shared = (table,) if analysis in _TABLE_ANALYSES else ()
+            if analysis in _TABLE_ANALYSES:
+                shared = (table,)
+            elif analysis in _CLOSURE_ANALYSES:
+                shared = (closure,)
+            else:
+                shared = ()
             results[analysis] = _ANALYSIS_RUNNERS[analysis](
                 model, pull, config, *shared
             )

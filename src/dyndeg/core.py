@@ -8,11 +8,14 @@ cohomology rings of abelian varieties (odd generators) side by side.
 
 All scalars are ``fractions.Fraction``.  Instances are immutable after
 construction and all operations are pure, so values can be shared freely
-across worker threads.
+across worker threads.  The validators read one integer copy of the
+structure constants (:class:`ScaledTable`), so their loops run in ``int``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -92,6 +95,41 @@ class Element:
         return (-1) * self
 
 
+@dataclass(frozen=True)
+class ScaledTable:
+    """The structure constants as integers over one common denominator.
+
+    ``rows[(i, j)][p]`` maps q to the nonzero entries ``((k, D * c_k), ...)``
+    of e_(i,p) * e_(j,q), in increasing k, where D is ``denominator``; an
+    absent q (or an absent block) is a zero product.  Comparing scaled
+    vectors is exactly comparing the rational ones.
+    """
+
+    denominator: int
+    rows: dict[tuple[int, int], list[dict[int, tuple[tuple[int, int], ...]]]]
+
+    def product(self, a: BasisIndex, b: BasisIndex) -> tuple[tuple[int, int], ...]:
+        """Nonzero scaled entries of e_a * e_b."""
+        block = self.rows.get((a[0], b[0]))
+        return block[a[1]].get(b[1], ()) if block else ()
+
+    def multiply(self, i: int, va, j: int, vb) -> dict[int, int]:
+        """Scaled product of sparse ``((index, value), ...)`` vectors of
+        degrees i and j, as its nonzero entries ``{k: value}``."""
+        block = self.rows.get((i, j))
+        acc: dict[int, int] = {}
+        if block:
+            for p, x in va:
+                row = block[p]
+                for q, y in vb:
+                    vec = row.get(q)
+                    if vec:
+                        c = x * y
+                        for k, v in vec:
+                            acc[k] = acc.get(k, 0) + c * v
+        return {k: v for k, v in acc.items() if v}
+
+
 class GradedAlgebra:
     """Graded algebra with explicit structure constants.
 
@@ -148,6 +186,39 @@ class GradedAlgebra:
         coords = [zero_vector(d) for d in self.dims]
         coords[degree] = vec
         return Element(tuple(coords))
+
+    @functools.cached_property
+    def scaled_table(self) -> ScaledTable:
+        """The integer structure table the validators use (built once)."""
+        products = {}
+        for (i, j), block in self._blocks.items():
+            if isinstance(block, dict):
+                products[(i, j)] = block.items()
+            else:
+                products[(i, j)] = [
+                    ((p, q), vec)
+                    for p, row in enumerate(block)
+                    for q, vec in enumerate(row)
+                ]
+        den = math.lcm(*(
+            c.denominator
+            for entries in products.values()
+            for _, vec in entries
+            for c in vec
+        ))
+        rows = {}
+        for (i, j), entries in products.items():
+            block_rows = [{} for _ in range(self.dims[i])]
+            for (p, q), vec in entries:
+                scaled = tuple(
+                    (k, c.numerator * (den // c.denominator))
+                    for k, c in enumerate(vec)
+                    if c
+                )
+                if scaled:
+                    block_rows[p][q] = scaled
+            rows[(i, j)] = block_rows
+        return ScaledTable(den, rows)
 
     def basis(self) -> Iterable[BasisIndex]:
         for i, d in enumerate(self.dims):
@@ -434,13 +505,25 @@ def build_algebra(
 
 
 def _validate(algebra: GradedAlgebra):
-    one = algebra.one()
+    """Unit law, sign rule and associativity, compared on the scaled table.
+
+    Every check compares integer vectors that are the rational ones times a
+    fixed positive factor (D, or D^2 for associativity), so it holds exactly
+    when the rational check does; the loops run in the same order, so a
+    violation names the same basis vector, pair or triple.
+    """
+    table = algebra.scaled_table
+    den = table.denominator
+    product = table.product
     basis = list(algebra.basis())
 
+    # 1 = u e_(0,0), so 1 * e_b = e_b reads u * (D e_(0,0) e_b) = D e_b
+    u = algebra.unit_coords[0]
     for b in basis:
-        e = algebra.basis_element(*b)
-        if algebra.mul(one, e) != e or algebra.mul(e, one) != e:
-            raise UnitViolation(b)
+        expected = ((b[1], u.denominator * den),)
+        for vec in (product((0, 0), b), product(b, (0, 0))):
+            if tuple((k, u.numerator * v) for k, v in vec) != expected:
+                raise UnitViolation(b)
 
     if algebra.sign_rule not in (COMMUTATIVE, SUPER_COMMUTATIVE):
         raise ShapeMismatch(f"unknown sign rule {algebra.sign_rule!r}")
@@ -449,46 +532,33 @@ def _validate(algebra: GradedAlgebra):
     # (degree 0 is spanned by the unit) plus bilinearity, so only degrees >= 1
     # need explicit checks
     positive = [b for b in basis if b[0] >= 1]
+    top = algebra.top_degree
 
     for a in positive:
         for b in positive:
             i, j = a[0], b[0]
-            if i + j > algebra.top_degree:
+            if i + j > top:
                 continue
-            ab = algebra.basis_product(a, b)
-            ba = algebra.basis_product(b, a)
-            sign = _koszul_sign(algebra.sign_rule, i, j)
-            if ab != tuple(sign * x for x in ba):
+            ba = product(b, a)
+            if _koszul_sign(algebra.sign_rule, i, j) == -1:
+                ba = tuple((k, -v) for k, v in ba)
+            if product(a, b) != ba:
                 raise SignRuleViolation((a, b))
 
-    def scaled_products(vec, deg, other, other_first):
-        """Expand (vec in degree deg) * e_other, or flipped, coefficientwise."""
-        target = deg + other[0]
-        out = [Fraction(0)] * algebra.dims[target]
-        for t, coeff in enumerate(vec):
-            if coeff == 0:
-                continue
-            part = (
-                algebra.basis_product(other, (deg, t))
-                if other_first
-                else algebra.basis_product((deg, t), other)
-            )
-            for k, v in enumerate(part):
-                if v != 0:
-                    out[k] += coeff * v
-        return out
-
+    # (e_a e_b) e_c against e_a (e_b e_c), both scaled by D^2
     for a in positive:
         for b in positive:
             dab = a[0] + b[0]
-            if dab >= algebra.top_degree:
+            if dab >= top:
                 continue
-            ab = algebra.basis_product(a, b)
+            ab = product(a, b)
             for c in positive:
-                if dab + c[0] > algebra.top_degree:
+                if dab + c[0] > top:
                     continue
-                bc = algebra.basis_product(b, c)
-                left = scaled_products(ab, dab, c, other_first=False)
-                right = scaled_products(bc, b[0] + c[0], a, other_first=True)
+                bc = product(b, c)
+                if not ab and not bc:
+                    continue
+                left = table.multiply(dab, ab, c[0], ((c[1], 1),))
+                right = table.multiply(a[0], ((a[1], 1),), b[0] + c[0], bc)
                 if left != right:
                     raise AssociativityViolation((a, b, c))

@@ -14,6 +14,7 @@ algebra can decide.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,10 +51,18 @@ class EmbeddedModel:
     def r(self) -> int:
         return self.algebra.top_degree // 2
 
+    @functools.cached_property
+    def h_powers(self) -> tuple[Element, ...]:
+        """``(1, h, h^2, ..., h^r)``, computed once per model."""
+        powers = [self.algebra.one()]
+        for _ in range(self.r):
+            powers.append(self.algebra.mul(powers[-1], self.h))
+        return tuple(powers)
+
     def validate(self) -> "EmbeddedModel":
         if self.h.degrees() != (2,):
             raise ShapeMismatch("h must be homogeneous of degree 2 and nonzero")
-        if self.algebra.power(self.h, self.r).is_zero():
+        if self.h_powers[self.r].is_zero():
             raise ShapeMismatch("h^r vanishes: h is not a valid ample class")
         if self.deg_x <= 0:
             raise ShapeMismatch(f"deg(X) = {self.deg_x} must be positive")
@@ -133,8 +142,8 @@ def delta_table(model: EmbeddedModel, f: PullbackMap, m_max: int) -> DeltaTable:
     alg = model.algebra
     rows = []
     for j in range(model.r + 1):
-        hj = alg.power(model.h, j)
-        comp = alg.power(model.h, model.r - j)
+        hj = model.h_powers[j]
+        comp = model.h_powers[model.r - j]
         block = f.block(2 * j)
         vec = hj.component(2 * j)
         row = []
@@ -310,7 +319,7 @@ def check_intersection_bound(
     ``v`` and ``w`` must be homogeneous of complementary (even) degrees; the
     caller asserts effectivity, typically via the model's effective flags.
     Ambient degrees are taken against powers of h: deg(v) = pair(v, h^{r-c})
-    for v of codimension c.
+    for v of codimension c, with the powers read from ``model.h_powers``.
     """
     dv = v.degrees()
     dw = w.degrees()
@@ -322,8 +331,8 @@ def check_intersection_bound(
         )
     alg = model.algebra
     r = model.r
-    deg_v = alg.pair(v, alg.power(model.h, r - dv[0] // 2))
-    deg_w = alg.pair(w, alg.power(model.h, r - dw[0] // 2))
+    deg_v = alg.pair(v, model.h_powers[r - dv[0] // 2])
+    deg_w = alg.pair(w, model.h_powers[r - dw[0] // 2])
     value = alg.pair(v, w)
     constant = bound_constant(r, model.deg_x)
     return IntersectionBoundCheck(

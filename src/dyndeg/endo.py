@@ -10,6 +10,7 @@ hand-supplied matrices).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -117,21 +118,34 @@ def validate_pullback(
     if candidate.apply(one) != one:
         raise UnitViolation(message="pullback does not fix the unit: f*(1) != 1")
 
-    # pairs with a degree-0 member are forced by f*(1) = 1 and linearity
+    # pairs with a degree-0 member are forced by f*(1) = 1 and linearity.
+    # With B_k = D_f M_k integer and P the structure table scaled by D,
+    # f*(e_a e_b) = f*(e_a) f*(e_b) reads D_f (B P_ab) = sum fa_p fb_q P_pq:
+    # both sides are the rational ones times D_f^2 D.
+    table = algebra.scaled_table
+    den = math.lcm(*(x.denominator for m in blocks for row in m for x in row))
+    columns = [
+        [
+            tuple((p, x.numerator * (den // x.denominator))
+                  for p, x in enumerate(col) if x)
+            for col in zip(*m)
+        ]
+        for m in blocks
+    ]
+    top = algebra.top_degree
     basis = [b for b in algebra.basis() if b[0] >= 1]
-    images = {
-        (i, q): tuple(blocks[i][p][q] for p in range(algebra.dims[i]))
-        for (i, q) in basis
-    }
     for a in basis:
-        fa = images[a]
+        i, p = a
         for b in basis:
-            i, j = a[0], b[0]
-            if i + j > algebra.top_degree:
+            j, q = b
+            if i + j > top:
                 continue
-            lhs = mat_vec(blocks[i + j], algebra.basis_product(a, b))
-            rhs = algebra.mul_vectors(i, fa, j, images[b])
-            if lhs != rhs:
+            lhs: dict[int, int] = {}
+            for k, v in table.product(a, b):
+                for row, x in columns[i + j][k]:
+                    lhs[row] = lhs.get(row, 0) + den * v * x
+            rhs = table.multiply(i, columns[i][p], j, columns[j][q])
+            if {k: v for k, v in lhs.items() if v} != rhs:
                 raise MultiplicativityViolation((a, b))
     return candidate
 

@@ -39,21 +39,36 @@ def word_mul(w1, w2):
     return ("mul", w1, w2)
 
 
-def evaluate_word(algebra: GradedAlgebra, f: PullbackMap, omega: Element, word):
-    """Re-evaluate a certificate word to an algebra element."""
+def evaluate_word(
+    algebra: GradedAlgebra, f: PullbackMap, omega: Element, word, memo=None
+):
+    """Re-evaluate a certificate word to an algebra element.
+
+    Each distinct subword (by identity) is evaluated once.  ``memo`` maps
+    ``id(subword)`` to its value; pass one dict to share that across calls,
+    and keep the words alive while it is in use.
+    """
+    if memo is None:
+        memo = {}
+    value = memo.get(id(word))
+    if value is not None:
+        return value
     tag = word[0]
     if tag == "one":
-        return algebra.one()
-    if tag == "omega":
-        return omega
-    if tag == "pull":
-        return f.apply(evaluate_word(algebra, f, omega, word[1]))
-    if tag == "mul":
-        return algebra.mul(
-            evaluate_word(algebra, f, omega, word[1]),
-            evaluate_word(algebra, f, omega, word[2]),
+        value = algebra.one()
+    elif tag == "omega":
+        value = omega
+    elif tag == "pull":
+        value = f.apply(evaluate_word(algebra, f, omega, word[1], memo))
+    elif tag == "mul":
+        value = algebra.mul(
+            evaluate_word(algebra, f, omega, word[1], memo),
+            evaluate_word(algebra, f, omega, word[2], memo),
         )
-    raise ShapeMismatch(f"unknown certificate word {word!r}")
+    else:
+        raise ShapeMismatch(f"unknown certificate word {word!r}")
+    memo[id(word)] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -93,12 +108,17 @@ class GromovSubalgebra:
         return blocks
 
     def verify_certificates(self) -> bool:
-        """Re-evaluate every certificate and compare with its basis vector."""
+        """Re-evaluate every certificate and compare with its basis vector.
+
+        Each distinct word (by identity) is evaluated once per call; every
+        basis vector is still rebuilt from its words and compared exactly.
+        """
+        memo: dict[int, Element] = {}
         for vec, cert in zip(self.basis, self.certificates):
             total = self.algebra.zero()
             for coeff, word in cert:
                 total = total + coeff * evaluate_word(
-                    self.algebra, self.pullback, self.omega, word
+                    self.algebra, self.pullback, self.omega, word, memo
                 )
             if total != vec:
                 return False
@@ -269,9 +289,18 @@ def spectral_chain(
     tol: float = 1e-9,
     realizability: str | None = None,
     scope_note: str | None = None,
+    closure: GromovSubalgebra | None = None,
 ) -> ChainReport:
-    """Compute lambda_gr, per-degree radii, and the inequality/equality verdicts."""
-    closure = gromov_closure(algebra, f, omega)
+    """Compute lambda_gr, per-degree radii, and the inequality/equality verdicts.
+
+    ``closure`` is the Gromov closure of (algebra, f, omega) when the caller
+    already has it; otherwise it is built here.
+    """
+    if closure is None:
+        closure = gromov_closure(algebra, f, omega)
+    elif (closure.algebra is not algebra or closure.pullback is not f
+          or closure.omega != omega):
+        raise ShapeMismatch("closure was built for another algebra, map or class")
     lam_gr, lam_err = lambda_gr(closure, tol)
 
     mu = []

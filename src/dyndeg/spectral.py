@@ -10,17 +10,18 @@ they never consult the exact route, so the two can cross-check each other.
 Floating point is double precision with power-of-two scale factors tracked
 exactly in a separate integer exponent; exact rational arithmetic is used for
 traces up to size cutoffs (matrix dimension <= 64, power <= 256).
+
+numpy and mpmath are imported inside the functions that use them, so
+importing this module (and the CLI, which never needs numpy) stays cheap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
-
-import mpmath
-import numpy as np
 
 from .errors import FloatOverflow, ShapeMismatch, SpectralNonconvergence, ZeroWeight
 from .linalg import Matrix, PowerLadder, as_matrix, trace
@@ -145,10 +146,17 @@ def spectral_radius(matrix: Sequence[Sequence], tol: float = 1e-9):
     """
     if tol <= 0:
         raise ShapeMismatch("tol must be positive")
-    return _max_root_modulus(char_poly(matrix), tol)
+    return _max_root_modulus(tuple(char_poly(matrix)), tol)
 
 
-def _max_root_modulus(coeffs: list[Fraction], tol: float):
+@functools.lru_cache(maxsize=64)
+def _max_root_modulus(coeffs: tuple[Fraction, ...], tol: float):
+    """Certified ``(rho, error_bound)`` for the polynomial ``coeffs``.
+
+    Pure in its arguments, so each distinct polynomial is certified once per
+    process: a closure block and a graded block with the same characteristic
+    polynomial share the result.
+    """
     p = _poly_strip_zero_roots(coeffs)
     if len(p) == 1:
         return 0.0, 0.0
@@ -159,6 +167,8 @@ def _max_root_modulus(coeffs: list[Fraction], tol: float):
         rho = abs(float(p[1]))
         exact = rho == abs(p[1])
         return rho, 0.0 if exact else rho * 2.0**-52
+    import mpmath
+
     n = len(p) - 1
     cauchy = float(_cauchy_bound(p))
 
@@ -222,6 +232,8 @@ def _max_root_modulus(coeffs: list[Fraction], tol: float):
 
 def _to_scaled_float(matrix: Matrix):
     """Convert exact entries to (float array, exponent) with M = array * 2^e."""
+    import numpy as np
+
     if len(matrix) == 0:
         return np.zeros((0, 0)), 0
     shift = 0
@@ -242,6 +254,8 @@ def _to_scaled_float(matrix: Matrix):
 
 
 def _rescale(arr: np.ndarray, exponent: int):
+    import numpy as np
+
     top = np.max(np.abs(arr)) if arr.size else 0.0
     if top == 0.0:
         return arr, exponent
@@ -262,6 +276,8 @@ def gelfand_sequence(matrix: Sequence[Sequence], doublings: int):
     with m = 2^k; once a power underflows to exactly zero (nilpotent matrices)
     the estimates are 0.
     """
+    import numpy as np
+
     if doublings < 0:
         raise ShapeMismatch("doublings must be >= 0")
     m = as_matrix(matrix)
@@ -313,6 +329,8 @@ def trace_sequence(matrix: Sequence[Sequence], m_max: int):
     Traces are exact rationals (squaring-ladder powers) up to the size
     cutoffs, floats with tracked exponents beyond.  |0|^{1/m} is 0.
     """
+    import numpy as np
+
     if m_max < 1:
         raise ShapeMismatch("m_max must be >= 1")
     m = as_matrix(matrix)
@@ -451,10 +469,10 @@ def analyze(
     trace_max: int = 64,
 ) -> SpectralReport:
     m = as_matrix(matrix)
-    poly = char_poly(m)
+    poly = tuple(char_poly(m))
     rho, err = _max_root_modulus(poly, tol)
     return SpectralReport(
-        char_poly=tuple(poly),
+        char_poly=poly,
         rho=rho,
         error_bound=err,
         gelfand=tuple(gelfand_sequence(m, doublings)),

@@ -325,7 +325,7 @@ class TestExitCodes:
         from dyndeg import cli as cli_module
         from dyndeg.errors import SpectralNonconvergence
 
-        def boom(model, pull, config):
+        def boom(model, pull, config, closure):
             raise SpectralNonconvergence(1.0, 0.5)
 
         monkeypatch.setitem(cli_module._ANALYSIS_RUNNERS, "chain", boom)
@@ -349,7 +349,7 @@ class TestExitCodes:
             builds.append(config)
             return original(config)
 
-        def boom(model, pull, config):
+        def boom(model, pull, config, closure):
             raise SpectralNonconvergence(1.0, 0.5)
 
         monkeypatch.setattr(cli_module, "build_model_and_map", counting_build)
@@ -406,6 +406,73 @@ class TestOneDeltaTable:
 
         monkeypatch.setattr(cli_module, "delta_table", forbidden)
         run(parse_config(json.dumps(p2_config())))
+
+
+class TestOneClosure:
+    def test_gromov_and_chain_share_one_closure(self, monkeypatch):
+        from dyndeg import cli as cli_module, gromov
+
+        calls = []
+        original = gromov.gromov_closure
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (cli_module, gromov):
+            monkeypatch.setattr(module, "gromov_closure", counted)
+        results = run(parse_config(json.dumps(p2_config(
+            analyses=["gromov", "chain", "delta-table"]
+        )))).results
+        assert len(calls) == 1
+        assert results["gromov"]["lambda_gr"] == results["chain"]["lambda_gr"]
+        assert results["gromov"]["certificates_verified"] is True
+
+    def test_no_closure_without_gromov_or_chain(self, monkeypatch):
+        from dyndeg import cli as cli_module
+
+        def forbidden(*args):
+            raise AssertionError("closure built for a report without gromov/chain")
+
+        monkeypatch.setattr(cli_module, "gromov_closure", forbidden)
+        run(parse_config(json.dumps(p2_config(analyses=["delta-table"]))))
+
+
+# sha256 of `dyndeg report --config configs/<name>` stdout; any change to a
+# report's bytes for the shipped configs shows here
+SHIPPED_REPORT_SHA256 = {
+    "elliptic_square_fibonacci.json":
+        "a7a375ac32d4fd94c3642da4010b71effb2b03ab837514092f7005c11c644262",
+    "p1xp1_swap.json":
+        "9477c05e9972bd304dd58b35b15b7f30b4c14672ea4bbb96a351bd46873006c1",
+    "p2_power2.json":
+        "9e9fc121c3d59f64ff000dae1d0c17335dd642ff2cef5c68d4ea13675752d050",
+}
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("name", sorted(SHIPPED_REPORT_SHA256))
+    def test_report_bytes_are_pinned(self, name, capsys):
+        import hashlib
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parent.parent / "configs" / name
+        assert main(["report", "--config", str(path)]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == SHIPPED_REPORT_SHA256[name]
+
+
+class TestLazyImports:
+    def test_importing_the_cli_loads_neither_numpy_nor_mpmath(self):
+        code = (
+            "import sys, dyndeg.cli; "
+            "print(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
 
 class TestCanonicalEncoding:

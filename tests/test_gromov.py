@@ -179,3 +179,82 @@ class TestSpectralChain:
         assert rep.equality_holds == (
             abs(rep.lambda_gr - rep.max_mu) <= rep.slack(rep.max_mu)
         )
+
+
+class TestCertificateReplay:
+    def _closure(self):
+        model, f = elliptic_square([[1, 1], [1, 0]])
+        return gromov_closure(model.algebra, f, model.h)
+
+    def test_untampered_certificates_verify(self):
+        assert self._closure().verify_certificates()
+
+    def test_a_tampered_coefficient_is_caught(self):
+        import dataclasses
+
+        closure = self._closure()
+        certs = list(closure.certificates)
+        i = next(k for k, cert in enumerate(certs) if cert)
+        (coeff, word), *rest = certs[i]
+        certs[i] = ((coeff + Fraction(1, 3), word), *rest)
+        bad = dataclasses.replace(closure, certificates=tuple(certs))
+        assert not bad.verify_certificates()
+
+    def test_a_tampered_basis_vector_is_caught(self):
+        import dataclasses
+
+        closure = self._closure()
+        basis = list(closure.basis)
+        basis[-1] = basis[-1] + closure.algebra.one()
+        bad = dataclasses.replace(closure, basis=tuple(basis))
+        assert not bad.verify_certificates()
+
+    def test_each_shared_word_is_evaluated_once(self, monkeypatch):
+        # on (P^1)^3 the certificate words share subwords: without the memo
+        # the replay makes 11 products for 3 distinct product words
+        model = multiprojective([1, 1, 1])
+        f = product_map(model, [2, 3, 1], [1, 2, 0])
+        closure = gromov_closure(model.algebra, f, model.h)
+        muls = []
+        original = closure.algebra.mul
+
+        def counted(a, b):
+            muls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(closure.algebra, "mul", counted)
+        assert closure.verify_certificates()
+        seen, distinct = set(), 0
+
+        def walk(word):
+            nonlocal distinct
+            if id(word) in seen:
+                return
+            seen.add(id(word))
+            distinct += word[0] == "mul"
+            for sub in word[1:]:
+                walk(sub)
+
+        for cert in closure.certificates:
+            for _, word in cert:
+                walk(word)
+        assert len(muls) == distinct
+
+
+class TestSharedClosure:
+    def test_passed_closure_gives_the_same_report(self):
+        model, f = elliptic_square([[2, 1], [1, 1]])
+        closure = gromov_closure(model.algebra, f, model.h)
+        assert spectral_chain(model.algebra, f, model.h, closure=closure) == (
+            spectral_chain(model.algebra, f, model.h)
+        )
+
+    def test_a_closure_of_another_map_is_rejected(self):
+        model = projective_space(2)
+        closure = gromov_closure(
+            model.algebra, pn_power_map(model, 2), model.h
+        )
+        with pytest.raises(ShapeMismatch):
+            spectral_chain(
+                model.algebra, pn_power_map(model, 3), model.h, closure=closure
+            )

@@ -229,3 +229,27 @@ class TestAnalyze:
         assert report.char_poly == (1, -1, -1)
         for _, est in report.gelfand:
             assert est >= report.rho - report.error_bound - 1e-9
+
+
+class TestRootCertificationCache:
+    def test_a_polynomial_is_certified_once(self, monkeypatch):
+        import mpmath
+
+        from dyndeg import spectral
+
+        calls = []
+        original = mpmath.polyroots
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        spectral._max_root_modulus.cache_clear()
+        monkeypatch.setattr(mpmath, "polyroots", counted)
+        # two matrices with the one polynomial x^3 - 2x - 5
+        companion = [[0, 0, 5], [1, 0, 2], [0, 1, 0]]
+        conjugate = [[0, 1, 0], [0, 0, 1], [5, 2, 0]]
+        first = spectral_radius(companion)
+        assert spectral_radius(conjugate) == first
+        assert len(calls) == 1
+        assert first[0] == pytest.approx(2.0945514815423265, abs=1e-9)
