@@ -8,8 +8,12 @@ cohomology rings of abelian varieties (odd generators) side by side.
 
 All scalars are ``fractions.Fraction``.  Instances are immutable after
 construction and all operations are pure, so values can be shared freely
-across worker threads.  The validators read one integer copy of the
-structure constants (:class:`ScaledTable`), so their loops run in ``int``.
+across worker threads.  One integer copy of the structure constants
+(:class:`ScaledTable`) serves the kernels that run in ``int``: the unit,
+sign and associativity checks here, the multiplicativity check of a pullback
+and the products of the Gromov closure.  The pullback blocks, Berkowitz's
+characteristic polynomial, ``det`` and ``Echelon`` run in ``int`` too;
+``Element`` and ``GradedAlgebra.mul`` stay in ``Fraction``.
 """
 
 from __future__ import annotations
@@ -189,7 +193,8 @@ class GradedAlgebra:
 
     @functools.cached_property
     def scaled_table(self) -> ScaledTable:
-        """The integer structure table the validators use (built once)."""
+        """The integer structure table of the validators and the Gromov
+        closure (built once)."""
         products = {}
         for (i, j), block in self._blocks.items():
             if isinstance(block, dict):

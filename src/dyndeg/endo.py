@@ -10,6 +10,7 @@ hand-supplied matrices).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,14 +29,69 @@ from .linalg import (
     as_matrix,
     inverse,
     mat_mul,
-    mat_vec,
+    scaled_vector,
     trace,
     transpose,
 )
 
 
+class _GradedMatrices:
+    """A map stored as one square matrix per graded piece (``blocks``).
+
+    The blocks are also held once as integers over one common denominator
+    (``scaled_blocks``); ``apply`` and the Gromov closure run on that copy.
+    """
+
+    blocks: tuple[Matrix, ...]
+
+    @functools.cached_property
+    def scaled_blocks(self) -> tuple[int, tuple]:
+        """``(D, columns)``: D is the lcm of all entry denominators and
+        ``columns[k][q]`` the nonzero entries ``((p, D * m_pq), ...)`` of
+        column q of block k."""
+        den = math.lcm(
+            *(x.denominator for m in self.blocks for row in m for x in row)
+        )
+        return den, tuple(
+            tuple(
+                tuple((p, x.numerator * (den // x.denominator))
+                      for p, x in enumerate(col) if x)
+                for col in zip(*m)
+            )
+            for m in self.blocks
+        )
+
+    def apply_scaled(self, degree: int, vec) -> dict[int, int]:
+        """D times block ``degree`` applied to the sparse integer vector
+        ``((q, x), ...)``, as its nonzero entries ``{p: value}``."""
+        columns = self.scaled_blocks[1][degree]
+        out: dict[int, int] = {}
+        for q, x in vec:
+            for p, y in columns[q]:
+                out[p] = out.get(p, 0) + x * y
+        return {p: v for p, v in out.items() if v}
+
+    def apply(self, a: Element) -> Element:
+        """The image of ``a``; all-zero graded pieces pass through unchanged."""
+        den = self.scaled_blocks[0]
+        pieces = []
+        for degree, piece in enumerate(a.coords):
+            if not any(piece):
+                pieces.append(piece)
+                continue
+            piece_den, nums = scaled_vector(piece)
+            image = self.apply_scaled(
+                degree, [(q, x) for q, x in enumerate(nums) if x]
+            )
+            scale = den * piece_den
+            pieces.append(tuple(
+                Fraction(image.get(p, 0), scale) for p in range(len(piece))
+            ))
+        return Element(tuple(pieces))
+
+
 @dataclass(frozen=True)
-class PullbackMap:
+class PullbackMap(_GradedMatrices):
     """Validated unital graded ring endomorphism f*."""
 
     algebra: GradedAlgebra
@@ -45,14 +101,6 @@ class PullbackMap:
 
     def block(self, degree: int) -> Matrix:
         return self.blocks[degree]
-
-    def apply(self, a: Element) -> Element:
-        return Element(
-            tuple(
-                mat_vec(m, piece) if piece else ()
-                for m, piece in zip(self.blocks, a.coords)
-            )
-        )
 
     def graded_trace(self, degree: int) -> Fraction:
         return trace(self.blocks[degree])
@@ -67,7 +115,7 @@ class PullbackMap:
 
 
 @dataclass(frozen=True)
-class PushforwardMap:
+class PushforwardMap(_GradedMatrices):
     """Adjoint of a pullback under the intersection pairing.
 
     Realized per degree on the same grading; satisfies the projection formula
@@ -76,14 +124,6 @@ class PushforwardMap:
 
     algebra: GradedAlgebra
     blocks: tuple[Matrix, ...]
-
-    def apply(self, a: Element) -> Element:
-        return Element(
-            tuple(
-                mat_vec(m, piece) if piece else ()
-                for m, piece in zip(self.blocks, a.coords)
-            )
-        )
 
 
 def validate_pullback(
@@ -123,15 +163,7 @@ def validate_pullback(
     # f*(e_a e_b) = f*(e_a) f*(e_b) reads D_f (B P_ab) = sum fa_p fb_q P_pq:
     # both sides are the rational ones times D_f^2 D.
     table = algebra.scaled_table
-    den = math.lcm(*(x.denominator for m in blocks for row in m for x in row))
-    columns = [
-        [
-            tuple((p, x.numerator * (den // x.denominator))
-                  for p, x in enumerate(col) if x)
-            for col in zip(*m)
-        ]
-        for m in blocks
-    ]
+    den, columns = candidate.scaled_blocks
     top = algebra.top_degree
     basis = [b for b in algebra.basis() if b[0] >= 1]
     for a in basis:

@@ -2,10 +2,16 @@
 
 Matrices are immutable tuples of row tuples.  Everything here is exact; the
 floating-point estimation paths live in :mod:`dyndeg.spectral`.
+
+The two eliminations run in ``int``: ``det`` is Bareiss elimination on the
+matrix times its common denominator, and ``Echelon`` keeps each row as integer
+numerators over one denominator.  ``Fraction`` is what they take and return.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -133,15 +139,19 @@ def mat_pow(m: Matrix, k: int) -> Matrix:
 
 
 def det(a: Matrix) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination."""
+    """Determinant by fraction-free Bareiss elimination.
+
+    Runs on the integer matrix D*a, D the lcm of the entry denominators, where
+    every Bareiss division is exact; det(a) = det(D*a) / D^n.
+    """
     n = len(a)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in a):
         raise ShapeMismatch("determinant of a non-square matrix")
-    m = [list(row) for row in a]
+    den, m = scaled_matrix(a)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -151,12 +161,14 @@ def det(a: Matrix) -> Fraction:
                     break
             else:
                 return Fraction(0)
-        for i in range(k + 1, n):
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1:]:
+            c = row[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                row[j] = (row[j] * pivot - c * top[j]) // prev
+        prev = pivot
+    return Fraction(sign * m[n - 1][n - 1], den**n)
 
 
 def inverse(a: Matrix) -> Matrix | None:
@@ -189,72 +201,149 @@ class Echelon:
     produced it.  The row set is kept fully reduced and sorted by pivot, which
     makes the basis the canonical RREF of the spanned subspace regardless of
     insertion order.
+
+    Rows are stored fraction-free: row i is the sparse integer vector
+    ``{column: numerator}`` over one positive denominator, its pivot
+    numerator equal to that denominator, and its combo has numerators over
+    the same denominator; each row is kept in lowest terms.
+    ``insert_scaled``, ``scaled_basis`` and ``coordinates_scaled`` take and
+    give that integer form; ``insert``, ``basis``, ``combos`` and
+    ``coordinates`` are the same operations in ``Fraction``.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[Fraction]] = []
         self.pivots: list[int] = []
-        self.combos: list[dict[int, Fraction]] = []
+        # (denominator, {column: numerator}, {generator: numerator}) per row
+        self._rows: list[tuple[int, dict[int, int], dict[int, int]]] = []
 
-    def _reduce(self, vec, combo):
-        for row, piv, rcombo in zip(self.rows, self.pivots, self.combos):
-            c = vec[piv]
-            if c != 0:
-                for j in range(piv, self.width):
-                    vec[j] -= c * row[j]
-                for g, coeff in rcombo.items():
-                    combo[g] = combo.get(g, Fraction(0)) - c * coeff
-        return vec, combo
+    def _reduce(self, vec: dict[int, int]):
+        """``(rest, scale, hits)`` with rest = scale*vec - sum f*row over
+        ``(f, row)`` in hits: vec minus its parts along the rows, times
+        ``scale``.  The combos follow with the same factors."""
+        # rows are zero at each other's pivots, so every coefficient can be
+        # read off vec before any row is subtracted
+        hits = [(vec[p], row) for p, row in zip(self.pivots, self._rows)
+                if p in vec]
+        scale = math.lcm(*(row[0] for _, row in hits))
+        hits = [(c * (scale // row[0]), row) for c, row in hits]
+        rest = _combine(scale, vec, [(f, row[1]) for f, row in hits])
+        return rest, scale, hits
 
     def contains(self, vector: Sequence[Fraction]) -> bool:
-        vec, _ = self._reduce(list(vector), {})
-        return all(x == 0 for x in vec)
+        return not self._reduce(_scaled_dict(vector)[1])[0]
 
     def insert(self, vector: Sequence[Fraction], combo: dict[int, Fraction]) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
         if len(vector) != self.width:
             raise ShapeMismatch("echelon width mismatch")
-        vec, combo = self._reduce(list(vector), dict(combo))
-        pivot = next((j for j, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
+        tags = list(combo)
+        _, nums = scaled_vector([*vector, *(combo[g] for g in tags)])
+        vec = {j: x for j, x in enumerate(nums[: self.width]) if x}
+        return self.insert_scaled(vec, dict(zip(tags, nums[self.width:])))
+
+    def insert_scaled(self, vec: dict[int, int], combo: dict[int, int]) -> bool:
+        """Insert a vector and its combo given as integer numerators over one
+        common positive denominator, the vector by its nonzero entries.  The
+        denominator cancels when the new row is normalised, so it is not
+        passed.  Returns True when the vector enlarged the span."""
+        rest, scale, hits = self._reduce(vec)
+        if not rest:
             return False
-        lead = vec[pivot]
-        vec = [x / lead for x in vec]
-        combo = {g: c / lead for g, c in combo.items() if c != 0}
-        # back-substitute into existing rows to stay fully reduced
-        for i, row in enumerate(self.rows):
-            c = row[pivot]
-            if c != 0:
-                self.rows[i] = [x - c * y for x, y in zip(row, vec)]
-                rc = self.combos[i]
-                for g, coeff in combo.items():
-                    rc[g] = rc.get(g, Fraction(0)) - c * coeff
-                self.combos[i] = {g: v for g, v in rc.items() if v != 0}
-        at = next((i for i, p in enumerate(self.pivots) if p > pivot),
-                  len(self.pivots))
-        self.rows.insert(at, vec)
+        combo = _combine(scale, combo, [(f, row[2]) for f, row in hits])
+        # the new row is rest / rest[pivot], its combo likewise
+        pivot = min(rest)
+        new = _lowest_terms(rest[pivot], rest, combo)
+        # back-substitute into existing rows to stay fully reduced:
+        # R/d - (R[pivot]/d) N/n = (n R - R[pivot] N) / (d n)
+        nden, nvec, ncombo = new
+        for i, (rden, rvec, rcombo) in enumerate(self._rows):
+            c = rvec.get(pivot)
+            if c:
+                self._rows[i] = _lowest_terms(
+                    rden * nden,
+                    _combine(nden, rvec, [(c, nvec)]),
+                    _combine(nden, rcombo, [(c, ncombo)]),
+                )
+        at = bisect.bisect(self.pivots, pivot)
         self.pivots.insert(at, pivot)
-        self.combos.insert(at, combo)
+        self._rows.insert(at, new)
         return True
 
     @property
     def dimension(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    def scaled_basis(self) -> list[tuple[int, dict[int, int]]]:
+        """The basis rows as ``(denominator, {column: numerator})``."""
+        return [(den, vec) for den, vec, _ in self._rows]
 
     def basis(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(row) for row in self.rows]
+        zero = Fraction(0)
+        return [
+            tuple(Fraction(vec[j], den) if j in vec else zero
+                  for j in range(self.width))
+            for den, vec, _ in self._rows
+        ]
+
+    @property
+    def combos(self) -> list[dict[int, Fraction]]:
+        """Per row, the generator combination that produced it."""
+        return [{g: Fraction(c, den) for g, c in combo.items()}
+                for den, _, combo in self._rows]
 
     def coordinates(self, vector: Sequence[Fraction]) -> list[Fraction] | None:
         """Coordinates of ``vector`` in the echelon basis, or None if outside."""
-        vec = list(vector)
-        coords = [Fraction(0)] * len(self.rows)
-        for i, (row, piv) in enumerate(zip(self.rows, self.pivots)):
-            c = vec[piv]
-            if c != 0:
-                coords[i] = c
-                for j in range(piv, self.width):
-                    vec[j] -= c * row[j]
-        if any(x != 0 for x in vec):
+        return self.coordinates_scaled(*_scaled_dict(vector))
+
+    def coordinates_scaled(
+        self, den: int, vec: dict[int, int]
+    ) -> list[Fraction] | None:
+        """Coordinates of vec/den (nonzero numerators by column), or None if
+        outside the span."""
+        if self._reduce(vec)[0]:
             return None
-        return coords
+        return [Fraction(vec.get(p, 0), den) for p in self.pivots]
+
+
+def scaled_vector(values: Sequence) -> tuple[int, list[int]]:
+    """``(D, [D*x for x in values])``, D the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def scaled_matrix(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
+    """``(D, D*rows)`` as integer lists, D the lcm of all entry denominators."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row]
+                 for row in rows]
+
+
+def _scaled_dict(vector: Sequence) -> tuple[int, dict[int, int]]:
+    den, nums = scaled_vector(vector)
+    return den, {j: x for j, x in enumerate(nums) if x}
+
+
+def _combine(a: int, x: dict[int, int], terms) -> dict[int, int]:
+    """a*x - sum f*y over ``(f, y)`` in terms, on sparse integer vectors,
+    zeros dropped."""
+    out = {k: a * v for k, v in x.items()}
+    for f, y in terms:
+        for k, v in y.items():
+            out[k] = out.get(k, 0) - f * v
+    return {k: v for k, v in out.items() if v}
+
+
+def _lowest_terms(den: int, vec: dict[int, int], combo: dict[int, int]):
+    """Divide a row's denominator and numerators by their gcd, signed so
+    that the denominator comes out positive."""
+    g = math.gcd(den, *vec.values(), *combo.values())
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, vec, combo
+    return (
+        den // g,
+        {k: v // g for k, v in vec.items()},
+        {k: v // g for k, v in combo.items()},
+    )

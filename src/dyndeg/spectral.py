@@ -2,7 +2,8 @@
 and trace growth, plus the limsup utilities the growth arguments rest on.
 
 The exact route computes the characteristic polynomial by the Berkowitz
-division-free elimination scheme and certifies the maximum root modulus with
+division-free elimination scheme, in ``int`` on the matrix times its common
+denominator, and certifies the maximum root modulus with
 Newton-polished inclusion disks inside a Cauchy-bound bracket.  The floating
 routes (norm doubling, trace roots) are deliberately independent estimators:
 they never consult the exact route, so the two can cross-check each other.
@@ -19,12 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import FloatOverflow, ShapeMismatch, SpectralNonconvergence, ZeroWeight
-from .linalg import Matrix, PowerLadder, as_matrix, trace
+from .linalg import Matrix, PowerLadder, as_matrix, scaled_matrix, trace
 
 # exact trace computation cutoffs; beyond these the float path takes over
 _EXACT_DIM_CUTOFF = 64
@@ -40,33 +42,32 @@ _LN2 = math.log(2.0)
 def char_poly(matrix: Sequence[Sequence]) -> list[Fraction]:
     """Coefficients of det(xI - M), descending, by Berkowitz elimination.
 
-    Division-free, hence exact over the rationals; [1] for the empty matrix.
+    Division-free, so it runs in ``int`` on A = D*M, D the lcm of the entry
+    denominators: coefficient k of det(xI - A) is D^k times coefficient k of
+    det(xI - M).  [1] for the empty matrix.
     """
     m = as_matrix(matrix)
     n = len(m)
     if any(len(row) != n for row in m):
         raise ShapeMismatch("characteristic polynomial of a non-square matrix")
-    coeffs = [Fraction(1)]
+    den, a = scaled_matrix(m)
+    coeffs = [1]
     for r in range(1, n + 1):
-        a_rr = m[r - 1][r - 1]
-        row = [m[r - 1][j] for j in range(r - 1)]
-        col = [m[i][r - 1] for i in range(r - 1)]
+        row = a[r - 1][: r - 1]
+        sub = [a[i][: r - 1] for i in range(r - 1)]
+        u = [a[i][r - 1] for i in range(r - 1)]
         # t = [1, -a_rr, -R S, -R A S, ..., -R A^{r-2} S]
-        t = [Fraction(1), -a_rr]
-        u = col
-        for _ in range(r - 1):
-            t.append(-sum((row[i] * u[i] for i in range(r - 1)), Fraction(0)))
-            u = [
-                sum((m[i][j] * u[j] for j in range(r - 1)), Fraction(0))
-                for i in range(r - 1)
-            ]
+        t = [1, -a[r - 1][r - 1]]
+        for k in range(r - 1):
+            if k:
+                u = [sum(map(operator.mul, srow, u)) for srow in sub]
+            t.append(-sum(map(operator.mul, row, u)))
         # lower-triangular Toeplitz product: new = T(t) . coeffs
-        new = [Fraction(0)] * (r + 1)
-        for i in range(r + 1):
-            for j in range(min(i, r - 1) + 1):
-                new[i] += t[i - j] * coeffs[j]
-        coeffs = new
-    return coeffs
+        coeffs = [
+            sum(t[i - j] * coeffs[j] for j in range(min(i, r - 1) + 1))
+            for i in range(r + 1)
+        ]
+    return [Fraction(c, den**k) for k, c in enumerate(coeffs)]
 
 
 # ---------------------------------------------------------------------------

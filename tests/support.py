@@ -231,3 +231,100 @@ def mutate_blocks(rng, pull: PullbackMap):
     bump = Fraction(rng.choice((-2, -1, 1, 2)))
     blocks[i][p][q] += bump
     return blocks, (i, p, q)
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles: the rational kernels that the integer ones replaced
+# ---------------------------------------------------------------------------
+
+def fraction_char_poly(m):
+    """Coefficients of det(xI - M), descending, by Berkowitz in Fraction."""
+    m = [[Fraction(x) for x in row] for row in m]
+    n = len(m)
+    coeffs = [Fraction(1)]
+    for r in range(1, n + 1):
+        row = [m[r - 1][j] for j in range(r - 1)]
+        u = [m[i][r - 1] for i in range(r - 1)]
+        t = [Fraction(1), -m[r - 1][r - 1]]
+        for _ in range(r - 1):
+            t.append(-sum((row[i] * u[i] for i in range(r - 1)), Fraction(0)))
+            u = [
+                sum((m[i][j] * u[j] for j in range(r - 1)), Fraction(0))
+                for i in range(r - 1)
+            ]
+        new = [Fraction(0)] * (r + 1)
+        for i in range(r + 1):
+            for j in range(min(i, r - 1) + 1):
+                new[i] += t[i - j] * coeffs[j]
+        coeffs = new
+    return coeffs
+
+
+def fraction_det(a):
+    """Determinant by Bareiss elimination in Fraction."""
+    n = len(a)
+    if n == 0:
+        return Fraction(1)
+    m = [[Fraction(x) for x in row] for row in a]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+class FractionEchelon:
+    """Reduced row echelon form with provenance combos, in Fraction."""
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = []
+        self.pivots = []
+        self.combos = []
+
+    def _reduce(self, vec, combo):
+        for row, piv, rcombo in zip(self.rows, self.pivots, self.combos):
+            c = vec[piv]
+            if c != 0:
+                for j in range(piv, self.width):
+                    vec[j] -= c * row[j]
+                for g, coeff in rcombo.items():
+                    combo[g] = combo.get(g, Fraction(0)) - c * coeff
+        return vec, combo
+
+    def insert(self, vector, combo):
+        vec, combo = self._reduce([Fraction(x) for x in vector], dict(combo))
+        pivot = next((j for j, x in enumerate(vec) if x != 0), None)
+        if pivot is None:
+            return False
+        lead = vec[pivot]
+        vec = [x / lead for x in vec]
+        combo = {g: c / lead for g, c in combo.items() if c != 0}
+        for i, row in enumerate(self.rows):
+            c = row[pivot]
+            if c != 0:
+                self.rows[i] = [x - c * y for x, y in zip(row, vec)]
+                rc = self.combos[i]
+                for g, coeff in combo.items():
+                    rc[g] = rc.get(g, Fraction(0)) - c * coeff
+                self.combos[i] = {g: v for g, v in rc.items() if v != 0}
+        at = next((i for i, p in enumerate(self.pivots) if p > pivot),
+                  len(self.pivots))
+        self.rows.insert(at, vec)
+        self.pivots.insert(at, pivot)
+        self.combos.insert(at, combo)
+        return True
+
+    def basis(self):
+        return [tuple(row) for row in self.rows]

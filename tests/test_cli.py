@@ -428,6 +428,37 @@ class TestOneClosure:
         assert results["gromov"]["lambda_gr"] == results["chain"]["lambda_gr"]
         assert results["gromov"]["certificates_verified"] is True
 
+    def test_berkowitz_runs_once_per_block(self, monkeypatch):
+        # one characteristic polynomial per closure block (shared by gromov
+        # and chain) plus one per nonzero graded block (chain's mu)
+        from dyndeg import cli as cli_module, gromov, spectral
+
+        closures, polys = [], []
+        build, berkowitz = gromov.gromov_closure, spectral.char_poly
+
+        def counted_closure(*args, **kwargs):
+            closures.append(build(*args, **kwargs))
+            return closures[-1]
+
+        def counted_poly(matrix):
+            polys.append(matrix)
+            return berkowitz(matrix)
+
+        monkeypatch.setattr(cli_module, "gromov_closure", counted_closure)
+        monkeypatch.setattr(spectral, "char_poly", counted_poly)
+        cfg = {
+            "model": {"kind": "multiprojective", "n": [1, 1, 1]},
+            "map": {"kind": "product", "d": [2, 3, 1], "perm": [1, 2, 0]},
+            "analyses": ["gromov", "chain"],
+        }
+        results = run(parse_config(json.dumps(cfg))).results
+        (closure,) = closures
+        dims = closure.algebra.dims
+        assert len(polys) == (
+            len(closure.degree_blocks()) + sum(1 for d in dims if d)
+        )
+        assert results["gromov"]["lambda_gr"] == results["chain"]["lambda_gr"]
+
     def test_no_closure_without_gromov_or_chain(self, monkeypatch):
         from dyndeg import cli as cli_module
 
@@ -460,6 +491,44 @@ class TestShippedConfigs:
         assert main(["report", "--config", str(path)]) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == SHIPPED_REPORT_SHA256[name]
+
+
+class TestComputeWorkloadBytes:
+    """The seed-0 ``exact-core`` benchmark reports, run in-process, against
+    the sha256 values the benchmark checks (``perfbench/golden.json``)."""
+
+    @staticmethod
+    def _workloads(monkeypatch):
+        import importlib.util
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", root / "perfbench" / "workloads.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses resolve the module's annotations through sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        golden = json.loads(
+            (root / "perfbench" / "golden.json").read_text("utf-8")
+        )
+        return module.generate("exact-core", 0, root), golden["exact-core"]
+
+    def test_exact_core_reports_match_the_golden_hashes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import hashlib
+
+        workload, golden = self._workloads(monkeypatch)
+        paths = workload.write(tmp_path)
+        assert len(workload.invocations) == 6
+        for command, name in workload.invocations:
+            assert main([command, "--config", str(paths[name])]) == 0
+            out = capsys.readouterr().out.encode("utf-8")
+            assert hashlib.sha256(out).hexdigest() == golden[
+                f"{command} {name}"
+            ], name
 
 
 class TestLazyImports:

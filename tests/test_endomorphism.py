@@ -144,6 +144,31 @@ class TestPushforward:
         assert exc.value.degree == 2
 
 
+class TestApplyOnZeroPieces:
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_a_homogeneous_element_costs_one_product(self, monkeypatch, adjoint):
+        from dyndeg import endo
+
+        model, f = abelian_variety(2, [[1, 1, 0, 0], [0, 1, 0, 0],
+                                       [0, 0, 1, 0], [1, 0, 0, 1]],
+                                   realizability="unverified")
+        g = pushforward(f) if adjoint else f
+        calls = []
+        original = endo._GradedMatrices.apply_scaled
+
+        def counted(self, degree, vec):
+            calls.append(degree)
+            return original(self, degree, vec)
+
+        monkeypatch.setattr(endo._GradedMatrices, "apply_scaled", counted)
+        x = model.algebra.basis_element(2, 1)
+        image = g.apply(x)
+        assert calls == [2]
+        assert all(image.coords[i] is x.coords[i] for i in (0, 1, 3, 4))
+        assert g.apply(model.algebra.zero()) == model.algebra.zero()
+        assert calls == [2]
+
+
 class TestTraces:
     def test_p2_degree_two_total_trace(self):
         model, f = p2_with_map(2)
