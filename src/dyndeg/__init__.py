@@ -17,10 +17,6 @@ from .core import (
     Element,
     GradedAlgebra,
     build_algebra,
-    check_poincare,
-    mul,
-    pair,
-    power,
 )
 from .degrees import (
     DeltaTable,
@@ -40,11 +36,9 @@ from .endo import (
     PullbackMap,
     PushforwardMap,
     compose,
-    graded_trace,
     identity_map,
     power_map,
     pushforward,
-    total_trace,
     validate_pullback,
 )
 from .gromov import (

@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .degrees import (
@@ -33,7 +33,7 @@ from .degrees import (
     moving_ledger,
     segre_graph_degree,
 )
-from .endo import PullbackMap, validate_pullback
+from .endo import PullbackMap, identity_map, validate_pullback
 from .errors import BadMatrixShape, DynDegError, SchemaError, UnknownModelKind
 from .gromov import gromov_closure, lambda_gr, spectral_chain
 from .linalg import identity
@@ -51,16 +51,6 @@ from .models import (
 SCHEMA_VERSION = "1"
 ANALYSIS_STAGE = "analysis"
 ANALYSES = ("delta-table", "gromov", "chain", "graph-class", "bounds")
-MODEL_KINDS = ("projective", "multiprojective", "abelian", "surface_lattice", "custom")
-MAP_KINDS = ("power", "product", "exterior", "isometry", "matrices", "identity")
-
-_MAP_FOR_MODEL = {
-    "projective": {"power", "matrices", "identity"},
-    "multiprojective": {"product", "matrices", "identity"},
-    "abelian": {"exterior", "matrices", "identity"},
-    "surface_lattice": {"isometry", "matrices", "identity"},
-    "custom": {"matrices", "identity"},
-}
 
 
 @dataclass(frozen=True)
@@ -230,197 +220,206 @@ def _check_product(c: _Collector, path: str, entry) -> None:
         c.add(f"{path}/value", "expected a map of basis index -> rational")
 
 
-def _check_matrix(c: _Collector, path: str, value, rows=None, cols=None) -> bool:
+def _check_matrix(c: _Collector, path: str, value) -> None:
     if not isinstance(value, list) or not value:
         c.add(path, "expected a nonempty matrix (list of rows)", "matrix")
-        return False
+        return
     width = None
-    ok = True
     for i, row in enumerate(value):
         if not isinstance(row, list) or not row:
             c.add(f"{path}/{i}", "expected a nonempty row", "matrix")
-            ok = False
             continue
         if width is None:
             width = len(row)
         elif len(row) != width:
             c.add(f"{path}/{i}", f"ragged row: expected {width} entries", "matrix")
-            ok = False
         for j, x in enumerate(row):
             if not _is_rational(x):
                 c.add(f"{path}/{i}/{j}", "expected an exact rational scalar",
                       "matrix")
-                ok = False
-    if ok and rows is not None and len(value) != rows:
-        c.add(path, f"expected {rows} rows, got {len(value)}", "matrix")
-        ok = False
-    if ok and cols is not None and width != cols:
-        c.add(path, f"expected {cols} columns, got {width}", "matrix")
-        ok = False
-    return ok
 
 
-def _check_vector(c: _Collector, path: str, value, length=None) -> bool:
+def _check_vector(c: _Collector, path: str, value) -> None:
     if not isinstance(value, list):
         c.add(path, "expected a list of rational scalars")
-        return False
-    ok = True
+        return
     for i, x in enumerate(value):
         if not _is_rational(x):
             c.add(f"{path}/{i}", "expected an exact rational scalar")
-            ok = False
-    if ok and length is not None and len(value) != length:
-        c.add(path, f"expected length {length}, got {len(value)}")
-        ok = False
-    return ok
 
 
-def _validate_model(c: _Collector, model) -> None:
-    if not isinstance(model, dict):
-        c.add("/model", "expected an object")
-        return
-    kind = model.get("kind")
-    if kind not in MODEL_KINDS:
-        c.add("/model/kind", f"unknown model kind {kind!r}; one of {MODEL_KINDS}",
-              "kind")
-        return
-    known = {"kind"}
-    if kind == "projective":
-        known |= {"n"}
-        n = model.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            c.add("/model/n", "expected an integer >= 1")
-    elif kind == "multiprojective":
-        known |= {"n"}
-        ns = model.get("n")
-        if not isinstance(ns, list) or not ns or any(
-            not isinstance(x, int) or isinstance(x, bool) or x < 1 for x in ns
-        ):
-            c.add("/model/n", "expected a nonempty list of integers >= 1")
-    elif kind == "abelian":
-        known |= {"g", "omega"}
-        g = model.get("g")
-        if not isinstance(g, int) or isinstance(g, bool) or g < 1:
-            c.add("/model/g", "expected an integer >= 1")
-        if "omega" in model:
-            om = model["omega"]
-            if not isinstance(om, list):
-                c.add("/model/omega", "expected a list of [i, j, coeff] triples")
-            else:
-                for t, entry in enumerate(om):
-                    if (
-                        not isinstance(entry, list)
-                        or len(entry) != 3
-                        or not isinstance(entry[0], int)
-                        or not isinstance(entry[1], int)
-                        or not _is_rational(entry[2])
-                    ):
-                        c.add(f"/model/omega/{t}", "expected [i, j, coeff]")
-    elif kind == "surface_lattice":
-        known |= {"gram", "ample", "ambient_dim"}
-        if "gram" not in model:
-            c.add("/model/gram", "missing")
-        else:
-            _check_matrix(c, "/model/gram", model["gram"])
-        if "ample" not in model:
-            c.add("/model/ample", "missing")
-        else:
-            _check_vector(c, "/model/ample", model["ample"])
-        if "ambient_dim" in model and (
-            not isinstance(model["ambient_dim"], int) or model["ambient_dim"] < 1
-        ):
-            c.add("/model/ambient_dim", "expected an integer >= 1")
-    elif kind == "custom":
-        known |= {
-            "top_degree", "dims", "sign_rule", "products", "integrate",
-            "unit", "h", "ambient_dim", "effective", "realizability",
-        }
-        for key in ("top_degree", "dims", "products", "integrate", "h",
-                    "ambient_dim"):
-            if key not in model:
-                c.add(f"/model/{key}", "missing")
-        if "dims" in model and (
-            not isinstance(model["dims"], list)
-            or any(not isinstance(d, int) or d < 0 for d in model["dims"])
-        ):
-            c.add("/model/dims", "expected a list of nonnegative integers")
-        if "products" in model:
-            prods = model["products"]
-            if not isinstance(prods, list):
-                c.add("/model/products", "expected a list of product entries")
-            else:
-                for t, entry in enumerate(prods):
-                    _check_product(c, f"/model/products/{t}", entry)
-        for key, low in (("top_degree", 0), ("ambient_dim", 1)):
-            if key in model and not (_is_index(model[key]) and model[key] >= low):
-                c.add(f"/model/{key}", f"expected an integer >= {low}")
-        for key in ("integrate", "h", "unit"):
-            if key in model:
-                _check_vector(c, f"/model/{key}", model[key])
-        if "effective" in model:
-            effective = model["effective"]
-            if not isinstance(effective, list):
-                c.add("/model/effective", "expected a list of effective classes")
-            else:
-                for t, entry in enumerate(effective):
-                    path = f"/model/effective/{t}"
-                    if not (isinstance(entry, dict) and "coords" in entry
-                            and _is_index(entry.get("degree"))):
-                        c.add(path, "expected {label, degree: int, coords: [...]}")
-                    else:
-                        _check_vector(c, f"{path}/coords", entry["coords"])
-    for key in model:
-        if key not in known:
-            c.add(f"/model/{key}", "unknown field")
+def _at_least(low: int):
+    def check(c: _Collector, path: str, value) -> None:
+        if not (_is_index(value) and value >= low):
+            c.add(path, f"expected an integer >= {low}")
+    return check
 
 
-def _validate_map(c: _Collector, map_spec, model_kind) -> None:
-    if not isinstance(map_spec, dict):
-        c.add("/map", "expected an object")
-        return
-    kind = map_spec.get("kind")
-    if kind not in MAP_KINDS:
-        c.add("/map/kind", f"unknown map kind {kind!r}; one of {MAP_KINDS}")
-        return
-    if model_kind in _MAP_FOR_MODEL and kind not in _MAP_FOR_MODEL[model_kind]:
-        c.add(
-            "/map/kind",
-            f"map kind {kind!r} does not apply to model kind {model_kind!r}",
-        )
-    known = {"kind"}
-    if kind == "power":
-        known |= {"d"}
-        d = map_spec.get("d")
-        if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-            c.add("/map/d", "expected an integer >= 0")
-    elif kind == "product":
-        known |= {"d", "perm"}
-        ds = map_spec.get("d")
-        if not isinstance(ds, list) or any(
-            not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in ds
-        ):
-            c.add("/map/d", "expected a list of integers >= 0")
-        perm = map_spec.get("perm")
-        if not isinstance(perm, list) or any(not isinstance(x, int) for x in perm):
-            c.add("/map/perm", "expected a list of factor indices")
-    elif kind in ("exterior", "isometry"):
-        known |= {"matrix"}
-        if "matrix" not in map_spec:
-            c.add("/map/matrix", "missing")
-        else:
-            _check_matrix(c, "/map/matrix", map_spec["matrix"])
-    elif kind == "matrices":
-        known |= {"blocks"}
-        blocks = map_spec.get("blocks")
-        if not isinstance(blocks, list):
-            c.add("/map/blocks", "expected a list of per-degree matrices")
-        else:
-            for i, block in enumerate(blocks):
-                if block != []:  # [] is the block of a zero-dimensional degree
-                    _check_matrix(c, f"/map/blocks/{i}", block)
-    for key in map_spec:
-        if key not in known:
-            c.add(f"/map/{key}", "unknown field")
+def _integers(low: int | None = None, nonempty: bool = False):
+    """A list of integers, each >= ``low`` when it is given."""
+    what = ("a nonempty list" if nonempty else "a list") + " of integers"
+    what += "" if low is None else f" >= {low}"
+
+    def check(c: _Collector, path: str, value) -> None:
+        if not (isinstance(value, list) and (value or not nonempty) and all(
+            _is_index(x) and (low is None or x >= low) for x in value
+        )):
+            c.add(path, f"expected {what}")
+    return check
+
+
+def _entries(check_entry, what: str):
+    """A list whose every entry passes ``check_entry``."""
+    def check(c: _Collector, path: str, value) -> None:
+        if not isinstance(value, list):
+            c.add(path, f"expected a list of {what}")
+            return
+        for i, entry in enumerate(value):
+            check_entry(c, f"{path}/{i}", entry)
+    return check
+
+
+def _check_omega_entry(c: _Collector, path: str, entry) -> None:
+    if not (isinstance(entry, list) and len(entry) == 3 and _is_index(entry[0])
+            and _is_index(entry[1]) and _is_rational(entry[2])):
+        c.add(path, "expected [i, j, coeff]")
+
+
+def _check_effective(c: _Collector, path: str, entry) -> None:
+    if not (isinstance(entry, dict) and "coords" in entry
+            and _is_index(entry.get("degree"))):
+        c.add(path, "expected {label, degree: int, coords: [...]}")
+    else:
+        _check_vector(c, f"{path}/coords", entry["coords"])
+
+
+def _check_block(c: _Collector, path: str, block) -> None:
+    if block != []:  # [] is the block of a zero-dimensional degree
+        _check_matrix(c, path, block)
+
+
+def _check_fields(c: _Collector, path: str, spec: dict, fields: dict) -> None:
+    """Check ``spec`` against ``fields``: name -> (required, check or None);
+    a field without a check is coerced or validated by the builder."""
+    for key, (required, check) in fields.items():
+        if key not in spec:
+            if required:
+                c.add(f"{path}/{key}", "missing")
+        elif check is not None:
+            check(c, f"{path}/{key}", spec[key])
+    for key in spec:
+        if key != "kind" and key not in fields:
+            c.add(f"{path}/{key}", "unknown field")
+
+
+def _kind_of(c: _Collector, raw: dict, part: str, kinds, category="schema"):
+    """The kind of ``raw[part]``, or None once the reason is recorded."""
+    spec = raw.get(part)
+    if part not in raw:
+        c.add(f"/{part}", "missing")
+    elif not isinstance(spec, dict):
+        c.add(f"/{part}", "expected an object")
+    elif spec.get("kind") not in kinds:  # a tuple: the kind may be unhashable
+        c.add(f"/{part}/kind",
+              f"unknown {part} kind {spec.get('kind')!r}; one of {kinds}",
+              category)
+    else:
+        return spec["kind"]
+    return None
+
+
+# ---------------------------------------------------------------------------
+# model and map kinds
+# ---------------------------------------------------------------------------
+
+# A builder takes the model spec and the map spec and returns the model with
+# the pullback of the kind's own map; it reads only its own map fields, so a
+# map spec without them ("identity", "matrices") gives the identity map.
+
+def _build_projective(spec, map_spec):
+    model = projective_space(spec["n"])
+    return model, pn_power_map(model, map_spec.get("d", 1))
+
+
+def _build_multiprojective(spec, map_spec):
+    k = len(spec["n"])
+    model = multiprojective(spec["n"])
+    return model, product_map(
+        model, map_spec.get("d", [1] * k), map_spec.get("perm", list(range(k)))
+    )
+
+
+def _build_abelian(spec, map_spec):
+    g = spec["g"]
+    omega = None
+    if "omega" in spec:
+        omega = {(i, j): coeff for i, j, coeff in spec["omega"]}
+    return abelian_variety(g, map_spec.get("matrix", identity(2 * g)), omega)
+
+
+def _build_surface_lattice(spec, map_spec):
+    gram = spec["gram"]
+    return surface_lattice(
+        gram, map_spec.get("matrix", identity(len(gram))), spec["ample"],
+        ambient_dim=spec.get("ambient_dim"),
+    )
+
+
+def _build_custom(spec, map_spec):
+    model, _ = custom_model({k: v for k, v in spec.items() if k != "kind"})
+    return model, identity_map(model.algebra)
+
+
+class _ModelKind(NamedTuple):
+    fields: dict  # name -> (required, check), as read by _check_fields
+    maps: tuple[str, ...]  # map kinds it takes besides _EVERY_MODEL_MAPS
+    build: Callable[[dict, dict], tuple[EmbeddedModel, PullbackMap]]
+
+
+_MODELS = {
+    "projective": _ModelKind(
+        {"n": (True, _at_least(1))}, ("power",), _build_projective
+    ),
+    "multiprojective": _ModelKind(
+        {"n": (True, _integers(1, nonempty=True))}, ("product",),
+        _build_multiprojective,
+    ),
+    "abelian": _ModelKind(
+        {"g": (True, _at_least(1)),
+         "omega": (False, _entries(_check_omega_entry, "[i, j, coeff] triples"))},
+        ("exterior",), _build_abelian,
+    ),
+    "surface_lattice": _ModelKind(
+        {"gram": (True, _check_matrix), "ample": (True, _check_vector),
+         "ambient_dim": (False, _at_least(1))},
+        ("isometry",), _build_surface_lattice,
+    ),
+    "custom": _ModelKind(
+        {"top_degree": (True, _at_least(0)),
+         "dims": (True, _integers(0)),
+         "sign_rule": (False, None),
+         "products": (True, _entries(_check_product, "product entries")),
+         "integrate": (True, _check_vector),
+         "unit": (False, _check_vector),
+         "h": (True, _check_vector),
+         "ambient_dim": (True, _at_least(1)),
+         "effective": (False, _entries(_check_effective, "effective classes")),
+         "realizability": (False, None)},
+        (), _build_custom,
+    ),
+}
+# map kind -> fields
+_MAPS = {
+    "power": {"d": (True, _at_least(0))},
+    "product": {"d": (True, _integers(0)), "perm": (True, _integers())},
+    "exterior": {"matrix": (True, _check_matrix)},
+    "isometry": {"matrix": (True, _check_matrix)},
+    "matrices": {"blocks": (True, _entries(_check_block, "per-degree matrices"))},
+    "identity": {},
+}
+_EVERY_MODEL_MAPS = ("matrices", "identity")
+MODEL_KINDS = tuple(_MODELS)
+MAP_KINDS = tuple(_MAPS)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -445,18 +444,19 @@ def parse_config(text: str) -> RunConfig:
     if version != SCHEMA_VERSION:
         c.add("/schema_version", f"unsupported schema version {version!r}")
 
-    if "model" not in raw:
-        c.add("/model", "missing")
-    else:
-        _validate_model(c, raw["model"])
-    model_kind = raw.get("model", {}).get("kind") if isinstance(
-        raw.get("model"), dict
-    ) else None
-
-    if "map" not in raw:
-        c.add("/map", "missing")
-    else:
-        _validate_map(c, raw["map"], model_kind)
+    model_kind = _kind_of(c, raw, "model", MODEL_KINDS, "kind")
+    if model_kind is not None:
+        _check_fields(c, "/model", raw["model"], _MODELS[model_kind].fields)
+    map_kind = _kind_of(c, raw, "map", MAP_KINDS)
+    if map_kind is not None:
+        if model_kind is not None and map_kind not in (
+            _MODELS[model_kind].maps + _EVERY_MODEL_MAPS
+        ):
+            c.add(
+                "/map/kind",
+                f"map kind {map_kind!r} does not apply to model kind {model_kind!r}",
+            )
+        _check_fields(c, "/map", raw["map"], _MAPS[map_kind])
 
     analyses = raw.get("analyses")
     if analyses is None:
@@ -469,8 +469,7 @@ def parse_config(text: str) -> RunConfig:
                 c.add(f"/analyses/{i}", f"unknown analysis {a!r}; one of {ANALYSES}")
 
     m_max = raw.get("M", 16)
-    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
-        c.add("/M", "expected an integer >= 1")
+    _at_least(1)(c, "/M", m_max)
 
     tol = raw.get("tol", 1e-9)
     if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
@@ -509,81 +508,17 @@ def serialize_config(config: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
-    model_spec = config.model
-    map_spec = config.map
-    kind = model_spec["kind"]
-    mk = map_spec["kind"]
-
-    if kind == "projective":
-        model = projective_space(model_spec["n"])
-        if mk == "power":
-            pull = pn_power_map(model, map_spec["d"])
-        elif mk == "identity":
-            pull = pn_power_map(model, 1)
-        else:
-            pull = validate_pullback(model.algebra, map_spec["blocks"])
-    elif kind == "multiprojective":
-        ns = model_spec["n"]
-        model = multiprojective(ns)
-        if mk == "product":
-            pull = product_map(model, map_spec["d"], map_spec["perm"])
-        elif mk == "identity":
-            pull = product_map(model, [1] * len(ns), list(range(len(ns))))
-        else:
-            pull = validate_pullback(model.algebra, map_spec["blocks"])
-    elif kind == "abelian":
-        g = model_spec["g"]
-        omega = None
-        if "omega" in model_spec:
-            omega = {}
-            for i, j, coeff in model_spec["omega"]:
-                omega[(i, j)] = coeff
-        if mk == "exterior":
-            matrix = map_spec["matrix"]
-        elif mk == "identity":
-            matrix = identity(2 * g)
-        else:
-            matrix = None
-        if matrix is not None:
-            model, pull = abelian_variety(g, matrix, omega)
-        else:
-            model, _ = abelian_variety(g, identity(2 * g), omega)
-            pull = validate_pullback(model.algebra, map_spec["blocks"])
-    elif kind == "surface_lattice":
-        gram = model_spec["gram"]
-        ample = model_spec["ample"]
-        ambient = model_spec.get("ambient_dim")
-        if mk == "isometry":
-            iso = map_spec["matrix"]
-        elif mk == "identity":
-            iso = identity(len(gram))
-        else:
-            iso = None
-        if iso is not None:
-            model, pull = surface_lattice(gram, iso, ample, ambient_dim=ambient)
-        else:
-            model, _ = surface_lattice(
-                gram, identity(len(gram)), ample, ambient_dim=ambient
-            )
-            pull = validate_pullback(model.algebra, map_spec["blocks"])
-    else:  # custom
-        params = dict(model_spec)
-        params.pop("kind")
-        if mk == "matrices":
-            params["map"] = {"blocks": map_spec["blocks"]}
-        model, pull = custom_model(params)
-        if pull is None:  # identity map
-            pull = validate_pullback(
-                model.algebra,
-                [identity(d) for d in model.algebra.dims],
-                realizability="asserted",
-                provenance="identity",
-            )
+    kind, map_spec = config.model["kind"], config.map
+    model, pull = _MODELS[kind].build(config.model, map_spec)
+    if map_spec["kind"] == "matrices":
+        # a custom model states its own realizability, and its map shares it
+        stated = {"realizability": model.realizability, "provenance": "custom"}
+        pull = validate_pullback(
+            model.algebra, map_spec["blocks"], **(stated if kind == "custom" else {})
+        )
 
     if config.ample is not None:
-        h = model.algebra.homogeneous(
-            2, [x for x in config.ample["coords"]]
-        )
+        h = model.algebra.homogeneous(2, config.ample["coords"])
         model = embedded_model(
             model.algebra,
             h,

@@ -35,9 +35,6 @@ from .linalg import as_fraction, det, zero_vector
 COMMUTATIVE = "commutative"
 SUPER_COMMUTATIVE = "super_commutative"
 
-# sparse product blocks denser than this are converted to dense tables
-_DENSE_THRESHOLD = 0.25
-
 BasisIndex = tuple[int, int]  # (degree, index within the graded piece)
 
 
@@ -146,7 +143,7 @@ class GradedAlgebra:
         self.top_degree = top_degree
         self.dims = tuple(dims)
         self.sign_rule = sign_rule
-        self._blocks = blocks  # {(i, j): sparse dict or dense nested list}
+        self._blocks = blocks  # {(i, j): {(p, q): product coordinates}}
         self.unit_coords = tuple(unit_coords)
         self.integrate_coords = tuple(integrate_coords)
         self.dimension = sum(self.dims)
@@ -181,6 +178,8 @@ class GradedAlgebra:
         return Element(tuple(tuple(p) for p in coords))
 
     def homogeneous(self, degree: int, vector: Sequence) -> Element:
+        if not 0 <= degree <= self.top_degree:
+            raise ShapeMismatch(f"no graded piece of degree {degree}")
         vec = tuple(as_fraction(x) for x in vector)
         if len(vec) != self.dims[degree]:
             raise ShapeMismatch(
@@ -195,26 +194,16 @@ class GradedAlgebra:
     def scaled_table(self) -> ScaledTable:
         """The integer structure table of the validators and the Gromov
         closure (built once)."""
-        products = {}
-        for (i, j), block in self._blocks.items():
-            if isinstance(block, dict):
-                products[(i, j)] = block.items()
-            else:
-                products[(i, j)] = [
-                    ((p, q), vec)
-                    for p, row in enumerate(block)
-                    for q, vec in enumerate(row)
-                ]
         den = math.lcm(*(
             c.denominator
-            for entries in products.values()
-            for _, vec in entries
+            for block in self._blocks.values()
+            for vec in block.values()
             for c in vec
         ))
         rows = {}
-        for (i, j), entries in products.items():
+        for (i, j), block in self._blocks.items():
             block_rows = [{} for _ in range(self.dims[i])]
-            for (p, q), vec in entries:
+            for (p, q), vec in block.items():
                 scaled = tuple(
                     (k, c.numerator * (den // c.denominator))
                     for k, c in enumerate(vec)
@@ -243,13 +232,8 @@ class GradedAlgebra:
         (i, p), (j, q) = a, b
         if i + j > self.top_degree:
             return ()
-        block = self._blocks.get((i, j))
-        if block is None:
-            return zero_vector(self.dims[i + j])
-        if isinstance(block, dict):
-            vec = block.get((p, q))
-            return vec if vec is not None else zero_vector(self.dims[i + j])
-        return block[p][q]
+        vec = self._blocks.get((i, j), {}).get((p, q))
+        return vec if vec is not None else zero_vector(self.dims[i + j])
 
     def mul_vectors(
         self, i: int, va: Sequence[Fraction], j: int, vb: Sequence[Fraction]
@@ -260,15 +244,13 @@ class GradedAlgebra:
         out = [Fraction(0)] * self.dims[i + j]
         block = self._blocks.get((i, j))
         if block is not None:
-            sparse = isinstance(block, dict)
             for p, ca in enumerate(va):
                 if ca == 0:
                     continue
-                row = None if sparse else block[p]
                 for q, cb in enumerate(vb):
                     if cb == 0:
                         continue
-                    vec = block.get((p, q)) if sparse else row[q]
+                    vec = block.get((p, q))
                     if vec:
                         c = ca * cb
                         for k, v in enumerate(vec):
@@ -358,22 +340,6 @@ class PairingReport:
     degree: int
     nondegenerate: bool
     determinant: Fraction | None
-
-
-def check_poincare(algebra: GradedAlgebra) -> list[PairingReport]:
-    return algebra.poincare_report()
-
-
-def mul(algebra: GradedAlgebra, a: Element, b: Element) -> Element:
-    return algebra.mul(a, b)
-
-
-def power(algebra: GradedAlgebra, a: Element, k: int) -> Element:
-    return algebra.power(a, k)
-
-
-def pair(algebra: GradedAlgebra, a: Element, b: Element) -> Fraction:
-    return algebra.pair(a, b)
 
 
 def _koszul_sign(sign_rule: str, i: int, j: int) -> int:
@@ -488,22 +454,8 @@ def build_algebra(
             mirrored = tuple(sign * x for x in vec)
             table.setdefault((j, i), {}).setdefault((q, p), mirrored)
 
-    # density-based storage: tiny dense blocks multiply without hashing
-    blocks: dict[tuple[int, int], object] = {}
-    for (i, j), entries in table.items():
-        total = dims[i] * dims[j]
-        if total and len(entries) / total > _DENSE_THRESHOLD:
-            dense = [
-                [entries.get((p, q), zero_vector(dims[i + j]))
-                 for q in range(dims[j])]
-                for p in range(dims[i])
-            ]
-            blocks[(i, j)] = dense
-        else:
-            blocks[(i, j)] = entries
-
     algebra = GradedAlgebra(
-        top_degree, dims, sign_rule, blocks, unit_coords, integrate_coords
+        top_degree, dims, sign_rule, table, unit_coords, integrate_coords
     )
     _validate(algebra)
     return algebra

@@ -247,11 +247,3 @@ def pushforward(f: PullbackMap) -> PushforwardMap:
             raise DegeneratePairing(i)
         blocks.append(transpose(mat_mul(mat_mul(g, f.blocks[top - i]), g_inv)))
     return PushforwardMap(algebra, tuple(blocks))
-
-
-def graded_trace(f: PullbackMap, degree: int) -> Fraction:
-    return f.graded_trace(degree)
-
-
-def total_trace(f: PullbackMap, alternating: bool = False) -> Fraction:
-    return f.total_trace(alternating=alternating)

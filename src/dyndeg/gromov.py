@@ -312,8 +312,6 @@ class ChainReport:
     mu_error: float
     max_lambda: float
     max_mu: float
-    chain_holds: bool
-    equality_holds: bool
     equality_asserted: bool
     realizability: str
     tol: float
@@ -325,6 +323,16 @@ class ChainReport:
         return (
             self.tol * max(1.0, abs(value)) + self.lambda_gr_error + self.mu_error
         )
+
+    @property
+    def chain_holds(self) -> bool:
+        """lambda_gr <= max lambda, within the slack."""
+        return self.lambda_gr <= self.max_lambda + self.slack(self.max_lambda)
+
+    @property
+    def equality_holds(self) -> bool:
+        """lambda_gr = max mu, within the slack."""
+        return abs(self.lambda_gr - self.max_mu) <= self.slack(self.max_mu)
 
 
 def spectral_chain(
@@ -361,15 +369,6 @@ def spectral_chain(
     r_dim = algebra.top_degree // 2
     lam = [mu[2 * i] for i in range(r_dim + 1)]
 
-    max_lambda = max(lam)
-    max_mu = max(mu)
-
-    def slack(x: float) -> float:
-        return tol * max(1.0, abs(x)) + lam_err + mu_err
-
-    chain_holds = lam_gr <= max_lambda + slack(max_lambda)
-    equality_holds = abs(lam_gr - max_mu) <= slack(max_mu)
-
     if realizability is None:
         realizability = f.realizability
     equality_asserted = realizability == "asserted" and scope_note is None
@@ -380,10 +379,8 @@ def spectral_chain(
         lambda_by_codim=tuple(lam),
         mu_by_degree=tuple(mu),
         mu_error=mu_err,
-        max_lambda=max_lambda,
-        max_mu=max_mu,
-        chain_holds=chain_holds,
-        equality_holds=equality_holds,
+        max_lambda=max(lam),
+        max_mu=max(mu),
         equality_asserted=equality_asserted,
         realizability=realizability,
         tol=tol,

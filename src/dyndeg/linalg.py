@@ -72,14 +72,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def transpose(a: Matrix) -> Matrix:
     if not a:
         return ()
@@ -132,10 +124,6 @@ class PowerLadder:
             m: mat for m, mat in self._memo.items()
             if m <= 1 or m == keep or m & (m - 1) == 0
         }
-
-
-def mat_pow(m: Matrix, k: int) -> Matrix:
-    return PowerLadder(m).power(k)
 
 
 def det(a: Matrix) -> Fraction:

@@ -6,7 +6,6 @@ from dyndeg.core import (
     COMMUTATIVE,
     SUPER_COMMUTATIVE,
     build_algebra,
-    check_poincare,
 )
 from dyndeg.errors import (
     AssociativityViolation,
@@ -173,14 +172,14 @@ class TestPair:
 class TestCheckPoincare:
     def test_projective_space_nondegenerate_everywhere(self):
         alg = projective_space(3).algebra
-        for report in check_poincare(alg):
+        for report in alg.poincare_report():
             assert report.nondegenerate
 
     def test_exterior_rank_one_gram_determinants(self):
         # degree-1 Gram is [[0,1],[-1,0]] with determinant 1
         alg = exterior_algebra(1)
         assert alg.gram_matrix(1) == ((0, 1), (-1, 0))
-        reports = check_poincare(alg)
+        reports = alg.poincare_report()
         assert all(r.nondegenerate for r in reports)
         assert reports[1].determinant == 1
 
@@ -188,7 +187,7 @@ class TestCheckPoincare:
         # degree-2 classes u, v with u*u = point, v*anything = 0
         products = {((2, 0), (2, 0)): {0: 1}}
         alg = build_algebra(4, [1, 0, 2, 0, 1], COMMUTATIVE, products, (1,))
-        reports = check_poincare(alg)
+        reports = alg.poincare_report()
         assert not reports[2].nondegenerate
         assert reports[2].determinant == 0
         assert reports[0].nondegenerate

@@ -5,7 +5,6 @@ from dyndeg.endo import (
     identity_map,
     power_map,
     pushforward,
-    total_trace,
     validate_pullback,
 )
 from dyndeg.errors import (
@@ -172,17 +171,17 @@ class TestApplyOnZeroPieces:
 class TestTraces:
     def test_p2_degree_two_total_trace(self):
         model, f = p2_with_map(2)
-        assert total_trace(f) == 1 + 2 + 4
-        assert total_trace(f, alternating=True) == 7  # only even degrees
+        assert f.total_trace() == 1 + 2 + 4
+        assert f.total_trace(alternating=True) == 7  # only even degrees
 
     def test_identity_total_trace_is_total_dimension(self):
         model = multiprojective([1, 1])
         f = identity_map(model.algebra)
-        assert total_trace(f) == sum(model.algebra.dims)
+        assert f.total_trace() == sum(model.algebra.dims)
 
     def test_abelian_h1_trace(self):
         model, f = abelian_variety(1, [[1, 1], [1, 0]])
         assert f.graded_trace(1) == 1
         # plain: 1 + tr(M^T) + det(M) = 1 + 1 - 1; alternating flips degree 1
-        assert total_trace(f) == 1
-        assert total_trace(f, alternating=True) == 1 - 1 + (-1)
+        assert f.total_trace() == 1
+        assert f.total_trace(alternating=True) == 1 - 1 + (-1)
