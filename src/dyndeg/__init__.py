@@ -34,11 +34,8 @@ from .degrees import (
 )
 from .endo import (
     PullbackMap,
-    PushforwardMap,
-    compose,
     identity_map,
     power_map,
-    pushforward,
     validate_pullback,
 )
 from .gromov import (
@@ -61,8 +58,6 @@ from .models import (
     surface_lattice,
 )
 from .spectral import (
-    SpectralReport,
-    analyze,
     char_poly,
     combined_limsup_bound,
     gelfand_sequence,

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import __version__
+from .core import COMMUTATIVE, SUPER_COMMUTATIVE
 from .degrees import (
     EmbeddedModel,
     bound_constant,
@@ -64,7 +65,9 @@ class RunConfig:
     out: str | None = None
     schema_version: str = SCHEMA_VERSION
 
-    def to_dict(self, include_out: bool = True) -> dict:
+    def to_dict(self) -> dict:
+        # the output path is delivery metadata, not an analysis input, so it
+        # stays out: report bytes depend only on what was computed
         out = {
             "schema_version": self.schema_version,
             "model": self.model,
@@ -75,8 +78,6 @@ class RunConfig:
         }
         if self.ample is not None:
             out["ample"] = self.ample
-        if include_out and self.out is not None:
-            out["out"] = self.out
         return out
 
 
@@ -87,12 +88,10 @@ class Report:
     elapsed: float
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        # the output path is delivery metadata, not an analysis input, so it
-        # stays out of the echo: report bytes depend only on what was computed
         out = {
             "schema_version": SCHEMA_VERSION,
             "version": __version__,
-            "config": self.config.to_dict(include_out=False),
+            "config": self.config.to_dict(),
             "results": self.results,
         }
         if include_timing:
@@ -268,6 +267,14 @@ def _integers(low: int | None = None, nonempty: bool = False):
     return check
 
 
+def _one_of(*values: str):
+    """One of the strings ``values``."""
+    def check(c: _Collector, path: str, value) -> None:
+        if value not in values:
+            c.add(path, f"expected one of {values}")
+    return check
+
+
 def _entries(check_entry, what: str):
     """A list whose every entry passes ``check_entry``."""
     def check(c: _Collector, path: str, value) -> None:
@@ -299,13 +306,12 @@ def _check_block(c: _Collector, path: str, block) -> None:
 
 
 def _check_fields(c: _Collector, path: str, spec: dict, fields: dict) -> None:
-    """Check ``spec`` against ``fields``: name -> (required, check or None);
-    a field without a check is coerced or validated by the builder."""
+    """Check ``spec`` against ``fields``: name -> (required, check)."""
     for key, (required, check) in fields.items():
         if key not in spec:
             if required:
                 c.add(f"{path}/{key}", "missing")
-        elif check is not None:
+        else:
             check(c, f"{path}/{key}", spec[key])
     for key in spec:
         if key != "kind" and key not in fields:
@@ -366,7 +372,7 @@ def _build_surface_lattice(spec, map_spec):
 
 
 def _build_custom(spec, map_spec):
-    model, _ = custom_model({k: v for k, v in spec.items() if k != "kind"})
+    model = custom_model({k: v for k, v in spec.items() if k != "kind"})
     return model, identity_map(model.algebra)
 
 
@@ -397,14 +403,16 @@ _MODELS = {
     "custom": _ModelKind(
         {"top_degree": (True, _at_least(0)),
          "dims": (True, _integers(0)),
-         "sign_rule": (False, None),
+         "sign_rule": (False, _one_of(COMMUTATIVE, SUPER_COMMUTATIVE)),
          "products": (True, _entries(_check_product, "product entries")),
          "integrate": (True, _check_vector),
          "unit": (False, _check_vector),
          "h": (True, _check_vector),
          "ambient_dim": (True, _at_least(1)),
          "effective": (False, _entries(_check_effective, "effective classes")),
-         "realizability": (False, None)},
+         "realizability": (
+             False, _one_of("unverified", "asserted", "asserted-for-lattice")
+         )},
         (), _build_custom,
     ),
 }
@@ -497,10 +505,6 @@ def parse_config(text: str) -> RunConfig:
         out=out,
         schema_version=version,
     )
-
-
-def serialize_config(config: RunConfig) -> str:
-    return dumps_canonical(config.to_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,6 @@ class Element:
             i for i, piece in enumerate(self.coords) if any(x != 0 for x in piece)
         )
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int | None:
         """The degree of a homogeneous element (None for zero)."""
         degs = self.degrees()

@@ -1,4 +1,4 @@
-"""Pullback maps on graded algebras: validation, powers, adjoints, traces.
+"""Pullback maps on graded algebras: validation, powers, traces.
 
 A pullback is a degree-preserving unital ring endomorphism, stored as one
 exact rational matrix per graded piece (column convention: the image of the
@@ -17,32 +17,22 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import Element, GradedAlgebra
-from .errors import (
-    DegeneratePairing,
-    MultiplicativityViolation,
-    ShapeMismatch,
-    UnitViolation,
-)
-from .linalg import (
-    Matrix,
-    PowerLadder,
-    as_matrix,
-    inverse,
-    mat_mul,
-    scaled_vector,
-    trace,
-    transpose,
-)
+from .errors import MultiplicativityViolation, ShapeMismatch, UnitViolation
+from .linalg import Matrix, PowerLadder, as_matrix, scaled_vector, trace
 
 
-class _GradedMatrices:
-    """A map stored as one square matrix per graded piece (``blocks``).
+@dataclass(frozen=True)
+class PullbackMap:
+    """Validated unital graded ring endomorphism f*.
 
     The blocks are also held once as integers over one common denominator
     (``scaled_blocks``); ``apply`` and the Gromov closure run on that copy.
     """
 
+    algebra: GradedAlgebra
     blocks: tuple[Matrix, ...]
+    realizability: str = "unverified"
+    provenance: str | None = None
 
     @functools.cached_property
     def scaled_blocks(self) -> tuple[int, tuple]:
@@ -89,16 +79,6 @@ class _GradedMatrices:
             ))
         return Element(tuple(pieces))
 
-
-@dataclass(frozen=True)
-class PullbackMap(_GradedMatrices):
-    """Validated unital graded ring endomorphism f*."""
-
-    algebra: GradedAlgebra
-    blocks: tuple[Matrix, ...]
-    realizability: str = "unverified"
-    provenance: str | None = None
-
     def block(self, degree: int) -> Matrix:
         return self.blocks[degree]
 
@@ -112,18 +92,6 @@ class PullbackMap(_GradedMatrices):
             t = trace(m)
             total += -t if (alternating and i % 2 == 1) else t
         return total
-
-
-@dataclass(frozen=True)
-class PushforwardMap(_GradedMatrices):
-    """Adjoint of a pullback under the intersection pairing.
-
-    Realized per degree on the same grading; satisfies the projection formula
-    pair(f_* a, b) = pair(a, f* b) exactly.
-    """
-
-    algebra: GradedAlgebra
-    blocks: tuple[Matrix, ...]
 
 
 def validate_pullback(
@@ -209,41 +177,3 @@ def power_map(f: PullbackMap, m: int) -> PullbackMap:
         realizability=f.realizability,
         provenance=f"({f.provenance})^{m}" if f.provenance else None,
     )
-
-
-def compose(f: PullbackMap, g: PullbackMap) -> PullbackMap:
-    """The pullback of g after f, i.e. matrices f.block @ g.block per degree."""
-    if f.algebra is not g.algebra:
-        raise ShapeMismatch("composition requires maps on the same algebra")
-    return PullbackMap(
-        f.algebra,
-        tuple(mat_mul(a, b) for a, b in zip(f.blocks, g.blocks)),
-        realizability="unverified",
-        provenance=None,
-    )
-
-
-def pushforward(f: PullbackMap) -> PushforwardMap:
-    """The unique adjoint with pair(f_* a, b) = pair(a, f* b).
-
-    Solved degree by degree from the Gram matrices: with G_i the pairing of
-    degree i against degree top-i, N_i^T G_i = G_i M_{top-i}, hence
-    N_i = (G_i M_{top-i} G_i^{-1})^T.  Requires a nondegenerate pairing in
-    every degree.
-    """
-    algebra = f.algebra
-    top = algebra.top_degree
-    blocks = []
-    for i in range(top + 1):
-        d = algebra.dims[i]
-        if d == 0:
-            blocks.append(())
-            continue
-        if algebra.dims[top - i] != d:
-            raise DegeneratePairing(i)
-        g = algebra.gram_matrix(i)
-        g_inv = inverse(g)
-        if g_inv is None:
-            raise DegeneratePairing(i)
-        blocks.append(transpose(mat_mul(mat_mul(g, f.blocks[top - i]), g_inv)))
-    return PushforwardMap(algebra, tuple(blocks))

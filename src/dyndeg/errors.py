@@ -77,19 +77,6 @@ class MultiplicativityViolation(DynDegError):
                 "message": str(self)}
 
 
-class DegeneratePairing(DynDegError):
-    kind = "DegeneratePairing"
-
-    def __init__(self, degree, message=""):
-        self.degree = degree
-        super().__init__(
-            message or f"intersection pairing is degenerate in degree {degree}"
-        )
-
-    def payload(self):
-        return {"error": self.kind, "degree": self.degree, "message": str(self)}
-
-
 class SpectralNonconvergence(DynDegError):
     """Raised when the certified root bracket cannot be tightened to ``tol``.
 

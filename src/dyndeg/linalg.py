@@ -159,27 +159,6 @@ def det(a: Matrix) -> Fraction:
     return Fraction(sign * m[n - 1][n - 1], den**n)
 
 
-def inverse(a: Matrix) -> Matrix | None:
-    """Exact inverse by Gauss-Jordan; ``None`` when singular."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ShapeMismatch("inverse of a non-square matrix")
-    m = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
 class Echelon:
     """Incrementally maintained reduced row echelon form with provenance.
 

@@ -433,12 +433,11 @@ def surface_lattice(
 # custom models from config dictionaries
 # ---------------------------------------------------------------------------
 
-def custom_model(params: Mapping) -> tuple[EmbeddedModel, PullbackMap | None]:
+def custom_model(params: Mapping) -> EmbeddedModel:
     """Build a model from the CLI's custom-model schema (kind "custom").
 
     Everything is validated; realizability is "unverified" unless overridden.
-    Returns the model and, when the params carry map blocks, the validated
-    pullback.
+    A pullback comes from ``validate_pullback`` on the model's algebra.
     """
     top = int(params["top_degree"])
     dims = [int(d) for d in params["dims"]]
@@ -467,20 +466,11 @@ def custom_model(params: Mapping) -> tuple[EmbeddedModel, PullbackMap | None]:
         )
         for i, e in enumerate(params.get("effective", ()))
     )
-    model = embedded_model(
+    return embedded_model(
         algebra,
         h,
         ambient_dim=int(params["ambient_dim"]),
-        realizability=str(params.get("realizability", "unverified")),
+        realizability=params.get("realizability", "unverified"),
         provenance="custom",
         effective=effective,
     )
-    pull = None
-    if "map" in params and params["map"] is not None:
-        pull = validate_pullback(
-            algebra,
-            params["map"]["blocks"],
-            realizability=str(params.get("realizability", "unverified")),
-            provenance="custom",
-        )
-    return model, pull

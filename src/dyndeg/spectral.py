@@ -8,12 +8,13 @@ Newton-polished inclusion disks inside a Cauchy-bound bracket.  The floating
 routes (norm doubling, trace roots) are deliberately independent estimators:
 they never consult the exact route, so the two can cross-check each other.
 
-Floating point is double precision with power-of-two scale factors tracked
-exactly in a separate integer exponent; exact rational arithmetic is used for
-traces up to size cutoffs (matrix dimension <= 64, power <= 256).
+The floating routes run in plain Python floats: matrices are lists of float
+rows, with power-of-two scale factors tracked exactly in a separate integer
+exponent; exact rational arithmetic is used for traces up to size cutoffs
+(matrix dimension <= 64, power <= 256).
 
-numpy and mpmath are imported inside the functions that use them, so
-importing this module (and the CLI, which never needs numpy) stays cheap.
+mpmath is imported inside the root certification that uses it, so importing
+this module (and the CLI) stays cheap.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -228,15 +228,11 @@ def _max_root_modulus(coeffs: tuple[Fraction, ...], tol: float):
 
 
 # ---------------------------------------------------------------------------
-# scaled float matrices (mantissa array + exact power-of-two exponent)
+# scaled float matrices (lists of float rows + exact power-of-two exponent)
 # ---------------------------------------------------------------------------
 
-def _to_scaled_float(matrix: Matrix):
-    """Convert exact entries to (float array, exponent) with M = array * 2^e."""
-    import numpy as np
-
-    if len(matrix) == 0:
-        return np.zeros((0, 0)), 0
+def _to_scaled_float(matrix: Matrix) -> tuple[list[list[float]], int]:
+    """Convert exact entries to ``(rows, e)`` with M = rows * 2^e."""
     shift = 0
     top = max((abs(x) for row in matrix for x in row), default=Fraction(0))
     if top != 0:
@@ -244,27 +240,26 @@ def _to_scaled_float(matrix: Matrix):
         mag = top.numerator.bit_length() - top.denominator.bit_length()
         if abs(mag) > 500:
             shift = mag
-    arr = np.array(
-        [[float(x / Fraction(2) ** shift) for x in row] for row in matrix],
-        dtype=np.float64,
-    )
-    if not np.all(np.isfinite(arr)):
-        bad = [tuple(map(int, idx)) for idx in np.argwhere(~np.isfinite(arr))]
-        raise FloatOverflow(bad)
-    return arr, shift
+    scale = Fraction(2) ** shift
+    return [[float(x / scale) for x in row] for row in matrix], shift
 
 
-def _rescale(arr: np.ndarray, exponent: int):
-    import numpy as np
+def _float_mat_mul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
-    top = np.max(np.abs(arr)) if arr.size else 0.0
+
+def _rescale(rows: list[list[float]], exponent: int):
+    """Move the largest entry back near 2^0 once it drifts past 2^+-200;
+    the power of two goes exactly into the exponent."""
+    top = max((abs(x) for row in rows for x in row), default=0.0)
     if top == 0.0:
-        return arr, exponent
+        return rows, exponent
     t = math.frexp(top)[1]
     if abs(t) > 200:
-        arr = arr * math.ldexp(1.0, -t)
+        rows = [[math.ldexp(x, -t) for x in row] for row in rows]
         exponent += t
-    return arr, exponent
+    return rows, exponent
 
 
 def gelfand_sequence(matrix: Sequence[Sequence], doublings: int):
@@ -277,21 +272,16 @@ def gelfand_sequence(matrix: Sequence[Sequence], doublings: int):
     with m = 2^k; once a power underflows to exactly zero (nilpotent matrices)
     the estimates are 0.
     """
-    import numpy as np
-
     if doublings < 0:
         raise ShapeMismatch("doublings must be >= 0")
     m = as_matrix(matrix)
     if any(len(row) != len(m) for row in m):
         raise ShapeMismatch("gelfand_sequence needs a square matrix")
-    arr, exponent = _to_scaled_float(m)
+    rows, exponent = _to_scaled_float(m)
     out = []
     for k in range(doublings + 1):
         power = 1 << k
-        if arr.size == 0:
-            out.append((power, 0.0))
-            continue
-        norm = float(np.max(np.sum(np.abs(arr), axis=1)))
+        norm = max((sum(map(abs, row)) for row in rows), default=0.0)
         if not math.isfinite(norm):
             raise FloatOverflow([(k, "norm")])
         if norm == 0.0:
@@ -299,12 +289,7 @@ def gelfand_sequence(matrix: Sequence[Sequence], doublings: int):
         else:
             out.append((power, math.exp((math.log(norm) + exponent * _LN2) / power)))
         if k < doublings:
-            arr = arr @ arr
-            exponent *= 2
-            arr, exponent = _rescale(arr, exponent)
-            if not np.all(np.isfinite(arr)):
-                bad = [tuple(map(int, idx)) for idx in np.argwhere(~np.isfinite(arr))]
-                raise FloatOverflow(bad)
+            rows, exponent = _rescale(_float_mat_mul(rows, rows), 2 * exponent)
     return out
 
 
@@ -330,8 +315,6 @@ def trace_sequence(matrix: Sequence[Sequence], m_max: int):
     Traces are exact rationals (squaring-ladder powers) up to the size
     cutoffs, floats with tracked exponents beyond.  |0|^{1/m} is 0.
     """
-    import numpy as np
-
     if m_max < 1:
         raise ShapeMismatch("m_max must be >= 1")
     m = as_matrix(matrix)
@@ -347,14 +330,12 @@ def trace_sequence(matrix: Sequence[Sequence], m_max: int):
             out.append((k, _root_of_abs(trace(ladder.power(k)), k)))
             ladder.prune(keep=k)
         return out
-    arr, exponent = _to_scaled_float(m)
-    run, run_exp = arr.copy(), exponent
+    rows, exponent = _to_scaled_float(m)
+    run, run_exp = rows, exponent
     for k in range(1, m_max + 1):
         if k > 1:
-            run = run @ arr
-            run_exp += exponent
-            run, run_exp = _rescale(run, run_exp)
-        t = float(np.trace(run))
+            run, run_exp = _rescale(_float_mat_mul(run, rows), run_exp + exponent)
+        t = sum(run[i][i] for i in range(n))
         if not math.isfinite(t):
             raise FloatOverflow([(k, "trace")])
         if t == 0.0:
@@ -446,37 +427,3 @@ def combined_limsup_bound(
     slack = big ** (1.0 / m_min)
     return CombinedLimsupBound(lhs, rhs, lhs <= rhs * slack + tol, slack)
 
-
-# ---------------------------------------------------------------------------
-# combined report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """All three routes to rho for one matrix, with the certified value first."""
-
-    char_poly: tuple[Fraction, ...]
-    rho: float
-    error_bound: float
-    gelfand: tuple[tuple[int, float], ...]
-    traces: tuple[tuple[int, float], ...]
-    notes: str = ""
-
-
-def analyze(
-    matrix: Sequence[Sequence],
-    tol: float = 1e-9,
-    doublings: int = 10,
-    trace_max: int = 64,
-) -> SpectralReport:
-    m = as_matrix(matrix)
-    poly = tuple(char_poly(m))
-    rho, err = _max_root_modulus(poly, tol)
-    return SpectralReport(
-        char_poly=poly,
-        rho=rho,
-        error_bound=err,
-        gelfand=tuple(gelfand_sequence(m, doublings)),
-        traces=tuple(trace_sequence(m, trace_max)),
-        notes="norm = max absolute row sum; traces exact within cutoffs",
-    )

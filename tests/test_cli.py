@@ -1,4 +1,6 @@
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -9,7 +11,6 @@ from dyndeg.cli import (
     main,
     parse_config,
     run,
-    serialize_config,
 )
 from dyndeg.errors import SchemaError
 
@@ -95,7 +96,7 @@ class TestParseConfig:
             "tol": 1e-10,
         }
         config = parse_config(json.dumps(cfg))
-        assert parse_config(serialize_config(config)) == config
+        assert parse_config(dumps_canonical(config.to_dict())) == config
 
 
 # the two configs that crashed the schema pass with a traceback
@@ -542,6 +543,10 @@ class TestLazyImports:
             check=True,
         )
         assert proc.stdout.strip() == "[]"
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "dyndeg"
+        for path in src.glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            assert not re.search(r"^\s*(import|from)\s+numpy\b", text, re.M), path
 
 
 class TestCanonicalEncoding:

@@ -8,7 +8,6 @@ from dyndeg.endo import validate_pullback
 from dyndeg.errors import (
     AmpleClassDegenerate,
     AmpleNotPositive,
-    DegeneratePairing,
     MultiplicativityViolation,
     NotIsometry,
     PermutationShapeMismatch,
@@ -25,6 +24,7 @@ from dyndeg.models import (
     projective_space,
     surface_lattice,
 )
+from dyndeg.linalg import det
 from dyndeg.spectral import char_poly
 
 from support import builder_battery
@@ -156,8 +156,8 @@ class TestSurfaceLattice:
             surface_lattice([[0, 1], [2, 0]], [[1, 0], [0, 1]], [1, 1])
 
 
-def p2_custom_params(map_blocks=None):
-    params = {
+def p2_custom_params():
+    return {
         "top_degree": 4,
         "dims": [1, 0, 1, 0, 1],
         "sign_rule": "commutative",
@@ -173,15 +173,13 @@ def p2_custom_params(map_blocks=None):
             {"label": "point", "degree": 4, "coords": [1]},
         ],
     }
-    if map_blocks is not None:
-        params["map"] = {"blocks": map_blocks}
-    return params
 
 
 class TestCustomModel:
     def test_p2_reencoded_matches_builder(self):
         blocks = [[[1]], [], [[2]], [], [[4]]]
-        custom, fc = custom_model(p2_custom_params(blocks))
+        custom = custom_model(p2_custom_params())
+        fc = validate_pullback(custom.algebra, blocks)
         builder = projective_space(2)
         fb = pn_power_map(builder, 2)
         tc = delta_table(custom, fc, 6)
@@ -195,8 +193,9 @@ class TestCustomModel:
 
     def test_bad_map_names_offending_pair(self):
         blocks = [[[1]], [], [[2]], [], [[5]]]  # 5 != 2^2
+        custom = custom_model(p2_custom_params())
         with pytest.raises(MultiplicativityViolation) as exc:
-            custom_model(p2_custom_params(blocks))
+            validate_pullback(custom.algebra, blocks)
         assert exc.value.pair == ((2, 0), (2, 0))
 
     def test_degenerate_pairing_refuses_pushforward_but_chains(self):
@@ -210,13 +209,13 @@ class TestCustomModel:
             "integrate": [1],
             "h": [1, 0],
             "ambient_dim": 3,
-            "map": {"blocks": [[[1]], [], [[1, 0], [0, 1]], [], [[1]]]},
         }
-        model, f = custom_model(params)
-        from dyndeg.endo import pushforward
-
-        with pytest.raises(DegeneratePairing):
-            pushforward(f)
+        model = custom_model(params)
+        f = validate_pullback(
+            model.algebra, [[[1]], [], [[1, 0], [0, 1]], [], [[1]]]
+        )
+        # a singular Gram matrix admits no adjoint, so no pushforward
+        assert det(model.algebra.gram_matrix(2)) == 0
         rep = spectral_chain(model.algebra, f, model.h)
         assert rep.chain_holds
 

@@ -225,7 +225,7 @@ EXPECTED = {
     'custom/model/dims/missing': ('SchemaError', ['/model/dims']),
     'custom/model/dims/wrong': ('SchemaError', ['/model/dims']),
     'custom/model/sign_rule/missing': ('ok', []),
-    'custom/model/sign_rule/wrong': ('ShapeMismatch', []),
+    'custom/model/sign_rule/wrong': ('SchemaError', ['/model/sign_rule']),
     'custom/model/products/missing': ('SchemaError', ['/model/products']),
     'custom/model/products/wrong': ('SchemaError', ['/model/products']),
     'custom/model/integrate/missing': ('SchemaError', ['/model/integrate']),
@@ -239,7 +239,7 @@ EXPECTED = {
     'custom/model/effective/missing': ('ok', []),
     'custom/model/effective/wrong': ('SchemaError', ['/model/effective']),
     'custom/model/realizability/missing': ('ok', []),
-    'custom/model/realizability/wrong': ('ok', []),
+    'custom/model/realizability/wrong': ('SchemaError', ['/model/realizability']),
     'custom/map/kind/missing': ('SchemaError', ['/map/kind']),
     'custom/map/kind/wrong': ('SchemaError', ['/map/kind']),
     'custom/map/blocks/missing': ('SchemaError', ['/map/blocks']),

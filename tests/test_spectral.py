@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyndeg.errors import ShapeMismatch, ZeroWeight
+from dyndeg.linalg import PowerLadder, as_matrix, trace
 from dyndeg.spectral import (
-    analyze,
     char_poly,
     combined_limsup_bound,
     gelfand_sequence,
@@ -90,6 +94,12 @@ class TestGelfandSequence:
         seq = gelfand_sequence([[0, 1], [0, 0]], 4)
         assert [e for _, e in seq[1:]] == [0.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_entries_far_from_one_are_shifted_into_the_exponent(self, exponent):
+        # |log2| > 500 moves the entry's magnitude into the exact exponent
+        for m, est in gelfand_sequence([[Fraction(2) ** exponent]], 3):
+            assert est == pytest.approx(2.0**exponent, rel=1e-12), m
+
     def test_norm_upper_bounds_radius(self):
         # ||M^m||^{1/m} >= rho for every m, for the declared norm
         for m in ([[1, 1], [1, 0]], [[0, 2], [3, 0]], [[1, 5], [0, 1]]):
@@ -135,6 +145,25 @@ class TestTraceSequence:
         assert seq[500] == pytest.approx(
             math.sqrt(6) * 2 ** (1 / 500), rel=1e-9
         )
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_float_path_matches_exact_traces(self, data):
+        # nonnegative entries cannot cancel, so the float traces stay within
+        # a relative n*m*eps of the exact ones, and an exact zero stays zero
+        n = data.draw(st.integers(1, 3))
+        entries = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        rows = data.draw(st.lists(entries, min_size=n, max_size=n))
+        seq = trace_sequence(rows, 300)
+        ladder = PowerLadder(as_matrix(rows))
+        for m in range(257, 301):
+            exact = trace(ladder.power(m))
+            ladder.prune(keep=m)
+            if exact == 0:
+                assert seq[m - 1] == (m, 0.0)
+            else:
+                root = math.exp(math.log(exact.numerator) / m)
+                assert seq[m - 1][1] == pytest.approx(root, rel=1e-9), m
 
     def test_trace_below_gelfand_for_nonnegative_matrices(self):
         # |Tr(M^m)| <= n ||M^m||_inf, so roots match up to n^{1/m}
@@ -222,15 +251,6 @@ class TestCombinedLimsupBound:
         assert combined_limsup_bound(seqs, weights, tol=1e-6).verdict
 
 
-class TestAnalyze:
-    def test_report_is_internally_consistent(self):
-        report = analyze([[1, 1], [1, 0]], tol=1e-9, doublings=8, trace_max=32)
-        assert report.rho >= 0
-        assert report.char_poly == (1, -1, -1)
-        for _, est in report.gelfand:
-            assert est >= report.rho - report.error_bound - 1e-9
-
-
 class TestRootCertificationCache:
     def test_a_polynomial_is_certified_once(self, monkeypatch):
         import mpmath
@@ -253,3 +273,35 @@ class TestRootCertificationCache:
         assert spectral_radius(conjugate) == first
         assert len(calls) == 1
         assert first[0] == pytest.approx(2.0945514815423265, abs=1e-9)
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# numpy blocked: the estimators of acceptance criterion 6 on the builder
+# battery, the float branch of trace_sequence, then each script in argv
+_WITHOUT_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None
+from support import builder_battery
+from dyndeg.spectral import gelfand_sequence, trace_radius_estimate, trace_sequence
+for _, model, pull in builder_battery():
+    for block in pull.blocks:
+        if block:
+            gelfand_sequence(block, 10)
+            trace_radius_estimate(block, 64)
+trace_sequence([[1, 1], [1, 0]], 300)
+for script in sys.argv[1:]:
+    runpy.run_path(script, run_name="__main__")
+"""
+
+
+def test_estimators_and_scripts_run_without_numpy():
+    path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY,
+         str(ROOT / "scripts" / "estimator_convergence.py"),
+         str(ROOT / "scripts" / "chain_survey.py")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    assert proc.returncode == 0, proc.stderr
