@@ -26,7 +26,6 @@ from .degrees import (
     check_intersection_bound,
     delta,
     delta_table,
-    embedded_model,
     graph_class,
     growth_rates,
     moving_ledger,

@@ -41,7 +41,6 @@ from .linalg import identity
 from .models import (
     abelian_variety,
     custom_model,
-    embedded_model,
     multiprojective,
     pn_power_map,
     product_map,
@@ -297,6 +296,8 @@ def _check_effective(c: _Collector, path: str, entry) -> None:
             and _is_index(entry.get("degree"))):
         c.add(path, "expected {label, degree: int, coords: [...]}")
     else:
+        if not isinstance(entry.get("label", ""), str):
+            c.add(f"{path}/label", "expected a string")
         _check_vector(c, f"{path}/coords", entry["coords"])
 
 
@@ -376,10 +377,49 @@ def _build_custom(spec, map_spec):
     return model, identity_map(model.algebra)
 
 
+# A cross-field check runs once both kinds and all their fields have passed,
+# so that what a builder would reject carries a JSON pointer.
+
+def _check_square(c: _Collector, path: str, spec, key: str, n: int) -> None:
+    if key in spec and (len(spec[key]) != n or len(spec[key][0]) != n):
+        c.add(f"{path}/{key}", f"expected a {n}x{n} matrix")
+
+
+def _check_multiprojective(c: _Collector, spec, map_spec) -> None:
+    ns, perm = spec["n"], map_spec.get("perm", range(len(spec["n"])))
+    if len(map_spec.get("d", ns)) != len(ns):
+        c.add("/map/d", f"expected {len(ns)} degrees, one per factor")
+    if sorted(perm) != list(range(len(ns))) or any(
+            ns[p] != n for p, n in zip(perm, ns)):
+        c.add("/map/perm", "expected a permutation of equal-dimension factors")
+
+
+def _check_abelian(c: _Collector, spec, map_spec) -> None:
+    n = 2 * spec["g"]
+    for k, (i, j, _) in enumerate(spec.get("omega", ())):
+        if not 0 <= i < j < n:
+            c.add(f"/model/omega/{k}", f"expected indices 0 <= i < j < {n}")
+    _check_square(c, "/map", map_spec, "matrix", n)
+
+
+def _check_surface_lattice(c: _Collector, spec, map_spec) -> None:
+    n = len(spec["gram"])
+    _check_square(c, "/model", spec, "gram", n)
+    if len(spec["ample"]) != n:
+        c.add("/model/ample", f"expected {n} coordinates")
+    _check_square(c, "/map", map_spec, "matrix", n)
+
+
+def _check_custom(c: _Collector, spec, map_spec) -> None:
+    if len(spec["dims"]) != spec["top_degree"] + 1:
+        c.add("/model/dims", "expected top_degree + 1 dimensions")
+
+
 class _ModelKind(NamedTuple):
     fields: dict  # name -> (required, check), as read by _check_fields
     maps: tuple[str, ...]  # map kinds it takes besides _EVERY_MODEL_MAPS
     build: Callable[[dict, dict], tuple[EmbeddedModel, PullbackMap]]
+    check: Callable[[_Collector, dict, dict], None] = lambda *_: None
 
 
 _MODELS = {
@@ -388,17 +428,17 @@ _MODELS = {
     ),
     "multiprojective": _ModelKind(
         {"n": (True, _integers(1, nonempty=True))}, ("product",),
-        _build_multiprojective,
+        _build_multiprojective, _check_multiprojective,
     ),
     "abelian": _ModelKind(
         {"g": (True, _at_least(1)),
          "omega": (False, _entries(_check_omega_entry, "[i, j, coeff] triples"))},
-        ("exterior",), _build_abelian,
+        ("exterior",), _build_abelian, _check_abelian,
     ),
     "surface_lattice": _ModelKind(
         {"gram": (True, _check_matrix), "ample": (True, _check_vector),
          "ambient_dim": (False, _at_least(1))},
-        ("isometry",), _build_surface_lattice,
+        ("isometry",), _build_surface_lattice, _check_surface_lattice,
     ),
     "custom": _ModelKind(
         {"top_degree": (True, _at_least(0)),
@@ -413,7 +453,7 @@ _MODELS = {
          "realizability": (
              False, _one_of("unverified", "asserted", "asserted-for-lattice")
          )},
-        (), _build_custom,
+        (), _build_custom, _check_custom,
     ),
 }
 # map kind -> fields
@@ -452,6 +492,7 @@ def parse_config(text: str) -> RunConfig:
     if version != SCHEMA_VERSION:
         c.add("/schema_version", f"unsupported schema version {version!r}")
 
+    before = len(c.violations)
     model_kind = _kind_of(c, raw, "model", MODEL_KINDS, "kind")
     if model_kind is not None:
         _check_fields(c, "/model", raw["model"], _MODELS[model_kind].fields)
@@ -465,6 +506,8 @@ def parse_config(text: str) -> RunConfig:
                 f"map kind {map_kind!r} does not apply to model kind {model_kind!r}",
             )
         _check_fields(c, "/map", raw["map"], _MAPS[map_kind])
+    if len(c.violations) == before:  # both kinds known, their fields valid
+        _MODELS[model_kind].check(c, raw["model"], raw["map"])
 
     analyses = raw.get("analyses")
     if analyses is None:
@@ -523,15 +566,7 @@ def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
 
     if config.ample is not None:
         h = model.algebra.homogeneous(2, config.ample["coords"])
-        model = embedded_model(
-            model.algebra,
-            h,
-            ambient_dim=model.ambient_dim,
-            realizability=model.realizability,
-            provenance=model.provenance,
-            effective=model.effective,
-            scope_note=model.scope_note,
-        )
+        model = replace(model, h=h).validate()
     return model, pull
 
 

@@ -41,7 +41,6 @@ class EmbeddedModel:
     algebra: GradedAlgebra
     h: Element
     ambient_dim: int
-    deg_x: Fraction
     realizability: str = "unverified"
     provenance: str = "custom"
     effective: tuple[EffectiveClass, ...] = ()
@@ -59,6 +58,11 @@ class EmbeddedModel:
             powers.append(self.algebra.mul(powers[-1], self.h))
         return tuple(powers)
 
+    @functools.cached_property
+    def deg_x(self) -> Fraction:
+        """deg(X) = integrate(h^r)."""
+        return self.algebra.integrate(self.h_powers[self.r])
+
     def validate(self) -> "EmbeddedModel":
         if self.h.degrees() != (2,):
             raise ShapeMismatch("h must be homogeneous of degree 2 and nonzero")
@@ -67,30 +71,6 @@ class EmbeddedModel:
         if self.deg_x <= 0:
             raise ShapeMismatch(f"deg(X) = {self.deg_x} must be positive")
         return self
-
-
-def embedded_model(
-    algebra: GradedAlgebra,
-    h: Element,
-    ambient_dim: int,
-    realizability: str = "unverified",
-    provenance: str = "custom",
-    effective: tuple[EffectiveClass, ...] = (),
-    scope_note: str | None = None,
-) -> EmbeddedModel:
-    """Build a model with deg(X) computed as integrate(h^r)."""
-    r = algebra.top_degree // 2
-    deg_x = algebra.integrate(algebra.power(h, r))
-    return EmbeddedModel(
-        algebra=algebra,
-        h=h,
-        ambient_dim=ambient_dim,
-        deg_x=deg_x,
-        realizability=realizability,
-        provenance=provenance,
-        effective=effective,
-        scope_note=scope_note,
-    ).validate()
 
 
 # ---------------------------------------------------------------------------

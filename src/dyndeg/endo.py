@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .core import Element, GradedAlgebra
 from .errors import MultiplicativityViolation, ShapeMismatch, UnitViolation
-from .linalg import Matrix, PowerLadder, as_matrix, scaled_vector, trace
+from .linalg import Matrix, as_matrix, mat_pow, scaled_vector, trace
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def power_map(f: PullbackMap, m: int) -> PullbackMap:
         return f
     return PullbackMap(
         f.algebra,
-        tuple(PowerLadder(b).power(m) if b else () for b in f.blocks),
+        tuple(mat_pow(b, m) if b else () for b in f.blocks),
         realizability=f.realizability,
         provenance=f"({f.provenance})^{m}" if f.provenance else None,
     )

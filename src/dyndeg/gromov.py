@@ -43,16 +43,14 @@ def word_mul(w1, w2):
 
 
 def evaluate_word(
-    algebra: GradedAlgebra, f: PullbackMap, omega: Element, word, memo=None
+    algebra: GradedAlgebra, f: PullbackMap, omega: Element, word, memo: dict
 ):
     """Re-evaluate a certificate word to an algebra element.
 
     Each distinct subword (by identity) is evaluated once.  ``memo`` maps
-    ``id(subword)`` to its value; pass one dict to share that across calls,
-    and keep the words alive while it is in use.
+    ``id(subword)`` to its value; it is shared across calls, so keep the
+    words alive while it is in use.
     """
-    if memo is None:
-        memo = {}
     value = memo.get(id(word))
     if value is not None:
         return value
@@ -98,19 +96,15 @@ class GromovSubalgebra:
         Valid because the basis is homogeneous and sorted by degree, and the
         pullback preserves degree.
         """
-        degrees = [b.degree() for b in self.basis]
         blocks = []
         start = 0
-        while start < len(degrees):
-            stop = start
-            while stop < len(degrees) and degrees[stop] == degrees[start]:
-                stop += 1
-            block = tuple(
-                tuple(self.restricted_matrix[i][j] for j in range(start, stop))
-                for i in range(start, stop)
-            )
-            blocks.append((degrees[start], block))
-            start = stop
+        for degree, dim in enumerate(self.dims_by_degree):
+            if dim:
+                stop = start + dim
+                blocks.append((degree, tuple(
+                    row[start:stop] for row in self.restricted_matrix[start:stop]
+                )))
+                start = stop
         return blocks
 
     def verify_certificates(self) -> bool:
@@ -193,20 +187,21 @@ def gromov_closure(
         try_add(word, degree, den, {q: x for q, x in enumerate(nums) if x})
 
     top = algebra.top_degree
-    done_pull: set[int] = set()
-    done_mul: set[tuple[int, int]] = set()
+    # generators below ``start`` have been pulled back and multiplied with
+    # each other; a sweep visits only what involves a newer one
+    start = 0
     sweeps = 0
     while True:
         sweeps += 1
         grew = False
         count = len(gens)
-        pulls = [i for i in range(count) if i not in done_pull]
+        pulls = list(range(start, count))
         muls = [
             (i, j)
             for i in range(count)
-            for j in range(i, count)
-            if (i, j) not in done_mul
+            for j in range(max(i, start), count)
         ]
+        start = count
         if sweep_order == "reversed":
             pulls.reverse()
             muls.reverse()
@@ -214,7 +209,6 @@ def gromov_closure(
             degree, den, piece = gens[i]
             grew |= try_add(word_pull(words[i]), degree, den * pull_den,
                             f.apply_scaled(degree, piece))
-            done_pull.add(i)
         for i, j in muls:
             di, deni, pi = gens[i]
             dj, denj, pj = gens[j]
@@ -224,7 +218,6 @@ def gromov_closure(
                     deni * denj * table.denominator,
                     table.multiply(di, pi, dj, pj),
                 )
-            done_mul.add((i, j))
         if not grew:
             break
 

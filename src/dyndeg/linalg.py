@@ -82,48 +82,18 @@ def trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
-class PowerLadder:
-    """Cache of matrix powers backed by repeated squaring.
-
-    ``power(m)`` assembles ``M^m`` from the stored squarings; assembled powers
-    are memoised, so sweeping m = 1, 2, 3, ... costs one multiplication each.
-    """
-
-    def __init__(self, m: Matrix):
-        n = len(m)
-        if any(len(row) != n for row in m):
-            raise ShapeMismatch("power ladder needs a square matrix")
-        self._squarings = [m]
-        self._memo = {0: identity(n), 1: m}
-
-    def power(self, m: int) -> Matrix:
-        if m < 0:
-            raise ShapeMismatch("negative matrix power")
-        got = self._memo.get(m)
-        if got is not None:
-            return got
-        while (1 << len(self._squarings)) <= m:
-            top = self._squarings[-1]
-            self._squarings.append(mat_mul(top, top))
-        if m & (m - 1) == 0:
-            result = self._squarings[m.bit_length() - 1]
-        else:
-            low = 1 << (m.bit_length() - 1)
-            result = mat_mul(self.power(m - low), self._squarings[m.bit_length() - 1])
-        self._memo[m] = result
-        return result
-
-    def prune(self, keep: int):
-        """Drop assembled powers other than ``keep``; squarings stay cached.
-
-        Long consecutive sweeps (trace sequences) only ever reuse the previous
-        power, and exact entries grow with m, so unbounded memoisation would
-        hold onto arbitrarily large integers for no benefit.
-        """
-        self._memo = {
-            m: mat for m, mat in self._memo.items()
-            if m <= 1 or m == keep or m & (m - 1) == 0
-        }
+def mat_pow(a: Matrix, m: int) -> Matrix:
+    """``a^m`` for square ``a`` and m >= 0, by repeated squaring."""
+    if m < 0:
+        raise ShapeMismatch("negative matrix power")
+    result = identity(len(a))
+    while m:
+        if m & 1:
+            result = mat_mul(result, a)
+        m >>= 1
+        if m:
+            a = mat_mul(a, a)
+    return result
 
 
 def det(a: Matrix) -> Fraction:

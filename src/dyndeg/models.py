@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .core import COMMUTATIVE, SUPER_COMMUTATIVE, GradedAlgebra, build_algebra
-from .degrees import EffectiveClass, EmbeddedModel, embedded_model
+from .degrees import EffectiveClass, EmbeddedModel
 from .endo import PullbackMap, validate_pullback
 from .errors import (
     AmpleClassDegenerate,
@@ -50,14 +50,14 @@ def projective_space(n: int) -> EmbeddedModel:
     effective = tuple(
         EffectiveClass(f"h^{j}", algebra.power(h, j)) for j in range(n + 1)
     )
-    return embedded_model(
+    return EmbeddedModel(
         algebra,
         h,
         ambient_dim=n,
         realizability="asserted",
         provenance=f"projective_space:{n}",
         effective=effective,
-    )
+    ).validate()
 
 
 def pn_power_map(model: EmbeddedModel, d: int) -> PullbackMap:
@@ -134,14 +134,14 @@ def multiprojective(ns: Sequence[int]) -> EmbeddedModel:
         )
         for exps, (deg, i) in sorted(index.items())
     )
-    return embedded_model(
+    return EmbeddedModel(
         algebra,
         h,
         ambient_dim=ambient,
         realizability="asserted",
         provenance="multiprojective:" + ",".join(map(str, ns)),
         effective=effective,
-    )
+    ).validate()
 
 
 def product_map(
@@ -323,14 +323,14 @@ def abelian_variety(
     effective = tuple(
         EffectiveClass(f"omega^{j}", algebra.power(w, j)) for j in range(g + 1)
     )
-    model = embedded_model(
+    model = EmbeddedModel(
         algebra,
         w,
         ambient_dim=ambient,
         realizability=realizability,
         provenance=f"abelian_variety:{g}",
         effective=effective,
-    )
+    ).validate()
     pull = exterior_pullback(
         algebra, m, realizability=realizability, provenance="exterior"
     )
@@ -406,7 +406,7 @@ def surface_lattice(
         EffectiveClass("ample", h),
         EffectiveClass("point", algebra.basis_element(4, 0)),
     )
-    model = embedded_model(
+    model = EmbeddedModel(
         algebra,
         h,
         ambient_dim=int(self_int) + 1 if ambient_dim is None else ambient_dim,
@@ -414,7 +414,7 @@ def surface_lattice(
         provenance=f"surface_lattice:rank{rank}",
         effective=effective,
         scope_note="algebraic part only (odd cohomology not modelled)",
-    )
+    ).validate()
     blocks = [
         [[Fraction(1)]],
         [],
@@ -459,18 +459,18 @@ def custom_model(params: Mapping) -> EmbeddedModel:
     h = algebra.homogeneous(2, [as_fraction(c) for c in params["h"]])
     effective = tuple(
         EffectiveClass(
-            str(e.get("label", f"effective[{i}]")),
+            e.get("label", f"effective[{i}]"),
             algebra.homogeneous(
                 int(e["degree"]), [as_fraction(c) for c in e["coords"]]
             ),
         )
         for i, e in enumerate(params.get("effective", ()))
     )
-    return embedded_model(
+    return EmbeddedModel(
         algebra,
         h,
         ambient_dim=int(params["ambient_dim"]),
         realizability=params.get("realizability", "unverified"),
         provenance="custom",
         effective=effective,
-    )
+    ).validate()

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import FloatOverflow, ShapeMismatch, SpectralNonconvergence, ZeroWeight
-from .linalg import Matrix, PowerLadder, as_matrix, scaled_matrix, trace
+from .linalg import Matrix, as_matrix, mat_mul, scaled_matrix, trace
 
 # exact trace computation cutoffs; beyond these the float path takes over
 _EXACT_DIM_CUTOFF = 64
@@ -312,8 +312,9 @@ def _root_of_abs(value, m: int) -> float:
 def trace_sequence(matrix: Sequence[Sequence], m_max: int):
     """The sequence ``(m, |Tr(M^m)|^{1/m})`` for m = 1..m_max.
 
-    Traces are exact rationals (squaring-ladder powers) up to the size
-    cutoffs, floats with tracked exponents beyond.  |0|^{1/m} is 0.
+    Traces are exact rationals up to the size cutoffs, floats with tracked
+    exponents beyond; either way M^m is the running product M^(m-1) M.
+    |0|^{1/m} is 0.
     """
     if m_max < 1:
         raise ShapeMismatch("m_max must be >= 1")
@@ -325,10 +326,11 @@ def trace_sequence(matrix: Sequence[Sequence], m_max: int):
         return [(k, 0.0) for k in range(1, m_max + 1)]
     out = []
     if n <= _EXACT_DIM_CUTOFF and m_max <= _EXACT_POWER_CUTOFF:
-        ladder = PowerLadder(m)
+        run = m
         for k in range(1, m_max + 1):
-            out.append((k, _root_of_abs(trace(ladder.power(k)), k)))
-            ladder.prune(keep=k)
+            if k > 1:
+                run = mat_mul(run, m)
+            out.append((k, _root_of_abs(trace(run), k)))
         return out
     rows, exponent = _to_scaled_float(m)
     run, run_exp = rows, exponent

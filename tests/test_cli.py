@@ -207,6 +207,21 @@ class TestRun:
         report = run(parse_config(json.dumps(cfg)))
         assert report.results["chain"]["lambda_gr"] == pytest.approx(6.0, abs=1e-9)
 
+    def test_ample_override_sets_the_degree(self):
+        # h = h_1 + 2 h_2 on P^1 x P^1: h^2 = 4 h_1 h_2, so deg(X) = 4, not
+        # the 2 of the default h = h_1 + h_2
+        cfg = {
+            "model": {"kind": "multiprojective", "n": [1, 1]},
+            "map": {"kind": "product", "d": [2, 3], "perm": [1, 0]},
+            "analyses": ["delta-table"],
+            "ample": {"coords": [1, 2]},
+            "M": 4,
+        }
+        results = run(parse_config(json.dumps(cfg))).results
+        assert results["model_summary"]["deg_x"] == 4
+        assert results["delta-table"]["deg_x"] == 4
+        assert results["delta-table"]["rows"][0] == [4] * 4
+
     def test_custom_model_through_the_cli_schema(self):
         cfg = {
             "model": {

@@ -6,7 +6,7 @@ from dyndeg.errors import (
     ShapeMismatch,
     UnitViolation,
 )
-from dyndeg.linalg import mat_mul
+from dyndeg.linalg import as_matrix, identity, mat_mul, mat_pow
 from dyndeg.models import (
     abelian_variety,
     multiprojective,
@@ -81,6 +81,15 @@ class TestPowerMap:
         assert lhs.blocks == tuple(
             mat_mul(a, b) for a, b in zip(f2.blocks, f3.blocks)
         )
+
+    def test_repeated_squaring_matches_the_running_product(self):
+        a = as_matrix([[1, 2, 0], [0, -1, 3], [1, 0, 1]])
+        running = identity(3)
+        for m in range(20):
+            assert mat_pow(a, m) == running, m
+            running = mat_mul(running, a)
+        with pytest.raises(ShapeMismatch):
+            mat_pow(a, -1)
 
     def test_powers_revalidate_as_ring_homomorphisms(self):
         model = multiprojective([1, 1])

@@ -1,10 +1,12 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from dyndeg.endo import identity_map
+from dyndeg.core import ScaledTable
+from dyndeg.endo import PullbackMap, identity_map
 from dyndeg.errors import ShapeMismatch
 from dyndeg.gromov import gromov_closure, lambda_gr, spectral_chain
 from dyndeg.linalg import Echelon
@@ -17,7 +19,7 @@ from dyndeg.models import (
     surface_lattice,
 )
 
-from support import random_valid_pullbacks
+from support import builder_battery, random_valid_pullbacks
 
 PHI_SQUARED = 2.618033988749895  # (3 + sqrt 5) / 2, from the quadratic formula
 
@@ -93,6 +95,53 @@ class TestGromovClosure:
         assert blocks[0] == ((1,),)
         assert blocks[4] == ((6,),)
         assert sorted(x for row in blocks[2] for x in row) == [0, 0, 2, 3]
+
+
+class TestClosureWork:
+    def test_each_generator_and_pair_is_visited_once(self, monkeypatch):
+        # one pullback per generator plus one per restricted-matrix column;
+        # one product per generator pair i <= j within the top degree
+        calls = {"pull": 0, "mul": 0}
+        apply_scaled, multiply = PullbackMap.apply_scaled, ScaledTable.multiply
+
+        def pull(self, *args):
+            calls["pull"] += 1
+            return apply_scaled(self, *args)
+
+        def mul(self, *args):
+            calls["mul"] += 1
+            return multiply(self, *args)
+
+        monkeypatch.setattr(PullbackMap, "apply_scaled", pull)
+        monkeypatch.setattr(ScaledTable, "multiply", mul)
+        for name, model, f in builder_battery():
+            for order in ("forward", "reversed"):
+                calls.update(pull=0, mul=0)
+                closure = gromov_closure(model.algebra, f, model.h,
+                                         sweep_order=order)
+                dims, top = closure.dims_by_degree, model.algebra.top_degree
+                pairs = sum(
+                    dims[d] * (dims[d] + 1) // 2 if d == e else dims[d] * dims[e]
+                    for d in range(top + 1) for e in range(d, top + 1 - d)
+                )
+                assert calls == {"pull": 2 * closure.dimension,
+                                 "mul": pairs}, (name, order)
+
+    def test_degree_blocks_follow_the_basis_degrees(self):
+        for name, model, f in builder_battery():
+            closure = gromov_closure(model.algebra, f, model.h)
+            m = closure.restricted_matrix
+            expected, start = [], 0
+            for degree, group in itertools.groupby(
+                b.degree() for b in closure.basis
+            ):
+                stop = start + len(list(group))
+                expected.append((degree, tuple(
+                    tuple(m[i][j] for j in range(start, stop))
+                    for i in range(start, stop)
+                )))
+                start = stop
+            assert closure.degree_blocks() == expected, name
 
 
 class TestLambdaGr:

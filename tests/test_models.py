@@ -232,3 +232,8 @@ class TestBuilderSoundness:
         for name, model, _ in builder_battery():
             assert model.deg_x >= 1, name
             assert not model.algebra.power(model.h, model.r).is_zero(), name
+
+    def test_degree_is_the_integral_of_h_to_the_r(self):
+        for name, model, _ in builder_battery():
+            alg = model.algebra
+            assert model.deg_x == alg.integrate(alg.power(model.h, model.r)), name

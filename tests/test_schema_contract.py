@@ -316,6 +316,55 @@ REJECTED = {
         config({"kind": [], "n": 2}, {"kind": "power", "d": 2}),
         ("UnknownModelKind", ["/model/kind"]),
     ),
+    # accepted and passed through str(), or rejected by a builder with no
+    # JSON pointer
+    "effective-label-int": (
+        _custom(effective=[{"label": 5, "degree": 2, "coords": [1]}]),
+        ("SchemaError", ["/model/effective/0/label"]),
+    ),
+    "custom-dims-length": (
+        _custom(dims=[1, 0, 1]), ("SchemaError", ["/model/dims"]),
+    ),
+    "abelian-omega-index": (
+        config({"kind": "abelian", "g": 1, "omega": [[0, 1, 1], [0, 2, 1]]},
+               {"kind": "identity"}),
+        ("SchemaError", ["/model/omega/1"]),
+    ),
+    "abelian-matrix-size": (
+        config({"kind": "abelian", "g": 1},
+               {"kind": "exterior", "matrix": [[1, 0, 0]] * 3}),
+        ("SchemaError", ["/map/matrix"]),
+    ),
+    "product-perm-dims": (
+        config({"kind": "multiprojective", "n": [1, 2]},
+               {"kind": "product", "d": [1, 1], "perm": [1, 0]}),
+        ("SchemaError", ["/map/perm"]),
+    ),
+    "product-perm-not-a-permutation": (
+        config({"kind": "multiprojective", "n": [1, 1]},
+               {"kind": "product", "d": [1, 1], "perm": [0, 0]}),
+        ("SchemaError", ["/map/perm"]),
+    ),
+    "product-d-length": (
+        config({"kind": "multiprojective", "n": [1, 1]},
+               {"kind": "product", "d": [1], "perm": [0, 1]}),
+        ("SchemaError", ["/map/d"]),
+    ),
+    "lattice-gram-not-square": (
+        config({"kind": "surface_lattice", "gram": [[1, 0, 0], [0, -2, 0]],
+                "ample": [1, 0]}, {"kind": "identity"}),
+        ("SchemaError", ["/model/gram"]),
+    ),
+    "lattice-ample-length": (
+        config({"kind": "surface_lattice", "gram": [[1, 0], [0, -2]],
+                "ample": [1, 0, 0]}, {"kind": "identity"}),
+        ("SchemaError", ["/model/ample"]),
+    ),
+    "lattice-matrix-size": (
+        config({**VALID["surface_lattice"][0]},
+               {"kind": "isometry", "matrix": [[1]]}),
+        ("SchemaError", ["/map/matrix"]),
+    ),
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyndeg.errors import ShapeMismatch, ZeroWeight
-from dyndeg.linalg import PowerLadder, as_matrix, trace
+from dyndeg.linalg import as_matrix, mat_mul, trace
 from dyndeg.spectral import (
     char_poly,
     combined_limsup_bound,
@@ -155,15 +155,38 @@ class TestTraceSequence:
         entries = st.lists(st.integers(0, 3), min_size=n, max_size=n)
         rows = data.draw(st.lists(entries, min_size=n, max_size=n))
         seq = trace_sequence(rows, 300)
-        ladder = PowerLadder(as_matrix(rows))
-        for m in range(257, 301):
-            exact = trace(ladder.power(m))
-            ladder.prune(keep=m)
+        matrix = power = as_matrix(rows)
+        for m in range(2, 301):
+            power = mat_mul(power, matrix)
+            if m < 257:
+                continue
+            exact = trace(power)
             if exact == 0:
                 assert seq[m - 1] == (m, 0.0)
             else:
                 root = math.exp(math.log(exact.numerator) / m)
                 assert seq[m - 1][1] == pytest.approx(root, rel=1e-9), m
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_traces_match_newtons_identities(self, data):
+        # power sums from the characteristic polynomial by Newton's
+        # identities, with no matrix product: p_k = -(k c_k + sum c_i p_{k-i})
+        n = data.draw(st.integers(1, 5))
+        entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        rows = data.draw(st.lists(entries, min_size=n, max_size=n))
+        m_max = data.draw(st.integers(1, 64))
+        c = char_poly(rows)
+        sums = []
+        for k in range(1, m_max + 1):
+            p = -sum(c[i] * sums[k - i - 1] for i in range(1, min(k, n + 1)))
+            sums.append(p - (k * c[k] if k <= n else 0))
+        for (m, est), p in zip(trace_sequence(rows, m_max), sums):
+            if p == 0:
+                assert est == 0.0
+            else:
+                root = math.exp(math.log(abs(p.numerator)) / m)
+                assert est == pytest.approx(root, rel=1e-12), m
 
     def test_trace_below_gelfand_for_nonnegative_matrices(self):
         # |Tr(M^m)| <= n ||M^m||_inf, so roots match up to n^{1/m}
