@@ -410,9 +410,29 @@ def _check_surface_lattice(c: _Collector, spec, map_spec) -> None:
     _check_square(c, "/map", map_spec, "matrix", n)
 
 
+def _check_length(c: _Collector, path: str, vector, degree: int, dims,
+                  degree_path: str | None = None) -> None:
+    """``vector`` must have ``dims[degree]`` coordinates; a degree outside
+    the grading is reported at ``degree_path`` (default ``path``)."""
+    if not 0 <= degree < len(dims):
+        c.add(degree_path or path, f"degree {degree} outside 0..{len(dims) - 1}")
+    elif len(vector) != dims[degree]:
+        c.add(path, f"expected dims[{degree}] = {dims[degree]} coordinates")
+
+
 def _check_custom(c: _Collector, spec, map_spec) -> None:
-    if len(spec["dims"]) != spec["top_degree"] + 1:
+    dims = spec["dims"]
+    if len(dims) != spec["top_degree"] + 1:
         c.add("/model/dims", "expected top_degree + 1 dimensions")
+        return
+    if dims[0] != 1:
+        c.add("/model/dims/0", "expected 1: degree 0 is spanned by the unit")
+    for key, degree in (("h", 2), ("unit", 0), ("integrate", len(dims) - 1)):
+        if key in spec:
+            _check_length(c, f"/model/{key}", spec[key], degree, dims)
+    for k, e in enumerate(spec.get("effective", ())):
+        _check_length(c, f"/model/effective/{k}/coords", e["coords"],
+                      e["degree"], dims, f"/model/effective/{k}/degree")
 
 
 class _ModelKind(NamedTuple):
@@ -557,6 +577,16 @@ def parse_config(text: str) -> RunConfig:
 def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
     kind, map_spec = config.model["kind"], config.map
     model, pull = _MODELS[kind].build(config.model, map_spec)
+    c, dims = _Collector(), model.algebra.dims  # known only once built
+    if config.ample is not None:
+        _check_length(c, "/ample/coords", config.ample["coords"], 2, dims)
+    if map_spec["kind"] == "matrices":
+        if len(map_spec["blocks"]) != len(dims):
+            c.add("/map/blocks", f"expected {len(dims)} per-degree matrices")
+        for i, (block, d) in enumerate(zip(map_spec["blocks"], dims)):
+            if len(block) != d or (d and len(block[0]) != d):
+                c.add(f"/map/blocks/{i}", f"expected a {d}x{d} matrix")
+    c.raise_if_any()
     if map_spec["kind"] == "matrices":
         # a custom model states its own realizability, and its map shares it
         stated = {"realizability": model.realizability, "provenance": "custom"}

@@ -6,19 +6,21 @@ cohomological, 0..2r: codimension-j algebraic classes sit in degree 2j, which
 lets the same container model Chow-type rings (even degrees only) and full
 cohomology rings of abelian varieties (odd generators) side by side.
 
-All scalars are ``fractions.Fraction``.  Instances are immutable after
-construction and all operations are pure, so values can be shared freely
-across worker threads.  One integer copy of the structure constants
-(:class:`ScaledTable`) serves the kernels that run in ``int``: the unit,
-sign and associativity checks here, the multiplicativity check of a pullback
-and the products of the Gromov closure.  The pullback blocks, Berkowitz's
-characteristic polynomial, ``det`` and ``Echelon`` run in ``int`` too;
-``Element`` and ``GradedAlgebra.mul`` stay in ``Fraction``.
+Scalars at the interface are ``fractions.Fraction``.  Instances are
+immutable after construction and all operations are pure, so values can be
+shared freely across worker threads.  The structure constants are held once,
+as integers over one common denominator (:class:`ScaledTable`), and every
+product goes through its one kernel, ``ScaledTable.multiply``: the unit, sign
+and associativity checks here, ``GradedAlgebra.mul``, the multiplicativity
+check of a pullback and the products of the Gromov closure.  The pullback
+blocks, Berkowitz's characteristic polynomial, ``det`` and ``Echelon`` run
+in ``int`` too; ``Element`` coordinates stay in ``Fraction``.  The tests
+replay the Gromov certificates with a Fraction basis-pair product, which
+checks that kernel independently.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +32,7 @@ from .errors import (
     SignRuleViolation,
     UnitViolation,
 )
-from .linalg import as_fraction, det, zero_vector
+from .linalg import as_fraction, det, scaled_dict, zero_vector
 
 COMMUTATIVE = "commutative"
 SUPER_COMMUTATIVE = "super_commutative"
@@ -47,9 +49,6 @@ class Element:
     """
 
     coords: tuple[tuple[Fraction, ...], ...]
-
-    def component(self, degree: int) -> tuple[Fraction, ...]:
-        return self.coords[degree]
 
     def is_zero(self) -> bool:
         return all(x == 0 for piece in self.coords for x in piece)
@@ -106,6 +105,25 @@ class ScaledTable:
     denominator: int
     rows: dict[tuple[int, int], list[dict[int, tuple[tuple[int, int], ...]]]]
 
+    @classmethod
+    def scale(cls, dims, blocks) -> "ScaledTable":
+        """The table of ``{(i, j): {(p, q): Fraction coordinates}}``."""
+        den = math.lcm(*(
+            c.denominator
+            for block in blocks.values()
+            for vec in block.values()
+            for c in vec
+        ))
+        rows = {(i, j): [{} for _ in range(dims[i])] for i, j in blocks}
+        for (i, j), block in blocks.items():
+            for (p, q), vec in block.items():
+                if any(vec):
+                    rows[(i, j)][p][q] = tuple(
+                        (k, c.numerator * (den // c.denominator))
+                        for k, c in enumerate(vec) if c
+                    )
+        return cls(den, rows)
+
     def product(self, a: BasisIndex, b: BasisIndex) -> tuple[tuple[int, int], ...]:
         """Nonzero scaled entries of e_a * e_b."""
         block = self.rows.get((a[0], b[0]))
@@ -135,12 +153,12 @@ class GradedAlgebra:
     constructor trusts its inputs.
     """
 
-    def __init__(self, top_degree, dims, sign_rule, blocks, unit_coords,
+    def __init__(self, top_degree, dims, sign_rule, scaled_table, unit_coords,
                  integrate_coords):
         self.top_degree = top_degree
         self.dims = tuple(dims)
         self.sign_rule = sign_rule
-        self._blocks = blocks  # {(i, j): {(p, q): product coordinates}}
+        self.scaled_table = scaled_table
         self.unit_coords = tuple(unit_coords)
         self.integrate_coords = tuple(integrate_coords)
         self.dimension = sum(self.dims)
@@ -151,18 +169,10 @@ class GradedAlgebra:
         return Element(tuple(zero_vector(d) for d in self.dims))
 
     def one(self) -> Element:
-        coords = [list(zero_vector(d)) for d in self.dims]
-        coords[0] = list(self.unit_coords)
-        return Element(tuple(tuple(p) for p in coords))
+        return self.homogeneous(0, self.unit_coords)
 
     def basis_element(self, degree: int, index: int) -> Element:
-        if not (0 <= degree <= self.top_degree) or not (
-            0 <= index < self.dims[degree]
-        ):
-            raise ShapeMismatch(f"no basis vector at ({degree}, {index})")
-        coords = [list(zero_vector(d)) for d in self.dims]
-        coords[degree][index] = Fraction(1)
-        return Element(tuple(tuple(p) for p in coords))
+        return self.element({(degree, index): 1})
 
     def element(self, entries: Mapping[BasisIndex, object]) -> Element:
         coords = [list(zero_vector(d)) for d in self.dims]
@@ -187,30 +197,6 @@ class GradedAlgebra:
         coords[degree] = vec
         return Element(tuple(coords))
 
-    @functools.cached_property
-    def scaled_table(self) -> ScaledTable:
-        """The integer structure table of the validators and the Gromov
-        closure (built once)."""
-        den = math.lcm(*(
-            c.denominator
-            for block in self._blocks.values()
-            for vec in block.values()
-            for c in vec
-        ))
-        rows = {}
-        for (i, j), block in self._blocks.items():
-            block_rows = [{} for _ in range(self.dims[i])]
-            for (p, q), vec in block.items():
-                scaled = tuple(
-                    (k, c.numerator * (den // c.denominator))
-                    for k, c in enumerate(vec)
-                    if c
-                )
-                if scaled:
-                    block_rows[p][q] = scaled
-            rows[(i, j)] = block_rows
-        return ScaledTable(den, rows)
-
     def basis(self) -> Iterable[BasisIndex]:
         for i, d in enumerate(self.dims):
             for p in range(d):
@@ -224,53 +210,24 @@ class GradedAlgebra:
 
     # -- products --------------------------------------------------------------
 
-    def basis_product(self, a: BasisIndex, b: BasisIndex) -> tuple[Fraction, ...]:
-        """Coordinates of e_a * e_b in degree |a|+|b| (empty beyond top)."""
-        (i, p), (j, q) = a, b
-        if i + j > self.top_degree:
-            return ()
-        vec = self._blocks.get((i, j), {}).get((p, q))
-        return vec if vec is not None else zero_vector(self.dims[i + j])
-
-    def mul_vectors(
-        self, i: int, va: Sequence[Fraction], j: int, vb: Sequence[Fraction]
-    ) -> tuple[Fraction, ...]:
-        """Product of homogeneous coordinate vectors; lands in degree i + j."""
-        if i + j > self.top_degree:
-            return ()
-        out = [Fraction(0)] * self.dims[i + j]
-        block = self._blocks.get((i, j))
-        if block is not None:
-            for p, ca in enumerate(va):
-                if ca == 0:
-                    continue
-                for q, cb in enumerate(vb):
-                    if cb == 0:
-                        continue
-                    vec = block.get((p, q))
-                    if vec:
-                        c = ca * cb
-                        for k, v in enumerate(vec):
-                            if v != 0:
-                                out[k] += c * v
-        return tuple(out)
-
     def mul(self, a: Element, b: Element) -> Element:
-        """Bilinear, graded, sign-correct product."""
+        """Bilinear, graded, sign-correct product on the scaled table: pieces
+        scaled by da and db multiply to integers over da * db * D."""
         self._check_element(a)
         self._check_element(b)
+        table = self.scaled_table
         out = [list(zero_vector(d)) for d in self.dims]
-        for i, pa in enumerate(a.coords):
-            if not any(pa):
+        b_pieces = [(j, *scaled_dict(p)) for j, p in enumerate(b.coords) if any(p)]
+        for i, piece in enumerate(a.coords):
+            if not any(piece):
                 continue
-            for j, pb in enumerate(b.coords):
-                if i + j > self.top_degree or not any(pb):
-                    continue
-                piece = self.mul_vectors(i, pa, j, pb)
-                target = out[i + j]
-                for k, v in enumerate(piece):
-                    if v != 0:
-                        target[k] += v
+            da, va = scaled_dict(piece)
+            for j, db, vb in b_pieces:
+                if i + j <= self.top_degree:
+                    den = da * db * table.denominator
+                    product = table.multiply(i, va.items(), j, vb.items())
+                    for k, v in product.items():
+                        out[i + j][k] += Fraction(v, den)
         return Element(tuple(tuple(piece) for piece in out))
 
     def power(self, a: Element, k: int) -> Element:
@@ -452,7 +409,8 @@ def build_algebra(
             table.setdefault((j, i), {}).setdefault((q, p), mirrored)
 
     algebra = GradedAlgebra(
-        top_degree, dims, sign_rule, table, unit_coords, integrate_coords
+        top_degree, dims, sign_rule, ScaledTable.scale(dims, table),
+        unit_coords, integrate_coords,
     )
     _validate(algebra)
     return algebra

@@ -117,20 +117,22 @@ def delta(model: EmbeddedModel, f: PullbackMap, m: int, j: int) -> Fraction:
 
 
 def delta_table(model: EmbeddedModel, f: PullbackMap, m_max: int) -> DeltaTable:
+    """delta_j(f^m) = w_j . v_m: v_m is f^{m*}(h^j) iterated by ``mat_vec``,
+    w_j[q] = pair(h^{r-j}, e_(2j, q)) is computed once per j."""
     if m_max < 1:
         raise ShapeMismatch("m_max must be >= 1")
     alg = model.algebra
     rows = []
     for j in range(model.r + 1):
-        hj = model.h_powers[j]
         comp = model.h_powers[model.r - j]
-        block = f.block(2 * j)
-        vec = hj.component(2 * j)
+        weights = [alg.pair(comp, alg.basis_element(2 * j, q))
+                   for q in range(alg.dims[2 * j])]
+        block = f.blocks[2 * j]
+        vec = model.h_powers[j].coords[2 * j]
         row = []
         for _ in range(m_max):
             vec = mat_vec(block, vec) if block else ()
-            image = alg.homogeneous(2 * j, vec)
-            row.append(alg.pair(comp, image))
+            row.append(sum((w * x for w, x in zip(weights, vec)), Fraction(0)))
         rows.append(tuple(row))
     return DeltaTable(r=model.r, m_max=m_max, rows=tuple(rows), deg_x=model.deg_x)
 

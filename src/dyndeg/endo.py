@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .core import Element, GradedAlgebra
 from .errors import MultiplicativityViolation, ShapeMismatch, UnitViolation
-from .linalg import Matrix, as_matrix, mat_pow, scaled_vector, trace
+from .linalg import Matrix, as_matrix, mat_pow, scaled_dict, trace
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,13 @@ class PullbackMap:
             if not any(piece):
                 pieces.append(piece)
                 continue
-            piece_den, nums = scaled_vector(piece)
-            image = self.apply_scaled(
-                degree, [(q, x) for q, x in enumerate(nums) if x]
-            )
+            piece_den, vec = scaled_dict(piece)
+            image = self.apply_scaled(degree, vec.items())
             scale = den * piece_den
             pieces.append(tuple(
                 Fraction(image.get(p, 0), scale) for p in range(len(piece))
             ))
         return Element(tuple(pieces))
-
-    def block(self, degree: int) -> Matrix:
-        return self.blocks[degree]
 
     def graded_trace(self, degree: int) -> Fraction:
         return trace(self.blocks[degree])

@@ -26,7 +26,7 @@ from typing import Sequence
 from .core import Element, GradedAlgebra
 from .endo import PullbackMap
 from .errors import ShapeMismatch
-from .linalg import Echelon, Matrix, scaled_vector
+from .linalg import Echelon, Matrix, scaled_dict
 from .spectral import spectral_radius
 
 # formal certificate words
@@ -183,8 +183,7 @@ def gromov_closure(
 
     for word, element, degree in ((WORD_ONE, algebra.one(), 0),
                                   (WORD_OMEGA, omega, 2)):
-        den, nums = scaled_vector(element.component(degree))
-        try_add(word, degree, den, {q: x for q, x in enumerate(nums) if x})
+        try_add(word, degree, *scaled_dict(element.coords[degree]))
 
     top = algebra.top_degree
     # generators below ``start`` have been pulled back and multiplied with
@@ -355,7 +354,7 @@ def spectral_chain(
         if algebra.dims[j] == 0:
             mu.append(0.0)
             continue
-        r, e = spectral_radius(f.block(j), tol)
+        r, e = spectral_radius(f.blocks[j], tol)
         mu.append(r)
         mu_err = max(mu_err, e)
 

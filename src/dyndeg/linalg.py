@@ -168,7 +168,7 @@ class Echelon:
         return rest, scale, hits
 
     def contains(self, vector: Sequence[Fraction]) -> bool:
-        return not self._reduce(_scaled_dict(vector)[1])[0]
+        return not self._reduce(scaled_dict(vector)[1])[0]
 
     def insert(self, vector: Sequence[Fraction], combo: dict[int, Fraction]) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
@@ -231,7 +231,7 @@ class Echelon:
 
     def coordinates(self, vector: Sequence[Fraction]) -> list[Fraction] | None:
         """Coordinates of ``vector`` in the echelon basis, or None if outside."""
-        return self.coordinates_scaled(*_scaled_dict(vector))
+        return self.coordinates_scaled(*scaled_dict(vector))
 
     def coordinates_scaled(
         self, den: int, vec: dict[int, int]
@@ -256,7 +256,9 @@ def scaled_matrix(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
                  for row in rows]
 
 
-def _scaled_dict(vector: Sequence) -> tuple[int, dict[int, int]]:
+def scaled_dict(vector: Sequence) -> tuple[int, dict[int, int]]:
+    """``(D, {j: D * vector[j]})`` over the nonzero entries, D the lcm of the
+    denominators."""
     den, nums = scaled_vector(vector)
     return den, {j: x for j, x in enumerate(nums) if x}
 

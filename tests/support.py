@@ -7,7 +7,7 @@ isometry powers); all are genuine graded ring endomorphisms, many are not
 realizable by any morphism, which is exactly what the inequality-chain
 property needs.  Mutation fuzzing perturbs one matrix entry of a valid map
 and classifies the mutant independently of the validator by a direct scan
-with the algebra product.
+with the Fraction basis-pair product below.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from dyndeg.core import GradedAlgebra
+from dyndeg.core import Element, GradedAlgebra
 from dyndeg.degrees import EmbeddedModel
 from dyndeg.endo import PullbackMap, validate_pullback
 from dyndeg.linalg import identity, mat_vec
@@ -152,8 +152,6 @@ def _abelian_g1_identity():
 
 def apply_blocks(algebra: GradedAlgebra, blocks, element):
     """Apply raw per-degree matrices to an element (no validation)."""
-    from dyndeg.core import Element
-
     return Element(
         tuple(
             mat_vec(tuple(tuple(row) for row in m), piece) if piece else ()
@@ -183,9 +181,9 @@ def multiplicativity_witness(algebra: GradedAlgebra, blocks):
                 continue
             lhs = mat_vec(
                 tuple(tuple(row) for row in blocks[i + j]),
-                algebra.basis_product(a, b),
+                basis_product(algebra, a, b),
             )
-            rhs = algebra.mul_vectors(i, images[a], j, images[b])
+            rhs = mul_vectors(algebra, i, images[a], j, images[b])
             if tuple(lhs) != tuple(rhs):
                 return (a, b)
     return None
@@ -234,8 +232,75 @@ def mutate_blocks(rng, pull: PullbackMap):
 
 
 # ---------------------------------------------------------------------------
-# Fraction oracles: the rational kernels that the integer ones replaced
+# Fraction oracles: the rational kernels that the integer ones replaced; the
+# product reads only the structure table's entries, never its kernel
 # ---------------------------------------------------------------------------
+
+def basis_product(algebra: GradedAlgebra, a, b):
+    """Coordinates of e_a * e_b in degree |a|+|b| (empty beyond top): the
+    scaled table's entries over its denominator."""
+    degree = a[0] + b[0]
+    if degree > algebra.top_degree:
+        return ()
+    table = algebra.scaled_table
+    vec = [Fraction(0)] * algebra.dims[degree]
+    for k, v in table.product(a, b):
+        vec[k] = Fraction(v, table.denominator)
+    return tuple(vec)
+
+
+def mul_vectors(algebra: GradedAlgebra, i, va, j, vb):
+    """Product of homogeneous coordinate vectors of degrees i and j, summed
+    over basis pairs in Fraction; lands in degree i + j."""
+    if i + j > algebra.top_degree:
+        return ()
+    out = [Fraction(0)] * algebra.dims[i + j]
+    for p, x in enumerate(va):
+        for q, y in enumerate(vb):
+            if x and y:
+                for k, c in enumerate(basis_product(algebra, (i, p), (j, q))):
+                    out[k] += x * y * c
+    return tuple(out)
+
+
+def fraction_mul(algebra: GradedAlgebra, a: Element, b: Element) -> Element:
+    """a * b from :func:`mul_vectors` on every pair of graded pieces."""
+    out = [[Fraction(0)] * d for d in algebra.dims]
+    for i, pa in enumerate(a.coords):
+        for j, pb in enumerate(b.coords):
+            for k, c in enumerate(mul_vectors(algebra, i, pa, j, pb)):
+                out[i + j][k] += c
+    return Element(tuple(tuple(piece) for piece in out))
+
+
+def replay_certificates(closure) -> bool:
+    """Re-evaluate every certificate of a Gromov closure with
+    :func:`fraction_mul` and :func:`apply_blocks`, and compare with its basis
+    vector; each distinct word (by identity) is evaluated once."""
+    alg, blocks = closure.algebra, closure.pullback.blocks
+    memo = {}
+
+    def value(word):
+        if id(word) not in memo:
+            tag = word[0]
+            if tag == "one":
+                memo[id(word)] = alg.one()
+            elif tag == "omega":
+                memo[id(word)] = closure.omega
+            elif tag == "pull":
+                memo[id(word)] = apply_blocks(alg, blocks, value(word[1]))
+            else:
+                memo[id(word)] = fraction_mul(alg, value(word[1]), value(word[2]))
+        return memo[id(word)]
+
+    for vec, cert in zip(closure.basis, closure.certificates):
+        total = alg.zero()
+        for coeff, word in cert:
+            total = total + coeff * value(word)
+        if total != vec:
+            return False
+    return True
+
 
 def fraction_char_poly(m):
     """Coefficients of det(xI - M), descending, by Berkowitz in Fraction."""

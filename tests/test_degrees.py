@@ -75,6 +75,30 @@ class TestDelta:
             for m in range(1, 6):
                 assert table.value(j, m) == delta(model, f, m, j)
 
+    @pytest.mark.parametrize("m_max", [1, 64])
+    def test_delta_table_pairs_each_basis_vector_once(self, monkeypatch, m_max):
+        # the pairing row w_j = pair(h^{r-j}, e_(2j, q)) is built once per j;
+        # each delta_j(f^m) is then w_j . v_m, with no product per (j, m)
+        from dyndeg.core import GradedAlgebra
+
+        model = multiprojective([2, 2, 2])
+        f = product_map(model, [2, 3, 1], [1, 2, 0])
+        model.h_powers  # the cached powers of h are not counted below
+        calls = []
+        original = GradedAlgebra.mul
+
+        def counted(self, a, b):
+            calls.append(1)
+            return original(self, a, b)
+
+        monkeypatch.setattr(GradedAlgebra, "mul", counted)
+        table = delta_table(model, f, m_max)
+        dims = model.algebra.dims
+        assert len(calls) == sum(dims[2 * j] for j in range(model.r + 1))
+        monkeypatch.undo()
+        for j in range(model.r + 1):
+            assert table.value(j, m_max) == delta(model, f, m_max, j)
+
     def test_row_zero_is_deg_x(self):
         for name, model, f in builder_battery():
             table = delta_table(model, f, 3)

@@ -24,8 +24,8 @@ def p2_with_map(d=2):
 class TestValidatePullback:
     def test_power_map_is_valid(self):
         model, f = p2_with_map(2)
-        assert f.block(2) == ((2,),)
-        assert f.block(4) == ((4,),)
+        assert f.blocks[2] == ((2,),)
+        assert f.blocks[4] == ((4,),)
 
     def test_non_multiplicative_map_names_pair(self):
         # h1 -> h1 + h2, h2 -> h2 cannot extend: (h1+h2)^2 = 2 h1 h2 != 0
@@ -60,14 +60,14 @@ class TestPowerMap:
     def test_p2_degree_two_squared(self):
         model, f = p2_with_map(2)
         f2 = power_map(f, 2)
-        assert f2.block(2) == ((4,),)
-        assert f2.block(4) == ((16,),)
+        assert f2.blocks[2] == ((4,),)
+        assert f2.blocks[4] == ((16,),)
 
     def test_swap_map_squares_to_multiplication_by_six(self):
         model = multiprojective([1, 1])
         f = product_map(model, [2, 3], [1, 0])
         f2 = power_map(f, 2)
-        assert f2.block(2) == ((6, 0), (0, 6))
+        assert f2.blocks[2] == ((6, 0), (0, 6))
 
     def test_power_one_is_the_same_map(self):
         model, f = p2_with_map(2)

@@ -19,7 +19,7 @@ from dyndeg.models import (
     surface_lattice,
 )
 
-from support import builder_battery, random_valid_pullbacks
+from support import builder_battery, random_valid_pullbacks, replay_certificates
 
 PHI_SQUARED = 2.618033988749895  # (3 + sqrt 5) / 2, from the quadratic formula
 
@@ -237,6 +237,14 @@ class TestCertificateReplay:
 
     def test_untampered_certificates_verify(self):
         assert self._closure().verify_certificates()
+
+    def test_battery_certificates_replay_with_the_fraction_product(self):
+        # verify_certificates multiplies with the closure's own kernel; this
+        # replay multiplies with the Fraction basis-pair oracle instead
+        for name, model, f in builder_battery():
+            for order in ("forward", "reversed"):
+                closure = gromov_closure(model.algebra, f, model.h, order)
+                assert replay_certificates(closure), (name, order)
 
     def test_a_tampered_coefficient_is_caught(self):
         import dataclasses

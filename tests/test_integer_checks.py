@@ -1,10 +1,15 @@
-"""The integer algebra and pullback checks against Fraction reference checks.
+"""The integer product kernel and checks against Fraction reference checks.
 
-``core._validate`` and ``endo.validate_pullback`` compare integer vectors
-scaled by common denominators.  The reference checks below do the same scans
-in ``Fraction`` with the public product API, in the same order, so on every
-mutant both must accept, or both must reject with the same violation class
-naming the same basis vector, pair or triple.
+``core._validate``, ``endo.validate_pullback`` and ``GradedAlgebra.mul`` all
+multiply on the one integer structure table, scaled by a common denominator.
+The reference checks below do the same scans in ``Fraction`` with the
+basis-pair oracles of ``support`` (which read each basis product as the
+table's entries over its denominator), in the same order, so on every mutant
+both must accept, or both must reject with the same violation class naming
+the same basis vector, pair or triple.  ``GradedAlgebra.mul`` is compared
+with the oracle product on random elements of algebras whose constants are
+non-integer; the Gromov certificates are replayed with it in
+``test_gromov.py``.
 """
 
 import random
@@ -12,9 +17,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyndeg import core
-from dyndeg.core import SUPER_COMMUTATIVE, build_algebra
+from dyndeg.core import SUPER_COMMUTATIVE, Element, build_algebra
 from dyndeg.endo import validate_pullback
 from dyndeg.errors import (
     AssociativityViolation,
@@ -34,7 +41,10 @@ from dyndeg.models import (
 )
 
 from support import (
+    basis_product,
     builder_battery,
+    fraction_mul,
+    mul_vectors,
     multiplicativity_witness,
     mutate_blocks,
     scalar_power_pullback,
@@ -52,7 +62,9 @@ def reference_algebra_check(algebra):
     basis = list(algebra.basis())
     for b in basis:
         e = algebra.basis_element(*b)
-        if algebra.mul(one, e) != e or algebra.mul(e, one) != e:
+        if fraction_mul(algebra, one, e) != e or (
+            fraction_mul(algebra, e, one) != e
+        ):
             raise UnitViolation(b)
     positive = [b for b in basis if b[0] >= 1]
     top = algebra.top_degree
@@ -64,8 +76,8 @@ def reference_algebra_check(algebra):
             sign = -1 if (
                 algebra.sign_rule == SUPER_COMMUTATIVE and i * j % 2
             ) else 1
-            ab = algebra.basis_product(a, b)
-            ba = algebra.basis_product(b, a)
+            ab = basis_product(algebra, a, b)
+            ba = basis_product(algebra, b, a)
             if ab != tuple(sign * x for x in ba):
                 raise SignRuleViolation((a, b))
     for a in positive:
@@ -73,14 +85,18 @@ def reference_algebra_check(algebra):
             dab = a[0] + b[0]
             if dab >= top:
                 continue
-            ab = algebra.basis_product(a, b)
+            ab = basis_product(algebra, a, b)
             for c in positive:
                 dbc = b[0] + c[0]
                 if dab + c[0] > top:
                     continue
-                bc = algebra.basis_product(b, c)
-                left = algebra.mul_vectors(dab, ab, c[0], _unit_vector(algebra, c))
-                right = algebra.mul_vectors(a[0], _unit_vector(algebra, a), dbc, bc)
+                bc = basis_product(algebra, b, c)
+                left = mul_vectors(
+                    algebra, dab, ab, c[0], _unit_vector(algebra, c)
+                )
+                right = mul_vectors(
+                    algebra, a[0], _unit_vector(algebra, a), dbc, bc
+                )
                 if left != right:
                     raise AssociativityViolation((a, b, c))
 
@@ -128,7 +144,7 @@ def structure_constants(algebra, scales=None):
         for b in algebra.basis():
             if a[0] + b[0] > algebra.top_degree:
                 continue
-            vec = algebra.basis_product(a, b)
+            vec = basis_product(algebra, a, b)
             k_deg = a[0] + b[0]
             products[(a, b)] = {
                 k: c * s.get(a, 1) * s.get(b, 1) / s.get((k_deg, k), 1)
@@ -263,6 +279,48 @@ class TestIntegerAlgebraChecks:
             build_algebra(2, host.dims, "graded", {}, (1,))
 
 
+def scaled_battery_algebras():
+    """Each battery algebra in a random rational basis, with a unit that is
+    not 1, so the structure constants are non-integer."""
+    rng = random.Random(909)
+    algebras = {id(m.algebra): m.algebra for _, m, _ in builder_battery()}
+    out = []
+    for alg in algebras.values():
+        scales = random_scales(rng, alg)
+        scaled = rebuild(alg, structure_constants(alg, scales), scales)
+        out.append(with_unit(scaled, rng.choice((Fraction(2, 3), Fraction(-5, 2)))))
+    return out
+
+
+SCALED_BATTERY = scaled_battery_algebras()
+
+coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+def elements(algebra):
+    """Random inhomogeneous elements, many coordinates zero."""
+    return st.tuples(
+        *(st.tuples(*(coefficients,) * d) for d in algebra.dims)
+    ).map(Element)
+
+
+class TestProductAgainstOracle:
+    def test_the_hosts_have_non_integer_constants(self):
+        for alg in SCALED_BATTERY:
+            assert alg.scaled_table.denominator > 1
+            assert alg.unit_coords[0] != 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mul_matches_the_basis_pair_oracle(self, data):
+        alg = data.draw(st.sampled_from(SCALED_BATTERY))
+        a, b = data.draw(elements(alg)), data.draw(elements(alg))
+        assert alg.mul(a, b) == fraction_mul(alg, a, b)
+
+
 # ---------------------------------------------------------------------------
 # pullbacks: the support fuzzer, plus rational bumps in every degree
 # ---------------------------------------------------------------------------
@@ -319,7 +377,7 @@ class TestIntegerPullbackCheck:
     def test_non_integer_pullback_blocks(self):
         model = projective_space(2)
         pull = scalar_power_pullback(model, Fraction(3, 2))
-        assert pull.block(4) == ((Fraction(9, 4),),)
+        assert pull.blocks[4] == ((Fraction(9, 4),),)
         # 9/4 -> 9/4 + 1/3 breaks f*(h) f*(h) = f*(h^2) by exactly 1/3
         blocks = [[list(row) for row in b] for b in pull.blocks]
         blocks[4][0][0] += Fraction(1, 3)

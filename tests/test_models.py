@@ -42,13 +42,13 @@ class TestProjectiveSpace:
         f = pn_power_map(model, 1)
         for i, d in enumerate(model.algebra.dims):
             if d:
-                assert f.block(i) == ((1,),)
+                assert f.blocks[i] == ((1,),)
 
     def test_degree_zero_map_is_valid_and_non_dominant(self):
         model = projective_space(2)
         f = pn_power_map(model, 0)
-        assert f.block(2) == ((0,),)
-        assert f.block(0) == ((1,),)
+        assert f.blocks[2] == ((0,),)
+        assert f.blocks[0] == ((1,),)
 
 
 class TestMultiprojective:
@@ -82,7 +82,7 @@ class TestMultiprojective:
     def test_swap_validates(self):
         model = multiprojective([1, 1])
         f = product_map(model, [2, 3], [1, 0])
-        assert f.block(2) == ((0, 3), (2, 0))
+        assert f.blocks[2] == ((0, 3), (2, 0))
 
 
 class TestAbelianVariety:
@@ -95,8 +95,8 @@ class TestAbelianVariety:
         model, f = abelian_variety(1, [[2, 0], [0, 2]])
         from dyndeg.spectral import spectral_radius
 
-        assert spectral_radius(f.block(1))[0] == pytest.approx(2.0, abs=1e-9)
-        assert spectral_radius(f.block(2))[0] == pytest.approx(4.0, abs=1e-9)
+        assert spectral_radius(f.blocks[1])[0] == pytest.approx(2.0, abs=1e-9)
+        assert spectral_radius(f.blocks[2])[0] == pytest.approx(4.0, abs=1e-9)
 
     def test_graded_traces_are_elementary_symmetric_functions(self):
         # char(M) = x^n - e1 x^{n-1} + e2 x^{n-2} - ..., and the degree-i
@@ -140,10 +140,10 @@ class TestSurfaceLattice:
     def test_pell_isometry_matches_char_poly_root(self):
         # x^2 - 6x + 1 has largest root 3 + 2 sqrt 2
         model, f = surface_lattice([[1, 0], [0, -2]], [[3, 4], [2, 3]], [1, 0])
-        assert char_poly(f.block(2)) == [1, -6, 1]
+        assert char_poly(f.blocks[2]) == [1, -6, 1]
         from dyndeg.spectral import spectral_radius
 
-        assert spectral_radius(f.block(2))[0] == pytest.approx(
+        assert spectral_radius(f.blocks[2])[0] == pytest.approx(
             3 + 2 * math.sqrt(2), abs=1e-9
         )
 

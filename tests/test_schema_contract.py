@@ -302,15 +302,15 @@ REJECTED = {
     ),
     "effective-degree-above-top": (
         _custom(effective=[{"degree": 7, "coords": [1]}]),
-        ("ShapeMismatch", []),
+        ("SchemaError", ["/model/effective/0/degree"]),
     ),
     "effective-degree-negative": (
         _custom(effective=[{"degree": -1, "coords": [1]}]),
-        ("ShapeMismatch", []),
+        ("SchemaError", ["/model/effective/0/degree"]),
     ),
     "h-above-top-degree": (
         _custom(top_degree=1, dims=[1, 1], products=[], effective=[]),
-        ("ShapeMismatch", []),
+        ("SchemaError", ["/model/h"]),
     ),
     "model-kind-list": (
         config({"kind": [], "n": 2}, {"kind": "power", "d": 2}),
@@ -364,6 +364,39 @@ REJECTED = {
         config({**VALID["surface_lattice"][0]},
                {"kind": "isometry", "matrix": [[1]]}),
         ("SchemaError", ["/map/matrix"]),
+    ),
+    # coordinate vectors and matrices that do not fit the graded dimensions,
+    # once rejected by a builder with no JSON pointer
+    "custom-dims-0": (
+        _custom(dims=[2, 0, 1, 0, 1], unit=[1, 1]),
+        ("SchemaError", ["/model/dims/0"]),
+    ),
+    "custom-h-length": (
+        _custom(h=[1, 2]), ("SchemaError", ["/model/h"]),
+    ),
+    "custom-unit-length": (
+        _custom(unit=[1, 1]), ("SchemaError", ["/model/unit"]),
+    ),
+    "custom-integrate-length": (
+        _custom(integrate=[1, 2]), ("SchemaError", ["/model/integrate"]),
+    ),
+    "effective-coords-length": (
+        _custom(effective=[{"degree": 2, "coords": [1, 0]}]),
+        ("SchemaError", ["/model/effective/0/coords"]),
+    ),
+    "ample-coords-length": (
+        config(*VALID["projective"], ample={"coords": [1, 0]}),
+        ("SchemaError", ["/ample/coords"]),
+    ),
+    "matrices-block-count": (
+        config({"kind": "projective", "n": 1},
+               {"kind": "matrices", "blocks": [[[1]]]}),
+        ("SchemaError", ["/map/blocks"]),
+    ),
+    "matrices-block-size": (
+        config({"kind": "projective", "n": 1},
+               {"kind": "matrices", "blocks": [[[1]], [[1]], [[2, 0], [0, 2]]]}),
+        ("SchemaError", ["/map/blocks/1", "/map/blocks/2"]),
     ),
 }
 

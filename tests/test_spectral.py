@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import pathlib
@@ -318,6 +319,12 @@ for script in sys.argv[1:]:
 """
 
 
+# sha256 of the scripts' stdout, recorded with the Fraction product kernel
+SCRIPTS_STDOUT_SHA256 = (
+    "c84536d0610100fbfed370f26b1ffeaebe3eec5b248514ddb4921a10839a536a"
+)
+
+
 def test_estimators_and_scripts_run_without_numpy():
     path = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
@@ -328,3 +335,5 @@ def test_estimators_and_scripts_run_without_numpy():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert digest == SCRIPTS_STDOUT_SHA256, proc.stdout
