@@ -37,7 +37,7 @@ from .degrees import (
 from .endo import PullbackMap, identity_map, validate_pullback
 from .errors import BadMatrixShape, DynDegError, SchemaError, UnknownModelKind
 from .gromov import gromov_closure, lambda_gr, spectral_chain
-from .linalg import identity
+from .linalg import as_fraction, identity
 from .models import (
     abelian_variety,
     custom_model,
@@ -411,13 +411,45 @@ def _check_surface_lattice(c: _Collector, spec, map_spec) -> None:
 
 
 def _check_length(c: _Collector, path: str, vector, degree: int, dims,
-                  degree_path: str | None = None) -> None:
+                  degree_path: str | None = None) -> bool:
     """``vector`` must have ``dims[degree]`` coordinates; a degree outside
     the grading is reported at ``degree_path`` (default ``path``)."""
     if not 0 <= degree < len(dims):
         c.add(degree_path or path, f"degree {degree} outside 0..{len(dims) - 1}")
     elif len(vector) != dims[degree]:
         c.add(path, f"expected dims[{degree}] = {dims[degree]} coordinates")
+    else:
+        return True
+    return False
+
+
+def _check_divisor(c: _Collector, path: str, vector, dims) -> None:
+    """A nonzero class of degree 2."""
+    if _check_length(c, path, vector, 2, dims) and not any(map(as_fraction, vector)):
+        c.add(path, "expected a nonzero class")
+
+
+def _check_products(c: _Collector, products, dims) -> None:
+    """Each entry multiplies two basis elements whose degrees sum to at most
+    the top degree, into coordinates below ``dims[i + j]``."""
+    top = len(dims) - 1
+    for k, entry in enumerate(products):
+        path = f"/model/products/{k}"
+        outside = [side for side in ("a", "b") if not (
+            0 <= entry[side][0] <= top and 0 <= entry[side][1] < dims[entry[side][0]]
+        )]
+        for side in outside:
+            c.add(f"{path}/{side}", "expected [degree, index] of a basis element")
+        if outside:
+            continue
+        degree = entry["a"][0] + entry["b"][0]
+        value = entry["value"]
+        keys = value if isinstance(value, dict) else [key for key, _ in value]
+        if degree > top:
+            c.add(path, f"degrees sum to {degree}, past top_degree {top}")
+        elif not all(0 <= int(key) < dims[degree] for key in keys):
+            c.add(f"{path}/value",
+                  f"expected coordinates below dims[{degree}] = {dims[degree]}")
 
 
 def _check_custom(c: _Collector, spec, map_spec) -> None:
@@ -427,9 +459,11 @@ def _check_custom(c: _Collector, spec, map_spec) -> None:
         return
     if dims[0] != 1:
         c.add("/model/dims/0", "expected 1: degree 0 is spanned by the unit")
-    for key, degree in (("h", 2), ("unit", 0), ("integrate", len(dims) - 1)):
+    _check_divisor(c, "/model/h", spec["h"], dims)
+    for key, degree in (("unit", 0), ("integrate", len(dims) - 1)):
         if key in spec:
             _check_length(c, f"/model/{key}", spec[key], degree, dims)
+    _check_products(c, spec["products"], dims)
     for k, e in enumerate(spec.get("effective", ())):
         _check_length(c, f"/model/effective/{k}/coords", e["coords"],
                       e["degree"], dims, f"/model/effective/{k}/degree")
@@ -579,7 +613,7 @@ def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
     model, pull = _MODELS[kind].build(config.model, map_spec)
     c, dims = _Collector(), model.algebra.dims  # known only once built
     if config.ample is not None:
-        _check_length(c, "/ample/coords", config.ample["coords"], 2, dims)
+        _check_divisor(c, "/ample/coords", config.ample["coords"], dims)
     if map_spec["kind"] == "matrices":
         if len(map_spec["blocks"]) != len(dims):
             c.add("/map/blocks", f"expected {len(dims)} per-degree matrices")

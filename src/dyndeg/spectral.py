@@ -3,22 +3,23 @@ and trace growth, plus the limsup utilities the growth arguments rest on.
 
 The exact route computes the characteristic polynomial by the Berkowitz
 division-free elimination scheme, in ``int`` on the matrix times its common
-denominator, and certifies the maximum root modulus with
-Newton-polished inclusion disks inside a Cauchy-bound bracket.  The floating
-routes (norm doubling, trace roots) are deliberately independent estimators:
-they never consult the exact route, so the two can cross-check each other.
+denominator, and certifies the maximum root modulus in integers: Aberth's
+iteration proposes the roots in complex floats, polishes them as Gaussian
+integers over 2^B, and Newton inclusion disks of radius n|p(z)/p'(z)|,
+evaluated exactly and rounded up, certify them once they are pairwise
+disjoint.  The floating routes (norm doubling, trace roots) are deliberately
+independent estimators: they never consult the exact route, so the two can
+cross-check each other.
 
 The floating routes run in plain Python floats: matrices are lists of float
 rows, with power-of-two scale factors tracked exactly in a separate integer
 exponent; exact rational arithmetic is used for traces up to size cutoffs
 (matrix dimension <= 64, power <= 256).
-
-mpmath is imported inside the root certification that uses it, so importing
-this module (and the CLI) stays cheap.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -33,6 +34,11 @@ _EXACT_DIM_CUTOFF = 64
 _EXACT_POWER_CUTOFF = 256
 
 _LN2 = math.log(2.0)
+
+# root certification: first fixed-point precision and iteration caps
+_START_BITS = 128
+_FLOAT_SWEEPS = 100
+_POLISH_SWEEPS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +142,19 @@ def _cauchy_bound(coeffs: list[Fraction]) -> Fraction:
 def spectral_radius(matrix: Sequence[Sequence], tol: float = 1e-9):
     """Certified max modulus of eigenvalues: returns ``(rho, error_bound)``.
 
-    Brackets the answer inside the exact Cauchy root bound, then refines with
-    adaptive-precision root finding and per-root Newton inclusion disks of
-    radius n|p(z)/p'(z)| (valid for the square-free part): once the disks are
-    pairwise disjoint every eigenvalue is covered, so the largest candidate
-    modulus is certified within the largest disk radius.
+    Works on the square-free part p of degree n, with its denominators
+    cleared.  Aberth's iteration proposes the n roots in complex floats; they
+    are polished as Gaussian integers over 2^B (B = 128 first, plus the bits
+    below the smallest root) and each gets the Newton inclusion disk of
+    radius n|p(z)/p'(z)|, evaluated exactly and rounded up.  Once the disks
+    are pairwise disjoint each holds one eigenvalue, so the spectral radius
+    is the largest |z| within the largest radius.  rho is that |z| correctly
+    rounded and capped at the Cauchy bound; the error bound is the radius
+    plus 1e-15 max(1, rho) for the rounding.  Overlapping disks double B, for
+    six rounds.
 
     Raises :class:`SpectralNonconvergence` (carrying the best bracket) if the
-    disks cannot be shrunk below ``tol`` within the iteration cap.
+    disks cannot be shrunk below ``tol`` within the six rounds.
     """
     if tol <= 0:
         raise ShapeMismatch("tol must be positive")
@@ -168,63 +179,176 @@ def _max_root_modulus(coeffs: tuple[Fraction, ...], tol: float):
         rho = abs(float(p[1]))
         exact = rho == abs(p[1])
         return rho, 0.0 if exact else rho * 2.0**-52
-    import mpmath
+    cauchy = _float(_cauchy_bound(p))
+    den = math.lcm(*(c.denominator for c in p))
+    poly = [c.numerator * (den // c.denominator) for c in p]
 
-    n = len(p) - 1
-    cauchy = float(_cauchy_bound(p))
-
+    start, scale = _aberth_proposal(poly)
+    # denominator exponent: B bits below the smallest proposed root
+    low = min(math.frexp(abs(z))[1] for z in start) + scale
+    bits = _START_BITS
+    e = bits + max(0, -low)
+    roots = [(_fixed(z.real, e + scale), _fixed(z.imag, e + scale)) for z in start]
     best = (0.0, cauchy)
-    dps = 40
     for _ in range(6):
-        with mpmath.workdps(dps):
-            mp_coeffs = [
-                mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in p
-            ]
-            try:
-                roots = mpmath.polyroots(
-                    mp_coeffs, maxsteps=200, extraprec=dps * 4
-                )
-            except mpmath.mp.NoConvergence:
-                dps *= 2
-                continue
-            deriv = [c * (n - i) for i, c in enumerate(mp_coeffs[:-1])]
-
-            def ev(cs, z):
-                acc = mpmath.mpc(0)
-                for c in cs:
-                    acc = acc * z + c
-                return acc
-
-            disks = []
-            ok = True
-            for z in roots:
-                val = ev(mp_coeffs, z)
-                dval = ev(deriv, z)
-                if dval == 0:
-                    ok = False
-                    break
-                disks.append((z, 2 * n * abs(val) / abs(dval)))
-            if ok:
-                for i in range(len(disks)):
-                    for j in range(i + 1, len(disks)):
-                        if (
-                            abs(disks[i][0] - disks[j][0])
-                            <= disks[i][1] + disks[j][1]
-                        ):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                rho = max(abs(z) for z, _ in disks)
-                err = max(r for _, r in disks)
-                rho_f = min(float(rho), cauchy)
-                err_f = float(err) + 1e-15 * max(1.0, rho_f)
-                best = (rho_f, err_f)
-                if err_f <= tol * max(1.0, rho_f):
-                    return rho_f, err_f
-        dps *= 2
+        roots = _polish(poly, roots, e)
+        disks = _certify(poly, roots, e)
+        if disks is not None:
+            rho_f = min(disks[0], cauchy)
+            err_f = disks[1] + 1e-15 * max(1.0, rho_f)
+            best = (rho_f, err_f)
+            if rho_f < math.inf and err_f <= tol * max(1.0, rho_f):
+                return rho_f, err_f
+        roots = [(zr << bits, zi << bits) for zr, zi in roots]
+        e += bits
+        bits *= 2
     raise SpectralNonconvergence(best[0], best[1])
+
+
+def _float(x) -> float:
+    """``float(x)``, or inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _fixed(x: float, shift: int) -> int:
+    """floor(x * 2^shift), exactly."""
+    num, den = x.as_integer_ratio()
+    return (num << shift) // den
+
+
+def _horner(coeffs, z):
+    acc = 0
+    for c in coeffs:
+        acc = acc * z + c
+    return acc
+
+
+def _aberth_proposal(poly: list[int]) -> tuple[list[complex], int]:
+    """Approximations ``z * 2^scale`` of all n roots of ``poly``.
+
+    Aberth's iteration in complex floats, started on a circle whose radius is
+    about the geometric mean |a_n/a_0|^(1/n) of the root moduli; a root stops
+    moving once |p(z)| is within the rounding error of Horner's rule.  If the
+    floats overflow, the circle itself is returned, with the radius in
+    ``scale``, for the exact iteration to refine.
+    """
+    n = len(poly) - 1
+    scale = round((abs(poly[-1]).bit_length() - abs(poly[0]).bit_length()) / n)
+    circle = [cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    try:
+        a = [c / poly[0] for c in poly]
+        da = _poly_derivative(a)
+        size = [abs(c) * (4 * n + 2) * 2.0**-53 for c in a]
+        z = [math.ldexp(1.0, scale) * u for u in circle]
+        moving = set(range(n))
+        for _ in range(_FLOAT_SWEEPS):
+            for k in list(moving):
+                zk = z[k]
+                pz = _horner(a, zk)
+                if not cmath.isfinite(pz):
+                    return circle, scale
+                if abs(pz) <= _horner(size, abs(zk)):
+                    moving.discard(k)
+                    continue
+                ratio = pz / _horner(da, zk)
+                s = sum(1 / (zk - zj) for j, zj in enumerate(z) if j != k)
+                z[k] = zk - ratio / (1 - ratio * s)
+            if not moving:
+                break
+    except (OverflowError, ZeroDivisionError):
+        return circle, scale
+    if not all(cmath.isfinite(zk) for zk in z):
+        return circle, scale
+    return z, 0
+
+
+def _gauss_horner(coeffs: list[int], zr: int, zi: int, e: int) -> tuple[int, int]:
+    """p(z) * 2^(e deg p) at z = (zr + i zi) / 2^e, exactly."""
+    ar, ai = coeffs[0], 0
+    for k, c in enumerate(coeffs[1:], 1):
+        ar, ai = ar * zr - ai * zi + (c << e * k), ar * zi + ai * zr
+    return ar, ai
+
+
+def _polish(poly: list[int], roots, e: int):
+    """Aberth sweeps on the Gaussian integers ``roots`` over 2^e, until every
+    correction is within 4 units of 2^-e or the sweep cap is reached.
+
+    With N = p/p' and S = sum_{j != k} 1/(z_k - z_j), a root moves by
+    N / (1 - N S); in units of 2^-e that is N D^2 / (D^2 - N S) with N and S
+    held times D = 2^e.
+    """
+    deriv = _poly_derivative(poly)
+    roots = list(roots)
+    d2 = 1 << 2 * e
+    for _ in range(_POLISH_SWEEPS):
+        worst = 0
+        for k, (zr, zi) in enumerate(roots):
+            pr, pi = _gauss_horner(poly, zr, zi, e)
+            qr, qi = _gauss_horner(deriv, zr, zi, e)
+            m = qr * qr + qi * qi
+            if not m:
+                continue
+            nr, ni = (pr * qr + pi * qi) // m, (pi * qr - pr * qi) // m
+            sr = si = 0
+            for j, (yr, yi) in enumerate(roots):
+                xr, xi = zr - yr, zi - yi
+                m = xr * xr + xi * xi
+                if j != k and m:
+                    sr += (xr << 2 * e) // m
+                    si -= (xi << 2 * e) // m
+            br, bi = d2 - nr * sr + ni * si, -(nr * si + ni * sr)
+            m = br * br + bi * bi
+            if not m:
+                continue
+            ar, ai = nr << 2 * e, ni << 2 * e
+            wr, wi = (ar * br + ai * bi) // m, (ai * br - ar * bi) // m
+            roots[k] = (zr - wr, zi - wi)
+            worst = max(worst, wr * wr + wi * wi)
+        if worst <= 16:
+            break
+    return roots
+
+
+def _certify(poly: list[int], roots, e: int):
+    """``(rho, err)`` from Newton inclusion disks, or None without a certificate.
+
+    The disk |w - z| <= n |p(z)/p'(z)| holds a root of p, because
+    p'/p = sum 1/(z - zeta_k).  Radii are rounded up in units of 2^-e with
+    ``math.isqrt``; if the n disks are pairwise disjoint (compared exactly on
+    squared distances) each holds exactly one of the n roots, so the largest
+    root modulus is the largest |z| within the largest radius.  ``rho`` is
+    that |z| correctly rounded; ``err`` is the radius.
+    """
+    n = len(poly) - 1
+    deriv = _poly_derivative(poly)
+    radii = []
+    for zr, zi in roots:
+        pr, pi = _gauss_horner(poly, zr, zi, e)
+        qr, qi = _gauss_horner(deriv, zr, zi, e)
+        m = qr * qr + qi * qi
+        if not m:
+            return None
+        # radius * 2^e = n |P| / |P'|, the two held times 2^(ne), 2^((n-1)e)
+        q = -(-n * n * (pr * pr + pi * pi) // m)
+        r = math.isqrt(q)
+        radii.append(r + (r * r < q))
+    for i, (zr, zi) in enumerate(roots):
+        for j in range(i):
+            xr, xi = zr - roots[j][0], zi - roots[j][1]
+            if xr * xr + xi * xi <= (radii[i] + radii[j]) ** 2:
+                return None
+    top = max(zr * zr + zi * zi for zr, zi in roots)
+    # sqrt(top) from an isqrt of at least 60 bits: when inexact it lies
+    # strictly between s and s + 1, and so rounds to a float as s + 1/2 does
+    k = max(0, 60 - top.bit_length() // 2)
+    s = math.isqrt(top << 2 * k)
+    half = 2 * s + (s * s != top << 2 * k)
+    return (_float(Fraction(half, 1 << k + 1 + e)),
+            _float(Fraction(max(radii), 1 << e)))
 
 
 # ---------------------------------------------------------------------------

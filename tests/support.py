@@ -19,6 +19,7 @@ from dyndeg.core import Element, GradedAlgebra
 from dyndeg.degrees import EmbeddedModel
 from dyndeg.endo import PullbackMap, validate_pullback
 from dyndeg.linalg import identity, mat_vec
+from dyndeg.errors import SpectralNonconvergence
 from dyndeg.models import (
     elliptic_square,
     exterior_algebra,
@@ -29,6 +30,7 @@ from dyndeg.models import (
     projective_space,
     surface_lattice,
 )
+from dyndeg.spectral import _cauchy_bound, _poly_strip_zero_roots, _squarefree_part
 
 
 def _random_fraction(rng, lo=-6, hi=6, max_den=4, nonzero=False):
@@ -393,3 +395,76 @@ class FractionEchelon:
 
     def basis(self):
         return [tuple(row) for row in self.rows]
+
+
+def mpmath_max_root_modulus(coeffs, tol):
+    """Certified ``(rho, error_bound)`` by mpmath's ``polyroots`` and Newton
+    inclusion disks of radius 2n|p/p'| in mp floats: the certifier that the
+    integer one replaced, kept as its oracle."""
+    p = _poly_strip_zero_roots(coeffs)
+    if len(p) == 1:
+        return 0.0, 0.0
+    lead = p[0]
+    p = [c / lead for c in p]
+    p = _squarefree_part(p)
+    if len(p) == 2:
+        rho = abs(float(p[1]))
+        exact = rho == abs(p[1])
+        return rho, 0.0 if exact else rho * 2.0**-52
+    import mpmath
+
+    n = len(p) - 1
+    cauchy = float(_cauchy_bound(p))
+
+    best = (0.0, cauchy)
+    dps = 40
+    for _ in range(6):
+        with mpmath.workdps(dps):
+            mp_coeffs = [
+                mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) for c in p
+            ]
+            try:
+                roots = mpmath.polyroots(
+                    mp_coeffs, maxsteps=200, extraprec=dps * 4
+                )
+            except mpmath.mp.NoConvergence:
+                dps *= 2
+                continue
+            deriv = [c * (n - i) for i, c in enumerate(mp_coeffs[:-1])]
+
+            def ev(cs, z):
+                acc = mpmath.mpc(0)
+                for c in cs:
+                    acc = acc * z + c
+                return acc
+
+            disks = []
+            ok = True
+            for z in roots:
+                val = ev(mp_coeffs, z)
+                dval = ev(deriv, z)
+                if dval == 0:
+                    ok = False
+                    break
+                disks.append((z, 2 * n * abs(val) / abs(dval)))
+            if ok:
+                for i in range(len(disks)):
+                    for j in range(i + 1, len(disks)):
+                        if (
+                            abs(disks[i][0] - disks[j][0])
+                            <= disks[i][1] + disks[j][1]
+                        ):
+                            ok = False
+                            break
+                    if not ok:
+                        break
+            if ok:
+                rho = max(abs(z) for z, _ in disks)
+                err = max(r for _, r in disks)
+                rho_f = min(float(rho), cauchy)
+                err_f = float(err) + 1e-15 * max(1.0, rho_f)
+                best = (rho_f, err_f)
+                if err_f <= tol * max(1.0, rho_f):
+                    return rho_f, err_f
+        dps *= 2
+    raise SpectralNonconvergence(best[0], best[1])

@@ -561,7 +561,26 @@ class TestLazyImports:
         src = pathlib.Path(__file__).resolve().parents[1] / "src" / "dyndeg"
         for path in src.glob("*.py"):
             text = path.read_text(encoding="utf-8")
-            assert not re.search(r"^\s*(import|from)\s+numpy\b", text, re.M), path
+            assert not re.search(
+                r"^\s*(import|from)\s+(numpy|mpmath)\b", text, re.M
+            ), path
+
+    @pytest.mark.parametrize(
+        "name", ["p1xp1_swap.json", "elliptic_square_fibonacci.json"]
+    )
+    def test_a_shipped_report_loads_neither_numpy_nor_mpmath(self, name):
+        # both configs certify a root of a non-linear square-free polynomial
+        config = pathlib.Path(__file__).resolve().parents[1] / "configs" / name
+        code = (
+            "import sys; from dyndeg.cli import main; "
+            f"code = main(['report', '--config', {str(config)!r}]); "
+            "print(code, sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 class TestCanonicalEncoding:

@@ -398,6 +398,32 @@ REJECTED = {
                {"kind": "matrices", "blocks": [[[1]], [[1]], [[2, 0], [0, 2]]]}),
         ("SchemaError", ["/map/blocks/1", "/map/blocks/2"]),
     ),
+    # products outside the grading and zero divisor classes, once rejected
+    # by the algebra or model build with no JSON pointer
+    "product-degree-above-top": (
+        _custom(products=[{"a": [5, 0], "b": [2, 0], "value": [[0, 1]]}]),
+        ("SchemaError", ["/model/products/0/a"]),
+    ),
+    "product-index-past-dims": (
+        _custom(products=[{"a": [2, 0], "b": [2, 1], "value": [[0, 1]]}]),
+        ("SchemaError", ["/model/products/0/b"]),
+    ),
+    "product-value-past-dims": (
+        _custom(products=[{"a": [2, 0], "b": [2, 0], "value": {"1": 1}}]),
+        ("SchemaError", ["/model/products/0/value"]),
+    ),
+    "product-degrees-past-top": (
+        _custom(products=[{"a": [2, 0], "b": [2, 0], "value": [[0, 1]]},
+                          {"a": [4, 0], "b": [2, 0], "value": [[0, 1]]}]),
+        ("SchemaError", ["/model/products/1"]),
+    ),
+    "custom-h-zero": (
+        _custom(h=["0"]), ("SchemaError", ["/model/h"]),
+    ),
+    "ample-coords-zero": (
+        config(*VALID["projective"], ample={"coords": [{"num": "0", "den": "3"}]}),
+        ("SchemaError", ["/ample/coords"]),
+    ),
 }
 
 

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyndeg.errors import ShapeMismatch, ZeroWeight
+from dyndeg import spectral
+from dyndeg.errors import ShapeMismatch, SpectralNonconvergence, ZeroWeight
+from dyndeg.gromov import gromov_closure
 from dyndeg.linalg import as_matrix, mat_mul, trace
 from dyndeg.spectral import (
     char_poly,
@@ -20,6 +22,7 @@ from dyndeg.spectral import (
     spectral_radius,
     trace_sequence,
 )
+from support import builder_battery, mpmath_max_root_modulus
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -277,19 +280,15 @@ class TestCombinedLimsupBound:
 
 class TestRootCertificationCache:
     def test_a_polynomial_is_certified_once(self, monkeypatch):
-        import mpmath
-
-        from dyndeg import spectral
-
         calls = []
-        original = mpmath.polyroots
+        original = spectral._aberth_proposal
 
         def counted(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
         spectral._max_root_modulus.cache_clear()
-        monkeypatch.setattr(mpmath, "polyroots", counted)
+        monkeypatch.setattr(spectral, "_aberth_proposal", counted)
         # two matrices with the one polynomial x^3 - 2x - 5
         companion = [[0, 0, 5], [1, 0, 2], [0, 1, 0]]
         conjugate = [[0, 1, 0], [0, 0, 1], [5, 2, 0]]
@@ -299,13 +298,118 @@ class TestRootCertificationCache:
         assert first[0] == pytest.approx(2.0945514815423265, abs=1e-9)
 
 
+def _from_roots(roots):
+    """Coefficients of prod (x - r), descending."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - Fraction(r) * b
+                  for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(coeffs)
+
+
+def _uncached(coeffs, tol=1e-9):
+    """The integer certifier, past its cache."""
+    return spectral._max_root_modulus.__wrapped__(tuple(coeffs), tol)
+
+
+HARD = {
+    "wilkinson-20": _from_roots(range(1, 21)),
+    "x^12 - 1": (1,) + (0,) * 11 + (-1,),
+    "x^16 - 2": (1,) + (0,) * 15 + (-2,),
+    "roots 1, 1 + 1e-8, 3": _from_roots([1, 1 + Fraction(1, 10**8), 3]),
+    "roots 1, 1 + 2^-150, 2": _from_roots([1, 1 + Fraction(1, 2**150), 2]),
+    "x^2 - 10^40": (1, 0, -(10**40)),
+    "x^2 - 10^-40": (1, 0, -Fraction(1, 10**40)),
+    "x^20 + x + 1": (1,) + (0,) * 18 + (1, 1),
+}
+
+
+class TestIntegerRootCertificate:
+    """The integer certifier against mpmath's, kept in ``support`` as its
+    oracle: the same ``(rho, err)`` floats, bit for bit."""
+
+    def test_battery_blocks_match_the_oracle(self):
+        polys = set()
+        for _, model, pull in builder_battery():
+            polys.update(tuple(char_poly(b)) for b in pull.blocks if b)
+            closure = gromov_closure(model.algebra, pull, model.h)
+            polys.update(tuple(char_poly(b)) for _, b in closure.degree_blocks())
+        assert len(polys) > 20
+        for p in polys:
+            assert _uncached(p) == mpmath_max_root_modulus(p, 1e-9), p
+
+    @pytest.mark.parametrize("name", sorted(HARD))
+    def test_hard_polynomials_match_the_oracle(self, name):
+        p = tuple(Fraction(c) for c in HARD[name])
+        assert _uncached(p) == mpmath_max_root_modulus(p, 1e-9)
+
+    def test_tiny_roots_keep_their_relative_precision(self):
+        # roots near 1e-40: mpmath's polyroots stops on an absolute step
+        # size and is 1e-9 off; the integer certifier matches the
+        # 10^40-scaled twin
+        a = [[1, 2, 0], [0, 1, 3], [1, 0, 1]]
+        big = _uncached(char_poly([[10**40 * x for x in row] for row in a]))
+        p = char_poly([[Fraction(x, 10**40) for x in row] for row in a])
+        rho, err = _uncached(p)
+        assert rho == pytest.approx(big[0] * 1e-80, rel=1e-15)
+        want, werr = mpmath_max_root_modulus(tuple(p), 1e-9)
+        assert abs(rho - want) <= err + werr
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 9).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_random_integer_matrices_agree_with_the_oracle(self, m):
+        p = tuple(char_poly(m))
+        rho, err = _uncached(p)
+        want, werr = mpmath_max_root_modulus(p, 1e-9)
+        assert format(rho, ".12g") == format(want, ".12g")
+        assert abs(rho - want) <= err + werr
+
+    @pytest.mark.parametrize("coeffs, true_rho", [
+        (_from_roots([10**200, 3, Fraction(1, 10**5)]), 1e200),
+        # |z|^2 = c for both roots of x^2 + x + c
+        ((1, 1, 2**1200 - 1), float(math.isqrt(2**1200 - 1))),
+    ], ids=["roots 1e200, 3, 1e-5", "1200-bit constant term"])
+    def test_float_overflow_falls_back_to_the_circle_start(
+        self, coeffs, true_rho
+    ):
+        den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+        start, scale = spectral._aberth_proposal(
+            [int(Fraction(c) * den) for c in coeffs])
+        assert scale and all(abs(z) == pytest.approx(1) for z in start)
+        rho, err = _uncached(tuple(Fraction(c) for c in coeffs))
+        assert abs(rho - true_rho) <= err
+
+    def test_a_root_past_the_float_range_is_not_certified(self):
+        # |z|^2 = 2^2100 for both roots: rho would read inf
+        with pytest.raises(SpectralNonconvergence):
+            _uncached((Fraction(1), Fraction(1), Fraction(2**2100)))
+
+    def test_two_centres_on_one_root_give_no_certificate(self):
+        e, one = 128, 1 << 128
+        poly = [1, -6, 11, -6]  # roots 1, 2, 3
+        assert spectral._certify(poly, [(one, 0), (2 * one, 0), (3 * one, 0)], e)
+        assert spectral._certify(poly, [(one, 0), (one, 0), (3 * one, 0)], e) is None
+
+    def test_a_displaced_centre_widens_the_error(self):
+        e, one = 128, 1 << 128
+        poly = [1, -6, 11, -6]
+        centres = [(one, 0), (2 * one, 0), (3 * one + one // 1000, 0)]
+        rho, err = spectral._certify(poly, centres, e)
+        assert rho == pytest.approx(3.001)
+        assert 1e-3 <= err < 1e-2
+        assert abs(rho - 3) <= err
+
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-# numpy blocked: the estimators of acceptance criterion 6 on the builder
-# battery, the float branch of trace_sequence, then each script in argv
+# numpy and mpmath blocked: the estimators of acceptance criterion 6 on the
+# builder battery, the float branch of trace_sequence, then each script in argv
 _WITHOUT_NUMPY = """
 import runpy, sys
 sys.modules["numpy"] = None
+sys.modules["mpmath"] = None
 from support import builder_battery
 from dyndeg.spectral import gelfand_sequence, trace_radius_estimate, trace_sequence
 for _, model, pull in builder_battery():
