@@ -460,9 +460,14 @@ def _check_custom(c: _Collector, spec, map_spec) -> None:
     if dims[0] != 1:
         c.add("/model/dims/0", "expected 1: degree 0 is spanned by the unit")
     _check_divisor(c, "/model/h", spec["h"], dims)
-    for key, degree in (("unit", 0), ("integrate", len(dims) - 1)):
-        if key in spec:
-            _check_length(c, f"/model/{key}", spec[key], degree, dims)
+    for key, degree, zero_path, what in (
+        ("unit", 0, "/model/unit/0", "unit coordinate"),
+        ("integrate", len(dims) - 1, "/model/integrate", "functional"),
+    ):
+        if key in spec and _check_length(
+            c, f"/model/{key}", spec[key], degree, dims
+        ) and not any(map(as_fraction, spec[key])):
+            c.add(zero_path, f"expected a nonzero {what}")
     _check_products(c, spec["products"], dims)
     for k, e in enumerate(spec.get("effective", ())):
         _check_length(c, f"/model/effective/{k}/coords", e["coords"],

@@ -6,17 +6,19 @@ cohomological, 0..2r: codimension-j algebraic classes sit in degree 2j, which
 lets the same container model Chow-type rings (even degrees only) and full
 cohomology rings of abelian varieties (odd generators) side by side.
 
-Scalars at the interface are ``fractions.Fraction``.  Instances are
-immutable after construction and all operations are pure, so values can be
-shared freely across worker threads.  The structure constants are held once,
-as integers over one common denominator (:class:`ScaledTable`), and every
-product goes through its one kernel, ``ScaledTable.multiply``: the unit, sign
-and associativity checks here, ``GradedAlgebra.mul``, the multiplicativity
-check of a pullback and the products of the Gromov closure.  The pullback
-blocks, Berkowitz's characteristic polynomial, ``det`` and ``Echelon`` run
-in ``int`` too; ``Element`` coordinates stay in ``Fraction``.  The tests
-replay the Gromov certificates with a Fraction basis-pair product, which
-checks that kernel independently.
+Scalars at the interface are ``fractions.Fraction``; inside, everything is
+integers over one denominator.  The structure constants are held once that
+way (:class:`ScaledTable`), and every product goes through its one kernel,
+``ScaledTable.multiply``: the unit, sign and associativity checks here,
+``GradedAlgebra.mul``, the multiplicativity check of a pullback and the
+products of the Gromov closure.  An :class:`Element` is sparse integer
+numerators over one denominator too, so its sums, scalar multiples, products
+and pullbacks do no ``Fraction`` arithmetic; ``Element.coords`` is the
+``Fraction`` view.  The pullback blocks, Berkowitz's characteristic
+polynomial, ``det`` and ``Echelon`` run in ``int`` as well.  Instances are
+immutable after construction and all operations are pure.  The tests replay
+the Gromov certificates with a Fraction basis-pair product, which checks that
+kernel independently.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
     SignRuleViolation,
     UnitViolation,
 )
-from .linalg import as_fraction, det, scaled_dict, zero_vector
+from .linalg import as_fraction, det, scaled_matrix
 
 COMMUTATIVE = "commutative"
 SUPER_COMMUTATIVE = "super_commutative"
@@ -44,20 +46,48 @@ BasisIndex = tuple[int, int]  # (degree, index within the graded piece)
 class Element:
     """A (possibly inhomogeneous) algebra element.
 
-    ``coords[i]`` is the coordinate vector of the degree-i component; lengths
-    match the algebra's dimension vector.
+    ``pieces[i]`` holds the nonzero numerators ``((index, numerator), ...)``
+    of the degree-i component in increasing index, all over the one positive
+    ``denominator``; ``dims[i]`` is the dimension of that piece.  Elements
+    are kept in lowest terms (zero has denominator 1), so ``==`` and ``hash``
+    are exactly rational equality.
     """
 
-    coords: tuple[tuple[Fraction, ...], ...]
+    dims: tuple[int, ...]
+    denominator: int
+    pieces: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def scaled(cls, dims, den: int, pieces) -> "Element":
+        """The element with numerators ``pieces[i]`` (``{index: value}``,
+        zeros allowed) over the positive ``den``, in lowest terms."""
+        g = math.gcd(den, *(v for piece in pieces for v in piece.values()))
+        return cls(tuple(dims), den // g, tuple(
+            tuple(sorted((k, v // g) for k, v in piece.items() if v))
+            if piece else () for piece in pieces
+        ))
+
+    @classmethod
+    def from_coords(cls, coords) -> "Element":
+        """The element with the dense rational coordinate vectors ``coords``."""
+        den, nums = scaled_matrix(coords)
+        return cls.scaled(tuple(map(len, coords)), den,
+                          [dict(enumerate(piece)) for piece in nums])
+
+    @property
+    def coords(self) -> tuple[tuple[Fraction, ...], ...]:
+        """``coords[i]``: the degree-i component as a ``Fraction`` vector."""
+        return tuple(
+            tuple(Fraction(piece.get(k, 0), self.denominator) for k in range(d))
+            for d, piece in zip(self.dims, map(dict, self.pieces))
+        )
 
     def is_zero(self) -> bool:
-        return all(x == 0 for piece in self.coords for x in piece)
+        return not any(self.pieces)
 
     def degrees(self) -> tuple[int, ...]:
         """Degrees with a nonzero component."""
-        return tuple(
-            i for i, piece in enumerate(self.coords) if any(x != 0 for x in piece)
-        )
+        return tuple(i for i, piece in enumerate(self.pieces) if piece)
 
     def degree(self) -> int | None:
         """The degree of a homogeneous element (None for zero)."""
@@ -66,27 +96,28 @@ class Element:
             raise ShapeMismatch("element is not homogeneous")
         return degs[0] if degs else None
 
-    def flatten(self) -> tuple[Fraction, ...]:
-        return tuple(x for piece in self.coords for x in piece)
-
     def __add__(self, other: "Element") -> "Element":
-        if len(self.coords) != len(other.coords):
+        if self.dims != other.dims:
             raise ShapeMismatch("elements live in different gradings")
-        return Element(
-            tuple(
-                tuple(x + y for x, y in zip(a, b))
-                for a, b in zip(self.coords, other.coords)
-            )
-        )
+        da, db = self.denominator, other.denominator
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        out = []
+        for pa, pb in zip(self.pieces, other.pieces):
+            acc = {k: fa * v for k, v in pa}
+            for k, v in pb:
+                acc[k] = acc.get(k, 0) + fb * v
+            out.append(acc)
+        return Element.scaled(self.dims, den, out)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "Element":
         c = as_fraction(scalar)
-        return Element(
-            tuple(tuple(c * x for x in piece) for piece in self.coords)
-        )
+        return Element.scaled(self.dims, self.denominator * c.denominator, [
+            {k: c.numerator * v for k, v in piece} for piece in self.pieces
+        ])
 
     def __neg__(self) -> "Element":
         return (-1) * self
@@ -162,11 +193,12 @@ class GradedAlgebra:
         self.unit_coords = tuple(unit_coords)
         self.integrate_coords = tuple(integrate_coords)
         self.dimension = sum(self.dims)
+        self._integrate_scaled = scaled_matrix([self.integrate_coords])
 
     # -- element constructors -------------------------------------------------
 
     def zero(self) -> Element:
-        return Element(tuple(zero_vector(d) for d in self.dims))
+        return Element(self.dims, 1, ((),) * len(self.dims))
 
     def one(self) -> Element:
         return self.homogeneous(0, self.unit_coords)
@@ -175,27 +207,24 @@ class GradedAlgebra:
         return self.element({(degree, index): 1})
 
     def element(self, entries: Mapping[BasisIndex, object]) -> Element:
-        coords = [list(zero_vector(d)) for d in self.dims]
+        coords = [[Fraction(0)] * d for d in self.dims]
         for (degree, index), value in entries.items():
             if not (0 <= degree <= self.top_degree) or not (
                 0 <= index < self.dims[degree]
             ):
                 raise ShapeMismatch(f"no basis vector at ({degree}, {index})")
-            coords[degree][index] += as_fraction(value)
-        return Element(tuple(tuple(p) for p in coords))
+            coords[degree][index] = as_fraction(value)
+        return Element.from_coords(coords)
 
     def homogeneous(self, degree: int, vector: Sequence) -> Element:
         if not 0 <= degree <= self.top_degree:
             raise ShapeMismatch(f"no graded piece of degree {degree}")
-        vec = tuple(as_fraction(x) for x in vector)
-        if len(vec) != self.dims[degree]:
+        if len(vector) != self.dims[degree]:
             raise ShapeMismatch(
                 f"degree {degree} has dimension {self.dims[degree]},"
-                f" got {len(vec)} coordinates"
+                f" got {len(vector)} coordinates"
             )
-        coords = [zero_vector(d) for d in self.dims]
-        coords[degree] = vec
-        return Element(tuple(coords))
+        return self.element({(degree, k): x for k, x in enumerate(vector)})
 
     def basis(self) -> Iterable[BasisIndex]:
         for i, d in enumerate(self.dims):
@@ -203,32 +232,30 @@ class GradedAlgebra:
                 yield (i, p)
 
     def _check_element(self, a: Element):
-        if len(a.coords) != self.top_degree + 1 or any(
-            len(piece) != d for piece, d in zip(a.coords, self.dims)
-        ):
+        if a.dims != self.dims:
             raise ShapeMismatch("element coordinates do not match the grading")
 
     # -- products --------------------------------------------------------------
 
     def mul(self, a: Element, b: Element) -> Element:
         """Bilinear, graded, sign-correct product on the scaled table: pieces
-        scaled by da and db multiply to integers over da * db * D."""
+        over da and db multiply to integers over da * db * D."""
         self._check_element(a)
         self._check_element(b)
         table = self.scaled_table
-        out = [list(zero_vector(d)) for d in self.dims]
-        b_pieces = [(j, *scaled_dict(p)) for j, p in enumerate(b.coords) if any(p)]
-        for i, piece in enumerate(a.coords):
-            if not any(piece):
+        out: list[dict[int, int]] = [{} for _ in self.dims]
+        b_pieces = [(j, vb) for j, vb in enumerate(b.pieces) if vb]
+        for i, va in enumerate(a.pieces):
+            if not va:
                 continue
-            da, va = scaled_dict(piece)
-            for j, db, vb in b_pieces:
+            for j, vb in b_pieces:
                 if i + j <= self.top_degree:
-                    den = da * db * table.denominator
-                    product = table.multiply(i, va.items(), j, vb.items())
-                    for k, v in product.items():
-                        out[i + j][k] += Fraction(v, den)
-        return Element(tuple(tuple(piece) for piece in out))
+                    acc = out[i + j]
+                    for k, v in table.multiply(i, va, j, vb).items():
+                        acc[k] = acc.get(k, 0) + v
+        return Element.scaled(
+            self.dims, a.denominator * b.denominator * table.denominator, out
+        )
 
     def power(self, a: Element, k: int) -> Element:
         """k-th power by repeated multiplication; ``a**0`` is the unit."""
@@ -246,10 +273,9 @@ class GradedAlgebra:
         the functional total on inhomogeneous elements.
         """
         self._check_element(a)
-        top = a.coords[self.top_degree]
-        return sum(
-            (c * w for c, w in zip(top, self.integrate_coords)), Fraction(0)
-        )
+        den, (weights,) = self._integrate_scaled
+        top = a.pieces[self.top_degree]
+        return Fraction(sum(x * weights[k] for k, x in top), a.denominator * den)
 
     def pair(self, a: Element, b: Element) -> Fraction:
         """Intersection pairing: integrate the top-degree part of ``a * b``."""
@@ -328,7 +354,7 @@ def _normalize_table(top_degree, dims, structure_constants):
             )
         target = dims[i + j]
         if isinstance(value, Mapping):
-            vec = list(zero_vector(target))
+            vec = [Fraction(0)] * target
             for k, c in value.items():
                 if not (0 <= k < target):
                     raise ShapeMismatch(
@@ -395,7 +421,7 @@ def build_algebra(
     inv_u = 1 / unit_coords[0]
     for j in range(top_degree + 1):
         for q in range(dims[j]):
-            vec = list(zero_vector(dims[j]))
+            vec = [Fraction(0)] * dims[j]
             vec[q] = inv_u
             vec = tuple(vec)
             table.setdefault((0, j), {}).setdefault((0, q), vec)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .core import Element, GradedAlgebra
 from .endo import PullbackMap, power_map
 from .errors import NonComplementaryDegrees, ShapeMismatch, StepOutOfRange
-from .linalg import as_fraction, mat_vec
+from .linalg import as_fraction, scaled_matrix
 from .spectral import default_window, limsup_root
 
 
@@ -117,8 +117,10 @@ def delta(model: EmbeddedModel, f: PullbackMap, m: int, j: int) -> Fraction:
 
 
 def delta_table(model: EmbeddedModel, f: PullbackMap, m_max: int) -> DeltaTable:
-    """delta_j(f^m) = w_j . v_m: v_m is f^{m*}(h^j) iterated by ``mat_vec``,
-    w_j[q] = pair(h^{r-j}, e_(2j, q)) is computed once per j."""
+    """delta_j(f^m) = w_j . v_m: v_m = f^{m*}(h^j) is iterated by
+    ``f.apply``, and w_j[q] = pair(h^{r-j}, e_(2j, q)) is computed once per
+    j and held as integers over one denominator, so the iteration does no
+    ``Fraction`` arithmetic."""
     if m_max < 1:
         raise ShapeMismatch("m_max must be >= 1")
     alg = model.algebra
@@ -127,12 +129,13 @@ def delta_table(model: EmbeddedModel, f: PullbackMap, m_max: int) -> DeltaTable:
         comp = model.h_powers[model.r - j]
         weights = [alg.pair(comp, alg.basis_element(2 * j, q))
                    for q in range(alg.dims[2 * j])]
-        block = f.blocks[2 * j]
-        vec = model.h_powers[j].coords[2 * j]
+        w_den, (w_num,) = scaled_matrix([weights])
+        v = model.h_powers[j]
         row = []
         for _ in range(m_max):
-            vec = mat_vec(block, vec) if block else ()
-            row.append(sum((w * x for w, x in zip(weights, vec)), Fraction(0)))
+            v = f.apply(v)
+            dot = sum(w_num[q] * x for q, x in v.pieces[2 * j])
+            row.append(Fraction(dot, v.denominator * w_den))
         rows.append(tuple(row))
     return DeltaTable(r=model.r, m_max=m_max, rows=tuple(rows), deg_x=model.deg_x)
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .core import Element, GradedAlgebra
 from .errors import MultiplicativityViolation, ShapeMismatch, UnitViolation
-from .linalg import Matrix, as_matrix, mat_pow, scaled_dict, trace
+from .linalg import Matrix, as_matrix, mat_pow, trace
 
 
 @dataclass(frozen=True)
@@ -62,20 +62,11 @@ class PullbackMap:
         return {p: v for p, v in out.items() if v}
 
     def apply(self, a: Element) -> Element:
-        """The image of ``a``; all-zero graded pieces pass through unchanged."""
-        den = self.scaled_blocks[0]
-        pieces = []
-        for degree, piece in enumerate(a.coords):
-            if not any(piece):
-                pieces.append(piece)
-                continue
-            piece_den, vec = scaled_dict(piece)
-            image = self.apply_scaled(degree, vec.items())
-            scale = den * piece_den
-            pieces.append(tuple(
-                Fraction(image.get(p, 0), scale) for p in range(len(piece))
-            ))
-        return Element(tuple(pieces))
+        """The image of ``a``; zero graded pieces are skipped."""
+        return Element.scaled(a.dims, a.denominator * self.scaled_blocks[0], [
+            self.apply_scaled(degree, piece) if piece else {}
+            for degree, piece in enumerate(a.pieces)
+        ])
 
     def graded_trace(self, degree: int) -> Fraction:
         return trace(self.blocks[degree])

@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .core import Element, GradedAlgebra
 from .endo import PullbackMap
 from .errors import ShapeMismatch
-from .linalg import Echelon, Matrix, scaled_dict
+from .linalg import Echelon, Matrix
 from .spectral import spectral_radius
 
 # formal certificate words
@@ -125,15 +123,6 @@ class GromovSubalgebra:
         return True
 
 
-def _unflatten(algebra: GradedAlgebra, flat: Sequence[Fraction]) -> Element:
-    coords = []
-    at = 0
-    for d in algebra.dims:
-        coords.append(tuple(flat[at : at + d]))
-        at += d
-    return Element(tuple(coords))
-
-
 def gromov_closure(
     algebra: GradedAlgebra,
     f: PullbackMap,
@@ -147,11 +136,11 @@ def gromov_closure(
     is the canonical echelon basis either way (exposed so the invariance is
     testable).
 
-    Generators are homogeneous, so each is carried as ``(degree, den, piece)``
-    with ``piece`` the nonzero integer numerators of its degree piece over
-    ``den``; products come from the scaled structure table and pullbacks from
-    the scaled blocks.  ``Element`` and ``Fraction`` appear only in the
-    result.
+    Generators are homogeneous elements, inserted into the echelon form as
+    their integer numerators over their denominator; products and pullbacks
+    are ``GradedAlgebra.mul`` and ``PullbackMap.apply``, the ones the
+    certificates are replayed with.  ``Fraction`` appears only in the
+    certificates and the restricted matrix.
     """
     if f.algebra is not algebra:
         raise ShapeMismatch("pullback belongs to a different algebra")
@@ -160,30 +149,26 @@ def gromov_closure(
     if sweep_order not in ("forward", "reversed"):
         raise ShapeMismatch("sweep_order must be 'forward' or 'reversed'")
 
-    table = algebra.scaled_table
-    pull_den = f.scaled_blocks[0]
     offsets = [0, *itertools.accumulate(algebra.dims)]
     ech = Echelon(algebra.dimension)
     words: list[tuple] = []
-    gens: list[tuple[int, int, tuple[tuple[int, int], ...]]] = []
+    gens: list[Element] = []
 
-    def try_add(word, degree: int, den: int, piece: dict[int, int]) -> bool:
-        if not piece:
+    def try_add(word, element: Element) -> bool:
+        degree = element.degree()
+        if degree is None:
             return False
-        g = math.gcd(den, *piece.values())
-        den, piece = den // g, {q: x // g for q, x in piece.items()}
         off = offsets[degree]
         # the combo is 1 * generator, i.e. den over den
-        if ech.insert_scaled({off + q: x for q, x in piece.items()},
-                             {len(gens): den}):
+        if ech.insert_scaled({off + q: x for q, x in element.pieces[degree]},
+                             {len(gens): element.denominator}):
             words.append(word)
-            gens.append((degree, den, tuple(piece.items())))
+            gens.append(element)
             return True
         return False
 
-    for word, element, degree in ((WORD_ONE, algebra.one(), 0),
-                                  (WORD_OMEGA, omega, 2)):
-        try_add(word, degree, *scaled_dict(element.coords[degree]))
+    try_add(WORD_ONE, algebra.one())
+    try_add(WORD_OMEGA, omega)
 
     top = algebra.top_degree
     # generators below ``start`` have been pulled back and multiplied with
@@ -205,22 +190,22 @@ def gromov_closure(
             pulls.reverse()
             muls.reverse()
         for i in pulls:
-            degree, den, piece = gens[i]
-            grew |= try_add(word_pull(words[i]), degree, den * pull_den,
-                            f.apply_scaled(degree, piece))
+            grew |= try_add(word_pull(words[i]), f.apply(gens[i]))
         for i, j in muls:
-            di, deni, pi = gens[i]
-            dj, denj, pj = gens[j]
-            if di + dj <= top:
-                grew |= try_add(
-                    word_mul(words[i], words[j]), di + dj,
-                    deni * denj * table.denominator,
-                    table.multiply(di, pi, dj, pj),
-                )
+            grew |= try_add(word_mul(words[i], words[j]),
+                            algebra.mul(gens[i], gens[j]))
         if not grew:
             break
 
-    basis = tuple(_unflatten(algebra, row) for row in ech.basis())
+    # every row is homogeneous: its degree is the one of its pivot
+    degrees = [bisect.bisect(offsets, p) - 1 for p in ech.pivots]
+    basis = tuple(
+        Element.scaled(algebra.dims, den, [
+            {k - offsets[d]: x for k, x in row.items()} if d == degree else {}
+            for d in range(top + 1)
+        ])
+        for degree, (den, row) in zip(degrees, ech.scaled_basis())
+    )
     certificates = tuple(
         tuple(
             (coeff, words[g])
@@ -230,14 +215,12 @@ def gromov_closure(
     )
 
     # restricted matrix of f*: columns are the closure coordinates of images
-    degrees = [bisect.bisect(offsets, p) - 1 for p in ech.pivots]
     columns = []
-    for degree, (den, row) in zip(degrees, ech.scaled_basis()):
-        off = offsets[degree]
-        image = f.apply_scaled(degree, [(k - off, x) for k, x in row.items()])
-        coords = ech.coordinates_scaled(
-            den * pull_den, {off + p: x for p, x in image.items()}
-        )
+    for degree, b in zip(degrees, basis):
+        image = f.apply(b)
+        coords = ech.coordinates_scaled(image.denominator, {
+            offsets[degree] + p: x for p, x in image.pieces[degree]
+        })
         if coords is None:
             raise ShapeMismatch("closure is not pullback-stable (internal error)")
         columns.append(coords)

@@ -5,7 +5,9 @@ floating-point estimation paths live in :mod:`dyndeg.spectral`.
 
 The two eliminations run in ``int``: ``det`` is Bareiss elimination on the
 matrix times its common denominator, and ``Echelon`` keeps each row as integer
-numerators over one denominator.  ``Fraction`` is what they take and return.
+numerators over one denominator.  ``det`` takes and returns ``Fraction``;
+``Echelon`` takes sparse integer vectors and gives its basis in that form,
+with ``Fraction`` only in the combos and coordinates it returns.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ def as_matrix(rows: Iterable[Iterable]) -> Matrix:
     if mat and any(len(row) != len(mat[0]) for row in mat):
         raise ShapeMismatch("ragged matrix rows")
     return mat
-
-
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
 
 
 def identity(n: int) -> Matrix:
@@ -144,8 +142,7 @@ class Echelon:
     numerator equal to that denominator, and its combo has numerators over
     the same denominator; each row is kept in lowest terms.
     ``insert_scaled``, ``scaled_basis`` and ``coordinates_scaled`` take and
-    give that integer form; ``insert``, ``basis``, ``combos`` and
-    ``coordinates`` are the same operations in ``Fraction``.
+    give that integer form; ``combos`` and the coordinates are ``Fraction``.
     """
 
     def __init__(self, width: int):
@@ -166,18 +163,6 @@ class Echelon:
         hits = [(c * (scale // row[0]), row) for c, row in hits]
         rest = _combine(scale, vec, [(f, row[1]) for f, row in hits])
         return rest, scale, hits
-
-    def contains(self, vector: Sequence[Fraction]) -> bool:
-        return not self._reduce(scaled_dict(vector)[1])[0]
-
-    def insert(self, vector: Sequence[Fraction], combo: dict[int, Fraction]) -> bool:
-        """Insert a vector; returns True when it enlarged the span."""
-        if len(vector) != self.width:
-            raise ShapeMismatch("echelon width mismatch")
-        tags = list(combo)
-        _, nums = scaled_vector([*vector, *(combo[g] for g in tags)])
-        vec = {j: x for j, x in enumerate(nums[: self.width]) if x}
-        return self.insert_scaled(vec, dict(zip(tags, nums[self.width:])))
 
     def insert_scaled(self, vec: dict[int, int], combo: dict[int, int]) -> bool:
         """Insert a vector and its combo given as integer numerators over one
@@ -215,23 +200,11 @@ class Echelon:
         """The basis rows as ``(denominator, {column: numerator})``."""
         return [(den, vec) for den, vec, _ in self._rows]
 
-    def basis(self) -> list[tuple[Fraction, ...]]:
-        zero = Fraction(0)
-        return [
-            tuple(Fraction(vec[j], den) if j in vec else zero
-                  for j in range(self.width))
-            for den, vec, _ in self._rows
-        ]
-
     @property
     def combos(self) -> list[dict[int, Fraction]]:
         """Per row, the generator combination that produced it."""
         return [{g: Fraction(c, den) for g, c in combo.items()}
                 for den, _, combo in self._rows]
-
-    def coordinates(self, vector: Sequence[Fraction]) -> list[Fraction] | None:
-        """Coordinates of ``vector`` in the echelon basis, or None if outside."""
-        return self.coordinates_scaled(*scaled_dict(vector))
 
     def coordinates_scaled(
         self, den: int, vec: dict[int, int]
@@ -243,24 +216,11 @@ class Echelon:
         return [Fraction(vec.get(p, 0), den) for p in self.pivots]
 
 
-def scaled_vector(values: Sequence) -> tuple[int, list[int]]:
-    """``(D, [D*x for x in values])``, D the lcm of the denominators."""
-    den = math.lcm(*(x.denominator for x in values))
-    return den, [x.numerator * (den // x.denominator) for x in values]
-
-
 def scaled_matrix(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
     """``(D, D*rows)`` as integer lists, D the lcm of all entry denominators."""
     den = math.lcm(*(x.denominator for row in rows for x in row))
     return den, [[x.numerator * (den // x.denominator) for x in row]
                  for row in rows]
-
-
-def scaled_dict(vector: Sequence) -> tuple[int, dict[int, int]]:
-    """``(D, {j: D * vector[j]})`` over the nonzero entries, D the lcm of the
-    denominators."""
-    den, nums = scaled_vector(vector)
-    return den, {j: x for j, x in enumerate(nums) if x}
 
 
 def _combine(a: int, x: dict[int, int], terms) -> dict[int, int]:

@@ -176,7 +176,9 @@ def _max_root_modulus(coeffs: tuple[Fraction, ...], tol: float):
     p = [c / lead for c in p]
     p = _squarefree_part(p)
     if len(p) == 2:
-        rho = abs(float(p[1]))
+        rho = _float(abs(p[1]))
+        if rho == math.inf:
+            raise SpectralNonconvergence(rho, rho)
         exact = rho == abs(p[1])
         return rho, 0.0 if exact else rho * 2.0**-52
     cauchy = _float(_cauchy_bound(p))

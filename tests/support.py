@@ -154,7 +154,7 @@ def _abelian_g1_identity():
 
 def apply_blocks(algebra: GradedAlgebra, blocks, element):
     """Apply raw per-degree matrices to an element (no validation)."""
-    return Element(
+    return Element.from_coords(
         tuple(
             mat_vec(tuple(tuple(row) for row in m), piece) if piece else ()
             for m, piece in zip(blocks, element.coords)
@@ -272,7 +272,7 @@ def fraction_mul(algebra: GradedAlgebra, a: Element, b: Element) -> Element:
         for j, pb in enumerate(b.coords):
             for k, c in enumerate(mul_vectors(algebra, i, pa, j, pb)):
                 out[i + j][k] += c
-    return Element(tuple(tuple(piece) for piece in out))
+    return Element.from_coords(out)
 
 
 def replay_certificates(closure) -> bool:
@@ -392,6 +392,10 @@ class FractionEchelon:
         self.pivots.insert(at, pivot)
         self.combos.insert(at, combo)
         return True
+
+    def contains(self, vector):
+        vec, _ = self._reduce([Fraction(x) for x in vector], {})
+        return not any(vec)
 
     def basis(self):
         return [tuple(row) for row in self.rows]

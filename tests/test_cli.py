@@ -384,6 +384,21 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert err["error"] == "MultiplicativityViolation"
 
+    def test_a_linear_root_past_the_float_range_exits_three(
+        self, tmp_path, capsys
+    ):
+        # x - 2^1100: the square-free part is linear, its root not a float
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "model": {"kind": "projective", "n": 1},
+            "map": {"kind": "matrices", "blocks": [[[1]], [], [[str(2**1100)]]]},
+            "analyses": ["chain"],
+        }))
+        assert main(["report", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "SpectralNonconvergence"
+
 
 class TestOneDeltaTable:
     def test_report_builds_one_table_and_no_map_powers(self, monkeypatch):

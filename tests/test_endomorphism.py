@@ -120,7 +120,7 @@ class TestApplyOnZeroPieces:
         x = model.algebra.basis_element(2, 1)
         image = f.apply(x)
         assert calls == [2]
-        assert all(image.coords[i] is x.coords[i] for i in (0, 1, 3, 4))
+        assert all(image.coords[i] == x.coords[i] for i in (0, 1, 3, 4))
         assert f.apply(model.algebra.zero()) == model.algebra.zero()
         assert calls == [2]
 

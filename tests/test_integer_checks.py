@@ -6,10 +6,12 @@ The reference checks below do the same scans in ``Fraction`` with the
 basis-pair oracles of ``support`` (which read each basis product as the
 table's entries over its denominator), in the same order, so on every mutant
 both must accept, or both must reject with the same violation class naming
-the same basis vector, pair or triple.  ``GradedAlgebra.mul`` is compared
-with the oracle product on random elements of algebras whose constants are
-non-integer; the Gromov certificates are replayed with it in
-``test_gromov.py``.
+the same basis vector, pair or triple.  ``GradedAlgebra.mul``, ``Element``
+sums and multiples, ``PullbackMap.apply``, ``integrate`` and ``pair`` are
+compared with Fraction oracles on random elements of algebras whose
+constants are non-integer, and the certificate replay and the delta table
+are checked to do no Fraction arithmetic; the Gromov certificates are
+replayed with the oracle product in ``test_gromov.py``.
 """
 
 import random
@@ -22,7 +24,8 @@ from hypothesis import strategies as st
 
 from dyndeg import core
 from dyndeg.core import SUPER_COMMUTATIVE, Element, build_algebra
-from dyndeg.endo import validate_pullback
+from dyndeg.degrees import delta_table
+from dyndeg.endo import PullbackMap, validate_pullback
 from dyndeg.errors import (
     AssociativityViolation,
     DynDegError,
@@ -31,7 +34,9 @@ from dyndeg.errors import (
     SignRuleViolation,
     UnitViolation,
 )
+from dyndeg.gromov import gromov_closure
 from dyndeg.models import (
+    elliptic_square,
     exterior_algebra,
     multiprojective,
     pn_power_map,
@@ -41,6 +46,7 @@ from dyndeg.models import (
 )
 
 from support import (
+    apply_blocks,
     basis_product,
     builder_battery,
     fraction_mul,
@@ -304,7 +310,19 @@ def elements(algebra):
     """Random inhomogeneous elements, many coordinates zero."""
     return st.tuples(
         *(st.tuples(*(coefficients,) * d) for d in algebra.dims)
-    ).map(Element)
+    ).map(Element.from_coords)
+
+
+def linear_maps(algebra):
+    """Random rational per-degree blocks: linear, not validated."""
+    return st.tuples(*(
+        st.tuples(*(st.tuples(*(coefficients,) * d),) * d)
+        for d in algebra.dims
+    ))
+
+
+def fraction_sum(xs):
+    return sum(xs, Fraction(0))
 
 
 class TestProductAgainstOracle:
@@ -318,7 +336,59 @@ class TestProductAgainstOracle:
     def test_mul_matches_the_basis_pair_oracle(self, data):
         alg = data.draw(st.sampled_from(SCALED_BATTERY))
         a, b = data.draw(elements(alg)), data.draw(elements(alg))
-        assert alg.mul(a, b) == fraction_mul(alg, a, b)
+        c = data.draw(coefficients)
+        blocks = data.draw(linear_maps(alg))
+        ab = fraction_mul(alg, a, b)
+        assert alg.mul(a, b) == ab
+        # sums, multiples, images and integrals against Fraction sums
+        assert (a + b).coords == tuple(
+            tuple(x + y for x, y in zip(pa, pb))
+            for pa, pb in zip(a.coords, b.coords)
+        )
+        assert (c * a).coords == tuple(
+            tuple(c * x for x in piece) for piece in a.coords
+        )
+        assert PullbackMap(alg, blocks).apply(a) == apply_blocks(alg, blocks, a)
+        top, w = alg.top_degree, alg.integrate_coords
+        assert alg.integrate(a) == fraction_sum(
+            x * y for x, y in zip(a.coords[top], w))
+        assert alg.pair(a, b) == fraction_sum(
+            x * y for x, y in zip(ab.coords[top], w))
+        # one rational reached by different routes: one Element, one hash
+        routes = [
+            a + b, b + a, (a - b) + 2 * b, Fraction(1, 3) * (3 * a + 3 * b),
+            Element.from_coords((a + b).coords), (a + b) + alg.zero(),
+        ]
+        assert all(x == routes[0] for x in routes)
+        assert len({hash(x) for x in routes}) == 1
+        assert a - a == alg.zero() == 0 * b
+        assert hash(a - a) == hash(alg.zero())
+
+    def test_element_kernels_do_no_fraction_arithmetic(self, monkeypatch):
+        # count Fraction operators that compute a value (the NotImplemented
+        # of ``Fraction * Element`` hands over to ``Element.__rmul__``)
+        model, f = elliptic_square([[1, 1], [1, 0]])
+        closure = gromov_closure(model.algebra, f, model.h)
+        p3 = projective_space(3)
+        g = scalar_power_pullback(p3, Fraction(3, 2))
+        alg = model.algebra
+        a = alg.homogeneous(2, [Fraction(1, 3), 2, 0, Fraction(-5, 7), 1, 1])
+        computed = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+                     "__pow__"):
+            def counted(*args, _op=getattr(Fraction, name), _name=name):
+                value = _op(*args)
+                if value is not NotImplemented:
+                    computed.append(_name)
+                return value
+            monkeypatch.setattr(Fraction, name, counted)
+        assert closure.verify_certificates()
+        delta_table(model, f, 8)
+        delta_table(p3, g, 8)
+        alg.pair(a + Fraction(2, 3) * a, f.apply(a) - a)
+        monkeypatch.undo()
+        assert computed == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ on the builder battery, recorded with the Fraction implementation.
 """
 
 import hashlib
+import math
 from fractions import Fraction
 
 import sympy
@@ -129,6 +130,36 @@ class TestCharPolyAndDet:
         assert det(((0, 0), (1, 0))) == 0
 
 
+def scaled(vector, combo=None):
+    """``(den, vec, combo)``: ``vector`` and ``combo`` as integer numerators
+    over one common denominator, the vector by its nonzero entries."""
+    combo = combo or {}
+    den = math.lcm(*(Fraction(x).denominator
+                     for x in (*vector, *combo.values())))
+    nums = [x.numerator * (den // x.denominator) for x in vector]
+    return (
+        den,
+        {j: x for j, x in enumerate(nums) if x},
+        {g: c.numerator * (den // c.denominator) for g, c in combo.items()},
+    )
+
+
+def insert(ech, vector, combo):
+    _, vec, combo = scaled(vector, combo)
+    return ech.insert_scaled(vec, combo)
+
+
+def coordinates(ech, vector):
+    den, vec, _ = scaled(vector)
+    return ech.coordinates_scaled(den, vec)
+
+
+def basis(ech):
+    """The basis rows as dense Fraction vectors."""
+    return [tuple(Fraction(vec.get(j, 0), den) for j in range(ech.width))
+            for den, vec in ech.scaled_basis()]
+
+
 class TestEchelon:
     @SETTINGS
     @given(vector_lists())
@@ -138,8 +169,8 @@ class TestEchelon:
         oracle = FractionEchelon(width)
         for g, vec in enumerate(vectors):
             combo = {g: Fraction(1)}
-            assert ech.insert(vec, combo) == oracle.insert(vec, combo)
-        basis = ech.basis()
+            assert insert(ech, vec, combo) == oracle.insert(vec, combo)
+        rows = basis(ech)
         if vectors:
             rref, pivots = to_sympy(vectors).rref()
             expected = [
@@ -148,21 +179,21 @@ class TestEchelon:
             ]
         else:
             expected = []
-        assert basis == expected == oracle.basis()
+        assert rows == expected == oracle.basis()
         assert ech.dimension == len(expected)
         # every combo re-evaluates to its basis row
         assert ech.combos == oracle.combos
-        for row, combo in zip(basis, ech.combos):
+        for row, combo in zip(rows, ech.combos):
             value = [Fraction(0)] * width
             for g, c in combo.items():
                 value = [v + c * x for v, x in zip(value, vectors[g])]
             assert tuple(value) == row
         # every inserted vector has coordinates that rebuild it
         for vec in vectors:
-            coords = ech.coordinates(vec)
-            assert coords is not None and ech.contains(vec)
+            coords = coordinates(ech, vec)
+            assert coords is not None and oracle.contains(vec)
             rebuilt = [Fraction(0)] * width
-            for c, row in zip(coords, basis):
+            for c, row in zip(coords, rows):
                 rebuilt = [v + c * x for v, x in zip(rebuilt, row)]
             assert tuple(rebuilt) == vec
 
@@ -171,20 +202,24 @@ class TestEchelon:
     def test_coordinates_are_none_outside_the_span(self, data, draw):
         width, vectors = data
         ech = Echelon(width)
+        oracle = FractionEchelon(width)
         for g, vec in enumerate(vectors):
-            ech.insert(vec, {g: Fraction(1)})
+            insert(ech, vec, {g: Fraction(1)})
+            oracle.insert(vec, {g: Fraction(1)})
         probe = tuple(draw.draw(scalars) for _ in range(width))
         rank = to_sympy(vectors).rank() if vectors else 0
         inside = to_sympy([*vectors, probe]).rank() == rank
-        assert (ech.coordinates(probe) is not None) == inside
-        assert ech.contains(probe) == inside
+        assert (coordinates(ech, probe) is not None) == inside
+        assert oracle.contains(probe) == inside
 
     def test_combo_coefficients_may_be_rational(self):
         ech = Echelon(2)
-        assert ech.insert((Fraction(-2, 3), 1), {0: Fraction(5, 7)})
-        assert ech.basis() == [(1, Fraction(-3, 2))]
+        assert insert(ech, (Fraction(-2, 3), 1), {0: Fraction(5, 7)})
+        assert basis(ech) == [(1, Fraction(-3, 2))]
+        # the row shares its denominator with its combo
+        assert ech.scaled_basis() == [(14, {0: 14, 1: -21})]
         assert ech.combos == [{0: Fraction(-15, 14)}]
-        assert not ech.insert((2, -3), {1: Fraction(1)})
+        assert not insert(ech, (2, -3), {1: Fraction(1)})
 
 
 # sha256 of every battery closure (both sweep orders): basis, certificates,
@@ -201,7 +236,7 @@ def closure_digest() -> str:
             c = gromov_closure(model.algebra, f, model.h, sweep_order=order)
             digest.update(repr((
                 name, order, c.sweeps, c.dims_by_degree,
-                [[str(x) for x in b.flatten()] for b in c.basis],
+                [[str(x) for piece in b.coords for x in piece] for b in c.basis],
                 [[(str(k), w) for k, w in cert] for cert in c.certificates],
                 [[str(x) for x in row] for row in c.restricted_matrix],
             )).encode())

@@ -128,6 +128,11 @@ CORPUS = {
         {**CUSTOM, "effective": [5]}, {"kind": "identity"}),
     "custom/model/dims/entry": config(
         {**CUSTOM, "dims": [1, 0, "x", 0, 1]}, {"kind": "identity"}),
+    # a zero unit and a zero integration functional
+    "custom/model/unit/zero": config(
+        {**CUSTOM, "unit": [0]}, {"kind": "identity"}),
+    "custom/model/integrate/zero": config(
+        {**CUSTOM, "integrate": ["0/3"]}, {"kind": "identity"}),
     "projective/map/blocks/missing": config(
         {"kind": "projective", "n": 1}, {"kind": "matrices"}),
     "projective/map/blocks/wrong": config(
@@ -258,6 +263,9 @@ EXPECTED = {
     'custom/model/products/entry': ('SchemaError', ['/model/products/0']),
     'custom/model/effective/entry': ('SchemaError', ['/model/effective/0']),
     'custom/model/dims/entry': ('SchemaError', ['/model/dims']),
+    # once a bare UnitViolation and a bare ShapeMismatch, with no pointer
+    'custom/model/unit/zero': ('SchemaError', ['/model/unit/0']),
+    'custom/model/integrate/zero': ('SchemaError', ['/model/integrate']),
     'projective/map/blocks/missing': ('SchemaError', ['/map/blocks']),
     'projective/map/blocks/wrong': ('SchemaError', ['/map/blocks']),
     'projective/map/blocks/entry': ('BadMatrixShape', ['/map/blocks/0']),
@@ -423,6 +431,15 @@ REJECTED = {
     "ample-coords-zero": (
         config(*VALID["projective"], ample={"coords": [{"num": "0", "den": "3"}]}),
         ("SchemaError", ["/ample/coords"]),
+    ),
+    # a zero unit and a zero functional, once rejected by the algebra build
+    # or the model check with no JSON pointer
+    "custom-unit-zero": (
+        _custom(unit=["0"]), ("SchemaError", ["/model/unit/0"]),
+    ),
+    "custom-integrate-zero": (
+        _custom(integrate=[{"num": "0", "den": "2"}]),
+        ("SchemaError", ["/model/integrate"]),
     ),
 }
 

@@ -385,6 +385,9 @@ class TestIntegerRootCertificate:
         # |z|^2 = 2^2100 for both roots: rho would read inf
         with pytest.raises(SpectralNonconvergence):
             _uncached((Fraction(1), Fraction(1), Fraction(2**2100)))
+        # a linear square-free part takes the fast path
+        with pytest.raises(SpectralNonconvergence):
+            _uncached((Fraction(1), Fraction(-(2**1100))))
 
     def test_two_centres_on_one_root_give_no_certificate(self):
         e, one = 128, 1 << 128
