@@ -7,61 +7,49 @@ a self-map: the radius on the smallest pullback-stable subalgebra generated by
 an ample class, the radii on the algebraic graded pieces, and the radii on all
 graded pieces.  Exact rational arithmetic everywhere except inside spectral
 estimation.
+
+The public names below are resolved on first access (PEP 562), so
+``import dyndeg`` and ``python -m dyndeg`` load no submodule until one is
+used.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .core import (
-    COMMUTATIVE,
-    SUPER_COMMUTATIVE,
-    Element,
-    GradedAlgebra,
-    build_algebra,
-)
-from .degrees import (
-    DeltaTable,
-    EffectiveClass,
-    EmbeddedModel,
-    bound_constant,
-    check_intersection_bound,
-    delta,
-    delta_table,
-    graph_class,
-    growth_rates,
-    moving_ledger,
-    segre_graph_degree,
-)
-from .endo import (
-    PullbackMap,
-    identity_map,
-    power_map,
-    validate_pullback,
-)
-from .gromov import (
-    ChainReport,
-    GromovSubalgebra,
-    gromov_closure,
-    lambda_gr,
-    spectral_chain,
-)
-from .models import (
-    abelian_variety,
-    custom_model,
-    elliptic_square,
-    exterior_algebra,
-    exterior_pullback,
-    multiprojective,
-    pn_power_map,
-    product_map,
-    projective_space,
-    surface_lattice,
-)
-from .spectral import (
-    char_poly,
-    combined_limsup_bound,
-    gelfand_sequence,
-    limsup_root,
-    spectral_radius,
-    trace_radius_estimate,
-    trace_sequence,
-)
+# submodule -> the public names it defines
+_EXPORTS = {
+    "core": (
+        "COMMUTATIVE", "SUPER_COMMUTATIVE", "Element", "GradedAlgebra",
+        "build_algebra",
+    ),
+    "degrees": (
+        "DeltaTable", "EffectiveClass", "EmbeddedModel", "bound_constant",
+        "check_intersection_bound", "delta", "delta_table", "graph_class",
+        "growth_rates", "moving_ledger", "segre_graph_degree",
+    ),
+    "endo": ("PullbackMap", "identity_map", "power_map", "validate_pullback"),
+    "gromov": (
+        "ChainReport", "GromovSubalgebra", "gromov_closure", "lambda_gr",
+        "spectral_chain",
+    ),
+    "models": (
+        "abelian_variety", "custom_model", "elliptic_square", "exterior_algebra",
+        "exterior_pullback", "multiprojective", "pn_power_map", "product_map",
+        "projective_space", "surface_lattice",
+    ),
+    "spectral": (
+        "char_poly", "combined_limsup_bound", "gelfand_sequence", "limsup_root",
+        "spectral_radius", "trace_radius_estimate", "trace_sequence",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_OWNER)
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -10,51 +10,38 @@ explicitly requested with --timing.
 Exit codes: 0 success, 2 config/model validation failure, 3 analysis error.
 Validation failures are written to stderr as structured JSON with a JSON
 pointer path per violation.  Partial results are never emitted.
+
+Only the stdlib, ``errors`` and ``linalg`` load with this module, so a config
+the schema rejects costs little more than interpreter start-up.  The model
+layers (``models``, ``endo``, ``core``, ``degrees``) load once a config has
+parsed, ``spectral`` once a growth rate or radius is asked for, and
+``gromov`` only for the ``gromov`` and ``chain`` analyses.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from . import __version__
-from .core import COMMUTATIVE, SUPER_COMMUTATIVE
-from .degrees import (
-    EmbeddedModel,
-    bound_constant,
-    check_intersection_bound,
-    delta_table,
-    graph_class,
-    growth_rates,
-    moving_ledger,
-    segre_graph_degree,
-)
-from .endo import PullbackMap, identity_map, validate_pullback
 from .errors import BadMatrixShape, DynDegError, SchemaError, UnknownModelKind
-from .gromov import gromov_closure, lambda_gr, spectral_chain
-from .linalg import as_fraction, identity
-from .models import (
-    abelian_variety,
-    custom_model,
-    multiprojective,
-    pn_power_map,
-    product_map,
-    projective_space,
-    surface_lattice,
-)
+from .linalg import COMMUTATIVE, SUPER_COMMUTATIVE, as_fraction, identity
+
+if TYPE_CHECKING:
+    from .degrees import EmbeddedModel
+    from .endo import PullbackMap
 
 SCHEMA_VERSION = "1"
 ANALYSIS_STAGE = "analysis"
 ANALYSES = ("delta-table", "gromov", "chain", "graph-class", "bounds")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     model: dict
     map: dict
     analyses: tuple[str, ...]
@@ -80,8 +67,7 @@ class RunConfig:
         return out
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     config: RunConfig
     results: dict
     elapsed: float
@@ -344,11 +330,15 @@ def _kind_of(c: _Collector, raw: dict, part: str, kinds, category="schema"):
 # map spec without them ("identity", "matrices") gives the identity map.
 
 def _build_projective(spec, map_spec):
+    from .models import pn_power_map, projective_space
+
     model = projective_space(spec["n"])
     return model, pn_power_map(model, map_spec.get("d", 1))
 
 
 def _build_multiprojective(spec, map_spec):
+    from .models import multiprojective, product_map
+
     k = len(spec["n"])
     model = multiprojective(spec["n"])
     return model, product_map(
@@ -357,6 +347,8 @@ def _build_multiprojective(spec, map_spec):
 
 
 def _build_abelian(spec, map_spec):
+    from .models import abelian_variety
+
     g = spec["g"]
     omega = None
     if "omega" in spec:
@@ -365,6 +357,8 @@ def _build_abelian(spec, map_spec):
 
 
 def _build_surface_lattice(spec, map_spec):
+    from .models import surface_lattice
+
     gram = spec["gram"]
     return surface_lattice(
         gram, map_spec.get("matrix", identity(len(gram))), spec["ample"],
@@ -373,6 +367,9 @@ def _build_surface_lattice(spec, map_spec):
 
 
 def _build_custom(spec, map_spec):
+    from .endo import identity_map
+    from .models import custom_model
+
     model = custom_model({k: v for k, v in spec.items() if k != "kind"})
     return model, identity_map(model.algebra)
 
@@ -529,18 +526,32 @@ MODEL_KINDS = tuple(_MODELS)
 MAP_KINDS = tuple(_MAPS)
 
 
-def parse_config(text: str) -> RunConfig:
+def _is_tolerance(x) -> bool:
+    """A finite positive number (JSON's ``NaN`` and ``Infinity`` are not)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return 0 < float(x) < math.inf
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def parse_config(text: str, overrides: Mapping | None = None) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
-    Every violation is collected and reported with a JSON pointer path.
+    ``overrides`` (top-level field -> value, as the command-line flags give
+    them) replace the config's own fields before any check, so an override
+    is held to the same schema.  Every violation is collected and reported
+    with a JSON pointer path.
     """
     c = _Collector()
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
         raise SchemaError([("", f"invalid JSON: {exc}")]) from exc
     if not isinstance(raw, dict):
         raise SchemaError([("", "top-level value must be an object")])
+    raw.update(overrides or {})
 
     known = {"schema_version", "model", "map", "ample", "analyses", "M", "tol", "out"}
     for key in raw:
@@ -582,8 +593,8 @@ def parse_config(text: str) -> RunConfig:
     _at_least(1)(c, "/M", m_max)
 
     tol = raw.get("tol", 1e-9)
-    if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
-        c.add("/tol", "expected a positive number")
+    if not _is_tolerance(tol):
+        c.add("/tol", "expected a finite positive number")
 
     ample = raw.get("ample")
     if ample is not None:
@@ -627,6 +638,8 @@ def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
                 c.add(f"/map/blocks/{i}", f"expected a {d}x{d} matrix")
     c.raise_if_any()
     if map_spec["kind"] == "matrices":
+        from .endo import validate_pullback
+
         # a custom model states its own realizability, and its map shares it
         stated = {"realizability": model.realizability, "provenance": "custom"}
         pull = validate_pullback(
@@ -634,6 +647,8 @@ def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
         )
 
     if config.ample is not None:
+        from dataclasses import replace
+
         h = model.algebra.homogeneous(2, config.ample["coords"])
         model = replace(model, h=h).validate()
     return model, pull
@@ -644,6 +659,8 @@ def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
 # ---------------------------------------------------------------------------
 
 def _run_delta_table(model, pull, config, table):
+    from .degrees import growth_rates
+
     rates = growth_rates(table)
     return {
         "m_max": table.m_max,
@@ -656,6 +673,8 @@ def _run_delta_table(model, pull, config, table):
 
 
 def _run_gromov(model, pull, config, closure):
+    from .gromov import lambda_gr
+
     rho, err = lambda_gr(closure, config.tol)
     return {
         "dimension": closure.dimension,
@@ -669,6 +688,8 @@ def _run_gromov(model, pull, config, closure):
 
 
 def _run_chain(model, pull, config, closure):
+    from .gromov import spectral_chain
+
     report = spectral_chain(
         model.algebra,
         pull,
@@ -697,6 +718,8 @@ def _run_chain(model, pull, config, closure):
 
 
 def _run_graph_class(model, pull, config, table):
+    from .degrees import graph_class, segre_graph_degree
+
     per_m = []
     for m in range(1, config.m_max + 1):
         comps = graph_class(model, pull, m, table)
@@ -713,6 +736,8 @@ def _run_graph_class(model, pull, config, table):
 
 
 def _run_bounds(model, pull, config):
+    from .degrees import bound_constant, check_intersection_bound, moving_ledger
+
     alg = model.algebra
     constant = bound_constant(model.r, model.deg_x)
     checks = []
@@ -782,8 +807,12 @@ def run(config: RunConfig) -> Report:
     try:
         table = closure = None
         if not _TABLE_ANALYSES.isdisjoint(config.analyses):
+            from .degrees import delta_table
+
             table = delta_table(model, pull, config.m_max)
         if not _CLOSURE_ANALYSES.isdisjoint(config.analyses):
+            from .gromov import gromov_closure
+
             closure = gromov_closure(model.algebra, pull, model.h)
         for analysis in dict.fromkeys(config.analyses):
             if analysis in _TABLE_ANALYSES:
@@ -807,20 +836,29 @@ def run(config: RunConfig) -> Report:
 
 def _load_config(args) -> RunConfig:
     with open(args.config, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    overrides = {"m_max": args.max_power, "tol": args.tol, "out": args.out}
-    return replace(
-        parse_config(text),
-        **{k: v for k, v in overrides.items() if v is not None},
-    )
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError([("", f"config is not UTF-8: {exc}")]) from exc
+    overrides = {"M": args.max_power, "tol": args.tol, "out": args.out}
+    return parse_config(text, {k: v for k, v in overrides.items() if v is not None})
 
 
-def _emit(report_json: str, out_path: str | None):
-    if out_path:
+def _io_error(exc: OSError) -> int:
+    sys.stderr.write(json.dumps({"error": "IOError", "message": str(exc)}) + "\n")
+    return 2
+
+
+def _emit(report_json: str, out_path: str | None) -> int:
+    if not out_path:
+        sys.stdout.write(report_json)
+        return 0
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(report_json)
-    else:
-        sys.stdout.write(report_json)
+    except OSError as exc:  # a missing directory, or a directory
+        return _io_error(exc)
+    return 0
 
 
 def _fail(exc: DynDegError, code: int) -> int:
@@ -854,8 +892,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _load_config(args)
     except OSError as exc:
-        sys.stderr.write(json.dumps({"error": "IOError", "message": str(exc)}) + "\n")
-        return 2
+        return _io_error(exc)
     except SchemaError as exc:
         return _fail(exc, 2)
 
@@ -875,11 +912,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             },
             "map": {"realizability": pull.realizability},
         })
-        _emit(summary, config.out)
-        return 0
+        return _emit(summary, config.out)
 
     if args.command == "delta":
-        config = replace(config, analyses=("delta-table",))
+        config = config._replace(analyses=("delta-table",))
 
     try:
         report = run(config)
@@ -888,8 +924,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # anything raised past that point is an analysis error (exit 3)
         return _fail(exc, 3 if getattr(exc, "stage", None) == ANALYSIS_STAGE else 2)
 
-    _emit(report.to_json(include_timing=args.timing), config.out)
-    return 0
+    return _emit(report.to_json(include_timing=args.timing), config.out)
 
 
 if __name__ == "__main__":

@@ -34,10 +34,7 @@ from .errors import (
     SignRuleViolation,
     UnitViolation,
 )
-from .linalg import as_fraction, det, scaled_matrix
-
-COMMUTATIVE = "commutative"
-SUPER_COMMUTATIVE = "super_commutative"
+from .linalg import COMMUTATIVE, SUPER_COMMUTATIVE, as_fraction, det, scaled_matrix
 
 BasisIndex = tuple[int, int]  # (degree, index within the graded piece)
 

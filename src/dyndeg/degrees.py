@@ -23,7 +23,6 @@ from .core import Element, GradedAlgebra
 from .endo import PullbackMap, power_map
 from .errors import NonComplementaryDegrees, ShapeMismatch, StepOutOfRange
 from .linalg import as_fraction, scaled_matrix
-from .spectral import default_window, limsup_root
 
 
 @dataclass(frozen=True)
@@ -157,6 +156,8 @@ def growth_rates(table: DeltaTable, window: int | None = None) -> GrowthRates:
     inflation (the identity map then reports exactly 1 in every row).
     All-zero rows report rate 0 (non-dominant maps are allowed).
     """
+    from .spectral import default_window, limsup_root  # only tables need it
+
     if window is None:
         window = default_window(table.m_max)
     rates = tuple(

@@ -22,6 +22,12 @@ from .errors import ShapeMismatch
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
 
+# the sign rules of a graded product: x*y = y*x, or x*y = (-1)^(ij) y*x for x
+# of degree i and y of degree j; here so that the CLI schema can name them
+# without loading the algebra
+COMMUTATIVE = "commutative"
+SUPER_COMMUTATIVE = "super_commutative"
+
 
 def as_fraction(x) -> Fraction:
     """Coerce ints, strings like ``"3/2"``, and Fractions to ``Fraction``.

@@ -3,6 +3,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -324,6 +325,50 @@ class TestMainCommand:
         assert payload["config"]["M"] == 3
         assert len(payload["results"]["delta-table"]["rows"][0]) == 3
 
+    @pytest.mark.parametrize("flags, pointer", [
+        (["--tol", "-1"], "/tol"),
+        (["--tol", "nan"], "/tol"),
+        (["--tol", "inf"], "/tol"),
+        (["--max-power", "0"], "/M"),
+    ])
+    def test_overrides_meet_the_schema(self, tmp_path, capsys, flags, pointer):
+        path = self._write(tmp_path, p2_config())
+        assert main(["report", "--config", path, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert [v["path"] for v in err["violations"]] == [pointer]
+
+    def _io_failure(self, capsys, argv):
+        """Exit 2, nothing on stdout, one JSON line on stderr; that line."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        return json.loads(line)
+
+    @pytest.mark.parametrize("command", ["report", "validate", "delta"])
+    @pytest.mark.parametrize("out", ["missing/report.json", "."])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, command, out):
+        path = self._write(tmp_path, p2_config())
+        argv = [command, "--config", path, "--out", str(tmp_path / out)]
+        assert self._io_failure(capsys, argv)["error"] == "IOError"
+
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(p2_config(), ensure_ascii=False)
+                         .replace("power", "pow\u00e9r").encode("latin-1"))
+        err = self._io_failure(capsys, ["report", "--config", str(path)])
+        assert err["error"] == "SchemaError"
+        assert [v["path"] for v in err["violations"]] == [""]
+
+    def test_too_deep_a_nesting_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        err = self._io_failure(capsys, ["report", "--config", str(path)])
+        assert err["error"] == "SchemaError"
+        assert [v["path"] for v in err["violations"]] == [""]
+
     def test_console_entry_point(self, tmp_path):
         path = self._write(tmp_path, p2_config())
         proc = subprocess.run(
@@ -402,7 +447,7 @@ class TestExitCodes:
 
 class TestOneDeltaTable:
     def test_report_builds_one_table_and_no_map_powers(self, monkeypatch):
-        from dyndeg import cli as cli_module, degrees, endo
+        from dyndeg import degrees, endo
 
         calls = {"delta_table": 0, "power_map": 0}
 
@@ -414,8 +459,7 @@ class TestOneDeltaTable:
 
         table_fn = counted("delta_table", degrees.delta_table)
         power_fn = counted("power_map", endo.power_map)
-        for module in (cli_module, degrees):
-            monkeypatch.setattr(module, "delta_table", table_fn)
+        monkeypatch.setattr(degrees, "delta_table", table_fn)
         for module in (endo, degrees):
             monkeypatch.setattr(module, "power_map", power_fn)
         config = parse_config(json.dumps(p2_config(
@@ -430,18 +474,18 @@ class TestOneDeltaTable:
             assert entry["segre_matches"] is True
 
     def test_no_table_without_a_table_analysis(self, monkeypatch):
-        from dyndeg import cli as cli_module
+        from dyndeg import degrees
 
         def forbidden(*args):
             raise AssertionError("delta_table built for a chain-only report")
 
-        monkeypatch.setattr(cli_module, "delta_table", forbidden)
+        monkeypatch.setattr(degrees, "delta_table", forbidden)
         run(parse_config(json.dumps(p2_config())))
 
 
 class TestOneClosure:
     def test_gromov_and_chain_share_one_closure(self, monkeypatch):
-        from dyndeg import cli as cli_module, gromov
+        from dyndeg import gromov
 
         calls = []
         original = gromov.gromov_closure
@@ -450,8 +494,7 @@ class TestOneClosure:
             calls.append(args)
             return original(*args, **kwargs)
 
-        for module in (cli_module, gromov):
-            monkeypatch.setattr(module, "gromov_closure", counted)
+        monkeypatch.setattr(gromov, "gromov_closure", counted)
         results = run(parse_config(json.dumps(p2_config(
             analyses=["gromov", "chain", "delta-table"]
         )))).results
@@ -462,7 +505,7 @@ class TestOneClosure:
     def test_berkowitz_runs_once_per_block(self, monkeypatch):
         # one characteristic polynomial per closure block (shared by gromov
         # and chain) plus one per nonzero graded block (chain's mu)
-        from dyndeg import cli as cli_module, gromov, spectral
+        from dyndeg import gromov, spectral
 
         closures, polys = [], []
         build, berkowitz = gromov.gromov_closure, spectral.char_poly
@@ -475,7 +518,7 @@ class TestOneClosure:
             polys.append(matrix)
             return berkowitz(matrix)
 
-        monkeypatch.setattr(cli_module, "gromov_closure", counted_closure)
+        monkeypatch.setattr(gromov, "gromov_closure", counted_closure)
         monkeypatch.setattr(spectral, "char_poly", counted_poly)
         cfg = {
             "model": {"kind": "multiprojective", "n": [1, 1, 1]},
@@ -491,12 +534,12 @@ class TestOneClosure:
         assert results["gromov"]["lambda_gr"] == results["chain"]["lambda_gr"]
 
     def test_no_closure_without_gromov_or_chain(self, monkeypatch):
-        from dyndeg import cli as cli_module
+        from dyndeg import gromov
 
         def forbidden(*args):
             raise AssertionError("closure built for a report without gromov/chain")
 
-        monkeypatch.setattr(cli_module, "gromov_closure", forbidden)
+        monkeypatch.setattr(gromov, "gromov_closure", forbidden)
         run(parse_config(json.dumps(p2_config(analyses=["delta-table"]))))
 
 
@@ -596,6 +639,65 @@ class TestLazyImports:
             check=True,
         )
         assert proc.stdout.splitlines()[-1] == "0 []"
+
+    @staticmethod
+    def _loaded(code):
+        """The ``dyndeg`` modules a fresh interpreter holds after ``code``,
+        and whether it loaded ``dataclasses``."""
+        code += (
+            "; import json, sys; print(json.dumps([[m for m in sys.modules"
+            " if m.split('.')[0] == 'dyndeg'], 'dataclasses' in sys.modules]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        modules, dataclasses = json.loads(proc.stdout.splitlines()[-1])
+        return set(modules), dataclasses
+
+    def _after_main(self, argv):
+        return self._loaded(
+            f"from dyndeg.cli import main; assert main({argv!r}) in (0, 2)"
+        )
+
+    def test_importing_the_package_loads_no_submodule(self):
+        assert self._loaded("import dyndeg") == ({"dyndeg"}, False)
+
+    def test_a_rejected_config_loads_no_model_layer(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"model": {"kind": "projective", "n": 0}}))
+        assert self._after_main(["report", "--config", str(path)]) == (
+            {"dyndeg", "dyndeg.cli", "dyndeg.errors", "dyndeg.linalg"}, False
+        )
+
+    @pytest.mark.parametrize("command, absent", [
+        ("validate", {"dyndeg.gromov", "dyndeg.spectral"}),
+        ("delta", {"dyndeg.gromov"}),
+    ])
+    def test_a_command_loads_only_its_layers(self, tmp_path, command, absent):
+        path = tmp_path / "p2.json"
+        path.write_text(json.dumps(p2_config()))
+        modules, _ = self._after_main(
+            [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert "dyndeg.models" in modules and not modules & absent
+
+    def test_star_import_binds_every_exported_name(self):
+        # each name is the object its module defines (a constant has no
+        # __module__ to compare)
+        script = textwrap.dedent("""
+            import importlib, dyndeg
+            ns = {}
+            exec("from dyndeg import *", ns)
+            assert sorted(dyndeg.__all__) == sorted(n for n in ns if n[0] != "_")
+            for module, names in dyndeg._EXPORTS.items():
+                owner = importlib.import_module("dyndeg." + module)
+                for name in names:
+                    assert ns[name] is getattr(owner, name), name
+                    where = getattr(ns[name], "__module__", owner.__name__)
+                    assert where == owner.__name__, (name, where)
+        """)
+        subprocess.run([sys.executable, "-c", script], check=True)
 
 
 class TestCanonicalEncoding:

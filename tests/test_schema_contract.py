@@ -153,6 +153,9 @@ CORPUS = {
     "top/analyses/wrong": {**_P2, "analyses": "x"},
     "top/M/wrong": {**_P2, "M": "x"},
     "top/tol/wrong": {**_P2, "tol": "x"},
+    "top/tol/nan": {**_P2, "tol": float("nan")},
+    "top/tol/infinity": {**_P2, "tol": float("inf")},
+    "top/tol/past-float": {**_P2, "tol": 10 ** 400},
     "top/ample/wrong": {**_P2, "ample": "x"},
     "top/ample/coords": {**_P2, "ample": {"coords": ["x"]}},
     "top/out/wrong": {**_P2, "out": 5},
@@ -280,6 +283,9 @@ EXPECTED = {
     'top/analyses/wrong': ('SchemaError', ['/analyses']),
     'top/M/wrong': ('SchemaError', ['/M']),
     'top/tol/wrong': ('SchemaError', ['/tol']),
+    'top/tol/nan': ('SchemaError', ['/tol']),
+    'top/tol/infinity': ('SchemaError', ['/tol']),
+    'top/tol/past-float': ('SchemaError', ['/tol']),
     'top/ample/wrong': ('SchemaError', ['/ample']),
     'top/ample/coords': ('SchemaError', ['/ample/coords/0']),
     'top/out/wrong': ('SchemaError', ['/out']),
