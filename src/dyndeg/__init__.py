@@ -24,9 +24,9 @@ _EXPORTS = {
         "build_algebra",
     ),
     "degrees": (
-        "DeltaTable", "EffectiveClass", "EmbeddedModel", "bound_constant",
-        "check_intersection_bound", "delta", "delta_table", "graph_class",
-        "growth_rates", "moving_ledger", "segre_graph_degree",
+        "DeltaTable", "bound_constant", "check_intersection_bound", "delta",
+        "delta_table", "graph_class", "growth_rates", "moving_ledger",
+        "segre_graph_degree",
     ),
     "endo": ("PullbackMap", "identity_map", "power_map", "validate_pullback"),
     "gromov": (
@@ -34,9 +34,10 @@ _EXPORTS = {
         "spectral_chain",
     ),
     "models": (
-        "abelian_variety", "custom_model", "elliptic_square", "exterior_algebra",
-        "exterior_pullback", "multiprojective", "pn_power_map", "product_map",
-        "projective_space", "surface_lattice",
+        "EffectiveClass", "EmbeddedModel", "abelian_variety", "custom_model",
+        "elliptic_square", "exterior_algebra", "exterior_pullback",
+        "multiprojective", "pn_power_map", "product_map", "projective_space",
+        "surface_lattice",
     ),
     "spectral": (
         "char_poly", "combined_limsup_bound", "gelfand_sequence", "limsup_root",

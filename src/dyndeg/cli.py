@@ -13,9 +13,10 @@ pointer path per violation.  Partial results are never emitted.
 
 Only the stdlib, ``errors`` and ``linalg`` load with this module, so a config
 the schema rejects costs little more than interpreter start-up.  The model
-layers (``models``, ``endo``, ``core``, ``degrees``) load once a config has
-parsed, ``spectral`` once a growth rate or radius is asked for, and
-``gromov`` only for the ``gromov`` and ``chain`` analyses.
+layers (``models``, ``endo``, ``core``) load once a config has parsed,
+``degrees`` only for a delta table, graph class or bounds, ``spectral`` once
+a growth rate or radius is asked for, and ``gromov`` only for the ``gromov``
+and ``chain`` analyses.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from .errors import BadMatrixShape, DynDegError, SchemaError, UnknownModelKind
 from .linalg import COMMUTATIVE, SUPER_COMMUTATIVE, as_fraction, identity
 
 if TYPE_CHECKING:
-    from .degrees import EmbeddedModel
     from .endo import PullbackMap
+    from .models import EmbeddedModel
 
 SCHEMA_VERSION = "1"
 ANALYSIS_STAGE = "analysis"
@@ -647,10 +648,13 @@ def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
         )
 
     if config.ample is not None:
-        from dataclasses import replace
+        from .models import EmbeddedModel
 
         h = model.algebra.homogeneous(2, config.ample["coords"])
-        model = replace(model, h=h).validate()
+        model = EmbeddedModel(
+            model.algebra, h, model.ambient_dim, model.realizability,
+            model.provenance, model.effective, model.scope_note,
+        ).validate()
     return model, pull
 
 

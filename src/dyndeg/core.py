@@ -24,9 +24,8 @@ kernel independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AssociativityViolation,
@@ -39,7 +38,6 @@ from .linalg import COMMUTATIVE, SUPER_COMMUTATIVE, as_fraction, det, scaled_mat
 BasisIndex = tuple[int, int]  # (degree, index within the graded piece)
 
 
-@dataclass(frozen=True)
 class Element:
     """A (possibly inhomogeneous) algebra element.
 
@@ -47,12 +45,30 @@ class Element:
     of the degree-i component in increasing index, all over the one positive
     ``denominator``; ``dims[i]`` is the dimension of that piece.  Elements
     are kept in lowest terms (zero has denominator 1), so ``==`` and ``hash``
-    are exactly rational equality.
+    are exactly rational equality.  Not a tuple: ``e * 2`` must not repeat it.
     """
 
-    dims: tuple[int, ...]
-    denominator: int
-    pieces: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("dims", "denominator", "pieces")
+
+    def __init__(self, dims: tuple[int, ...], denominator: int,
+                 pieces: tuple[tuple[tuple[int, int], ...], ...]):
+        self.dims = dims
+        self.denominator = denominator
+        self.pieces = pieces
+
+    def _key(self):
+        return self.dims, self.denominator, self.pieces
+
+    def __eq__(self, other):
+        if other.__class__ is not Element:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "Element(dims=%r, denominator=%r, pieces=%r)" % self._key()
 
     @classmethod
     def scaled(cls, dims, den: int, pieces) -> "Element":
@@ -120,8 +136,7 @@ class Element:
         return (-1) * self
 
 
-@dataclass(frozen=True)
-class ScaledTable:
+class ScaledTable(NamedTuple):
     """The structure constants as integers over one common denominator.
 
     ``rows[(i, j)][p]`` maps q to the nonzero entries ``((k, D * c_k), ...)``
@@ -312,8 +327,7 @@ class GradedAlgebra:
         return out
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     degree: int
     nondegenerate: bool
     determinant: Fraction | None

@@ -1,9 +1,10 @@
 """Dynamical degree tables, graph-class coefficients, and intersection bounds.
 
-A model is an algebra together with a very ample degree-2 class h, the ambient
-projective dimension, and deg(X) = integrate(h^r).  The j-th dynamical degree
-of the m-th iterate is the intersection number pair(h^{r-j}, f^{m*} h^j); its
-growth rate in m is what the spectral comparison chain controls.
+A model (``models.EmbeddedModel``, defined beside its builders) is an algebra
+together with a very ample degree-2 class h, the ambient projective
+dimension, and deg(X) = integrate(h^r).  The j-th dynamical degree of the
+m-th iterate is the intersection number pair(h^{r-j}, f^{m*} h^j); its growth
+rate in m is what the spectral comparison chain controls.
 
 The moving-lemma machinery is represented purely as a degree/step ledger: the
 geometric cone construction is out of scope, only the step count k <= r+1 and
@@ -14,70 +15,24 @@ algebra can decide.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import Element, GradedAlgebra
+from .core import Element
 from .endo import PullbackMap, power_map
 from .errors import NonComplementaryDegrees, ShapeMismatch, StepOutOfRange
 from .linalg import as_fraction, scaled_matrix
 
-
-@dataclass(frozen=True)
-class EffectiveClass:
-    """A homogeneous class a builder vouches is effective."""
-
-    label: str
-    element: Element
-
-
-@dataclass(frozen=True)
-class EmbeddedModel:
-    """Algebra + ample class + ambient dimension + degree, with provenance."""
-
-    algebra: GradedAlgebra
-    h: Element
-    ambient_dim: int
-    realizability: str = "unverified"
-    provenance: str = "custom"
-    effective: tuple[EffectiveClass, ...] = ()
-    scope_note: str | None = None
-
-    @property
-    def r(self) -> int:
-        return self.algebra.top_degree // 2
-
-    @functools.cached_property
-    def h_powers(self) -> tuple[Element, ...]:
-        """``(1, h, h^2, ..., h^r)``, computed once per model."""
-        powers = [self.algebra.one()]
-        for _ in range(self.r):
-            powers.append(self.algebra.mul(powers[-1], self.h))
-        return tuple(powers)
-
-    @functools.cached_property
-    def deg_x(self) -> Fraction:
-        """deg(X) = integrate(h^r)."""
-        return self.algebra.integrate(self.h_powers[self.r])
-
-    def validate(self) -> "EmbeddedModel":
-        if self.h.degrees() != (2,):
-            raise ShapeMismatch("h must be homogeneous of degree 2 and nonzero")
-        if self.h_powers[self.r].is_zero():
-            raise ShapeMismatch("h^r vanishes: h is not a valid ample class")
-        if self.deg_x <= 0:
-            raise ShapeMismatch(f"deg(X) = {self.deg_x} must be positive")
-        return self
+if TYPE_CHECKING:
+    from .models import EmbeddedModel
 
 
 # ---------------------------------------------------------------------------
 # dynamical degrees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DeltaTable:
+class DeltaTable(NamedTuple):
     """Grid of dynamical degrees: rows indexed by j in [0, r], m in [1, m_max].
 
     ``deg_x`` is the shared identity-map baseline: pair(h^{r-j}, h^j) equals
@@ -139,8 +94,7 @@ def delta_table(model: EmbeddedModel, f: PullbackMap, m_max: int) -> DeltaTable:
     return DeltaTable(r=model.r, m_max=m_max, rows=tuple(rows), deg_x=model.deg_x)
 
 
-@dataclass(frozen=True)
-class GrowthRates:
+class GrowthRates(NamedTuple):
     rates: tuple[float, ...]
     max_rate: float
     window: int
@@ -170,8 +124,7 @@ def growth_rates(table: DeltaTable, window: int | None = None) -> GrowthRates:
 # graph class and Segre degree
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraphComponent:
+class GraphComponent(NamedTuple):
     coefficient: Fraction
     factor_dims: tuple[int, int]  # (a, b) for the component [P^a] x [P^b]
     label: str
@@ -207,8 +160,7 @@ def graph_class(
     ]
 
 
-@dataclass(frozen=True)
-class SegreDegree:
+class SegreDegree(NamedTuple):
     value: Fraction
     expected: Fraction | None  # closed form for power maps on P^n, else None
     matches: bool | None
@@ -254,8 +206,7 @@ def bound_constant(r: int, deg_x) -> Fraction:
     return (r + 2) * deg_x ** (r + 1)
 
 
-@dataclass(frozen=True)
-class MovingLedger:
+class MovingLedger(NamedTuple):
     """Worst-case degree bookkeeping for the ambient-cycle replacement steps."""
 
     k: int
@@ -288,8 +239,7 @@ def moving_ledger(r: int, deg_x, deg_v, deg_w, k: int) -> MovingLedger:
     )
 
 
-@dataclass(frozen=True)
-class IntersectionBoundCheck:
+class IntersectionBoundCheck(NamedTuple):
     pairing: Fraction
     deg_v: Fraction
     deg_w: Fraction

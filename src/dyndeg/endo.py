@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,7 +20,6 @@ from .errors import MultiplicativityViolation, ShapeMismatch, UnitViolation
 from .linalg import Matrix, as_matrix, mat_pow, trace
 
 
-@dataclass(frozen=True)
 class PullbackMap:
     """Validated unital graded ring endomorphism f*.
 
@@ -29,10 +27,13 @@ class PullbackMap:
     (``scaled_blocks``); ``apply`` and the Gromov closure run on that copy.
     """
 
-    algebra: GradedAlgebra
-    blocks: tuple[Matrix, ...]
-    realizability: str = "unverified"
-    provenance: str | None = None
+    def __init__(self, algebra: GradedAlgebra, blocks: tuple[Matrix, ...],
+                 realizability: str = "unverified",
+                 provenance: str | None = None):
+        self.algebra = algebra
+        self.blocks = blocks
+        self.realizability = realizability
+        self.provenance = provenance
 
     @functools.cached_property
     def scaled_blocks(self) -> tuple[int, tuple]:

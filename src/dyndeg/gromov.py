@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import Element, GradedAlgebra
 from .endo import PullbackMap
@@ -70,19 +70,22 @@ def evaluate_word(
     return value
 
 
-@dataclass(frozen=True)
 class GromovSubalgebra:
-    algebra: GradedAlgebra
-    pullback: PullbackMap
-    omega: Element
-    basis: tuple[Element, ...]
-    restricted_matrix: Matrix
-    dims_by_degree: tuple[int, ...]
-    certificates: tuple[tuple[tuple[Fraction, tuple], ...], ...]
-    sweeps: int
-    # lambda_gr results by tol, so that a report asking twice computes once
-    _radii: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
+    def __init__(self, algebra: GradedAlgebra, pullback: PullbackMap,
+                 omega: Element, basis: tuple[Element, ...],
+                 restricted_matrix: Matrix, dims_by_degree: tuple[int, ...],
+                 certificates: tuple[tuple[tuple[Fraction, tuple], ...], ...],
+                 sweeps: int):
+        self.algebra = algebra
+        self.pullback = pullback
+        self.omega = omega
+        self.basis = basis
+        self.restricted_matrix = restricted_matrix
+        self.dims_by_degree = dims_by_degree
+        self.certificates = certificates
+        self.sweeps = sweeps
+        # lambda_gr results by tol, so that a report asking twice computes once
+        self._radii: dict = {}
 
     @property
     def dimension(self) -> int:
@@ -264,8 +267,7 @@ def lambda_gr(closure: GromovSubalgebra, tol: float = 1e-9):
     return got
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Full spectral-radius comparison for one (algebra, pullback, omega).
 
     ``lambda_by_codim[i]`` is the radius on the degree-2i piece (the algebraic

@@ -1,7 +1,9 @@
-"""Builders for concrete models and their standard self-maps.
+"""Embedded models, and builders for concrete models and their self-maps.
 
-Every builder emits a fully validated :class:`EmbeddedModel` together with
-validated pullbacks.  Builders are also where realizability is decided: a
+An :class:`EmbeddedModel` is an algebra with an ample class, the ambient
+dimension and deg(X), plus the :class:`EffectiveClass` list a builder vouches
+for.  Every builder emits a fully validated one together with validated
+pullbacks.  Builders are also where realizability is decided: a
 power map of projective space or an integer matrix acting on a product of
 elliptic curves comes from an actual morphism, so those maps carry
 ``realizability="asserted"``; hand-supplied matrices stay "unverified".
@@ -14,11 +16,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .core import COMMUTATIVE, SUPER_COMMUTATIVE, GradedAlgebra, build_algebra
-from .degrees import EffectiveClass, EmbeddedModel
+from .core import (COMMUTATIVE, SUPER_COMMUTATIVE, Element, GradedAlgebra,
+                   build_algebra)
 from .endo import PullbackMap, validate_pullback
 from .errors import (
     AmpleClassDegenerate,
@@ -27,7 +30,56 @@ from .errors import (
     PermutationShapeMismatch,
     ShapeMismatch,
 )
-from .linalg import as_fraction, as_matrix, det, transpose
+from .linalg import as_fraction, as_matrix, det, scaled_matrix, transpose
+
+
+class EffectiveClass(NamedTuple):
+    """A homogeneous class a builder vouches is effective."""
+
+    label: str
+    element: Element
+
+
+class EmbeddedModel:
+    """Algebra + ample class + ambient dimension + degree, with provenance."""
+
+    def __init__(self, algebra: GradedAlgebra, h: Element, ambient_dim: int,
+                 realizability: str = "unverified", provenance: str = "custom",
+                 effective: tuple[EffectiveClass, ...] = (),
+                 scope_note: str | None = None):
+        self.algebra = algebra
+        self.h = h
+        self.ambient_dim = ambient_dim
+        self.realizability = realizability
+        self.provenance = provenance
+        self.effective = effective
+        self.scope_note = scope_note
+
+    @property
+    def r(self) -> int:
+        return self.algebra.top_degree // 2
+
+    @functools.cached_property
+    def h_powers(self) -> tuple[Element, ...]:
+        """``(1, h, h^2, ..., h^r)``, computed once per model."""
+        powers = [self.algebra.one()]
+        for _ in range(self.r):
+            powers.append(self.algebra.mul(powers[-1], self.h))
+        return tuple(powers)
+
+    @functools.cached_property
+    def deg_x(self) -> Fraction:
+        """deg(X) = integrate(h^r)."""
+        return self.algebra.integrate(self.h_powers[self.r])
+
+    def validate(self) -> "EmbeddedModel":
+        if self.h.degrees() != (2,):
+            raise ShapeMismatch("h must be homogeneous of degree 2 and nonzero")
+        if self.h_powers[self.r].is_zero():
+            raise ShapeMismatch("h^r vanishes: h is not a valid ample class")
+        if self.deg_x <= 0:
+            raise ShapeMismatch(f"deg(X) = {self.deg_x} must be positive")
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +434,12 @@ def surface_lattice(
     g = as_matrix(isometry)
     if len(g) != rank or any(len(row) != rank for row in g):
         raise ShapeMismatch(f"isometry must be {rank}x{rank}")
-    from .linalg import mat_mul
-
-    if mat_mul(mat_mul(transpose(g), q), g) != q:
+    # g^T q g = q, in integers: G^T Q G = D^2 Q for g = G / D and q = Q / D'
+    den, g_cols = scaled_matrix(transpose(g))
+    q_int = scaled_matrix(q)[1]
+    qg = [[sum(map(operator.mul, row, col)) for col in g_cols] for row in q_int]
+    gqg = [[sum(map(operator.mul, a, col)) for col in zip(*qg)] for a in g_cols]
+    if gqg != [[den * den * x for x in row] for row in q_int]:
         raise NotIsometry("isometry does not preserve the gram matrix")
     v = tuple(as_fraction(x) for x in ample)
     if len(v) != rank:

@@ -16,11 +16,11 @@ import itertools
 from fractions import Fraction
 
 from dyndeg.core import Element, GradedAlgebra
-from dyndeg.degrees import EmbeddedModel
 from dyndeg.endo import PullbackMap, validate_pullback
 from dyndeg.linalg import identity, mat_vec
 from dyndeg.errors import SpectralNonconvergence
 from dyndeg.models import (
+    EmbeddedModel,
     elliptic_square,
     exterior_algebra,
     exterior_pullback,

@@ -643,17 +643,18 @@ class TestLazyImports:
     @staticmethod
     def _loaded(code):
         """The ``dyndeg`` modules a fresh interpreter holds after ``code``,
-        and whether it loaded ``dataclasses``."""
+        and which of ``dataclasses`` and ``inspect`` it loaded."""
         code += (
             "; import json, sys; print(json.dumps([[m for m in sys.modules"
-            " if m.split('.')[0] == 'dyndeg'], 'dataclasses' in sys.modules]))"
+            " if m.split('.')[0] == 'dyndeg'],"
+            " [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             check=True,
         )
-        modules, dataclasses = json.loads(proc.stdout.splitlines()[-1])
-        return set(modules), dataclasses
+        modules, stdlib = json.loads(proc.stdout.splitlines()[-1])
+        return set(modules), stdlib
 
     def _after_main(self, argv):
         return self._loaded(
@@ -661,17 +662,17 @@ class TestLazyImports:
         )
 
     def test_importing_the_package_loads_no_submodule(self):
-        assert self._loaded("import dyndeg") == ({"dyndeg"}, False)
+        assert self._loaded("import dyndeg") == ({"dyndeg"}, [])
 
     def test_a_rejected_config_loads_no_model_layer(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {"kind": "projective", "n": 0}}))
         assert self._after_main(["report", "--config", str(path)]) == (
-            {"dyndeg", "dyndeg.cli", "dyndeg.errors", "dyndeg.linalg"}, False
+            {"dyndeg", "dyndeg.cli", "dyndeg.errors", "dyndeg.linalg"}, []
         )
 
     @pytest.mark.parametrize("command, absent", [
-        ("validate", {"dyndeg.gromov", "dyndeg.spectral"}),
+        ("validate", {"dyndeg.degrees", "dyndeg.gromov", "dyndeg.spectral"}),
         ("delta", {"dyndeg.gromov"}),
     ])
     def test_a_command_loads_only_its_layers(self, tmp_path, command, absent):
@@ -681,6 +682,26 @@ class TestLazyImports:
             [command, "--config", str(path), "--out", str(tmp_path / "out")]
         )
         assert "dyndeg.models" in modules and not modules & absent
+
+    def test_a_closure_report_does_not_load_the_degrees_layer(self, tmp_path):
+        path = tmp_path / "p2.json"
+        path.write_text(json.dumps(p2_config(analyses=["chain", "gromov"])))
+        modules, _ = self._after_main(
+            ["report", "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert {"dyndeg.models", "dyndeg.gromov"} <= modules
+        assert "dyndeg.degrees" not in modules
+
+    @pytest.mark.parametrize("command", ["report", "delta", "validate"])
+    @pytest.mark.parametrize("name", sorted(SHIPPED_REPORT_SHA256))
+    def test_no_command_loads_dataclasses_or_inspect(
+        self, tmp_path, name, command
+    ):
+        config = pathlib.Path(__file__).resolve().parents[1] / "configs" / name
+        modules, stdlib = self._after_main(
+            [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        )
+        assert "dyndeg.models" in modules and stdlib == []
 
     def test_star_import_binds_every_exported_name(self):
         # each name is the object its module defines (a constant has no

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from dyndeg.core import (
     COMMUTATIVE,
     SUPER_COMMUTATIVE,
+    Element,
     build_algebra,
 )
 from dyndeg.errors import (
@@ -114,6 +117,52 @@ class TestMul:
         other = quotient_ring(3)
         with pytest.raises(ShapeMismatch):
             alg.mul(alg.one(), other.one())
+
+
+class TestElement:
+    """``Element`` is a value: exact ``==`` and ``hash`` whatever built it,
+    scalars on the left only, and not a tuple."""
+
+    def test_every_route_to_one_value_gives_one_element(self):
+        alg = multiprojective([1, 1]).algebra
+        a, b = alg.basis_element(2, 0), alg.basis_element(2, 1)
+        half, three_halves = Fraction(1, 2), Fraction(3, 2)
+        routes = [
+            Element.scaled(alg.dims, 2, [{}, {}, {0: 1, 1: 3}, {}, {}]),
+            Element.scaled(alg.dims, 4, [{}, {}, {0: 2, 1: 6, 2: 0}, {}, {}]),
+            Element.from_coords(((0,), (), (half, three_halves), (), (0,))),
+            alg.element({(2, 0): half, (2, 1): three_halves}),
+            alg.homogeneous(2, [half, three_halves]),
+            half * (a + 3 * b),
+            (a + b) + half * b - half * a,
+            -(-half * a - three_halves * b) + alg.zero(),
+        ]
+        assert all(x == routes[0] for x in routes)
+        assert len({hash(x) for x in routes}) == 1
+        assert routes[0] != half * a and routes[0] != 2 * routes[0]
+
+    def test_scalars_multiply_from_the_left(self):
+        alg = quotient_ring(2)
+        e = alg.one() + Fraction(3, 2) * alg.basis_element(2, 0)
+        for c in (2, Fraction(1, 2), -1):
+            assert (c * e).coords == tuple(
+                tuple(c * x for x in piece) for piece in e.coords
+            )
+        assert -e == (-1) * e and 2 * e == e + e
+        assert e - e == alg.zero() and (e - e).is_zero()
+        with pytest.raises(TypeError):
+            e * 2
+        with pytest.raises(TypeError):
+            e * Fraction(1, 2)
+
+    def test_an_element_is_not_a_tuple(self):
+        zero = quotient_ring(2).zero()
+        assert not isinstance(zero, tuple)
+        assert zero != (zero.dims, zero.denominator, zero.pieces)
+        assert repr(zero) == (
+            "Element(dims=(1, 0, 1, 0, 1), denominator=1,"
+            " pieces=((), (), (), (), ()))"
+        )
 
 
 class TestPower:

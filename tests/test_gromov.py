@@ -8,7 +8,9 @@ import pytest
 from dyndeg.core import ScaledTable
 from dyndeg.endo import PullbackMap, identity_map
 from dyndeg.errors import ShapeMismatch
-from dyndeg.gromov import gromov_closure, lambda_gr, spectral_chain
+from dyndeg.gromov import (
+    GromovSubalgebra, gromov_closure, lambda_gr, spectral_chain,
+)
 from dyndeg.models import (
     elliptic_square,
     multiprojective,
@@ -254,24 +256,32 @@ class TestCertificateReplay:
                 closure = gromov_closure(model.algebra, f, model.h, order)
                 assert replay_certificates(closure), (name, order)
 
-    def test_a_tampered_coefficient_is_caught(self):
-        import dataclasses
+    @staticmethod
+    def _tampered(closure, basis=None, certificates=None):
+        """The closure with its basis or certificates swapped, built through
+        the constructor."""
+        return GromovSubalgebra(
+            closure.algebra, closure.pullback, closure.omega,
+            closure.basis if basis is None else basis,
+            closure.restricted_matrix, closure.dims_by_degree,
+            closure.certificates if certificates is None else certificates,
+            closure.sweeps,
+        )
 
+    def test_a_tampered_coefficient_is_caught(self):
         closure = self._closure()
         certs = list(closure.certificates)
         i = next(k for k, cert in enumerate(certs) if cert)
         (coeff, word), *rest = certs[i]
         certs[i] = ((coeff + Fraction(1, 3), word), *rest)
-        bad = dataclasses.replace(closure, certificates=tuple(certs))
+        bad = self._tampered(closure, certificates=tuple(certs))
         assert not bad.verify_certificates()
 
     def test_a_tampered_basis_vector_is_caught(self):
-        import dataclasses
-
         closure = self._closure()
         basis = list(closure.basis)
         basis[-1] = basis[-1] + closure.algebra.one()
-        bad = dataclasses.replace(closure, basis=tuple(basis))
+        bad = self._tampered(closure, basis=tuple(basis))
         assert not bad.verify_certificates()
 
     def test_each_shared_word_is_evaluated_once(self, monkeypatch):

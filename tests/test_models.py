@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from dyndeg.models import (
     projective_space,
     surface_lattice,
 )
-from dyndeg.linalg import det
+from dyndeg.linalg import as_matrix, det, mat_mul, transpose
 from dyndeg.spectral import char_poly
 
 from support import builder_battery
@@ -146,6 +147,31 @@ class TestSurfaceLattice:
         assert spectral_radius(f.blocks[2])[0] == pytest.approx(
             3 + 2 * math.sqrt(2), abs=1e-9
         )
+
+    @pytest.mark.parametrize("gram, iso, ample", [
+        ([[0, 1], [1, 0]], [[Fraction(3, 2), 0], [0, Fraction(2, 3)]], [1, 1]),
+        ([[0, Fraction(1, 2)], [Fraction(1, 2), 0]], [[0, 1], [1, 0]], [1, 1]),
+        ([[1, 0], [0, -2]], [[3, 4], [2, 3]], [1, 0]),
+    ])
+    def test_isometry_check_agrees_with_the_fraction_product(
+        self, gram, iso, ample
+    ):
+        # the check runs in integers over common denominators; the oracle
+        # is g^T q g = q in Fractions, on the isometry and on each one-entry
+        # perturbation of it
+        q = as_matrix(gram)
+
+        def preserves(g):
+            return mat_mul(mat_mul(transpose(g), q), g) == q
+
+        assert preserves(as_matrix(iso))
+        surface_lattice(gram, iso, ample)
+        for i, j in itertools.product(range(2), repeat=2):
+            bad = [list(row) for row in as_matrix(iso)]
+            bad[i][j] += Fraction(1, 3)
+            assert not preserves(bad)
+            with pytest.raises(NotIsometry):
+                surface_lattice(gram, bad, ample)
 
     def test_ample_positivity_enforced(self):
         with pytest.raises(AmpleNotPositive):
