@@ -5,7 +5,8 @@ Prints, for a handful of integer matrices, how the norm-doubling and
 trace-root estimates approach the exact spectral radius as the power grows.
 """
 
-from dyndeg.spectral import gelfand_sequence, spectral_radius, trace_sequence
+from dyndeg.estimators import gelfand_sequence, trace_sequence
+from dyndeg.spectral import spectral_radius
 
 MATRICES = {
     "fibonacci": [[1, 1], [1, 0]],

@@ -29,6 +29,10 @@ _EXPORTS = {
         "segre_graph_degree",
     ),
     "endo": ("PullbackMap", "identity_map", "power_map", "validate_pullback"),
+    "estimators": (
+        "combined_limsup_bound", "gelfand_sequence", "limsup_root",
+        "trace_radius_estimate", "trace_sequence",
+    ),
     "gromov": (
         "ChainReport", "GromovSubalgebra", "gromov_closure", "lambda_gr",
         "spectral_chain",
@@ -39,10 +43,7 @@ _EXPORTS = {
         "multiprojective", "pn_power_map", "product_map", "projective_space",
         "surface_lattice",
     ),
-    "spectral": (
-        "char_poly", "combined_limsup_bound", "gelfand_sequence", "limsup_root",
-        "spectral_radius", "trace_radius_estimate", "trace_sequence",
-    ),
+    "spectral": ("char_poly", "spectral_radius"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_OWNER)

@@ -7,21 +7,25 @@ normalized to 12 significant digits.  Two runs of the same config produce
 byte-identical reports; timing is therefore kept out of the report unless
 explicitly requested with --timing.
 
-Exit codes: 0 success, 2 config/model validation failure, 3 analysis error.
-Validation failures are written to stderr as structured JSON with a JSON
-pointer path per violation.  Partial results are never emitted.
+The command line is ``COMMAND`` followed by ``--flag value`` or
+``--flag=value`` pairs (see ``USAGE``), read by a small hand-written parser:
+the last occurrence of a flag wins, and flags are never abbreviated.
+
+Exit codes: 0 success, 2 usage error or config/model validation failure,
+3 analysis error.  Usage and validation failures are written to stderr as
+structured JSON, validation failures with a JSON pointer path per violation.
+Partial results are never emitted.
 
 Only the stdlib, ``errors`` and ``linalg`` load with this module, so a config
 the schema rejects costs little more than interpreter start-up.  The model
 layers (``models``, ``endo``, ``core``) load once a config has parsed,
-``degrees`` only for a delta table, graph class or bounds, ``spectral`` once
-a growth rate or radius is asked for, and ``gromov`` only for the ``gromov``
-and ``chain`` analyses.
+``degrees`` only for a delta table, graph class or bounds, ``estimators``
+once a growth rate is asked for, and ``gromov`` with ``spectral`` only for
+the ``gromov`` and ``chain`` analyses.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -30,7 +34,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from . import __version__
-from .errors import BadMatrixShape, DynDegError, SchemaError, UnknownModelKind
+from .errors import (BadMatrixShape, DynDegError, SchemaError, UnknownModelKind,
+                     UsageError)
 from .linalg import COMMUTATIVE, SUPER_COMMUTATIVE, as_fraction, identity
 
 if TYPE_CHECKING:
@@ -838,14 +843,95 @@ def run(config: RunConfig) -> Report:
 # command line
 # ---------------------------------------------------------------------------
 
-def _load_config(args) -> RunConfig:
-    with open(args.config, "r", encoding="utf-8") as fh:
+USAGE = """\
+usage: dyndeg {report,validate,delta} --config PATH [--out PATH]
+              [--max-power M] [--tol TOL] [--timing]
+
+dynamical degrees and spectral chains on exact graded models
+
+commands:
+  report         run the configured analyses and emit the full report
+  validate       parse the config and validate model + map only
+  delta          emit the dynamical-degree table only
+
+flags, as --flag VALUE or --flag=VALUE (the last occurrence wins):
+  --config PATH  path to the JSON config (required)
+  --out PATH     output path (default stdout)
+  --max-power M  override M, the largest iterate
+  --tol TOL      override the numeric tolerance
+  --timing       include wall-clock timing in the report
+                 (makes output nondeterministic)
+  -h, --help     show this text and exit
+"""
+_COMMANDS = ("report", "validate", "delta")
+_HELP = ("-h", "--help")
+# flag -> (the config field it sets, how its value is read)
+_VALUE_FLAGS = {
+    "--config": ("config", str),
+    "--out": ("out", str),
+    "--max-power": ("M", int),
+    "--tol": ("tol", float),
+}
+
+
+def _read_value(text: str, kind):
+    """``kind(text)``, or the string itself, for the schema to reject."""
+    try:
+        return kind(text)
+    except ValueError:
+        return text
+
+
+def _parse_argv(argv: Sequence[str]) -> tuple[str, str, dict, bool] | None:
+    """``(command, config path, overrides, timing)``, or None for help.
+
+    ``overrides`` maps the config fields ``out``, ``M`` and ``tol`` to the
+    last value given for their flags; a number that does not parse stays a
+    string, so the schema rejects it with a pointer.
+    """
+    if not argv:
+        raise UsageError(f"missing command; one of {', '.join(_COMMANDS)}")
+    command, rest = argv[0], list(argv[1:])
+    if command in _HELP:
+        return None
+    if command not in _COMMANDS:
+        raise UsageError(
+            f"unknown command {command!r}; one of {', '.join(_COMMANDS)}"
+        )
+    values, timing = {}, False
+    while rest:
+        token = rest.pop(0)
+        if token in _HELP:
+            return None
+        flag, eq, value = token.partition("=")
+        if flag == "--timing":
+            if eq:
+                raise UsageError("--timing takes no value")
+            timing = True
+            continue
+        if flag not in _VALUE_FLAGS:
+            raise UsageError(f"unknown argument {token!r}")
+        if not eq:
+            if not rest or rest[0].startswith("--"):
+                raise UsageError(f"{flag} needs a value")
+            value = rest.pop(0)
+        if "\0" in value:  # no file name holds one; open() would raise
+            raise UsageError(f"{flag} value contains a NUL byte")
+        field, kind = _VALUE_FLAGS[flag]
+        values[field] = _read_value(value, kind)
+    if "config" not in values:
+        raise UsageError("--config is required")
+    path = values.pop("config")
+    return command, path, values, timing
+
+
+def _load_config(path: str, overrides: dict) -> RunConfig:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise SchemaError([("", f"config is not UTF-8: {exc}")]) from exc
-    overrides = {"M": args.max_power, "tol": args.tol, "out": args.out}
-    return parse_config(text, {k: v for k, v in overrides.items() if v is not None})
+    return parse_config(text, overrides)
 
 
 def _io_error(exc: OSError) -> int:
@@ -871,36 +957,23 @@ def _fail(exc: DynDegError, code: int) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="dyndeg",
-        description="dynamical degrees and spectral chains on exact graded models",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("report", "run the configured analyses and emit the full report"),
-        ("validate", "parse the config and validate model + map only"),
-        ("delta", "emit the dynamical-degree table only"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the JSON config")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--max-power", type=int, default=None, dest="max_power",
-                       help="override M, the largest iterate")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the numeric tolerance")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall-clock timing in the report"
-                            " (makes output nondeterministic)")
-    args = parser.parse_args(argv)
+    try:
+        parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        return _fail(exc, 2)
+    if parsed is None:
+        sys.stdout.write(USAGE)
+        return 0
+    command, path, overrides, timing = parsed
 
     try:
-        config = _load_config(args)
+        config = _load_config(path, overrides)
     except OSError as exc:
         return _io_error(exc)
     except SchemaError as exc:
         return _fail(exc, 2)
 
-    if args.command == "validate":
+    if command == "validate":
         try:
             model, pull = build_model_and_map(config)
         except DynDegError as exc:
@@ -918,7 +991,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         })
         return _emit(summary, config.out)
 
-    if args.command == "delta":
+    if command == "delta":
         config = config._replace(analyses=("delta-table",))
 
     try:
@@ -928,7 +1001,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # anything raised past that point is an analysis error (exit 3)
         return _fail(exc, 3 if getattr(exc, "stage", None) == ANALYSIS_STAGE else 2)
 
-    return _emit(report.to_json(include_timing=args.timing), config.out)
+    return _emit(report.to_json(include_timing=timing), config.out)
 
 
 if __name__ == "__main__":

@@ -110,7 +110,7 @@ def growth_rates(table: DeltaTable, window: int | None = None) -> GrowthRates:
     inflation (the identity map then reports exactly 1 in every row).
     All-zero rows report rate 0 (non-dominant maps are allowed).
     """
-    from .spectral import default_window, limsup_root  # only tables need it
+    from .estimators import default_window, limsup_root  # only tables need it
 
     if window is None:
         window = default_window(table.m_max)

@@ -132,6 +132,13 @@ class FloatOverflow(DynDegError):
         )
 
 
+class UsageError(DynDegError):
+    """A command line the CLI cannot read: no or an unknown command, an
+    unknown flag, a flag without its value, or no ``--config``."""
+
+    kind = "UsageError"
+
+
 class SchemaError(DynDegError):
     """Config validation failure listing every violation with a JSON pointer."""
 

@@ -20,6 +20,11 @@ from dyndeg.degrees import (
 )
 from dyndeg.endo import validate_pullback
 from dyndeg.errors import MultiplicativityViolation
+from dyndeg.estimators import (
+    combined_limsup_bound,
+    gelfand_sequence,
+    trace_radius_estimate,
+)
 from dyndeg.gromov import spectral_chain
 from dyndeg.models import (
     elliptic_square,
@@ -28,12 +33,7 @@ from dyndeg.models import (
     product_map,
     projective_space,
 )
-from dyndeg.spectral import (
-    combined_limsup_bound,
-    gelfand_sequence,
-    spectral_radius,
-    trace_radius_estimate,
-)
+from dyndeg.spectral import spectral_radius
 
 from support import (
     basis_product,

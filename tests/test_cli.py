@@ -6,6 +6,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dyndeg.cli import (
     dumps_canonical,
@@ -330,6 +332,9 @@ class TestMainCommand:
         (["--tol", "nan"], "/tol"),
         (["--tol", "inf"], "/tol"),
         (["--max-power", "0"], "/M"),
+        (["--max-power", "x"], "/M"),
+        (["--max-power", "2.5"], "/M"),
+        (["--tol", "abc"], "/tol"),
     ])
     def test_overrides_meet_the_schema(self, tmp_path, capsys, flags, pointer):
         path = self._write(tmp_path, p2_config())
@@ -338,6 +343,79 @@ class TestMainCommand:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert [v["path"] for v in err["violations"]] == [pointer]
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["reprot", "--config", "{path}"],
+        ["--config", "{path}", "report"],
+        ["report"],
+        ["report", "--out", "x.json"],
+        ["report", "--config"],
+        ["report", "--config", "--timing"],
+        ["report", "--config", "{path}", "--tol"],
+        ["report", "--config", "{path}", "--conf", "{path}"],
+        ["report", "--config", "{path}", "--verbose"],
+        ["report", "--config", "{path}", "extra"],
+        ["report", "--config", "{path}", "--timing=yes"],
+        ["report", "--config", "{path}\0"],
+        ["report", "--config", "{path}", "--out=out\0.json"],
+    ], ids=[
+        "no-command", "unknown-command", "flag-before-command", "no-config",
+        "only-out", "config-at-end", "config-before-flag", "tol-at-end",
+        "abbreviated-flag", "unknown-flag", "positional", "timing-with-value",
+        "nul-in-config", "nul-in-out",
+    ])
+    def test_usage_errors_exit_two_with_json(self, tmp_path, capsys, argv):
+        path = self._write(tmp_path, p2_config())
+        argv = [token.replace("{path}", path) for token in argv]
+        assert main(argv) == 2  # returned, not raised as SystemExit
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line)["error"] == "UsageError"
+
+    def test_equals_form_and_the_last_occurrence_win(self, tmp_path, capsys):
+        path = self._write(tmp_path, p2_config(analyses=["delta-table"]))
+        missing = str(tmp_path / "missing.json")
+        argv = ["report", f"--config={missing}", "--max-power=5",
+                "--config", path, "--max-power", "3"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["M"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], ["report", "--help"], ["delta", "--config", "x", "-h"],
+    ])
+    def test_help_prints_the_usage_and_exits_zero(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: dyndeg") and captured.err == ""
+
+    def test_no_arguments_exit_two_with_json_from_the_module(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dyndeg"], capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "UsageError"
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.sampled_from([
+        "validate", "report", "delta", "--config", "{path}", "--config={path}",
+        "--out", "{out}", "--out=", "--max-power", "3", "x", "--tol", "1e-6",
+        "abc", "--timing", "--timing=1", "--conf", "-h", "--", "-", "", "\0",
+    ]), max_size=7))
+    def test_fuzzed_argv_keeps_the_exit_code_contract(self, tmp_path, capsys,
+                                                        argv):
+        path = self._write(tmp_path, p2_config())
+        out = str(tmp_path / "out.json")
+        argv = [t.replace("{path}", path).replace("{out}", out) for t in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 2:
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert isinstance(json.loads(line), dict)
 
     def _io_failure(self, capsys, argv):
         """Exit 2, nothing on stdout, one JSON line on stderr; that line."""
@@ -640,14 +718,19 @@ class TestLazyImports:
         )
         assert proc.stdout.splitlines()[-1] == "0 []"
 
-    @staticmethod
-    def _loaded(code):
+    # standard-library modules that no command needs: ``dataclasses`` and
+    # the ``inspect`` it pulls in, ``argparse`` and the ``gettext`` and
+    # ``locale`` it pulls in
+    _UNNEEDED = ("dataclasses", "inspect", "argparse", "gettext", "locale")
+
+    @classmethod
+    def _loaded(cls, code):
         """The ``dyndeg`` modules a fresh interpreter holds after ``code``,
-        and which of ``dataclasses`` and ``inspect`` it loaded."""
+        and which of the ``_UNNEEDED`` modules it loaded."""
         code += (
             "; import json, sys; print(json.dumps([[m for m in sys.modules"
             " if m.split('.')[0] == 'dyndeg'],"
-            " [m for m in ('dataclasses', 'inspect') if m in sys.modules]]))"
+            f" [m for m in {cls._UNNEEDED!r} if m in sys.modules]]))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
@@ -672,8 +755,9 @@ class TestLazyImports:
         )
 
     @pytest.mark.parametrize("command, absent", [
-        ("validate", {"dyndeg.degrees", "dyndeg.gromov", "dyndeg.spectral"}),
-        ("delta", {"dyndeg.gromov"}),
+        ("validate", {"dyndeg.degrees", "dyndeg.gromov", "dyndeg.spectral",
+                      "dyndeg.estimators"}),
+        ("delta", {"dyndeg.gromov", "dyndeg.spectral"}),
     ])
     def test_a_command_loads_only_its_layers(self, tmp_path, command, absent):
         path = tmp_path / "p2.json"
@@ -691,6 +775,24 @@ class TestLazyImports:
         )
         assert {"dyndeg.models", "dyndeg.gromov"} <= modules
         assert "dyndeg.degrees" not in modules
+
+    def test_a_chain_report_does_not_load_the_estimators(self, tmp_path):
+        path = tmp_path / "p2.json"
+        path.write_text(json.dumps(p2_config(analyses=["chain"])))
+        modules, _ = self._after_main(
+            ["report", "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert "dyndeg.spectral" in modules
+        assert "dyndeg.estimators" not in modules
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["report"], ["report", "--config", "x", "--conf", "y"],
+    ])
+    def test_help_and_usage_errors_load_no_unneeded_module(self, argv):
+        modules, stdlib = self._after_main(argv)
+        assert modules == {"dyndeg", "dyndeg.cli", "dyndeg.errors",
+                           "dyndeg.linalg"}
+        assert stdlib == []
 
     @pytest.mark.parametrize("command", ["report", "delta", "validate"])
     @pytest.mark.parametrize("name", sorted(SHIPPED_REPORT_SHA256))

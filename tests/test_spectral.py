@@ -12,16 +12,15 @@ from hypothesis import strategies as st
 
 from dyndeg import spectral
 from dyndeg.errors import ShapeMismatch, SpectralNonconvergence, ZeroWeight
-from dyndeg.gromov import gromov_closure
-from dyndeg.linalg import as_matrix, mat_mul, trace
-from dyndeg.spectral import (
-    char_poly,
+from dyndeg.estimators import (
     combined_limsup_bound,
     gelfand_sequence,
     limsup_root,
-    spectral_radius,
     trace_sequence,
 )
+from dyndeg.gromov import gromov_closure
+from dyndeg.linalg import as_matrix, mat_mul, trace
+from dyndeg.spectral import char_poly, spectral_radius
 from support import builder_battery, mpmath_max_root_modulus
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -389,6 +388,22 @@ class TestIntegerRootCertificate:
         with pytest.raises(SpectralNonconvergence):
             _uncached((Fraction(1), Fraction(-(2**1100))))
 
+    def test_roots_closer_than_the_first_grids_are_certified(self):
+        # Aberth closes in on an unresolved pair about 2 bits a sweep; the
+        # pair 2^-700 apart is resolved once the grid is 1,024 bits fine
+        a, b = Fraction(2), 2 + Fraction(1, 2**700)
+        rho, err = _uncached((Fraction(1), -(a + b), a * b), 1e-9)
+        assert rho == 2.0 and err <= 1e-9 * rho
+
+    def test_a_pair_on_one_grid_point_is_moved_apart(self, monkeypatch):
+        # both approximations start on the exact root 2 of the pair: p(z) = 0
+        # stops both, so only moving one of them lets the rounds part them
+        monkeypatch.setattr(spectral, "_aberth_proposal",
+                            lambda poly: ([2 + 0j, 2 + 0j], 0))
+        a, b = Fraction(2), 2 + Fraction(1, 2**700)
+        rho, err = _uncached((Fraction(1), -(a + b), a * b), 1e-9)
+        assert rho == 2.0 and err <= 1e-9 * rho
+
     def test_two_centres_on_one_root_give_no_certificate(self):
         e, one = 128, 1 << 128
         poly = [1, -6, 11, -6]  # roots 1, 2, 3
@@ -414,7 +429,7 @@ import runpy, sys
 sys.modules["numpy"] = None
 sys.modules["mpmath"] = None
 from support import builder_battery
-from dyndeg.spectral import gelfand_sequence, trace_radius_estimate, trace_sequence
+from dyndeg.estimators import gelfand_sequence, trace_radius_estimate, trace_sequence
 for _, model, pull in builder_battery():
     for block in pull.blocks:
         if block:
