@@ -699,12 +699,14 @@ def _run_gromov(model, pull, config, closure):
 def _run_chain(model, pull, config, closure):
     from .gromov import spectral_chain
 
+    # equality is asserted only when the model and the map both are asserted
     report = spectral_chain(
         model.algebra,
         pull,
         model.h,
         tol=config.tol,
-        realizability=model.realizability,
+        realizability=(model.realizability if pull.realizability == "asserted"
+                       else pull.realizability),
         scope_note=model.scope_note,
         closure=closure,
     )

@@ -7,11 +7,13 @@ lets the same container model Chow-type rings (even degrees only) and full
 cohomology rings of abelian varieties (odd generators) side by side.
 
 Scalars at the interface are ``fractions.Fraction``; inside, everything is
-integers over one denominator.  The structure constants are held once that
-way (:class:`ScaledTable`), and every product goes through its one kernel,
-``ScaledTable.multiply``: the unit, sign and associativity checks here,
-``GradedAlgebra.mul``, the multiplicativity check of a pullback and the
-products of the Gromov closure.  An :class:`Element` is sparse integer
+integers over one denominator.  The structure constants are read sparsely,
+only the nonzero ones, and held once that way (:class:`ScaledTable`); every
+product goes through its one kernel, ``ScaledTable.multiply``: the
+associativity check and the choice of generators here, ``GradedAlgebra.mul``,
+the multiplicativity check of a pullback and the products of the Gromov
+closure.  Associativity and multiplicativity are checked on a generating set
+only (Light's test, see ``_validate``).  An :class:`Element` is sparse integer
 numerators over one denominator too, so its sums, scalar multiples, products
 and pullbacks do no ``Fraction`` arithmetic; ``Element.coords`` is the
 ``Fraction`` view.  The pullback blocks, Berkowitz's characteristic
@@ -23,6 +25,7 @@ kernel independently.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -33,7 +36,14 @@ from .errors import (
     SignRuleViolation,
     UnitViolation,
 )
-from .linalg import COMMUTATIVE, SUPER_COMMUTATIVE, as_fraction, det, scaled_matrix
+from .linalg import (
+    COMMUTATIVE,
+    SUPER_COMMUTATIVE,
+    Echelon,
+    as_fraction,
+    det,
+    scaled_matrix,
+)
 
 BasisIndex = tuple[int, int]  # (degree, index within the graded piece)
 
@@ -150,21 +160,21 @@ class ScaledTable(NamedTuple):
 
     @classmethod
     def scale(cls, dims, blocks) -> "ScaledTable":
-        """The table of ``{(i, j): {(p, q): Fraction coordinates}}``."""
+        """The table of ``{(i, j): {(p, q): {k: Fraction}}}``, zeros omitted."""
         den = math.lcm(*(
             c.denominator
             for block in blocks.values()
             for vec in block.values()
-            for c in vec
+            for c in vec.values()
         ))
         rows = {(i, j): [{} for _ in range(dims[i])] for i, j in blocks}
         for (i, j), block in blocks.items():
             for (p, q), vec in block.items():
-                if any(vec):
-                    rows[(i, j)][p][q] = tuple(
+                if vec:
+                    rows[(i, j)][p][q] = tuple(sorted(
                         (k, c.numerator * (den // c.denominator))
-                        for k, c in enumerate(vec) if c
-                    )
+                        for k, c in vec.items()
+                    ))
         return cls(den, rows)
 
     def product(self, a: BasisIndex, b: BasisIndex) -> tuple[tuple[int, int], ...]:
@@ -242,6 +252,29 @@ class GradedAlgebra:
         for i, d in enumerate(self.dims):
             for p in range(d):
                 yield (i, p)
+
+    @functools.cached_property
+    def generators(self) -> tuple[BasisIndex, ...]:
+        """A set S of positive-degree basis vectors whose right-nested words
+        s_1 (s_2 (... (s_k 1))) span the algebra, chosen greedily degree by
+        degree: a basis vector joins S when it lies outside the span of the
+        words in the S chosen so far.  That span is the closure of {1} under
+        left multiplication by S, one ``Echelon`` per degree; a generator of
+        degree d adds itself (s 1) to degree d, and s (w) for each spanning
+        word w of a lower degree."""
+        table = self.scaled_table
+        chosen: list[BasisIndex] = []
+        spans = [[((0, 1),)]]  # degree 0: the unit's direction
+        for d in range(1, self.top_degree + 1):
+            echelon = Echelon(self.dims[d])
+            for i, p in chosen:
+                for w in spans[d - i]:
+                    echelon.insert_scaled(table.multiply(i, ((p, 1),), d - i, w), {})
+            for q in range(self.dims[d]):
+                if echelon.insert_scaled({q: 1}, {}):
+                    chosen.append((d, q))
+            spans.append([tuple(vec.items()) for _, vec in echelon.scaled_basis()])
+        return tuple(chosen)
 
     def _check_element(self, a: Element):
         if a.dims != self.dims:
@@ -340,11 +373,13 @@ def _koszul_sign(sign_rule: str, i: int, j: int) -> int:
 
 
 def _normalize_table(top_degree, dims, structure_constants):
-    """Expand user structure constants into complete per-degree-pair blocks.
+    """Read user structure constants into sparse per-degree-pair blocks
+    ``{(i, j): {(p, q): {k: Fraction}}}``, zero coordinates omitted.
 
     Accepted key shapes: ``((i, p), (j, q))`` or ``(i, p, j, q)``.  Values are
     either sparse mappings ``{index: scalar}`` or full coordinate sequences of
-    length ``dims[i + j]``.
+    length ``dims[i + j]``.  A supplied zero product stays as an empty vector,
+    so that the sign rule still compares it with its mirror.
     """
     table: dict[tuple[int, int], dict] = {}
     for key, value in structure_constants.items():
@@ -365,22 +400,21 @@ def _normalize_table(top_degree, dims, structure_constants):
             )
         target = dims[i + j]
         if isinstance(value, Mapping):
-            vec = [Fraction(0)] * target
-            for k, c in value.items():
+            for k in value:
                 if not (0 <= k < target):
                     raise ShapeMismatch(
                         f"product coordinate {k} out of range for degree {i + j}"
                     )
-                vec[k] = as_fraction(c)
-            vec = tuple(vec)
+            items = value.items()
         else:
-            vec = tuple(as_fraction(c) for c in value)
-            if len(vec) != target:
+            if len(value) != target:
                 raise ShapeMismatch(
-                    f"product vector for {key!r} has length {len(vec)},"
+                    f"product vector for {key!r} has length {len(value)},"
                     f" expected {target}"
                 )
-        table.setdefault((i, j), {})[(p, q)] = vec
+            items = enumerate(value)
+        vec = {k: as_fraction(c) for k, c in items}
+        table.setdefault((i, j), {})[(p, q)] = {k: c for k, c in vec.items() if c}
     return table
 
 
@@ -399,9 +433,10 @@ def build_algebra(
     one-dimensional).  A missing symmetric counterpart is filled in from the
     declared sign rule; when both orders are supplied they must agree with it.
 
-    Validation runs shape checks, the unit law, graded commutativity, and
-    associativity on every basis triple, raising the matching violation with
-    the offending basis vectors named.
+    Validation runs shape checks, the unit law and graded commutativity on
+    every basis vector and pair, and associativity on the triples (x, s, y)
+    with s in ``GradedAlgebra.generators``, which is enough (Light's test);
+    it raises the matching violation with the offending basis vectors named.
     """
     if top_degree < 0:
         raise ShapeMismatch("top_degree must be nonnegative")
@@ -432,18 +467,19 @@ def build_algebra(
     inv_u = 1 / unit_coords[0]
     for j in range(top_degree + 1):
         for q in range(dims[j]):
-            vec = [Fraction(0)] * dims[j]
-            vec[q] = inv_u
-            vec = tuple(vec)
-            table.setdefault((0, j), {}).setdefault((0, q), vec)
-            table.setdefault((j, 0), {}).setdefault((q, 0), vec)
+            table.setdefault((0, j), {}).setdefault((0, q), {q: inv_u})
+            table.setdefault((j, 0), {}).setdefault((q, 0), {q: inv_u})
 
-    # symmetric fill from the sign rule
+    # symmetric fill from the sign rule; a block with i = j is its own
+    # mirror, so it is read from a copy
     for (i, j) in list(table):
-        for (p, q), vec in table[(i, j)].items():
-            sign = _koszul_sign(sign_rule, i, j)
-            mirrored = tuple(sign * x for x in vec)
-            table.setdefault((j, i), {}).setdefault((q, p), mirrored)
+        sign = _koszul_sign(sign_rule, i, j)
+        mirror = table.setdefault((j, i), {})
+        for (p, q), vec in list(table[(i, j)].items()):
+            if (q, p) not in mirror:
+                mirror[(q, p)] = vec if sign == 1 else {
+                    k: -x for k, x in vec.items()
+                }
 
     algebra = GradedAlgebra(
         top_degree, dims, sign_rule, ScaledTable.scale(dims, table),
@@ -458,8 +494,14 @@ def _validate(algebra: GradedAlgebra):
 
     Every check compares integer vectors that are the rational ones times a
     fixed positive factor (D, or D^2 for associativity), so it holds exactly
-    when the rational check does; the loops run in the same order, so a
-    violation names the same basis vector, pair or triple.
+    when the rational check does.  The unit and sign checks visit every basis
+    vector and pair.  Associativity is Light's test (Clifford and Preston,
+    *The Algebraic Theory of Semigroups* I, 1.2): the a with (x a) y = x (a y)
+    for all x, y form a subspace that holds 1 and is closed under products,
+    so it is the whole algebra once it holds ``algebra.generators``.  Only
+    (x s) y = x (s y) for basis vectors x <= y and s in S is checked (the
+    sign rule gives the other order), and a violation names such a triple
+    (x, s, y).
     """
     table = algebra.scaled_table
     den = table.denominator
@@ -494,20 +536,21 @@ def _validate(algebra: GradedAlgebra):
             if product(a, b) != ba:
                 raise SignRuleViolation((a, b))
 
-    # (e_a e_b) e_c against e_a (e_b e_c), both scaled by D^2
-    for a in positive:
-        for b in positive:
-            dab = a[0] + b[0]
-            if dab >= top:
+    # (e_x e_s) e_y against e_x (e_s e_y), both scaled by D^2.  Once the
+    # sign rule holds, (y s) x - y (s x) = +-((x s) y - x (s y)), so the
+    # triples with y before x in the basis need no check
+    unit = {b: ((b[1], 1),) for b in positive}
+    for s in algebra.generators:
+        s_times = [(y, unit[y], product(s, y)) for y in positive]
+        for n, x in enumerate(positive):
+            dxs = x[0] + s[0]
+            if dxs >= top:
                 continue
-            ab = product(a, b)
-            for c in positive:
-                if dab + c[0] > top:
+            xs = product(x, s)
+            for y, ey, sy in s_times[n:]:
+                if dxs + y[0] > top or not (xs or sy):
                     continue
-                bc = product(b, c)
-                if not ab and not bc:
-                    continue
-                left = table.multiply(dab, ab, c[0], ((c[1], 1),))
-                right = table.multiply(a[0], ((a[1], 1),), b[0] + c[0], bc)
+                left = table.multiply(dxs, xs, y[0], ey)
+                right = table.multiply(x[0], unit[x], s[0] + y[0], sy)
                 if left != right:
-                    raise AssociativityViolation((a, b, c))
+                    raise AssociativityViolation((x, s, y))

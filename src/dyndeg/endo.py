@@ -87,9 +87,14 @@ def validate_pullback(
     realizability: str = "unverified",
     provenance: str | None = None,
 ) -> PullbackMap:
-    """Check shapes, f*(1) = 1, and multiplicativity on every basis pair.
+    """Check shapes, f*(1) = 1, and f*(s y) = f*(s) f*(y) for each s in
+    ``algebra.generators`` and every basis vector y.
 
-    Violations name the offending basis pair as ``(degree, index)`` tuples.
+    That is enough for every pair: the x with f*(x y) = f*(x) f*(y) for all
+    y form a subspace that holds 1 and, the algebra being associative, is
+    closed under left multiplication by each such s, so it holds every
+    right-nested word in the generators, which span the algebra.
+    Violations name the offending pair (s, y) as ``(degree, index)`` tuples.
     """
     if len(matrices) != algebra.top_degree + 1:
         raise ShapeMismatch(
@@ -115,25 +120,25 @@ def validate_pullback(
 
     # pairs with a degree-0 member are forced by f*(1) = 1 and linearity.
     # With B_k = D_f M_k integer and P the structure table scaled by D,
-    # f*(e_a e_b) = f*(e_a) f*(e_b) reads D_f (B P_ab) = sum fa_p fb_q P_pq:
+    # f*(e_s e_y) = f*(e_s) f*(e_y) reads D_f (B P_sy) = sum fs_p fy_q P_pq:
     # both sides are the rational ones times D_f^2 D.
     table = algebra.scaled_table
     den, columns = candidate.scaled_blocks
     top = algebra.top_degree
     basis = [b for b in algebra.basis() if b[0] >= 1]
-    for a in basis:
-        i, p = a
-        for b in basis:
-            j, q = b
+    for s in algebra.generators:
+        i, p = s
+        for y in basis:
+            j, q = y
             if i + j > top:
                 continue
             lhs: dict[int, int] = {}
-            for k, v in table.product(a, b):
+            for k, v in table.product(s, y):
                 for row, x in columns[i + j][k]:
                     lhs[row] = lhs.get(row, 0) + den * v * x
             rhs = table.multiply(i, columns[i][p], j, columns[j][q])
             if {k: v for k, v in lhs.items() if v} != rhs:
-                raise MultiplicativityViolation((a, b))
+                raise MultiplicativityViolation((s, y))
     return candidate
 
 

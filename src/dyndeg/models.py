@@ -331,9 +331,12 @@ def abelian_variety(
 ) -> tuple[EmbeddedModel, PullbackMap]:
     """Exterior-algebra cohomology model of a g-dimensional abelian variety.
 
-    ``matrix`` is the 2g x 2g integer action on the degree-1 lattice (the
-    caller asserts it comes from an endomorphism, e.g. any integer block
-    A (x) I_2 on a square of an elliptic curve).  ``omega`` maps generator
+    ``matrix`` is the 2g x 2g action on the degree-1 lattice.  The map carries
+    ``realizability`` only when the matrix is A (x) I_2 for an integer A, the
+    action of A in End(E^g) = M_g(Z) for E without complex multiplication;
+    any other matrix is "unverified", since it need not come from an
+    endomorphism (for alpha in End(E), (tr alpha)^2 <= 4 deg alpha).  The
+    model keeps ``realizability`` either way.  ``omega`` maps generator
     pairs (i, j), i < j, to coefficients; the default is the standard product
     polarization e_0^e_1 + e_2^e_3 + ...
 
@@ -383,8 +386,16 @@ def abelian_variety(
         provenance=f"abelian_variety:{g}",
         effective=effective,
     ).validate()
+    integer_scalar_blocks = all(
+        m[2 * i][2 * j].denominator == 1
+        and m[2 * i][2 * j] == m[2 * i + 1][2 * j + 1]
+        and m[2 * i][2 * j + 1] == m[2 * i + 1][2 * j] == 0
+        for i in range(g) for j in range(g)
+    )
     pull = exterior_pullback(
-        algebra, m, realizability=realizability, provenance="exterior"
+        algebra, m,
+        realizability=realizability if integer_scalar_blocks else "unverified",
+        provenance="exterior",
     )
     return model, pull
 

@@ -254,6 +254,61 @@ class TestRun:
         assert bounds["violations"] == 0 and len(bounds["checks"]) == 3
 
 
+    def test_a_hand_supplied_map_does_not_assert_equality(self):
+        # an asserted builder model with an unverified matrix map: a
+        # non-surjective f* whose radii disagree must not claim equality
+        cfg = {
+            "model": {"kind": "multiprojective", "n": [1, 1]},
+            "map": {"kind": "matrices",
+                    "blocks": [[[1]], [], [[2, 3], [0, 0]], [], [[0]]]},
+            "analyses": ["chain"],
+        }
+        results = run(parse_config(json.dumps(cfg))).results
+        assert results["model_summary"]["realizability"] == "asserted"
+        assert results["model_summary"]["map_realizability"] == "unverified"
+        assert results["chain"]["realizability"] == "unverified"
+        assert not results["chain"]["equality_asserted"]
+
+    def test_a_custom_model_with_the_identity_map_stays_unasserted(self):
+        cfg = {
+            "model": {"kind": "custom", "top_degree": 4, "dims": [1, 0, 1, 0, 1],
+                      "products": [{"a": [2, 0], "b": [2, 0], "value": [[0, 1]]}],
+                      "integrate": [1], "h": [1], "ambient_dim": 2},
+            "map": {"kind": "identity"},
+            "analyses": ["chain"],
+        }
+        results = run(parse_config(json.dumps(cfg))).results
+        assert results["model_summary"]["map_realizability"] == "asserted"
+        assert not results["chain"]["equality_asserted"]
+
+    def test_an_abelian_matrix_that_is_not_a_kronecker_square_is_unverified(self):
+        # I_2 (x) A with A = [[2, 1], [1, 1]]: (tr)^2 = 9 > 4 deg = 4 on each
+        # factor, so no elliptic curve has it; the equality indeed fails
+        cfg = {
+            "model": {"kind": "abelian", "g": 2},
+            "map": {"kind": "exterior", "matrix": [
+                [2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]},
+            "analyses": ["chain"],
+        }
+        results = run(parse_config(json.dumps(cfg))).results
+        assert results["model_summary"]["realizability"] == "asserted"
+        assert results["model_summary"]["map_realizability"] == "unverified"
+        assert not results["chain"]["equality_asserted"]
+        assert not results["chain"]["equality_holds"]
+
+    def test_one_order_of_a_custom_product_in_one_degree(self):
+        # only h1 h2 is given; h2 h1 comes from the sign rule
+        cfg = {
+            "model": {"kind": "custom", "top_degree": 4, "dims": [1, 0, 2, 0, 1],
+                      "products": [{"a": [2, 0], "b": [2, 1], "value": [[0, 1]]}],
+                      "integrate": [1], "h": [1, 1], "ambient_dim": 3},
+            "map": {"kind": "identity"},
+            "analyses": ["chain"],
+        }
+        results = run(parse_config(json.dumps(cfg))).results
+        assert results["model_summary"]["deg_x"] == 2
+
+
 class TestMainCommand:
     def _write(self, tmp_path, cfg, name="config.json"):
         path = tmp_path / name
@@ -643,6 +698,34 @@ class TestShippedConfigs:
         assert main(["report", "--config", str(path)]) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == SHIPPED_REPORT_SHA256[name]
+
+
+# the top of the scale ladder: abelian g = 4, gromov + chain, with the map
+# A (x) I_2; sha256 of the report's stdout
+ABELIAN_G4_A = [[2, 1, 0, 0], [1, 1, 1, 0], [0, 1, 3, 1], [1, 0, 0, 2]]
+ABELIAN_G4_SHA256 = (
+    "9543a1e225c32d0c6c95313643e6434950a9b949ee72c876a308baeb1bb122d9"
+)
+
+
+class TestScaleLadder:
+    def test_abelian_g4_report_bytes_are_pinned(self, tmp_path, capsys):
+        import hashlib
+
+        a = ABELIAN_G4_A
+        cfg = {
+            "model": {"kind": "abelian", "g": 4},
+            "map": {"kind": "exterior", "matrix": [
+                [a[i // 2][j // 2] if i % 2 == j % 2 else 0 for j in range(8)]
+                for i in range(8)
+            ]},
+            "analyses": ["gromov", "chain"],
+        }
+        path = tmp_path / "abelian_g4.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["report", "--config", str(path)]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == ABELIAN_G4_SHA256
 
 
 class TestComputeWorkloadBytes:

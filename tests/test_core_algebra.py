@@ -81,6 +81,21 @@ class TestBuildAlgebra:
         with pytest.raises(UnitViolation):
             build_algebra(2, [1, 0, 1], COMMUTATIVE, products, (1,))
 
+    def test_one_order_of_a_pair_in_one_degree_fills_its_mirror(self):
+        # h1 h2 = t given, h2 h1 filled from the sign rule; the block of
+        # degree pair (2, 2) is its own mirror
+        products = {((2, 0), (2, 1)): {0: 1}}
+        alg = build_algebra(4, [1, 0, 2, 0, 1], COMMUTATIVE, products, (1,))
+        h1, h2 = alg.basis_element(2, 0), alg.basis_element(2, 1)
+        assert alg.mul(h2, h1) == alg.mul(h1, h2) == alg.basis_element(4, 0)
+        assert alg.mul(h1, h1).is_zero()
+
+    def test_generators_take_a_class_that_is_no_product(self):
+        # x^2 = 0, so the top class is not a word in x and joins S itself
+        alg = build_algebra(4, [1, 0, 1, 0, 1], COMMUTATIVE, {}, (1,))
+        assert alg.generators == ((2, 0), (4, 0))
+        assert quotient_ring(3).generators == ((2, 0),)
+
     def test_shape_mismatches(self):
         with pytest.raises(ShapeMismatch):
             build_algebra(2, [2, 0, 1], COMMUTATIVE, {}, (1,))  # dims[0] != 1

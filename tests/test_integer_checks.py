@@ -2,16 +2,22 @@
 
 ``core._validate``, ``endo.validate_pullback`` and ``GradedAlgebra.mul`` all
 multiply on the one integer structure table, scaled by a common denominator.
-The reference checks below do the same scans in ``Fraction`` with the
-basis-pair oracles of ``support`` (which read each basis product as the
-table's entries over its denominator), in the same order, so on every mutant
-both must accept, or both must reject with the same violation class naming
-the same basis vector, pair or triple.  ``GradedAlgebra.mul``, ``Element``
-sums and multiples, ``PullbackMap.apply``, ``integrate`` and ``pair`` are
-compared with Fraction oracles on random elements of algebras whose
-constants are non-integer, and the certificate replay and the delta table
-are checked to do no Fraction arithmetic; the Gromov certificates are
-replayed with the oracle product in ``test_gromov.py``.
+The reference checks below scan every basis vector, pair and triple in
+``Fraction`` with the basis-pair oracles of ``support`` (which read each basis
+product as the table's entries over its denominator); they are the only full
+scans left.  The validators check associativity and multiplicativity on
+generators only (Light's test), so on every mutant both must accept, or both
+reject with the same violation class; a unit or sign violation names the same
+basis vector or pair, an associativity violation names a triple that really
+fails to associate under the oracle, and on the pullback mutants here the
+multiplicativity check names the oracle's first failing pair.  Patching the
+generators to a set that does not span lets known defects through, which
+shows that the spanning set is what makes the checks complete.
+``GradedAlgebra.mul``, ``Element`` sums and multiples, ``PullbackMap.apply``,
+``integrate`` and ``pair`` are compared with Fraction oracles on random
+elements of algebras whose constants are non-integer, and the certificate
+replay and the delta table are checked to do no Fraction arithmetic; the
+Gromov certificates are replayed with the oracle product in ``test_gromov.py``.
 """
 
 import random
@@ -23,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyndeg import core
-from dyndeg.core import SUPER_COMMUTATIVE, Element, build_algebra
+from dyndeg.core import SUPER_COMMUTATIVE, Element, ScaledTable, build_algebra
 from dyndeg.degrees import delta_table
 from dyndeg.endo import PullbackMap, validate_pullback
 from dyndeg.errors import (
@@ -36,6 +42,7 @@ from dyndeg.errors import (
 )
 from dyndeg.gromov import gromov_closure
 from dyndeg.models import (
+    abelian_variety,
     elliptic_square,
     exterior_algebra,
     multiprojective,
@@ -88,23 +95,20 @@ def reference_algebra_check(algebra):
                 raise SignRuleViolation((a, b))
     for a in positive:
         for b in positive:
-            dab = a[0] + b[0]
-            if dab >= top:
+            if a[0] + b[0] >= top:
                 continue
-            ab = basis_product(algebra, a, b)
             for c in positive:
-                dbc = b[0] + c[0]
-                if dab + c[0] > top:
-                    continue
-                bc = basis_product(algebra, b, c)
-                left = mul_vectors(
-                    algebra, dab, ab, c[0], _unit_vector(algebra, c)
-                )
-                right = mul_vectors(
-                    algebra, a[0], _unit_vector(algebra, a), dbc, bc
-                )
-                if left != right:
+                if a[0] + b[0] + c[0] <= top and not associates(algebra, a, b, c):
                     raise AssociativityViolation((a, b, c))
+
+
+def associates(algebra, a, b, c):
+    """(e_a e_b) e_c = e_a (e_b e_c), in Fraction with the oracle product."""
+    left = mul_vectors(algebra, a[0] + b[0], basis_product(algebra, a, b),
+                       c[0], _unit_vector(algebra, c))
+    right = mul_vectors(algebra, a[0], _unit_vector(algebra, a),
+                        b[0] + c[0], basis_product(algebra, b, c))
+    return left == right
 
 
 def _unit_vector(algebra, b):
@@ -238,7 +242,10 @@ class TestIntegerAlgebraChecks:
         assert outcome(reference_algebra_check, host) is None
         assert outcome(core._validate, host) is None
 
-    def test_mutants_name_the_same_violation(self):
+    def test_mutants_get_the_same_verdict_and_a_true_witness(self):
+        # the unit and sign loops scan as the reference does, so they name
+        # the same vector or pair; associativity is checked on generators
+        # only, so its triple may differ, but must really fail to associate
         rng = random.Random(20261018)
         verdicts = set()
         for trial in range(300):
@@ -249,8 +256,15 @@ class TestIntegerAlgebraChecks:
             )
             mutant = rebuild(host, products, scales, validate=False)
             expected = outcome(reference_algebra_check, mutant)
-            assert outcome(core._validate, mutant) == expected, trial
-            verdicts.add(expected and expected["error"])
+            got = outcome(core._validate, mutant)
+            verdict = expected and expected["error"]
+            assert (got and got["error"]) == verdict, trial
+            if verdict == "AssociativityViolation":
+                x, s, y = map(tuple, got["triple"])
+                assert not associates(mutant, x, s, y), trial
+            else:
+                assert got == expected, trial
+            verdicts.add(verdict)
         # the fuzzer reaches every verdict
         assert verdicts == {
             None, "UnitViolation", "SignRuleViolation", "AssociativityViolation"
@@ -283,6 +297,82 @@ class TestIntegerAlgebraChecks:
         host = projective_space(1).algebra
         with pytest.raises(ShapeMismatch):
             build_algebra(2, host.dims, "graded", {}, (1,))
+
+
+# ---------------------------------------------------------------------------
+# Light's test: associativity and multiplicativity checked on generators
+# ---------------------------------------------------------------------------
+
+def patched_generators(subset):
+    return mock.patch.object(
+        core.GradedAlgebra, "generators", property(lambda self: subset)
+    )
+
+
+class TestLightsTest:
+    def test_builder_battery_generators(self):
+        for name, model, _ in builder_battery():
+            alg = model.algebra
+            if name.startswith("ExE"):  # exterior: the degree-1 basis
+                expected = [(1, p) for p in range(4)]
+            else:  # the degree-2 basis: h on P^n, the h_i on (P^n)^k, and
+                # the lattice on surfaces
+                expected = [(2, p) for p in range(alg.dims[2])]
+            assert list(alg.generators) == expected, name
+        assert exterior_algebra(3).generators == tuple((1, p) for p in range(6))
+        assert multiprojective([2, 1]).algebra.generators == ((2, 0), (2, 1))
+
+    def test_a_subset_that_does_not_span_misses_an_associativity_defect(self):
+        # (P^1)^3 with h1 h1 = h1 h2: (h1 h1) h3 != h1 (h1 h3) = 0.  With
+        # S = {h3} no check multiplies two degree-2 classes together, and
+        # h3 alone does not span, so the defect passes unseen
+        host = multiprojective([1, 1, 1]).algebra
+        products = structure_constants(host)
+        products[((2, 0), (2, 0))] = {0: Fraction(1)}
+        mutant = rebuild(host, products, validate=False)
+        assert outcome(reference_algebra_check, mutant)["error"] == (
+            "AssociativityViolation"
+        )
+        with patched_generators(((2, 2),)):
+            core._validate(mutant)
+        with pytest.raises(AssociativityViolation) as exc:
+            core._validate(mutant)
+        assert not associates(mutant, *exc.value.triple)
+
+    def test_a_subset_that_does_not_span_misses_a_multiplicativity_defect(self):
+        # on P^1 x P^1, f(h1) = h1, f(h2) = h1 + h2, f(h1 h2) = h1 h2:
+        # f(h2)^2 = 2 h1 h2 != f(h2^2) = 0, seen only with s = h2
+        model = multiprojective([1, 1])
+        blocks = [[[1]], [], [[1, 1], [0, 1]], [], [[1]]]
+        assert multiplicativity_witness(model.algebra, blocks) == (
+            (2, 1), (2, 1)
+        )
+        with patched_generators(((2, 0),)):
+            validate_pullback(model.algebra, blocks)
+        with pytest.raises(MultiplicativityViolation) as exc:
+            validate_pullback(model.algebra, blocks)
+        assert exc.value.pair == ((2, 1), (2, 1))
+
+    def test_g3_work_count_is_under_half_the_full_loops(self, monkeypatch):
+        # ScaledTable.multiply calls to build exterior_algebra(3) and validate
+        # a g = 3 pullback: 38,683 with the loops over every basis triple and
+        # pair, 8,544 on generators
+        a = [[1, -1, 2], [2, 1, -1], [-1, 2, 1]]
+        matrix = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0
+                   for j in range(6)] for i in range(6)]
+        blocks = [[list(row) for row in b]
+                  for b in abelian_variety(3, matrix)[1].blocks]
+        calls = []
+        multiply = ScaledTable.multiply
+
+        def counted(self, *args):
+            calls.append(None)
+            return multiply(self, *args)
+
+        monkeypatch.setattr(ScaledTable, "multiply", counted)
+        algebra = exterior_algebra.__wrapped__(3)
+        validate_pullback(algebra, blocks)
+        assert len(calls) <= 38683 // 2
 
 
 def scaled_battery_algebras():

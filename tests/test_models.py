@@ -108,6 +108,19 @@ class TestAbelianVariety:
         for i in range(5):
             assert f.graded_trace(i) == (-1) ** i * coeffs[i]
 
+    def test_only_a_kronecker_square_map_is_asserted(self):
+        # A (x) I_2 is End(E^2) acting on H^1; I_2 (x) A and a rational
+        # scalar block are not, and the model keeps its own tag
+        _, f = abelian_variety(2, [[2, 0, 1, 0], [0, 2, 0, 1],
+                                   [1, 0, 1, 0], [0, 1, 0, 1]])
+        assert f.realizability == "asserted"
+        for m in ([[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]],
+                  [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]):
+            model, f = abelian_variety(len(m) // 2, m)
+            assert (model.realizability, f.realizability) == (
+                "asserted", "unverified"
+            )
+
     def test_degenerate_polarization_rejected(self):
         with pytest.raises(AmpleClassDegenerate):
             abelian_variety(2, [[1, 0, 0, 0], [0, 1, 0, 0],
