@@ -17,36 +17,41 @@ import importlib
 
 __version__ = "0.1.0"
 
+# the sign rules of a graded product: x*y = y*x, or x*y = (-1)^(ij) y*x for
+# x of degree i and y of degree j (here, so the CLI loads no submodule)
+COMMUTATIVE = "commutative"
+SUPER_COMMUTATIVE = "super_commutative"
+
 # submodule -> the public names it defines
 _EXPORTS = {
-    "core": (
-        "COMMUTATIVE", "SUPER_COMMUTATIVE", "Element", "GradedAlgebra",
-        "build_algebra",
+    "abelian": (
+        "abelian_variety", "elliptic_square", "exterior_algebra",
+        "exterior_pullback",
     ),
+    "core": ("Element", "GradedAlgebra", "build_algebra"),
     "degrees": (
         "DeltaTable", "bound_constant", "check_intersection_bound", "delta",
-        "delta_table", "graph_class", "growth_rates", "moving_ledger",
-        "segre_graph_degree",
+        "delta_table", "graph_class", "growth_rates", "limsup_root",
+        "moving_ledger", "segre_graph_degree",
     ),
     "endo": ("PullbackMap", "identity_map", "power_map", "validate_pullback"),
     "estimators": (
-        "combined_limsup_bound", "gelfand_sequence", "limsup_root",
-        "trace_radius_estimate", "trace_sequence",
+        "combined_limsup_bound", "gelfand_sequence", "trace_radius_estimate",
+        "trace_sequence",
     ),
     "gromov": (
         "ChainReport", "GromovSubalgebra", "gromov_closure", "lambda_gr",
         "spectral_chain",
     ),
-    "models": (
-        "EffectiveClass", "EmbeddedModel", "abelian_variety", "custom_model",
-        "elliptic_square", "exterior_algebra", "exterior_pullback",
+    "lattice": ("surface_lattice",),
+    "models": ("EffectiveClass", "EmbeddedModel", "custom_model"),
+    "projective": (
         "multiprojective", "pn_power_map", "product_map", "projective_space",
-        "surface_lattice",
     ),
     "spectral": ("char_poly", "spectral_radius"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = list(_OWNER)
+__all__ = ["COMMUTATIVE", "SUPER_COMMUTATIVE", *_OWNER]
 
 
 def __getattr__(name):

@@ -16,12 +16,12 @@ Exit codes: 0 success, 2 usage error or config/model validation failure,
 structured JSON, validation failures with a JSON pointer path per violation.
 Partial results are never emitted.
 
-Only the stdlib, ``errors`` and ``linalg`` load with this module, so a config
-the schema rejects costs little more than interpreter start-up.  The model
-layers (``models``, ``endo``, ``core``) load once a config has parsed,
-``degrees`` only for a delta table, graph class or bounds, ``estimators``
-once a growth rate is asked for, and ``gromov`` with ``spectral`` only for
-the ``gromov`` and ``chain`` analyses.
+Only the stdlib and ``errors`` load with this module, so a config the schema
+rejects costs little more than interpreter start-up.  A config that parses
+loads ``models``, ``core``, ``endo``, ``linalg`` and its kind's builders
+(``projective``, ``abelian`` or ``lattice``); ``report`` and ``delta`` add
+``analyses``, ``degrees`` only for a delta table, graph class or bounds, and
+``gromov`` with ``spectral`` only for ``gromov`` and ``chain``.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
-from . import __version__
+from . import COMMUTATIVE, SUPER_COMMUTATIVE, __version__
 from .errors import (BadMatrixShape, DynDegError, SchemaError, UnknownModelKind,
                      UsageError)
-from .linalg import COMMUTATIVE, SUPER_COMMUTATIVE, as_fraction, identity
 
 if TYPE_CHECKING:
     from .endo import PullbackMap
@@ -97,21 +96,13 @@ class Report(NamedTuple):
 # canonical JSON
 # ---------------------------------------------------------------------------
 
-def _canonical_float(x: float) -> float:
-    return float(format(x, ".12g"))
-
-
 def encode_value(value):
     """Recursively convert report values to canonical JSON-ready objects."""
     if isinstance(value, Fraction):
         return {"num": str(value.numerator), "den": str(value.denominator)}
-    if isinstance(value, bool) or value is None:
-        return value
     if isinstance(value, float):
-        return _canonical_float(value)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
+        return float(format(value, ".12g"))
+    if value is None or isinstance(value, (int, str)):  # a bool is an int
         return value
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
@@ -336,14 +327,14 @@ def _kind_of(c: _Collector, raw: dict, part: str, kinds, category="schema"):
 # map spec without them ("identity", "matrices") gives the identity map.
 
 def _build_projective(spec, map_spec):
-    from .models import pn_power_map, projective_space
+    from .projective import pn_power_map, projective_space
 
     model = projective_space(spec["n"])
     return model, pn_power_map(model, map_spec.get("d", 1))
 
 
 def _build_multiprojective(spec, map_spec):
-    from .models import multiprojective, product_map
+    from .projective import multiprojective, product_map
 
     k = len(spec["n"])
     model = multiprojective(spec["n"])
@@ -353,7 +344,8 @@ def _build_multiprojective(spec, map_spec):
 
 
 def _build_abelian(spec, map_spec):
-    from .models import abelian_variety
+    from .abelian import abelian_variety
+    from .linalg import identity
 
     g = spec["g"]
     omega = None
@@ -363,7 +355,8 @@ def _build_abelian(spec, map_spec):
 
 
 def _build_surface_lattice(spec, map_spec):
-    from .models import surface_lattice
+    from .lattice import surface_lattice
+    from .linalg import identity
 
     gram = spec["gram"]
     return surface_lattice(
@@ -428,6 +421,8 @@ def _check_length(c: _Collector, path: str, vector, degree: int, dims,
 
 def _check_divisor(c: _Collector, path: str, vector, dims) -> None:
     """A nonzero class of degree 2."""
+    from .linalg import as_fraction
+
     if _check_length(c, path, vector, 2, dims) and not any(map(as_fraction, vector)):
         c.add(path, "expected a nonzero class")
 
@@ -456,6 +451,8 @@ def _check_products(c: _Collector, products, dims) -> None:
 
 
 def _check_custom(c: _Collector, spec, map_spec) -> None:
+    from .linalg import as_fraction
+
     dims = spec["dims"]
     if len(dims) != spec["top_degree"] + 1:
         c.add("/model/dims", "expected top_degree + 1 dimensions")
@@ -667,135 +664,6 @@ def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
 # analyses
 # ---------------------------------------------------------------------------
 
-def _run_delta_table(model, pull, config, table):
-    from .degrees import growth_rates
-
-    rates = growth_rates(table)
-    return {
-        "m_max": table.m_max,
-        "deg_x": table.deg_x,
-        "rows": [list(row) for row in table.rows],
-        "growth_rates": list(rates.rates),
-        "max_rate": rates.max_rate,
-        "window": rates.window,
-    }
-
-
-def _run_gromov(model, pull, config, closure):
-    from .gromov import lambda_gr
-
-    rho, err = lambda_gr(closure, config.tol)
-    return {
-        "dimension": closure.dimension,
-        "dims_by_degree": list(closure.dims_by_degree),
-        "certificates": len(closure.certificates),
-        "certificates_verified": closure.verify_certificates(),
-        "sweeps": closure.sweeps,
-        "lambda_gr": rho,
-        "lambda_gr_error": err,
-    }
-
-
-def _run_chain(model, pull, config, closure):
-    from .gromov import spectral_chain
-
-    # equality is asserted only when the model and the map both are asserted
-    report = spectral_chain(
-        model.algebra,
-        pull,
-        model.h,
-        tol=config.tol,
-        realizability=(model.realizability if pull.realizability == "asserted"
-                       else pull.realizability),
-        scope_note=model.scope_note,
-        closure=closure,
-    )
-    return {
-        "lambda_gr": report.lambda_gr,
-        "lambda_gr_error": report.lambda_gr_error,
-        "lambda_by_codim": list(report.lambda_by_codim),
-        "mu_by_degree": list(report.mu_by_degree),
-        "max_lambda": report.max_lambda,
-        "max_mu": report.max_mu,
-        "chain_holds": report.chain_holds,
-        "equality_holds": report.equality_holds,
-        "equality_asserted": report.equality_asserted,
-        "realizability": report.realizability,
-        "scope_note": report.scope_note,
-        "tol": report.tol,
-        "gromov_dims": list(report.gromov_dims),
-        "chi_note": "homological and numerical radii coincide in explicit models",
-    }
-
-
-def _run_graph_class(model, pull, config, table):
-    from .degrees import graph_class, segre_graph_degree
-
-    per_m = []
-    for m in range(1, config.m_max + 1):
-        comps = graph_class(model, pull, m, table)
-        segre = segre_graph_degree(model, pull, m, table)
-        per_m.append({
-            "m": m,
-            "coefficients": [comp.coefficient for comp in comps],
-            "labels": [comp.label for comp in comps],
-            "segre_degree": segre.value,
-            "segre_expected": segre.expected,
-            "segre_matches": segre.matches,
-        })
-    return {"per_m": per_m}
-
-
-def _run_bounds(model, pull, config):
-    from .degrees import bound_constant, check_intersection_bound, moving_ledger
-
-    alg = model.algebra
-    constant = bound_constant(model.r, model.deg_x)
-    checks = []
-    violations = 0
-    for ec_v in model.effective:
-        for ec_w in model.effective:
-            dv, dw = ec_v.element.degrees(), ec_w.element.degrees()
-            if len(dv) != 1 or len(dw) != 1 or dv[0] + dw[0] != alg.top_degree:
-                continue
-            res = check_intersection_bound(model, ec_v.element, ec_w.element)
-            checks.append({
-                "v": ec_v.label,
-                "w": ec_w.label,
-                "pairing": res.pairing,
-                "deg_v": res.deg_v,
-                "deg_w": res.deg_w,
-                "ok": res.ok,
-            })
-            violations += 0 if res.ok else 1
-    ledger = moving_ledger(model.r, model.deg_x, 1, 1, model.r + 1)
-    return {
-        "constant": constant,
-        "checks": checks,
-        "violations": violations,
-        "moving_ledger": {
-            "k": ledger.k,
-            "v_degrees": list(ledger.v_degrees),
-            "e_degrees": list(ledger.e_degrees),
-            "bound": ledger.bound,
-        },
-        "ledger_within_constant": ledger.bound <= constant,
-    }
-
-
-_ANALYSIS_RUNNERS = {
-    "delta-table": _run_delta_table,
-    "gromov": _run_gromov,
-    "chain": _run_chain,
-    "graph-class": _run_graph_class,
-    "bounds": _run_bounds,
-}
-# analyses whose runners also take the run's one DeltaTable, or its one
-# Gromov closure
-_TABLE_ANALYSES = frozenset({"delta-table", "graph-class"})
-_CLOSURE_ANALYSES = frozenset({"gromov", "chain"})
-
-
 def run(config: RunConfig) -> Report:
     """Execute every requested analysis; deterministic for identical configs.
 
@@ -815,24 +683,26 @@ def run(config: RunConfig) -> Report:
             "map_realizability": pull.realizability,
         }
     }
+    from . import analyses
+
     try:
         table = closure = None
-        if not _TABLE_ANALYSES.isdisjoint(config.analyses):
+        if not analyses.TABLE_ANALYSES.isdisjoint(config.analyses):
             from .degrees import delta_table
 
             table = delta_table(model, pull, config.m_max)
-        if not _CLOSURE_ANALYSES.isdisjoint(config.analyses):
+        if not analyses.CLOSURE_ANALYSES.isdisjoint(config.analyses):
             from .gromov import gromov_closure
 
             closure = gromov_closure(model.algebra, pull, model.h)
         for analysis in dict.fromkeys(config.analyses):
-            if analysis in _TABLE_ANALYSES:
+            if analysis in analyses.TABLE_ANALYSES:
                 shared = (table,)
-            elif analysis in _CLOSURE_ANALYSES:
+            elif analysis in analyses.CLOSURE_ANALYSES:
                 shared = (closure,)
             else:
                 shared = ()
-            results[analysis] = _ANALYSIS_RUNNERS[analysis](
+            results[analysis] = analyses.RUNNERS[analysis](
                 model, pull, config, *shared
             )
     except DynDegError as exc:

@@ -30,20 +30,14 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from . import COMMUTATIVE, SUPER_COMMUTATIVE
 from .errors import (
     AssociativityViolation,
     ShapeMismatch,
     SignRuleViolation,
     UnitViolation,
 )
-from .linalg import (
-    COMMUTATIVE,
-    SUPER_COMMUTATIVE,
-    Echelon,
-    as_fraction,
-    det,
-    scaled_matrix,
-)
+from .linalg import Echelon, as_fraction, det, scaled_matrix
 
 BasisIndex = tuple[int, int]  # (degree, index within the graded piece)
 
@@ -494,14 +488,14 @@ def _validate(algebra: GradedAlgebra):
 
     Every check compares integer vectors that are the rational ones times a
     fixed positive factor (D, or D^2 for associativity), so it holds exactly
-    when the rational check does.  The unit and sign checks visit every basis
-    vector and pair.  Associativity is Light's test (Clifford and Preston,
-    *The Algebraic Theory of Semigroups* I, 1.2): the a with (x a) y = x (a y)
-    for all x, y form a subspace that holds 1 and is closed under products,
-    so it is the whole algebra once it holds ``algebra.generators``.  Only
-    (x s) y = x (s y) for basis vectors x <= y and s in S is checked (the
-    sign rule gives the other order), and a violation names such a triple
-    (x, s, y).
+    when the rational check does.  The unit check visits every basis vector,
+    the sign check every unordered pair.  Associativity is Light's test
+    (Clifford and Preston, *The Algebraic Theory of Semigroups* I, 1.2): the
+    a with (x a) y = x (a y) for all x, y form a subspace that holds 1 and
+    is closed under products, so it is the whole algebra once it holds
+    ``algebra.generators``.  Only (x s) y = x (s y) for basis vectors x <= y
+    and s in S is checked (the sign rule gives the other order), and a
+    violation names such a triple (x, s, y).
     """
     table = algebra.scaled_table
     den = table.denominator
@@ -525,8 +519,11 @@ def _validate(algebra: GradedAlgebra):
     positive = [b for b in basis if b[0] >= 1]
     top = algebra.top_degree
 
-    for a in positive:
-        for b in positive:
+    # (a, b) and (b, a) state the same condition, so only a <= b is scanned;
+    # the first violation in the full scan order has a <= b, so it is the
+    # pair named
+    for n, a in enumerate(positive):
+        for b in positive[n:]:
             i, j = a[0], b[0]
             if i + j > top:
                 continue

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import Element
 from .endo import PullbackMap, power_map
@@ -94,6 +94,45 @@ def delta_table(model: EmbeddedModel, f: PullbackMap, m_max: int) -> DeltaTable:
     return DeltaTable(r=model.r, m_max=m_max, rows=tuple(rows), deg_x=model.deg_x)
 
 
+def _root_of_abs(value, m: int) -> float:
+    """|value|^{1/m} computed through logs; safe for huge exact rationals."""
+    if value == 0:
+        return 0.0
+    if isinstance(value, Fraction):
+        log_abs = math.log(abs(value.numerator)) - math.log(value.denominator)
+    elif isinstance(value, int):
+        log_abs = math.log(abs(value))
+    else:
+        v = abs(float(value))
+        if v == 0.0:
+            return 0.0
+        log_abs = math.log(v)
+    return math.exp(log_abs / m)
+
+
+def default_window(length: int) -> int:
+    """Trailing-window size covering m in [length/2, length]."""
+    return max(1, min(length, length - length // 2 + 1))
+
+
+def limsup_root(sequence: Sequence, window: int | None = None) -> float:
+    """Finite limsup estimate: max of |a_m|^{1/m} over the trailing window.
+
+    The sequence is indexed from m = 1.  A windowed max is the honest finite
+    truncation of a limsup: oscillating sequences (complex eigenvalues, sign
+    mixing) dip arbitrarily low at single m's but cannot beat the max.
+    """
+    seq = list(sequence)
+    if not seq:
+        raise ShapeMismatch("limsup_root of an empty sequence")
+    if window is None:
+        window = default_window(len(seq))
+    if not (1 <= window <= len(seq)):
+        raise ShapeMismatch("window must be within the sequence length")
+    start = len(seq) - window
+    return max(_root_of_abs(seq[m], m + 1) for m in range(start, len(seq)))
+
+
 class GrowthRates(NamedTuple):
     rates: tuple[float, ...]
     max_rate: float
@@ -110,8 +149,6 @@ def growth_rates(table: DeltaTable, window: int | None = None) -> GrowthRates:
     inflation (the identity map then reports exactly 1 in every row).
     All-zero rows report rate 0 (non-dominant maps are allowed).
     """
-    from .estimators import default_window, limsup_root  # only tables need it
-
     if window is None:
         window = default_window(table.m_max)
     rates = tuple(

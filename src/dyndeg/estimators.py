@@ -1,5 +1,7 @@
-"""Floating-point estimators of the spectral radius, and the limsup
-utilities the growth arguments rest on.
+"""Floating-point estimators of the spectral radius, and a limsup bound for
+combined sequences.  The limsup utilities they rest on (``limsup_root``,
+``default_window``) live beside ``degrees.growth_rates``, their one caller in
+a report, so that no command loads this module.
 
 Norm doubling (Gelfand's formula) and trace growth are estimators, not
 certificates, and they are independent of the exact route in
@@ -19,6 +21,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+from .degrees import _root_of_abs, default_window, limsup_root
 from .errors import FloatOverflow, ShapeMismatch, ZeroWeight
 from .linalg import Matrix, as_matrix, mat_mul, trace
 
@@ -95,22 +98,6 @@ def gelfand_sequence(matrix: Sequence[Sequence], doublings: int):
     return out
 
 
-def _root_of_abs(value, m: int) -> float:
-    """|value|^{1/m} computed through logs; safe for huge exact rationals."""
-    if value == 0:
-        return 0.0
-    if isinstance(value, Fraction):
-        log_abs = math.log(abs(value.numerator)) - math.log(value.denominator)
-    elif isinstance(value, int):
-        log_abs = math.log(abs(value))
-    else:
-        v = abs(float(value))
-        if v == 0.0:
-            return 0.0
-        log_abs = math.log(v)
-    return math.exp(log_abs / m)
-
-
 def trace_sequence(matrix: Sequence[Sequence], m_max: int):
     """The sequence ``(m, |Tr(M^m)|^{1/m})`` for m = 1..m_max.
 
@@ -162,29 +149,6 @@ def trace_radius_estimate(matrix: Sequence[Sequence], m_max: int) -> float:
     """
     seq = trace_sequence(matrix, m_max)
     return max(est for m, est in seq if m >= m_max // 2)
-
-
-def default_window(length: int) -> int:
-    """Trailing-window size covering m in [length/2, length]."""
-    return max(1, min(length, length - length // 2 + 1))
-
-
-def limsup_root(sequence: Sequence, window: int | None = None) -> float:
-    """Finite limsup estimate: max of |a_m|^{1/m} over the trailing window.
-
-    The sequence is indexed from m = 1.  A windowed max is the honest finite
-    truncation of a limsup: oscillating sequences (complex eigenvalues, sign
-    mixing) dip arbitrarily low at single m's but cannot beat the max.
-    """
-    seq = list(sequence)
-    if not seq:
-        raise ShapeMismatch("limsup_root of an empty sequence")
-    if window is None:
-        window = default_window(len(seq))
-    if not (1 <= window <= len(seq)):
-        raise ShapeMismatch("window must be within the sequence length")
-    start = len(seq) - window
-    return max(_root_of_abs(seq[m], m + 1) for m in range(start, len(seq)))
 
 
 class CombinedLimsupBound(NamedTuple):

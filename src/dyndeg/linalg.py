@@ -1,7 +1,7 @@
 """Exact rational linear algebra on plain nested tuples of ``Fraction``.
 
 Matrices are immutable tuples of row tuples.  Everything here is exact; the
-floating-point estimation paths live in :mod:`dyndeg.spectral`.
+floating-point estimators live in :mod:`dyndeg.estimators`.
 
 The two eliminations run in ``int``: ``det`` is Bareiss elimination on the
 matrix times its common denominator, and ``Echelon`` keeps each row as integer
@@ -21,12 +21,6 @@ from .errors import ShapeMismatch
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
-
-# the sign rules of a graded product: x*y = y*x, or x*y = (-1)^(ij) y*x for x
-# of degree i and y of degree j; here so that the CLI schema can name them
-# without loading the algebra
-COMMUTATIVE = "commutative"
-SUPER_COMMUTATIVE = "super_commutative"
 
 
 def as_fraction(x) -> Fraction:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from dyndeg.core import Element, GradedAlgebra
 from dyndeg.endo import PullbackMap, validate_pullback
-from dyndeg.linalg import identity, mat_vec
+from dyndeg.linalg import as_matrix, det, identity, mat_vec, transpose
 from dyndeg.errors import SpectralNonconvergence
 from dyndeg.models import (
     EmbeddedModel,
@@ -349,6 +349,22 @@ def fraction_det(a):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def det_wedge_blocks(matrix):
+    """The blocks wedge^k (matrix^T), k = 0..n, of ``exterior_pullback``,
+    with every entry a separate ``linalg.det`` of a minor: the reference for
+    the Laplace expansion that builds them there."""
+    b = transpose(as_matrix(matrix))
+    blocks = []
+    for k in range(len(b) + 1):
+        subsets = list(itertools.combinations(range(len(b)), k))
+        blocks.append(tuple(
+            tuple(det(tuple(tuple(b[a][c] for c in t) for a in s))
+                  for t in subsets)
+            for s in subsets
+        ))
+    return tuple(blocks)
 
 
 class FractionEchelon:

@@ -516,13 +516,13 @@ class TestMainCommand:
 class TestExitCodes:
     def test_analysis_error_exits_three(self, tmp_path, capsys, monkeypatch):
         # model and map build fine; force the analysis itself to fail
-        from dyndeg import cli as cli_module
+        from dyndeg import analyses
         from dyndeg.errors import SpectralNonconvergence
 
         def boom(model, pull, config, closure):
             raise SpectralNonconvergence(1.0, 0.5)
 
-        monkeypatch.setitem(cli_module._ANALYSIS_RUNNERS, "chain", boom)
+        monkeypatch.setitem(analyses.RUNNERS, "chain", boom)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(p2_config()))
         assert main(["report", "--config", str(path)]) == 3
@@ -533,6 +533,7 @@ class TestExitCodes:
     def test_stage_decides_the_exit_code_without_a_rebuild(
         self, tmp_path, capsys, monkeypatch
     ):
+        from dyndeg import analyses
         from dyndeg import cli as cli_module
         from dyndeg.errors import SpectralNonconvergence
 
@@ -547,7 +548,7 @@ class TestExitCodes:
             raise SpectralNonconvergence(1.0, 0.5)
 
         monkeypatch.setattr(cli_module, "build_model_and_map", counting_build)
-        monkeypatch.setitem(cli_module._ANALYSIS_RUNNERS, "chain", boom)
+        monkeypatch.setitem(analyses.RUNNERS, "chain", boom)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(p2_config()))
         assert main(["report", "--config", str(path)]) == 3
@@ -834,8 +835,64 @@ class TestLazyImports:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"model": {"kind": "projective", "n": 0}}))
         assert self._after_main(["report", "--config", str(path)]) == (
-            {"dyndeg", "dyndeg.cli", "dyndeg.errors", "dyndeg.linalg"}, []
+            {"dyndeg", "dyndeg.cli", "dyndeg.errors"}, []
         )
+
+    def test_an_abelian_validate_loads_only_the_abelian_builders(self, tmp_path):
+        path = tmp_path / "abelian.json"
+        path.write_text(json.dumps({
+            "model": {"kind": "abelian", "g": 2},
+            "map": {"kind": "exterior", "matrix": [
+                [2, 0, 1, 0], [0, 2, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]]},
+            "analyses": ["chain"],
+        }))
+        modules, _ = self._after_main(
+            ["validate", "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert {"dyndeg.models", "dyndeg.abelian"} <= modules
+        assert not modules & {
+            "dyndeg.projective", "dyndeg.lattice", "dyndeg.analyses",
+            "dyndeg.degrees", "dyndeg.estimators",
+        }
+
+    @pytest.mark.parametrize("command", ["delta", "report"])
+    def test_no_report_loads_the_estimators(self, tmp_path, command):
+        path = tmp_path / "p2.json"
+        path.write_text(json.dumps(p2_config(analyses=[
+            "delta-table", "gromov", "chain", "graph-class", "bounds",
+        ])))
+        modules, _ = self._after_main(
+            [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert {"dyndeg.projective", "dyndeg.analyses",
+                "dyndeg.degrees"} <= modules
+        assert not modules & {"dyndeg.estimators", "dyndeg.abelian",
+                              "dyndeg.lattice"}
+
+    def test_the_builders_still_resolve_through_models(self):
+        script = textwrap.dedent("""
+            import importlib, dyndeg
+            from dyndeg import models
+            from dyndeg.models import pn_power_map
+            from dyndeg.projective import pn_power_map as own
+            assert pn_power_map is own
+            models.exterior_algebra.cache_clear()
+            assert models.exterior_algebra(1).dims == (1, 2, 1)
+            for module, names in dyndeg._EXPORTS.items():
+                for name in names:
+                    assert getattr(dyndeg, name) is getattr(
+                        importlib.import_module("dyndeg." + module), name)
+            for module in models._BUILDER_MODULES:
+                for name in dyndeg._EXPORTS[module]:
+                    assert getattr(models, name) is getattr(dyndeg, name), name
+            try:
+                models.no_such_builder
+            except AttributeError:
+                pass
+            else:
+                raise AssertionError("an unknown name resolved")
+        """)
+        subprocess.run([sys.executable, "-c", script], check=True)
 
     @pytest.mark.parametrize("command, absent", [
         ("validate", {"dyndeg.degrees", "dyndeg.gromov", "dyndeg.spectral",
@@ -873,8 +930,7 @@ class TestLazyImports:
     ])
     def test_help_and_usage_errors_load_no_unneeded_module(self, argv):
         modules, stdlib = self._after_main(argv)
-        assert modules == {"dyndeg", "dyndeg.cli", "dyndeg.errors",
-                           "dyndeg.linalg"}
+        assert modules == {"dyndeg", "dyndeg.cli", "dyndeg.errors"}
         assert stdlib == []
 
     @pytest.mark.parametrize("command", ["report", "delta", "validate"])

@@ -293,6 +293,30 @@ class TestIntegerAlgebraChecks:
             rebuild(host, bad, scales)
         assert exc.value.payload() == expected
 
+    def test_a_sign_violation_names_the_first_pair_of_the_full_scan(self):
+        # the sign loop scans only pairs a <= b in the basis; on a custom
+        # algebra whose products break the sign rule in two pairs, it names
+        # the pair that the reference scan over every ordered pair finds
+        # first, and building the model raises that payload
+        from dyndeg.models import custom_model
+
+        gram = [[1, 2, 3], [2, 0, 1], [3, 1, 1]]
+        products = [{"a": [2, p], "b": [2, q], "value": {"0": gram[p][q]}}
+                    for p in range(3) for q in range(3)]
+        products[2 * 3 + 1]["value"] = {"0": 5}  # h2 h1 = 5, h1 h2 = 1
+        products[2 * 3 + 0]["value"] = {"0": -3}  # h2 h0 = -3, h0 h2 = 3
+        params = {"top_degree": 4, "dims": [1, 0, 3, 0, 1],
+                  "products": products, "integrate": [1], "h": [1, 0, 0],
+                  "ambient_dim": 4}
+        with mock.patch.object(core, "_validate", lambda alg: None):
+            mutant = custom_model(params).algebra
+        expected = outcome(reference_algebra_check, mutant)
+        assert expected == SignRuleViolation(((2, 0), (2, 2))).payload()
+        assert outcome(core._validate, mutant) == expected
+        with pytest.raises(SignRuleViolation) as exc:
+            custom_model(params)
+        assert exc.value.payload() == expected
+
     def test_unknown_sign_rule_is_still_rejected(self):
         host = projective_space(1).algebra
         with pytest.raises(ShapeMismatch):

@@ -19,6 +19,8 @@ from dyndeg.models import (
     abelian_variety,
     custom_model,
     elliptic_square,
+    exterior_algebra,
+    exterior_pullback,
     multiprojective,
     pn_power_map,
     product_map,
@@ -28,7 +30,7 @@ from dyndeg.models import (
 from dyndeg.linalg import as_matrix, det, mat_mul, transpose
 from dyndeg.spectral import char_poly
 
-from support import builder_battery
+from support import builder_battery, det_wedge_blocks
 
 
 class TestProjectiveSpace:
@@ -136,6 +138,28 @@ class TestAbelianVariety:
     def test_elliptic_square_requires_integer_entries(self):
         with pytest.raises(ShapeMismatch):
             elliptic_square([[Fraction(1, 2), 0], [0, 1]])
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_wedge_blocks_match_the_det_route(self, g, rational):
+        # the Laplace expansion in int against one Fraction det per entry,
+        # on random matrices that are mostly not A (x) I_2; their zero
+        # entries, and a zero row in the last trial, take the expansion's
+        # skip of zero terms
+        import random
+
+        rng = random.Random(f"wedge:{g}:{rational}")
+        n = 2 * g
+        for trial in range(4):
+            m = [[Fraction(rng.randint(-4, 4),
+                           rng.randint(1, 6) if rational else 1)
+                  for _ in range(n)] for _ in range(n)]
+            if trial == 3:
+                m[0] = [Fraction(0)] * n
+            if rational:  # at least one entry that is no integer
+                m[n - 1][0] += Fraction(1, 3)
+            pull = exterior_pullback(exterior_algebra(g), m)
+            assert pull.blocks == det_wedge_blocks(m), trial
 
 
 class TestSurfaceLattice:
