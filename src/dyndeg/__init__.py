@@ -30,11 +30,11 @@ _EXPORTS = {
     ),
     "core": ("Element", "GradedAlgebra", "build_algebra"),
     "degrees": (
-        "DeltaTable", "bound_constant", "check_intersection_bound", "delta",
+        "DeltaTable", "bound_constant", "check_intersection_bound",
         "delta_table", "graph_class", "growth_rates", "limsup_root",
         "moving_ledger", "segre_graph_degree",
     ),
-    "endo": ("PullbackMap", "identity_map", "power_map", "validate_pullback"),
+    "endo": ("PullbackMap", "identity_map", "validate_pullback"),
     "estimators": (
         "combined_limsup_bound", "gelfand_sequence", "trace_radius_estimate",
         "trace_sequence",

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 # called, so a wrapper bound there (a tracer's) is the one that runs
 from . import SUPER_COMMUTATIVE, core, endo
 from .errors import AmpleClassDegenerate, ShapeMismatch
-from .linalg import as_fraction, as_matrix, scaled_matrix, transpose
+from .linalg import as_matrix, scaled_matrix, transpose
 from .models import EffectiveClass, EmbeddedModel
 
 
@@ -122,18 +122,16 @@ def abelian_variety(
     g: int,
     matrix: Sequence[Sequence],
     omega: Mapping[tuple[int, int], object] | None = None,
-    realizability: str = "asserted",
 ) -> tuple[EmbeddedModel, endo.PullbackMap]:
     """Exterior-algebra cohomology model of a g-dimensional abelian variety.
 
-    ``matrix`` is the 2g x 2g action on the degree-1 lattice.  The map carries
-    ``realizability`` only when the matrix is A (x) I_2 for an integer A, the
-    action of A in End(E^g) = M_g(Z) for E without complex multiplication;
-    any other matrix is "unverified", since it need not come from an
-    endomorphism (for alpha in End(E), (tr alpha)^2 <= 4 deg alpha).  The
-    model keeps ``realizability`` either way.  ``omega`` maps generator
-    pairs (i, j), i < j, to coefficients; the default is the standard product
-    polarization e_0^e_1 + e_2^e_3 + ...
+    ``matrix`` is the 2g x 2g action on the degree-1 lattice.  The model is
+    "asserted", and so is the map when the matrix is A (x) I_2 for an
+    integer A, the action of A in End(E^g) = M_g(Z) for E without complex
+    multiplication; any other matrix is "unverified", since it need not come
+    from an endomorphism (for alpha in End(E), (tr alpha)^2 <= 4 deg alpha).
+    ``omega`` maps generator pairs (i, j), i < j, to coefficients; the
+    default is the standard product polarization e_0^e_1 + e_2^e_3 + ...
 
     Integration is the raw top-form coefficient, so deg(X) = integrate(h^g)
     already carries the g! of the classical chi = omega^g / g! convention;
@@ -149,18 +147,13 @@ def abelian_variety(
     pair_index = {
         s: i for i, s in enumerate(sorted(itertools.combinations(range(2 * g), 2)))
     }
-    entries: dict[tuple[int, int], Fraction] = {}
     if omega is None:
-        for k in range(g):
-            entries[(2, pair_index[(2 * k, 2 * k + 1)])] = Fraction(1)
-    else:
-        for (i, j), coeff in omega.items():
-            if not (0 <= i < j < 2 * g):
-                raise ShapeMismatch(f"omega indices ({i}, {j}) out of range")
-            entries[(2, pair_index[(i, j)])] = (
-                entries.get((2, pair_index[(i, j)]), Fraction(0))
-                + as_fraction(coeff)
-            )
+        omega = {(2 * k, 2 * k + 1): 1 for k in range(g)}
+    entries = {}
+    for (i, j), coeff in omega.items():
+        if not (0 <= i < j < 2 * g):
+            raise ShapeMismatch(f"omega indices ({i}, {j}) out of range")
+        entries[(2, pair_index[(i, j)])] = coeff
     w = algebra.element(entries)
     if algebra.power(w, g).is_zero():
         raise AmpleClassDegenerate("omega^g = 0: not a valid polarization class")
@@ -177,7 +170,7 @@ def abelian_variety(
         algebra,
         w,
         ambient_dim=ambient,
-        realizability=realizability,
+        realizability="asserted",
         provenance=f"abelian_variety:{g}",
         effective=effective,
     ).validate()
@@ -189,7 +182,7 @@ def abelian_variety(
     )
     pull = exterior_pullback(
         algebra, m,
-        realizability=realizability if integer_scalar_blocks else "unverified",
+        realizability="asserted" if integer_scalar_blocks else "unverified",
         provenance="exterior",
     )
     return model, pull

@@ -391,10 +391,12 @@ def _check_multiprojective(c: _Collector, spec, map_spec) -> None:
 
 
 def _check_abelian(c: _Collector, spec, map_spec) -> None:
-    n = 2 * spec["g"]
+    n, first = 2 * spec["g"], {}
     for k, (i, j, _) in enumerate(spec.get("omega", ())):
         if not 0 <= i < j < n:
             c.add(f"/model/omega/{k}", f"expected indices 0 <= i < j < {n}")
+        elif first.setdefault((i, j), k) != k:
+            c.add(f"/model/omega/{k}", f"repeats /model/omega/{first[(i, j)]}")
     _check_square(c, "/map", map_spec, "matrix", n)
 
 
@@ -429,8 +431,9 @@ def _check_divisor(c: _Collector, path: str, vector, dims) -> None:
 
 def _check_products(c: _Collector, products, dims) -> None:
     """Each entry multiplies two basis elements whose degrees sum to at most
-    the top degree, into coordinates below ``dims[i + j]``."""
-    top = len(dims) - 1
+    the top degree, into coordinates below ``dims[i + j]``, and no two
+    entries multiply the same ordered pair."""
+    top, first = len(dims) - 1, {}
     for k, entry in enumerate(products):
         path = f"/model/products/{k}"
         outside = [side for side in ("a", "b") if not (
@@ -441,13 +444,15 @@ def _check_products(c: _Collector, products, dims) -> None:
         if outside:
             continue
         degree = entry["a"][0] + entry["b"][0]
-        value = entry["value"]
+        pair, value = (*entry["a"], *entry["b"]), entry["value"]
         keys = value if isinstance(value, dict) else [key for key, _ in value]
         if degree > top:
             c.add(path, f"degrees sum to {degree}, past top_degree {top}")
         elif not all(0 <= int(key) < dims[degree] for key in keys):
             c.add(f"{path}/value",
                   f"expected coordinates below dims[{degree}] = {dims[degree]}")
+        elif first.setdefault(pair, k) != k:
+            c.add(path, f"repeats /model/products/{first[pair]}")
 
 
 def _check_custom(c: _Collector, spec, map_spec) -> None:

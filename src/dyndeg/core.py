@@ -17,7 +17,7 @@ only (Light's test, see ``_validate``).  An :class:`Element` is sparse integer
 numerators over one denominator too, so its sums, scalar multiples, products
 and pullbacks do no ``Fraction`` arithmetic; ``Element.coords`` is the
 ``Fraction`` view.  The pullback blocks, Berkowitz's characteristic
-polynomial, ``det`` and ``Echelon`` run in ``int`` as well.  Instances are
+polynomial and ``Echelon`` run in ``int`` as well.  Instances are
 immutable after construction and all operations are pure.  The tests replay
 the Gromov certificates with a Fraction basis-pair product, which checks that
 kernel independently.
@@ -37,7 +37,7 @@ from .errors import (
     SignRuleViolation,
     UnitViolation,
 )
-from .linalg import Echelon, as_fraction, det, scaled_matrix
+from .linalg import Echelon, as_fraction, scaled_matrix
 
 BasisIndex = tuple[int, int]  # (degree, index within the graded piece)
 
@@ -320,45 +320,6 @@ class GradedAlgebra:
         """Intersection pairing: integrate the top-degree part of ``a * b``."""
         return self.integrate(self.mul(a, b))
 
-    # -- diagnostics -------------------------------------------------------------
-
-    def gram_matrix(self, degree: int) -> tuple[tuple[Fraction, ...], ...]:
-        """Pairing matrix of degree-``degree`` basis against complementary basis."""
-        comp = self.top_degree - degree
-        return tuple(
-            tuple(
-                self.pair(self.basis_element(degree, p), self.basis_element(comp, q))
-                for q in range(self.dims[comp])
-            )
-            for p in range(self.dims[degree])
-        )
-
-    def poincare_report(self) -> list["PairingReport"]:
-        """Per-degree nondegeneracy of the intersection pairing.
-
-        Nondegenerate means the Gram matrix against the complementary degree is
-        square with nonzero determinant; a dimension mismatch is reported as
-        degenerate with ``determinant=None``.
-        """
-        out = []
-        for i in range(self.top_degree + 1):
-            comp = self.top_degree - i
-            if self.dims[i] != self.dims[comp]:
-                out.append(PairingReport(i, False, None))
-                continue
-            if self.dims[i] == 0:
-                out.append(PairingReport(i, True, Fraction(1)))
-                continue
-            d = det(self.gram_matrix(i))
-            out.append(PairingReport(i, d != 0, d))
-        return out
-
-
-class PairingReport(NamedTuple):
-    degree: int
-    nondegenerate: bool
-    determinant: Fraction | None
-
 
 def _koszul_sign(sign_rule: str, i: int, j: int) -> int:
     if sign_rule == SUPER_COMMUTATIVE and (i * j) % 2 == 1:
@@ -367,22 +328,19 @@ def _koszul_sign(sign_rule: str, i: int, j: int) -> int:
 
 
 def _normalize_table(top_degree, dims, structure_constants):
-    """Read user structure constants into sparse per-degree-pair blocks
-    ``{(i, j): {(p, q): {k: Fraction}}}``, zero coordinates omitted.
-
-    Accepted key shapes: ``((i, p), (j, q))`` or ``(i, p, j, q)``.  Values are
-    either sparse mappings ``{index: scalar}`` or full coordinate sequences of
-    length ``dims[i + j]``.  A supplied zero product stays as an empty vector,
+    """Read user structure constants ``{((i, p), (j, q)): {k: scalar}}`` into
+    sparse per-degree-pair blocks ``{(i, j): {(p, q): {k: Fraction}}}``, zero
+    coordinates omitted.  A supplied zero product stays as an empty vector,
     so that the sign rule still compares it with its mirror.
     """
     table: dict[tuple[int, int], dict] = {}
     for key, value in structure_constants.items():
-        if len(key) == 2:
+        try:
             (i, p), (j, q) = key
-        elif len(key) == 4:
-            i, p, j, q = key
-        else:
-            raise ShapeMismatch(f"bad structure constant key {key!r}")
+        except (TypeError, ValueError):
+            raise ShapeMismatch(f"bad structure constant key {key!r}") from None
+        if not isinstance(value, Mapping):
+            raise ShapeMismatch(f"product vector for {key!r} is not a mapping")
         if not (0 <= i <= top_degree and 0 <= j <= top_degree):
             raise ShapeMismatch(f"structure constant degree out of range: {key!r}")
         if not (0 <= p < dims[i] and 0 <= q < dims[j]):
@@ -392,22 +350,12 @@ def _normalize_table(top_degree, dims, structure_constants):
                 f"product of degrees {i} and {j} exceeds top degree {top_degree}"
                 " (truncated products must be omitted)"
             )
-        target = dims[i + j]
-        if isinstance(value, Mapping):
-            for k in value:
-                if not (0 <= k < target):
-                    raise ShapeMismatch(
-                        f"product coordinate {k} out of range for degree {i + j}"
-                    )
-            items = value.items()
-        else:
-            if len(value) != target:
+        for k in value:
+            if not (0 <= k < dims[i + j]):
                 raise ShapeMismatch(
-                    f"product vector for {key!r} has length {len(value)},"
-                    f" expected {target}"
+                    f"product coordinate {k} out of range for degree {i + j}"
                 )
-            items = enumerate(value)
-        vec = {k: as_fraction(c) for k, c in items}
+        vec = {k: as_fraction(c) for k, c in value.items()}
         table.setdefault((i, j), {})[(p, q)] = {k: c for k, c in vec.items() if c}
     return table
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import Element
-from .endo import PullbackMap, power_map
+from .endo import PullbackMap
 from .errors import NonComplementaryDegrees, ShapeMismatch, StepOutOfRange
 from .linalg import as_fraction, scaled_matrix
 
@@ -44,30 +44,11 @@ class DeltaTable(NamedTuple):
     rows: tuple[tuple[Fraction, ...], ...]
     deg_x: Fraction
 
-    def value(self, j: int, m: int) -> Fraction:
-        return self.rows[j][m - 1]
-
     def column(self, m: int) -> tuple[Fraction, ...]:
         """(delta_0(f^m), ..., delta_r(f^m)): the m-th iterate across all j."""
         if not (1 <= m <= self.m_max):
             raise ShapeMismatch(f"m must be in [1, {self.m_max}]")
         return tuple(row[m - 1] for row in self.rows)
-
-
-def delta(model: EmbeddedModel, f: PullbackMap, m: int, j: int) -> Fraction:
-    """The intersection number pair(h^{r-j}, f^{m*}(h^j)).
-
-    Computed from power_map(f, m) by repeated squaring, independently of
-    :func:`delta_table`, so it serves as the reference the table is tested
-    against.
-    """
-    if not (0 <= j <= model.r):
-        raise ShapeMismatch(f"j must be in [0, {model.r}]")
-    if m < 1:
-        raise ShapeMismatch("m must be >= 1")
-    alg = model.algebra
-    hj = alg.power(model.h, j)
-    return alg.pair(alg.power(model.h, model.r - j), power_map(f, m).apply(hj))
 
 
 def delta_table(model: EmbeddedModel, f: PullbackMap, m_max: int) -> DeltaTable:

@@ -1,4 +1,4 @@
-"""Pullback maps on graded algebras: validation, powers, traces.
+"""Pullback maps on graded algebras and their validation.
 
 A pullback is a degree-preserving unital ring endomorphism, stored as one
 exact rational matrix per graded piece (column convention: the image of the
@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .core import Element, GradedAlgebra
 from .errors import MultiplicativityViolation, ShapeMismatch, UnitViolation
-from .linalg import Matrix, as_matrix, mat_pow, trace
+from .linalg import Matrix, as_matrix, identity
 
 
 class PullbackMap:
@@ -68,17 +67,6 @@ class PullbackMap:
             self.apply_scaled(degree, piece) if piece else {}
             for degree, piece in enumerate(a.pieces)
         ])
-
-    def graded_trace(self, degree: int) -> Fraction:
-        return trace(self.blocks[degree])
-
-    def total_trace(self, alternating: bool = False) -> Fraction:
-        """Sum of graded traces; ``alternating`` applies the Lefschetz sign (-1)^i."""
-        total = Fraction(0)
-        for i, m in enumerate(self.blocks):
-            t = trace(m)
-            total += -t if (alternating and i % 2 == 1) else t
-        return total
 
 
 def validate_pullback(
@@ -143,29 +131,9 @@ def validate_pullback(
 
 
 def identity_map(algebra: GradedAlgebra) -> PullbackMap:
-    from .linalg import identity
-
     return PullbackMap(
         algebra,
         tuple(identity(d) for d in algebra.dims),
         realizability="asserted",
         provenance="identity",
-    )
-
-
-def power_map(f: PullbackMap, m: int) -> PullbackMap:
-    """f^{m*}: per-degree matrix powers via repeated squaring.
-
-    The result is a ring homomorphism by construction, so it is not
-    re-validated.
-    """
-    if m < 1:
-        raise ShapeMismatch("map power requires m >= 1")
-    if m == 1:
-        return f
-    return PullbackMap(
-        f.algebra,
-        tuple(mat_pow(b, m) if b else () for b in f.blocks),
-        realizability=f.realizability,
-        provenance=f"({f.provenance})^{m}" if f.provenance else None,
     )

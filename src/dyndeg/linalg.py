@@ -3,11 +3,10 @@
 Matrices are immutable tuples of row tuples.  Everything here is exact; the
 floating-point estimators live in :mod:`dyndeg.estimators`.
 
-The two eliminations run in ``int``: ``det`` is Bareiss elimination on the
-matrix times its common denominator, and ``Echelon`` keeps each row as integer
-numerators over one denominator.  ``det`` takes and returns ``Fraction``;
-``Echelon`` takes sparse integer vectors and gives its basis in that form,
-with ``Fraction`` only in the combos and coordinates it returns.
+``Echelon``, the one elimination, runs in ``int``: it keeps each row as
+integer numerators over one denominator, takes sparse integer vectors and
+gives its basis in that form, with ``Fraction`` only in the combos and
+coordinates it returns.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import Iterable, Sequence
 from .errors import ShapeMismatch
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-Vector = tuple[Fraction, ...]
 
 
 def as_fraction(x) -> Fraction:
@@ -54,12 +52,6 @@ def identity(n: int) -> Matrix:
     )
 
 
-def mat_vec(m: Matrix, v: Sequence[Fraction]) -> Vector:
-    if m and len(m[0]) != len(v):
-        raise ShapeMismatch(f"matrix is {len(m)}x{len(m[0])}, vector has {len(v)}")
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ShapeMismatch("inner dimensions differ")
@@ -78,53 +70,6 @@ def transpose(a: Matrix) -> Matrix:
 
 def trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
-
-
-def mat_pow(a: Matrix, m: int) -> Matrix:
-    """``a^m`` for square ``a`` and m >= 0, by repeated squaring."""
-    if m < 0:
-        raise ShapeMismatch("negative matrix power")
-    result = identity(len(a))
-    while m:
-        if m & 1:
-            result = mat_mul(result, a)
-        m >>= 1
-        if m:
-            a = mat_mul(a, a)
-    return result
-
-
-def det(a: Matrix) -> Fraction:
-    """Determinant by fraction-free Bareiss elimination.
-
-    Runs on the integer matrix D*a, D the lcm of the entry denominators, where
-    every Bareiss division is exact; det(a) = det(D*a) / D^n.
-    """
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    if any(len(row) != n for row in a):
-        raise ShapeMismatch("determinant of a non-square matrix")
-    den, m = scaled_matrix(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        top = m[k]
-        pivot = top[k]
-        for row in m[k + 1:]:
-            c = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - c * top[j]) // prev
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1], den**n)
 
 
 class Echelon:
@@ -191,10 +136,6 @@ class Echelon:
         self.pivots.insert(at, pivot)
         self._rows.insert(at, new)
         return True
-
-    @property
-    def dimension(self) -> int:
-        return len(self._rows)
 
     def scaled_basis(self) -> list[tuple[int, dict[int, int]]]:
         """The basis rows as ``(denominator, {column: numerator})``."""

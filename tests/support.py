@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from dyndeg.core import Element, GradedAlgebra
 from dyndeg.endo import PullbackMap, validate_pullback
-from dyndeg.linalg import as_matrix, det, identity, mat_vec, transpose
-from dyndeg.errors import SpectralNonconvergence
+from dyndeg.linalg import as_matrix, identity, mat_mul, transpose
+from dyndeg.errors import ShapeMismatch, SpectralNonconvergence
 from dyndeg.models import (
     EmbeddedModel,
     elliptic_square,
@@ -234,8 +234,10 @@ def mutate_blocks(rng, pull: PullbackMap):
 
 
 # ---------------------------------------------------------------------------
-# Fraction oracles: the rational kernels that the integer ones replaced; the
-# product reads only the structure table's entries, never its kernel
+# Fraction oracles: the rational kernels that the integer ones replaced, and
+# the references that no command runs (map powers, pointwise dynamical
+# degrees, Gram determinants); the product reads only the structure table's
+# entries, never its kernel
 # ---------------------------------------------------------------------------
 
 def basis_product(algebra: GradedAlgebra, a, b):
@@ -353,18 +355,92 @@ def fraction_det(a):
 
 def det_wedge_blocks(matrix):
     """The blocks wedge^k (matrix^T), k = 0..n, of ``exterior_pullback``,
-    with every entry a separate ``linalg.det`` of a minor: the reference for
-    the Laplace expansion that builds them there."""
+    with every entry a separate :func:`fraction_det` of a minor: the
+    reference for the Laplace expansion that builds them there."""
     b = transpose(as_matrix(matrix))
     blocks = []
     for k in range(len(b) + 1):
         subsets = list(itertools.combinations(range(len(b)), k))
         blocks.append(tuple(
-            tuple(det(tuple(tuple(b[a][c] for c in t) for a in s))
+            tuple(fraction_det([[b[a][c] for c in t] for a in s])
                   for t in subsets)
             for s in subsets
         ))
     return tuple(blocks)
+
+
+def gram_matrix(algebra: GradedAlgebra, degree: int):
+    """Pairing matrix of the degree-``degree`` basis against the
+    complementary one."""
+    comp = algebra.top_degree - degree
+    return tuple(
+        tuple(algebra.pair(algebra.basis_element(degree, p),
+                           algebra.basis_element(comp, q))
+              for q in range(algebra.dims[comp]))
+        for p in range(algebra.dims[degree])
+    )
+
+
+def poincare_determinants(algebra: GradedAlgebra):
+    """Per degree, the :func:`fraction_det` of its :func:`gram_matrix`, or
+    None when the Gram matrix is not square.  The pairing is nondegenerate
+    (Poincare duality) exactly when every entry is neither None nor 0."""
+    dims, top = algebra.dims, algebra.top_degree
+    return [fraction_det(gram_matrix(algebra, i))
+            if dims[i] == dims[top - i] else None for i in range(top + 1)]
+
+
+def mat_vec(m, v):
+    """The matrix ``m`` times the vector ``v``."""
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+
+
+def mat_pow(a, m: int):
+    """``a^m`` for square ``a`` and m >= 0, by repeated squaring."""
+    if m < 0:
+        raise ShapeMismatch("negative matrix power")
+    result = identity(len(a))
+    while m:
+        if m & 1:
+            result = mat_mul(result, a)
+        m >>= 1
+        if m:
+            a = mat_mul(a, a)
+    return result
+
+
+def power_map(f: PullbackMap, m: int) -> PullbackMap:
+    """f^{m*}: per-degree matrix powers via repeated squaring.
+
+    The result is a ring homomorphism by construction, so it is not
+    re-validated.
+    """
+    if m < 1:
+        raise ShapeMismatch("map power requires m >= 1")
+    if m == 1:
+        return f
+    return PullbackMap(
+        f.algebra,
+        tuple(mat_pow(b, m) if b else () for b in f.blocks),
+        realizability=f.realizability,
+        provenance=f"({f.provenance})^{m}" if f.provenance else None,
+    )
+
+
+def delta(model: EmbeddedModel, f: PullbackMap, m: int, j: int) -> Fraction:
+    """The intersection number pair(h^{r-j}, f^{m*}(h^j)).
+
+    Computed from power_map(f, m) by repeated squaring, independently of
+    ``degrees.delta_table``, so it serves as the reference the table is
+    tested against.
+    """
+    if not (0 <= j <= model.r):
+        raise ShapeMismatch(f"j must be in [0, {model.r}]")
+    if m < 1:
+        raise ShapeMismatch("m must be >= 1")
+    alg = model.algebra
+    hj = alg.power(model.h, j)
+    return alg.pair(alg.power(model.h, model.r - j), power_map(f, m).apply(hj))
 
 
 class FractionEchelon:

@@ -38,6 +38,7 @@ from dyndeg.spectral import spectral_radius
 from support import (
     basis_product,
     builder_battery,
+    mat_vec,
     mul_vectors,
     multiplicativity_witness,
     mutate_blocks,
@@ -131,7 +132,7 @@ def test_criterion_3_dynamical_degree_oracle():
             table = delta_table(model, f, 8)
             for j in range(n + 1):
                 for m in range(1, 9):
-                    assert table.value(j, m) == Fraction(d) ** (j * m), (n, d, j, m)
+                    assert table.column(m)[j] == Fraction(d) ** (j * m), (n, d, j, m)
                     checked += 1
 
     model = multiprojective([1, 1])
@@ -264,8 +265,6 @@ def test_criterion_8_validation_soundness_under_mutation():
             (i, q): tuple(blocks[i][p][q] for p in range(alg.dims[i]))
             for (i, q) in alg.basis() if i >= 1
         }
-        from dyndeg.linalg import mat_vec
-
         lhs = mat_vec(
             tuple(tuple(row) for row in blocks[a[0] + b[0]]),
             basis_product(alg, a, b),

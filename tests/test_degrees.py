@@ -6,14 +6,13 @@ import pytest
 from dyndeg.degrees import (
     bound_constant,
     check_intersection_bound,
-    delta,
     delta_table,
     graph_class,
     growth_rates,
     moving_ledger,
     segre_graph_degree,
 )
-from dyndeg.endo import identity_map, power_map
+from dyndeg.endo import identity_map
 from dyndeg.errors import NonComplementaryDegrees, ShapeMismatch, StepOutOfRange
 from dyndeg.gromov import spectral_chain
 from dyndeg.models import (
@@ -24,7 +23,7 @@ from dyndeg.models import (
     projective_space,
 )
 
-from support import builder_battery
+from support import builder_battery, delta, power_map
 
 
 class TestDelta:
@@ -65,7 +64,7 @@ class TestDelta:
         table = delta_table(model, f, 10)
         for m in range(1, 11):
             expected = fib[m + 1] ** 2 + 2 * fib[m] ** 2 + fib[m - 1] ** 2
-            assert table.value(1, m) == expected
+            assert table.column(m)[1] == expected
 
     def test_delta_table_matches_pointwise_delta(self):
         model = multiprojective([1, 1])
@@ -73,7 +72,7 @@ class TestDelta:
         table = delta_table(model, f, 5)
         for j in range(model.r + 1):
             for m in range(1, 6):
-                assert table.value(j, m) == delta(model, f, m, j)
+                assert table.column(m)[j] == delta(model, f, m, j)
 
     @pytest.mark.parametrize("m_max", [1, 64])
     def test_delta_table_pairs_each_basis_vector_once(self, monkeypatch, m_max):
@@ -97,7 +96,7 @@ class TestDelta:
         assert len(calls) == sum(dims[2 * j] for j in range(model.r + 1))
         monkeypatch.undo()
         for j in range(model.r + 1):
-            assert table.value(j, m_max) == delta(model, f, m_max, j)
+            assert table.column(m_max)[j] == delta(model, f, m_max, j)
 
     def test_row_zero_is_deg_x(self):
         for name, model, f in builder_battery():
@@ -190,6 +189,8 @@ class TestGraphClass:
         f = pn_power_map(model, 2)
         with pytest.raises(ShapeMismatch):
             graph_class(model, f, 4, delta_table(model, f, 3))
+        with pytest.raises(ShapeMismatch):  # column m = 0 does not wrap to m_max
+            graph_class(model, f, 0, delta_table(model, f, 3))
         with pytest.raises(ShapeMismatch):
             segre_graph_degree(model, f, 0)
 

@@ -1,12 +1,12 @@
 import pytest
 
-from dyndeg.endo import identity_map, power_map, validate_pullback
+from dyndeg.endo import validate_pullback
 from dyndeg.errors import (
     MultiplicativityViolation,
     ShapeMismatch,
     UnitViolation,
 )
-from dyndeg.linalg import as_matrix, identity, mat_mul, mat_pow
+from dyndeg.linalg import as_matrix, identity, mat_mul
 from dyndeg.models import (
     abelian_variety,
     multiprojective,
@@ -14,6 +14,8 @@ from dyndeg.models import (
     product_map,
     projective_space,
 )
+
+from support import mat_pow, power_map
 
 
 def p2_with_map(d=2):
@@ -107,8 +109,7 @@ class TestApplyOnZeroPieces:
         from dyndeg import endo
 
         model, f = abelian_variety(2, [[1, 1, 0, 0], [0, 1, 0, 0],
-                                       [0, 0, 1, 0], [1, 0, 0, 1]],
-                                   realizability="unverified")
+                                       [0, 0, 1, 0], [1, 0, 0, 1]])
         calls = []
         original = endo.PullbackMap.apply_scaled
 
@@ -124,21 +125,3 @@ class TestApplyOnZeroPieces:
         assert f.apply(model.algebra.zero()) == model.algebra.zero()
         assert calls == [2]
 
-
-class TestTraces:
-    def test_p2_degree_two_total_trace(self):
-        model, f = p2_with_map(2)
-        assert f.total_trace() == 1 + 2 + 4
-        assert f.total_trace(alternating=True) == 7  # only even degrees
-
-    def test_identity_total_trace_is_total_dimension(self):
-        model = multiprojective([1, 1])
-        f = identity_map(model.algebra)
-        assert f.total_trace() == sum(model.algebra.dims)
-
-    def test_abelian_h1_trace(self):
-        model, f = abelian_variety(1, [[1, 1], [1, 0]])
-        assert f.graded_trace(1) == 1
-        # plain: 1 + tr(M^T) + det(M) = 1 + 1 - 1; alternating flips degree 1
-        assert f.total_trace() == 1
-        assert f.total_trace(alternating=True) == 1 - 1 + (-1)

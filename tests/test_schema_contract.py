@@ -344,6 +344,18 @@ REJECTED = {
                {"kind": "identity"}),
         ("SchemaError", ["/model/omega/1"]),
     ),
+    # repeated entries, which a dict keyed by the pair once merged silently
+    "abelian-omega-repeat": (
+        config({"kind": "abelian", "g": 2,
+                "omega": [[0, 1, 1], [0, 1, 1], [2, 3, 1]]},
+               {"kind": "identity"}),
+        ("SchemaError", ["/model/omega/1"]),
+    ),
+    "product-repeat": (
+        _custom(products=[{"a": [2, 0], "b": [2, 0], "value": [[0, 1]]},
+                          {"a": [2, 0], "b": [2, 0], "value": {"0": 3}}]),
+        ("SchemaError", ["/model/products/1"]),
+    ),
     "abelian-matrix-size": (
         config({"kind": "abelian", "g": 1},
                {"kind": "exterior", "matrix": [[1, 0, 0]] * 3}),
