@@ -86,18 +86,23 @@ def _run_graph_class(model, pull, config, table):
 
 
 def _run_bounds(model, pull, config):
-    from .degrees import bound_constant, check_intersection_bound, moving_ledger
+    from .degrees import (ambient_degree, bound_constant,
+                          check_intersection_bound, moving_ledger)
 
-    alg = model.algebra
+    top = model.algebra.top_degree
     constant = bound_constant(model.r, model.deg_x)
+    # each homogeneous class with its degree and deg(v), read once
+    classes = [(ec, d[0], ambient_degree(model, ec.element, d[0]))
+               for ec in model.effective if len(d := ec.element.degrees()) == 1]
     checks = []
     violations = 0
-    for ec_v in model.effective:
-        for ec_w in model.effective:
-            dv, dw = ec_v.element.degrees(), ec_w.element.degrees()
-            if len(dv) != 1 or len(dw) != 1 or dv[0] + dw[0] != alg.top_degree:
+    for ec_v, dv, deg_v in classes:
+        for ec_w, dw, deg_w in classes:
+            if dv + dw != top:
                 continue
-            res = check_intersection_bound(model, ec_v.element, ec_w.element)
+            res = check_intersection_bound(
+                model, ec_v.element, ec_w.element, deg_v, deg_w
+            )
             checks.append({
                 "v": ec_v.label,
                 "w": ec_w.label,

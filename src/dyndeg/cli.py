@@ -31,6 +31,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from . import COMMUTATIVE, SUPER_COMMUTATIVE, __version__
@@ -96,23 +97,47 @@ class Report(NamedTuple):
 # canonical JSON
 # ---------------------------------------------------------------------------
 
-def encode_value(value):
-    """Recursively convert report values to canonical JSON-ready objects."""
-    if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
-    if isinstance(value, float):
-        return float(format(value, ".12g"))
-    if value is None or isinstance(value, (int, str)):  # a bool is an int
-        return value
-    if isinstance(value, (list, tuple)):
-        return [encode_value(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): encode_value(v) for k, v in value.items()}
-    raise TypeError(f"cannot encode {value!r}")
-
-
 def dumps_canonical(obj) -> str:
-    return json.dumps(encode_value(obj), sort_keys=True, indent=2) + "\n"
+    """``obj`` as canonical JSON, written in one pass: the bytes of
+    ``json.dumps(..., sort_keys=True, indent=2)`` plus a newline, with each
+    ``Fraction`` as ``{"den": ..., "num": ...}`` strings, each float at 12
+    significant digits and each key through ``str``."""
+    out: list[str] = []
+    _write(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, nl: str, emit) -> None:
+    """Emit ``value``, its inner lines indented two spaces past ``nl``."""
+    inner = nl + "  "
+    if isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        emit("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, float):  # NaN and the infinities as json spells them
+        emit(json.dumps(float(format(value, ".12g"))))
+    elif isinstance(value, (list, tuple)):
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _write(item, inner, emit)
+            sep = "," + inner
+        emit("[]" if not value else nl + "]")
+    elif isinstance(value, Fraction):  # an ABC, slow to test: after the rest
+        emit(f'{{{inner}"den": "{value.denominator}",'
+             f'{inner}"num": "{value.numerator}"{nl}}}')
+    elif isinstance(value, Mapping):
+        items, sep = {str(k): v for k, v in value.items()}, "{" + inner
+        for key in sorted(items):
+            emit(sep + encode_basestring_ascii(key) + ": ")
+            _write(items[key], inner, emit)
+            sep = "," + inner
+        emit("{}" if not items else nl + "}")
+    else:
+        raise TypeError(f"cannot encode {value!r}")
 
 
 # ---------------------------------------------------------------------------

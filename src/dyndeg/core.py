@@ -12,8 +12,10 @@ only the nonzero ones, and held once that way (:class:`ScaledTable`); every
 product goes through its one kernel, ``ScaledTable.multiply``: the
 associativity check and the choice of generators here, ``GradedAlgebra.mul``,
 the multiplicativity check of a pullback and the products of the Gromov
-closure.  Associativity and multiplicativity are checked on a generating set
-only (Light's test, see ``_validate``).  An :class:`Element` is sparse integer
+closure.  ``GradedAlgebra.pair`` is no product: it reads one integer pairing
+form, built once per algebra from the table blocks of complementary degrees.
+Associativity and multiplicativity are checked on a generating set only
+(Light's test, see ``_validate``).  An :class:`Element` is sparse integer
 numerators over one denominator too, so its sums, scalar multiples, products
 and pullbacks do no ``Fraction`` arithmetic; ``Element.coords`` is the
 ``Fraction`` view.  The pullback blocks, Berkowitz's characteristic
@@ -316,9 +318,32 @@ class GradedAlgebra:
         top = a.pieces[self.top_degree]
         return Fraction(sum(x * weights[k] for k, x in top), a.denominator * den)
 
+    @functools.cached_property
+    def pairing_form(self) -> tuple[int, list[list[dict[int, int]]]]:
+        """``(E, forms)``: ``forms[i][p]`` maps q to the nonzero integer
+        E * integrate(e_(i,p) e_(top-i,q)), read off the table block
+        (i, top - i), absent when all zero, and the scaled integrate weights
+        once per algebra."""
+        den, (weights,) = self._integrate_scaled
+        top, rows = self.top_degree, self.scaled_table.rows
+        return self.scaled_table.denominator * den, [
+            [{q: s for q, vec in row.items()
+              if (s := sum(v * weights[k] for k, v in vec))}
+             for row in rows.get((i, top - i)) or [{}] * self.dims[i]]
+            for i in range(top + 1)
+        ]
+
     def pair(self, a: Element, b: Element) -> Fraction:
-        """Intersection pairing: integrate the top-degree part of ``a * b``."""
-        return self.integrate(self.mul(a, b))
+        """Intersection pairing, the integral of the top-degree part of
+        ``a * b``: sum_i a_i^T F_i b_(top-i) on ``pairing_form``, with no
+        product built."""
+        self._check_element(a)
+        self._check_element(b)
+        den, forms = self.pairing_form
+        total = sum(x * sum(forms[i][p].get(q, 0) * y
+                            for q, y in b.pieces[self.top_degree - i])
+                    for i, va in enumerate(a.pieces) for p, x in va)
+        return Fraction(total, a.denominator * b.denominator * den)
 
 
 def _koszul_sign(sign_rule: str, i: int, j: int) -> int:

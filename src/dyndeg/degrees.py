@@ -15,6 +15,7 @@ algebra can decide.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -22,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .core import Element
 from .endo import PullbackMap
 from .errors import NonComplementaryDegrees, ShapeMismatch, StepOutOfRange
-from .linalg import as_fraction, scaled_matrix
+from .linalg import as_fraction
 
 if TYPE_CHECKING:
     from .models import EmbeddedModel
@@ -52,27 +53,31 @@ class DeltaTable(NamedTuple):
 
 
 def delta_table(model: EmbeddedModel, f: PullbackMap, m_max: int) -> DeltaTable:
-    """delta_j(f^m) = w_j . v_m: v_m = f^{m*}(h^j) is iterated by
-    ``f.apply``, and w_j[q] = pair(h^{r-j}, e_(2j, q)) is computed once per
-    j and held as integers over one denominator, so the iteration does no
-    ``Fraction`` arithmetic."""
+    """delta_j(f^m) = w_j . v_m, with no product and no ``Element`` built:
+    w_j = F h^{r-j} comes once per j off the algebra's integer pairing form F
+    (``GradedAlgebra.pairing_form``), and v_m = f^{m*}(h^j) is iterated on
+    the degree-2j integer piece by ``f.apply_scaled``, over one denominator
+    kept reduced by gcd, so the iteration does no ``Fraction`` arithmetic."""
     if m_max < 1:
         raise ShapeMismatch("m_max must be >= 1")
-    alg = model.algebra
+    r, (den, forms) = model.r, model.algebra.pairing_form
+    f_den = f.scaled_blocks[0]
     rows = []
-    for j in range(model.r + 1):
-        comp = model.h_powers[model.r - j]
-        weights = [alg.pair(comp, alg.basis_element(2 * j, q))
-                   for q in range(alg.dims[2 * j])]
-        w_den, (w_num,) = scaled_matrix([weights])
-        v = model.h_powers[j]
+    for j in range(r + 1):
+        comp, hj = model.h_powers[r - j], model.h_powers[j]
+        w = [0] * model.algebra.dims[2 * j]
+        for p, x in comp.pieces[2 * (r - j)]:
+            for q, y in forms[2 * (r - j)][p].items():
+                w[q] += x * y
+        w_den, v, v_den = comp.denominator * den, hj.pieces[2 * j], hj.denominator
         row = []
         for _ in range(m_max):
-            v = f.apply(v)
-            dot = sum(w_num[q] * x for q, x in v.pieces[2 * j])
-            row.append(Fraction(dot, v.denominator * w_den))
+            image, v_den = f.apply_scaled(2 * j, v), v_den * f_den
+            g = math.gcd(v_den, *image.values()) if v_den > 1 else 1
+            v, v_den = [(q, x // g) for q, x in image.items()], v_den // g
+            row.append(Fraction(sum(w[q] * x for q, x in v), v_den * w_den))
         rows.append(tuple(row))
-    return DeltaTable(r=model.r, m_max=m_max, rows=tuple(rows), deg_x=model.deg_x)
+    return DeltaTable(r=r, m_max=m_max, rows=tuple(rows), deg_x=model.deg_x)
 
 
 def _root_of_abs(value, m: int) -> float:
@@ -132,8 +137,11 @@ def growth_rates(table: DeltaTable, window: int | None = None) -> GrowthRates:
     """
     if window is None:
         window = default_window(table.m_max)
+    start = table.m_max - window  # limsup_root reads no entry before it
     rates = tuple(
-        limsup_root([x / table.deg_x for x in row], window) for row in table.rows
+        limsup_root(row[:start] + tuple(x / table.deg_x for x in row[start:]),
+                    window)
+        for row in table.rows
     )
     return GrowthRates(rates=rates, max_rate=max(rates), window=window)
 
@@ -169,13 +177,14 @@ def graph_class(
     """
     r = model.r
     return [
-        GraphComponent(
-            coefficient=coeff,
-            factor_dims=(r - j, j),
-            label=f"[P^{r - j}]x[P^{j}]",
-        )
-        for j, coeff in enumerate(_graph_coefficients(model, f, m, table))
+        GraphComponent(coeff, (r - j, j), label) for j, (coeff, label) in
+        enumerate(zip(_graph_coefficients(model, f, m, table), _graph_labels(r)))
     ]
+
+
+@functools.cache
+def _graph_labels(r: int) -> tuple[str, ...]:  # they do not depend on m
+    return tuple(f"[P^{r - j}]x[P^{j}]" for j in range(r + 1))
 
 
 class SegreDegree(NamedTuple):
@@ -195,10 +204,10 @@ def segre_graph_degree(
     builder provenance identifies such a map.  ``table`` is as for
     :func:`graph_class`.
     """
-    r = model.r
-    total = Fraction(0)
-    for j, coeff in enumerate(_graph_coefficients(model, f, m, table)):
-        total += coeff * math.comb(r, j)
+    r, coeffs = model.r, _graph_coefficients(model, f, m, table)
+    den = math.lcm(*(c.denominator for c in coeffs))  # one Fraction, not r + 1
+    total = Fraction(sum(c.numerator * (den // c.denominator) * math.comb(r, j)
+                         for j, c in enumerate(coeffs)), den)
     expected = None
     matches = None
     if model.provenance.startswith("projective_space") and (
@@ -218,10 +227,10 @@ def bound_constant(r: int, deg_x) -> Fraction:
     """The uniform intersection-bound constant (r + 2) * deg(X)^(r + 1)."""
     if r < 0:
         raise ShapeMismatch("r must be >= 0")
-    deg_x = as_fraction(deg_x)
-    if deg_x < 1:
+    n, d = as_fraction(deg_x).as_integer_ratio()
+    if n < d:
         raise ShapeMismatch("deg(X) must be >= 1")
-    return (r + 2) * deg_x ** (r + 1)
+    return Fraction((r + 2) * n ** (r + 1), d ** (r + 1))  # one Fraction, not three
 
 
 class MovingLedger(NamedTuple):
@@ -265,15 +274,23 @@ class IntersectionBoundCheck(NamedTuple):
     ok: bool
 
 
+def ambient_degree(model: EmbeddedModel, v: Element, degree: int) -> Fraction:
+    """deg(v) = pair(v, h^{r-c}) for v homogeneous of degree 2c, with the
+    power read from ``model.h_powers``."""
+    return model.algebra.pair(v, model.h_powers[model.r - degree // 2])
+
+
 def check_intersection_bound(
-    model: EmbeddedModel, v: Element, w: Element
+    model: EmbeddedModel, v: Element, w: Element,
+    deg_v: Fraction | None = None, deg_w: Fraction | None = None,
 ) -> IntersectionBoundCheck:
     """Verify |pair(v, w)| <= (r+2) deg(X)^{r+1} deg(v) deg(w).
 
     ``v`` and ``w`` must be homogeneous of complementary (even) degrees; the
     caller asserts effectivity, typically via the model's effective flags.
-    Ambient degrees are taken against powers of h: deg(v) = pair(v, h^{r-c})
-    for v of codimension c, with the powers read from ``model.h_powers``.
+    Ambient degrees are taken against powers of h (:func:`ambient_degree`);
+    a caller that checks many pairs passes ``deg_v`` and ``deg_w``, read
+    once per class.
     """
     dv = v.degrees()
     dw = w.degrees()
@@ -283,12 +300,10 @@ def check_intersection_bound(
         raise NonComplementaryDegrees(
             f"degrees {dv[0]} and {dw[0]} are not complementary even degrees"
         )
-    alg = model.algebra
-    r = model.r
-    deg_v = alg.pair(v, model.h_powers[r - dv[0] // 2])
-    deg_w = alg.pair(w, model.h_powers[r - dw[0] // 2])
-    value = alg.pair(v, w)
-    constant = bound_constant(r, model.deg_x)
+    deg_v = ambient_degree(model, v, dv[0]) if deg_v is None else deg_v
+    deg_w = ambient_degree(model, w, dw[0]) if deg_w is None else deg_w
+    value = model.algebra.pair(v, w)
+    constant = bound_constant(model.r, model.deg_x)
     return IntersectionBoundCheck(
         pairing=value,
         deg_v=deg_v,

@@ -32,10 +32,13 @@ def as_fraction(x) -> Fraction:
         raise ShapeMismatch(f"boolean is not a rational scalar: {x!r}")
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, dict) and set(x) == {"num", "den"}:
-        return Fraction(int(x["num"]), int(x["den"]))
+    try:
+        if isinstance(x, str):
+            return Fraction(x)
+        if isinstance(x, dict) and set(x) == {"num", "den"}:
+            return Fraction(int(x["num"]), int(x["den"]))
+    except (ValueError, ZeroDivisionError, TypeError):  # "x", "1/0", ...
+        pass
     raise ShapeMismatch(f"not an exact rational scalar: {x!r}")
 
 

@@ -13,6 +13,8 @@ with the Fraction basis-pair product below.
 from __future__ import annotations
 
 import itertools
+import json
+from collections.abc import Mapping
 from fractions import Fraction
 
 from dyndeg.core import Element, GradedAlgebra
@@ -240,6 +242,12 @@ def mutate_blocks(rng, pull: PullbackMap):
 # entries, never its kernel
 # ---------------------------------------------------------------------------
 
+def pair_by_product(algebra: GradedAlgebra, a: Element, b: Element) -> Fraction:
+    """The intersection pairing as the integral of :func:`fraction_mul`:
+    the reference for ``GradedAlgebra.pair`` and its pairing form."""
+    return algebra.integrate(fraction_mul(algebra, a, b))
+
+
 def basis_product(algebra: GradedAlgebra, a, b):
     """Coordinates of e_a * e_b in degree |a|+|b| (empty beyond top): the
     scaled table's entries over its denominator."""
@@ -374,8 +382,8 @@ def gram_matrix(algebra: GradedAlgebra, degree: int):
     complementary one."""
     comp = algebra.top_degree - degree
     return tuple(
-        tuple(algebra.pair(algebra.basis_element(degree, p),
-                           algebra.basis_element(comp, q))
+        tuple(pair_by_product(algebra, algebra.basis_element(degree, p),
+                              algebra.basis_element(comp, q))
               for q in range(algebra.dims[comp]))
         for p in range(algebra.dims[degree])
     )
@@ -440,7 +448,8 @@ def delta(model: EmbeddedModel, f: PullbackMap, m: int, j: int) -> Fraction:
         raise ShapeMismatch("m must be >= 1")
     alg = model.algebra
     hj = alg.power(model.h, j)
-    return alg.pair(alg.power(model.h, model.r - j), power_map(f, m).apply(hj))
+    comp = alg.power(model.h, model.r - j)
+    return pair_by_product(alg, comp, power_map(f, m).apply(hj))
 
 
 class FractionEchelon:
@@ -564,3 +573,28 @@ def mpmath_max_root_modulus(coeffs, tol):
                     return rho_f, err_f
         dps *= 2
     raise SpectralNonconvergence(best[0], best[1])
+
+
+# ---------------------------------------------------------------------------
+# the canonical report bytes through json's own encoder
+# ---------------------------------------------------------------------------
+
+def encode_value(value):
+    """Recursively convert report values to canonical JSON-ready objects."""
+    if isinstance(value, Fraction):
+        return {"num": str(value.numerator), "den": str(value.denominator)}
+    if isinstance(value, float):
+        return float(format(value, ".12g"))
+    if value is None or isinstance(value, (int, str)):  # a bool is an int
+        return value
+    if isinstance(value, (list, tuple)):
+        return [encode_value(v) for v in value]
+    if isinstance(value, Mapping):
+        return {str(k): encode_value(v) for k, v in value.items()}
+    raise TypeError(f"cannot encode {value!r}")
+
+
+def canonical_json(obj) -> str:
+    """The canonical report bytes through ``json``'s own encoder: the
+    reference for the one-pass ``cli.dumps_canonical``."""
+    return json.dumps(encode_value(obj), sort_keys=True, indent=2) + "\n"

@@ -1,9 +1,11 @@
 import json
+import math
 import pathlib
 import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +18,8 @@ from dyndeg.cli import (
     run,
 )
 from dyndeg.errors import SchemaError
+
+from support import canonical_json
 
 
 def p2_config(**overrides):
@@ -731,7 +735,7 @@ class TestComputeWorkloadBytes:
     the sha256 values the benchmark checks (``perfbench/golden.json``)."""
 
     @staticmethod
-    def _workloads(monkeypatch):
+    def _workloads(monkeypatch, name="exact-core"):
         import importlib.util
         from pathlib import Path
 
@@ -746,7 +750,7 @@ class TestComputeWorkloadBytes:
         golden = json.loads(
             (root / "perfbench" / "golden.json").read_text("utf-8")
         )
-        return module.generate("exact-core", 0, root), golden["exact-core"]
+        return module.generate(name, 0, root), golden[name]
 
     def test_exact_core_reports_match_the_golden_hashes(
         self, tmp_path, capsys, monkeypatch
@@ -959,6 +963,29 @@ class TestLazyImports:
         subprocess.run([sys.executable, "-c", script], check=True)
 
 
+# report values: rationals (huge ones too), ints, bools, None, floats at
+# the edges of the 12-digit rounding, and strings json must escape
+SCALARS = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**30)),
+    st.integers(), st.integers(-10**60, 10**60), st.booleans(), st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, 1e-7, 0.1 + 0.2, math.inf, -math.inf,
+                     math.nan]),
+    st.text(),
+    st.sampled_from(['say "hi"', "back\\slash", "tab\tnul\x00\x1f\x7f",
+                     "\u00e9\u2202 \U0001f600", "\u2028\ud800"]),
+)
+# keys that str() maps onto one another ("1" and 1, "True" and True)
+KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans(),
+                st.none(), st.sampled_from(["1", "-1", "True", "None", ""]))
+TREES = st.recursive(SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=3).map(tuple),
+    st.dictionaries(KEYS, children, max_size=4),
+), max_leaves=30)
+
+
 class TestCanonicalEncoding:
     def test_fractions_become_num_den_strings(self):
         from fractions import Fraction
@@ -977,6 +1004,44 @@ class TestCanonicalEncoding:
     def test_floats_are_normalized_to_twelve_digits(self):
         text = dumps_canonical({"x": 2.6180339887498949025})
         assert json.loads(text)["x"] == 2.61803398875
+
+    @given(obj=TREES)
+    @settings(max_examples=300, deadline=None)
+    def test_the_one_pass_writer_matches_json(self, obj):
+        assert dumps_canonical(obj) == canonical_json(obj)
+
+    def test_what_json_cannot_encode_raises_type_error(self):
+        for obj in ({1, 2}, {"x": [b"bytes"]}, object()):
+            with pytest.raises(TypeError):
+                canonical_json(obj)
+            with pytest.raises(TypeError):
+                dumps_canonical(obj)
+
+    @pytest.mark.parametrize(
+        "workload", ["cli-small", "exact-core", "iterate-tables"]
+    )
+    def test_every_seed_zero_output_matches_json(
+        self, workload, tmp_path, capsys, monkeypatch
+    ):
+        from dyndeg import cli
+
+        written = []
+
+        def checked(obj):
+            text = dumps_canonical(obj)
+            assert text == canonical_json(obj)
+            written.append(text)
+            return text
+
+        load = TestComputeWorkloadBytes._workloads
+        wl, _ = load(monkeypatch, workload)
+        paths = wl.write(tmp_path)
+        monkeypatch.setattr(cli, "dumps_canonical", checked)
+        successes = 0
+        for command, name in wl.invocations:
+            successes += main([command, "--config", str(paths[name])]) == 0
+        capsys.readouterr()
+        assert successes and len(written) == successes
 
     def test_timing_only_with_flag(self, tmp_path):
         cfg = p2_config()

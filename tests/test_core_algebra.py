@@ -16,12 +16,19 @@ from dyndeg.errors import (
     SignRuleViolation,
     UnitViolation,
 )
-from dyndeg.models import exterior_algebra, multiprojective, projective_space
+from dyndeg.linalg import as_fraction
+from dyndeg.models import (
+    exterior_algebra,
+    multiprojective,
+    projective_space,
+    surface_lattice,
+)
 
 from support import (
     builder_battery,
     fraction_det,
     gram_matrix,
+    pair_by_product,
     poincare_determinants,
 )
 
@@ -40,6 +47,24 @@ def quotient_ring(n):
         if 0 < a + b <= n
     }
     return build_algebra(2 * n, dims, COMMUTATIVE, products, integrate=(1,))
+
+
+class TestAsFraction:
+    """A malformed scalar raises ``ShapeMismatch`` naming it, never the
+    ``ValueError`` or ``ZeroDivisionError`` of ``Fraction`` or ``int``."""
+
+    @pytest.mark.parametrize("value", [
+        "x", "1/0", {"num": "a", "den": "1"}, {"num": 1, "den": 0},
+    ], ids=["word", "zero-denominator-string", "word-numerator",
+            "zero-denominator-pair"])
+    def test_malformed_scalars_raise_shape_mismatch(self, value):
+        with pytest.raises(ShapeMismatch, match="not an exact rational") as exc:
+            as_fraction(value)
+        assert repr(value) in str(exc.value)
+
+    def test_well_formed_scalars_still_read(self):
+        assert as_fraction("3/2") == as_fraction({"num": "3", "den": 2}) == Fraction(3, 2)
+        assert as_fraction(-4) == Fraction(-4)
 
 
 class TestBuildAlgebra:
@@ -247,6 +272,69 @@ class TestPair:
                     b = alg.basis_element(db, pb)
                     sign = -1 if (da * db) % 2 else 1
                     assert alg.pair(a, b) == sign * alg.pair(b, a)
+
+
+def pairing_algebras():
+    """Algebras to compare the pairing form with its product oracle on:
+    the builder battery, super-commutative exterior algebras, a lattice
+    surface with a rational Gram matrix, and custom rings whose unit and
+    integration functional are not 1."""
+    algebras = [(name, model.algebra) for name, model, _ in builder_battery()]
+    algebras += [(f"exterior g={g}", exterior_algebra(g)) for g in (1, 2, 3)]
+    gram = [[2, Fraction(1, 2), 0], [Fraction(1, 2), -3, 1], [0, 1, Fraction(-5, 3)]]
+    model, _ = surface_lattice(gram, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 0, 0])
+    algebras.append(("rational lattice", model.algebra))
+    products = {((2, 0), (2, 0)): {0: Fraction(1, 2)},
+                ((2, 0), (2, 1)): {0: 3},
+                ((2, 1), (2, 1)): {0: Fraction(-2, 5)}}
+    algebras.append(("custom, rational unit", build_algebra(
+        4, [1, 0, 2, 0, 1], COMMUTATIVE, products,
+        integrate=(Fraction(7, 3),), unit=(Fraction(-3, 2),),
+    )))
+    algebras.append(("custom, two top classes", build_algebra(
+        4, [1, 0, 1, 0, 2], COMMUTATIVE, {((2, 0), (2, 0)): {0: 2, 1: -1}},
+        integrate=(Fraction(1, 4), Fraction(5, 6)), unit=(Fraction(2, 7),),
+    )))
+    return algebras
+
+
+PAIRING_ALGEBRAS = pairing_algebras()
+
+
+class TestPairingForm:
+    """``pair`` reads the pairing form; the oracle integrates the Fraction
+    basis-pair product."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pair_matches_the_integral_of_the_product(self, data):
+        name, alg = data.draw(st.sampled_from(PAIRING_ALGEBRAS))
+        coordinate = st.one_of(st.just(Fraction(0)), small_fractions)
+
+        def element():  # inhomogeneous: every piece may be nonzero
+            return Element.from_coords([
+                data.draw(st.lists(coordinate, min_size=d, max_size=d))
+                for d in alg.dims
+            ])
+
+        a, b = element(), element()
+        assert alg.pair(a, b) == pair_by_product(alg, a, b), name
+
+    def test_every_basis_pair_of_complementary_degrees(self):
+        for name, alg in PAIRING_ALGEBRAS:
+            for i in range(alg.top_degree + 1):
+                for p in range(alg.dims[i]):
+                    for q in range(alg.dims[alg.top_degree - i]):
+                        a = alg.basis_element(i, p)
+                        b = alg.basis_element(alg.top_degree - i, q)
+                        assert alg.pair(a, b) == pair_by_product(alg, a, b), name
+
+    def test_elements_of_another_grading_are_rejected(self):
+        alg, other = quotient_ring(2), quotient_ring(3)
+        with pytest.raises(ShapeMismatch):
+            alg.pair(alg.one(), other.one())
+        with pytest.raises(ShapeMismatch):
+            alg.pair(other.one(), alg.one())
 
 
 class TestCheckPoincare:

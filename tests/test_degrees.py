@@ -23,7 +23,23 @@ from dyndeg.models import (
     projective_space,
 )
 
-from support import builder_battery, delta, power_map
+from support import (builder_battery, delta, pair_by_product, power_map,
+                     scalar_power_pullback)
+
+
+def count_products(monkeypatch) -> list:
+    """Count ``GradedAlgebra.mul`` calls from here on, one entry per call."""
+    from dyndeg.core import GradedAlgebra
+
+    calls = []
+    original = GradedAlgebra.mul
+
+    def counted(self, a, b):
+        calls.append(1)
+        return original(self, a, b)
+
+    monkeypatch.setattr(GradedAlgebra, "mul", counted)
+    return calls
 
 
 class TestDelta:
@@ -76,27 +92,29 @@ class TestDelta:
 
     @pytest.mark.parametrize("m_max", [1, 64])
     def test_delta_table_pairs_each_basis_vector_once(self, monkeypatch, m_max):
-        # the pairing row w_j = pair(h^{r-j}, e_(2j, q)) is built once per j;
-        # each delta_j(f^m) is then w_j . v_m, with no product per (j, m)
-        from dyndeg.core import GradedAlgebra
-
+        # the weights w_j = F h^{r-j} come off the algebra's pairing form F,
+        # and each delta_j(f^m) is w_j . v_m: no product at all, where one
+        # product per pairing weight (27 on (P^2)^3) was built before
         model = multiprojective([2, 2, 2])
         f = product_map(model, [2, 3, 1], [1, 2, 0])
         model.h_powers  # the cached powers of h are not counted below
-        calls = []
-        original = GradedAlgebra.mul
-
-        def counted(self, a, b):
-            calls.append(1)
-            return original(self, a, b)
-
-        monkeypatch.setattr(GradedAlgebra, "mul", counted)
+        calls = count_products(monkeypatch)
         table = delta_table(model, f, m_max)
-        dims = model.algebra.dims
-        assert len(calls) == sum(dims[2 * j] for j in range(model.r + 1))
+        assert len(calls) == 0
         monkeypatch.undo()
         for j in range(model.r + 1):
             assert table.column(m_max)[j] == delta(model, f, m_max, j)
+
+    def test_delta_table_of_a_rational_map_matches_the_oracle(self):
+        # a power map with a non-integer scalar runs the gcd step of the
+        # iteration; every entry still matches the product oracle
+        model = projective_space(2)
+        f = scalar_power_pullback(model, Fraction(-3, 2))
+        table = delta_table(model, f, 6)
+        for j in range(model.r + 1):
+            for m in range(1, 7):
+                assert table.column(m)[j] == delta(model, f, m, j)
+        assert table.rows[2][5] == Fraction(3, 2) ** 12
 
     def test_row_zero_is_deg_x(self):
         for name, model, f in builder_battery():
@@ -293,6 +311,26 @@ class TestIntersectionBound:
             check_intersection_bound(
                 model, model.algebra.one(), model.h
             )
+
+    def test_bounds_report_builds_no_product(self, monkeypatch):
+        # deg(v) is read once per class and every number is a value of the
+        # pairing form, so once h^j and deg(X) are cached no product is built
+        from dyndeg.analyses import _run_bounds
+
+        model = multiprojective([2, 2, 2])
+        model.h_powers, model.deg_x
+        calls = count_products(monkeypatch)
+        result = _run_bounds(model, None, None)
+        assert len(calls) == 0
+        monkeypatch.undo()
+        alg, by_label = model.algebra, {e.label: e.element for e in model.effective}
+        assert len(result["checks"]) == 141 and result["violations"] == 0
+        for check in result["checks"]:
+            v, w = by_label[check["v"]], by_label[check["w"]]
+            assert check["pairing"] == pair_by_product(alg, v, w)
+            for element, key in ((v, "deg_v"), (w, "deg_w")):
+                comp = alg.power(model.h, model.r - element.degree() // 2)
+                assert check[key] == pair_by_product(alg, element, comp)
 
     def test_exhaustive_over_builder_effective_pairs(self):
         for name, model, _ in builder_battery():
