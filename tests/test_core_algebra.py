@@ -25,6 +25,7 @@ from dyndeg.models import (
 )
 
 from support import (
+    basis_product,
     builder_battery,
     fraction_det,
     gram_matrix,
@@ -321,13 +322,20 @@ class TestPairingForm:
         assert alg.pair(a, b) == pair_by_product(alg, a, b), name
 
     def test_every_basis_pair_of_complementary_degrees(self):
+        # the integral of the table entry e_a e_b, in Fraction
         for name, alg in PAIRING_ALGEBRAS:
-            for i in range(alg.top_degree + 1):
+            top = alg.top_degree
+            for i in range(top + 1):
                 for p in range(alg.dims[i]):
-                    for q in range(alg.dims[alg.top_degree - i]):
-                        a = alg.basis_element(i, p)
-                        b = alg.basis_element(alg.top_degree - i, q)
-                        assert alg.pair(a, b) == pair_by_product(alg, a, b), name
+                    for q in range(alg.dims[top - i]):
+                        entry = basis_product(alg, (i, p), (top - i, q))
+                        expected = sum(
+                            (c * w for c, w in zip(entry, alg.integrate_coords)),
+                            Fraction(0),
+                        )
+                        pair = alg.pair(alg.basis_element(i, p),
+                                        alg.basis_element(top - i, q))
+                        assert pair == expected, (name, i, p, q)
 
     def test_elements_of_another_grading_are_rejected(self):
         alg, other = quotient_ring(2), quotient_ring(3)
