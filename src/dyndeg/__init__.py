@@ -29,6 +29,7 @@ _EXPORTS = {
         "exterior_pullback",
     ),
     "core": ("Element", "GradedAlgebra", "build_algebra"),
+    "custom": ("custom_model",),
     "degrees": (
         "DeltaTable", "bound_constant", "check_intersection_bound",
         "delta_table", "graph_class", "growth_rates", "limsup_root",
@@ -44,7 +45,7 @@ _EXPORTS = {
         "spectral_chain",
     ),
     "lattice": ("surface_lattice",),
-    "models": ("EffectiveClass", "EmbeddedModel", "custom_model"),
+    "models": ("EffectiveClass", "EmbeddedModel"),
     "projective": (
         "multiprojective", "pn_power_map", "product_map", "projective_space",
     ),

@@ -4,7 +4,8 @@ The cohomology of a g-dimensional abelian variety is the exterior algebra on
 the 2g classes of H^1, and an endomorphism acts on degree k through the k-th
 exterior power of its action on H^1.  A map is asserted only when it is the
 action of an integer matrix of End(E^g) = M_g(Z), for E without complex
-multiplication (see :func:`abelian_variety`).
+multiplication (see :func:`abelian_variety`).  The CLI's adapter and
+cross-field check for the ``abelian`` kind live here too.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Mapping, Sequence
 # called, so a wrapper bound there (a tracer's) is the one that runs
 from . import SUPER_COMMUTATIVE, core, endo
 from .errors import AmpleClassDegenerate, ShapeMismatch
-from .linalg import as_matrix, scaled_matrix, transpose
-from .models import EffectiveClass, EmbeddedModel
+from .linalg import as_matrix, identity, scaled_matrix, transpose
+from .models import EffectiveClass, EmbeddedModel, check_square
 
 
 def _subset_sign(s: tuple[int, ...], t: tuple[int, ...]) -> int:
@@ -203,3 +204,25 @@ def elliptic_square(
             for k in range(2):
                 m[2 * i + k][2 * j + k] = a[i][j]
     return abelian_variety(2, m)
+
+
+# ---------------------------------------------------------------------------
+# config adapters and cross-field checks (see ``cli._MODELS``)
+# ---------------------------------------------------------------------------
+
+def build_abelian(spec, map_spec):
+    g = spec["g"]
+    omega = None
+    if "omega" in spec:
+        omega = {(i, j): coeff for i, j, coeff in spec["omega"]}
+    return abelian_variety(g, map_spec.get("matrix", identity(2 * g)), omega)
+
+
+def check_abelian(c, spec, map_spec) -> None:
+    n, first = 2 * spec["g"], {}
+    for k, (i, j, _) in enumerate(spec.get("omega", ())):
+        if not 0 <= i < j < n:
+            c.add(f"/model/omega/{k}", f"expected indices 0 <= i < j < {n}")
+        elif first.setdefault((i, j), k) != k:
+            c.add(f"/model/omega/{k}", f"repeats /model/omega/{first[(i, j)]}")
+    check_square(c, "/map", map_spec, "matrix", n)

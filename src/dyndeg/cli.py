@@ -16,27 +16,32 @@ Exit codes: 0 success, 2 usage error or config/model validation failure,
 structured JSON, validation failures with a JSON pointer path per violation.
 Partial results are never emitted.
 
-Only the stdlib and ``errors`` load with this module, so a config the schema
-rejects costs little more than interpreter start-up.  A config that parses
-loads ``models``, ``core``, ``endo``, ``linalg`` and its kind's builders
-(``projective``, ``abelian`` or ``lattice``); ``report`` and ``delta`` add
+Only the stdlib and ``errors`` load with this module (``fractions`` only to
+read a rational written as a string), so a config the schema rejects costs
+little more than interpreter start-up.  Each model kind's builder, adapter
+(``build_<kind>``) and cross-field check (``check_<kind>``) live in the
+module ``_MODELS`` names: ``projective``, ``abelian``, ``lattice`` or
+``custom``, imported once the model's and the map's fields have passed, with
+``models``, ``core``, ``endo`` and ``linalg``.  ``report`` and ``delta`` add
 ``analyses``, ``degrees`` only for a delta table, graph class or bounds, and
 ``gromov`` with ``spectral`` only for ``gromov`` and ``chain``.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import sys
 import time
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import COMMUTATIVE, SUPER_COMMUTATIVE, __version__
-from .errors import (BadMatrixShape, DynDegError, SchemaError, UnknownModelKind,
-                     UsageError)
+from .errors import (AmpleNotPositive, BadMatrixShape, DynDegError, SchemaError,
+                     UnknownModelKind, UsageError)
 
 if TYPE_CHECKING:
     from .endo import PullbackMap
@@ -47,15 +52,13 @@ ANALYSIS_STAGE = "analysis"
 ANALYSES = ("delta-table", "gromov", "chain", "graph-class", "bounds")
 
 
-class RunConfig(NamedTuple):
-    model: dict
-    map: dict
-    analyses: tuple[str, ...]
-    ample: dict | None = None
-    m_max: int = 16
-    tol: float = 1e-9
-    out: str | None = None
-    schema_version: str = SCHEMA_VERSION
+class RunConfig(namedtuple(
+    "RunConfig", "model map analyses ample m_max tol out schema_version",
+    defaults=(None, 16, 1e-9, None, SCHEMA_VERSION),
+)):
+    """A validated config; ``ample`` and ``out`` are None when not given."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         # the output path is delivery metadata, not an analysis input, so it
@@ -73,10 +76,10 @@ class RunConfig(NamedTuple):
         return out
 
 
-class Report(NamedTuple):
-    config: RunConfig
-    results: dict
-    elapsed: float
+class Report(namedtuple("Report", "config results elapsed")):
+    """The results of ``config`` by analysis, and the seconds they took."""
+
+    __slots__ = ()
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -102,42 +105,45 @@ def dumps_canonical(obj) -> str:
     ``json.dumps(..., sort_keys=True, indent=2)`` plus a newline, with each
     ``Fraction`` as ``{"den": ..., "num": ...}`` strings, each float at 12
     significant digits and each key through ``str``."""
+    from fractions import Fraction  # loaded already by any model
+
     out: list[str] = []
-    _write(obj, "\n", out.append)
-    out.append("\n")
+    emit = out.append
+
+    def write(value, nl: str) -> None:
+        """Emit ``value``, its inner lines indented two spaces past ``nl``."""
+        inner = nl + "  "
+        if isinstance(value, str):
+            emit(encode_basestring_ascii(value))
+        elif value is None or value is True or value is False:
+            emit("null" if value is None else "true" if value else "false")
+        elif isinstance(value, int):
+            emit(int.__repr__(value))
+        elif isinstance(value, float):  # NaN and the infinities as json spells them
+            emit(json.dumps(float(format(value, ".12g"))))
+        elif isinstance(value, (list, tuple)):
+            sep = "[" + inner
+            for item in value:
+                emit(sep)
+                write(item, inner)
+                sep = "," + inner
+            emit("[]" if not value else nl + "]")
+        elif isinstance(value, Fraction):  # an ABC, slow to test: after the rest
+            emit(f'{{{inner}"den": "{value.denominator}",'
+                 f'{inner}"num": "{value.numerator}"{nl}}}')
+        elif isinstance(value, Mapping):
+            items, sep = {str(k): v for k, v in value.items()}, "{" + inner
+            for key in sorted(items):
+                emit(sep + encode_basestring_ascii(key) + ": ")
+                write(items[key], inner)
+                sep = "," + inner
+            emit("{}" if not items else nl + "}")
+        else:
+            raise TypeError(f"cannot encode {value!r}")
+
+    write(obj, "\n")
+    emit("\n")
     return "".join(out)
-
-
-def _write(value, nl: str, emit) -> None:
-    """Emit ``value``, its inner lines indented two spaces past ``nl``."""
-    inner = nl + "  "
-    if isinstance(value, str):
-        emit(encode_basestring_ascii(value))
-    elif value is None or value is True or value is False:
-        emit("null" if value is None else "true" if value else "false")
-    elif isinstance(value, int):
-        emit(int.__repr__(value))
-    elif isinstance(value, float):  # NaN and the infinities as json spells them
-        emit(json.dumps(float(format(value, ".12g"))))
-    elif isinstance(value, (list, tuple)):
-        sep = "[" + inner
-        for item in value:
-            emit(sep)
-            _write(item, inner, emit)
-            sep = "," + inner
-        emit("[]" if not value else nl + "]")
-    elif isinstance(value, Fraction):  # an ABC, slow to test: after the rest
-        emit(f'{{{inner}"den": "{value.denominator}",'
-             f'{inner}"num": "{value.numerator}"{nl}}}')
-    elif isinstance(value, Mapping):
-        items, sep = {str(k): v for k, v in value.items()}, "{" + inner
-        for key in sorted(items):
-            emit(sep + encode_basestring_ascii(key) + ": ")
-            _write(items[key], inner, emit)
-            sep = "," + inner
-        emit("{}" if not items else nl + "}")
-    else:
-        raise TypeError(f"cannot encode {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +176,18 @@ def _is_rational(x) -> bool:
         return False
     if isinstance(x, int):
         return True
-    if isinstance(x, str):
-        try:
+    if not (isinstance(x, str) or isinstance(x, dict) and set(x) == {"num", "den"}):
+        return False
+    from fractions import Fraction  # only a rational written out needs it
+
+    try:
+        if isinstance(x, str):
             Fraction(x)
-            return True
-        except (ValueError, ZeroDivisionError):
-            return False
-    if isinstance(x, dict) and set(x) == {"num", "den"}:
-        try:
+        else:
             Fraction(int(x["num"]), int(x["den"]))
-            return True
-        except (ValueError, ZeroDivisionError, TypeError):
-            return False
-    return False
+    except (ValueError, ZeroDivisionError, TypeError):
+        return False
+    return True
 
 
 def _is_index(x) -> bool:
@@ -347,189 +352,33 @@ def _kind_of(c: _Collector, raw: dict, part: str, kinds, category="schema"):
 # model and map kinds
 # ---------------------------------------------------------------------------
 
-# A builder takes the model spec and the map spec and returns the model with
-# the pullback of the kind's own map; it reads only its own map fields, so a
-# map spec without them ("identity", "matrices") gives the identity map.
-
-def _build_projective(spec, map_spec):
-    from .projective import pn_power_map, projective_space
-
-    model = projective_space(spec["n"])
-    return model, pn_power_map(model, map_spec.get("d", 1))
-
-
-def _build_multiprojective(spec, map_spec):
-    from .projective import multiprojective, product_map
-
-    k = len(spec["n"])
-    model = multiprojective(spec["n"])
-    return model, product_map(
-        model, map_spec.get("d", [1] * k), map_spec.get("perm", list(range(k)))
-    )
-
-
-def _build_abelian(spec, map_spec):
-    from .abelian import abelian_variety
-    from .linalg import identity
-
-    g = spec["g"]
-    omega = None
-    if "omega" in spec:
-        omega = {(i, j): coeff for i, j, coeff in spec["omega"]}
-    return abelian_variety(g, map_spec.get("matrix", identity(2 * g)), omega)
-
-
-def _build_surface_lattice(spec, map_spec):
-    from .lattice import surface_lattice
-    from .linalg import identity
-
-    gram = spec["gram"]
-    return surface_lattice(
-        gram, map_spec.get("matrix", identity(len(gram))), spec["ample"],
-        ambient_dim=spec.get("ambient_dim"),
-    )
-
-
-def _build_custom(spec, map_spec):
-    from .endo import identity_map
-    from .models import custom_model
-
-    model = custom_model({k: v for k, v in spec.items() if k != "kind"})
-    return model, identity_map(model.algebra)
-
-
-# A cross-field check runs once both kinds and all their fields have passed,
-# so that what a builder would reject carries a JSON pointer.
-
-def _check_square(c: _Collector, path: str, spec, key: str, n: int) -> None:
-    if key in spec and (len(spec[key]) != n or len(spec[key][0]) != n):
-        c.add(f"{path}/{key}", f"expected a {n}x{n} matrix")
-
-
-def _check_multiprojective(c: _Collector, spec, map_spec) -> None:
-    ns, perm = spec["n"], map_spec.get("perm", range(len(spec["n"])))
-    if len(map_spec.get("d", ns)) != len(ns):
-        c.add("/map/d", f"expected {len(ns)} degrees, one per factor")
-    if sorted(perm) != list(range(len(ns))) or any(
-            ns[p] != n for p, n in zip(perm, ns)):
-        c.add("/map/perm", "expected a permutation of equal-dimension factors")
-
-
-def _check_abelian(c: _Collector, spec, map_spec) -> None:
-    n, first = 2 * spec["g"], {}
-    for k, (i, j, _) in enumerate(spec.get("omega", ())):
-        if not 0 <= i < j < n:
-            c.add(f"/model/omega/{k}", f"expected indices 0 <= i < j < {n}")
-        elif first.setdefault((i, j), k) != k:
-            c.add(f"/model/omega/{k}", f"repeats /model/omega/{first[(i, j)]}")
-    _check_square(c, "/map", map_spec, "matrix", n)
-
-
-def _check_surface_lattice(c: _Collector, spec, map_spec) -> None:
-    n = len(spec["gram"])
-    _check_square(c, "/model", spec, "gram", n)
-    if len(spec["ample"]) != n:
-        c.add("/model/ample", f"expected {n} coordinates")
-    _check_square(c, "/map", map_spec, "matrix", n)
-
-
-def _check_length(c: _Collector, path: str, vector, degree: int, dims,
-                  degree_path: str | None = None) -> bool:
-    """``vector`` must have ``dims[degree]`` coordinates; a degree outside
-    the grading is reported at ``degree_path`` (default ``path``)."""
-    if not 0 <= degree < len(dims):
-        c.add(degree_path or path, f"degree {degree} outside 0..{len(dims) - 1}")
-    elif len(vector) != dims[degree]:
-        c.add(path, f"expected dims[{degree}] = {dims[degree]} coordinates")
-    else:
-        return True
-    return False
-
-
-def _check_divisor(c: _Collector, path: str, vector, dims) -> None:
-    """A nonzero class of degree 2."""
-    from .linalg import as_fraction
-
-    if _check_length(c, path, vector, 2, dims) and not any(map(as_fraction, vector)):
-        c.add(path, "expected a nonzero class")
-
-
-def _check_products(c: _Collector, products, dims) -> None:
-    """Each entry multiplies two basis elements whose degrees sum to at most
-    the top degree, into coordinates below ``dims[i + j]``, and no two
-    entries multiply the same ordered pair."""
-    top, first = len(dims) - 1, {}
-    for k, entry in enumerate(products):
-        path = f"/model/products/{k}"
-        outside = [side for side in ("a", "b") if not (
-            0 <= entry[side][0] <= top and 0 <= entry[side][1] < dims[entry[side][0]]
-        )]
-        for side in outside:
-            c.add(f"{path}/{side}", "expected [degree, index] of a basis element")
-        if outside:
-            continue
-        degree = entry["a"][0] + entry["b"][0]
-        pair, value = (*entry["a"], *entry["b"]), entry["value"]
-        keys = value if isinstance(value, dict) else [key for key, _ in value]
-        if degree > top:
-            c.add(path, f"degrees sum to {degree}, past top_degree {top}")
-        elif not all(0 <= int(key) < dims[degree] for key in keys):
-            c.add(f"{path}/value",
-                  f"expected coordinates below dims[{degree}] = {dims[degree]}")
-        elif first.setdefault(pair, k) != k:
-            c.add(path, f"repeats /model/products/{first[pair]}")
-
-
-def _check_custom(c: _Collector, spec, map_spec) -> None:
-    from .linalg import as_fraction
-
-    dims = spec["dims"]
-    if len(dims) != spec["top_degree"] + 1:
-        c.add("/model/dims", "expected top_degree + 1 dimensions")
-        return
-    if dims[0] != 1:
-        c.add("/model/dims/0", "expected 1: degree 0 is spanned by the unit")
-    _check_divisor(c, "/model/h", spec["h"], dims)
-    for key, degree, zero_path, what in (
-        ("unit", 0, "/model/unit/0", "unit coordinate"),
-        ("integrate", len(dims) - 1, "/model/integrate", "functional"),
-    ):
-        if key in spec and _check_length(
-            c, f"/model/{key}", spec[key], degree, dims
-        ) and not any(map(as_fraction, spec[key])):
-            c.add(zero_path, f"expected a nonzero {what}")
-    _check_products(c, spec["products"], dims)
-    for k, e in enumerate(spec.get("effective", ())):
-        _check_length(c, f"/model/effective/{k}/coords", e["coords"],
-                      e["degree"], dims, f"/model/effective/{k}/degree")
-
-
-class _ModelKind(NamedTuple):
-    fields: dict  # name -> (required, check), as read by _check_fields
-    maps: tuple[str, ...]  # map kinds it takes besides _EVERY_MODEL_MAPS
-    build: Callable[[dict, dict], tuple[EmbeddedModel, PullbackMap]]
-    check: Callable[[_Collector, dict, dict], None] = lambda *_: None
-
-
+# model kind -> (its fields: name -> (required, check), as read by
+# _check_fields; the map kinds it takes besides _EVERY_MODEL_MAPS; the module
+# that builds it; whether it has a cross-field check).  That module defines
+# ``build_<kind>(spec, map_spec)``: the model and the pullback of the kind's
+# own map, read from its own map fields only, so a map spec without them
+# ("identity", "matrices") gives the identity.  A checked kind's
+# ``check_<kind>(c, spec, map_spec)`` runs once both kinds and all their
+# fields have passed, so that what the builder would reject has a pointer.
 _MODELS = {
-    "projective": _ModelKind(
-        {"n": (True, _at_least(1))}, ("power",), _build_projective
+    "projective": (
+        {"n": (True, _at_least(1))}, ("power",), "projective", False,
     ),
-    "multiprojective": _ModelKind(
+    "multiprojective": (
         {"n": (True, _integers(1, nonempty=True))}, ("product",),
-        _build_multiprojective, _check_multiprojective,
+        "projective", True,
     ),
-    "abelian": _ModelKind(
+    "abelian": (
         {"g": (True, _at_least(1)),
          "omega": (False, _entries(_check_omega_entry, "[i, j, coeff] triples"))},
-        ("exterior",), _build_abelian, _check_abelian,
+        ("exterior",), "abelian", True,
     ),
-    "surface_lattice": _ModelKind(
+    "surface_lattice": (
         {"gram": (True, _check_matrix), "ample": (True, _check_vector),
          "ambient_dim": (False, _at_least(1))},
-        ("isometry",), _build_surface_lattice, _check_surface_lattice,
+        ("isometry",), "lattice", True,
     ),
-    "custom": _ModelKind(
+    "custom": (
         {"top_degree": (True, _at_least(0)),
          "dims": (True, _integers(0)),
          "sign_rule": (False, _one_of(COMMUTATIVE, SUPER_COMMUTATIVE)),
@@ -542,7 +391,7 @@ _MODELS = {
          "realizability": (
              False, _one_of("unverified", "asserted", "asserted-for-lattice")
          )},
-        (), _build_custom, _check_custom,
+        (), "custom", True,
     ),
 }
 # map kind -> fields
@@ -557,6 +406,11 @@ _MAPS = {
 _EVERY_MODEL_MAPS = ("matrices", "identity")
 MODEL_KINDS = tuple(_MODELS)
 MAP_KINDS = tuple(_MAPS)
+
+
+def _kind_module(kind: str):
+    """The module that builds model kind ``kind``, imported on first use."""
+    return importlib.import_module(f".{_MODELS[kind][2]}", __package__)
 
 
 def _is_tolerance(x) -> bool:
@@ -598,19 +452,19 @@ def parse_config(text: str, overrides: Mapping | None = None) -> RunConfig:
     before = len(c.violations)
     model_kind = _kind_of(c, raw, "model", MODEL_KINDS, "kind")
     if model_kind is not None:
-        _check_fields(c, "/model", raw["model"], _MODELS[model_kind].fields)
+        fields, maps, _, checked = _MODELS[model_kind]
+        _check_fields(c, "/model", raw["model"], fields)
     map_kind = _kind_of(c, raw, "map", MAP_KINDS)
     if map_kind is not None:
-        if model_kind is not None and map_kind not in (
-            _MODELS[model_kind].maps + _EVERY_MODEL_MAPS
-        ):
+        if model_kind is not None and map_kind not in maps + _EVERY_MODEL_MAPS:
             c.add(
                 "/map/kind",
                 f"map kind {map_kind!r} does not apply to model kind {model_kind!r}",
             )
         _check_fields(c, "/map", raw["map"], _MAPS[map_kind])
-    if len(c.violations) == before:  # both kinds known, their fields valid
-        _MODELS[model_kind].check(c, raw["model"], raw["map"])
+    if len(c.violations) == before and checked:  # kinds known, fields valid
+        check = getattr(_kind_module(model_kind), f"check_{model_kind}")
+        check(c, raw["model"], raw["map"])
 
     analyses = raw.get("analyses")
     if analyses is None:
@@ -659,10 +513,13 @@ def parse_config(text: str, overrides: Mapping | None = None) -> RunConfig:
 
 def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
     kind, map_spec = config.model["kind"], config.map
-    model, pull = _MODELS[kind].build(config.model, map_spec)
+    build = getattr(_kind_module(kind), f"build_{kind}")
+    model, pull = build(config.model, map_spec)
+    from .models import EmbeddedModel, check_divisor  # loaded by the builder
+
     c, dims = _Collector(), model.algebra.dims  # known only once built
     if config.ample is not None:
-        _check_divisor(c, "/ample/coords", config.ample["coords"], dims)
+        check_divisor(c, "/ample/coords", config.ample["coords"], dims)
     if map_spec["kind"] == "matrices":
         if len(map_spec["blocks"]) != len(dims):
             c.add("/map/blocks", f"expected {len(dims)} per-degree matrices")
@@ -680,13 +537,14 @@ def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
         )
 
     if config.ample is not None:
-        from .models import EmbeddedModel
-
         h = model.algebra.homogeneous(2, config.ample["coords"])
-        model = EmbeddedModel(
-            model.algebra, h, model.ambient_dim, model.realizability,
-            model.provenance, model.effective, model.scope_note,
-        ).validate()
+        try:
+            model = EmbeddedModel(
+                model.algebra, h, model.ambient_dim, model.realizability,
+                model.provenance, model.effective, model.scope_note,
+            ).validate()
+        except AmpleNotPositive as exc:  # negative on an effective class
+            raise SchemaError([("/ample/coords", str(exc))]) from exc
     return model, pull
 
 

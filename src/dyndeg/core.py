@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from . import COMMUTATIVE, SUPER_COMMUTATIVE
 from .errors import (
@@ -142,7 +144,7 @@ class Element:
         return (-1) * self
 
 
-class ScaledTable(NamedTuple):
+class ScaledTable(namedtuple("ScaledTable", "denominator rows")):
     """The structure constants as integers over one common denominator.
 
     ``rows[(i, j)][p]`` maps q to the nonzero entries ``((k, D * c_k), ...)``
@@ -151,8 +153,7 @@ class ScaledTable(NamedTuple):
     vectors is exactly comparing the rational ones.
     """
 
-    denominator: int
-    rows: dict[tuple[int, int], list[dict[int, tuple[tuple[int, int], ...]]]]
+    __slots__ = ()
 
     @classmethod
     def scale(cls, dims, blocks) -> "ScaledTable":

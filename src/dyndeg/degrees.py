@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Element
 from .endo import PullbackMap
@@ -33,17 +34,14 @@ if TYPE_CHECKING:
 # dynamical degrees
 # ---------------------------------------------------------------------------
 
-class DeltaTable(NamedTuple):
+class DeltaTable(namedtuple("DeltaTable", "r m_max rows deg_x")):
     """Grid of dynamical degrees: rows indexed by j in [0, r], m in [1, m_max].
 
     ``deg_x`` is the shared identity-map baseline: pair(h^{r-j}, h^j) equals
     integrate(h^r) = deg(X) for every j.
     """
 
-    r: int
-    m_max: int
-    rows: tuple[tuple[Fraction, ...], ...]
-    deg_x: Fraction
+    __slots__ = ()
 
     def column(self, m: int) -> tuple[Fraction, ...]:
         """(delta_0(f^m), ..., delta_r(f^m)): the m-th iterate across all j."""
@@ -119,10 +117,7 @@ def limsup_root(sequence: Sequence, window: int | None = None) -> float:
     return max(_root_of_abs(seq[m], m + 1) for m in range(start, len(seq)))
 
 
-class GrowthRates(NamedTuple):
-    rates: tuple[float, ...]
-    max_rate: float
-    window: int
+GrowthRates = namedtuple("GrowthRates", "rates max_rate window")
 
 
 def growth_rates(table: DeltaTable, window: int | None = None) -> GrowthRates:
@@ -150,10 +145,8 @@ def growth_rates(table: DeltaTable, window: int | None = None) -> GrowthRates:
 # graph class and Segre degree
 # ---------------------------------------------------------------------------
 
-class GraphComponent(NamedTuple):
-    coefficient: Fraction
-    factor_dims: tuple[int, int]  # (a, b) for the component [P^a] x [P^b]
-    label: str
+# factor_dims: (a, b) for the component [P^a] x [P^b]
+GraphComponent = namedtuple("GraphComponent", "coefficient factor_dims label")
 
 
 def _graph_coefficients(
@@ -187,10 +180,8 @@ def _graph_labels(r: int) -> tuple[str, ...]:  # they do not depend on m
     return tuple(f"[P^{r - j}]x[P^{j}]" for j in range(r + 1))
 
 
-class SegreDegree(NamedTuple):
-    value: Fraction
-    expected: Fraction | None  # closed form for power maps on P^n, else None
-    matches: bool | None
+# expected: closed form for power maps on P^n, else None
+SegreDegree = namedtuple("SegreDegree", "value expected matches")
 
 
 def segre_graph_degree(
@@ -233,13 +224,13 @@ def bound_constant(r: int, deg_x) -> Fraction:
     return Fraction((r + 2) * n ** (r + 1), d ** (r + 1))  # one Fraction, not three
 
 
-class MovingLedger(NamedTuple):
+class MovingLedger(namedtuple("MovingLedger", "k v_degrees e_degrees bound")):
     """Worst-case degree bookkeeping for the ambient-cycle replacement steps."""
 
-    k: int
-    v_degrees: tuple[Fraction, ...]  # deg(V_0) .. deg(V_k), worst case
-    e_degrees: tuple[Fraction, ...]  # deg(E_1) .. deg(E_k)
-    bound: Fraction  # (sum_{j=1..k} deg(V_{j-1}) + deg(V_{k-1})) * deg(W)
+    # v_degrees: deg(V_0) .. deg(V_k), worst case
+    # e_degrees: deg(E_1) .. deg(E_k)
+    # bound: (sum_{j=1..k} deg(V_{j-1}) + deg(V_{k-1})) * deg(W)
+    __slots__ = ()
 
 
 def moving_ledger(r: int, deg_x, deg_v, deg_w, k: int) -> MovingLedger:
@@ -266,12 +257,9 @@ def moving_ledger(r: int, deg_x, deg_v, deg_w, k: int) -> MovingLedger:
     )
 
 
-class IntersectionBoundCheck(NamedTuple):
-    pairing: Fraction
-    deg_v: Fraction
-    deg_w: Fraction
-    constant: Fraction
-    ok: bool
+IntersectionBoundCheck = namedtuple(
+    "IntersectionBoundCheck", "pairing deg_v deg_w constant ok"
+)
 
 
 def ambient_degree(model: EmbeddedModel, v: Element, degree: int) -> Fraction:

@@ -1,21 +1,38 @@
 """Exception hierarchy.
 
 Every validation error names the offending basis vectors as ``(degree, index)``
-pairs so callers (and the CLI) can report exactly which product or triple broke
-a law.  ``payload()`` returns a JSON-ready description used by the CLI when it
-writes structured errors to stderr.
+pairs, and ``payload()`` is the JSON description the CLI writes to stderr.  An
+error that carries data declares it: it takes its ``fields`` as positional
+arguments (those not given are None) and keeps each as an attribute, its
+message, unless ``message`` is given, is ``template`` formatted with them, and
+its payload adds each ``shown`` field that is not None (JSON writes tuples as
+lists).
 """
 
 from __future__ import annotations
 
 
 class DynDegError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; one without ``fields`` takes its
+    message as its one argument."""
 
     kind = "error"
+    fields: tuple[str, ...] = ()
+    template = ""
+    shown: tuple[str, ...] = ()
+
+    def __init__(self, *args, message=""):
+        if self.fields:
+            values = dict(zip(self.fields, args + (None,) * len(self.fields)))
+            vars(self).update(values)
+            args = (message or self.template.format(**values),)
+        super().__init__(*args)
 
     def payload(self) -> dict:
-        return {"error": self.kind, "message": str(self)}
+        out = {"error": self.kind, "message": str(self)}
+        out.update((name, getattr(self, name)) for name in self.shown
+                   if getattr(self, name) is not None)
+        return out
 
 
 class ShapeMismatch(DynDegError):
@@ -24,57 +41,26 @@ class ShapeMismatch(DynDegError):
 
 class AssociativityViolation(DynDegError):
     kind = "AssociativityViolation"
-
-    def __init__(self, triple, message=""):
-        self.triple = tuple(triple)
-        super().__init__(
-            message or f"associativity fails on basis triple {self.triple}"
-        )
-
-    def payload(self):
-        return {"error": self.kind, "triple": [list(t) for t in self.triple],
-                "message": str(self)}
+    fields = shown = ("triple",)
+    template = "associativity fails on basis triple {triple}"
 
 
 class SignRuleViolation(DynDegError):
     kind = "SignRuleViolation"
-
-    def __init__(self, pair, message=""):
-        self.pair = tuple(pair)
-        super().__init__(message or f"sign rule fails on basis pair {self.pair}")
-
-    def payload(self):
-        return {"error": self.kind, "pair": [list(p) for p in self.pair],
-                "message": str(self)}
+    fields = shown = ("pair",)
+    template = "sign rule fails on basis pair {pair}"
 
 
 class UnitViolation(DynDegError):
     kind = "UnitViolation"
-
-    def __init__(self, basis=None, message=""):
-        self.basis = tuple(basis) if basis is not None else None
-        super().__init__(message or f"unit law fails on basis vector {self.basis}")
-
-    def payload(self):
-        out = {"error": self.kind, "message": str(self)}
-        if self.basis is not None:
-            out["basis"] = list(self.basis)
-        return out
+    fields = shown = ("basis",)
+    template = "unit law fails on basis vector {basis}"
 
 
 class MultiplicativityViolation(DynDegError):
     kind = "MultiplicativityViolation"
-
-    def __init__(self, pair, message=""):
-        self.pair = tuple(pair)
-        super().__init__(
-            message
-            or f"pullback is not multiplicative on basis pair {self.pair}"
-        )
-
-    def payload(self):
-        return {"error": self.kind, "pair": [list(p) for p in self.pair],
-                "message": str(self)}
+    fields = shown = ("pair",)
+    template = "pullback is not multiplicative on basis pair {pair}"
 
 
 class SpectralNonconvergence(DynDegError):
@@ -84,14 +70,8 @@ class SpectralNonconvergence(DynDegError):
     """
 
     kind = "SpectralNonconvergence"
-
-    def __init__(self, estimate, error_bound, message=""):
-        self.estimate = estimate
-        self.error_bound = error_bound
-        super().__init__(
-            message
-            or f"spectral radius bracket stalled at {estimate} ± {error_bound}"
-        )
+    fields = ("estimate", "error_bound")
+    template = "spectral radius bracket stalled at {estimate} ± {error_bound}"
 
 
 class ZeroWeight(DynDegError):
@@ -124,12 +104,8 @@ class AmpleNotPositive(DynDegError):
 
 class FloatOverflow(DynDegError):
     kind = "FloatOverflow"
-
-    def __init__(self, entries, message=""):
-        self.entries = list(entries)
-        super().__init__(
-            message or f"non-finite float entries at positions {self.entries}"
-        )
+    fields = ("entries",)
+    template = "non-finite float entries at positions {entries}"
 
 
 class UsageError(DynDegError):
@@ -143,13 +119,15 @@ class SchemaError(DynDegError):
     """Config validation failure listing every violation with a JSON pointer."""
 
     kind = "SchemaError"
+    fields = ("violations",)  # (JSON pointer, message) pairs
 
     def __init__(self, violations):
-        self.violations = list(violations)
-        lines = "; ".join(f"{path}: {msg}" for path, msg in self.violations)
-        super().__init__(lines or "invalid configuration")
+        violations = list(violations)
+        lines = "; ".join(f"{path}: {msg}" for path, msg in violations)
+        super().__init__(violations, message=lines or "invalid configuration")
 
     def payload(self):
+        # one record per violation, and no message: the records are it
         return {
             "error": self.kind,
             "violations": [{"path": p, "message": m} for p, m in self.violations],

@@ -18,18 +18,37 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .degrees import _root_of_abs, default_window, limsup_root
 from .errors import FloatOverflow, ShapeMismatch, ZeroWeight
-from .linalg import Matrix, as_matrix, mat_mul, trace
+from .linalg import Matrix, as_matrix
 
 # exact trace computation cutoffs; beyond these the float path takes over
 _EXACT_DIM_CUTOFF = 64
 _EXACT_POWER_CUTOFF = 256
 
 _LN2 = math.log(2.0)
+
+
+# ---------------------------------------------------------------------------
+# exact matrix products and traces, for the exact trace path
+# ---------------------------------------------------------------------------
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if a and b and len(a[0]) != len(b):
+        raise ShapeMismatch("inner dimensions differ")
+    cols = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(cols))
+        for arow in a
+    )
+
+
+def trace(a: Matrix) -> Fraction:
+    return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +170,9 @@ def trace_radius_estimate(matrix: Sequence[Sequence], m_max: int) -> float:
     return max(est for m, est in seq if m >= m_max // 2)
 
 
-class CombinedLimsupBound(NamedTuple):
-    lhs_estimate: float
-    rhs_bound: float
-    verdict: bool
-    slack: float
+CombinedLimsupBound = namedtuple(
+    "CombinedLimsupBound", "lhs_estimate rhs_bound verdict slack"
+)
 
 
 def combined_limsup_bound(

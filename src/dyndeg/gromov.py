@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .core import Element, GradedAlgebra
 from .endo import PullbackMap
@@ -267,7 +267,12 @@ def lambda_gr(closure: GromovSubalgebra, tol: float = 1e-9):
     return got
 
 
-class ChainReport(NamedTuple):
+class ChainReport(namedtuple(
+    "ChainReport",
+    "lambda_gr lambda_gr_error lambda_by_codim mu_by_degree mu_error max_lambda"
+    " max_mu equality_asserted realizability tol gromov_dims scope_note",
+    defaults=(None,),
+)):
     """Full spectral-radius comparison for one (algebra, pullback, omega).
 
     ``lambda_by_codim[i]`` is the radius on the degree-2i piece (the algebraic
@@ -282,18 +287,7 @@ class ChainReport(NamedTuple):
     ``lambda_by_codim`` is a sub-list of ``mu_by_degree``.
     """
 
-    lambda_gr: float
-    lambda_gr_error: float
-    lambda_by_codim: tuple[float, ...]
-    mu_by_degree: tuple[float, ...]
-    mu_error: float
-    max_lambda: float
-    max_mu: float
-    equality_asserted: bool
-    realizability: str
-    tol: float
-    gromov_dims: tuple[int, ...]
-    scope_note: str | None = None
+    __slots__ = ()
 
     def slack(self, value: float) -> float:
         """The tolerance band the verdicts were computed with."""

@@ -1,7 +1,8 @@
 """Surface lattices: the algebraic part of a surface with an automorphism.
 
 A rank-(2 + rank) model: the unit, the lattice in degree 2 and the point
-class, with an isometry of the lattice as the map.
+class, with an isometry of the lattice as the map.  The CLI's adapter and
+cross-field check for the ``surface_lattice`` kind live here too.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Sequence
 # called, so a wrapper bound there (a tracer's) is the one that runs
 from . import COMMUTATIVE, core, endo
 from .errors import AmpleNotPositive, NotIsometry, ShapeMismatch
-from .linalg import as_fraction, as_matrix, scaled_matrix, transpose
-from .models import EffectiveClass, EmbeddedModel
+from .linalg import as_fraction, as_matrix, identity, scaled_matrix, transpose
+from .models import EffectiveClass, EmbeddedModel, check_square
 
 
 def surface_lattice(
@@ -92,3 +93,23 @@ def surface_lattice(
         provenance="isometry",
     )
     return model, pull
+
+
+# ---------------------------------------------------------------------------
+# config adapters and cross-field checks (see ``cli._MODELS``)
+# ---------------------------------------------------------------------------
+
+def build_surface_lattice(spec, map_spec):
+    gram = spec["gram"]
+    return surface_lattice(
+        gram, map_spec.get("matrix", identity(len(gram))), spec["ample"],
+        ambient_dim=spec.get("ambient_dim"),
+    )
+
+
+def check_surface_lattice(c, spec, map_spec) -> None:
+    n = len(spec["gram"])
+    check_square(c, "/model", spec, "gram", n)
+    if len(spec["ample"]) != n:
+        c.add("/model/ample", f"expected {n} coordinates")
+    check_square(c, "/map", map_spec, "matrix", n)

@@ -55,24 +55,10 @@ def identity(n: int) -> Matrix:
     )
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ShapeMismatch("inner dimensions differ")
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(cols))
-        for arow in a
-    )
-
-
 def transpose(a: Matrix) -> Matrix:
     if not a:
         return ()
     return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
-
-
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 class Echelon:

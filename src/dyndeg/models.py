@@ -1,5 +1,4 @@
-"""Embedded models, the custom-model builder, and where the other builders
-live.
+"""Embedded models, the checks they share, and where the builders live.
 
 An :class:`EmbeddedModel` is an algebra with an ample class, the ambient
 dimension and deg(X), plus the :class:`EffectiveClass` list a builder vouches
@@ -11,24 +10,26 @@ elliptic curves comes from an actual morphism, so those maps carry
 Which matrices are realizable in general is a number-theoretic question the
 library never guesses at - the flags just propagate into reports.
 
-The other builders live in one module per model kind (``projective``,
-``abelian``, ``lattice``), so a command compiles only the kind it builds;
-their names still resolve here, on first access (PEP 562).
+The builders live in one module per model kind (``projective``, also for
+``multiprojective``, ``abelian``, ``lattice`` and ``custom``), each with its
+kind's config adapter ``build_<kind>`` and cross-field check ``check_<kind>``,
+so a command compiles only the kind it builds; their public names resolve
+here too, on first access (PEP 562).  The ``check_*`` functions below are the
+config checks that several kinds or the CLI's ``ample`` override share.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
+from collections import namedtuple
 from fractions import Fraction
-from typing import Mapping, NamedTuple
 
-from . import COMMUTATIVE
-from .core import Element, GradedAlgebra, build_algebra
-from .errors import ShapeMismatch
+from .core import Element, GradedAlgebra
+from .errors import AmpleNotPositive, ShapeMismatch
 from .linalg import as_fraction
 
-_BUILDER_MODULES = ("projective", "abelian", "lattice")
+_BUILDER_MODULES = ("projective", "abelian", "lattice", "custom")
 
 
 def __getattr__(name):
@@ -41,11 +42,10 @@ def __getattr__(name):
     return value
 
 
-class EffectiveClass(NamedTuple):
+class EffectiveClass(namedtuple("EffectiveClass", "label element")):
     """A homogeneous class a builder vouches is effective."""
 
-    label: str
-    element: Element
+    __slots__ = ()
 
 
 class EmbeddedModel:
@@ -87,51 +87,48 @@ class EmbeddedModel:
             raise ShapeMismatch("h^r vanishes: h is not a valid ample class")
         if self.deg_x <= 0:
             raise ShapeMismatch(f"deg(X) = {self.deg_x} must be positive")
+        # Nakai-Moishezon, on what the builder vouches for: h^(r-k) . e > 0
+        # for each effective e of degree 2k
+        for e in self.effective:
+            degree = e.element.degree()
+            if degree is not None and degree % 2 == 0:
+                power = self.r - degree // 2
+                value = self.algebra.pair(self.h_powers[power], e.element)
+                if value <= 0:
+                    raise AmpleNotPositive(
+                        f"not ample: h^{power} on the effective class "
+                        f"{e.label!r} is {value}, not positive"
+                    )
         return self
 
 
 # ---------------------------------------------------------------------------
-# custom models from config dictionaries
+# config checks shared by the kinds and the CLI
 # ---------------------------------------------------------------------------
 
-def custom_model(params: Mapping) -> EmbeddedModel:
-    """Build a model from the CLI's custom-model schema (kind "custom").
+# Each adds what it finds to ``c`` (the CLI's violation collector) as a JSON
+# pointer and a message.
 
-    Everything is validated; realizability is "unverified" unless overridden.
-    A pullback comes from ``validate_pullback`` on the model's algebra.
-    """
-    top = int(params["top_degree"])
-    dims = [int(d) for d in params["dims"]]
-    sign_rule = params.get("sign_rule", COMMUTATIVE)
-    products = {}
-    for entry in params.get("products", ()):
-        (i, p), (j, q) = entry["a"], entry["b"]
-        value = entry["value"]
-        if isinstance(value, Mapping):
-            vec = {int(k): as_fraction(c) for k, c in value.items()}
-        else:
-            vec = {int(k): as_fraction(c) for k, c in value}
-        products[((int(i), int(p)), (int(j), int(q)))] = vec
-    algebra = build_algebra(
-        top, dims, sign_rule, products,
-        integrate=[as_fraction(c) for c in params["integrate"]],
-        unit=[as_fraction(c) for c in params.get("unit", (1,))],
-    )
-    h = algebra.homogeneous(2, [as_fraction(c) for c in params["h"]])
-    effective = tuple(
-        EffectiveClass(
-            e.get("label", f"effective[{i}]"),
-            algebra.homogeneous(
-                int(e["degree"]), [as_fraction(c) for c in e["coords"]]
-            ),
-        )
-        for i, e in enumerate(params.get("effective", ()))
-    )
-    return EmbeddedModel(
-        algebra,
-        h,
-        ambient_dim=int(params["ambient_dim"]),
-        realizability=params.get("realizability", "unverified"),
-        provenance="custom",
-        effective=effective,
-    ).validate()
+def check_square(c, path: str, spec, key: str, n: int) -> None:
+    """``spec[key]``, when given, must be an n x n matrix."""
+    if key in spec and (len(spec[key]) != n or len(spec[key][0]) != n):
+        c.add(f"{path}/{key}", f"expected a {n}x{n} matrix")
+
+
+def check_length(c, path: str, vector, degree: int, dims,
+                 degree_path: str | None = None) -> bool:
+    """``vector`` must have ``dims[degree]`` coordinates; a degree outside
+    the grading is reported at ``degree_path`` (default ``path``)."""
+    if not 0 <= degree < len(dims):
+        c.add(degree_path or path, f"degree {degree} outside 0..{len(dims) - 1}")
+    elif len(vector) != dims[degree]:
+        c.add(path, f"expected dims[{degree}] = {dims[degree]} coordinates")
+    else:
+        return True
+    return False
+
+
+def check_divisor(c, path: str, vector, dims) -> None:
+    """A nonzero class of degree 2."""
+    if check_length(c, path, vector, 2, dims) and not any(map(as_fraction, vector)):
+        c.add(path, "expected a nonzero class")

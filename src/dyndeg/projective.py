@@ -3,7 +3,9 @@
 P^n is the rank-one quotient model Q[x]/(x^{n+1}), and P^{n_1} x ... x
 P^{n_k} the tensor product of such models, embedded by Segre.  The maps are
 pullbacks of power maps and of permuted products of them, which are
-morphisms, so the builders assert them.
+morphisms, so the builders assert them.  The CLI's adapters for the
+``projective`` and ``multiprojective`` kinds, and the latter's cross-field
+check, live here too.
 """
 
 from __future__ import annotations
@@ -171,3 +173,29 @@ def product_map(
         model.algebra, blocks, realizability="asserted",
         provenance=f"product:{label}",
     )
+
+
+# ---------------------------------------------------------------------------
+# config adapters and cross-field checks (see ``cli._MODELS``)
+# ---------------------------------------------------------------------------
+
+def build_projective(spec, map_spec):
+    model = projective_space(spec["n"])
+    return model, pn_power_map(model, map_spec.get("d", 1))
+
+
+def build_multiprojective(spec, map_spec):
+    k = len(spec["n"])
+    model = multiprojective(spec["n"])
+    return model, product_map(
+        model, map_spec.get("d", [1] * k), map_spec.get("perm", list(range(k)))
+    )
+
+
+def check_multiprojective(c, spec, map_spec) -> None:
+    ns, perm = spec["n"], map_spec.get("perm", range(len(spec["n"])))
+    if len(map_spec.get("d", ns)) != len(ns):
+        c.add("/map/d", f"expected {len(ns)} degrees, one per factor")
+    if sorted(perm) != list(range(len(ns))) or any(
+            ns[p] != n for p, n in zip(perm, ns)):
+        c.add("/map/perm", "expected a permutation of equal-dimension factors")

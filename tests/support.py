@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from dyndeg.core import Element, GradedAlgebra
 from dyndeg.endo import PullbackMap, validate_pullback
-from dyndeg.linalg import as_matrix, identity, mat_mul, transpose
+from dyndeg.estimators import mat_mul
+from dyndeg.linalg import as_matrix, identity, transpose
 from dyndeg.errors import ShapeMismatch, SpectralNonconvergence
 from dyndeg.models import (
     EmbeddedModel,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pathlib
@@ -17,7 +18,10 @@ from dyndeg.cli import (
     parse_config,
     run,
 )
-from dyndeg.errors import SchemaError
+from dyndeg.errors import (AssociativityViolation, FloatOverflow,
+                           MultiplicativityViolation, SchemaError, ShapeMismatch,
+                           SignRuleViolation, SpectralNonconvergence,
+                           UnitViolation)
 
 from support import canonical_json
 
@@ -229,6 +233,37 @@ class TestRun:
         assert results["delta-table"]["deg_x"] == 4
         assert results["delta-table"]["rows"][0] == [4] * 4
 
+    @pytest.mark.parametrize("name, coords, label", [
+        ("p2_power2.json", [-1], "h^1"),
+        ("p1xp1_swap.json", [-1, -1], "x1"),
+    ])
+    @pytest.mark.parametrize("command", ["report", "validate"])
+    def test_an_override_negative_on_an_effective_class_exits_two(
+        self, tmp_path, capsys, name, coords, label, command
+    ):
+        # -h has deg(X) = integrate((-h)^2) > 0, so only the effective
+        # classes show that it is not ample
+        code, out, err = _run_with_ample(tmp_path, capsys, name, coords, command)
+        assert (code, out) == (2, "")
+        message = f"not ample: h^1 on the effective class {label!r} is -1, not positive"
+        assert json.loads(err) == {"error": "SchemaError", "violations": [
+            {"path": "/ample/coords", "message": message}]}
+
+    @pytest.mark.parametrize("name, coords, sha256", [
+        ("p1xp1_swap.json", [1, 1],
+         "6f4936a54162488d4aaeeab9a3449db8aa61216e3a280bc5c1215de6e04a6bd3"),
+        ("p1xp1_swap.json", [1, 2],
+         "695a7e10e5c9e7d47ed86e07cb3f8cbaffa49735646e7a98e27662cf1f07bb69"),
+        ("p2_power2.json", [2],
+         "9dac179e0d3752bf8c8ab15f71421248f0d2e4f27ae7ecc28258083529fd1a49"),
+    ])
+    def test_ample_overrides_keep_their_report_bytes(
+        self, tmp_path, capsys, name, coords, sha256
+    ):
+        code, out, err = _run_with_ample(tmp_path, capsys, name, coords, "report")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
     def test_custom_model_through_the_cli_schema(self):
         cfg = {
             "model": {
@@ -311,6 +346,18 @@ class TestRun:
         }
         results = run(parse_config(json.dumps(cfg))).results
         assert results["model_summary"]["deg_x"] == 2
+
+
+def _run_with_ample(tmp_path, capsys, name, coords, command):
+    """``(exit code, stdout, stderr)`` of ``command`` on the shipped config
+    ``name`` with the ample override ``coords``."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / name).read_text(encoding="utf-8"))
+    path = tmp_path / "ample.json"
+    path.write_text(json.dumps({**cfg, "ample": {"coords": coords}}))
+    code = main([command, "--config", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestMainCommand:
@@ -515,6 +562,46 @@ class TestMainCommand:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["results"]["chain"]["equality_holds"] is True
+
+
+class TestErrorPayloads:
+    # what each error writes to stderr, and the data it keeps
+    @pytest.mark.parametrize("exc, kept, expected", [
+        (AssociativityViolation(((2, 0), (2, 0), (0, 0))),
+         {"triple": ((2, 0), (2, 0), (0, 0))},
+         {"triple": [[2, 0], [2, 0], [0, 0]], "message":
+          "associativity fails on basis triple ((2, 0), (2, 0), (0, 0))"}),
+        (SignRuleViolation(((2, 0), (2, 1))), {"pair": ((2, 0), (2, 1))},
+         {"pair": [[2, 0], [2, 1]],
+          "message": "sign rule fails on basis pair ((2, 0), (2, 1))"}),
+        (UnitViolation((2, 0)), {"basis": (2, 0)},
+         {"basis": [2, 0], "message": "unit law fails on basis vector (2, 0)"}),
+        (UnitViolation(message="unit has zero coordinates"), {"basis": None},
+         {"message": "unit has zero coordinates"}),
+        (MultiplicativityViolation(((2, 0), (4, 0))), {"pair": ((2, 0), (4, 0))},
+         {"pair": [[2, 0], [4, 0]], "message":
+          "pullback is not multiplicative on basis pair ((2, 0), (4, 0))"}),
+        (SpectralNonconvergence(1.5, Fraction(1, 4)),
+         {"estimate": 1.5, "error_bound": Fraction(1, 4)},
+         {"message": "spectral radius bracket stalled at 1.5 \u00b1 1/4"}),
+        (FloatOverflow([(3, "norm")]), {"entries": [(3, "norm")]},
+         {"message": "non-finite float entries at positions [(3, 'norm')]"}),
+        (ShapeMismatch("ragged matrix rows"), {},
+         {"message": "ragged matrix rows"}),
+        (SchemaError([("/M", "missing"), ("/tol", "bad")]),
+         {"violations": [("/M", "missing"), ("/tol", "bad")]},
+         {"violations": [{"path": "/M", "message": "missing"},
+                         {"path": "/tol", "message": "bad"}]}),
+    ])
+    def test_payload_and_fields(self, exc, kept, expected):
+        assert json.loads(json.dumps(exc.payload(), sort_keys=True)) == {
+            "error": type(exc).__name__, **expected}
+        for name, value in kept.items():
+            assert getattr(exc, name) == value
+        if "message" in expected:
+            assert str(exc) == expected["message"]
+        else:
+            assert str(exc) == "/M: missing; /tol: bad"
 
 
 class TestExitCodes:
@@ -944,6 +1031,37 @@ class TestLazyImports:
             [command, "--config", str(config), "--out", str(tmp_path / "out")]
         )
         assert "dyndeg.models" in modules and stdlib == []
+
+    def test_a_rejected_config_loads_neither_fractions_nor_decimal(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"model": {"kind": "projective", "n": 0}}))
+        code = (
+            "import sys; from dyndeg.cli import main; "
+            f"assert main(['report', '--config', {str(path)!r}]) == 2; "
+            "print(sorted(m for m in ('fractions', 'decimal', 'numbers') "
+            "if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_no_class_is_built_through_typing_namedtuple(self):
+        # each field annotation of one would be compiled into a ForwardRef
+        # when the module loads
+        src = pathlib.Path(__file__).resolve().parents[1] / "src" / "dyndeg"
+        for path in src.glob("*.py"):
+            assert "NamedTuple" not in path.read_text(encoding="utf-8"), path
+
+    def test_a_p2_validate_loads_no_other_kind(self, tmp_path):
+        path = tmp_path / "p2.json"
+        path.write_text(json.dumps(p2_config()))
+        modules, _ = self._after_main(
+            ["validate", "--config", str(path), "--out", str(tmp_path / "out")]
+        )
+        assert "dyndeg.projective" in modules
+        assert not modules & {"dyndeg.custom", "dyndeg.abelian", "dyndeg.lattice"}
 
     def test_star_import_binds_every_exported_name(self):
         # each name is the object its module defines (a constant has no

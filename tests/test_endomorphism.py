@@ -6,7 +6,8 @@ from dyndeg.errors import (
     ShapeMismatch,
     UnitViolation,
 )
-from dyndeg.linalg import as_matrix, identity, mat_mul
+from dyndeg.estimators import mat_mul
+from dyndeg.linalg import as_matrix, identity
 from dyndeg.models import (
     abelian_variety,
     multiprojective,

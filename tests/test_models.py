@@ -27,10 +27,12 @@ from dyndeg.models import (
     projective_space,
     surface_lattice,
 )
-from dyndeg.linalg import as_matrix, mat_mul, trace, transpose
+from dyndeg.estimators import mat_mul, trace
+from dyndeg.linalg import as_matrix, transpose
 from dyndeg.spectral import char_poly
 
-from support import builder_battery, det_wedge_blocks, fraction_det, gram_matrix
+from support import (builder_battery, det_wedge_blocks, fraction_det,
+                     gram_matrix, pair_by_product)
 
 
 class TestProjectiveSpace:
@@ -282,6 +284,17 @@ class TestCustomModel:
         rep = spectral_chain(model.algebra, f, model.h)
         assert rep.chain_holds
 
+    def test_h_negative_on_an_effective_class_is_rejected(self):
+        # on the P^2 re-encoding, h = x meets the effective class -x in -1:
+        # deg(X) = 1 > 0, yet no ample class is negative on an effective one
+        params = {**p2_custom_params(),
+                  "effective": [{"label": "minus line", "degree": 2,
+                                 "coords": [-1]}]}
+        with pytest.raises(AmpleNotPositive, match="'minus line' is -1"):
+            custom_model(params)
+        params["effective"][0]["coords"] = [1]
+        assert custom_model(params).deg_x == 1
+
 
 class TestBuilderSoundness:
     def test_every_builder_map_revalidates(self):
@@ -295,6 +308,23 @@ class TestBuilderSoundness:
         for name, model, _ in builder_battery():
             assert model.deg_x >= 1, name
             assert not model.algebra.power(model.h, model.r).is_zero(), name
+
+    def test_every_builder_h_is_positive_on_its_effective_classes(self):
+        # the Nakai-Moishezon condition that EmbeddedModel.validate checks,
+        # with the pairing read off the Fraction product instead
+        models = [model for _, model, _ in builder_battery()]
+        models += [abelian_variety(3, [[int(i == j) for j in range(6)]
+                                      for i in range(6)])[0],
+                   multiprojective([1, 1, 1, 1, 1])]
+        for model in models:
+            assert model.effective, model.provenance
+            for e in model.effective:
+                degree = e.element.degree()
+                if degree % 2:
+                    continue
+                power = model.algebra.power(model.h, model.r - degree // 2)
+                assert pair_by_product(model.algebra, power, e.element) > 0, (
+                    model.provenance, e.label)
 
     def test_degree_is_the_integral_of_h_to_the_r(self):
         for name, model, _ in builder_battery():

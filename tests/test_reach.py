@@ -29,17 +29,11 @@ ALLOWED = {
                            "it through support.apply_blocks",
     "cli._io_error": "only an unreadable config or --out path reaches it "
                      "(test_cli's I/O cases)",
-    "cli._build_surface_lattice": "no shipped config is a lattice surface; "
-                                  "test_schema_contract builds one",
-    "cli._check_surface_lattice": "as cli._build_surface_lattice",
+    "lattice.build_surface_lattice": "no shipped config is a lattice surface; "
+                                     "test_schema_contract builds one",
+    "lattice.check_surface_lattice": "as lattice.build_surface_lattice",
     "errors.DynDegError.payload": "the stderr payload of a failure without "
                                   "its own, such as a UsageError",
-    "errors.AssociativityViolation": "raised only by an invalid algebra",
-    "errors.SignRuleViolation": "raised only by an invalid algebra",
-    "errors.UnitViolation": "raised only by an invalid algebra or map",
-    "errors.MultiplicativityViolation": "raised only by an invalid map",
-    "errors.SpectralNonconvergence": "raised only when a root bracket stalls",
-    "errors.FloatOverflow": "raised only on a non-finite float estimate",
     "spectral._separate": "runs only when the first polish round does not "
                           "certify, as on close or huge roots "
                           "(test_spectral's root-certificate cases)",

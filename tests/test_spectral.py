@@ -16,10 +16,12 @@ from dyndeg.estimators import (
     combined_limsup_bound,
     gelfand_sequence,
     limsup_root,
+    mat_mul,
+    trace,
     trace_sequence,
 )
 from dyndeg.gromov import gromov_closure
-from dyndeg.linalg import as_matrix, mat_mul, trace
+from dyndeg.linalg import as_matrix
 from dyndeg.spectral import char_poly, spectral_radius
 from support import builder_battery, mpmath_max_root_modulus
 
