@@ -19,7 +19,8 @@ from typing import Mapping, Sequence
 # ``core.build_algebra`` and ``endo.validate_pullback`` are looked up when
 # called, so a wrapper bound there (a tracer's) is the one that runs
 from . import SUPER_COMMUTATIVE, core, endo
-from .errors import AmpleClassDegenerate, ShapeMismatch
+from .errors import (AmpleClassDegenerate, DegreeNotPositive, SchemaError,
+                     ShapeMismatch)
 from .linalg import as_matrix, identity, scaled_matrix, transpose
 from .models import EffectiveClass, EmbeddedModel, check_square
 
@@ -215,7 +216,11 @@ def build_abelian(spec, map_spec):
     omega = None
     if "omega" in spec:
         omega = {(i, j): coeff for i, j, coeff in spec["omega"]}
-    return abelian_variety(g, map_spec.get("matrix", identity(2 * g)), omega)
+    try:
+        return abelian_variety(g, map_spec.get("matrix", identity(2 * g)), omega)
+    except (AmpleClassDegenerate, DegreeNotPositive) as exc:
+        # omega^g = 0 or deg(X) = integrate(omega^g) <= 0: omega alone decides
+        raise SchemaError([("/model/omega", str(exc))]) from exc
 
 
 def check_abelian(c, spec, map_spec) -> None:

@@ -17,12 +17,13 @@ form, built once per algebra from the table blocks of complementary degrees.
 Associativity and multiplicativity are checked on a generating set only
 (Light's test, see ``_validate``).  An :class:`Element` is sparse integer
 numerators over one denominator too, so its sums, scalar multiples, products
-and pullbacks do no ``Fraction`` arithmetic; ``Element.coords`` is the
-``Fraction`` view.  The pullback blocks, Berkowitz's characteristic
-polynomial and ``Echelon`` run in ``int`` as well.  Instances are
-immutable after construction and all operations are pure.  The tests replay
-the Gromov certificates with a Fraction basis-pair product, which checks that
-kernel independently.
+and pullbacks do no ``Fraction`` arithmetic.  ``GradedAlgebra.element``, and
+``one``, ``basis_element`` and ``homogeneous`` through it, builds that form
+sparse from the given entries; ``Element.coords`` is the ``Fraction`` view.
+The pullback blocks, Berkowitz's characteristic polynomial and ``Echelon``
+run in ``int`` as well.  Instances are immutable after construction and all
+operations are pure.  The tests replay the Gromov certificates with a
+Fraction basis-pair product, which checks that kernel independently.
 """
 
 from __future__ import annotations
@@ -87,13 +88,6 @@ class Element:
             tuple(sorted((k, v // g) for k, v in piece.items() if v))
             if piece else () for piece in pieces
         ))
-
-    @classmethod
-    def from_coords(cls, coords) -> "Element":
-        """The element with the dense rational coordinate vectors ``coords``."""
-        den, nums = scaled_matrix(coords)
-        return cls.scaled(tuple(map(len, coords)), den,
-                          [dict(enumerate(piece)) for piece in nums])
 
     @property
     def coords(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -226,14 +220,21 @@ class GradedAlgebra:
         return self.element({(degree, index): 1})
 
     def element(self, entries: Mapping[BasisIndex, object]) -> Element:
-        coords = [[Fraction(0)] * d for d in self.dims]
+        """The element with coordinate ``value`` at each ``(degree, index)``
+        of ``entries`` and 0 elsewhere, built sparse: the numerators over the
+        lcm of the values' denominators."""
+        values = {}
         for (degree, index), value in entries.items():
             if not (0 <= degree <= self.top_degree) or not (
                 0 <= index < self.dims[degree]
             ):
                 raise ShapeMismatch(f"no basis vector at ({degree}, {index})")
-            coords[degree][index] = as_fraction(value)
-        return Element.from_coords(coords)
+            values[degree, index] = as_fraction(value)
+        den = math.lcm(*(c.denominator for c in values.values()))
+        pieces: list[dict[int, int]] = [{} for _ in self.dims]
+        for (degree, index), c in values.items():
+            pieces[degree][index] = c.numerator * (den // c.denominator)
+        return Element.scaled(self.dims, den, pieces)
 
     def homogeneous(self, degree: int, vector: Sequence) -> Element:
         if not 0 <= degree <= self.top_degree:

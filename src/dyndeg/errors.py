@@ -39,6 +39,10 @@ class ShapeMismatch(DynDegError):
     kind = "ShapeMismatch"
 
 
+class DegreeNotPositive(ShapeMismatch):
+    """deg(X) = integrate(h^r) is not positive; reported as a ShapeMismatch."""
+
+
 class AssociativityViolation(DynDegError):
     kind = "AssociativityViolation"
     fields = shown = ("triple",)

@@ -5,9 +5,13 @@ The closure is computed as the fixed point of S -> span(S, f*(S), S.S)
 starting from span{1, omega}.  Nothing assumes that the pullback orbit of
 omega already generates multiplicatively; every sweep closes under both
 products and pullbacks until the dimension stops growing, which happens after
-at most dim(A) sweeps.  The basis is the canonical reduced row echelon form of
-the subspace (lowest degree first, then lexicographic basis index), so the
-output is independent of the order in which generators are processed.
+at most dim(A) sweeps.  A candidate whose degree is past the top or whose
+graded piece the span already fills is skipped before its product or
+pullback is computed: every vector of that degree is already in the span, so
+the echelon form would reject it and stay as it is.  The basis is the
+canonical reduced row echelon form of the subspace (lowest degree first, then
+lexicographic basis index), so the output is independent of the order in
+which generators are processed.
 
 Each basis vector carries a generation certificate: an exact rational
 combination of formal words in {unit, omega, pullback, product} that
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -111,17 +116,27 @@ class GromovSubalgebra:
     def verify_certificates(self) -> bool:
         """Re-evaluate every certificate and compare with its basis vector.
 
-        Each distinct word (by identity) is evaluated once per call; every
-        basis vector is still rebuilt from its words and compared exactly.
+        Each distinct word (by identity) is evaluated once per call, with
+        ``GradedAlgebra.mul`` and ``PullbackMap.apply``.  The sum of the
+        terms c_g w_g is taken as integer numerators over one denominator,
+        the lcm of theirs, and compared exactly as one ``Element``.
         """
         memo: dict[int, Element] = {}
+        dims = self.algebra.dims
         for vec, cert in zip(self.basis, self.certificates):
-            total = self.algebra.zero()
-            for coeff, word in cert:
-                total = total + coeff * evaluate_word(
-                    self.algebra, self.pullback, self.omega, word, memo
-                )
-            if total != vec:
+            terms = [
+                (coeff, evaluate_word(
+                    self.algebra, self.pullback, self.omega, word, memo))
+                for coeff, word in cert
+            ]
+            den = math.lcm(*(c.denominator * w.denominator for c, w in terms))
+            total: list[dict[int, int]] = [{} for _ in dims]
+            for c, w in terms:
+                scale = c.numerator * (den // (c.denominator * w.denominator))
+                for acc, piece in zip(total, w.pieces):
+                    for k, x in piece:
+                        acc[k] = acc.get(k, 0) + scale * x
+            if Element.scaled(dims, den, total) != vec:
                 return False
         return True
 
@@ -144,6 +159,13 @@ def gromov_closure(
     are ``GradedAlgebra.mul`` and ``PullbackMap.apply``, the ones the
     certificates are replayed with.  ``Fraction`` appears only in the
     certificates and the restricted matrix.
+
+    A pullback or product is computed only when its degree is at most the
+    top and the rank kept for that degree (its number of generators, as the
+    rows are homogeneous) is below the piece's dimension.  The echelon form
+    would reject every skipped candidate unchanged, so the words,
+    certificates, sweeps, basis and restricted matrix are those of the full
+    scan.
     """
     if f.algebra is not algebra:
         raise ShapeMismatch("pullback belongs to a different algebra")
@@ -152,10 +174,14 @@ def gromov_closure(
     if sweep_order not in ("forward", "reversed"):
         raise ShapeMismatch("sweep_order must be 'forward' or 'reversed'")
 
-    offsets = [0, *itertools.accumulate(algebra.dims)]
+    dims, top = algebra.dims, algebra.top_degree
+    offsets = [0, *itertools.accumulate(dims)]
     ech = Echelon(algebra.dimension)
     words: list[tuple] = []
     gens: list[Element] = []
+    # the rows are homogeneous, so a degree's rank is its number of generators
+    gen_degrees: list[int] = []
+    rank = [0] * (top + 1)
 
     def try_add(word, element: Element) -> bool:
         degree = element.degree()
@@ -167,13 +193,17 @@ def gromov_closure(
                              {len(gens): element.denominator}):
             words.append(word)
             gens.append(element)
+            gen_degrees.append(degree)
+            rank[degree] += 1
             return True
         return False
+
+    def open_degree(degree: int) -> bool:  # can a candidate there add a row
+        return degree <= top and rank[degree] < dims[degree]
 
     try_add(WORD_ONE, algebra.one())
     try_add(WORD_OMEGA, omega)
 
-    top = algebra.top_degree
     # generators below ``start`` have been pulled back and multiplied with
     # each other; a sweep visits only what involves a newer one
     start = 0
@@ -193,10 +223,12 @@ def gromov_closure(
             pulls.reverse()
             muls.reverse()
         for i in pulls:
-            grew |= try_add(word_pull(words[i]), f.apply(gens[i]))
+            if open_degree(gen_degrees[i]):
+                grew |= try_add(word_pull(words[i]), f.apply(gens[i]))
         for i, j in muls:
-            grew |= try_add(word_mul(words[i], words[j]),
-                            algebra.mul(gens[i], gens[j]))
+            if open_degree(gen_degrees[i] + gen_degrees[j]):
+                grew |= try_add(word_mul(words[i], words[j]),
+                                algebra.mul(gens[i], gens[j]))
         if not grew:
             break
 
@@ -232,17 +264,13 @@ def gromov_closure(
         tuple(columns[j][i] for j in range(n)) for i in range(n)
     )
 
-    dims_by_degree = [0] * (top + 1)
-    for degree in degrees:
-        dims_by_degree[degree] += 1
-
     return GromovSubalgebra(
         algebra=algebra,
         pullback=f,
         omega=omega,
         basis=basis,
         restricted_matrix=restricted,
-        dims_by_degree=tuple(dims_by_degree),
+        dims_by_degree=tuple(rank),
         certificates=certificates,
         sweeps=sweeps,
     )

@@ -20,7 +20,7 @@ from fractions import Fraction
 from dyndeg.core import Element, GradedAlgebra
 from dyndeg.endo import PullbackMap, validate_pullback
 from dyndeg.estimators import mat_mul
-from dyndeg.linalg import as_matrix, identity, transpose
+from dyndeg.linalg import as_matrix, identity, scaled_matrix, transpose
 from dyndeg.errors import ShapeMismatch, SpectralNonconvergence
 from dyndeg.models import (
     EmbeddedModel,
@@ -155,9 +155,18 @@ def _abelian_g1_identity():
     return abelian_variety(1, [[1, 0], [0, 1]])
 
 
+def from_coords(coords) -> Element:
+    """The element with the dense rational coordinate vectors ``coords``,
+    through ``linalg.scaled_matrix``: the dense route that
+    ``GradedAlgebra.element`` builds sparse."""
+    den, nums = scaled_matrix(coords)
+    return Element.scaled(tuple(map(len, coords)), den,
+                          [dict(enumerate(piece)) for piece in nums])
+
+
 def apply_blocks(algebra: GradedAlgebra, blocks, element):
     """Apply raw per-degree matrices to an element (no validation)."""
-    return Element.from_coords(
+    return from_coords(
         tuple(
             mat_vec(tuple(tuple(row) for row in m), piece) if piece else ()
             for m, piece in zip(blocks, element.coords)
@@ -283,7 +292,7 @@ def fraction_mul(algebra: GradedAlgebra, a: Element, b: Element) -> Element:
         for j, pb in enumerate(b.coords):
             for k, c in enumerate(mul_vectors(algebra, i, pa, j, pb)):
                 out[i + j][k] += c
-    return Element.from_coords(out)
+    return from_coords(out)
 
 
 def replay_certificates(closure) -> bool:

@@ -28,6 +28,7 @@ from support import (
     basis_product,
     builder_battery,
     fraction_det,
+    from_coords,
     gram_matrix,
     pair_by_product,
     poincare_determinants,
@@ -178,6 +179,19 @@ class TestMul:
             alg.mul(alg.one(), other.one())
 
 
+ELEMENT_ALGEBRAS = [
+    quotient_ring(2), multiprojective([1, 1]).algebra, exterior_algebra(2),
+]
+BAD_SCALARS = (1.5, True, "x", "1/0", {"num": 1, "den": 0}, {"num": 1}, None)
+
+
+def _scalar_error(value) -> str:
+    """The message ``as_fraction`` rejects ``value`` with."""
+    with pytest.raises(ShapeMismatch) as err:
+        as_fraction(value)
+    return str(err.value)
+
+
 class TestElement:
     """``Element`` is a value: exact ``==`` and ``hash`` whatever built it,
     scalars on the left only, and not a tuple."""
@@ -189,7 +203,7 @@ class TestElement:
         routes = [
             Element.scaled(alg.dims, 2, [{}, {}, {0: 1, 1: 3}, {}, {}]),
             Element.scaled(alg.dims, 4, [{}, {}, {0: 2, 1: 6, 2: 0}, {}, {}]),
-            Element.from_coords(((0,), (), (half, three_halves), (), (0,))),
+            from_coords(((0,), (), (half, three_halves), (), (0,))),
             alg.element({(2, 0): half, (2, 1): three_halves}),
             alg.homogeneous(2, [half, three_halves]),
             half * (a + 3 * b),
@@ -199,6 +213,40 @@ class TestElement:
         assert all(x == routes[0] for x in routes)
         assert len({hash(x) for x in routes}) == 1
         assert routes[0] != half * a and routes[0] != 2 * routes[0]
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_element_matches_the_dense_route(self, data):
+        # element() builds sparse numerators over one lcm; from_coords goes
+        # through the dense Fraction vectors.  Values are zeros, negatives,
+        # "p/q" strings and {num, den} scalars; a key outside the grading or
+        # a value that is no exact rational raises the same ShapeMismatch
+        alg = data.draw(st.sampled_from(ELEMENT_ALGEBRAS))
+        scalar = st.one_of(
+            st.just(0), st.integers(-5, 5), small_fractions,
+            small_fractions.map(str),
+            small_fractions.map(lambda c: {"num": c.numerator,
+                                           "den": str(c.denominator)}),
+        )
+        entries = data.draw(st.dictionaries(st.sampled_from(list(alg.basis())),
+                                            scalar))
+        coords = [[Fraction(0)] * d for d in alg.dims]
+        for (degree, index), value in entries.items():
+            coords[degree][index] = as_fraction(value)
+        assert alg.element(entries) == from_coords(coords)
+
+        outside = [(-1, 0), (alg.top_degree + 1, 0)] + [
+            (degree, d) for degree, d in enumerate(alg.dims)]
+        key, value, expected = data.draw(st.one_of(
+            st.tuples(st.sampled_from(outside), scalar).map(
+                lambda kv: (*kv, "no basis vector at (%d, %d)" % kv[0])),
+            st.tuples(st.sampled_from(list(alg.basis())),
+                      st.sampled_from(BAD_SCALARS)).map(
+                lambda kv: (*kv, _scalar_error(kv[1]))),
+        ))
+        with pytest.raises(ShapeMismatch) as err:
+            alg.element({**entries, key: value})
+        assert str(err.value) == expected
 
     def test_scalars_multiply_from_the_left(self):
         alg = quotient_ring(2)
@@ -313,7 +361,7 @@ class TestPairingForm:
         coordinate = st.one_of(st.just(Fraction(0)), small_fractions)
 
         def element():  # inhomogeneous: every piece may be nonzero
-            return Element.from_coords([
+            return from_coords([
                 data.draw(st.lists(coordinate, min_size=d, max_size=d))
                 for d in alg.dims
             ])

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from dyndeg.core import ScaledTable
+from dyndeg import gromov
+from dyndeg.core import GradedAlgebra
 from dyndeg.endo import PullbackMap, identity_map
 from dyndeg.errors import ShapeMismatch
 from dyndeg.gromov import (
     GromovSubalgebra, gromov_closure, lambda_gr, spectral_chain,
 )
+from dyndeg.linalg import Echelon
 from dyndeg.models import (
     elliptic_square,
     multiprojective,
@@ -108,34 +110,73 @@ class TestGromovClosure:
 
 
 class TestClosureWork:
-    def test_each_generator_and_pair_is_visited_once(self, monkeypatch):
-        # one pullback per generator plus one per restricted-matrix column;
-        # one product per generator pair i <= j within the top degree
-        calls = {"pull": 0, "mul": 0}
-        apply_scaled, multiply = PullbackMap.apply_scaled, ScaledTable.multiply
+    # per battery member, the pullbacks and products the closure computes in
+    # either sweep order, besides the one pullback per restricted-matrix
+    # column; a scan of every generator and every pair within the top degree
+    # made (dim, pairs) of them, e.g. (9, 28) on P^2 x P^2
+    WORK = {
+        "P1 d=0": (0, 0), "P1 d=1": (0, 0), "P1 d=2": (0, 0), "P1 d=3": (0, 0),
+        "P2 d=0": (0, 1), "P2 d=1": (0, 1), "P2 d=2": (0, 1), "P2 d=3": (0, 1),
+        "P3 d=0": (0, 2), "P3 d=1": (0, 2), "P3 d=2": (0, 2), "P3 d=3": (0, 2),
+        "P1xP1 swap(2,3)": (1, 1),
+        "P2xP2 swap(1,3)": (2, 6),
+        "P1^3 cycle(2,3,1)": (3, 5),
+        "ExE fibonacci": (2, 3),
+        "ExE doubling": (1, 2),
+        "Pell surface": (1, 1),
+        "U-lattice swap": (1, 2),
+    }
 
-        def pull(self, *args):
-            calls["pull"] += 1
-            return apply_scaled(self, *args)
+    def test_no_candidate_is_computed_into_a_full_degree(self, monkeypatch):
+        # each pullback or product the closure computes lands at most in the
+        # top degree, in a piece the span does not fill yet, and no
+        # generator or pair is visited twice
+        echelons = []
 
-        def mul(self, *args):
-            calls["mul"] += 1
-            return multiply(self, *args)
+        class Recording(Echelon):
+            def __init__(self, width):
+                super().__init__(width)
+                echelons.append(self)
 
-        monkeypatch.setattr(PullbackMap, "apply_scaled", pull)
-        monkeypatch.setattr(ScaledTable, "multiply", mul)
-        for name, model, f in builder_battery():
+        pulls, muls = [], []
+        apply, mul = PullbackMap.apply, GradedAlgebra.mul
+
+        def full(algebra, degree):
+            """Whether the live closure can no longer grow in ``degree``."""
+            if degree > algebra.top_degree:
+                return True
+            lo = sum(algebra.dims[:degree])
+            rank = sum(lo <= p < lo + algebra.dims[degree]
+                       for p in echelons[-1].pivots)
+            return rank == algebra.dims[degree]
+
+        def counted_apply(self, a):
+            pulls.append((a, id(a), full(self.algebra, a.degree())))
+            return apply(self, a)
+
+        def counted_mul(self, a, b):
+            muls.append(((id(a), id(b)), full(self, a.degree() + b.degree())))
+            return mul(self, a, b)
+
+        battery = builder_battery()
+        assert sorted(self.WORK) == sorted(name for name, _, _ in battery)
+        monkeypatch.setattr(gromov, "Echelon", Recording)
+        monkeypatch.setattr(PullbackMap, "apply", counted_apply)
+        monkeypatch.setattr(GradedAlgebra, "mul", counted_mul)
+        for name, model, f in battery:
             for order in ("forward", "reversed"):
-                calls.update(pull=0, mul=0)
+                pulls.clear()
+                muls.clear()
                 closure = gromov_closure(model.algebra, f, model.h,
                                          sweep_order=order)
-                dims, top = closure.dims_by_degree, model.algebra.top_degree
-                pairs = sum(
-                    dims[d] * (dims[d] + 1) // 2 if d == e else dims[d] * dims[e]
-                    for d in range(top + 1) for e in range(d, top + 1 - d)
-                )
-                assert calls == {"pull": 2 * closure.dimension,
-                                 "mul": pairs}, (name, order)
+                # the restricted matrix pulls back each basis vector last
+                n = len(pulls) - closure.dimension
+                assert [a for a, _, _ in pulls[n:]] == list(closure.basis)
+                visited = [(key, full) for _, key, full in pulls[:n]]
+                assert (n, len(muls)) == self.WORK[name], (name, order)
+                for keys in (visited, muls):
+                    assert not any(was_full for _, was_full in keys), (name, order)
+                    assert len({key for key, _ in keys}) == len(keys)
 
     def test_degree_blocks_follow_the_basis_degrees(self):
         for name, model, f in builder_battery():
@@ -256,6 +297,22 @@ class TestCertificateReplay:
                 closure = gromov_closure(model.algebra, f, model.h, order)
                 assert replay_certificates(closure), (name, order)
 
+    def test_the_integer_replay_agrees_with_the_fraction_replay(self):
+        # the one-denominator integer sums give the verdict of the Fraction
+        # Element sums, on every battery closure and on it with each
+        # certificate's first coefficient moved
+        for name, model, f in builder_battery():
+            closure = gromov_closure(model.algebra, f, model.h)
+            variants = [closure]
+            for i, cert in enumerate(closure.certificates):
+                (coeff, word), *rest = cert
+                certs = list(closure.certificates)
+                certs[i] = ((coeff + Fraction(1, 3), word), *rest)
+                variants.append(self._tampered(closure, certificates=tuple(certs)))
+            verdicts = [c.verify_certificates() for c in variants]
+            assert verdicts == [replay_certificates(c) for c in variants], name
+            assert verdicts == [True] + [False] * closure.dimension, name
+
     @staticmethod
     def _tampered(closure, basis=None, certificates=None):
         """The closure with its basis or certificates swapped, built through
@@ -276,6 +333,16 @@ class TestCertificateReplay:
         certs[i] = ((coeff + Fraction(1, 3), word), *rest)
         bad = self._tampered(closure, certificates=tuple(certs))
         assert not bad.verify_certificates()
+
+    def test_a_coefficient_moved_by_two_to_the_minus_eighty_is_caught(self):
+        # far below float resolution, so only an exact comparison sees it
+        closure = self._closure()
+        for i, cert in enumerate(closure.certificates):
+            certs = list(closure.certificates)
+            (coeff, word), *rest = cert
+            certs[i] = ((coeff + Fraction(1, 2**80), word), *rest)
+            bad = self._tampered(closure, certificates=tuple(certs))
+            assert not bad.verify_certificates(), i
 
     def test_a_tampered_basis_vector_is_caught(self):
         closure = self._closure()

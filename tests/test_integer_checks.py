@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyndeg import core
-from dyndeg.core import SUPER_COMMUTATIVE, Element, ScaledTable, build_algebra
+from dyndeg.core import SUPER_COMMUTATIVE, ScaledTable, build_algebra
 from dyndeg.degrees import delta_table
 from dyndeg.endo import PullbackMap, validate_pullback
 from dyndeg.errors import (
@@ -57,6 +57,7 @@ from support import (
     basis_product,
     builder_battery,
     fraction_mul,
+    from_coords,
     mul_vectors,
     multiplicativity_witness,
     mutate_blocks,
@@ -424,7 +425,7 @@ def elements(algebra):
     """Random inhomogeneous elements, many coordinates zero."""
     return st.tuples(
         *(st.tuples(*(coefficients,) * d) for d in algebra.dims)
-    ).map(Element.from_coords)
+    ).map(from_coords)
 
 
 def linear_maps(algebra):
@@ -471,7 +472,7 @@ class TestProductAgainstOracle:
         # one rational reached by different routes: one Element, one hash
         routes = [
             a + b, b + a, (a - b) + 2 * b, Fraction(1, 3) * (3 * a + 3 * b),
-            Element.from_coords((a + b).coords), (a + b) + alg.zero(),
+            from_coords((a + b).coords), (a + b) + alg.zero(),
         ]
         assert all(x == routes[0] for x in routes)
         assert len({hash(x) for x in routes}) == 1

@@ -25,6 +25,7 @@ ALLOWED = {
     "core.Element.__repr__": "what a failing assertion prints",
     "core.Element.__neg__": "element arithmetic the tests write as -a",
     "core.Element.__sub__": "element arithmetic the tests write as a - b",
+    "core.Element.__rmul__": "element arithmetic the tests write as c * a",
     "core.Element.coords": "the Fraction view; acceptance criterion 8 reads "
                            "it through support.apply_blocks",
     "cli._io_error": "only an unreadable config or --out path reaches it "

@@ -351,6 +351,18 @@ REJECTED = {
                {"kind": "identity"}),
         ("SchemaError", ["/model/omega/1"]),
     ),
+    # a degenerate (omega^g = 0) and a negative (deg(X) < 0) polarization,
+    # once rejected by the abelian build with no JSON pointer
+    "abelian-omega-degenerate": (
+        config({"kind": "abelian", "g": 1, "omega": [[0, 1, 0]]},
+               {"kind": "identity"}),
+        ("SchemaError", ["/model/omega"]),
+    ),
+    "abelian-omega-negative": (
+        config({"kind": "abelian", "g": 1, "omega": [[0, 1, -1]]},
+               {"kind": "identity"}),
+        ("SchemaError", ["/model/omega"]),
+    ),
     "product-repeat": (
         _custom(products=[{"a": [2, 0], "b": [2, 0], "value": [[0, 1]]},
                           {"a": [2, 0], "b": [2, 0], "value": {"0": 3}}]),
@@ -472,6 +484,18 @@ def test_rejected_configs_exit_two_under_validate_and_report(tmp_path):
             assert main(["report", "--config", str(path)]) == 2, name
         assert out.getvalue() == ""
         assert json.loads(err.getvalue())["error"] == expected[0], name
+
+
+def test_a_bad_polarization_keeps_its_message_at_the_omega_pointer(tmp_path):
+    for name, message in (
+        ("abelian-omega-degenerate",
+         "omega^g = 0: not a valid polarization class"),
+        ("abelian-omega-negative", "deg(X) = -1 must be positive"),
+    ):
+        code, out, err = validate(REJECTED[name][0], tmp_path)
+        assert (code, out) == (2, ""), name
+        assert json.loads(err) == {"error": "SchemaError", "violations": [
+            {"path": "/model/omega", "message": message}]}, name
 
 
 # replacement values: small enough that no mutant grows past abelian g = 2
