@@ -56,10 +56,12 @@ def exterior_algebra(g: int) -> core.GradedAlgebra:
                     products[((i, p), (j, q))] = {
                         index[merged]: _subset_sign(s, t)
                     }
-    return core.build_algebra(
+    algebra = core.build_algebra(
         n, dims, SUPER_COMMUTATIVE, products,
         integrate=(1,) * (1 if dims[n] == 1 else dims[n]),
     )
+    algebra.exterior = True
+    return algebra
 
 
 def exterior_pullback(

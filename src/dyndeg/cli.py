@@ -14,7 +14,8 @@ the last occurrence of a flag wins, and flags are never abbreviated.
 Exit codes: 0 success, 2 usage error or config/model validation failure,
 3 analysis error.  Usage and validation failures are written to stderr as
 structured JSON, validation failures with a JSON pointer path per violation.
-Partial results are never emitted.
+Partial results are never emitted.  A stdout that cannot be written (its
+reader gone) is an I/O failure like an unwritable ``--out``: exit 2.
 
 Only the stdlib and ``errors`` load with this module (``fractions`` only to
 read a rational written as a string), so a config the schema rejects costs
@@ -32,16 +33,17 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import os
 import sys
 import time
 from collections import namedtuple
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from . import COMMUTATIVE, SUPER_COMMUTATIVE, __version__
 from .errors import (AmpleNotPositive, BadMatrixShape, DynDegError, SchemaError,
-                     UnknownModelKind, UsageError)
+                     ShapeMismatch, UnknownModelKind, UsageError)
 
 if TYPE_CHECKING:
     from .endo import PullbackMap
@@ -543,7 +545,8 @@ def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
                 model.algebra, h, model.ambient_dim, model.realizability,
                 model.provenance, model.effective, model.scope_note,
             ).validate()
-        except AmpleNotPositive as exc:  # negative on an effective class
+        except (ShapeMismatch, AmpleNotPositive) as exc:
+            # h^r = 0, deg(X) <= 0, or negative on an effective class
             raise SchemaError([("/ample/coords", str(exc))]) from exc
     return model, pull
 
@@ -700,13 +703,15 @@ def _io_error(exc: OSError) -> int:
 
 
 def _emit(report_json: str, out_path: str | None) -> int:
-    if not out_path:
-        sys.stdout.write(report_json)
-        return 0
+    """Write ``report_json`` to ``out_path``, or to stdout and flush it."""
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(report_json)
-    except OSError as exc:  # a missing directory, or a directory
+        if not out_path:
+            sys.stdout.write(report_json)
+            sys.stdout.flush()
+        else:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(report_json)
+    except OSError as exc:  # a missing directory, a directory, a closed pipe
         return _io_error(exc)
     return 0
 
@@ -722,8 +727,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         return _fail(exc, 2)
     if parsed is None:
-        sys.stdout.write(USAGE)
-        return 0
+        return _emit(USAGE, None)
     command, path, overrides, timing = parsed
 
     try:
@@ -764,5 +768,29 @@ def main(argv: Sequence[str] | None = None) -> int:
     return _emit(report.to_json(include_timing=timing), config.out)
 
 
+def entry() -> NoReturn:
+    """Run ``main`` as the whole process: the ``dyndeg`` console script and
+    ``python -m dyndeg``.
+
+    Once stdout and stderr are flushed, ``os._exit`` ends the process with
+    ``main``'s code and skips interpreter finalization: module teardown and
+    the last full garbage collection, about 10 ms that a one-shot command
+    does not need.  Skipped with them are ``atexit`` handlers, ``logging``
+    shutdown and the closing of any other open file.  Nothing in this
+    package registers or holds one: ``_emit`` closes an ``--out`` file
+    before ``main`` returns.  ``main`` has flushed what it wrote to stdout,
+    or reported the failure as an ``IOError`` (exit 2), so a failed flush
+    here repeats one already on stderr.  An exception that escapes ``main``
+    propagates, and the interpreter ends as usual, with its traceback.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -197,6 +197,10 @@ class GradedAlgebra:
     constructor trusts its inputs.
     """
 
+    # True on ``abelian.exterior_algebra(g)``, generated by its degree-1
+    # piece: a ring map of it is wedge^k of its degree-1 block in degree k
+    exterior = False
+
     def __init__(self, top_degree, dims, sign_rule, scaled_table, unit_coords,
                  integrate_coords):
         self.top_degree = top_degree

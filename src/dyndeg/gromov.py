@@ -30,7 +30,7 @@ from .core import Element, GradedAlgebra
 from .endo import PullbackMap
 from .errors import ShapeMismatch
 from .linalg import Echelon, Matrix
-from .spectral import spectral_radius
+from .spectral import exterior_char_polys, spectral_radius
 
 # formal certificate words
 WORD_ONE = ("one",)
@@ -355,13 +355,16 @@ def spectral_chain(
         raise ShapeMismatch("closure was built for another algebra, map or class")
     lam_gr, lam_err = lambda_gr(closure, tol)
 
+    # on an exterior algebra, f* (a ring map) is wedge^j of its degree-1
+    # block in degree j, so every polynomial comes from that block
+    polys = exterior_char_polys(f.blocks[1]) if algebra.exterior else None
     mu = []
     mu_err = 0.0
     for j in range(algebra.top_degree + 1):
         if algebra.dims[j] == 0:
             mu.append(0.0)
             continue
-        r, e = spectral_radius(f.blocks[j], tol)
+        r, e = spectral_radius(f.blocks[j], tol, polys[j] if polys else None)
         mu.append(r)
         mu_err = max(mu_err, e)
 

@@ -2,7 +2,9 @@
 bracket of its largest root modulus.
 
 The characteristic polynomial comes from the Berkowitz division-free
-elimination scheme, in ``int`` on the matrix times its common denominator.
+elimination scheme, in ``int`` on the matrix times its common denominator;
+those of the exterior powers of one matrix come together from the power
+sums of its eigenvalues (:func:`exterior_char_polys`).
 The maximum root modulus is certified in integers: Aberth's iteration
 proposes the roots in complex floats, polishes them as Gaussian integers
 over 2^B, and Newton inclusion disks of radius n|p(z)/p'(z)|, evaluated
@@ -46,6 +48,12 @@ def char_poly(matrix: Sequence[Sequence]) -> list[Fraction]:
     if any(len(row) != n for row in m):
         raise ShapeMismatch("characteristic polynomial of a non-square matrix")
     den, a = scaled_matrix(m)
+    return [Fraction(c, den**k) for k, c in enumerate(_berkowitz(a))]
+
+
+def _berkowitz(a: list[list[int]]) -> list[int]:
+    """det(xI - a), descending, for a square integer matrix."""
+    n = len(a)
     coeffs = [1]
     for r in range(1, n + 1):
         row = a[r - 1][: r - 1]
@@ -62,7 +70,42 @@ def char_poly(matrix: Sequence[Sequence]) -> list[Fraction]:
             sum(t[i - j] * coeffs[j] for j in range(min(i, r - 1) + 1))
             for i in range(r + 1)
         ]
-    return [Fraction(c, den**k) for k, c in enumerate(coeffs)]
+    return coeffs
+
+
+def exterior_char_polys(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
+    """``[char_poly(wedge^k M) for k = 0..n]`` for an n x n matrix M, from M
+    alone.
+
+    With A = D*M integer, the power sums of the eigenvalues of wedge^k A
+    are tr((wedge^k A)^m) = e_k(A^m), (-1)^k times coefficient k of
+    det(xI - A^m): one n x n polynomial per m, shared by every k, for m up
+    to C(n, k).  Newton's identities m c_m = -(p_m + c_1 p_(m-1) + ... +
+    c_(m-1) p_1) give the coefficients c_m of det(xI - wedge^k A), each
+    division exact in ``int``; coefficient i of det(xI - wedge^k M) is c_i
+    over D^(k i).
+    """
+    den, a = scaled_matrix(as_matrix(matrix))
+    n = len(a)
+    # polys[m - 1] = det(xI - A^m), for m up to the largest C(n, k)
+    polys, power = [], a
+    for m in range(1, math.comb(n, n // 2) + 1):
+        if m > 1:
+            power = [[sum(map(operator.mul, row, col)) for col in zip(*a)]
+                     for row in power]
+        polys.append(_berkowitz(power))
+    out = []
+    for k in range(n + 1):
+        sign = -1 if k % 2 else 1
+        sums = [sign * q[k] for q in polys[:math.comb(n, k)]]
+        coeffs = [1]
+        for m in range(1, len(sums) + 1):
+            total = sums[m - 1] + sum(
+                map(operator.mul, coeffs[1:], reversed(sums[:m - 1])))
+            coeffs.append(-total // m)
+        scale = den**k
+        out.append([Fraction(c, scale**i) for i, c in enumerate(coeffs)])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +171,12 @@ def _cauchy_bound(coeffs: list[Fraction]) -> Fraction:
 # certified max root modulus
 # ---------------------------------------------------------------------------
 
-def spectral_radius(matrix: Sequence[Sequence], tol: float = 1e-9):
+def spectral_radius(matrix: Sequence[Sequence], tol: float = 1e-9,
+                    poly: Sequence[Fraction] | None = None):
     """Certified max modulus of eigenvalues: returns ``(rho, error_bound)``.
+
+    ``poly``, when given, is ``char_poly(matrix)`` computed another way (as
+    :func:`exterior_char_polys` does); it is used in its place.
 
     Works on the square-free part p of degree n, with its denominators
     cleared.  Aberth's iteration proposes the n roots in complex floats; they
@@ -147,7 +194,9 @@ def spectral_radius(matrix: Sequence[Sequence], tol: float = 1e-9):
     """
     if tol <= 0:
         raise ShapeMismatch("tol must be positive")
-    return _max_root_modulus(tuple(char_poly(matrix)), tol)
+    if poly is None:
+        poly = char_poly(matrix)
+    return _max_root_modulus(tuple(poly), tol)
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -562,6 +564,151 @@ class TestMainCommand:
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["results"]["chain"]["equality_holds"] is True
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+class _Exit(Exception):
+    """What a stand-in ``os._exit`` raises, with the code it was given."""
+
+
+class TestProcessEntry:
+    """``python -m dyndeg`` and the ``dyndeg`` script end through
+    ``cli.entry``: ``main``, a flush of stdout and stderr, then ``os._exit``.
+    Each child runs with ``PYTHONUNBUFFERED`` removed, as it would mask a
+    missing flush, and again with it set."""
+
+    @staticmethod
+    def _child(argv, unbuffered, **kwargs):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        kwargs.setdefault("stdout", subprocess.PIPE)
+        return subprocess.run([sys.executable, "-m", "dyndeg", *argv], env=env,
+                              stderr=subprocess.PIPE, **kwargs)
+
+    @staticmethod
+    def _argvs(tmp_path):
+        rejected = tmp_path / "rejected.json"
+        rejected.write_text(json.dumps(p2_config(M=0)))
+        configs = sorted((ROOT / "configs").glob("*.json")) + [rejected]
+        return [[command, "--config", str(path)] for path in configs
+                for command in ("report", "validate", "delta")] + [["--help"]]
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_child_gives_the_bytes_and_code_of_main(self, tmp_path, capsys,
+                                                      unbuffered):
+        codes = set()
+        for argv in self._argvs(tmp_path):
+            code = main(argv)
+            captured = capsys.readouterr()
+            proc = self._child(argv, unbuffered)
+            assert proc.returncode == code, argv
+            assert proc.stdout == captured.out.encode(), argv
+            assert proc.stderr == captured.err.encode(), argv
+            codes.add(code)
+        assert codes == {0, 2}
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_an_out_file_is_complete(self, tmp_path, capsys, unbuffered):
+        path = str(ROOT / "configs" / "p2_power2.json")
+        assert main(["report", "--config", path]) == 0
+        expected = capsys.readouterr().out.encode()
+        out = tmp_path / "report.json"
+        proc = self._child(["report", "--config", path, "--out", str(out)],
+                           unbuffered)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [["report"], ["validate"], ["--help"]])
+    def test_a_closed_stdout_exits_two_with_one_json_line(self, unbuffered,
+                                                          argv):
+        if argv != ["--help"]:
+            argv = argv + ["--config", str(ROOT / "configs" / "p2_power2.json")]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self._child(argv, unbuffered, stdout=write)
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        (line,) = proc.stderr.decode().splitlines()
+        assert json.loads(line)["error"] == "IOError"
+
+    @pytest.mark.parametrize("write_through", [False, True])
+    def test_main_maps_a_closed_stdout_to_exit_two(self, capsys, monkeypatch,
+                                                   write_through):
+        read, write = os.pipe()
+        os.close(read)
+        stdout = io.TextIOWrapper(io.FileIO(write, "w"),
+                                  write_through=write_through)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        try:
+            code = main(["validate", "--config",
+                         str(ROOT / "configs" / "p2_power2.json")])
+        finally:
+            monkeypatch.undo()
+            try:  # the unwritten report is still buffered
+                stdout.close()
+            except OSError:
+                pass
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "IOError"
+
+    def test_entry_flushes_then_exits_with_the_code_of_main(self, monkeypatch):
+        from dyndeg import cli
+
+        flushed = []
+
+        class Stream(io.StringIO):
+            def flush(self):
+                flushed.append(self)
+
+        def fake_exit(code):
+            raise _Exit(code, list(flushed))
+
+        out, err = Stream(), Stream()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        monkeypatch.setattr(cli, "main", lambda: 3)
+        monkeypatch.setattr(os, "_exit", fake_exit)
+        with pytest.raises(_Exit) as exc:
+            cli.entry()
+        assert exc.value.args == (3, [out, err])
+
+    def test_an_exception_from_main_escapes_the_entry(self, monkeypatch):
+        from dyndeg import cli
+
+        def broken():
+            raise RuntimeError("escaped")
+
+        monkeypatch.setattr(cli, "main", broken)
+        monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("os._exit"))
+        with pytest.raises(RuntimeError, match="escaped"):
+            cli.entry()
+
+    def test_the_console_script_is_the_function_the_module_runs(
+        self, monkeypatch
+    ):
+        import importlib
+        import runpy
+
+        tomllib = pytest.importorskip("tomllib")
+        from dyndeg import cli
+
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["dyndeg"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.entry
+        calls = []
+        monkeypatch.setattr(cli, "entry", lambda: calls.append("entry"))
+        runpy.run_module("dyndeg", run_name="__main__")
+        assert calls == ["entry"]
 
 
 class TestErrorPayloads:

@@ -30,6 +30,9 @@ ALLOWED = {
                            "it through support.apply_blocks",
     "cli._io_error": "only an unreadable config or --out path reaches it "
                      "(test_cli's I/O cases)",
+    "cli.entry": "it ends the process, so it runs only in a child "
+                 "(python -m dyndeg, the dyndeg script): test_cli's "
+                 "TestProcessEntry",
     "lattice.build_surface_lattice": "no shipped config is a lattice surface; "
                                      "test_schema_contract builds one",
     "lattice.check_surface_lattice": "as lattice.build_surface_lattice",

@@ -363,6 +363,19 @@ REJECTED = {
                {"kind": "identity"}),
         ("SchemaError", ["/model/omega"]),
     ),
+    # an ample override with deg(X) < 0 and one with h^r = 0, once rejected
+    # by the model check with no JSON pointer
+    "ample-degree-negative": (
+        config({"kind": "projective", "n": 1}, {"kind": "power", "d": 2},
+               ample={"coords": [-1]}),
+        ("SchemaError", ["/ample/coords"]),
+    ),
+    "ample-top-power-zero": (
+        config({"kind": "multiprojective", "n": [1, 1]},
+               {"kind": "product", "d": [2, 3], "perm": [0, 1]},
+               ample={"coords": [1, 0]}),
+        ("SchemaError", ["/ample/coords"]),
+    ),
     "product-repeat": (
         _custom(products=[{"a": [2, 0], "b": [2, 0], "value": [[0, 1]]},
                           {"a": [2, 0], "b": [2, 0], "value": {"0": 3}}]),
@@ -496,6 +509,19 @@ def test_a_bad_polarization_keeps_its_message_at_the_omega_pointer(tmp_path):
         assert (code, out) == (2, ""), name
         assert json.loads(err) == {"error": "SchemaError", "violations": [
             {"path": "/model/omega", "message": message}]}, name
+
+
+def test_a_bad_ample_override_keeps_its_message_at_the_coords_pointer(
+    tmp_path,
+):
+    for name, message in (
+        ("ample-degree-negative", "deg(X) = -1 must be positive"),
+        ("ample-top-power-zero", "h^r vanishes: h is not a valid ample class"),
+    ):
+        code, out, err = validate(REJECTED[name][0], tmp_path)
+        assert (code, out) == (2, ""), name
+        assert json.loads(err) == {"error": "SchemaError", "violations": [
+            {"path": "/ample/coords", "message": message}]}, name
 
 
 # replacement values: small enough that no mutant grows past abelian g = 2

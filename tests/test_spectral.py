@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import pathlib
@@ -51,6 +52,77 @@ class TestCharPoly:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeMismatch):
             char_poly([[1, 2, 3], [4, 5, 6]])
+
+
+class TestExteriorCharPolys:
+    """``exterior_char_polys`` (power sums and Newton's identities) against
+    Berkowitz on every block of the validated pullback."""
+
+    @staticmethod
+    def _agree(pull):
+        polys = spectral.exterior_char_polys(pull.blocks[1])
+        assert len(polys) == len(pull.blocks)
+        for k, block in enumerate(pull.blocks):
+            assert polys[k] == char_poly(block), k
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_random_exterior_maps(self, g, rational):
+        import random
+
+        from dyndeg.abelian import exterior_algebra, exterior_pullback
+
+        rng = random.Random(f"exterior-polys:{g}:{rational}")
+        n = 2 * g
+        for trial in range(3):
+            m = [[Fraction(rng.randint(-4, 4),
+                           rng.randint(1, 6) if rational else 1)
+                  for _ in range(n)] for _ in range(n)]
+            if trial == 2:  # singular
+                m[0] = [Fraction(0)] * n
+            if rational:  # at least one entry that is no integer
+                m[n - 1][0] += Fraction(1, 3)
+            self._agree(exterior_pullback(exterior_algebra(g), m))
+
+    def test_the_shipped_abelian_config(self):
+        from dyndeg import cli
+
+        root = pathlib.Path(__file__).resolve().parents[1]
+        text = (root / "configs" / "elliptic_square_fibonacci.json").read_text()
+        model, pull = cli.build_model_and_map(cli.parse_config(text))
+        assert model.algebra.exterior
+        self._agree(pull)
+
+    def test_a_matrices_map_on_an_abelian_model(self):
+        from dyndeg import cli
+
+        cfg = {"model": {"kind": "abelian", "g": 1},
+               "map": {"kind": "matrices",
+                       "blocks": [[[1]], [[2, 1], [1, 1]], [[1]]]},
+               "analyses": ["chain"]}
+        _, pull = cli.build_model_and_map(cli.parse_config(json.dumps(cfg)))
+        self._agree(pull)
+
+    def test_only_the_exterior_algebra_is_marked(self):
+        from dyndeg.abelian import exterior_algebra
+        from dyndeg.projective import multiprojective, projective_space
+
+        assert exterior_algebra(2).exterior
+        assert not projective_space(2).algebra.exterior
+        assert not multiprojective([1, 1]).algebra.exterior
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_the_chain_is_the_berkowitz_chain(self, monkeypatch, g):
+        from dyndeg.abelian import abelian_variety
+        from dyndeg.gromov import spectral_chain
+
+        a = [[2, 1, 0], [1, 1, 1], [0, 1, 3]]
+        m = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0
+              for j in range(2 * g)] for i in range(2 * g)]
+        model, pull = abelian_variety(g, m)
+        fast = spectral_chain(model.algebra, pull, model.h)
+        monkeypatch.setattr(model.algebra, "exterior", False)
+        assert spectral_chain(model.algebra, pull, model.h) == fast
 
 
 class TestSpectralRadius:
