@@ -15,6 +15,7 @@ from collections.abc import Mapping
 # ``core.build_algebra`` is looked up when called, so a wrapper bound there
 # (a tracer's) is the one that runs
 from . import COMMUTATIVE, core, endo
+from .errors import AmpleNotPositive, SchemaError, ShapeMismatch
 from .linalg import as_fraction
 from .models import (EffectiveClass, EmbeddedModel, check_divisor,
                      check_length)
@@ -65,7 +66,12 @@ def custom_model(params: Mapping) -> EmbeddedModel:
 
 def build_custom(spec, map_spec):
     """The model of a custom config, with the identity map."""
-    model = custom_model({k: v for k, v in spec.items() if k != "kind"})
+    try:
+        model = custom_model({k: v for k, v in spec.items() if k != "kind"})
+    except (ShapeMismatch, AmpleNotPositive) as exc:
+        # ``check_custom`` passed every shape, so h is what is left: h^r = 0,
+        # deg(X) <= 0, or h not positive on an effective class
+        raise SchemaError([("/model/h", str(exc))]) from exc
     return model, endo.identity_map(model.algebra)
 
 
@@ -94,8 +100,8 @@ def check_custom(c, spec, map_spec) -> None:
 
 def _check_products(c, products, dims) -> None:
     """Each entry multiplies two basis elements whose degrees sum to at most
-    the top degree, into coordinates below ``dims[i + j]``, and no two
-    entries multiply the same ordered pair."""
+    the top degree, into coordinates below ``dims[i + j]``; no two entries
+    multiply the same ordered pair, and no entry names a coordinate twice."""
     top, first = len(dims) - 1, {}
     for k, entry in enumerate(products):
         path = f"/model/products/{k}"
@@ -116,3 +122,6 @@ def _check_products(c, products, dims) -> None:
                   f"expected coordinates below dims[{degree}] = {dims[degree]}")
         elif first.setdefault(pair, k) != k:
             c.add(path, f"repeats /model/products/{first[pair]}")
+        elif len(set(coords := [int(key) for key in keys])) < len(coords):
+            c.add(f"{path}/value",
+                  f"repeats coordinate {max(coords, key=coords.count)}")

@@ -14,7 +14,7 @@ from typing import Sequence
 # ``core.build_algebra`` and ``endo.validate_pullback`` are looked up when
 # called, so a wrapper bound there (a tracer's) is the one that runs
 from . import COMMUTATIVE, core, endo
-from .errors import AmpleNotPositive, NotIsometry, ShapeMismatch
+from .errors import AmpleNotPositive, NotIsometry, SchemaError, ShapeMismatch
 from .linalg import as_fraction, as_matrix, identity, scaled_matrix, transpose
 from .models import EffectiveClass, EmbeddedModel, check_square
 
@@ -101,10 +101,15 @@ def surface_lattice(
 
 def build_surface_lattice(spec, map_spec):
     gram = spec["gram"]
-    return surface_lattice(
-        gram, map_spec.get("matrix", identity(len(gram))), spec["ample"],
-        ambient_dim=spec.get("ambient_dim"),
-    )
+    try:
+        return surface_lattice(
+            gram, map_spec.get("matrix", identity(len(gram))), spec["ample"],
+            ambient_dim=spec.get("ambient_dim"),
+        )
+    except (NotIsometry, AmpleNotPositive, ShapeMismatch) as exc:
+        # the shapes are checked: a gram matrix that is not symmetric is left
+        path = {NotIsometry: "/map/matrix", AmpleNotPositive: "/model/ample"}
+        raise SchemaError([(path.get(type(exc), "/model/gram"), str(exc))]) from exc
 
 
 def check_surface_lattice(c, spec, map_spec) -> None:

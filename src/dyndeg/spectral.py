@@ -5,7 +5,8 @@ The characteristic polynomial comes from the Berkowitz division-free
 elimination scheme, in ``int`` on the matrix times its common denominator;
 those of the exterior powers of one matrix come together from the power
 sums of its eigenvalues (:func:`exterior_char_polys`).
-The maximum root modulus is certified in integers: Aberth's iteration
+The maximum root modulus is certified in integers, on the square-free part
+that the primitive remainder sequence gives in ``int``: Aberth's iteration
 proposes the roots in complex floats, polishes them as Gaussian integers
 over 2^B, and Newton inclusion disks of radius n|p(z)/p'(z)|, evaluated
 exactly and rounded up, certify them once they are pairwise disjoint.
@@ -109,62 +110,48 @@ def exterior_char_polys(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers
+# polynomial helpers, in ``int``
 # ---------------------------------------------------------------------------
 
-def _poly_strip_zero_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    out = list(coeffs)
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_derivative(coeffs: list[Fraction]) -> list[Fraction]:
+def _poly_derivative(coeffs):
     n = len(coeffs) - 1
     return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
 
 
-def _poly_divmod(num, den):
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    for i in range(len(q)):
-        f = num[i] / den[0]
-        q[i] = f
-        for j, d in enumerate(den):
-            num[i + j] -= f * d
-    rem = num[len(q):]
-    while rem and rem[0] == 0:
-        rem.pop(0)
-    return q, rem
+def _primitive(coeffs: list[int]) -> list[int]:
+    """``coeffs`` over their gcd, signed so the leading one is positive."""
+    g = math.gcd(*coeffs) if coeffs[0] > 0 else -math.gcd(*coeffs)
+    return [c // g for c in coeffs]
 
 
-def _poly_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        if r:
-            lead = r[0]
-            r = [c / lead for c in r]
-        a, b = b, r
-    lead = a[0]
-    return [c / lead for c in a]
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """``(q, r)`` with lc(b)^k a = q b + r, k = deg a - deg b + 1 and
+    deg r < deg b; r without its leading zeros."""
+    lead, q, r = b[0], [], list(a)
+    tail = b[1:] + [0] * (len(a) - len(b))
+    for _ in range(len(a) - len(b) + 1):
+        f = r[0]
+        q = [lead * c for c in q] + [f]
+        r = [lead * x - f * y for x, y in zip(r[1:], tail)]
+    while r and not r[0]:
+        r.pop(0)
+    return q, r
 
 
-def _squarefree_part(coeffs: list[Fraction]) -> list[Fraction]:
-    if len(coeffs) <= 2:
-        return list(coeffs)
-    g = _poly_gcd(coeffs, _poly_derivative(coeffs))
-    if len(g) == 1:
-        return list(coeffs)
-    q, _ = _poly_divmod(coeffs, g)
-    return q
-
-
-def _cauchy_bound(coeffs: list[Fraction]) -> Fraction:
-    """All roots of the monic polynomial have modulus <= 1 + max |a_i|."""
-    lead = coeffs[0]
-    tail = [c / lead for c in coeffs[1:]]
-    return 1 + max((abs(c) for c in tail), default=Fraction(0))
+def _squarefree_part(coeffs) -> list[int]:
+    """The square-free part of the rational polynomial ``coeffs`` without
+    its zero roots, primitive in Z[x] with a positive leading coefficient:
+    p over the last term of the primitive remainder sequence of p and p'."""
+    p = scaled_matrix([coeffs])[1][0]
+    while len(p) > 1 and not p[-1]:
+        p.pop()
+    p = _primitive(p)
+    if len(p) <= 2:
+        return p
+    a, b = p, _primitive(_poly_derivative(p))
+    while r := _pseudo_divmod(a, b)[1]:
+        a, b = b, _primitive(r)
+    return p if len(b) == 1 else _primitive(_pseudo_divmod(p, b)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +165,8 @@ def spectral_radius(matrix: Sequence[Sequence], tol: float = 1e-9,
     ``poly``, when given, is ``char_poly(matrix)`` computed another way (as
     :func:`exterior_char_polys` does); it is used in its place.
 
-    Works on the square-free part p of degree n, with its denominators
-    cleared.  Aberth's iteration proposes the n roots in complex floats; they
+    Works on the square-free part p of degree n, primitive in Z[x].
+    Aberth's iteration proposes the n roots in complex floats; they
     are polished as Gaussian integers over 2^B (B = 128 first, plus the bits
     below the smallest root) and each gets the Newton inclusion disk of
     radius n|p(z)/p'(z)|, evaluated exactly and rounded up.  Once the disks
@@ -192,7 +179,7 @@ def spectral_radius(matrix: Sequence[Sequence], tol: float = 1e-9,
     Raises :class:`SpectralNonconvergence` (carrying the best bracket) if the
     disks cannot be shrunk below ``tol`` within the six rounds.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ShapeMismatch("tol must be positive")
     if poly is None:
         poly = char_poly(matrix)
@@ -207,21 +194,17 @@ def _max_root_modulus(coeffs: tuple[Fraction, ...], tol: float):
     process: a closure block and a graded block with the same characteristic
     polynomial share the result.
     """
-    p = _poly_strip_zero_roots(coeffs)
-    if len(p) == 1:
+    poly = _squarefree_part(coeffs)
+    if len(poly) == 1:
         return 0.0, 0.0
-    lead = p[0]
-    p = [c / lead for c in p]
-    p = _squarefree_part(p)
-    if len(p) == 2:
-        rho = _float(abs(p[1]))
+    if len(poly) == 2:
+        root = abs(Fraction(poly[1], poly[0]))
+        rho = _float(root)
         if rho == math.inf:
             raise SpectralNonconvergence(rho, rho)
-        exact = rho == abs(p[1])
-        return rho, 0.0 if exact else rho * 2.0**-52
-    cauchy = _float(_cauchy_bound(p))
-    den = math.lcm(*(c.denominator for c in p))
-    poly = [c.numerator * (den // c.denominator) for c in p]
+        return rho, 0.0 if rho == root else rho * 2.0**-52
+    # Cauchy: every root has modulus at most 1 + max |a_i / a_0|
+    cauchy = _float(1 + Fraction(max(map(abs, poly[1:])), poly[0]))
 
     start, scale = _aberth_proposal(poly)
     # denominator exponent: B bits below the smallest proposed root

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -33,7 +34,6 @@ from dyndeg.models import (
     projective_space,
     surface_lattice,
 )
-from dyndeg.spectral import _cauchy_bound, _poly_strip_zero_roots, _squarefree_part
 
 
 def _random_fraction(rng, lo=-6, hi=6, max_den=4, nonzero=False):
@@ -201,6 +201,25 @@ def multiplicativity_witness(algebra: GradedAlgebra, blocks):
             if tuple(lhs) != tuple(rhs):
                 return (a, b)
     return None
+
+
+def perfbench_workload(monkeypatch, name):
+    """The benchmark's seed-0 workload ``name``, from
+    ``perfbench/workloads.py``, and its golden report hashes."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    golden = json.loads((root / "perfbench" / "golden.json").read_text("utf-8"))
+    return module.generate(name, 0, root), golden[name]
 
 
 def builder_battery():
@@ -512,16 +531,89 @@ class FractionEchelon:
         return [tuple(row) for row in self.rows]
 
 
+# ---------------------------------------------------------------------------
+# Fraction polynomial helpers: the oracle's own, sharing no code with the
+# integer square-free part in ``dyndeg.spectral``
+# ---------------------------------------------------------------------------
+
+def _poly_strip_zero_roots(coeffs: list[Fraction]) -> list[Fraction]:
+    out = list(coeffs)
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_derivative(coeffs: list[Fraction]) -> list[Fraction]:
+    n = len(coeffs) - 1
+    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+
+
+def _poly_divmod(num, den):
+    num = list(num)
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    for i in range(len(q)):
+        f = num[i] / den[0]
+        q[i] = f
+        for j, d in enumerate(den):
+            num[i + j] -= f * d
+    rem = num[len(q):]
+    while rem and rem[0] == 0:
+        rem.pop(0)
+    return q, rem
+
+
+def _poly_gcd(a, b):
+    a, b = list(a), list(b)
+    while b:
+        _, r = _poly_divmod(a, b)
+        if r:
+            lead = r[0]
+            r = [c / lead for c in r]
+        a, b = b, r
+    lead = a[0]
+    return [c / lead for c in a]
+
+
+def _squarefree_part(coeffs: list[Fraction]) -> list[Fraction]:
+    if len(coeffs) <= 2:
+        return list(coeffs)
+    g = _poly_gcd(coeffs, _poly_derivative(coeffs))
+    if len(g) == 1:
+        return list(coeffs)
+    q, _ = _poly_divmod(coeffs, g)
+    return q
+
+
+def _cauchy_bound(coeffs: list[Fraction]) -> Fraction:
+    """All roots of the monic polynomial have modulus <= 1 + max |a_i|."""
+    lead = coeffs[0]
+    tail = [c / lead for c in coeffs[1:]]
+    return 1 + max((abs(c) for c in tail), default=Fraction(0))
+
+
+def _monic_squarefree_part(coeffs) -> list[Fraction]:
+    """The monic square-free part of ``coeffs`` without its zero roots."""
+    p = _poly_strip_zero_roots([Fraction(c) for c in coeffs])
+    lead = p[0]
+    return _squarefree_part([c / lead for c in p])
+
+
+def fraction_squarefree_part(coeffs) -> list[int]:
+    """The square-free part by the ``Fraction`` route: zero roots stripped,
+    made monic, divided by its gcd with p', then cleared by the lcm of its
+    denominators.  The reference for ``spectral._squarefree_part``."""
+    q = _monic_squarefree_part(coeffs)
+    den = math.lcm(*(c.denominator for c in q))
+    return [c.numerator * (den // c.denominator) for c in q]
+
+
 def mpmath_max_root_modulus(coeffs, tol):
     """Certified ``(rho, error_bound)`` by mpmath's ``polyroots`` and Newton
     inclusion disks of radius 2n|p/p'| in mp floats: the certifier that the
     integer one replaced, kept as its oracle."""
-    p = _poly_strip_zero_roots(coeffs)
+    p = _monic_squarefree_part(coeffs)
     if len(p) == 1:
         return 0.0, 0.0
-    lead = p[0]
-    p = [c / lead for c in p]
-    p = _squarefree_part(p)
     if len(p) == 2:
         rho = abs(float(p[1]))
         exact = rho == abs(p[1])

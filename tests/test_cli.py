@@ -25,7 +25,7 @@ from dyndeg.errors import (AssociativityViolation, FloatOverflow,
                            SignRuleViolation, SpectralNonconvergence,
                            UnitViolation)
 
-from support import canonical_json
+from support import canonical_json, perfbench_workload
 
 
 def p2_config(**overrides):
@@ -944,54 +944,53 @@ ABELIAN_G4_SHA256 = (
 )
 
 
-class TestScaleLadder:
-    def test_abelian_g4_report_bytes_are_pinned(self, tmp_path, capsys):
-        import hashlib
+ABELIAN_G5_A = [[2, 1, 0, 0, 0], [1, 1, 1, 0, 0], [0, 1, 3, 1, 0],
+                [1, 0, 0, 2, 1], [0, 0, 1, 0, 1]]
+ABELIAN_G5_SHA256 = (
+    "70916c06a67184a154eb819317e9fda39167a146a9f433d34b8011caf19ae79e"
+)
 
-        a = ABELIAN_G4_A
+
+class TestScaleLadder:
+    @staticmethod
+    def _report_sha256(a, tmp_path, capsys):
+        """sha256 of the ``gromov`` + ``chain`` report on the abelian
+        variety of dimension g = len(a), with the map A (x) I_2."""
+        n = 2 * len(a)
         cfg = {
-            "model": {"kind": "abelian", "g": 4},
+            "model": {"kind": "abelian", "g": len(a)},
             "map": {"kind": "exterior", "matrix": [
-                [a[i // 2][j // 2] if i % 2 == j % 2 else 0 for j in range(8)]
-                for i in range(8)
+                [a[i // 2][j // 2] if i % 2 == j % 2 else 0 for j in range(n)]
+                for i in range(n)
             ]},
             "analyses": ["gromov", "chain"],
         }
-        path = tmp_path / "abelian_g4.json"
+        path = tmp_path / f"abelian_g{len(a)}.json"
         path.write_text(json.dumps(cfg))
         assert main(["report", "--config", str(path)]) == 0
-        out = capsys.readouterr().out.encode("utf-8")
-        assert hashlib.sha256(out).hexdigest() == ABELIAN_G4_SHA256
+        return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+    def test_abelian_g4_report_bytes_are_pinned(self, tmp_path, capsys):
+        assert self._report_sha256(ABELIAN_G4_A, tmp_path, capsys) == (
+            ABELIAN_G4_SHA256)
+
+    @pytest.mark.slow
+    def test_abelian_g5_report_bytes_are_pinned(self, tmp_path, capsys):
+        # about 15 s on a 2-core VM; run with ``pytest -m slow``
+        assert self._report_sha256(ABELIAN_G5_A, tmp_path, capsys) == (
+            ABELIAN_G5_SHA256)
 
 
 class TestComputeWorkloadBytes:
     """The seed-0 ``exact-core`` benchmark reports, run in-process, against
     the sha256 values the benchmark checks (``perfbench/golden.json``)."""
 
-    @staticmethod
-    def _workloads(monkeypatch, name="exact-core"):
-        import importlib.util
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parent.parent
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", root / "perfbench" / "workloads.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        # dataclasses resolve the module's annotations through sys.modules
-        monkeypatch.setitem(sys.modules, spec.name, module)
-        spec.loader.exec_module(module)
-        golden = json.loads(
-            (root / "perfbench" / "golden.json").read_text("utf-8")
-        )
-        return module.generate(name, 0, root), golden[name]
-
     def test_exact_core_reports_match_the_golden_hashes(
         self, tmp_path, capsys, monkeypatch
     ):
         import hashlib
 
-        workload, golden = self._workloads(monkeypatch)
+        workload, golden = perfbench_workload(monkeypatch, "exact-core")
         paths = workload.write(tmp_path)
         assert len(workload.invocations) == 6
         for command, name in workload.invocations:
@@ -1298,8 +1297,7 @@ class TestCanonicalEncoding:
             written.append(text)
             return text
 
-        load = TestComputeWorkloadBytes._workloads
-        wl, _ = load(monkeypatch, workload)
+        wl, _ = perfbench_workload(monkeypatch, workload)
         paths = wl.write(tmp_path)
         monkeypatch.setattr(cli, "dumps_canonical", checked)
         successes = 0

@@ -231,6 +231,13 @@ class TestSpectralChain:
         assert rep.max_mu == pytest.approx(4.0, abs=1e-9)
         assert rep.chain_holds and rep.equality_holds and rep.equality_asserted
 
+    def test_a_nan_tol_is_rejected(self):
+        # NaN passed ``tol <= 0`` and turned both verdicts false
+        model = projective_space(2)
+        with pytest.raises(ShapeMismatch, match="tol must be positive"):
+            spectral_chain(model.algebra, pn_power_map(model, 2), model.h,
+                           tol=float("nan"))
+
     def test_identity_chain_is_all_ones(self):
         model = multiprojective([1, 1])
         rep = spectral_chain(model.algebra, identity_map(model.algebra), model.h)

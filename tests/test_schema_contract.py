@@ -484,6 +484,52 @@ REJECTED = {
         _custom(integrate=[{"num": "0", "den": "2"}]),
         ("SchemaError", ["/model/integrate"]),
     ),
+    # a coordinate named twice in one product, whose later value once
+    # overwrote the earlier
+    "product-value-repeat-list": (
+        _custom(products=[{"a": [2, 0], "b": [2, 0], "value": [[0, 1], [0, 2]]}]),
+        ("SchemaError", ["/model/products/0/value"]),
+    ),
+    "product-value-repeat-object": (
+        _custom(products=[{"a": [2, 0], "b": [2, 0], "value": {"0": 1, "00": 2}}]),
+        ("SchemaError", ["/model/products/0/value"]),
+    ),
+    "product-value-repeat-mixed": (
+        _custom(products=[{"a": [2, 0], "b": [2, 0],
+                           "value": [["0", 1], [0, 5]]}]),
+        ("SchemaError", ["/model/products/0/value"]),
+    ),
+    # a lattice or custom model that its builder rejected with no JSON
+    # pointer: a gram matrix that is not symmetric, a map that is not an
+    # isometry, an ample class that is not positive, and an h with h^r = 0,
+    # deg(X) < 0 or negative on an effective class
+    "lattice-gram-not-symmetric": (
+        config({"kind": "surface_lattice", "gram": [[1, 1], [0, -2]],
+                "ample": [1, 0]}, {"kind": "identity"}),
+        ("SchemaError", ["/model/gram"]),
+    ),
+    "lattice-not-an-isometry": (
+        config({"kind": "surface_lattice", "gram": [[1, 0], [0, -2]],
+                "ample": [1, 0]}, {"kind": "isometry", "matrix": [[2, 0], [0, 1]]}),
+        ("SchemaError", ["/map/matrix"]),
+    ),
+    "lattice-ample-not-positive": (
+        config({"kind": "surface_lattice", "gram": [[1, 0], [0, -2]],
+                "ample": [0, 1]}, {"kind": "identity"}),
+        ("SchemaError", ["/model/ample"]),
+    ),
+    "custom-h-top-power-zero": (
+        _custom(products=[], effective=[]), ("SchemaError", ["/model/h"]),
+    ),
+    "custom-degree-negative": (
+        _custom(products=[{"a": [2, 0], "b": [2, 0], "value": [[0, -1]]}],
+                effective=[]),
+        ("SchemaError", ["/model/h"]),
+    ),
+    "custom-h-negative-on-effective": (
+        _custom(effective=[{"label": "line", "degree": 2, "coords": [-1]}]),
+        ("SchemaError", ["/model/h"]),
+    ),
 }
 
 
@@ -522,6 +568,27 @@ def test_a_bad_ample_override_keeps_its_message_at_the_coords_pointer(
         assert (code, out) == (2, ""), name
         assert json.loads(err) == {"error": "SchemaError", "violations": [
             {"path": "/ample/coords", "message": message}]}, name
+
+
+def test_a_bad_lattice_or_custom_model_keeps_its_message_at_its_pointer(
+    tmp_path,
+):
+    for name, path, message in (
+        ("lattice-gram-not-symmetric", "/model/gram",
+         "gram matrix must be symmetric"),
+        ("lattice-not-an-isometry", "/map/matrix",
+         "isometry does not preserve the gram matrix"),
+        ("lattice-ample-not-positive", "/model/ample",
+         "ample self-intersection -2 is not positive"),
+        ("custom-h-top-power-zero", "/model/h",
+         "h^r vanishes: h is not a valid ample class"),
+        ("product-value-repeat-object", "/model/products/0/value",
+         "repeats coordinate 0"),
+    ):
+        code, out, err = validate(REJECTED[name][0], tmp_path)
+        assert (code, out) == (2, ""), name
+        assert json.loads(err) == {"error": "SchemaError", "violations": [
+            {"path": path, "message": message}]}, name
 
 
 # replacement values: small enough that no mutant grows past abelian g = 2

@@ -24,7 +24,8 @@ from dyndeg.estimators import (
 from dyndeg.gromov import gromov_closure
 from dyndeg.linalg import as_matrix
 from dyndeg.spectral import char_poly, spectral_radius
-from support import builder_battery, mpmath_max_root_modulus
+from support import (builder_battery, fraction_squarefree_part,
+                     mpmath_max_root_modulus, perfbench_workload)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -147,6 +148,10 @@ class TestSpectralRadius:
         ]:
             rho, err = spectral_radius(m, tol=1e-10)
             assert abs(rho - true) <= err + 1e-12
+
+    def test_a_nan_tol_is_rejected(self):
+        with pytest.raises(ShapeMismatch, match="tol must be positive"):
+            spectral_radius([[1, 1], [1, 0]], tol=float("nan"))
 
 
 class TestGelfandSequence:
@@ -380,6 +385,17 @@ def _from_roots(roots):
     return tuple(coeffs)
 
 
+def _battery_polys():
+    """The characteristic polynomials of the builder battery's blocks and
+    of their Gromov closures' blocks."""
+    polys = set()
+    for _, model, pull in builder_battery():
+        polys.update(tuple(char_poly(b)) for b in pull.blocks if b)
+        closure = gromov_closure(model.algebra, pull, model.h)
+        polys.update(tuple(char_poly(b)) for _, b in closure.degree_blocks())
+    return polys
+
+
 def _uncached(coeffs, tol=1e-9):
     """The integer certifier, past its cache."""
     return spectral._max_root_modulus.__wrapped__(tuple(coeffs), tol)
@@ -397,19 +413,96 @@ HARD = {
 }
 
 
+def _product(polys):
+    """Coefficients of the product of ``polys``, descending."""
+    out = [Fraction(1)]
+    for p in polys:
+        out = [sum(out[i] * p[k - i] for i in range(len(out))
+                   if 0 <= k - i < len(p)) for k in range(len(out) + len(p) - 1)]
+    return out
+
+
+_COEFF = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def _factored_polys(draw):
+    """content * x^zeros * prod f_i^(m_i), with factors of degree 0 to 3
+    and multiplicities up to 3; integer or rational coefficients."""
+    rational = draw(st.booleans())
+    coeff = _COEFF if rational else st.integers(-9, 9).map(Fraction)
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        lead = draw(coeff.filter(bool))
+        f = [lead] + draw(st.lists(coeff, max_size=3))
+        factors += [f] * draw(st.integers(1, 3))
+    content = draw(coeff.filter(bool)) * draw(st.sampled_from((1, 6, 12)))
+    zeros = draw(st.integers(0, 3))
+    return tuple(_product([[content]] + factors) + [Fraction(0)] * zeros)
+
+
+class TestIntegerSquarefreePart:
+    """``spectral._squarefree_part`` (primitive remainder sequence in
+    ``int``) against the ``Fraction`` route cleared by the lcm of its
+    denominators (``support.fraction_squarefree_part``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_factored_polys())
+    def test_it_matches_the_fraction_route(self, p):
+        got = spectral._squarefree_part(p)
+        assert got == fraction_squarefree_part(p)
+        assert got[0] > 0 and math.gcd(*got) == 1
+
+    @pytest.mark.parametrize("coeffs, want", [
+        ((Fraction(-3),), [1]),
+        ((Fraction(-4), Fraction(6)), [2, -3]),
+        ((2, -4, 2, 0, 0), [1, -1]),
+        ((Fraction(-1, 2), 0, Fraction(1, 2)), [1, 0, -1]),
+        (_from_roots([Fraction(1, 2)] * 3 + [-2] * 2), [2, 3, -2]),
+    ], ids=["constant", "linear", "double root and zero roots",
+            "negative rational lead", "repeated rational roots"])
+    def test_small_cases(self, coeffs, want):
+        assert spectral._squarefree_part(coeffs) == want
+
+
 class TestIntegerRootCertificate:
     """The integer certifier against mpmath's, kept in ``support`` as its
     oracle: the same ``(rho, err)`` floats, bit for bit."""
 
     def test_battery_blocks_match_the_oracle(self):
-        polys = set()
-        for _, model, pull in builder_battery():
-            polys.update(tuple(char_poly(b)) for b in pull.blocks if b)
-            closure = gromov_closure(model.algebra, pull, model.h)
-            polys.update(tuple(char_poly(b)) for _, b in closure.degree_blocks())
+        polys = _battery_polys()
         assert len(polys) > 20
         for p in polys:
             assert _uncached(p) == mpmath_max_root_modulus(p, 1e-9), p
+
+    def test_block_polynomials_match_the_fraction_route(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # every polynomial the seed-0 ``exact-core`` reports certify
+        from dyndeg.cli import main
+
+        polys = _battery_polys()
+        workload, _ = perfbench_workload(monkeypatch, "exact-core")
+        paths = workload.write(tmp_path)
+        certify = spectral._max_root_modulus
+
+        def recorded(coeffs, tol):
+            polys.add(coeffs)
+            return certify(coeffs, tol)
+
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_max_root_modulus", recorded)
+            for command, name in workload.invocations:
+                assert main([command, "--config", str(paths[name])]) == 0
+        capsys.readouterr()
+        assert len(polys) > 40
+        # the certifier as it ran on the Fraction square-free part
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_squarefree_part", fraction_squarefree_part)
+            want = {p: _uncached(p) for p in polys}
+        for p in polys:
+            assert spectral._squarefree_part(p) == fraction_squarefree_part(p)
+            assert _uncached(p) == want[p], p
 
     @pytest.mark.parametrize("name", sorted(HARD))
     def test_hard_polynomials_match_the_oracle(self, name):
