@@ -17,9 +17,9 @@ structured JSON, validation failures with a JSON pointer path per violation.
 Partial results are never emitted.  A stdout that cannot be written (its
 reader gone) is an I/O failure like an unwritable ``--out``: exit 2.
 
-Only the stdlib and ``errors`` load with this module (``fractions`` only to
-read a rational written as a string), so a config the schema rejects costs
-little more than interpreter start-up.  Each model kind's builder, adapter
+Only the stdlib and ``errors`` load with this module (``linalg`` only to
+read a rational written out), so a config the schema rejects costs little
+more than interpreter start-up.  Each model kind's builder, adapter
 (``build_<kind>``) and cross-field check (``check_<kind>``) live in the
 module ``_MODELS`` names: ``projective``, ``abelian``, ``lattice`` or
 ``custom``, imported once the model's and the map's fields have passed, with
@@ -106,7 +106,8 @@ def dumps_canonical(obj) -> str:
     """``obj`` as canonical JSON, written in one pass: the bytes of
     ``json.dumps(..., sort_keys=True, indent=2)`` plus a newline, with each
     ``Fraction`` as ``{"den": ..., "num": ...}`` strings, each float at 12
-    significant digits and each key through ``str``."""
+    significant digits and each key through ``str``.  Integers print in
+    full: int's digit limit on ``str`` is lifted while the writer runs."""
     from fractions import Fraction  # loaded already by any model
 
     out: list[str] = []
@@ -143,7 +144,14 @@ def dumps_canonical(obj) -> str:
         else:
             raise TypeError(f"cannot encode {value!r}")
 
-    write(obj, "\n")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        write(obj, "\n")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     emit("\n")
     return "".join(out)
 
@@ -174,20 +182,14 @@ class _Collector:
 
 
 def _is_rational(x) -> bool:
-    if isinstance(x, bool):
-        return False
-    if isinstance(x, int):
-        return True
-    if not (isinstance(x, str) or isinstance(x, dict) and set(x) == {"num", "den"}):
-        return False
-    from fractions import Fraction  # only a rational written out needs it
+    """A scalar that ``linalg.as_fraction``, the builders' reader, takes."""
+    if not isinstance(x, (str, dict)):
+        return _is_index(x)  # an int that is not a bool, or no scalar
+    from .linalg import as_fraction  # only a rational written out needs it
 
     try:
-        if isinstance(x, str):
-            Fraction(x)
-        else:
-            Fraction(int(x["num"]), int(x["den"]))
-    except (ValueError, ZeroDivisionError, TypeError):
+        as_fraction(x)
+    except ShapeMismatch:
         return False
     return True
 
@@ -220,10 +222,18 @@ def _is_product_value(value) -> bool:
     return all(_is_index_key(k) and _is_rational(x) for k, x in items)
 
 
+def _check_known(c: _Collector, path: str, spec: dict, known) -> None:
+    """Report each key of ``spec`` that ``known`` does not hold."""
+    for key in spec:
+        if key not in known:
+            c.add(f"{path}/{key}", "unknown field")
+
+
 def _check_product(c: _Collector, path: str, entry) -> None:
     if not isinstance(entry, dict) or not ({"a", "b", "value"} <= set(entry)):
         c.add(path, "expected {a: [deg, idx], b: [deg, idx], value: ...}")
         return
+    _check_known(c, path, entry, ("a", "b", "value"))
     for side in ("a", "b"):
         pair = entry[side]
         if not (isinstance(pair, list) and len(pair) == 2
@@ -311,6 +321,7 @@ def _check_effective(c: _Collector, path: str, entry) -> None:
             and _is_index(entry.get("degree"))):
         c.add(path, "expected {label, degree: int, coords: [...]}")
     else:
+        _check_known(c, path, entry, ("label", "degree", "coords"))
         if not isinstance(entry.get("label", ""), str):
             c.add(f"{path}/label", "expected a string")
         _check_vector(c, f"{path}/coords", entry["coords"])
@@ -329,9 +340,7 @@ def _check_fields(c: _Collector, path: str, spec: dict, fields: dict) -> None:
                 c.add(f"{path}/{key}", "missing")
         else:
             check(c, f"{path}/{key}", spec[key])
-    for key in spec:
-        if key != "kind" and key not in fields:
-            c.add(f"{path}/{key}", "unknown field")
+    _check_known(c, path, spec, ("kind", *fields))
 
 
 def _kind_of(c: _Collector, raw: dict, part: str, kinds, category="schema"):
@@ -436,16 +445,15 @@ def parse_config(text: str, overrides: Mapping | None = None) -> RunConfig:
     c = _Collector()
     try:
         raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
+    # a JSONDecodeError and an int literal past the digit limit are ValueErrors
+    except (ValueError, RecursionError) as exc:  # too deep a nesting
         raise SchemaError([("", f"invalid JSON: {exc}")]) from exc
     if not isinstance(raw, dict):
         raise SchemaError([("", "top-level value must be an object")])
     raw.update(overrides or {})
 
-    known = {"schema_version", "model", "map", "ample", "analyses", "M", "tol", "out"}
-    for key in raw:
-        if key not in known:
-            c.add(f"/{key}", "unknown field")
+    _check_known(c, "", raw, ("schema_version", "model", "map", "ample",
+                              "analyses", "M", "tol", "out"))
 
     version = raw.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
@@ -490,6 +498,7 @@ def parse_config(text: str, overrides: Mapping | None = None) -> RunConfig:
         if not isinstance(ample, dict) or "coords" not in ample:
             c.add("/ample", 'expected {"coords": [...]}')
         else:
+            _check_known(c, "/ample", ample, ("coords",))
             _check_vector(c, "/ample/coords", ample["coords"])
 
     out = raw.get("out")

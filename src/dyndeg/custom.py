@@ -34,11 +34,9 @@ def custom_model(params: Mapping) -> EmbeddedModel:
     for entry in params.get("products", ()):
         (i, p), (j, q) = entry["a"], entry["b"]
         value = entry["value"]
-        if isinstance(value, Mapping):
-            vec = {int(k): as_fraction(c) for k, c in value.items()}
-        else:
-            vec = {int(k): as_fraction(c) for k, c in value}
-        products[((int(i), int(p)), (int(j), int(q)))] = vec
+        items = value.items() if isinstance(value, Mapping) else value
+        products[((int(i), int(p)), (int(j), int(q)))] = {
+            int(k): as_fraction(c) for k, c in items}
     algebra = core.build_algebra(
         top, dims, sign_rule, products,
         integrate=[as_fraction(c) for c in params["integrate"]],

@@ -82,15 +82,10 @@ def _root_of_abs(value, m: int) -> float:
     """|value|^{1/m} computed through logs; safe for huge exact rationals."""
     if value == 0:
         return 0.0
-    if isinstance(value, Fraction):
+    if isinstance(value, (int, Fraction)):  # an int is its own numerator
         log_abs = math.log(abs(value.numerator)) - math.log(value.denominator)
-    elif isinstance(value, int):
-        log_abs = math.log(abs(value))
     else:
-        v = abs(float(value))
-        if v == 0.0:
-            return 0.0
-        log_abs = math.log(v)
+        log_abs = math.log(abs(float(value)))
     return math.exp(log_abs / m)
 
 

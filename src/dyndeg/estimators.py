@@ -8,47 +8,24 @@ certificates, and they are independent of the exact route in
 :mod:`dyndeg.spectral`: this module imports nothing from it, so the two can
 cross-check each other.
 
-The estimators run in plain Python floats: matrices are lists of float rows,
+Norm doubling runs in plain Python floats: matrices are lists of float rows,
 with power-of-two scale factors tracked exactly in a separate integer
-exponent; exact rational arithmetic is used for traces up to size cutoffs
-(matrix dimension <= 64, power <= 256).
+exponent.  Traces run in ``int`` at every size, as Berkowitz does.  Both
+multiply with ``linalg.mat_mul``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from fractions import Fraction
 from typing import Sequence
 
 from .degrees import _root_of_abs, default_window, limsup_root
 from .errors import FloatOverflow, ShapeMismatch, ZeroWeight
-from .linalg import Matrix, as_matrix
-
-# exact trace computation cutoffs; beyond these the float path takes over
-_EXACT_DIM_CUTOFF = 64
-_EXACT_POWER_CUTOFF = 256
+from .linalg import Matrix, as_matrix, mat_mul, scaled_matrix
 
 _LN2 = math.log(2.0)
-
-
-# ---------------------------------------------------------------------------
-# exact matrix products and traces, for the exact trace path
-# ---------------------------------------------------------------------------
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ShapeMismatch("inner dimensions differ")
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(cols))
-        for arow in a
-    )
-
-
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -57,20 +34,12 @@ def trace(a: Matrix) -> Fraction:
 
 def _to_scaled_float(matrix: Matrix) -> tuple[list[list[float]], int]:
     """Convert exact entries to ``(rows, e)`` with M = rows * 2^e."""
-    shift = 0
     top = max((abs(x) for row in matrix for x in row), default=Fraction(0))
-    if top != 0:
-        # keep mantissas representable: bring the largest entry near 2^0..2^53
-        mag = top.numerator.bit_length() - top.denominator.bit_length()
-        if abs(mag) > 500:
-            shift = mag
+    # keep mantissas representable: bring the largest entry near 2^0..2^53
+    mag = top.numerator.bit_length() - top.denominator.bit_length()
+    shift = mag if abs(mag) > 500 else 0
     scale = Fraction(2) ** shift
     return [[float(x / scale) for x in row] for row in matrix], shift
-
-
-def _float_mat_mul(a: list[list[float]], b: list[list[float]]) -> list[list[float]]:
-    cols = list(zip(*b))
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def _rescale(rows: list[list[float]], exponent: int):
@@ -113,16 +82,15 @@ def gelfand_sequence(matrix: Sequence[Sequence], doublings: int):
         else:
             out.append((power, math.exp((math.log(norm) + exponent * _LN2) / power)))
         if k < doublings:
-            rows, exponent = _rescale(_float_mat_mul(rows, rows), 2 * exponent)
+            rows, exponent = _rescale(mat_mul(rows, rows), 2 * exponent)
     return out
 
 
 def trace_sequence(matrix: Sequence[Sequence], m_max: int):
     """The sequence ``(m, |Tr(M^m)|^{1/m})`` for m = 1..m_max.
 
-    Traces are exact rationals up to the size cutoffs, floats with tracked
-    exponents beyond; either way M^m is the running product M^(m-1) M.
-    |0|^{1/m} is 0.
+    Traces are exact: with A = D*M integer, A^m is the running product
+    A^(m-1) A in ``int`` and Tr(M^m) = Tr(A^m) / D^m.  |0|^{1/m} is 0.
     """
     if m_max < 1:
         raise ShapeMismatch("m_max must be >= 1")
@@ -130,28 +98,13 @@ def trace_sequence(matrix: Sequence[Sequence], m_max: int):
     n = len(m)
     if any(len(row) != n for row in m):
         raise ShapeMismatch("trace_sequence needs a square matrix")
-    if n == 0:
-        return [(k, 0.0) for k in range(1, m_max + 1)]
-    out = []
-    if n <= _EXACT_DIM_CUTOFF and m_max <= _EXACT_POWER_CUTOFF:
-        run = m
-        for k in range(1, m_max + 1):
-            if k > 1:
-                run = mat_mul(run, m)
-            out.append((k, _root_of_abs(trace(run), k)))
-        return out
-    rows, exponent = _to_scaled_float(m)
-    run, run_exp = rows, exponent
+    den, a = scaled_matrix(m)
+    out, run = [], a
     for k in range(1, m_max + 1):
         if k > 1:
-            run, run_exp = _rescale(_float_mat_mul(run, rows), run_exp + exponent)
-        t = sum(run[i][i] for i in range(n))
-        if not math.isfinite(t):
-            raise FloatOverflow([(k, "trace")])
-        if t == 0.0:
-            out.append((k, 0.0))
-        else:
-            out.append((k, math.exp((math.log(abs(t)) + run_exp * _LN2) / k)))
+            run = mat_mul(run, a)
+        tr = sum(run[i][i] for i in range(n))
+        out.append((k, _root_of_abs(Fraction(tr, den**k), k)))
     return out
 
 

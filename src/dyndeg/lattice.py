@@ -1,21 +1,21 @@
 """Surface lattices: the algebraic part of a surface with an automorphism.
 
 A rank-(2 + rank) model: the unit, the lattice in degree 2 and the point
-class, with an isometry of the lattice as the map.  The CLI's adapter and
-cross-field check for the ``surface_lattice`` kind live here too.
+class, with an isometry of the lattice as the map; ``endo.validate_pullback``
+is its one isometry check.  The CLI's adapter and cross-field check for the
+``surface_lattice`` kind live here too.
 """
 
 from __future__ import annotations
 
-import operator
-from fractions import Fraction
 from typing import Sequence
 
 # ``core.build_algebra`` and ``endo.validate_pullback`` are looked up when
 # called, so a wrapper bound there (a tracer's) is the one that runs
 from . import COMMUTATIVE, core, endo
-from .errors import AmpleNotPositive, NotIsometry, SchemaError, ShapeMismatch
-from .linalg import as_fraction, as_matrix, identity, scaled_matrix, transpose
+from .errors import (AmpleNotPositive, MultiplicativityViolation, NotIsometry,
+                     SchemaError, ShapeMismatch)
+from .linalg import as_fraction, as_matrix, identity, transpose
 from .models import EffectiveClass, EmbeddedModel, check_square
 
 
@@ -45,27 +45,27 @@ def surface_lattice(
     g = as_matrix(isometry)
     if len(g) != rank or any(len(row) != rank for row in g):
         raise ShapeMismatch(f"isometry must be {rank}x{rank}")
-    # g^T q g = q, in integers: G^T Q G = D^2 Q for g = G / D and q = Q / D'
-    den, g_cols = scaled_matrix(transpose(g))
-    q_int = scaled_matrix(q)[1]
-    qg = [[sum(map(operator.mul, row, col)) for col in g_cols] for row in q_int]
-    gqg = [[sum(map(operator.mul, a, col)) for col in zip(*qg)] for a in g_cols]
-    if gqg != [[den * den * x for x in row] for row in q_int]:
-        raise NotIsometry("isometry does not preserve the gram matrix")
-    v = tuple(as_fraction(x) for x in ample)
+
+    products = {((2, i), (2, j)): {0: q[i][j]}
+                for i in range(rank) for j in range(rank)}
+    algebra = core.build_algebra(4, [1, 0, rank, 0, 1], COMMUTATIVE, products,
+                                 integrate=(1,))
+    # e_p e_q = q_pq [pt] and [pt] is fixed, so multiplicativity on the
+    # generators is exactly g^T q g = q
+    try:
+        pull = endo.validate_pullback(
+            algebra, [[[1]], [], g, [], [[1]]],
+            realizability="asserted-for-lattice", provenance="isometry",
+        )
+    except MultiplicativityViolation as exc:
+        raise NotIsometry("isometry does not preserve the gram matrix") from exc
+    v = [as_fraction(x) for x in ample]
     if len(v) != rank:
         raise ShapeMismatch(f"ample vector must have length {rank}")
-    self_int = sum(v[i] * q[i][j] * v[j] for i in range(rank) for j in range(rank))
+    h = algebra.homogeneous(2, v)
+    self_int = algebra.pair(h, h)
     if self_int <= 0:
         raise AmpleNotPositive(f"ample self-intersection {self_int} is not positive")
-
-    dims = [1, 0, rank, 0, 1]
-    products = {}
-    for p in range(rank):
-        for qq in range(rank):
-            products[((2, p), (2, qq))] = {0: q[p][qq]}
-    algebra = core.build_algebra(4, dims, COMMUTATIVE, products, integrate=(1,))
-    h = algebra.homogeneous(2, v)
 
     effective = (
         EffectiveClass("unit", algebra.one()),
@@ -81,17 +81,6 @@ def surface_lattice(
         effective=effective,
         scope_note="algebraic part only (odd cohomology not modelled)",
     ).validate()
-    blocks = [
-        [[Fraction(1)]],
-        [],
-        [list(row) for row in g],
-        [],
-        [[Fraction(1)]],
-    ]
-    pull = endo.validate_pullback(
-        algebra, blocks, realizability="asserted-for-lattice",
-        provenance="isometry",
-    )
     return model, pull
 
 

@@ -1,7 +1,7 @@
 """Exact rational linear algebra on plain nested tuples of ``Fraction``.
 
-Matrices are immutable tuples of row tuples.  Everything here is exact; the
-floating-point estimators live in :mod:`dyndeg.estimators`.
+Matrices are immutable tuples of row tuples; ``mat_mul``, the one matrix
+product, takes row lists of ``int``, ``float`` or ``Fraction`` alike.
 
 ``Echelon``, the one elimination, runs in ``int``: it keeps each row as
 integer numerators over one denominator, takes sparse integer vectors and
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -22,9 +23,12 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, strings like ``"3/2"``, and Fractions to ``Fraction``.
+    """Coerce ints, strings like ``"3/2"``, ``{"num": ..., "den": ...}``
+    objects (each part an int or a string holding one) and Fractions to
+    ``Fraction``: the one scalar reader, for the builders and the CLI alike.
 
-    Floats are rejected: the exact layer never silently absorbs rounding.
+    Floats and booleans are rejected: the exact layer never silently absorbs
+    rounding.
     """
     if isinstance(x, Fraction):
         return x
@@ -35,9 +39,10 @@ def as_fraction(x) -> Fraction:
     try:
         if isinstance(x, str):
             return Fraction(x)
-        if isinstance(x, dict) and set(x) == {"num", "den"}:
+        if (isinstance(x, dict) and set(x) == {"num", "den"}
+                and {type(x["num"]), type(x["den"])} <= {int, str}):
             return Fraction(int(x["num"]), int(x["den"]))
-    except (ValueError, ZeroDivisionError, TypeError):  # "x", "1/0", ...
+    except (ValueError, ZeroDivisionError):  # "x", "1/0", {"num": "1.5", ...}
         pass
     raise ShapeMismatch(f"not an exact rational scalar: {x!r}")
 
@@ -49,6 +54,12 @@ def as_matrix(rows: Iterable[Iterable]) -> Matrix:
     return mat
 
 
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """The product of the row lists ``a`` and ``b``, as row lists."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
 def identity(n: int) -> Matrix:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
@@ -56,9 +67,7 @@ def identity(n: int) -> Matrix:
 
 
 def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return ()
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
+    return tuple(zip(*a))
 
 
 class Echelon:

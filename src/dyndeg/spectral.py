@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ShapeMismatch, SpectralNonconvergence
-from .linalg import as_matrix, scaled_matrix
+from .linalg import as_matrix, mat_mul, scaled_matrix
 
 # root certification: first fixed-point precision and float iteration cap
 _START_BITS = 128
@@ -92,8 +92,7 @@ def exterior_char_polys(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
     polys, power = [], a
     for m in range(1, math.comb(n, n // 2) + 1):
         if m > 1:
-            power = [[sum(map(operator.mul, row, col)) for col in zip(*a)]
-                     for row in power]
+            power = mat_mul(power, a)
         polys.append(_berkowitz(power))
     out = []
     for k in range(n + 1):

@@ -20,8 +20,7 @@ from fractions import Fraction
 
 from dyndeg.core import Element, GradedAlgebra
 from dyndeg.endo import PullbackMap, validate_pullback
-from dyndeg.estimators import mat_mul
-from dyndeg.linalg import as_matrix, identity, scaled_matrix, transpose
+from dyndeg.linalg import Matrix, as_matrix, identity, scaled_matrix, transpose
 from dyndeg.errors import ShapeMismatch, SpectralNonconvergence
 from dyndeg.models import (
     EmbeddedModel,
@@ -266,9 +265,9 @@ def mutate_blocks(rng, pull: PullbackMap):
 
 # ---------------------------------------------------------------------------
 # Fraction oracles: the rational kernels that the integer ones replaced, and
-# the references that no command runs (map powers, pointwise dynamical
-# degrees, Gram determinants); the product reads only the structure table's
-# entries, never its kernel
+# the references that no command runs (matrix products and traces, map
+# powers, pointwise dynamical degrees, Gram determinants); the product reads
+# only the structure table's entries, never its kernel
 # ---------------------------------------------------------------------------
 
 def pair_by_product(algebra: GradedAlgebra, a: Element, b: Element) -> Fraction:
@@ -425,6 +424,20 @@ def poincare_determinants(algebra: GradedAlgebra):
     dims, top = algebra.dims, algebra.top_degree
     return [fraction_det(gram_matrix(algebra, i))
             if dims[i] == dims[top - i] else None for i in range(top + 1)]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if a and b and len(a[0]) != len(b):
+        raise ShapeMismatch("inner dimensions differ")
+    cols = len(b[0]) if b else 0
+    return tuple(
+        tuple(sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(cols))
+        for arow in a
+    )
+
+
+def trace(a: Matrix) -> Fraction:
+    return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 def mat_vec(m, v):

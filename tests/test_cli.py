@@ -389,6 +389,20 @@ class TestMainCommand:
         assert [int(v["num"]) for v in rows[1]] == [5, 12, 30, 72]
         assert set(payload["results"]) == {"model_summary", "delta-table"}
 
+    def test_an_exact_result_past_the_digit_limit_prints_in_full(
+        self, tmp_path, capsys
+    ):
+        # delta_1(f^100) = d^100 = 10^5000 for z -> z^d, d = 10^50, on P^1:
+        # the writer lifts int's digit limit and then restores it
+        cfg = {"model": {"kind": "projective", "n": 1},
+               "map": {"kind": "power", "d": 10**50},
+               "analyses": ["delta-table"], "M": 100}
+        limit = sys.get_int_max_str_digits()
+        assert main(["delta", "--config", self._write(tmp_path, cfg)]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        rows = json.loads(capsys.readouterr().out)["results"]["delta-table"]["rows"]
+        assert rows[-1][-1] == {"num": "1" + "0" * 5000, "den": "1"}
+
     def test_validate_subcommand(self, tmp_path, capsys):
         path = self._write(tmp_path, p2_config())
         assert main(["validate", "--config", path]) == 0

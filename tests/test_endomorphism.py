@@ -6,7 +6,6 @@ from dyndeg.errors import (
     ShapeMismatch,
     UnitViolation,
 )
-from dyndeg.estimators import mat_mul
 from dyndeg.linalg import as_matrix, identity
 from dyndeg.models import (
     abelian_variety,
@@ -16,7 +15,7 @@ from dyndeg.models import (
     projective_space,
 )
 
-from support import mat_pow, power_map
+from support import mat_mul, mat_pow, power_map
 
 
 def p2_with_map(d=2):

@@ -3,9 +3,11 @@
 ``char_poly`` and ``Echelon`` run in ``int`` on scaled copies of their
 rational input.  Here they are compared with the Fraction loops they
 replaced (kept in ``support``) and with sympy on random rational input,
-including empty, singular, repeated and negative-lead cases.  The Gromov
-closure, which runs on the same kernels, is pinned by a digest of its output
-on the builder battery, recorded with the Fraction implementation.
+including empty, singular, repeated and negative-lead cases; ``mat_mul``,
+which multiplies ``int``, float and Fraction rows, with the Fraction one.
+The Gromov closure, which runs on the same kernels, is pinned by a digest of
+its output on the builder battery, recorded with the Fraction
+implementation.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyndeg.gromov import gromov_closure
-from dyndeg.linalg import Echelon
+from dyndeg.linalg import Echelon, mat_mul
 from dyndeg.spectral import char_poly
 
 from support import (
@@ -25,6 +27,7 @@ from support import (
     builder_battery,
     fraction_char_poly,
     fraction_det,
+    mat_mul as fraction_mat_mul,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -96,6 +99,26 @@ def vector_lists(draw):
             vec = [draw(scalars) for _ in range(width)]
         vectors.append(tuple(vec))
     return width, vectors
+
+
+@st.composite
+def matrix_pairs(draw):
+    """An r x k and a k x c matrix, r, k, c <= 4, of ints or of Fractions."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    entries = draw(st.sampled_from((st.integers(-10**6, 10**6), scalars)))
+    return ([[draw(entries) for _ in range(k)] for _ in range(r)],
+            [[draw(entries) for _ in range(c)] for _ in range(k)])
+
+
+class TestMatMul:
+    @SETTINGS
+    @given(matrix_pairs())
+    def test_mat_mul_matches_the_fraction_product(self, pair):
+        a, b = pair
+        expected = fraction_mat_mul(a, b)
+        assert mat_mul(a, b) == [list(row) for row in expected]
+        if all(type(x) is int for row in a + b for x in row):
+            assert all(type(x) is int for row in mat_mul(a, b) for x in row)
 
 
 class TestCharPolyAndDet:

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyndeg.degrees import delta_table
 from dyndeg.endo import validate_pullback
@@ -27,12 +29,11 @@ from dyndeg.models import (
     projective_space,
     surface_lattice,
 )
-from dyndeg.estimators import mat_mul, trace
 from dyndeg.linalg import as_matrix, transpose
 from dyndeg.spectral import char_poly
 
 from support import (builder_battery, det_wedge_blocks, fraction_det,
-                     gram_matrix, pair_by_product)
+                     gram_matrix, mat_mul, pair_by_product, trace)
 
 
 class TestProjectiveSpace:
@@ -211,6 +212,48 @@ class TestSurfaceLattice:
             assert not preserves(bad)
             with pytest.raises(NotIsometry):
                 surface_lattice(gram, bad, ample)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_isometry_check_is_the_fraction_oracle_on_random_lattices(
+        self, data
+    ):
+        # a random symmetric gram with q_00 > 0 (so [1, 0, ...] is ample),
+        # a product of reflections in vectors v with v^T q v != 0, which are
+        # isometries, and perhaps one entry of it perturbed: the pullback
+        # check accepts g exactly when g^T q g = q in Fractions
+        rank = data.draw(st.integers(1, 3))
+        small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        q = [[None] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                q[i][j] = q[j][i] = data.draw(small)
+        q[0][0] = data.draw(st.fractions(min_value=Fraction(1, 3),
+                                         max_value=3, max_denominator=3))
+        q = as_matrix(q)
+        g = as_matrix([[int(i == j) for j in range(rank)]
+                       for i in range(rank)])
+        for _ in range(data.draw(st.integers(0, 2))):
+            v = data.draw(st.lists(small, min_size=rank, max_size=rank))
+            qv = [sum(q[i][j] * v[j] for j in range(rank)) for i in range(rank)]
+            norm = sum(x * y for x, y in zip(v, qv))
+            if norm:
+                reflection = [[int(i == j) - 2 * v[i] * qv[j] / norm
+                               for j in range(rank)] for i in range(rank)]
+                g = mat_mul(reflection, g)
+        g = [list(row) for row in g]
+        if data.draw(st.booleans()):
+            i, j = data.draw(st.tuples(st.integers(0, rank - 1),
+                                       st.integers(0, rank - 1)))
+            g[i][j] += data.draw(small.filter(bool))
+        ample = [1] + [0] * (rank - 1)
+        if mat_mul(mat_mul(transpose(as_matrix(g)), q), as_matrix(g)) == q:
+            model, pull = surface_lattice(q, g, ample)
+            assert pull.blocks[2] == as_matrix(g)
+        else:
+            with pytest.raises(NotIsometry) as info:
+                surface_lattice(q, g, ample)
+            assert str(info.value) == "isometry does not preserve the gram matrix"
 
     def test_ample_positivity_enforced(self):
         with pytest.raises(AmpleNotPositive):

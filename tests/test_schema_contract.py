@@ -530,6 +530,39 @@ REJECTED = {
         _custom(effective=[{"label": "line", "degree": 2, "coords": [-1]}]),
         ("SchemaError", ["/model/h"]),
     ),
+    # {num, den} scalars with a float, infinite or boolean part: 1.9 was
+    # once read as 1, true as 1, and 1e400 crashed with an OverflowError
+    "lattice-ample-num-float": (
+        config({**VALID["surface_lattice"][0],
+                "ample": [{"num": 1.9, "den": 1}, 0]},
+               VALID["surface_lattice"][1]),
+        ("SchemaError", ["/model/ample/0"]),
+    ),
+    "matrices-num-infinite": (
+        config({"kind": "projective", "n": 1},
+               {"kind": "matrices",
+                "blocks": [[[1]], [], [[{"num": 1e400, "den": 1}]]]}),
+        ("BadMatrixShape", ["/map/blocks/2/0/0"]),
+    ),
+    "ample-den-bool": (
+        config(*VALID["projective"], ample={"coords": [{"num": 1, "den": True}]}),
+        ("SchemaError", ["/ample/coords/0"]),
+    ),
+    # unknown fields inside nested objects, once silently accepted (a
+    # misspelt effective label fell back to the first class)
+    "ample-unknown-field": (
+        config(*VALID["projective"], ample={"coords": [1], "colour": "red"}),
+        ("SchemaError", ["/ample/colour"]),
+    ),
+    "product-unknown-field": (
+        _custom(products=[{"a": [2, 0], "b": [2, 0], "value": [[0, 1]],
+                           "note": "x"}]),
+        ("SchemaError", ["/model/products/0/note"]),
+    ),
+    "effective-unknown-field": (
+        _custom(effective=[{"lable": "line", "degree": 2, "coords": [1]}]),
+        ("SchemaError", ["/model/effective/0/lable"]),
+    ),
 }
 
 
@@ -591,8 +624,36 @@ def test_a_bad_lattice_or_custom_model_keeps_its_message_at_its_pointer(
             {"path": path, "message": message}]}, name
 
 
+def test_a_malformed_num_den_scalar_is_named_at_its_pointer(tmp_path):
+    for name, path in (
+        ("lattice-ample-num-float", "/model/ample/0"),
+        ("matrices-num-infinite", "/map/blocks/2/0/0"),
+        ("ample-den-bool", "/ample/coords/0"),
+    ):
+        code, out, err = validate(REJECTED[name][0], tmp_path)
+        assert (code, out) == (2, ""), name
+        assert json.loads(err)["violations"] == [
+            {"path": path, "message": "expected an exact rational scalar"}], name
+
+
+def test_an_integer_literal_past_the_digit_limit_is_a_schema_error(tmp_path):
+    # json.dumps cannot write an int of 5,000 digits, so the text holds it
+    path = tmp_path / "config.json"
+    path.write_text('{"model": {"kind": "projective", "n": 1}, "map": '
+                    '{"kind": "power", "d": ' + "7" * 5000 + '}, '
+                    '"analyses": ["delta-table"]}', encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["report", "--config", str(path)]) == 2
+    assert out.getvalue() == ""
+    payload = json.loads(err.getvalue())
+    assert payload["error"] == "SchemaError"
+    assert [v["path"] for v in payload["violations"]] == [""]
+
+
 # replacement values: small enough that no mutant grows past abelian g = 2
-POOL = (-1, 0, 1, 2, True, "x", "1/2", [], {}, [[1]])
+POOL = (-1, 0, 1, 2, True, "x", "1/2", [], {}, [[1]],
+        {"num": 1.5, "den": 1}, {"num": float("inf"), "den": 1})
 DELETE = object()
 SEEDS = [config(model, map_spec) for model, map_spec in VALID.values()] + [
     config(model, {"kind": "identity"}) for model, _ in VALID.values()

@@ -12,20 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyndeg import spectral
+from dyndeg.degrees import _root_of_abs
 from dyndeg.errors import ShapeMismatch, SpectralNonconvergence, ZeroWeight
 from dyndeg.estimators import (
     combined_limsup_bound,
     gelfand_sequence,
     limsup_root,
-    mat_mul,
-    trace,
     trace_sequence,
 )
 from dyndeg.gromov import gromov_closure
 from dyndeg.linalg import as_matrix
 from dyndeg.spectral import char_poly, spectral_radius
-from support import (builder_battery, fraction_squarefree_part,
-                     mpmath_max_root_modulus, perfbench_workload)
+from support import (builder_battery, fraction_squarefree_part, mat_mul,
+                     mpmath_max_root_modulus, perfbench_workload, trace)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -214,14 +213,16 @@ class TestTraceSequence:
         assert all(e == 0.0 for _, e in trace_sequence([[0, 1], [0, 0]], 8))
 
     def test_float_path_beyond_the_power_cutoff(self):
-        # m_max > 256 switches to scaled floats; values must still converge
+        # m_max > 256, where a float branch once took over: the int route
+        # runs at every power, and the values still converge
         seq = trace_sequence([[1, 1], [1, 0]], 300)
         assert seq[-1][1] == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-6)
 
     def test_float_path_handles_huge_growth(self):
-        # 500 powers of a matrix with radius sqrt(6): the raw traces overflow
-        # any double, the tracked exponents keep the roots finite.  Closed
-        # form: Tr(M^m) = 2 * 6^{m/2} at even m, 0 at odd m.
+        # 500 powers of a matrix with radius sqrt(6), past m = 256 on the
+        # int route: the raw traces overflow any double, the roots taken
+        # through logs stay finite.  Closed form: Tr(M^m) = 2 * 6^{m/2} at
+        # even m, 0 at odd m.
         seq = dict(trace_sequence([[0, 2], [3, 0]], 500))
         assert seq[499] == 0.0
         assert seq[500] == pytest.approx(
@@ -231,8 +232,8 @@ class TestTraceSequence:
     @given(st.data())
     @settings(max_examples=25, deadline=None)
     def test_float_path_matches_exact_traces(self, data):
-        # nonnegative entries cannot cancel, so the float traces stay within
-        # a relative n*m*eps of the exact ones, and an exact zero stays zero
+        # past m = 256 the int route gives the exact traces' roots, and an
+        # exact zero stays zero
         n = data.draw(st.integers(1, 3))
         entries = st.lists(st.integers(0, 3), min_size=n, max_size=n)
         rows = data.draw(st.lists(entries, min_size=n, max_size=n))
@@ -269,6 +270,24 @@ class TestTraceSequence:
             else:
                 root = math.exp(math.log(abs(p.numerator)) / m)
                 assert est == pytest.approx(root, rel=1e-12), m
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_int_route_matches_the_fraction_oracle(self, data):
+        # float for float, past m = 256 too: Tr(A^m) / D^m in int is the
+        # Fraction trace of the running Fraction product
+        n = data.draw(st.integers(0, 4))
+        scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        rows = data.draw(st.lists(st.lists(scalars, min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        m_max = data.draw(st.integers(1, 300))
+        matrix = power = as_matrix(rows)
+        expected = []
+        for m in range(1, m_max + 1):
+            if m > 1:
+                power = mat_mul(power, matrix)
+            expected.append((m, _root_of_abs(trace(power), m)))
+        assert trace_sequence(rows, m_max) == expected
 
     def test_trace_below_gelfand_for_nonnegative_matrices(self):
         # |Tr(M^m)| <= n ||M^m||_inf, so roots match up to n^{1/m}
@@ -590,7 +609,7 @@ class TestIntegerRootCertificate:
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # numpy and mpmath blocked: the estimators of acceptance criterion 6 on the
-# builder battery, the float branch of trace_sequence, then each script in argv
+# builder battery, trace_sequence past m = 256, then each script in argv
 _WITHOUT_NUMPY = """
 import runpy, sys
 sys.modules["numpy"] = None
