@@ -7,7 +7,7 @@ verdicts.  Equality is expected exactly on the rows whose realizability a
 builder asserted; lattice-only surface models report it informationally.
 """
 
-from dyndeg.gromov import spectral_chain
+from dyndeg.gromov import gromov_closure, spectral_chain
 from dyndeg.models import (
     elliptic_square,
     multiprojective,
@@ -44,10 +44,7 @@ def main():
     print(f"{'model':22s} {'lambda_gr':>12s} {'max_lambda':>12s} "
           f"{'max_mu':>12s} {'chain':>6s} {'equal':>6s} {'asserted':>9s}")
     for name, model, pull in battery():
-        rep = spectral_chain(
-            model.algebra, pull, model.h,
-            realizability=model.realizability, scope_note=model.scope_note,
-        )
+        rep = spectral_chain(model, gromov_closure(pull, model.h))
         print(f"{name:22s} {rep.lambda_gr:12.6f} {rep.max_lambda:12.6f} "
               f"{rep.max_mu:12.6f} {str(rep.chain_holds):>6s} "
               f"{str(rep.equality_holds):>6s} {str(rep.equality_asserted):>9s}")

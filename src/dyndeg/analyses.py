@@ -38,17 +38,7 @@ def _run_gromov(model, pull, config, closure):
 def _run_chain(model, pull, config, closure):
     from .gromov import spectral_chain
 
-    # equality is asserted only when the model and the map both are asserted
-    report = spectral_chain(
-        model.algebra,
-        pull,
-        model.h,
-        tol=config.tol,
-        realizability=(model.realizability if pull.realizability == "asserted"
-                       else pull.realizability),
-        scope_note=model.scope_note,
-        closure=closure,
-    )
+    report = spectral_chain(model, closure, config.tol)
     return {
         "lambda_gr": report.lambda_gr,
         "lambda_gr_error": report.lambda_gr_error,
@@ -72,8 +62,8 @@ def _run_graph_class(model, pull, config, table):
 
     per_m = []
     for m in range(1, config.m_max + 1):
-        comps = graph_class(model, pull, m, table)
-        segre = segre_graph_degree(model, pull, m, table)
+        comps = graph_class(table, m)
+        segre = segre_graph_degree(model, pull, table, m)
         per_m.append({
             "m": m,
             "coefficients": [comp.coefficient for comp in comps],

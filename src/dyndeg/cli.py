@@ -594,7 +594,7 @@ def run(config: RunConfig) -> Report:
         if not analyses.CLOSURE_ANALYSES.isdisjoint(config.analyses):
             from .gromov import gromov_closure
 
-            closure = gromov_closure(model.algebra, pull, model.h)
+            closure = gromov_closure(pull, model.h)
         for analysis in dict.fromkeys(config.analyses):
             if analysis in analyses.TABLE_ANALYSES:
                 shared = (table,)

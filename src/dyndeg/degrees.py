@@ -4,7 +4,9 @@ A model (``models.EmbeddedModel``, defined beside its builders) is an algebra
 together with a very ample degree-2 class h, the ambient projective
 dimension, and deg(X) = integrate(h^r).  The j-th dynamical degree of the
 m-th iterate is the intersection number pair(h^{r-j}, f^{m*} h^j); its growth
-rate in m is what the spectral comparison chain controls.
+rate in m is what the spectral comparison chain controls.  The graph class
+and its Segre degree are read off one ``DeltaTable``, which the caller builds
+once for every m.
 
 The moving-lemma machinery is represented purely as a degree/step ledger: the
 geometric cone construction is out of scope, only the step count k <= r+1 and
@@ -144,29 +146,18 @@ def growth_rates(table: DeltaTable, window: int | None = None) -> GrowthRates:
 GraphComponent = namedtuple("GraphComponent", "coefficient factor_dims label")
 
 
-def _graph_coefficients(
-    model: EmbeddedModel, f: PullbackMap, m: int, table: DeltaTable | None
-) -> tuple[Fraction, ...]:
-    """(delta_r(f^m), ..., delta_0(f^m)), read off ``table`` (built if None)."""
-    if table is None:
-        table = delta_table(model, f, m)
-    return table.column(m)[::-1]
-
-
-def graph_class(
-    model: EmbeddedModel, f: PullbackMap, m: int, table: DeltaTable | None = None
-) -> list[GraphComponent]:
-    """Coefficients of the graph of f^m on the product of ambient spaces.
+def graph_class(table: DeltaTable, m: int) -> list[GraphComponent]:
+    """Coefficients of the graph of f^m on the product of ambient spaces,
+    read off ``table``, the dynamical-degree table of f (``m <= table.m_max``).
 
     Entry j carries delta_{r-j}(f^m) on the component [P^{r-j}] x [P^j],
     j = 0..r, i.e. the list reads (delta_r, ..., delta_0): column m of the
-    dynamical-degree table in reverse.  Pass the table of f when one with
-    m_max >= m is at hand; otherwise one is built up to m.
+    table in reverse.
     """
-    r = model.r
+    r = table.r
     return [
         GraphComponent(coeff, (r - j, j), label) for j, (coeff, label) in
-        enumerate(zip(_graph_coefficients(model, f, m, table), _graph_labels(r)))
+        enumerate(zip(table.column(m)[::-1], _graph_labels(r)))
     ]
 
 
@@ -180,17 +171,18 @@ SegreDegree = namedtuple("SegreDegree", "value expected matches")
 
 
 def segre_graph_degree(
-    model: EmbeddedModel, f: PullbackMap, m: int, table: DeltaTable | None = None
+    model: EmbeddedModel, f: PullbackMap, table: DeltaTable, m: int
 ) -> SegreDegree:
     """Degree of the graph class under the Segre embedding of the product.
 
     The component [P^a] x [P^b] has Segre degree binomial(a+b, a), so the
-    total is sum_j delta_{r-j}(f^m) * binomial(r, j).  For degree-d power maps
-    of P^n this must equal (1 + d^m)^n, which is cross-checked when the
-    builder provenance identifies such a map.  ``table`` is as for
-    :func:`graph_class`.
+    total is sum_j delta_{r-j}(f^m) * binomial(r, j), read off ``table`` as
+    in :func:`graph_class`.  For degree-d power maps of P^n with ample class
+    h this must equal deg(X) * (1 + d^m)^n, which is cross-checked when the
+    builder provenance identifies such a map: f^m multiplies h by d^m, so
+    delta_j(f^m) = d^(mj) deg(X), and deg(X) = 1 for the hyperplane class.
     """
-    r, coeffs = model.r, _graph_coefficients(model, f, m, table)
+    r, coeffs = model.r, table.column(m)[::-1]
     den = math.lcm(*(c.denominator for c in coeffs))  # one Fraction, not r + 1
     total = Fraction(sum(c.numerator * (den // c.denominator) * math.comb(r, j)
                          for j, c in enumerate(coeffs)), den)
@@ -200,7 +192,7 @@ def segre_graph_degree(
         f.provenance or ""
     ).startswith("power:"):
         d = int(f.provenance.split(":", 1)[1])
-        expected = Fraction((1 + d**m) ** model.ambient_dim)
+        expected = model.deg_x * (1 + d**m) ** r
         matches = total == expected
     return SegreDegree(value=total, expected=expected, matches=matches)
 

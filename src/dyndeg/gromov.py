@@ -14,8 +14,10 @@ lexicographic basis index), so the output is independent of the order in
 which generators are processed.
 
 Each basis vector carries a generation certificate: an exact rational
-combination of formal words in {unit, omega, pullback, product} that
-re-evaluates to the vector, witnessing membership constructively.
+combination of formal words ("one",), ("omega",), ("pull", w) and
+("mul", w1, w2) that re-evaluates to the vector, witnessing membership
+constructively.  ``spectral_chain(model, closure)`` reads the map and the
+class from the closure, and holds the one realizability rule of the verdict.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import Element, GradedAlgebra
 from .endo import PullbackMap
@@ -32,47 +35,8 @@ from .errors import ShapeMismatch
 from .linalg import Echelon, Matrix
 from .spectral import exterior_char_polys, spectral_radius
 
-# formal certificate words
-WORD_ONE = ("one",)
-WORD_OMEGA = ("omega",)
-
-
-def word_pull(w):
-    return ("pull", w)
-
-
-def word_mul(w1, w2):
-    return ("mul", w1, w2)
-
-
-def evaluate_word(
-    algebra: GradedAlgebra, f: PullbackMap, omega: Element, word, memo: dict
-):
-    """Re-evaluate a certificate word to an algebra element.
-
-    Each distinct subword (by identity) is evaluated once.  ``memo`` maps
-    ``id(subword)`` to its value; it is shared across calls, so keep the
-    words alive while it is in use.
-    """
-    value = memo.get(id(word))
-    if value is not None:
-        return value
-    tag = word[0]
-    if tag == "one":
-        value = algebra.one()
-    elif tag == "omega":
-        value = omega
-    elif tag == "pull":
-        value = f.apply(evaluate_word(algebra, f, omega, word[1], memo))
-    elif tag == "mul":
-        value = algebra.mul(
-            evaluate_word(algebra, f, omega, word[1], memo),
-            evaluate_word(algebra, f, omega, word[2], memo),
-        )
-    else:
-        raise ShapeMismatch(f"unknown certificate word {word!r}")
-    memo[id(word)] = value
-    return value
+if TYPE_CHECKING:
+    from .models import EmbeddedModel
 
 
 class GromovSubalgebra:
@@ -117,18 +81,35 @@ class GromovSubalgebra:
         """Re-evaluate every certificate and compare with its basis vector.
 
         Each distinct word (by identity) is evaluated once per call, with
-        ``GradedAlgebra.mul`` and ``PullbackMap.apply``.  The sum of the
-        terms c_g w_g is taken as integer numerators over one denominator,
-        the lcm of theirs, and compared exactly as one ``Element``.
+        ``GradedAlgebra.mul`` and ``PullbackMap.apply``; the memo is keyed by
+        ``id`` and lives only in this call, while the certificates hold the
+        words.  The sum of the terms c_g w_g is taken as integer numerators
+        over one denominator, the lcm of theirs, and compared exactly as one
+        ``Element``.
         """
+        algebra, f = self.algebra, self.pullback
         memo: dict[int, Element] = {}
-        dims = self.algebra.dims
+
+        def evaluate(word) -> Element:
+            value = memo.get(id(word))
+            if value is None:
+                tag = word[0]
+                if tag == "one":
+                    value = algebra.one()
+                elif tag == "omega":
+                    value = self.omega
+                elif tag == "pull":
+                    value = f.apply(evaluate(word[1]))
+                elif tag == "mul":
+                    value = algebra.mul(evaluate(word[1]), evaluate(word[2]))
+                else:
+                    raise ShapeMismatch(f"unknown certificate word {word!r}")
+                memo[id(word)] = value
+            return value
+
+        dims = algebra.dims
         for vec, cert in zip(self.basis, self.certificates):
-            terms = [
-                (coeff, evaluate_word(
-                    self.algebra, self.pullback, self.omega, word, memo))
-                for coeff, word in cert
-            ]
+            terms = [(coeff, evaluate(word)) for coeff, word in cert]
             den = math.lcm(*(c.denominator * w.denominator for c, w in terms))
             total: list[dict[int, int]] = [{} for _ in dims]
             for c, w in terms:
@@ -142,12 +123,10 @@ class GromovSubalgebra:
 
 
 def gromov_closure(
-    algebra: GradedAlgebra,
-    f: PullbackMap,
-    omega: Element,
-    sweep_order: str = "forward",
+    f: PullbackMap, omega: Element, sweep_order: str = "forward"
 ) -> GromovSubalgebra:
-    """Smallest f*-stable subalgebra containing the unit and ``omega``.
+    """Smallest f*-stable subalgebra of ``f.algebra`` containing the unit and
+    ``omega``.
 
     ``omega`` must be homogeneous of degree 2 (an ample divisor class).
     ``sweep_order`` only permutes the candidate processing order; the result
@@ -167,13 +146,12 @@ def gromov_closure(
     certificates, sweeps, basis and restricted matrix are those of the full
     scan.
     """
-    if f.algebra is not algebra:
-        raise ShapeMismatch("pullback belongs to a different algebra")
     if omega.degrees() != (2,):
         raise ShapeMismatch("omega must be homogeneous of degree 2 and nonzero")
     if sweep_order not in ("forward", "reversed"):
         raise ShapeMismatch("sweep_order must be 'forward' or 'reversed'")
 
+    algebra = f.algebra
     dims, top = algebra.dims, algebra.top_degree
     offsets = [0, *itertools.accumulate(dims)]
     ech = Echelon(algebra.dimension)
@@ -201,8 +179,8 @@ def gromov_closure(
     def open_degree(degree: int) -> bool:  # can a candidate there add a row
         return degree <= top and rank[degree] < dims[degree]
 
-    try_add(WORD_ONE, algebra.one())
-    try_add(WORD_OMEGA, omega)
+    try_add(("one",), algebra.one())
+    try_add(("omega",), omega)
 
     # generators below ``start`` have been pulled back and multiplied with
     # each other; a sweep visits only what involves a newer one
@@ -224,10 +202,10 @@ def gromov_closure(
             muls.reverse()
         for i in pulls:
             if open_degree(gen_degrees[i]):
-                grew |= try_add(word_pull(words[i]), f.apply(gens[i]))
+                grew |= try_add(("pull", words[i]), f.apply(gens[i]))
         for i, j in muls:
             if open_degree(gen_degrees[i] + gen_degrees[j]):
-                grew |= try_add(word_mul(words[i], words[j]),
+                grew |= try_add(("mul", words[i], words[j]),
                                 algebra.mul(gens[i], gens[j]))
         if not grew:
             break
@@ -299,16 +277,15 @@ class ChainReport(namedtuple(
     "ChainReport",
     "lambda_gr lambda_gr_error lambda_by_codim mu_by_degree mu_error max_lambda"
     " max_mu equality_asserted realizability tol gromov_dims scope_note",
-    defaults=(None,),
 )):
-    """Full spectral-radius comparison for one (algebra, pullback, omega).
+    """Full spectral-radius comparison for one model and Gromov closure.
 
     ``lambda_by_codim[i]`` is the radius on the degree-2i piece (the algebraic
     block; the homological/numerical distinction collapses in explicit models,
     so a single lambda is recorded).  ``mu_by_degree[j]`` covers every graded
     piece.  The chain lambda_gr <= max lambda <= max mu holds for every valid
     pullback; the equality verdict is the main-theorem property and is only
-    *asserted* for maps whose realizability a builder vouched for.
+    *asserted* when a builder vouched for both the model and the map.
 
     ``chain_holds`` is the verdict lambda_gr <= max lambda, within the slack
     below.  The second link, max lambda <= max mu, needs no check:
@@ -335,24 +312,18 @@ class ChainReport(namedtuple(
 
 
 def spectral_chain(
-    algebra: GradedAlgebra,
-    f: PullbackMap,
-    omega: Element,
-    tol: float = 1e-9,
-    realizability: str | None = None,
-    scope_note: str | None = None,
-    closure: GromovSubalgebra | None = None,
+    model: EmbeddedModel, closure: GromovSubalgebra, tol: float = 1e-9
 ) -> ChainReport:
-    """Compute lambda_gr, per-degree radii, and the inequality/equality verdicts.
+    """Compute lambda_gr, per-degree radii, and the inequality/equality verdicts
+    for the map and ample class ``closure`` was built from, on ``model``.
 
-    ``closure`` is the Gromov closure of (algebra, f, omega) when the caller
-    already has it; otherwise it is built here.
+    The realizability is the model's tag when the map is asserted, else the
+    map's; equality is asserted only when that tag is ``"asserted"`` and the
+    model has no scope note.
     """
-    if closure is None:
-        closure = gromov_closure(algebra, f, omega)
-    elif (closure.algebra is not algebra or closure.pullback is not f
-          or closure.omega != omega):
-        raise ShapeMismatch("closure was built for another algebra, map or class")
+    algebra, f = model.algebra, closure.pullback
+    if closure.algebra is not algebra:
+        raise ShapeMismatch("closure was built on another model's algebra")
     lam_gr, lam_err = lambda_gr(closure, tol)
 
     # on an exterior algebra, f* (a ring map) is wedge^j of its degree-1
@@ -371,9 +342,8 @@ def spectral_chain(
     r_dim = algebra.top_degree // 2
     lam = [mu[2 * i] for i in range(r_dim + 1)]
 
-    if realizability is None:
-        realizability = f.realizability
-    equality_asserted = realizability == "asserted" and scope_note is None
+    realizability = (model.realizability if f.realizability == "asserted"
+                     else f.realizability)
 
     return ChainReport(
         lambda_gr=lam_gr,
@@ -383,9 +353,10 @@ def spectral_chain(
         mu_error=mu_err,
         max_lambda=max(lam),
         max_mu=max(mu),
-        equality_asserted=equality_asserted,
+        equality_asserted=(realizability == "asserted"
+                           and model.scope_note is None),
         realizability=realizability,
         tol=tol,
         gromov_dims=closure.dims_by_degree,
-        scope_note=scope_note,
+        scope_note=model.scope_note,
     )

@@ -38,7 +38,11 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     try:
         if isinstance(x, str):
-            return Fraction(x)
+            # Fraction expands a decimal exponent exactly: "1e10000000" would
+            # take seconds, so one past int's digit limit is refused first
+            _, e, exponent = x.lower().rpartition("e")
+            if not e or abs(int(exponent)) <= 4300:
+                return Fraction(x)
         if (isinstance(x, dict) and set(x) == {"num", "den"}
                 and {type(x["num"]), type(x["den"])} <= {int, str}):
             return Fraction(int(x["num"]), int(x["den"]))

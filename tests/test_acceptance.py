@@ -25,7 +25,7 @@ from dyndeg.estimators import (
     gelfand_sequence,
     trace_radius_estimate,
 )
-from dyndeg.gromov import spectral_chain
+from dyndeg.gromov import gromov_closure, spectral_chain
 from dyndeg.models import (
     elliptic_square,
     multiprojective,
@@ -64,7 +64,8 @@ def test_criterion_1_main_theorem_equality():
     for n in range(1, 5):
         model = projective_space(n)
         for d in range(4):
-            rep = spectral_chain(model.algebra, pn_power_map(model, d), model.h)
+            f = pn_power_map(model, d)
+            rep = spectral_chain(model, gromov_closure(f, model.h))
             assert _rel_close(rep.lambda_gr, rep.max_lambda, tol), (n, d)
             assert _rel_close(rep.max_lambda, rep.max_mu, tol), (n, d)
             assert rep.equality_asserted
@@ -81,7 +82,8 @@ def test_criterion_1_main_theorem_equality():
     ]
     for ns, ds, perm in product_cases:
         model = multiprojective(ns)
-        rep = spectral_chain(model.algebra, product_map(model, ds, perm), model.h)
+        f = product_map(model, ds, perm)
+        rep = spectral_chain(model, gromov_closure(f, model.h))
         assert _rel_close(rep.lambda_gr, rep.max_lambda, tol), (ns, ds, perm)
         assert _rel_close(rep.max_lambda, rep.max_mu, tol), (ns, ds, perm)
         cases += 1
@@ -91,14 +93,14 @@ def test_criterion_1_main_theorem_equality():
     while samples < 50:
         a = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
         model, pull = elliptic_square(a)
-        rep = spectral_chain(model.algebra, pull, model.h)
+        rep = spectral_chain(model, gromov_closure(pull, model.h))
         assert _rel_close(rep.lambda_gr, rep.max_lambda, tol), a
         assert _rel_close(rep.max_lambda, rep.max_mu, tol), a
         samples += 1
         cases += 1
 
     model, pull = elliptic_square([[1, 1], [1, 0]])
-    rep = spectral_chain(model.algebra, pull, model.h)
+    rep = spectral_chain(model, gromov_closure(pull, model.h))
     assert abs(rep.lambda_gr - PHI_SQUARED) <= 1e-6
     assert abs(rep.max_mu - PHI_SQUARED) <= 1e-6
     cases += 1
@@ -113,7 +115,7 @@ def test_criterion_2_inequality_chain_on_random_valid_maps():
     rng = random.Random(987654321)
     count = 0
     for name, model, pull in random_valid_pullbacks(rng, 200):
-        rep = spectral_chain(model.algebra, pull, model.h, tol=tol)
+        rep = spectral_chain(model, gromov_closure(pull, model.h), tol=tol)
         band = tol * max(1.0, rep.max_mu) + rep.lambda_gr_error + rep.mu_error
         assert rep.lambda_gr <= rep.max_lambda + band, name
         assert rep.max_lambda <= rep.max_mu + band, name
@@ -149,8 +151,9 @@ def test_criterion_4_graph_class_segre_identity():
         model = projective_space(n)
         for d in (0, 1, 2, 3):
             f = pn_power_map(model, d)
+            table = delta_table(model, f, 5)
             for m in range(1, 6):
-                res = segre_graph_degree(model, f, m)
+                res = segre_graph_degree(model, f, table, m)
                 assert res.expected == (1 + d**m) ** n
                 assert res.matches and res.value == res.expected, (n, d, m)
                 checked += 1

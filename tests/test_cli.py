@@ -256,8 +256,10 @@ class TestRun:
          "6f4936a54162488d4aaeeab9a3449db8aa61216e3a280bc5c1215de6e04a6bd3"),
         ("p1xp1_swap.json", [1, 2],
          "695a7e10e5c9e7d47ed86e07cb3f8cbaffa49735646e7a98e27662cf1f07bb69"),
+        # segre_expected is deg(X) (1 + d^m)^n = 4 (1 + 2^m)^2, so every
+        # segre_matches is true (was (1 + 2^m)^2 and false)
         ("p2_power2.json", [2],
-         "9dac179e0d3752bf8c8ab15f71421248f0d2e4f27ae7ecc28258083529fd1a49"),
+         "5024fe685d804b4fe4499c1eda3e7cdcc420a5ddc20fda73b3c8798c38ccba6d"),
     ])
     def test_ample_overrides_keep_their_report_bytes(
         self, tmp_path, capsys, name, coords, sha256

@@ -57,8 +57,11 @@ class TestAsFraction:
 
     @pytest.mark.parametrize("value", [
         "x", "1/0", {"num": "a", "den": "1"}, {"num": 1, "den": 0},
+        # Fraction would expand these exponents exactly, for seconds
+        "1e4301", "1E-4301", "1e10000000",
     ], ids=["word", "zero-denominator-string", "word-numerator",
-            "zero-denominator-pair"])
+            "zero-denominator-pair", "exponent-past-limit",
+            "negative-exponent-past-limit", "exponent-ten-million"])
     def test_malformed_scalars_raise_shape_mismatch(self, value):
         with pytest.raises(ShapeMismatch, match="not an exact rational") as exc:
             as_fraction(value)
@@ -67,6 +70,8 @@ class TestAsFraction:
     def test_well_formed_scalars_still_read(self):
         assert as_fraction("3/2") == as_fraction({"num": "3", "den": 2}) == Fraction(3, 2)
         assert as_fraction(-4) == Fraction(-4)
+        assert as_fraction("1e4300") == 10**4300  # at int's digit limit
+        assert as_fraction("25E-2") == Fraction(1, 4)
 
 
 class TestBuildAlgebra:

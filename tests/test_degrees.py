@@ -14,8 +14,9 @@ from dyndeg.degrees import (
 )
 from dyndeg.endo import identity_map
 from dyndeg.errors import NonComplementaryDegrees, ShapeMismatch, StepOutOfRange
-from dyndeg.gromov import spectral_chain
+from dyndeg.gromov import gromov_closure, spectral_chain
 from dyndeg.models import (
+    EmbeddedModel,
     elliptic_square,
     multiprojective,
     pn_power_map,
@@ -159,7 +160,7 @@ class TestGrowthRates:
 
     def test_max_growth_matches_lambda_gr_within_five_percent(self):
         for name, model, f in builder_battery():
-            rep = spectral_chain(model.algebra, f, model.h)
+            rep = spectral_chain(model, gromov_closure(f, model.h))
             rates = growth_rates(delta_table(model, f, 16))
             if rep.lambda_gr == 0:
                 assert rates.max_rate == 0.0, name
@@ -171,18 +172,18 @@ class TestGrowthRates:
 class TestGraphClass:
     def test_p1_degree_two(self):
         model = projective_space(1)
-        comps = graph_class(model, pn_power_map(model, 2), 1)
+        comps = graph_class(delta_table(model, pn_power_map(model, 2), 1), 1)
         assert [c.coefficient for c in comps] == [2, 1]
         assert [c.label for c in comps] == ["[P^1]x[P^0]", "[P^0]x[P^1]"]
 
     def test_identity_on_p2(self):
         model = projective_space(2)
-        comps = graph_class(model, identity_map(model.algebra), 1)
+        comps = graph_class(delta_table(model, identity_map(model.algebra), 1), 1)
         assert [c.coefficient for c in comps] == [1, 1, 1]
 
     def test_p1_third_iterate(self):
         model = projective_space(1)
-        comps = graph_class(model, pn_power_map(model, 2), 3)
+        comps = graph_class(delta_table(model, pn_power_map(model, 2), 3), 3)
         assert [c.coefficient for c in comps] == [8, 1]
 
 
@@ -194,47 +195,67 @@ class TestGraphClass:
             table = delta_table(model, f, 6)
             for m in range(1, 7):
                 oracle = [delta(model, f, m, r - j) for j in range(r + 1)]
-                for given in (None, table):
-                    comps = graph_class(model, f, m, given)
-                    assert [c.coefficient for c in comps] == oracle, (name, m)
-                    segre = segre_graph_degree(model, f, m, given).value
-                    assert segre == sum(
-                        x * math.comb(r, j) for j, x in enumerate(oracle)
-                    ), (name, m)
+                comps = graph_class(table, m)
+                assert [c.coefficient for c in comps] == oracle, (name, m)
+                segre = segre_graph_degree(model, f, table, m).value
+                assert segre == sum(
+                    x * math.comb(r, j) for j, x in enumerate(oracle)
+                ), (name, m)
 
     def test_table_too_short_is_rejected(self):
         model = projective_space(1)
         f = pn_power_map(model, 2)
         with pytest.raises(ShapeMismatch):
-            graph_class(model, f, 4, delta_table(model, f, 3))
+            graph_class(delta_table(model, f, 3), 4)
         with pytest.raises(ShapeMismatch):  # column m = 0 does not wrap to m_max
-            graph_class(model, f, 0, delta_table(model, f, 3))
+            graph_class(delta_table(model, f, 3), 0)
         with pytest.raises(ShapeMismatch):
-            segre_graph_degree(model, f, 0)
+            segre_graph_degree(model, f, delta_table(model, f, 3), 0)
 
 
 class TestSegreGraphDegree:
     def test_p1_degree_two(self):
         model = projective_space(1)
-        res = segre_graph_degree(model, pn_power_map(model, 2), 1)
+        f = pn_power_map(model, 2)
+        res = segre_graph_degree(model, f, delta_table(model, f, 1), 1)
         assert res.value == 3 == (1 + 2) ** 1
         assert res.expected == 3 and res.matches
 
     def test_p2_degree_two_second_iterate(self):
         model = projective_space(2)
-        res = segre_graph_degree(model, pn_power_map(model, 2), 2)
+        f = pn_power_map(model, 2)
+        res = segre_graph_degree(model, f, delta_table(model, f, 2), 2)
         assert res.value == 16 + 2 * 4 + 1 == 25
         assert res.matches
 
     def test_identity_on_p2(self):
         model = projective_space(2)
         f = pn_power_map(model, 1)
-        res = segre_graph_degree(model, f, 1)
+        res = segre_graph_degree(model, f, delta_table(model, f, 1), 1)
         assert res.value == 4 and res.expected == 4 and res.matches
+
+    def test_closed_form_under_an_ample_override(self):
+        # with h = c x on P^n, delta_j(f^m) = c^n d^(mj), so the total is
+        # deg(X) (1 + d^m)^n with deg(X) = c^n
+        for n in (1, 2, 3):
+            base = projective_space(n)
+            f = pn_power_map(base, 2)
+            for c in (2, 3, Fraction(1, 2)):
+                model = EmbeddedModel(
+                    base.algebra, base.algebra.homogeneous(2, [c]),
+                    base.ambient_dim, base.realizability, base.provenance,
+                    base.effective,
+                ).validate()
+                table = delta_table(model, f, 4)
+                for m in range(1, 5):
+                    res = segre_graph_degree(model, f, table, m)
+                    assert res.expected == c**n * (1 + 2**m) ** n, (n, c, m)
+                    assert res.value == res.expected and res.matches, (n, c, m)
 
     def test_no_cross_check_for_other_models(self):
         model = multiprojective([1, 1])
-        res = segre_graph_degree(model, product_map(model, [2, 3], [1, 0]), 1)
+        f = product_map(model, [2, 3], [1, 0])
+        res = segre_graph_degree(model, f, delta_table(model, f, 1), 1)
         assert res.expected is None and res.matches is None
 
 

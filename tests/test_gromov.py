@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -6,14 +7,17 @@ from fractions import Fraction
 import pytest
 
 from dyndeg import gromov
+from dyndeg.cli import parse_config, run
 from dyndeg.core import GradedAlgebra
-from dyndeg.endo import PullbackMap, identity_map
+from dyndeg.endo import PullbackMap, identity_map, validate_pullback
 from dyndeg.errors import ShapeMismatch
 from dyndeg.gromov import (
     GromovSubalgebra, gromov_closure, lambda_gr, spectral_chain,
 )
 from dyndeg.linalg import Echelon
 from dyndeg.models import (
+    abelian_variety,
+    custom_model,
     elliptic_square,
     multiprojective,
     pn_power_map,
@@ -36,7 +40,7 @@ class TestGromovClosure:
     def test_pn_power_map_generates_everything(self):
         model = projective_space(3)
         f = pn_power_map(model, 2)
-        closure = gromov_closure(model.algebra, f, model.h)
+        closure = gromov_closure(f, model.h)
         assert closure.dimension == 4
         assert closure.dims_by_degree == (1, 0, 1, 0, 1, 0, 1)
         assert closure.verify_certificates()
@@ -44,7 +48,7 @@ class TestGromovClosure:
     def test_product_swap_closure_is_full(self):
         model = multiprojective([1, 1])
         f = product_map(model, [2, 3], [1, 0])
-        closure = gromov_closure(model.algebra, f, model.h)
+        closure = gromov_closure(f, model.h)
         assert closure.dimension == 4
         # f* omega = 3h1 + 2h2 is independent of omega; products fill degree 4
         assert closure.dims_by_degree == (1, 0, 2, 0, 1)
@@ -53,7 +57,7 @@ class TestGromovClosure:
     def test_isometry_fixing_ample_closes_on_powers(self):
         # the hyperbolic swap fixes (1,1), so the closure is 1, omega, omega^2
         model, f = surface_lattice([[0, 1], [1, 0]], [[0, 1], [1, 0]], [1, 1])
-        closure = gromov_closure(model.algebra, f, model.h)
+        closure = gromov_closure(f, model.h)
         assert closure.dimension == 3
         assert closure.dims_by_degree == (1, 0, 1, 0, 1)
 
@@ -61,7 +65,7 @@ class TestGromovClosure:
         model = projective_space(2)
         f = pn_power_map(model, 2)
         with pytest.raises(ShapeMismatch):
-            gromov_closure(model.algebra, f, model.algebra.one())
+            gromov_closure(f, model.algebra.one())
 
     def test_monotone_and_bounded_sweeps(self):
         for name, model, f in [
@@ -71,13 +75,13 @@ class TestGromovClosure:
             f = pn_power_map(model, 2) if name == "p3" else product_map(
                 model, [2, 3], [1, 0]
             )
-            closure = gromov_closure(model.algebra, f, model.h)
+            closure = gromov_closure(f, model.h)
             assert closure.sweeps <= model.algebra.dimension + 1
 
     def test_result_is_a_fixed_point(self):
         model = multiprojective([1, 1])
         f = product_map(model, [2, 3], [1, 0])
-        closure = gromov_closure(model.algebra, f, model.h)
+        closure = gromov_closure(f, model.h)
         ech = FractionEchelon(model.algebra.dimension)
 
         def flat(element):
@@ -93,8 +97,8 @@ class TestGromovClosure:
     def test_order_independence_of_canonical_basis(self):
         model = multiprojective([1, 1])
         f = product_map(model, [2, 3], [1, 0])
-        fwd = gromov_closure(model.algebra, f, model.h, sweep_order="forward")
-        rev = gromov_closure(model.algebra, f, model.h, sweep_order="reversed")
+        fwd = gromov_closure(f, model.h, sweep_order="forward")
+        rev = gromov_closure(f, model.h, sweep_order="reversed")
         assert fwd.basis == rev.basis
         assert fwd.restricted_matrix == rev.restricted_matrix
         assert rev.verify_certificates()
@@ -102,7 +106,7 @@ class TestGromovClosure:
     def test_restricted_matrix_blocks(self):
         model = multiprojective([1, 1])
         f = product_map(model, [2, 3], [1, 0])
-        closure = gromov_closure(model.algebra, f, model.h)
+        closure = gromov_closure(f, model.h)
         blocks = dict(closure.degree_blocks())
         assert blocks[0] == ((1,),)
         assert blocks[4] == ((6,),)
@@ -167,7 +171,7 @@ class TestClosureWork:
             for order in ("forward", "reversed"):
                 pulls.clear()
                 muls.clear()
-                closure = gromov_closure(model.algebra, f, model.h,
+                closure = gromov_closure(f, model.h,
                                          sweep_order=order)
                 # the restricted matrix pulls back each basis vector last
                 n = len(pulls) - closure.dimension
@@ -180,7 +184,7 @@ class TestClosureWork:
 
     def test_degree_blocks_follow_the_basis_degrees(self):
         for name, model, f in builder_battery():
-            closure = gromov_closure(model.algebra, f, model.h)
+            closure = gromov_closure(f, model.h)
             m = closure.restricted_matrix
             expected, start = [], 0
             for degree, group in itertools.groupby(
@@ -198,22 +202,20 @@ class TestClosureWork:
 class TestLambdaGr:
     def test_p2_degree_two(self):
         model = projective_space(2)
-        closure = gromov_closure(model.algebra, pn_power_map(model, 2), model.h)
+        closure = gromov_closure(pn_power_map(model, 2), model.h)
         rho, err = lambda_gr(closure)
         assert rho == pytest.approx(4.0, abs=1e-9)
 
     def test_identity_map(self):
         model = multiprojective([1, 1])
-        closure = gromov_closure(model.algebra, identity_map(model.algebra), model.h)
+        closure = gromov_closure(identity_map(model.algebra), model.h)
         rho, _ = lambda_gr(closure)
         assert rho == pytest.approx(1.0, abs=1e-12)
 
     def test_product_swap_max_over_blocks(self):
         # degree-2 block has radius sqrt(6); degree 4 acts by 6; max is 6
         model = multiprojective([1, 1])
-        closure = gromov_closure(
-            model.algebra, product_map(model, [2, 3], [1, 0]), model.h
-        )
+        closure = gromov_closure(product_map(model, [2, 3], [1, 0]), model.h)
         rho, _ = lambda_gr(closure)
         assert rho == pytest.approx(6.0, abs=1e-9)
         deg2 = dict(closure.degree_blocks())[2]
@@ -225,7 +227,8 @@ class TestLambdaGr:
 class TestSpectralChain:
     def test_p2_degree_two_equality(self):
         model = projective_space(2)
-        rep = spectral_chain(model.algebra, pn_power_map(model, 2), model.h)
+        closure = gromov_closure(pn_power_map(model, 2), model.h)
+        rep = spectral_chain(model, closure)
         assert rep.lambda_gr == pytest.approx(4.0, abs=1e-9)
         assert rep.max_lambda == pytest.approx(4.0, abs=1e-9)
         assert rep.max_mu == pytest.approx(4.0, abs=1e-9)
@@ -234,20 +237,21 @@ class TestSpectralChain:
     def test_a_nan_tol_is_rejected(self):
         # NaN passed ``tol <= 0`` and turned both verdicts false
         model = projective_space(2)
+        closure = gromov_closure(pn_power_map(model, 2), model.h)
         with pytest.raises(ShapeMismatch, match="tol must be positive"):
-            spectral_chain(model.algebra, pn_power_map(model, 2), model.h,
-                           tol=float("nan"))
+            spectral_chain(model, closure, tol=float("nan"))
 
     def test_identity_chain_is_all_ones(self):
         model = multiprojective([1, 1])
-        rep = spectral_chain(model.algebra, identity_map(model.algebra), model.h)
+        closure = gromov_closure(identity_map(model.algebra), model.h)
+        rep = spectral_chain(model, closure)
         assert rep.lambda_gr == pytest.approx(1.0, abs=1e-12)
         assert all(v in (0.0, 1.0) for v in rep.mu_by_degree)
         assert rep.max_mu == 1.0 and rep.equality_holds
 
     def test_elliptic_square_fibonacci_reaches_phi_squared(self):
         model, f = elliptic_square([[1, 1], [1, 0]])
-        rep = spectral_chain(model.algebra, f, model.h, tol=1e-9)
+        rep = spectral_chain(model, gromov_closure(f, model.h), tol=1e-9)
         assert rep.lambda_gr == pytest.approx(PHI_SQUARED, abs=1e-6)
         assert rep.max_mu == pytest.approx(PHI_SQUARED, abs=1e-6)
         # the top radius is attained on the middle cohomological degree
@@ -256,10 +260,7 @@ class TestSpectralChain:
 
     def test_lattice_models_never_assert_equality(self):
         model, f = surface_lattice([[1, 0], [0, -2]], [[3, 4], [2, 3]], [1, 0])
-        rep = spectral_chain(
-            model.algebra, f, model.h,
-            realizability=model.realizability, scope_note=model.scope_note,
-        )
+        rep = spectral_chain(model, gromov_closure(f, model.h))
         assert rep.equality_holds  # informational: true here
         assert not rep.equality_asserted
         assert rep.scope_note
@@ -268,7 +269,7 @@ class TestSpectralChain:
         rng = random.Random(20240811)
         tol = 1e-9
         for name, model, pull in random_valid_pullbacks(rng, 40):
-            rep = spectral_chain(model.algebra, pull, model.h, tol=tol)
+            rep = spectral_chain(model, gromov_closure(pull, model.h), tol=tol)
             slack = tol * max(1.0, rep.max_mu) + 2 * (rep.lambda_gr_error + 1e-12)
             assert rep.lambda_gr <= rep.max_lambda + slack, name
             assert rep.max_lambda <= rep.max_mu + slack, name
@@ -276,7 +277,7 @@ class TestSpectralChain:
 
     def test_verdicts_match_recorded_values(self):
         model, f = elliptic_square([[2, 1], [1, 1]])
-        rep = spectral_chain(model.algebra, f, model.h)
+        rep = spectral_chain(model, gromov_closure(f, model.h))
         assert rep.max_lambda == max(rep.lambda_by_codim)
         assert rep.max_mu == max(rep.mu_by_degree)
         assert rep.chain_holds == (
@@ -291,7 +292,7 @@ class TestSpectralChain:
 class TestCertificateReplay:
     def _closure(self):
         model, f = elliptic_square([[1, 1], [1, 0]])
-        return gromov_closure(model.algebra, f, model.h)
+        return gromov_closure(f, model.h)
 
     def test_untampered_certificates_verify(self):
         assert self._closure().verify_certificates()
@@ -301,7 +302,7 @@ class TestCertificateReplay:
         # replay multiplies with the Fraction basis-pair oracle instead
         for name, model, f in builder_battery():
             for order in ("forward", "reversed"):
-                closure = gromov_closure(model.algebra, f, model.h, order)
+                closure = gromov_closure(f, model.h, order)
                 assert replay_certificates(closure), (name, order)
 
     def test_the_integer_replay_agrees_with_the_fraction_replay(self):
@@ -309,7 +310,7 @@ class TestCertificateReplay:
         # Element sums, on every battery closure and on it with each
         # certificate's first coefficient moved
         for name, model, f in builder_battery():
-            closure = gromov_closure(model.algebra, f, model.h)
+            closure = gromov_closure(f, model.h)
             variants = [closure]
             for i, cert in enumerate(closure.certificates):
                 (coeff, word), *rest = cert
@@ -363,7 +364,7 @@ class TestCertificateReplay:
         # the replay makes 11 products for 3 distinct product words
         model = multiprojective([1, 1, 1])
         f = product_map(model, [2, 3, 1], [1, 2, 0])
-        closure = gromov_closure(model.algebra, f, model.h)
+        closure = gromov_closure(f, model.h)
         muls = []
         original = closure.algebra.mul
 
@@ -390,20 +391,73 @@ class TestCertificateReplay:
         assert len(muls) == distinct
 
 
-class TestSharedClosure:
-    def test_passed_closure_gives_the_same_report(self):
-        model, f = elliptic_square([[2, 1], [1, 1]])
-        closure = gromov_closure(model.algebra, f, model.h)
-        assert spectral_chain(model.algebra, f, model.h, closure=closure) == (
-            spectral_chain(model.algebra, f, model.h)
-        )
+CUSTOM_P2 = {
+    "top_degree": 4, "dims": [1, 0, 1, 0, 1], "sign_rule": "commutative",
+    "products": [{"a": [2, 0], "b": [2, 0], "value": [[0, 1]]}],
+    "integrate": [1], "h": [1], "ambient_dim": 2,
+}
 
-    def test_a_closure_of_another_map_is_rejected(self):
-        model = projective_space(2)
-        closure = gromov_closure(
-            model.algebra, pn_power_map(model, 2), model.h
-        )
-        with pytest.raises(ShapeMismatch):
-            spectral_chain(
-                model.algebra, pn_power_map(model, 3), model.h, closure=closure
-            )
+
+def _builder_pair(model_spec, map_spec):
+    """The model and map a library caller builds for a config's pair."""
+    kind = model_spec["kind"]
+    if kind == "projective":
+        model = projective_space(model_spec["n"])
+        if map_spec["kind"] == "matrices":
+            return model, validate_pullback(model.algebra, map_spec["blocks"])
+        return model, pn_power_map(model, map_spec["d"])
+    if kind == "multiprojective":
+        model = multiprojective(model_spec["n"])
+        return model, product_map(model, map_spec["d"], map_spec["perm"])
+    if kind == "abelian":
+        return abelian_variety(model_spec["g"], map_spec["matrix"])
+    if kind == "surface_lattice":
+        return surface_lattice(model_spec["gram"], map_spec["matrix"],
+                               model_spec["ample"])
+    model = custom_model({k: v for k, v in model_spec.items() if k != "kind"})
+    return model, identity_map(model.algebra)
+
+
+class TestLibraryAgreesWithCli:
+    # (model, map, realizability, equality_asserted) for each builder kind,
+    # an unverified map on an asserted model, and custom models
+    CASES = [
+        ({"kind": "projective", "n": 2}, {"kind": "power", "d": 2},
+         "asserted", True),
+        ({"kind": "projective", "n": 2},
+         {"kind": "matrices", "blocks": [[[1]], [], [[2]], [], [[4]]]},
+         "unverified", False),
+        ({"kind": "multiprojective", "n": [1, 1]},
+         {"kind": "product", "d": [2, 3], "perm": [1, 0]}, "asserted", True),
+        ({"kind": "abelian", "g": 1},
+         {"kind": "exterior", "matrix": [[2, 0], [0, 2]]}, "asserted", True),
+        ({"kind": "abelian", "g": 1},
+         {"kind": "exterior", "matrix": [[2, 1], [0, 2]]}, "unverified", False),
+        ({"kind": "surface_lattice", "gram": [[1, 0], [0, -2]], "ample": [1, 0]},
+         {"kind": "isometry", "matrix": [[3, 4], [2, 3]]},
+         "asserted-for-lattice", False),
+        # the identity map is asserted, the model it is on is not
+        ({"kind": "custom", **CUSTOM_P2}, {"kind": "identity"},
+         "unverified", False),
+        ({"kind": "custom", **CUSTOM_P2, "realizability": "asserted"},
+         {"kind": "identity"}, "asserted", True),
+    ]
+
+    @pytest.mark.parametrize("model_spec, map_spec, tag, asserted", CASES)
+    def test_realizability_and_verdict_match_the_chain_section(
+        self, model_spec, map_spec, tag, asserted,
+    ):
+        cfg = {"model": model_spec, "map": map_spec, "analyses": ["chain"]}
+        section = run(parse_config(json.dumps(cfg))).results["chain"]
+        model, f = _builder_pair(model_spec, map_spec)
+        rep = spectral_chain(model, gromov_closure(f, model.h))
+        assert (rep.realizability, rep.equality_asserted) == (tag, asserted)
+        assert (section["realizability"], section["equality_asserted"]) == (
+            tag, asserted)
+        assert rep.scope_note == section["scope_note"]
+
+    def test_a_closure_on_another_models_algebra_is_rejected(self):
+        model, other = projective_space(2), projective_space(2)
+        closure = gromov_closure(pn_power_map(other, 2), other.h)
+        with pytest.raises(ShapeMismatch, match="another model's algebra"):
+            spectral_chain(model, closure)

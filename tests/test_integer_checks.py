@@ -483,7 +483,7 @@ class TestProductAgainstOracle:
         # count Fraction operators that compute a value (the NotImplemented
         # of ``Fraction * Element`` hands over to ``Element.__rmul__``)
         model, f = elliptic_square([[1, 1], [1, 0]])
-        closure = gromov_closure(model.algebra, f, model.h)
+        closure = gromov_closure(f, model.h)
         p3 = projective_space(3)
         g = scalar_power_pullback(p3, Fraction(3, 2))
         alg = model.algebra

@@ -248,7 +248,7 @@ def closure_digest() -> str:
     digest = hashlib.sha256()
     for name, model, f in builder_battery():
         for order in ("forward", "reversed"):
-            c = gromov_closure(model.algebra, f, model.h, sweep_order=order)
+            c = gromov_closure(f, model.h, sweep_order=order)
             digest.update(repr((
                 name, order, c.sweeps, c.dims_by_degree,
                 [[str(x) for piece in b.coords for x in piece] for b in c.basis],

@@ -16,7 +16,7 @@ from dyndeg.errors import (
     PermutationShapeMismatch,
     ShapeMismatch,
 )
-from dyndeg.gromov import spectral_chain
+from dyndeg.gromov import gromov_closure, spectral_chain
 from dyndeg.models import (
     abelian_variety,
     custom_model,
@@ -94,7 +94,7 @@ class TestMultiprojective:
 class TestAbelianVariety:
     def test_identity_has_unit_radii(self):
         model, f = abelian_variety(1, [[1, 0], [0, 1]])
-        rep = spectral_chain(model.algebra, f, model.h)
+        rep = spectral_chain(model, gromov_closure(f, model.h))
         assert rep.max_mu == pytest.approx(1.0, abs=1e-12)
 
     def test_multiplication_by_two_on_rank_one(self):
@@ -168,9 +168,7 @@ class TestAbelianVariety:
 class TestSurfaceLattice:
     def test_identity_isometry_all_radii_one(self):
         model, f = surface_lattice([[0, 1], [1, 0]], [[1, 0], [0, 1]], [1, 1])
-        rep = spectral_chain(model.algebra, f, model.h,
-                             realizability=model.realizability,
-                             scope_note=model.scope_note)
+        rep = spectral_chain(model, gromov_closure(f, model.h))
         assert rep.max_mu == pytest.approx(1.0, abs=1e-12)
 
     def test_form_preservation_decides_acceptance(self):
@@ -293,8 +291,8 @@ class TestCustomModel:
         tc = delta_table(custom, fc, 6)
         tb = delta_table(builder, fb, 6)
         assert tc.rows == tb.rows
-        rc = spectral_chain(custom.algebra, fc, custom.h)
-        rb = spectral_chain(builder.algebra, fb, builder.h)
+        rc = spectral_chain(custom, gromov_closure(fc, custom.h))
+        rb = spectral_chain(builder, gromov_closure(fb, builder.h))
         assert rc.lambda_gr == rb.lambda_gr
         assert rc.mu_by_degree == rb.mu_by_degree
         assert custom.realizability == "unverified"
@@ -324,7 +322,7 @@ class TestCustomModel:
         )
         # a singular Gram matrix admits no adjoint, so no pushforward
         assert fraction_det(gram_matrix(model.algebra, 2)) == 0
-        rep = spectral_chain(model.algebra, f, model.h)
+        rep = spectral_chain(model, gromov_closure(f, model.h))
         assert rep.chain_holds
 
     def test_h_negative_on_an_effective_class_is_rejected(self):

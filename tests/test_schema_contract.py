@@ -11,6 +11,7 @@ import contextlib
 import copy
 import io
 import json
+import time
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -548,6 +549,11 @@ REJECTED = {
         config(*VALID["projective"], ample={"coords": [{"num": 1, "den": True}]}),
         ("SchemaError", ["/ample/coords/0"]),
     ),
+    # Fraction expanded the exponent exactly, for seconds
+    "ample-exponent-huge": (
+        config(*VALID["projective"], ample={"coords": ["1e10000000"]}),
+        ("SchemaError", ["/ample/coords/0"]),
+    ),
     # unknown fields inside nested objects, once silently accepted (a
     # misspelt effective label fell back to the first class)
     "ample-unknown-field": (
@@ -634,6 +640,15 @@ def test_a_malformed_num_den_scalar_is_named_at_its_pointer(tmp_path):
         assert (code, out) == (2, ""), name
         assert json.loads(err)["violations"] == [
             {"path": path, "message": "expected an exact rational scalar"}], name
+
+
+def test_a_huge_decimal_exponent_exits_two_at_once(tmp_path):
+    started = time.perf_counter()
+    code, out, err = validate(REJECTED["ample-exponent-huge"][0], tmp_path)
+    assert time.perf_counter() - started < 0.2
+    assert (code, out) == (2, "")
+    assert json.loads(err)["violations"] == [
+        {"path": "/ample/coords/0", "message": "expected an exact rational scalar"}]
 
 
 def test_an_integer_literal_past_the_digit_limit_is_a_schema_error(tmp_path):

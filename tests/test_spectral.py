@@ -120,9 +120,9 @@ class TestExteriorCharPolys:
         m = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0
               for j in range(2 * g)] for i in range(2 * g)]
         model, pull = abelian_variety(g, m)
-        fast = spectral_chain(model.algebra, pull, model.h)
+        fast = spectral_chain(model, gromov_closure(pull, model.h))
         monkeypatch.setattr(model.algebra, "exterior", False)
-        assert spectral_chain(model.algebra, pull, model.h) == fast
+        assert spectral_chain(model, gromov_closure(pull, model.h)) == fast
 
 
 class TestSpectralRadius:
@@ -410,7 +410,7 @@ def _battery_polys():
     polys = set()
     for _, model, pull in builder_battery():
         polys.update(tuple(char_poly(b)) for b in pull.blocks if b)
-        closure = gromov_closure(model.algebra, pull, model.h)
+        closure = gromov_closure(pull, model.h)
         polys.update(tuple(char_poly(b)) for _, b in closure.degree_blocks())
     return polys
 
