@@ -504,6 +504,8 @@ def parse_config(text: str, overrides: Mapping | None = None) -> RunConfig:
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         c.add("/out", "expected a string path")
+    elif out is not None and "\0" in out:  # open() would raise
+        c.add("/out", "path contains a NUL byte")
 
     c.raise_if_any()
     return RunConfig(

@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from .core import Element
 from .endo import PullbackMap
-from .errors import NonComplementaryDegrees, ShapeMismatch, StepOutOfRange
+from .errors import (FloatOverflow, NonComplementaryDegrees, ShapeMismatch,
+                     StepOutOfRange)
 from .linalg import as_fraction
 
 if TYPE_CHECKING:
@@ -88,7 +89,10 @@ def _root_of_abs(value, m: int) -> float:
         log_abs = math.log(abs(value.numerator)) - math.log(value.denominator)
     else:
         log_abs = math.log(abs(float(value)))
-    return math.exp(log_abs / m)
+    try:
+        return math.exp(log_abs / m)
+    except OverflowError:  # the root is past the float range
+        raise FloatOverflow([(m, "root")]) from None
 
 
 def default_window(length: int) -> int:

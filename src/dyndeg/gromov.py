@@ -5,13 +5,14 @@ The closure is computed as the fixed point of S -> span(S, f*(S), S.S)
 starting from span{1, omega}.  Nothing assumes that the pullback orbit of
 omega already generates multiplicatively; every sweep closes under both
 products and pullbacks until the dimension stops growing, which happens after
-at most dim(A) sweeps.  A candidate whose degree is past the top or whose
-graded piece the span already fills is skipped before its product or
-pullback is computed: every vector of that degree is already in the span, so
-the echelon form would reject it and stay as it is.  The basis is the
-canonical reduced row echelon form of the subspace (lowest degree first, then
-lexicographic basis index), so the output is independent of the order in
-which generators are processed.
+at most dim(A) sweeps.  f* keeps degrees and products add them, so the span
+is the direct sum of its graded pieces, held as one echelon form per degree.
+A candidate whose degree is past the top or whose graded piece the span
+already fills is skipped before its product or pullback is computed: the
+echelon form would reject it and stay as it is.  The basis is the canonical
+reduced row echelon form of each piece, lowest degree first, so it does not
+depend on the order generators are processed in.  f* on the closure is kept
+as its blocks, one per occupied degree.
 
 Each basis vector carries a generation certificate: an exact rational
 combination of formal words ("one",), ("omega",), ("pull", w) and
@@ -22,8 +23,6 @@ class from the closure, and holds the one realizability rule of the verdict.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -40,16 +39,21 @@ if TYPE_CHECKING:
 
 
 class GromovSubalgebra:
+    """``basis`` is homogeneous, sorted by degree and in RREF within each
+    degree; ``blocks`` holds ``(degree, block)`` per occupied degree, column j
+    of the block the coordinates of f* of that degree's j-th basis vector."""
+
     def __init__(self, algebra: GradedAlgebra, pullback: PullbackMap,
                  omega: Element, basis: tuple[Element, ...],
-                 restricted_matrix: Matrix, dims_by_degree: tuple[int, ...],
+                 blocks: tuple[tuple[int, Matrix], ...],
+                 dims_by_degree: tuple[int, ...],
                  certificates: tuple[tuple[tuple[Fraction, tuple], ...], ...],
                  sweeps: int):
         self.algebra = algebra
         self.pullback = pullback
         self.omega = omega
         self.basis = basis
-        self.restricted_matrix = restricted_matrix
+        self.blocks = blocks
         self.dims_by_degree = dims_by_degree
         self.certificates = certificates
         self.sweeps = sweeps
@@ -59,23 +63,6 @@ class GromovSubalgebra:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def degree_blocks(self) -> list[tuple[int, Matrix]]:
-        """Diagonal blocks of the restricted matrix, one per occupied degree.
-
-        Valid because the basis is homogeneous and sorted by degree, and the
-        pullback preserves degree.
-        """
-        blocks = []
-        start = 0
-        for degree, dim in enumerate(self.dims_by_degree):
-            if dim:
-                stop = start + dim
-                blocks.append((degree, tuple(
-                    row[start:stop] for row in self.restricted_matrix[start:stop]
-                )))
-                start = stop
-        return blocks
 
     def verify_certificates(self) -> bool:
         """Re-evaluate every certificate and compare with its basis vector.
@@ -133,17 +120,16 @@ def gromov_closure(
     is the canonical echelon basis either way (exposed so the invariance is
     testable).
 
-    Generators are homogeneous elements, inserted into the echelon form as
-    their integer numerators over their denominator; products and pullbacks
-    are ``GradedAlgebra.mul`` and ``PullbackMap.apply``, the ones the
-    certificates are replayed with.  ``Fraction`` appears only in the
-    certificates and the restricted matrix.
+    Generators are homogeneous elements, inserted into their degree's
+    echelon form as integer numerators over their denominator; products and
+    pullbacks are ``GradedAlgebra.mul`` and ``PullbackMap.apply``, the ones
+    the certificates are replayed with.  ``Fraction`` appears only in the
+    certificates and the blocks.
 
     A pullback or product is computed only when its degree is at most the
-    top and the rank kept for that degree (its number of generators, as the
-    rows are homogeneous) is below the piece's dimension.  The echelon form
-    would reject every skipped candidate unchanged, so the words,
-    certificates, sweeps, basis and restricted matrix are those of the full
+    top and that degree's echelon form is below the piece's dimension.  The
+    echelon form would reject every skipped candidate unchanged, so the
+    words, certificates, sweeps, basis and blocks are those of the full
     scan.
     """
     if omega.degrees() != (2,):
@@ -153,31 +139,25 @@ def gromov_closure(
 
     algebra = f.algebra
     dims, top = algebra.dims, algebra.top_degree
-    offsets = [0, *itertools.accumulate(dims)]
-    ech = Echelon(algebra.dimension)
+    # f* keeps degrees and products add them: one echelon form per degree
+    echelons = [Echelon(dim) for dim in dims]
     words: list[tuple] = []
     gens: list[Element] = []
-    # the rows are homogeneous, so a degree's rank is its number of generators
-    gen_degrees: list[int] = []
-    rank = [0] * (top + 1)
 
     def try_add(word, element: Element) -> bool:
         degree = element.degree()
         if degree is None:
             return False
-        off = offsets[degree]
         # the combo is 1 * generator, i.e. den over den
-        if ech.insert_scaled({off + q: x for q, x in element.pieces[degree]},
-                             {len(gens): element.denominator}):
+        if echelons[degree].insert_scaled(dict(element.pieces[degree]),
+                                          {len(gens): element.denominator}):
             words.append(word)
             gens.append(element)
-            gen_degrees.append(degree)
-            rank[degree] += 1
             return True
         return False
 
     def open_degree(degree: int) -> bool:  # can a candidate there add a row
-        return degree <= top and rank[degree] < dims[degree]
+        return degree <= top and len(echelons[degree].pivots) < dims[degree]
 
     try_add(("one",), algebra.one())
     try_add(("omega",), omega)
@@ -201,55 +181,50 @@ def gromov_closure(
             pulls.reverse()
             muls.reverse()
         for i in pulls:
-            if open_degree(gen_degrees[i]):
+            if open_degree(gens[i].degree()):
                 grew |= try_add(("pull", words[i]), f.apply(gens[i]))
         for i, j in muls:
-            if open_degree(gen_degrees[i] + gen_degrees[j]):
+            if open_degree(gens[i].degree() + gens[j].degree()):
                 grew |= try_add(("mul", words[i], words[j]),
                                 algebra.mul(gens[i], gens[j]))
         if not grew:
             break
 
-    # every row is homogeneous: its degree is the one of its pivot
-    degrees = [bisect.bisect(offsets, p) - 1 for p in ech.pivots]
-    basis = tuple(
-        Element.scaled(algebra.dims, den, [
-            {k - offsets[d]: x for k, x in row.items()} if d == degree else {}
-            for d in range(top + 1)
-        ])
-        for degree, (den, row) in zip(degrees, ech.scaled_basis())
-    )
-    certificates = tuple(
-        tuple(
-            (coeff, words[g])
-            for g, coeff in sorted(combo.items())
-        )
-        for combo in ech.combos
-    )
-
-    # restricted matrix of f*: columns are the closure coordinates of images
-    columns = []
-    for degree, b in zip(degrees, basis):
-        image = f.apply(b)
-        coords = ech.coordinates_scaled(image.denominator, {
-            offsets[degree] + p: x for p, x in image.pieces[degree]
-        })
-        if coords is None:
-            raise ShapeMismatch("closure is not pullback-stable (internal error)")
-        columns.append(coords)
-    n = len(basis)
-    restricted = tuple(
-        tuple(columns[j][i] for j in range(n)) for i in range(n)
-    )
+    # per occupied degree, in order: its basis, their certificates, and the
+    # block of f* whose columns are the coordinates of the basis' images
+    basis, certificates, blocks = [], [], []
+    for degree, ech in enumerate(echelons):
+        if not ech.pivots:
+            continue
+        vectors = [
+            Element.scaled(dims, den, [row if d == degree else {}
+                                       for d in range(top + 1)])
+            for den, row in ech.scaled_basis()
+        ]
+        columns = []
+        for b in vectors:
+            image = f.apply(b)
+            coords = ech.coordinates_scaled(image.denominator,
+                                            dict(image.pieces[degree]))
+            if coords is None:
+                raise ShapeMismatch(
+                    "closure is not pullback-stable (internal error)")
+            columns.append(coords)
+        basis += vectors
+        certificates += [
+            tuple((coeff, words[g]) for g, coeff in sorted(combo.items()))
+            for combo in ech.combos
+        ]
+        blocks.append((degree, tuple(zip(*columns))))
 
     return GromovSubalgebra(
         algebra=algebra,
         pullback=f,
         omega=omega,
-        basis=basis,
-        restricted_matrix=restricted,
-        dims_by_degree=tuple(rank),
-        certificates=certificates,
+        basis=tuple(basis),
+        blocks=tuple(blocks),
+        dims_by_degree=tuple(len(ech.pivots) for ech in echelons),
+        certificates=tuple(certificates),
         sweeps=sweeps,
     )
 
@@ -257,14 +232,15 @@ def gromov_closure(
 def lambda_gr(closure: GromovSubalgebra, tol: float = 1e-9):
     """Spectral radius of the restricted pullback: ``(value, error_bound)``.
 
-    Computed blockwise per degree (the restricted matrix is block diagonal),
-    once per closure and ``tol``: the result is kept on the closure.
+    The closure is the direct sum of its graded pieces, so this is the
+    largest radius over ``closure.blocks``, computed once per closure and
+    ``tol``: the result is kept on the closure.
     """
     got = closure._radii.get(tol)
     if got is None:
         rho = 0.0
         err = 0.0
-        for _, block in closure.degree_blocks():
+        for _, block in closure.blocks:
             r, e = spectral_radius(block, tol)
             if r > rho:
                 rho, err = r, e

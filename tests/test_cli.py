@@ -832,6 +832,31 @@ class TestExitCodes:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "SpectralNonconvergence"
 
+    @pytest.mark.parametrize("model, map_spec", [
+        ({"kind": "projective", "n": 1}, {"kind": "power", "d": 10**400}),
+        ({"kind": "multiprojective", "n": [1, 1]},
+         {"kind": "product", "d": [10**400, 1], "perm": [0, 1]}),
+        ({"kind": "abelian", "g": 1},
+         {"kind": "exterior", "matrix": [[10**400, 0], [0, 1]]}),
+    ])
+    def test_a_growth_rate_past_the_float_range_exits_three(
+        self, tmp_path, capsys, model, map_spec
+    ):
+        # |delta_j(f^m)|^(1/m) overflowed math.exp with a traceback
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"model": model, "map": map_spec,
+                                    "analyses": ["delta-table"], "M": 2}))
+        for command in ("report", "delta"):
+            assert main([command, "--config", str(path)]) == 3, command
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            (line,) = captured.err.splitlines()
+            assert json.loads(line) == {
+                "error": "FloatOverflow",
+                "message": "non-finite float entries at positions "
+                           "[(1, 'root')]",
+            }, command
+
 
 class TestOneDeltaTable:
     def test_report_builds_one_table_and_no_map_powers(self, monkeypatch):
@@ -914,7 +939,7 @@ class TestOneClosure:
         (closure,) = closures
         dims = closure.algebra.dims
         assert len(polys) == (
-            len(closure.degree_blocks()) + sum(1 for d in dims if d)
+            len(closure.blocks) + sum(1 for d in dims if d)
         )
         assert results["gromov"]["lambda_gr"] == results["chain"]["lambda_gr"]
 

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyndeg import gromov
 from dyndeg.cli import parse_config, run
@@ -100,14 +102,14 @@ class TestGromovClosure:
         fwd = gromov_closure(f, model.h, sweep_order="forward")
         rev = gromov_closure(f, model.h, sweep_order="reversed")
         assert fwd.basis == rev.basis
-        assert fwd.restricted_matrix == rev.restricted_matrix
+        assert fwd.blocks == rev.blocks
         assert rev.verify_certificates()
 
     def test_restricted_matrix_blocks(self):
         model = multiprojective([1, 1])
         f = product_map(model, [2, 3], [1, 0])
         closure = gromov_closure(f, model.h)
-        blocks = dict(closure.degree_blocks())
+        blocks = dict(closure.blocks)
         assert blocks[0] == ((1,),)
         assert blocks[4] == ((6,),)
         assert sorted(x for row in blocks[2] for x in row) == [0, 0, 2, 3]
@@ -115,9 +117,9 @@ class TestGromovClosure:
 
 class TestClosureWork:
     # per battery member, the pullbacks and products the closure computes in
-    # either sweep order, besides the one pullback per restricted-matrix
-    # column; a scan of every generator and every pair within the top degree
-    # made (dim, pairs) of them, e.g. (9, 28) on P^2 x P^2
+    # either sweep order, besides the one pullback per column of a block; a
+    # scan of every generator and every pair within the top degree made
+    # (dim, pairs) of them, e.g. (9, 28) on P^2 x P^2
     WORK = {
         "P1 d=0": (0, 0), "P1 d=1": (0, 0), "P1 d=2": (0, 0), "P1 d=3": (0, 0),
         "P2 d=0": (0, 1), "P2 d=1": (0, 1), "P2 d=2": (0, 1), "P2 d=3": (0, 1),
@@ -146,13 +148,11 @@ class TestClosureWork:
         apply, mul = PullbackMap.apply, GradedAlgebra.mul
 
         def full(algebra, degree):
-            """Whether the live closure can no longer grow in ``degree``."""
+            """Whether the live closure can no longer grow in ``degree``:
+            the rank of that degree's echelon form, one per degree in order."""
             if degree > algebra.top_degree:
                 return True
-            lo = sum(algebra.dims[:degree])
-            rank = sum(lo <= p < lo + algebra.dims[degree]
-                       for p in echelons[-1].pivots)
-            return rank == algebra.dims[degree]
+            return len(echelons[degree].pivots) == algebra.dims[degree]
 
         def counted_apply(self, a):
             pulls.append((a, id(a), full(self.algebra, a.degree())))
@@ -171,9 +171,11 @@ class TestClosureWork:
             for order in ("forward", "reversed"):
                 pulls.clear()
                 muls.clear()
+                echelons.clear()
                 closure = gromov_closure(f, model.h,
                                          sweep_order=order)
-                # the restricted matrix pulls back each basis vector last
+                assert [e.width for e in echelons] == list(model.algebra.dims)
+                # the blocks pull back each basis vector last
                 n = len(pulls) - closure.dimension
                 assert [a for a, _, _ in pulls[n:]] == list(closure.basis)
                 visited = [(key, full) for _, key, full in pulls[:n]]
@@ -182,21 +184,63 @@ class TestClosureWork:
                     assert not any(was_full for _, was_full in keys), (name, order)
                     assert len({key for key, _ in keys}) == len(keys)
 
-    def test_degree_blocks_follow_the_basis_degrees(self):
-        for name, model, f in builder_battery():
-            closure = gromov_closure(f, model.h)
-            m = closure.restricted_matrix
-            expected, start = [], 0
-            for degree, group in itertools.groupby(
-                b.degree() for b in closure.basis
-            ):
-                stop = start + len(list(group))
-                expected.append((degree, tuple(
-                    tuple(m[i][j] for j in range(start, stop))
-                    for i in range(start, stop)
-                )))
-                start = stop
-            assert closure.degree_blocks() == expected, name
+
+class TestRandomClosures:
+    # a seed and a family of ``random_valid_pullbacks``: power maps with
+    # rational scalars, monomial substitutions, exterior lifts of rational
+    # matrices, and isometries of the U and Pell lattices
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 4))
+    def test_the_closure_is_a_graded_fixed_point_with_its_blocks(
+        self, seed, family
+    ):
+        (name, model, f), = itertools.islice(
+            random_valid_pullbacks(random.Random(seed), family + 1),
+            family, None)
+        algebra = model.algebra
+        closure = gromov_closure(f, model.h)
+
+        # homogeneous, sorted by degree, and in RREF within each degree
+        by_degree = {}
+        for b in closure.basis:
+            by_degree.setdefault(b.degree(), []).append(b)
+        degrees = [b.degree() for b in closure.basis]
+        assert degrees == sorted(degrees), name
+        assert closure.dims_by_degree == tuple(
+            len(by_degree.get(d, ())) for d in range(len(algebra.dims))), name
+        for degree, vectors in by_degree.items():
+            rows = [b.coords[degree] for b in vectors]
+            pivots = [next(k for k, x in enumerate(row) if x) for row in rows]
+            assert pivots == sorted(set(pivots)), name
+            for i, p in enumerate(pivots):
+                assert [row[p] for row in rows] == [
+                    int(i == k) for k in range(len(rows))], name
+
+        # the span holds 1 and omega and is closed under f* and products
+        def flat(element):
+            return [x for piece in element.coords for x in piece]
+
+        span = FractionEchelon(algebra.dimension)
+        for i, b in enumerate(closure.basis):
+            assert span.insert(flat(b), {i: Fraction(1)}), name
+        assert span.contains(flat(algebra.one())), name
+        assert span.contains(flat(model.h)), name
+        for b in closure.basis:
+            assert span.contains(flat(f.apply(b))), name
+            for c in closure.basis:
+                assert span.contains(flat(algebra.mul(b, c))), name
+
+        # block j-th column: the coordinates of f* of the j-th basis vector
+        assert [d for d, _ in closure.blocks] == sorted(by_degree), name
+        for degree, block in closure.blocks:
+            vectors = by_degree[degree]
+            for j, b in enumerate(vectors):
+                image = algebra.zero()
+                for row, v in zip(block, vectors):
+                    image = image + row[j] * v
+                assert image == f.apply(b), name
+
+        assert replay_certificates(closure), name
 
 
 class TestLambdaGr:
@@ -218,7 +262,7 @@ class TestLambdaGr:
         closure = gromov_closure(product_map(model, [2, 3], [1, 0]), model.h)
         rho, _ = lambda_gr(closure)
         assert rho == pytest.approx(6.0, abs=1e-9)
-        deg2 = dict(closure.degree_blocks())[2]
+        deg2 = dict(closure.blocks)[2]
         from dyndeg.spectral import spectral_radius
 
         assert spectral_radius(deg2)[0] == pytest.approx(math.sqrt(6), abs=1e-9)
@@ -328,7 +372,7 @@ class TestCertificateReplay:
         return GromovSubalgebra(
             closure.algebra, closure.pullback, closure.omega,
             closure.basis if basis is None else basis,
-            closure.restricted_matrix, closure.dims_by_degree,
+            closure.blocks, closure.dims_by_degree,
             closure.certificates if certificates is None else certificates,
             closure.sweeps,
         )

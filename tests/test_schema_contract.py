@@ -569,6 +569,11 @@ REJECTED = {
         _custom(effective=[{"lable": "line", "degree": 2, "coords": [1]}]),
         ("SchemaError", ["/model/effective/0/lable"]),
     ),
+    # open() raised "embedded null byte" when the report was written
+    "out-nul-byte": (
+        config(*VALID["projective"], out="a\u0000b"),
+        ("SchemaError", ["/out"]),
+    ),
 }
 
 
@@ -640,6 +645,13 @@ def test_a_malformed_num_den_scalar_is_named_at_its_pointer(tmp_path):
         assert (code, out) == (2, ""), name
         assert json.loads(err)["violations"] == [
             {"path": path, "message": "expected an exact rational scalar"}], name
+
+
+def test_a_nul_byte_in_out_is_named_at_its_pointer(tmp_path):
+    code, out, err = validate(REJECTED["out-nul-byte"][0], tmp_path)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "SchemaError", "violations": [
+        {"path": "/out", "message": "path contains a NUL byte"}]}
 
 
 def test_a_huge_decimal_exponent_exits_two_at_once(tmp_path):

@@ -411,7 +411,7 @@ def _battery_polys():
     for _, model, pull in builder_battery():
         polys.update(tuple(char_poly(b)) for b in pull.blocks if b)
         closure = gromov_closure(pull, model.h)
-        polys.update(tuple(char_poly(b)) for _, b in closure.degree_blocks())
+        polys.update(tuple(char_poly(b)) for _, b in closure.blocks)
     return polys
 
 
