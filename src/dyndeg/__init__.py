@@ -28,7 +28,7 @@ _EXPORTS = {
         "abelian_variety", "elliptic_square", "exterior_algebra",
         "exterior_pullback",
     ),
-    "core": ("Element", "GradedAlgebra", "build_algebra"),
+    "core": ("Element", "GradedAlgebra", "build_algebra", "tensor_product"),
     "custom": ("custom_model",),
     "degrees": (
         "DeltaTable", "bound_constant", "check_intersection_bound",

@@ -1,11 +1,12 @@
 """Abelian varieties: the exterior-algebra cohomology model and its maps.
 
 The cohomology of a g-dimensional abelian variety is the exterior algebra on
-the 2g classes of H^1, and an endomorphism acts on degree k through the k-th
-exterior power of its action on H^1.  A map is asserted only when it is the
-action of an integer matrix of End(E^g) = M_g(Z), for E without complex
-multiplication (see :func:`abelian_variety`).  The CLI's adapter and
-cross-field check for the ``abelian`` kind live here too.
+the 2g classes of H^1, ``core.tensor_product`` of 2g exterior algebras on one
+class, and an endomorphism acts on degree k through the k-th exterior power
+of its action on H^1.  A map is asserted only when it is the action of an
+integer matrix of End(E^g) = M_g(Z), for E without complex multiplication
+(see :func:`abelian_variety`).  The CLI's adapter and cross-field check for
+the ``abelian`` kind live here too.
 """
 
 from __future__ import annotations
@@ -25,41 +26,17 @@ from .linalg import as_matrix, identity, scaled_matrix, transpose
 from .models import EffectiveClass, EmbeddedModel, check_square
 
 
-def _subset_sign(s: tuple[int, ...], t: tuple[int, ...]) -> int:
-    """Sign of merging two disjoint sorted index tuples by concatenation."""
-    inversions = sum(1 for a in s for b in t if a > b)
-    return -1 if inversions % 2 else 1
-
-
 @functools.lru_cache(maxsize=None)
 def exterior_algebra(g: int) -> core.GradedAlgebra:
-    """Exterior algebra on 2g degree-1 generators with top-form integration.
+    """Exterior algebra on 2g degree-1 generators with top-form integration,
+    the tensor product of 2g exterior algebras on one generator.
 
     Cached: instances are immutable, so one validated copy per g is shared.
     """
     if g < 1:
         raise ShapeMismatch("genus must be >= 1")
-    n = 2 * g
-    subsets = {
-        i: sorted(itertools.combinations(range(n), i)) for i in range(n + 1)
-    }
-    index = {s: subsets[len(s)].index(s) for i in subsets for s in subsets[i]}
-    dims = [len(subsets[i]) for i in range(n + 1)]
-    products = {}
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            for p, s in enumerate(subsets[i]):
-                for q, t in enumerate(subsets[j]):
-                    if set(s) & set(t):
-                        continue
-                    merged = tuple(sorted(s + t))
-                    products[((i, p), (j, q))] = {
-                        index[merged]: _subset_sign(s, t)
-                    }
-    algebra = core.build_algebra(
-        n, dims, SUPER_COMMUTATIVE, products,
-        integrate=(1,) * (1 if dims[n] == 1 else dims[n]),
-    )
+    line = core.build_algebra(1, (1, 1), SUPER_COMMUTATIVE, {}, integrate=(1,))
+    algebra = core.tensor_product(*[line] * (2 * g))
     algebra.exterior = True
     return algebra
 
@@ -148,9 +125,8 @@ def abelian_variety(
     if len(m) != 2 * g or any(len(row) != 2 * g for row in m):
         raise ShapeMismatch(f"endomorphism matrix must be {2 * g}x{2 * g}")
 
-    pair_index = {
-        s: i for i, s in enumerate(sorted(itertools.combinations(range(2 * g), 2)))
-    }
+    pair_index = {tuple(i for i, (d, _) in enumerate(w) if d): p  # e_i ^ e_j
+                  for p, w in enumerate(algebra.words[2])}
     if omega is None:
         omega = {(2 * k, 2 * k + 1): 1 for k in range(g)}
     entries = {}

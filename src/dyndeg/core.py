@@ -21,9 +21,10 @@ and pullbacks do no ``Fraction`` arithmetic.  ``GradedAlgebra.element``, and
 ``one``, ``basis_element`` and ``homogeneous`` through it, builds that form
 sparse from the given entries; ``Element.coords`` is the ``Fraction`` view.
 The pullback blocks, Berkowitz's characteristic polynomial and ``Echelon``
-run in ``int`` as well.  Instances are immutable after construction and all
-operations are pure.  The tests replay the Gromov certificates with a
-Fraction basis-pair product, which checks that kernel independently.
+run in ``int`` as well.  :func:`tensor_product` orders every product basis.
+Instances are immutable after construction and all operations are pure.  The
+tests replay the Gromov certificates with a Fraction basis-pair product,
+which checks that kernel independently.
 """
 
 from __future__ import annotations
@@ -211,6 +212,10 @@ class GradedAlgebra:
         self.integrate_coords = tuple(integrate_coords)
         self.dimension = sum(self.dims)
         self._integrate_scaled = scaled_matrix([self.integrate_coords])
+        # ``words[d][p]``: the factors' basis vectors whose tensor is e_(d,p),
+        # one factor unless :func:`tensor_product` built the algebra
+        self.words = tuple(tuple(((d, p),) for p in range(n))
+                           for d, n in enumerate(self.dims))
 
     # -- element constructors -------------------------------------------------
 
@@ -459,6 +464,54 @@ def build_algebra(
         unit_coords, integrate_coords,
     )
     _validate(algebra)
+    return algebra
+
+
+def tensor_product(*factors: GradedAlgebra) -> GradedAlgebra:
+    """The graded tensor product of validated algebras, validated again by
+    :func:`build_algebra`.  Its basis vectors are the words (x_1, ..., x_k)
+    of the factors' basis vectors (``words``), in each degree by the key
+    (-deg x_1, x_1, ..., -deg x_k, x_k): descending exponents on (P^n)^k,
+    lexicographic subsets on an exterior algebra.  The products are built
+    factor by factor from the nonzero ones, (X (x) x)(Y (x) y) =
+    (-1)^(deg x deg Y) (XY) (x) (xy) if a factor is super-commutative; the
+    unit and the integration are the factors' products."""
+    sign_rule = SUPER_COMMUTATIVE if any(
+        a.sign_rule == SUPER_COMMUTATIVE for a in factors) else COMMUTATIVE
+    # (X, Y, deg Y, {W: coefficient over den}) for each nonzero product XY of
+    # the words so far with X <= Y; build_algebra fills in YX by the sign rule
+    products, den, words = [((), (), 0, {(): 1})], 1, [()]
+    for a in factors:
+        den *= a.scaled_table.denominator
+        words = [w + (b,) for b in a.basis() for w in words]
+        full = [((i, p), (j, q), xy)
+                for (i, j), rows in a.scaled_table.rows.items()
+                for p, row in enumerate(rows) for q, xy in row.items()]
+        upper = [entry for entry in full if entry[0] <= entry[1]]
+        products = [
+            (x_word + (x,), y_word + (y,), dy + y[0], {
+                w + ((x[0] + y[0], k),): _koszul_sign(sign_rule, x[0], dy) * c * v
+                for w, c in vec.items() for k, v in xy})
+            for x_word, y_word, dy, vec in products
+            for x, y, xy in (upper if x_word == y_word else full)
+        ]
+
+    top = sum(a.top_degree for a in factors)
+    by_degree = [[] for _ in range(top + 1)]
+    for w in sorted(words, key=lambda w: [(-d, p) for d, p in w]):
+        by_degree[sum(d for d, _ in w)].append(w)
+    index = {w: (d, p) for d, ws in enumerate(by_degree) for p, w in enumerate(ws)}
+    structure = {
+        (index[x], index[y]): {index[w][1]: Fraction(c, den) for w, c in vec.items()}
+        for x, y, _, vec in products if x != by_degree[0][0]  # 1 * y is forced
+    }
+    algebra = build_algebra(  # the module global, so a tracer's wrapper runs
+        top, [len(ws) for ws in by_degree], sign_rule, structure,
+        integrate=[math.prod(a.integrate_coords[p] for a, (_, p) in zip(factors, w))
+                   for w in by_degree[top]],
+        unit=[math.prod(a.unit_coords[0] for a in factors)],
+    )
+    algebra.words = tuple(map(tuple, by_degree))
     return algebra
 
 

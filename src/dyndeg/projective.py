@@ -1,16 +1,15 @@
 """Projective spaces, products of them, and their power and product maps.
 
 P^n is the rank-one quotient model Q[x]/(x^{n+1}), and P^{n_1} x ... x
-P^{n_k} the tensor product of such models, embedded by Segre.  The maps are
-pullbacks of power maps and of permuted products of them, which are
-morphisms, so the builders assert them.  The CLI's adapters for the
-``projective`` and ``multiprojective`` kinds, and the latter's cross-field
-check, live here too.
+P^{n_k} their tensor product (``core.tensor_product``), embedded by Segre,
+whose words the product map reads the factors off.  The maps are pullbacks
+of power maps and of permuted products of them, which are morphisms, so the
+builders assert them.  The CLI's adapters for the ``projective`` and
+``multiprojective`` kinds, and the latter's cross-field check, live here too.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -63,21 +62,11 @@ def pn_power_map(model: EmbeddedModel, d: int) -> endo.PullbackMap:
 # products of projective spaces
 # ---------------------------------------------------------------------------
 
-def _monomials_by_degree(ns: Sequence[int]):
-    """``(by_degree, index)``: the exponent vectors of each degree, and the
-    ``(degree, position)`` of each vector among them."""
-    # descending lexicographic, so the first-factor class leads each piece
-    by_degree: dict[int, list[tuple[int, ...]]] = {}
-    for exps in itertools.product(*(range(n + 1) for n in ns)):
-        by_degree.setdefault(2 * sum(exps), []).append(exps)
-    for exps_list in by_degree.values():
-        exps_list.sort(reverse=True)
-    index = {
-        exps: (deg, i)
-        for deg, exps_list in by_degree.items()
-        for i, exps in enumerate(exps_list)
-    }
-    return by_degree, index
+def _monomials(algebra: core.GradedAlgebra) -> dict:
+    """``{exponents: (degree, position)}`` of the basis words of a product of
+    projective spaces, x_i^e being the letter (2e, 0) of factor i."""
+    return {tuple(d // 2 for d, _ in w): (deg, p)
+            for deg, words in enumerate(algebra.words) for p, w in enumerate(words)}
 
 
 def _monomial_label(exps: tuple[int, ...]) -> str:
@@ -88,36 +77,21 @@ def _monomial_label(exps: tuple[int, ...]) -> str:
 def multiprojective(ns: Sequence[int]) -> EmbeddedModel:
     """Tensor model of P^{n_1} x ... x P^{n_k}, embedded by Segre.
 
-    h is the sum of the factor hyperplane classes; deg(X) is the Segre degree,
-    the multinomial coefficient of (n_1, ..., n_k).
+    The algebra is ``core.tensor_product`` of the factors' algebras, each
+    distinct n's built once.  h is the sum of the factor hyperplane classes;
+    deg(X) is the Segre degree, the multinomial coefficient of
+    (n_1, ..., n_k).
     """
     ns = [int(n) for n in ns]
     if not ns or any(n < 1 for n in ns):
         raise ShapeMismatch("each factor needs n_i >= 1")
-    top = 2 * sum(ns)
-    by_degree, index = _monomials_by_degree(ns)
-    dims = [len(by_degree.get(i, ())) for i in range(top + 1)]
-
-    products = {}
-    for a, (da, pa) in index.items():
-        for b, (db, pb) in index.items():
-            if da + db > top:
-                continue
-            c = tuple(x + y for x, y in zip(a, b))
-            if all(x <= n for x, n in zip(c, ns)):
-                products[((da, pa), (db, pb))] = {index[c][1]: 1}
-    algebra = core.build_algebra(top, dims, COMMUTATIVE, products, integrate=(1,))
-
-    h = algebra.zero()
-    for i in range(len(ns)):
-        exps = tuple(1 if j == i else 0 for j in range(len(ns)))
-        h = h + algebra.basis_element(2, index[exps][1])
+    factors = {n: projective_space(n).algebra for n in dict.fromkeys(ns)}
+    algebra = core.tensor_product(*(factors[n] for n in ns))
+    h = algebra.homogeneous(2, [1] * len(ns))
     ambient = math.prod(n + 1 for n in ns) - 1
     effective = tuple(
-        EffectiveClass(
-            _monomial_label(exps), algebra.basis_element(deg, i)
-        )
-        for exps, (deg, i) in sorted(index.items())
+        EffectiveClass(_monomial_label(exps), algebra.basis_element(deg, p))
+        for exps, (deg, p) in sorted(_monomials(algebra).items())
     )
     return EmbeddedModel(
         algebra,
@@ -134,11 +108,18 @@ def product_map(
 ) -> endo.PullbackMap:
     """Pullback of a permuted product of power maps: h_i -> d_i * h_{perm(i)}.
 
+    The factors are read off the algebra's words, so the model must be a
+    product of projective spaces, P^n included (else ``ShapeMismatch``).
     Realizable whenever the permutation only swaps factors of equal dimension,
     which is enforced (the i-th output coordinate block is a degree-d_i map of
     the perm(i)-th input factor).
     """
-    ns = [int(s) for s in model.provenance.split(":", 1)[1].split(",")]
+    algebra = model.algebra
+    ns = tuple(d // 2 for d, _ in algebra.words[-1][0])
+    if algebra.dimension != math.prod(n + 1 for n in ns) or any(
+            d % 2 or p for words in algebra.words for w in words for d, p in w):
+        raise ShapeMismatch("product_map needs a product of projective spaces,"
+                            f" not {model.provenance}")
     k = len(ns)
     degrees = [int(d) for d in degrees]
     perm = [int(p) for p in perm]
@@ -151,26 +132,16 @@ def product_map(
             "permutation must match factor dimensions (n_i = n_perm(i))"
         )
 
-    by_degree, index = _monomials_by_degree(ns)
-    blocks = []
-    for deg in range(model.algebra.top_degree + 1):
-        exps_list = by_degree.get(deg, [])
-        n = len(exps_list)
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for q, exps in enumerate(exps_list):
-            image = [0] * k
-            coeff = Fraction(1)
-            for i, e in enumerate(exps):
-                image[perm[i]] += e
-                coeff *= Fraction(degrees[i]) ** e
-            target = tuple(image)
-            # same factor dims along the permutation, so target is in range
-            p = index[target][1]
-            m[p][q] = coeff
-        blocks.append(m)
+    # x^e -> prod_i d_i^(e_i) x^image, image[perm[i]] = e_i: perm keeps dims
+    index = _monomials(algebra)
+    inverse = sorted(range(k), key=perm.__getitem__)
+    blocks = [[[Fraction(0)] * n for _ in range(n)] for n in algebra.dims]
+    for exps, (deg, q) in index.items():
+        p = index[tuple(exps[i] for i in inverse)][1]
+        blocks[deg][p][q] = math.prod(Fraction(d) ** e for d, e in zip(degrees, exps))
     label = ",".join(f"{d}->{p}" for d, p in zip(degrees, perm))
     return endo.validate_pullback(
-        model.algebra, blocks, realizability="asserted",
+        algebra, blocks, realizability="asserted",
         provenance=f"product:{label}",
     )
 

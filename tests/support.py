@@ -18,7 +18,8 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 
-from dyndeg.core import Element, GradedAlgebra
+from dyndeg import COMMUTATIVE, SUPER_COMMUTATIVE
+from dyndeg.core import Element, GradedAlgebra, build_algebra
 from dyndeg.endo import PullbackMap, validate_pullback
 from dyndeg.linalg import Matrix, as_matrix, identity, scaled_matrix, transpose
 from dyndeg.errors import ShapeMismatch, SpectralNonconvergence
@@ -51,6 +52,60 @@ def scalar_power_pullback(model: EmbeddedModel, c: Fraction) -> PullbackMap:
     return validate_pullback(model.algebra, blocks)
 
 
+def monomials_by_degree(ns):
+    """``(by_degree, index)``: the exponent vectors of (P^n_1 x ... x P^n_k)
+    in each degree, in descending lexicographic order, and the
+    ``(degree, position)`` of each vector among them."""
+    by_degree: dict[int, list[tuple[int, ...]]] = {}
+    for exps in itertools.product(*(range(n + 1) for n in ns)):
+        by_degree.setdefault(2 * sum(exps), []).append(exps)
+    for exps_list in by_degree.values():
+        exps_list.sort(reverse=True)
+    index = {
+        exps: (deg, i)
+        for deg, exps_list in by_degree.items()
+        for i, exps in enumerate(exps_list)
+    }
+    return by_degree, index
+
+
+def oracle_multiprojective_algebra(ns) -> GradedAlgebra:
+    """The algebra of P^n_1 x ... x P^n_k written out monomial by monomial,
+    x^a x^b = x^(a+b) on every pair of exponent vectors: the oracle for
+    ``multiprojective``'s tensor product."""
+    top = 2 * sum(ns)
+    by_degree, index = monomials_by_degree(ns)
+    dims = [len(by_degree.get(i, ())) for i in range(top + 1)]
+    products = {}
+    for a, (da, pa) in index.items():
+        for b, (db, pb) in index.items():
+            c = tuple(x + y for x, y in zip(a, b))
+            if da + db <= top and all(x <= n for x, n in zip(c, ns)):
+                products[((da, pa), (db, pb))] = {index[c][1]: 1}
+    return build_algebra(top, dims, COMMUTATIVE, products, integrate=(1,))
+
+
+def oracle_exterior_algebra(g: int) -> GradedAlgebra:
+    """The exterior algebra on 2g generators written out subset by subset:
+    e_s e_t = (-1)^(inversions of s, t) e_(s u t) on disjoint sorted s, t in
+    lexicographic order, the oracle for ``exterior_algebra``'s tensor
+    product."""
+    n = 2 * g
+    subsets = [list(itertools.combinations(range(n), i)) for i in range(n + 1)]
+    index = {s: p for by_size in subsets for p, s in enumerate(by_size)}
+    products = {}
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            for s in subsets[i]:
+                for t in subsets[j]:
+                    if not set(s) & set(t):
+                        inversions = sum(a > b for a in s for b in t)
+                        products[((i, index[s]), (j, index[t]))] = {
+                            index[tuple(sorted(s + t))]: (-1) ** inversions}
+    return build_algebra(n, [len(by_size) for by_size in subsets],
+                         SUPER_COMMUTATIVE, products, integrate=(1,))
+
+
 def monomial_substitution(model: EmbeddedModel, targets, scalars) -> PullbackMap:
     """h_i -> scalars[i] * h_{targets[i]} for an arbitrary function ``targets``.
 
@@ -59,16 +114,7 @@ def monomial_substitution(model: EmbeddedModel, targets, scalars) -> PullbackMap
     """
     ns = [int(s) for s in model.provenance.split(":", 1)[1].split(",")]
     k = len(ns)
-    exps_by_degree: dict[int, list] = {}
-    for exps in itertools.product(*(range(n + 1) for n in ns)):
-        exps_by_degree.setdefault(2 * sum(exps), []).append(exps)
-    for lst in exps_by_degree.values():
-        lst.sort(reverse=True)  # must match the builder's basis order
-    index = {
-        e: (deg, i)
-        for deg, lst in exps_by_degree.items()
-        for i, e in enumerate(lst)
-    }
+    exps_by_degree, index = monomials_by_degree(ns)
     blocks = []
     for deg in range(model.algebra.top_degree + 1):
         lst = exps_by_degree.get(deg, [])

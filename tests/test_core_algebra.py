@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from dyndeg.core import (
     SUPER_COMMUTATIVE,
     Element,
     build_algebra,
+    tensor_product,
 )
 from dyndeg.errors import (
     AssociativityViolation,
@@ -49,6 +51,19 @@ def quotient_ring(n):
         if 0 < a + b <= n
     }
     return build_algebra(2 * n, dims, COMMUTATIVE, products, integrate=(1,))
+
+
+def tensor_factors():
+    """Small validated factors for ``tensor_product``: P^1, P^2, the
+    exterior algebra on one class, and a super-commutative algebra with two
+    classes in degree 1, a unit of 2 and fractional constants."""
+    return (
+        quotient_ring(1), quotient_ring(2),
+        build_algebra(1, [1, 1], SUPER_COMMUTATIVE, {}, integrate=(1,)),
+        build_algebra(2, [1, 2, 1], SUPER_COMMUTATIVE,
+                      {((1, 0), (1, 1)): {0: Fraction(3, 2)}},
+                      integrate=(Fraction(2, 3),), unit=(2,)),
+    )
 
 
 class TestAsFraction:
@@ -429,3 +444,43 @@ class TestCheckPoincare:
         for name, alg in algebras:
             for degree, d in enumerate(poincare_determinants(alg)):
                 assert d not in (None, 0), (name, degree)
+
+
+class TestTensorProduct:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dims_integral_and_sign_of_a_tensor(self, data):
+        factors = data.draw(st.lists(st.sampled_from(tensor_factors()),
+                                     min_size=2, max_size=3))
+        alg = tensor_product(*factors)
+        dims = [1]  # the convolution of the factors' dims
+        for f in factors:
+            dims = [sum(dims[i] * f.dims[d - i] for i in range(len(dims))
+                        if 0 <= d - i <= f.top_degree)
+                    for d in range(len(dims) + f.top_degree)]
+        assert alg.dims == tuple(dims)
+        index = {}
+        for d, words in enumerate(alg.words):
+            assert words == tuple(sorted(words, key=lambda w: [(-e, p) for e, p in w]))
+            for p, w in enumerate(words):
+                assert sum(e for e, _ in w) == d
+                index[w] = (d, p)
+        for w in alg.words[alg.top_degree]:
+            assert alg.integrate(alg.element({index[w]: 1})) == math.prod(
+                f.integrate_coords[p] for f, (_, p) in zip(factors, w))
+
+        def tensor(letters):
+            # the tensor of ``letters`` ({slot: basis vector}) with the
+            # unit, u e_(0,0), in every other slot
+            word = tuple(letters.get(m, (0, 0)) for m in range(len(factors)))
+            return alg.element({index[word]: math.prod(
+                f.unit_coords[0] for m, f in enumerate(factors) if m not in letters)})
+
+        i = data.draw(st.integers(0, len(factors) - 2))
+        j = data.draw(st.integers(i + 1, len(factors) - 1))
+        a = data.draw(st.sampled_from(list(factors[i].basis())))
+        b = data.draw(st.sampled_from(list(factors[j].basis())))
+        a_b = tensor({i: a, j: b})
+        sign = -1 if alg.sign_rule == SUPER_COMMUTATIVE and a[0] * b[0] % 2 else 1
+        assert alg.mul(tensor({i: a}), tensor({j: b})) == a_b
+        assert alg.mul(tensor({j: b}), tensor({i: a})) == sign * a_b

@@ -33,7 +33,9 @@ from dyndeg.linalg import as_matrix, transpose
 from dyndeg.spectral import char_poly
 
 from support import (builder_battery, det_wedge_blocks, fraction_det,
-                     gram_matrix, mat_mul, pair_by_product, trace)
+                     gram_matrix, mat_mul, monomials_by_degree,
+                     oracle_exterior_algebra, oracle_multiprojective_algebra,
+                     pair_by_product, trace)
 
 
 class TestProjectiveSpace:
@@ -89,6 +91,76 @@ class TestMultiprojective:
         model = multiprojective([1, 1])
         f = product_map(model, [2, 3], [1, 0])
         assert f.blocks[2] == ((0, 3), (2, 0))
+
+    def test_product_map_on_projective_space_is_its_power_map(self):
+        for n in (1, 2, 3):
+            model = projective_space(n)
+            for d in (0, 2, 3):
+                f = product_map(model, [d], [0])
+                assert f.blocks == pn_power_map(model, d).blocks
+                assert f.provenance == f"product:{d}->0"
+
+    def test_product_map_rejects_a_model_that_is_no_product_of_projective_spaces(self):
+        # the words of a custom algebra with two classes in degree 2, and of
+        # an exterior algebra, are no exponent vectors of (P^n)^k
+        custom = custom_model({
+            "top_degree": 4, "dims": [1, 0, 2, 0, 1],
+            "products": [{"a": [2, 0], "b": [2, 0], "value": [[0, 1]]}],
+            "integrate": [1], "h": [1, 0], "ambient_dim": 3,
+        })
+        with pytest.raises(ShapeMismatch, match="not custom$"):
+            product_map(custom, [2], [0])
+        abelian, _ = elliptic_square([[1, 0], [0, 1]])
+        with pytest.raises(ShapeMismatch, match="not abelian_variety:2$"):
+            product_map(abelian, [2, 2], [0, 1])
+
+
+class TestTensorBuilders:
+    """``multiprojective`` and ``exterior_algebra`` are ``core.tensor_product``
+    of their factors; the oracles write the same algebras out monomial by
+    monomial and subset by subset.  The tables are compared with ``==``: the
+    insertion order of a row's dict may differ."""
+
+    @pytest.mark.parametrize(
+        "ns", [[1, 1], [1] * 5, [2, 2, 2], [3, 1, 2], [1, 2, 1], [6]])
+    def test_multiprojective_is_the_monomial_table(self, ns):
+        algebra = multiprojective(ns).algebra
+        oracle = oracle_multiprojective_algebra(ns)
+        assert algebra.dims == oracle.dims
+        assert algebra.sign_rule == oracle.sign_rule
+        assert algebra.scaled_table == oracle.scaled_table
+        assert algebra.unit_coords == oracle.unit_coords
+        assert algebra.integrate_coords == oracle.integrate_coords
+        by_degree, _ = monomials_by_degree(ns)
+        assert [[tuple(d // 2 for d, _ in w) for w in words]
+                for words in algebra.words] == [
+            by_degree.get(d, []) for d in range(algebra.top_degree + 1)]
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_exterior_algebra_is_the_subset_table(self, g):
+        algebra, oracle = exterior_algebra(g), oracle_exterior_algebra(g)
+        assert algebra.dims == oracle.dims
+        assert algebra.sign_rule == oracle.sign_rule
+        assert algebra.scaled_table == oracle.scaled_table
+        assert algebra.unit_coords == oracle.unit_coords
+        assert algebra.integrate_coords == oracle.integrate_coords
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_compound_blocks_list_the_subsets_as_the_words(self, g):
+        # wedge^k of diag(p_0, ..., p_(2g-1)), distinct primes, is diagonal
+        # with the product of the primes of each k-subset: its position in
+        # the block is the position of that subset's word
+        from dyndeg.abelian import _compound_blocks
+
+        primes = [2, 3, 5, 7, 11, 13, 17, 19][:2 * g]
+        blocks = _compound_blocks(
+            [[Fraction(p if i == j else 0) for j, p in enumerate(primes)]
+             for i in range(2 * g)])
+        for k, words in enumerate(exterior_algebra(g).words):
+            assert [blocks[k][s][s] for s in range(len(words))] == [
+                math.prod(p for p, (d, _) in zip(primes, w) if d) for w in words]
+            assert [tuple(i for i, (d, _) in enumerate(w) if d)
+                    for w in words] == list(itertools.combinations(range(2 * g), k))
 
 
 class TestAbelianVariety:
