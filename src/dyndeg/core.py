@@ -7,8 +7,8 @@ lets the same container model Chow-type rings (even degrees only) and full
 cohomology rings of abelian varieties (odd generators) side by side.
 
 Scalars at the interface are ``fractions.Fraction``; inside, everything is
-integers over one denominator.  The structure constants are read sparsely,
-only the nonzero ones, and held once that way (:class:`ScaledTable`); every
+integers over one denominator.  :func:`build_algebra` reads the structure
+constants once, straight into the integer table (:class:`ScaledTable`); every
 product goes through its one kernel, ``ScaledTable.multiply``: the
 associativity check and the choice of generators here, ``GradedAlgebra.mul``,
 the multiplicativity check of a pullback and the products of the Gromov
@@ -145,29 +145,11 @@ class ScaledTable(namedtuple("ScaledTable", "denominator rows")):
     ``rows[(i, j)][p]`` maps q to the nonzero entries ``((k, D * c_k), ...)``
     of e_(i,p) * e_(j,q), in increasing k, where D is ``denominator``; an
     absent q (or an absent block) is a zero product.  Comparing scaled
-    vectors is exactly comparing the rational ones.
+    vectors is exactly comparing the rational ones.  :func:`build_algebra`
+    writes it once, from the user's constants, the unit and the sign rule.
     """
 
     __slots__ = ()
-
-    @classmethod
-    def scale(cls, dims, blocks) -> "ScaledTable":
-        """The table of ``{(i, j): {(p, q): {k: Fraction}}}``, zeros omitted."""
-        den = math.lcm(*(
-            c.denominator
-            for block in blocks.values()
-            for vec in block.values()
-            for c in vec.values()
-        ))
-        rows = {(i, j): [{} for _ in range(dims[i])] for i, j in blocks}
-        for (i, j), block in blocks.items():
-            for (p, q), vec in block.items():
-                if vec:
-                    rows[(i, j)][p][q] = tuple(sorted(
-                        (k, c.numerator * (den // c.denominator))
-                        for k, c in vec.items()
-                    ))
-        return cls(den, rows)
 
     def product(self, a: BasisIndex, b: BasisIndex) -> tuple[tuple[int, int], ...]:
         """Nonzero scaled entries of e_a * e_b."""
@@ -363,13 +345,16 @@ def _koszul_sign(sign_rule: str, i: int, j: int) -> int:
     return 1
 
 
-def _normalize_table(top_degree, dims, structure_constants):
-    """Read user structure constants ``{((i, p), (j, q)): {k: scalar}}`` into
-    sparse per-degree-pair blocks ``{(i, j): {(p, q): {k: Fraction}}}``, zero
-    coordinates omitted.  A supplied zero product stays as an empty vector,
-    so that the sign rule still compares it with its mirror.
+def _read_table(top_degree, dims, sign_rule, structure_constants, unit):
+    """The :class:`ScaledTable` of user structure constants
+    ``{((i, p), (j, q)): {k: scalar}}``, each scalar read once, built on one
+    flat map ``{(a, b): [(k, c), ...]}`` of nonzero coordinates: the supplied
+    products (a zero one stays, so the sign rule still compares it with its
+    mirror), then e_0 e_q = e_q e_0 = e_q / unit where not supplied, then the
+    sign-rule mirror of each product whose mirror is missing.  Each block
+    (i, j) the map touches gets its rows, all zero or not.
     """
-    table: dict[tuple[int, int], dict] = {}
+    table: dict[tuple[BasisIndex, BasisIndex], list] = {}
     for key, value in structure_constants.items():
         try:
             (i, p), (j, q) = key
@@ -391,9 +376,29 @@ def _normalize_table(top_degree, dims, structure_constants):
                 raise ShapeMismatch(
                     f"product coordinate {k} out of range for degree {i + j}"
                 )
-        vec = {k: as_fraction(c) for k, c in value.items()}
-        table.setdefault((i, j), {})[(p, q)] = {k: c for k, c in vec.items() if c}
-    return table
+        vec = [(k, as_fraction(c)) for k, c in value.items()]
+        table[(i, p), (j, q)] = [(k, c) for k, c in vec if c]
+
+    inv_u = 1 / unit
+    for j in range(top_degree + 1):
+        for q in range(dims[j]):
+            table.setdefault(((0, 0), (j, q)), [(q, inv_u)])
+            table.setdefault(((j, q), (0, 0)), [(q, inv_u)])
+
+    for (a, b), vec in list(table.items()):
+        if (b, a) not in table:
+            table[b, a] = vec if _koszul_sign(sign_rule, a[0], b[0]) == 1 else [
+                (k, -c) for k, c in vec]
+
+    den = math.lcm(*{c.denominator for vec in table.values() for _, c in vec})
+    rows: dict[tuple[int, int], list[dict]] = {}
+    for ((i, p), (j, q)), vec in table.items():
+        if (i, j) not in rows:
+            rows[i, j] = [{} for _ in range(dims[i])]
+        if vec:
+            rows[i, j][p][q] = tuple(sorted(
+                (k, c.numerator * (den // c.denominator)) for k, c in vec))
+    return ScaledTable(den, rows)
 
 
 def build_algebra(
@@ -406,10 +411,11 @@ def build_algebra(
 ) -> GradedAlgebra:
     """Construct and fully validate a graded algebra.
 
-    Products not present in ``structure_constants`` default to zero, except
-    products with a degree-0 factor, which are forced by the unit (degree 0 is
-    one-dimensional).  A missing symmetric counterpart is filled in from the
-    declared sign rule; when both orders are supplied they must agree with it.
+    ``structure_constants`` is read once, straight into the integer table.
+    Products not present default to zero, except products with a degree-0
+    factor, which are forced by the unit (degree 0 is one-dimensional).  A
+    missing symmetric counterpart is filled in from the declared sign rule;
+    when both orders are supplied they must agree with it.
 
     Validation runs shape checks, the unit law and graded commutativity on
     every basis vector and pair, and associativity on the triples (x, s, y)
@@ -439,30 +445,10 @@ def build_algebra(
             f" expected dims[top] = {dims[top_degree]}"
         )
 
-    table = _normalize_table(top_degree, dims, structure_constants)
-
-    # unit-forced products: e_0 acts as 1/unit_coords[0]
-    inv_u = 1 / unit_coords[0]
-    for j in range(top_degree + 1):
-        for q in range(dims[j]):
-            table.setdefault((0, j), {}).setdefault((0, q), {q: inv_u})
-            table.setdefault((j, 0), {}).setdefault((q, 0), {q: inv_u})
-
-    # symmetric fill from the sign rule; a block with i = j is its own
-    # mirror, so it is read from a copy
-    for (i, j) in list(table):
-        sign = _koszul_sign(sign_rule, i, j)
-        mirror = table.setdefault((j, i), {})
-        for (p, q), vec in list(table[(i, j)].items()):
-            if (q, p) not in mirror:
-                mirror[(q, p)] = vec if sign == 1 else {
-                    k: -x for k, x in vec.items()
-                }
-
+    table = _read_table(
+        top_degree, dims, sign_rule, structure_constants, unit_coords[0])
     algebra = GradedAlgebra(
-        top_degree, dims, sign_rule, ScaledTable.scale(dims, table),
-        unit_coords, integrate_coords,
-    )
+        top_degree, dims, sign_rule, table, unit_coords, integrate_coords)
     _validate(algebra)
     return algebra
 

@@ -182,9 +182,9 @@ def segre_graph_degree(
     The component [P^a] x [P^b] has Segre degree binomial(a+b, a), so the
     total is sum_j delta_{r-j}(f^m) * binomial(r, j), read off ``table`` as
     in :func:`graph_class`.  For degree-d power maps of P^n with ample class
-    h this must equal deg(X) * (1 + d^m)^n, which is cross-checked when the
-    builder provenance identifies such a map: f^m multiplies h by d^m, so
-    delta_j(f^m) = d^(mj) deg(X), and deg(X) = 1 for the hyperplane class.
+    h this must equal deg(X) * (1 + d^m)^n; on a ``projective_space`` model
+    with a ``power:`` map it is cross-checked, with d read off f*(h) = d h:
+    f^m multiplies h by d^m, so delta_j(f^m) = d^(mj) deg(X).
     """
     r, coeffs = model.r, table.column(m)[::-1]
     den = math.lcm(*(c.denominator for c in coeffs))  # one Fraction, not r + 1
@@ -195,8 +195,7 @@ def segre_graph_degree(
     if model.provenance.startswith("projective_space") and (
         f.provenance or ""
     ).startswith("power:"):
-        d = int(f.provenance.split(":", 1)[1])
-        expected = model.deg_x * (1 + d**m) ** r
+        expected = model.deg_x * (1 + f.blocks[2][0][0] ** m) ** r
         matches = total == expected
     return SegreDegree(value=total, expected=expected, matches=matches)
 

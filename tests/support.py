@@ -19,9 +19,10 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from dyndeg import COMMUTATIVE, SUPER_COMMUTATIVE
-from dyndeg.core import Element, GradedAlgebra, build_algebra
+from dyndeg.core import Element, GradedAlgebra, ScaledTable, _validate
 from dyndeg.endo import PullbackMap, validate_pullback
-from dyndeg.linalg import Matrix, as_matrix, identity, scaled_matrix, transpose
+from dyndeg.linalg import (Matrix, as_fraction, as_matrix, identity, scaled_matrix,
+                           transpose)
 from dyndeg.errors import ShapeMismatch, SpectralNonconvergence
 from dyndeg.models import (
     EmbeddedModel,
@@ -69,6 +70,77 @@ def monomials_by_degree(ns):
     return by_degree, index
 
 
+def oracle_scaled_table(top_degree, dims, sign_rule, structure_constants,
+                        unit) -> ScaledTable:
+    """User structure constants read in two passes, the oracle for
+    ``build_algebra``'s one reader: nested ``{(i, j): {(p, q): {k: Fraction}}}``
+    blocks (a supplied zero product kept as an empty vector), the unit-forced
+    products and the sign-rule mirrors filled in with ``setdefault``, then
+    every vector scaled to integers over the lcm of all denominators."""
+    table: dict[tuple[int, int], dict] = {}
+    for key, value in structure_constants.items():
+        try:
+            (i, p), (j, q) = key
+        except (TypeError, ValueError):
+            raise ShapeMismatch(f"bad structure constant key {key!r}") from None
+        if not isinstance(value, Mapping):
+            raise ShapeMismatch(f"product vector for {key!r} is not a mapping")
+        if not (0 <= i <= top_degree and 0 <= j <= top_degree):
+            raise ShapeMismatch(f"structure constant degree out of range: {key!r}")
+        if not (0 <= p < dims[i] and 0 <= q < dims[j]):
+            raise ShapeMismatch(f"structure constant index out of range: {key!r}")
+        if i + j > top_degree:
+            raise ShapeMismatch(
+                f"product of degrees {i} and {j} exceeds top degree {top_degree}"
+                " (truncated products must be omitted)"
+            )
+        for k in value:
+            if not (0 <= k < dims[i + j]):
+                raise ShapeMismatch(
+                    f"product coordinate {k} out of range for degree {i + j}"
+                )
+        vec = {k: as_fraction(c) for k, c in value.items()}
+        table.setdefault((i, j), {})[(p, q)] = {k: c for k, c in vec.items() if c}
+
+    inv_u = 1 / as_fraction(unit)
+    for j in range(top_degree + 1):
+        for q in range(dims[j]):
+            table.setdefault((0, j), {}).setdefault((0, q), {q: inv_u})
+            table.setdefault((j, 0), {}).setdefault((q, 0), {q: inv_u})
+
+    # a block with i = j is its own mirror, so it is read from a copy
+    for (i, j) in list(table):
+        sign = -1 if sign_rule == SUPER_COMMUTATIVE and i * j % 2 else 1
+        mirror = table.setdefault((j, i), {})
+        for (p, q), vec in list(table[(i, j)].items()):
+            if (q, p) not in mirror:
+                mirror[(q, p)] = {k: sign * x for k, x in vec.items()}
+
+    den = math.lcm(*(c.denominator for block in table.values()
+                     for vec in block.values() for c in vec.values()))
+    rows = {(i, j): [{} for _ in range(dims[i])] for i, j in table}
+    for (i, j), block in table.items():
+        for (p, q), vec in block.items():
+            if vec:
+                rows[(i, j)][p][q] = tuple(sorted(
+                    (k, c.numerator * (den // c.denominator))
+                    for k, c in vec.items()))
+    return ScaledTable(den, rows)
+
+
+def oracle_build_algebra(top_degree, dims, sign_rule, structure_constants,
+                         integrate, unit=(1,)) -> GradedAlgebra:
+    """``build_algebra`` on well-shaped input with the table read by
+    :func:`oracle_scaled_table`, validated by the same checks."""
+    (u,) = map(as_fraction, unit)
+    algebra = GradedAlgebra(
+        top_degree, dims, sign_rule,
+        oracle_scaled_table(top_degree, dims, sign_rule, structure_constants, u),
+        (u,), tuple(map(as_fraction, integrate)))
+    _validate(algebra)
+    return algebra
+
+
 def oracle_multiprojective_algebra(ns) -> GradedAlgebra:
     """The algebra of P^n_1 x ... x P^n_k written out monomial by monomial,
     x^a x^b = x^(a+b) on every pair of exponent vectors: the oracle for
@@ -82,7 +154,7 @@ def oracle_multiprojective_algebra(ns) -> GradedAlgebra:
             c = tuple(x + y for x, y in zip(a, b))
             if da + db <= top and all(x <= n for x, n in zip(c, ns)):
                 products[((da, pa), (db, pb))] = {index[c][1]: 1}
-    return build_algebra(top, dims, COMMUTATIVE, products, integrate=(1,))
+    return oracle_build_algebra(top, dims, COMMUTATIVE, products, integrate=(1,))
 
 
 def oracle_exterior_algebra(g: int) -> GradedAlgebra:
@@ -102,8 +174,8 @@ def oracle_exterior_algebra(g: int) -> GradedAlgebra:
                         inversions = sum(a > b for a in s for b in t)
                         products[((i, index[s]), (j, index[t]))] = {
                             index[tuple(sorted(s + t))]: (-1) ** inversions}
-    return build_algebra(n, [len(by_size) for by_size in subsets],
-                         SUPER_COMMUTATIVE, products, integrate=(1,))
+    return oracle_build_algebra(n, [len(by_size) for by_size in subsets],
+                                SUPER_COMMUTATIVE, products, integrate=(1,))
 
 
 def monomial_substitution(model: EmbeddedModel, targets, scalars) -> PullbackMap:

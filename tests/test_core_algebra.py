@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -9,11 +10,13 @@ from dyndeg.core import (
     COMMUTATIVE,
     SUPER_COMMUTATIVE,
     Element,
+    _read_table,
     build_algebra,
     tensor_product,
 )
 from dyndeg.errors import (
     AssociativityViolation,
+    DynDegError,
     ShapeMismatch,
     SignRuleViolation,
     UnitViolation,
@@ -32,6 +35,8 @@ from support import (
     fraction_det,
     from_coords,
     gram_matrix,
+    oracle_build_algebra,
+    oracle_scaled_table,
     pair_by_product,
     poincare_determinants,
 )
@@ -172,6 +177,129 @@ class TestBuildAlgebra:
     def test_only_pair_keys_and_sparse_values_are_read(self, key, value):
         with pytest.raises(ShapeMismatch):
             build_algebra(4, [1, 0, 1, 0, 1], COMMUTATIVE, {key: value}, (1,))
+
+
+READ_SOURCES = (
+    quotient_ring(2), multiprojective([1, 1]).algebra, exterior_algebra(1),
+    exterior_algebra(2), tensor_factors()[3],
+    # a^2 = b and every other product zero: the blocks (1, 2) and (2, 1)
+    # hold zero products only
+    build_algebra(3, [1, 1, 1, 1], COMMUTATIVE, {((1, 0), (1, 0)): {0: 1}}, (1,)),
+)
+UNITS = (1, 2, Fraction(-3, 2), Fraction(2, 7))
+SCALES = (1, -1, 2, Fraction(1, 3), Fraction(-3, 2))
+
+
+def _written(data, c):
+    """The scalar ``c`` in one of the forms a table may hold it in."""
+    forms = [c, str(c), {"num": c.numerator, "den": str(c.denominator)}]
+    return data.draw(st.sampled_from(forms + [c.numerator] * (c.denominator == 1)))
+
+
+def _user_constants(data, algebra, unit):
+    """The products of ``algebra``, its positive-degree basis rescaled, as a
+    user writes them: each pair of basis vectors in one order, the other or
+    both, zero products omitted or written out (empty, or with zero
+    coordinates), the products with e_0 left to the unit or written (some or
+    all, as 1/unit or as 1), and maybe one pair written against the sign
+    rule, one product replaced by random constants and one malformed entry."""
+    table, top = algebra.scaled_table, algebra.top_degree
+    positive = [b for b in algebra.basis() if b[0]]
+    scale = {b: data.draw(st.sampled_from(SCALES)) for b in positive}
+    pairs = [(a, b) for n, a in enumerate(positive) for b in positive[n:]
+             if a[0] + b[0] <= top]
+    clash, noise = data.draw(st.tuples(*[st.none() | st.sampled_from(pairs)] * 2))
+
+    def vector(d, coords):
+        out = {k: _written(data, c) for k, c in coords.items()}
+        for k in range(algebra.dims[d]):
+            if k not in out and data.draw(st.booleans()):
+                out[k] = data.draw(st.sampled_from([0, "0", Fraction(0)]))
+        return out
+
+    constants = {}
+    for a, b in pairs:
+        d = a[0] + b[0]
+        ab = {k: Fraction(v, table.denominator) * scale[a] * scale[b] / scale[d, k]
+              for k, v in table.product(a, b)}
+        if (a, b) == noise:
+            ab = data.draw(st.dictionaries(
+                st.integers(0, algebra.dims[d] - 1), small_fractions, max_size=2))
+        sign = -1 if algebra.sign_rule == SUPER_COMMUTATIVE and a[0] * b[0] % 2 else 1
+        ba = {k: sign * c for k, c in ab.items()}
+        if (a, b) == clash and a != b:
+            ba = {k: -c for k, c in ba.items()} if ab else {0: Fraction(1)}
+            orders = "both"
+        else:
+            orders = data.draw(st.sampled_from(
+                ["ab", "ba", "both"] + ["none"] * (not any(ab.values()))))
+        if orders in ("ab", "both"):
+            constants[a, b] = vector(d, ab)
+        if orders in ("ba", "both"):
+            constants[b, a] = vector(d, ba)
+
+    e0 = (0, 0)
+    sides = [(e0, b) for b in algebra.basis()] + [(b, e0) for b in algebra.basis()]
+    value = data.draw(st.sampled_from([1 / Fraction(unit), Fraction(1)]))
+    for a, b in data.draw(st.just(sides) | st.lists(st.sampled_from(sides), max_size=3)):
+        constants[a, b] = {(b if a == e0 else a)[1]: _written(data, value)}
+
+    malformed = data.draw(st.none() | st.sampled_from([
+        (((top + 1, 0), e0), {0: 1}),  # degree out of range
+        ((e0, (0, 1)), {0: 1}),  # index out of range
+        (((top, 0), (top, 0)), {0: 1}),  # past the top degree
+        ((e0, e0), {1: 1}),  # coordinate out of range
+        ((0, 0, 0, 0), {0: 1}),  # not a pair of basis vectors
+        ((e0, e0), [1]),  # not a mapping
+        ((e0, e0), {0: "x"}),  # no exact scalar
+        ((e0, e0), {0: 1.5}),
+    ]))
+    if malformed:
+        items = list(constants.items())
+        items.insert(data.draw(st.integers(0, len(items))), malformed)
+        constants = dict(items)
+    return constants
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the type and payload of its error."""
+    try:
+        return read()
+    except DynDegError as err:
+        return type(err), err.payload()
+
+
+class TestReadTable:
+    """``build_algebra`` reads the structure constants in one pass; the
+    two-pass reader it replaced (``support.oracle_scaled_table``) is the
+    oracle."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_the_reader_agrees_with_the_two_pass_oracle(self, data):
+        algebra = data.draw(st.sampled_from(READ_SOURCES))
+        unit = data.draw(st.sampled_from(UNITS))
+        constants = _user_constants(data, algebra, unit)
+        shape = (algebra.top_degree, algebra.dims, algebra.sign_rule, constants)
+        read = _outcome(lambda: _read_table(*shape, Fraction(unit)))
+        oracle = _outcome(lambda: oracle_scaled_table(*shape, unit))
+        # equal, and in the same order, which tensor_product's loops follow
+        assert read == oracle and repr(read) == repr(oracle)
+        built = _outcome(lambda: build_algebra(
+            *shape, algebra.integrate_coords, (unit,)).scaled_table)
+        assert built == _outcome(lambda: oracle_build_algebra(
+            *shape, algebra.integrate_coords, (unit,)).scaled_table)
+
+    def test_the_unit_enters_the_denominator_only_through_a_forced_product(self):
+        # every product with e_0 written as e_q, with a unit of 7: no forced
+        # e_q / 7 is added, so the table keeps denominator 1 (and fails the
+        # unit law later); leave one out and 1/7 is forced into it
+        written = {((0, 0), (0, 0)): {0: 1},
+                   ((0, 0), (2, 0)): {0: 1}, ((2, 0), (0, 0)): {0: 1}}
+        read = functools.partial(_read_table, 2, (1, 0, 1), COMMUTATIVE)
+        assert read(written, Fraction(7)).denominator == 1
+        del written[(2, 0), (0, 0)]
+        assert read(written, Fraction(7)).denominator == 7
 
 
 class TestMul:

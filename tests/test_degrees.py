@@ -12,7 +12,7 @@ from dyndeg.degrees import (
     moving_ledger,
     segre_graph_degree,
 )
-from dyndeg.endo import identity_map
+from dyndeg.endo import identity_map, validate_pullback
 from dyndeg.errors import NonComplementaryDegrees, ShapeMismatch, StepOutOfRange
 from dyndeg.gromov import gromov_closure, spectral_chain
 from dyndeg.models import (
@@ -251,6 +251,17 @@ class TestSegreGraphDegree:
                     res = segre_graph_degree(model, f, table, m)
                     assert res.expected == c**n * (1 + 2**m) ** n, (n, c, m)
                     assert res.value == res.expected and res.matches, (n, c, m)
+
+    @pytest.mark.parametrize("provenance", ["power:three", "power:2"],
+                             ids=["naming-no-degree", "naming-another-degree"])
+    def test_the_map_degree_is_read_off_the_blocks(self, provenance):
+        # x -> 3x on P^2: f*(h) = 3h, so the expected value is (1 + 3^2)^2,
+        # whatever the provenance says after ``power:``
+        model = projective_space(2)
+        f = validate_pullback(model.algebra, [[[1]], [], [[3]], [], [[9]]],
+                              provenance=provenance)
+        res = segre_graph_degree(model, f, delta_table(model, f, 2), 2)
+        assert res.value == res.expected == 100 and res.matches
 
     def test_no_cross_check_for_other_models(self):
         model = multiprojective([1, 1])
