@@ -12,7 +12,6 @@ the ``abelian`` kind live here too.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -22,7 +21,7 @@ from typing import Mapping, Sequence
 from . import SUPER_COMMUTATIVE, core, endo
 from .errors import (AmpleClassDegenerate, DegreeNotPositive, SchemaError,
                      ShapeMismatch)
-from .linalg import as_matrix, identity, scaled_matrix, transpose
+from .linalg import as_matrix, identity
 from .models import EffectiveClass, EmbeddedModel, check_square
 
 
@@ -47,56 +46,23 @@ def exterior_pullback(
     realizability: str = "unverified",
     provenance: str | None = None,
 ) -> endo.PullbackMap:
-    """Pullback with degree-1 block B = matrix^T and degree-i block wedge^i B.
+    """Pullback of ``exterior_algebra(g)`` (another algebra is a
+    ``ShapeMismatch``) with degree-1 block B = matrix^T and degree-k block
+    wedge^k B: ``endo.tensor_pullback`` with e_i sent to row i.
 
     Multiplicative by functoriality of exterior powers, but still run through
     the validator (validation soundness is an invariant worth paying for).
     """
-    b = transpose(as_matrix(matrix))
-    n = len(b)
-    if algebra.dims[1] != n:
-        raise ShapeMismatch(
-            f"matrix is {n}x{n}, degree-1 piece has dimension {algebra.dims[1]}"
-        )
-    return endo.validate_pullback(
-        algebra, _compound_blocks(b), realizability=realizability,
-        provenance=provenance,
+    if not algebra.exterior:
+        raise ShapeMismatch("exterior_pullback needs exterior_algebra(g)")
+    m = as_matrix(matrix)
+    if len(m) != algebra.dims[1]:
+        raise ShapeMismatch(f"matrix has {len(m)} rows, expected {algebra.dims[1]}")
+    return endo.tensor_pullback(
+        algebra, {(i, (1, 0)): algebra.homogeneous(1, row)
+                  for i, row in enumerate(m)},
+        realizability=realizability, provenance=provenance,
     )
-
-
-def _compound_blocks(b) -> list:
-    """``[wedge^k b for k = 0..n]`` for a square ``Fraction`` matrix b: entry
-    (s, t) of block k is the minor of b on the rows s and the columns t, for
-    k-subsets s and t in lexicographic order.
-
-    The minors are those of the integer matrix D b, D the lcm of the entry
-    denominators, divided by D^k.  Each k x k minor is expanded along its
-    first row, from the (k - 1) x (k - 1) minors on the rows below it.
-    """
-    n = len(b)
-    den, m = scaled_matrix(b)
-    below = {(): {(): 1}}  # rows -> columns -> minor of D b, one size down
-    blocks = [((Fraction(1),),)]
-    for k in range(1, n + 1):
-        subsets = list(itertools.combinations(range(n), k))
-        minors = {}
-        for s in subsets:
-            first, rest = m[s[0]], below[s[1:]]
-            row = minors[s] = {}
-            for t in subsets:
-                total, sign = 0, 1
-                for i, c in enumerate(t):
-                    if first[c]:
-                        total += sign * first[c] * rest[t[:i] + t[i + 1:]]
-                    sign = -sign
-                row[t] = total
-        scale = den**k
-        blocks.append(tuple(
-            tuple(Fraction(v, scale) for v in minors[s].values())
-            for s in subsets
-        ))
-        below = minors
-    return blocks
 
 
 def abelian_variety(

@@ -244,25 +244,22 @@ class GradedAlgebra:
 
     @functools.cached_property
     def generators(self) -> tuple[BasisIndex, ...]:
-        """A set S of positive-degree basis vectors whose right-nested words
-        s_1 (s_2 (... (s_k 1))) span the algebra, chosen greedily degree by
-        degree: a basis vector joins S when it lies outside the span of the
-        words in the S chosen so far.  That span is the closure of {1} under
-        left multiplication by S, one ``Echelon`` per degree; a generator of
-        degree d adds itself (s 1) to degree d, and s (w) for each spanning
-        word w of a lower degree."""
+        """A set S of positive-degree basis vectors that generates the
+        algebra, chosen greedily degree by degree: e_(d,q) joins S when it
+        lies outside the span of the products s e_y, for s in the S chosen
+        so far and basis vectors e_y of degree d - deg s (one ``Echelon``
+        per degree).  The lower pieces are whole by then, so S and these
+        products span degree d."""
         table = self.scaled_table
         chosen: list[BasisIndex] = []
-        spans = [[((0, 1),)]]  # degree 0: the unit's direction
         for d in range(1, self.top_degree + 1):
             echelon = Echelon(self.dims[d])
-            for i, p in chosen:
-                for w in spans[d - i]:
-                    echelon.insert_scaled(table.multiply(i, ((p, 1),), d - i, w), {})
+            for s in chosen:
+                for y in range(self.dims[d - s[0]]):
+                    echelon.insert_scaled(dict(table.product(s, (d - s[0], y))), {})
             for q in range(self.dims[d]):
                 if echelon.insert_scaled({q: 1}, {}):
                     chosen.append((d, q))
-            spans.append([tuple(vec.items()) for _, vec in echelon.scaled_basis()])
         return tuple(chosen)
 
     def _check_element(self, a: Element):
@@ -362,9 +359,11 @@ def _read_table(top_degree, dims, sign_rule, structure_constants, unit):
             raise ShapeMismatch(f"bad structure constant key {key!r}") from None
         if not isinstance(value, Mapping):
             raise ShapeMismatch(f"product vector for {key!r} is not a mapping")
-        if not (0 <= i <= top_degree and 0 <= j <= top_degree):
+        if not (type(i) is int and type(j) is int
+                and 0 <= i <= top_degree and 0 <= j <= top_degree):
             raise ShapeMismatch(f"structure constant degree out of range: {key!r}")
-        if not (0 <= p < dims[i] and 0 <= q < dims[j]):
+        if not (type(p) is int and type(q) is int
+                and 0 <= p < dims[i] and 0 <= q < dims[j]):
             raise ShapeMismatch(f"structure constant index out of range: {key!r}")
         if i + j > top_degree:
             raise ShapeMismatch(
@@ -372,7 +371,7 @@ def _read_table(top_degree, dims, sign_rule, structure_constants, unit):
                 " (truncated products must be omitted)"
             )
         for k in value:
-            if not (0 <= k < dims[i + j]):
+            if not (type(k) is int and 0 <= k < dims[i + j]):
                 raise ShapeMismatch(
                     f"product coordinate {k} out of range for degree {i + j}"
                 )
@@ -511,9 +510,10 @@ def _validate(algebra: GradedAlgebra):
     (Clifford and Preston, *The Algebraic Theory of Semigroups* I, 1.2): the
     a with (x a) y = x (a y) for all x, y form a subspace that holds 1 and
     is closed under products, so it is the whole algebra once it holds
-    ``algebra.generators``.  Only (x s) y = x (s y) for basis vectors x <= y
-    and s in S is checked (the sign rule gives the other order), and a
-    violation names such a triple (x, s, y).
+    S = ``algebra.generators``, the basis vectors outside the span of the
+    products s e_y, which generate the algebra.  Only (x s) y = x (s y) for
+    basis vectors x <= y and s in S is checked (the sign rule gives the
+    other order), and a violation names such a triple (x, s, y).
     """
     table = algebra.scaled_table
     den = table.denominator

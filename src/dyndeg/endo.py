@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
+from fractions import Fraction
+from typing import Mapping, Sequence
 
-from .core import Element, GradedAlgebra
+from .core import BasisIndex, Element, GradedAlgebra
 from .errors import MultiplicativityViolation, ShapeMismatch, UnitViolation
 from .linalg import Matrix, as_matrix, identity
 
@@ -80,9 +81,9 @@ def validate_pullback(
 
     That is enough for every pair: the x with f*(x y) = f*(x) f*(y) for all
     y form a subspace that holds 1 and, the algebra being associative, is
-    closed under left multiplication by each such s, so it holds every
-    right-nested word in the generators, which span the algebra.
-    Violations name the offending pair (s, y) as ``(degree, index)`` tuples.
+    closed under left multiplication by each such s, so it is the whole
+    algebra, which S generates.  f*(s y) is ``apply_scaled`` on the table's
+    row for (s, y).  Violations name the pair (s, y) as ``(degree, index)``.
     """
     if len(matrices) != algebra.top_degree + 1:
         raise ShapeMismatch(
@@ -120,14 +121,46 @@ def validate_pullback(
             j, q = y
             if i + j > top:
                 continue
-            lhs: dict[int, int] = {}
-            for k, v in table.product(s, y):
-                for row, x in columns[i + j][k]:
-                    lhs[row] = lhs.get(row, 0) + den * v * x
+            lhs = candidate.apply_scaled(i + j, table.product(s, y))
             rhs = table.multiply(i, columns[i][p], j, columns[j][q])
-            if {k: v for k, v in lhs.items() if v} != rhs:
+            if {k: den * v for k, v in lhs.items()} != rhs:
                 raise MultiplicativityViolation((s, y))
     return candidate
+
+
+def tensor_pullback(
+    algebra: GradedAlgebra,
+    images: Mapping[tuple[int, BasisIndex], Element],
+    realizability: str = "unverified",
+    provenance: str | None = None,
+) -> PullbackMap:
+    """The ring map sending each factor letter ``(i, (d, p))`` of
+    ``algebra.words`` to the degree-d element ``images[i, (d, p)]``,
+    checked by :func:`validate_pullback`.
+
+    In :func:`core.tensor_product`'s factor order a basis word w is its
+    first non-unit letter x times the rest r of the word (w with x made a
+    unit): e_x e_r = e_w / u, u the unit coordinate, with sign +1.  So
+    f*(e_w) = u f*(e_x) f*(e_r), one ``ScaledTable.multiply`` of integer
+    vectors over a running denominator, f*(e_r) being known as the words
+    are visited degree by degree.  On an algebra that is no tensor product
+    every word is one letter, and r the unit.
+    """
+    table, u = algebra.scaled_table, algebra.unit_coords[0]
+    one = algebra.words[0][0]
+    pulled = {one: ({0: 1}, 1)}  # f*(e_w) as ({index: numerator}, denominator)
+    blocks = [[[Fraction(1)]]]
+    for d, words in enumerate(algebra.words[1:], 1):
+        for w in words:
+            m, c = next((i, c) for i, (c, _) in enumerate(w) if c)
+            image, (vec, den) = images[m, w[m]], pulled[one[:m + 1] + w[m + 1:]]
+            product = table.multiply(c, image.pieces[c], d - c, vec.items())
+            pulled[w] = ({k: u.numerator * v for k, v in product.items()},
+                         image.denominator * den * table.denominator * u.denominator)
+        columns = [pulled[w] for w in words]
+        blocks.append([[Fraction(vec.get(p, 0), den) for vec, den in columns]
+                       for p in range(len(words))])
+    return validate_pullback(algebra, blocks, realizability, provenance)
 
 
 def identity_map(algebra: GradedAlgebra) -> PullbackMap:

@@ -110,6 +110,7 @@ def product_map(
 
     The factors are read off the algebra's words, so the model must be a
     product of projective spaces, P^n included (else ``ShapeMismatch``).
+    It is ``endo.tensor_pullback`` on the letters x_i^e -> d_i^e x_perm(i)^e.
     Realizable whenever the permutation only swaps factors of equal dimension,
     which is enforced (the i-th output coordinate block is a degree-d_i map of
     the perm(i)-th input factor).
@@ -132,16 +133,13 @@ def product_map(
             "permutation must match factor dimensions (n_i = n_perm(i))"
         )
 
-    # x^e -> prod_i d_i^(e_i) x^image, image[perm[i]] = e_i: perm keeps dims
     index = _monomials(algebra)
-    inverse = sorted(range(k), key=perm.__getitem__)
-    blocks = [[[Fraction(0)] * n for _ in range(n)] for n in algebra.dims]
-    for exps, (deg, q) in index.items():
-        p = index[tuple(exps[i] for i in inverse)][1]
-        blocks[deg][p][q] = math.prod(Fraction(d) ** e for d, e in zip(degrees, exps))
+    images = {(i, (2 * e, 0)): algebra.element({
+        index[tuple(e if j == perm[i] else 0 for j in range(k))]: d**e})
+        for i, d in enumerate(degrees) for e in range(1, ns[i] + 1)}
     label = ",".join(f"{d}->{p}" for d, p in zip(degrees, perm))
-    return endo.validate_pullback(
-        algebra, blocks, realizability="asserted",
+    return endo.tensor_pullback(
+        algebra, images, realizability="asserted",
         provenance=f"product:{label}",
     )
 

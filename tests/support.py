@@ -510,7 +510,7 @@ def fraction_det(a):
 def det_wedge_blocks(matrix):
     """The blocks wedge^k (matrix^T), k = 0..n, of ``exterior_pullback``,
     with every entry a separate :func:`fraction_det` of a minor: the
-    reference for the Laplace expansion that builds them there."""
+    reference for the letter products that build them there."""
     b = transpose(as_matrix(matrix))
     blocks = []
     for k in range(len(b) + 1):

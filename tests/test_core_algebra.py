@@ -301,6 +301,18 @@ class TestReadTable:
         del written[(2, 0), (0, 0)]
         assert read(written, Fraction(7)).denominator == 7
 
+    @pytest.mark.parametrize("constants, message", [
+        ({((2, 0), (2, 0)): {0.5: 1}}, "product coordinate"),
+        ({((1, 0), (1, 0)): {False: 1}}, "product coordinate"),
+        ({((2, 0.5), (0, 0)): {0: 1}}, "index out of range"),
+        ({((2, False), (2, 0)): {0: 1}}, "index out of range"),
+        ({((2.0, 0), (2, 0)): {0: 1}}, "degree out of range"),
+    ])
+    def test_a_key_that_is_no_int_is_a_shape_mismatch(self, constants, message):
+        # a float or a bool is no basis index, even when it equals one
+        with pytest.raises(ShapeMismatch, match=message):
+            build_algebra(4, [1, 1, 1, 0, 1], COMMUTATIVE, constants, (1,))
+
 
 class TestMul:
     def test_p3_square(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyndeg.degrees import delta_table
-from dyndeg.endo import validate_pullback
+from dyndeg.endo import tensor_pullback, validate_pullback
 from dyndeg.errors import (
     AmpleClassDegenerate,
     AmpleNotPositive,
@@ -33,9 +33,9 @@ from dyndeg.linalg import as_matrix, transpose
 from dyndeg.spectral import char_poly
 
 from support import (builder_battery, det_wedge_blocks, fraction_det,
-                     gram_matrix, mat_mul, monomials_by_degree,
-                     oracle_exterior_algebra, oracle_multiprojective_algebra,
-                     pair_by_product, trace)
+                     gram_matrix, mat_mul, monomial_substitution,
+                     monomials_by_degree, oracle_exterior_algebra,
+                     oracle_multiprojective_algebra, pair_by_product, trace)
 
 
 class TestProjectiveSpace:
@@ -150,17 +150,59 @@ class TestTensorBuilders:
         # wedge^k of diag(p_0, ..., p_(2g-1)), distinct primes, is diagonal
         # with the product of the primes of each k-subset: its position in
         # the block is the position of that subset's word
-        from dyndeg.abelian import _compound_blocks
-
         primes = [2, 3, 5, 7, 11, 13, 17, 19][:2 * g]
-        blocks = _compound_blocks(
-            [[Fraction(p if i == j else 0) for j, p in enumerate(primes)]
-             for i in range(2 * g)])
+        blocks = exterior_pullback(exterior_algebra(g), [
+            [Fraction(p if i == j else 0) for j, p in enumerate(primes)]
+            for i in range(2 * g)]).blocks
         for k, words in enumerate(exterior_algebra(g).words):
             assert [blocks[k][s][s] for s in range(len(words))] == [
                 math.prod(p for p, (d, _) in zip(primes, w) if d) for w in words]
             assert [tuple(i for i, (d, _) in enumerate(w) if d)
                     for w in words] == list(itertools.combinations(range(2 * g), k))
+
+
+class TestTensorPullback:
+    """``endo.tensor_pullback`` builds a map of a tensor product from its
+    letters' images; ``support.monomial_substitution`` writes the same maps
+    of (P^n)^k out monomial by monomial."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_letter_powers_give_the_monomial_substitution(self, data):
+        ns = data.draw(st.sampled_from([[1, 1], [2, 1], [1, 1, 1], [2, 2]]))
+        k = len(ns)
+        # x_i -> c x_t is a ring map when n_t <= n_i, so x_t^(n_i + 1) = 0
+        targets = [data.draw(st.sampled_from(
+            [t for t in range(k) if ns[t] <= n])) for n in ns]
+        scalars = data.draw(st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            min_size=k, max_size=k))
+        model = multiprojective(ns)
+        algebra = model.algebra
+        h = [algebra.basis_element(2, algebra.words[2].index(
+            tuple((2, 0) if j == t else (0, 0) for j in range(k))))
+            for t in range(k)]
+        images = {(i, (2 * e, 0)): algebra.power(c * h[t], e)
+                  for i, (n, t, c) in enumerate(zip(ns, targets, scalars))
+                  for e in range(1, n + 1)}
+        assert tensor_pullback(algebra, images).blocks == monomial_substitution(
+            model, targets, scalars).blocks
+
+    def test_a_letter_image_that_breaks_a_relation_is_rejected(self):
+        # x_0 -> x_0 + x_1 on (P^1)^2 builds, but (x_0 + x_1)^2 = 2 x_0 x_1
+        # while x_0^2 = 0
+        algebra = multiprojective([1, 1]).algebra
+        x0, x1 = algebra.basis_element(2, 0), algebra.basis_element(2, 1)
+        with pytest.raises(MultiplicativityViolation):
+            tensor_pullback(algebra, {(0, (2, 0)): x0 + x1, (1, (2, 0)): x1})
+
+    def test_exterior_pullback_takes_only_an_exterior_algebra(self):
+        # P^2, and the exterior algebra on two classes written out by hand:
+        # neither is ``exterior_algebra(g)``
+        with pytest.raises(ShapeMismatch, match="exterior_algebra"):
+            exterior_pullback(projective_space(2).algebra, [])
+        with pytest.raises(ShapeMismatch, match="exterior_algebra"):
+            exterior_pullback(oracle_exterior_algebra(1), [[1, 0], [0, 1]])
 
 
 class TestAbelianVariety:
@@ -217,10 +259,10 @@ class TestAbelianVariety:
     @pytest.mark.parametrize("g", [1, 2, 3])
     @pytest.mark.parametrize("rational", [False, True])
     def test_wedge_blocks_match_the_det_route(self, g, rational):
-        # the Laplace expansion in int against one Fraction det per entry,
+        # the letter products in int against one Fraction det per entry,
         # on random matrices that are mostly not A (x) I_2; their zero
-        # entries, and a zero row in the last trial, take the expansion's
-        # skip of zero terms
+        # entries, and a zero row in the last trial, give sparse and zero
+        # letter images
         import random
 
         rng = random.Random(f"wedge:{g}:{rational}")
