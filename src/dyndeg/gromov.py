@@ -32,7 +32,7 @@ from .core import Element, GradedAlgebra
 from .endo import PullbackMap
 from .errors import ShapeMismatch
 from .linalg import Echelon, Matrix
-from .spectral import exterior_char_polys, spectral_radius
+from .spectral import exterior_radii, spectral_radius
 
 if TYPE_CHECKING:
     from .models import EmbeddedModel
@@ -303,30 +303,21 @@ def spectral_chain(
     lam_gr, lam_err = lambda_gr(closure, tol)
 
     # on an exterior algebra, f* (a ring map) is wedge^j of its degree-1
-    # block in degree j, so every polynomial comes from that block
-    polys = exterior_char_polys(f.blocks[1]) if algebra.exterior else None
-    mu = []
-    mu_err = 0.0
-    for j in range(algebra.top_degree + 1):
-        if algebra.dims[j] == 0:
-            mu.append(0.0)
-            continue
-        r, e = spectral_radius(f.blocks[j], tol, polys[j] if polys else None)
-        mu.append(r)
-        mu_err = max(mu_err, e)
-
-    r_dim = algebra.top_degree // 2
-    lam = [mu[2 * i] for i in range(r_dim + 1)]
-
+    # block in degree j, so every radius comes from that block's roots
+    radii = (exterior_radii(f.blocks[1], tol) if algebra.exterior else
+             [spectral_radius(block, tol) if dim else (0.0, 0.0)
+              for dim, block in zip(algebra.dims, f.blocks)])
+    mu = tuple(r for r, _ in radii)
+    lam = mu[::2]  # the algebraic pieces, of even degree
     realizability = (model.realizability if f.realizability == "asserted"
                      else f.realizability)
 
     return ChainReport(
         lambda_gr=lam_gr,
         lambda_gr_error=lam_err,
-        lambda_by_codim=tuple(lam),
-        mu_by_degree=tuple(mu),
-        mu_error=mu_err,
+        lambda_by_codim=lam,
+        mu_by_degree=mu,
+        mu_error=max(e for _, e in radii),
         max_lambda=max(lam),
         max_mu=max(mu),
         equality_asserted=(realizability == "asserted"

@@ -1,15 +1,12 @@
-"""Spectral radius, exactly: the characteristic polynomial and a certified
-bracket of its largest root modulus.
+"""Spectral radius, exactly: the characteristic polynomial by Berkowitz
+elimination in ``int``, and certified brackets of its root moduli.
 
-The characteristic polynomial comes from the Berkowitz division-free
-elimination scheme, in ``int`` on the matrix times its common denominator;
-those of the exterior powers of one matrix come together from the power
-sums of its eigenvalues (:func:`exterior_char_polys`).
-The maximum root modulus is certified in integers, on the square-free part
-that the primitive remainder sequence gives in ``int``: Aberth's iteration
-proposes the roots in complex floats, polishes them as Gaussian integers
-over 2^B, and Newton inclusion disks of radius n|p(z)/p'(z)|, evaluated
-exactly and rounded up, certify them once they are pairwise disjoint.
+Roots are certified in integers, on square-free polynomials from the
+primitive remainder sequence: Aberth's iteration proposes them in floats,
+they are polished as Gaussian integers over 2^B, and pairwise disjoint
+Newton disks of radius n|p(z)/p'(z)|, evaluated exactly, certify them.
+:func:`spectral_radius` reads the largest modulus; :func:`exterior_radii`
+the radius of each exterior power of a matrix, from that matrix's roots.
 
 The floating estimators (norm doubling, trace growth) and the limsup
 utilities live in :mod:`dyndeg.estimators`, which never consults this
@@ -26,16 +23,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ShapeMismatch, SpectralNonconvergence
-from .linalg import as_matrix, mat_mul, scaled_matrix
+from .linalg import as_matrix, scaled_matrix
 
-# root certification: first fixed-point precision and float iteration cap
+# root certification: first fixed-point precision and float iteration cap,
+# and the error for a radius that no float holds
 _START_BITS = 128
 _FLOAT_SWEEPS = 100
+_PAST_RANGE = "spectral radius past the float range"
 
-
-# ---------------------------------------------------------------------------
-# characteristic polynomial (exact)
-# ---------------------------------------------------------------------------
 
 def char_poly(matrix: Sequence[Sequence]) -> list[Fraction]:
     """Coefficients of det(xI - M), descending, by Berkowitz elimination.
@@ -73,44 +68,6 @@ def _berkowitz(a: list[list[int]]) -> list[int]:
         ]
     return coeffs
 
-
-def exterior_char_polys(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
-    """``[char_poly(wedge^k M) for k = 0..n]`` for an n x n matrix M, from M
-    alone.
-
-    With A = D*M integer, the power sums of the eigenvalues of wedge^k A
-    are tr((wedge^k A)^m) = e_k(A^m), (-1)^k times coefficient k of
-    det(xI - A^m): one n x n polynomial per m, shared by every k, for m up
-    to C(n, k).  Newton's identities m c_m = -(p_m + c_1 p_(m-1) + ... +
-    c_(m-1) p_1) give the coefficients c_m of det(xI - wedge^k A), each
-    division exact in ``int``; coefficient i of det(xI - wedge^k M) is c_i
-    over D^(k i).
-    """
-    den, a = scaled_matrix(as_matrix(matrix))
-    n = len(a)
-    # polys[m - 1] = det(xI - A^m), for m up to the largest C(n, k)
-    polys, power = [], a
-    for m in range(1, math.comb(n, n // 2) + 1):
-        if m > 1:
-            power = mat_mul(power, a)
-        polys.append(_berkowitz(power))
-    out = []
-    for k in range(n + 1):
-        sign = -1 if k % 2 else 1
-        sums = [sign * q[k] for q in polys[:math.comb(n, k)]]
-        coeffs = [1]
-        for m in range(1, len(sums) + 1):
-            total = sums[m - 1] + sum(
-                map(operator.mul, coeffs[1:], reversed(sums[:m - 1])))
-            coeffs.append(-total // m)
-        scale = den**k
-        out.append([Fraction(c, scale**i) for i, c in enumerate(coeffs)])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# polynomial helpers, in ``int``
-# ---------------------------------------------------------------------------
 
 def _poly_derivative(coeffs):
     n = len(coeffs) - 1
@@ -153,80 +110,124 @@ def _squarefree_part(coeffs) -> list[int]:
     return p if len(b) == 1 else _primitive(_pseudo_divmod(p, b)[0])
 
 
-# ---------------------------------------------------------------------------
-# certified max root modulus
-# ---------------------------------------------------------------------------
+def _multiplicities(coeffs) -> tuple[int, list[tuple[list[int], int]]]:
+    """``(z, factors)``: z the multiplicity of the root 0 of ``coeffs``, and
+    ``(q, m)`` for each multiplicity m of its other roots, q their product of
+    x - a as :func:`_squarefree_part` gives.  The square-free parts s_1, s_2,
+    ... of p, p / s_1, p / (s_1 s_2), ... hold the roots of multiplicity at
+    least 1, 2, ...; q = s_m / s_(m+1), exact and by Gauss's lemma primitive."""
+    zeros = next(i for i, c in enumerate(reversed(coeffs)) if c)
+    p, levels = scaled_matrix([coeffs])[1][0], []
+    while len(s := _squarefree_part(p)) > 1:
+        levels.append(s)
+        p = _pseudo_divmod(p, s)[0]
+    quotients = [_primitive(_pseudo_divmod(s, t)[0])
+                 for s, t in zip(levels, levels[1:] + [[1]])]
+    return zeros, [(q, m) for m, q in enumerate(quotients, 1) if len(q) > 1]
 
-def spectral_radius(matrix: Sequence[Sequence], tol: float = 1e-9,
-                    poly: Sequence[Fraction] | None = None):
+
+def spectral_radius(matrix: Sequence[Sequence], tol: float = 1e-9):
     """Certified max modulus of eigenvalues: returns ``(rho, error_bound)``.
 
-    ``poly``, when given, is ``char_poly(matrix)`` computed another way (as
-    :func:`exterior_char_polys` does); it is used in its place.
-
-    Works on the square-free part p of degree n, primitive in Z[x].
-    Aberth's iteration proposes the n roots in complex floats; they
-    are polished as Gaussian integers over 2^B (B = 128 first, plus the bits
-    below the smallest root) and each gets the Newton inclusion disk of
-    radius n|p(z)/p'(z)|, evaluated exactly and rounded up.  Once the disks
-    are pairwise disjoint each holds one eigenvalue, so the spectral radius
-    is the largest |z| within the largest radius.  rho is that |z| correctly
-    rounded and capped at the Cauchy bound; the error bound is the radius
-    plus 1e-15 max(1, rho) for the rounding.  Overlapping disks double B, for
-    six rounds.
-
-    Raises :class:`SpectralNonconvergence` (carrying the best bracket) if the
-    disks cannot be shrunk below ``tol`` within the six rounds.
-    """
+    Each root of the square-free part of det(xI - M) gets a disk of
+    :func:`_root_disks`: rho is the largest |z| correctly rounded and capped
+    at the Cauchy bound, the error bound the largest radius plus 1e-15
+    max(1, rho).  Raises :class:`SpectralNonconvergence` (with the best
+    bracket) if no round shrinks the disks below ``tol``, and at once if rho
+    is past the float range."""
     if not tol > 0:
         raise ShapeMismatch("tol must be positive")
-    if poly is None:
-        poly = char_poly(matrix)
-    return _max_root_modulus(tuple(poly), tol)
+    return _max_root_modulus(tuple(char_poly(matrix)), tol)
 
 
 @functools.lru_cache(maxsize=64)
 def _max_root_modulus(coeffs: tuple[Fraction, ...], tol: float):
-    """Certified ``(rho, error_bound)`` for the polynomial ``coeffs``.
-
-    Pure in its arguments, so each distinct polynomial is certified once per
-    process: a closure block and a graded block with the same characteristic
-    polynomial share the result.
-    """
+    """Certified ``(rho, error_bound)`` for the polynomial ``coeffs``; pure,
+    so a closure block and a graded block with the same characteristic
+    polynomial share one certificate per process."""
     poly = _squarefree_part(coeffs)
     if len(poly) == 1:
         return 0.0, 0.0
     if len(poly) == 2:
         root = abs(Fraction(poly[1], poly[0]))
-        rho = _float(root)
-        if rho == math.inf:
-            raise SpectralNonconvergence(rho, rho)
+        rho = _sqrt_float(root.numerator**2, root.denominator**2)
         return rho, 0.0 if rho == root else rho * 2.0**-52
     # Cauchy: every root has modulus at most 1 + max |a_i / a_0|
     cauchy = _float(1 + Fraction(max(map(abs, poly[1:])), poly[0]))
+    # rho is at least the geometric mean |a_n / a_0|^(1/n) of the moduli
+    if abs(poly[-1]) >> 1024 * (len(poly) - 1) >= poly[0]:
+        raise SpectralNonconvergence(message=_PAST_RANGE)
 
-    start, scale = _aberth_proposal(poly)
-    # denominator exponent: B bits below the smallest proposed root
-    low = min(math.frexp(abs(z))[1] for z in start) + scale
-    bits = _START_BITS
-    e = bits + max(0, -low)
-    roots = [(_fixed(z.real, e + scale), _fixed(z.imag, e + scale)) for z in start]
-    best = (0.0, cauchy)
+    def read(certs):
+        ((e, disks),) = certs
+        rho = min(_sqrt_float(max(s for s, _ in disks), 1 << 2 * e), cauchy)
+        yield rho, (_float(Fraction(max(r for _, r in disks), 1 << e))
+                    + 1e-15 * max(1.0, rho))
+    return _certified([poly], read, tol)[0]
+
+
+def exterior_radii(matrix: Sequence[Sequence], tol: float = 1e-9):
+    """Certified ``(mu_k, error_bound)`` for k = 0..n, mu_k the spectral
+    radius of the k-th exterior power of the n x n ``matrix``.
+
+    The eigenvalues of wedge^k M are the products of k eigenvalues of M
+    (Marcus, *Finite Dimensional Multilinear Algebra* I), so mu_k is the
+    product of the k largest root moduli of det(xI - M), with multiplicity:
+    the correctly rounded root of the exact product of the k largest |z|^2,
+    bracketed, also where moduli tie, by the products of the k largest
+    |z| -/+ radius; the error bound is the bracket's width plus 1e-15
+    max(1, mu_k).  Raises as :func:`spectral_radius` does."""
+    if not tol > 0:
+        raise ShapeMismatch("tol must be positive")
+    coeffs = char_poly(matrix)
+    if abs(coeffs[-1]) >= 2**1024:  # mu_n = |det M|, found with no disks
+        raise SpectralNonconvergence(message=_PAST_RANGE)
+    zeros, factors = _multiplicities(coeffs)
+
+    def read(certs):
+        moduli = [(0, 0, 0)] * zeros  # |z|^2, |z| - radius, |z| + radius
+        for (e, disks), (_, m) in zip(certs, factors):
+            moduli += [(Fraction(s, 1 << 2 * e),
+                        Fraction(max(0, (t := math.isqrt(s)) - r), 1 << e),
+                        Fraction(t + 1 + r, 1 << e)) for s, r in disks] * m
+        columns = [sorted(c, reverse=True) for c in zip(*moduli)] or [[]] * 3
+        for k in range(len(moduli) + 1):
+            c, lo, hi = (math.prod(col[:k], start=Fraction(1)) for col in columns)
+            rho = _sqrt_float(c.numerator, c.denominator)
+            yield rho, _float(hi - lo) + 1e-15 * max(1.0, rho)
+    return _certified([q for q, _ in factors], read, tol)
+
+
+def _certified(polys: list[list[int]], read, tol: float):
+    """``read(certs)``'s ``(rho, err)`` pairs once every err meets ``tol``,
+    certs the ``(e, disks)`` of the square-free ``polys`` from one round of
+    :func:`_root_disks`, each round adding precision to all of them."""
+    rounds, certs = [_root_disks(q) for q in polys], [None] * len(polys)
+    best = (0.0, math.inf)
     for _ in range(6):
-        # Aberth closes in on a cluster the grid cannot yet resolve about
-        # 2 bits a sweep, so a round of ``bits`` new bits gets bits/2 sweeps
-        roots = _polish(poly, roots, e, bits // 2)
-        disks = _certify(poly, roots, e)
-        if disks is not None:
-            rho_f = min(disks[0], cauchy)
-            err_f = disks[1] + 1e-15 * max(1.0, rho_f)
-            best = (rho_f, err_f)
-            if rho_f < math.inf and err_f <= tol * max(1.0, rho_f):
-                return rho_f, err_f
-        roots = [(zr << bits, zi << bits) for zr, zi in _separate(roots)]
-        e += bits
-        bits *= 2
-    raise SpectralNonconvergence(best[0], best[1])
+        for i, disks in enumerate(rounds):
+            e, got = next(disks)
+            if got is not None:
+                certs[i] = e, got
+        if None not in certs:
+            radii = list(read(certs))
+            best = max(radii, key=lambda r: r[1] / max(1.0, r[0]))
+            if best[1] <= tol * max(1.0, best[0]):
+                return radii
+    raise SpectralNonconvergence(*best)
+
+
+def _sqrt_float(num: int, den: int) -> float:
+    """The modulus sqrt(num / den), correctly rounded, raising past the float
+    range: from an isqrt s of at least 60 bits, an inexact root lies strictly
+    between s and s + 1 units of 2^-k, so rounds as s + 1/2 does."""
+    k = max(0, 61 - (num.bit_length() - den.bit_length()) // 2)
+    q, rem = divmod(num << 2 * k, den)
+    s = math.isqrt(q)
+    rho = _float(Fraction(2 * s + (rem != 0 or s * s != q), 1 << k + 1))
+    if rho == math.inf:
+        raise SpectralNonconvergence(message=_PAST_RANGE)
+    return rho
 
 
 def _float(x) -> float:
@@ -299,15 +300,12 @@ def _gauss_horner(coeffs: list[int], zr: int, zi: int, e: int) -> tuple[int, int
 
 def _separate(roots):
     """``roots`` with each one that equals an earlier one moved by a few
-    units of their grid.
-
-    Two approximations on one grid point sit in a cluster of roots that the
-    grid does not resolve.  ``_polish`` skips the Aberth term of the pair,
-    and on an exact root p(z) = 0 stops both, so without the move they would
-    never part.  The move is made before the shift to the finer grid: a few
-    units of the finer grid would leave the pair inside the cluster, where
-    1 - N S cancels to rounding noise.
-    """
+    units of their grid: two approximations on one grid point sit in a
+    cluster the grid does not resolve, where ``_polish`` skips their Aberth
+    term and an exact root p(z) = 0 stops both, so unmoved they would never
+    part.  The move comes before the shift to the finer grid, where a few
+    units would leave the pair inside the cluster and 1 - N S would cancel to
+    rounding noise."""
     seen = set()
     out = []
     for z in roots:
@@ -358,15 +356,33 @@ def _polish(poly: list[int], roots, e: int, sweeps: int):
     return roots
 
 
+def _root_disks(poly: list[int]):
+    """``(e, disks)`` for six rounds, each adding twice the bits of the last:
+    the :func:`_certify` disks of the square-free ``poly``'s roots over 2^e."""
+    start, scale = _aberth_proposal(poly)
+    # denominator exponent: B bits below the smallest proposed root
+    low = min(math.frexp(abs(z))[1] for z in start) + scale
+    bits = _START_BITS
+    e = bits + max(0, -low)
+    roots = [(_fixed(z.real, e + scale), _fixed(z.imag, e + scale)) for z in start]
+    for _ in range(6):
+        # Aberth closes in on a cluster the grid cannot yet resolve about
+        # 2 bits a sweep, so a round of ``bits`` new bits gets bits/2 sweeps
+        roots = _polish(poly, roots, e, bits // 2)
+        yield e, _certify(poly, roots, e)
+        roots = [(zr << bits, zi << bits) for zr, zi in _separate(roots)]
+        e += bits
+        bits *= 2
+
+
 def _certify(poly: list[int], roots, e: int):
-    """``(rho, err)`` from Newton inclusion disks, or None without a certificate.
+    """Newton inclusion disks, as ``(|z|^2, radius)`` in units of 2^-2e and
+    2^-e for each of ``roots``, or None without a certificate.
 
     The disk |w - z| <= n |p(z)/p'(z)| holds a root of p, because
     p'/p = sum 1/(z - zeta_k).  Radii are rounded up in units of 2^-e with
     ``math.isqrt``; if the n disks are pairwise disjoint (compared exactly on
-    squared distances) each holds exactly one of the n roots, so the largest
-    root modulus is the largest |z| within the largest radius.  ``rho`` is
-    that |z| correctly rounded; ``err`` is the radius.
+    squared distances) each holds exactly one of the n roots.
     """
     n = len(poly) - 1
     deriv = _poly_derivative(poly)
@@ -386,11 +402,4 @@ def _certify(poly: list[int], roots, e: int):
             xr, xi = zr - roots[j][0], zi - roots[j][1]
             if xr * xr + xi * xi <= (radii[i] + radii[j]) ** 2:
                 return None
-    top = max(zr * zr + zi * zi for zr, zi in roots)
-    # sqrt(top) from an isqrt of at least 60 bits: when inexact it lies
-    # strictly between s and s + 1, and so rounds to a float as s + 1/2 does
-    k = max(0, 60 - top.bit_length() // 2)
-    s = math.isqrt(top << 2 * k)
-    half = 2 * s + (s * s != top << 2 * k)
-    return (_float(Fraction(half, 1 << k + 1 + e)),
-            _float(Fraction(max(radii), 1 << e)))
+    return [(zr * zr + zi * zi, r) for (zr, zi), r in zip(roots, radii)]

@@ -24,6 +24,7 @@ from dyndeg.endo import PullbackMap, validate_pullback
 from dyndeg.linalg import (Matrix, as_fraction, as_matrix, identity, scaled_matrix,
                            transpose)
 from dyndeg.errors import ShapeMismatch, SpectralNonconvergence
+from dyndeg.spectral import _berkowitz, _max_root_modulus
 from dyndeg.models import (
     EmbeddedModel,
     elliptic_square,
@@ -523,6 +524,47 @@ def det_wedge_blocks(matrix):
     return tuple(blocks)
 
 
+def exterior_char_polys(matrix) -> list[list[Fraction]]:
+    """``[char_poly(wedge^k M) for k = 0..n]`` for an n x n matrix M, from M
+    alone: the route ``exterior_radii`` replaced, kept as its oracle.
+
+    With A = D*M integer, the power sums of the eigenvalues of wedge^k A
+    are tr((wedge^k A)^m) = e_k(A^m), (-1)^k times coefficient k of
+    det(xI - A^m): one n x n polynomial per m, shared by every k, for m up
+    to C(n, k).  Newton's identities m c_m = -(p_m + c_1 p_(m-1) + ... +
+    c_(m-1) p_1) give the coefficients c_m of det(xI - wedge^k A), each
+    division exact in ``int``; coefficient i of det(xI - wedge^k M) is c_i
+    over D^(k i).
+    """
+    den, a = scaled_matrix(as_matrix(matrix))
+    n = len(a)
+    # polys[m - 1] = det(xI - A^m), for m up to the largest C(n, k)
+    polys, power = [], a
+    for m in range(1, math.comb(n, n // 2) + 1):
+        if m > 1:
+            power = mat_mul(power, a)
+        polys.append(_berkowitz(power))
+    out = []
+    for k in range(n + 1):
+        sign = -1 if k % 2 else 1
+        sums = [sign * q[k] for q in polys[:math.comb(n, k)]]
+        coeffs = [1]
+        for m in range(1, len(sums) + 1):
+            total = sums[m - 1] + sum(
+                c * p for c, p in zip(coeffs[1:], reversed(sums[:m - 1])))
+            coeffs.append(-total // m)
+        scale = den**k
+        out.append([Fraction(c, scale**i) for i, c in enumerate(coeffs)])
+    return out
+
+
+def oracle_exterior_radii(matrix, tol=1e-9):
+    """``(rho, error_bound)`` of each exterior power of ``matrix``: the
+    integer certifier on each polynomial of :func:`exterior_char_polys`."""
+    return [_max_root_modulus.__wrapped__(tuple(p), tol)
+            for p in exterior_char_polys(matrix)]
+
+
 def gram_matrix(algebra: GradedAlgebra, degree: int):
     """Pairing matrix of the degree-``degree`` basis against the
     complementary one."""
@@ -736,6 +778,42 @@ def fraction_squarefree_part(coeffs) -> list[int]:
     q = _monic_squarefree_part(coeffs)
     den = math.lcm(*(c.denominator for c in q))
     return [c.numerator * (den // c.denominator) for c in q]
+
+
+def _poly_sub(a, b):
+    """a - b, aligned on the constant term, without leading zeros."""
+    n = max(len(a), len(b))
+    a, b = [0] * (n - len(a)) + list(a), [0] * (n - len(b)) + list(b)
+    out = [x - y for x, y in zip(a, b)]
+    while out and out[0] == 0:
+        out.pop(0)
+    return out
+
+
+def fraction_multiplicities(coeffs):
+    """``(zeros, [(q, m), ...])`` by Yun's square-free decomposition in
+    ``Fraction``: the multiplicity of the root 0, and for each multiplicity
+    m of the other roots the monic product q of their x - a.  The reference
+    for ``spectral._multiplicities``."""
+    coeffs = [Fraction(c) for c in coeffs]
+    p = _poly_strip_zero_roots(coeffs)
+    zeros = len(coeffs) - len(p)
+    p = [c / p[0] for c in p]
+    if len(p) == 1:
+        return zeros, []
+    dp = _poly_derivative(p)
+    a = _poly_gcd(p, dp)
+    b, c = _poly_divmod(p, a)[0], _poly_divmod(dp, a)[0]
+    d = _poly_sub(c, _poly_derivative(b))
+    out, m = [], 1
+    while len(b) > 1:
+        a = _poly_gcd(b, d)
+        if len(a) > 1:
+            out.append((a, m))
+        b, c = _poly_divmod(b, a)[0], _poly_divmod(d, a)[0]
+        d = _poly_sub(c, _poly_derivative(b))
+        m += 1
+    return zeros, out
 
 
 def mpmath_max_root_modulus(coeffs, tol):

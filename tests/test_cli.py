@@ -832,6 +832,33 @@ class TestExitCodes:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "SpectralNonconvergence"
 
+    def test_a_radius_past_the_float_range_exits_three_at_once(
+        self, tmp_path, capsys
+    ):
+        # roots near 1e200 are floats, their products are not: six
+        # precision rounds ran before a bracket "stalled at inf"
+        import time
+
+        big = "1e200"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "model": {"kind": "abelian", "g": 2},
+            "map": {"kind": "exterior", "matrix": [
+                [big, 1, 0, 0], [1, big, 0, 0],
+                [0, 0, "3e200", 1],
+                [0, 0, 1, "2e200"]]},
+            "analyses": ["chain"],
+        }))
+        start = time.perf_counter()
+        assert main(["report", "--config", str(path)]) == 3
+        assert time.perf_counter() - start < 0.2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "SpectralNonconvergence",
+            "message": "spectral radius past the float range",
+        }
+
     @pytest.mark.parametrize("model, map_spec", [
         ({"kind": "projective", "n": 1}, {"kind": "power", "d": 10**400}),
         ({"kind": "multiprojective", "n": [1, 1]},
@@ -1017,9 +1044,57 @@ class TestScaleLadder:
 
     @pytest.mark.slow
     def test_abelian_g5_report_bytes_are_pinned(self, tmp_path, capsys):
-        # about 15 s on a 2-core VM; run with ``pytest -m slow``
+        # about 9 s on a 2-core VM; run with ``pytest -m slow``
         assert self._report_sha256(ABELIAN_G5_A, tmp_path, capsys) == (
             ABELIAN_G5_SHA256)
+
+    @staticmethod
+    def _generic(g):
+        """A seeded random 2g x 2g integer matrix, entries in [-3, 3], that
+        is not of the form A (x) I_2, and the best of three times of the
+        mu route on it."""
+        import random
+        import time
+
+        from dyndeg.spectral import exterior_radii
+
+        rng = random.Random(f"scale-ladder:generic:{g}")
+        n = 2 * g
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        assert any(m[i][j] for i in range(n) for j in range(n)
+                   if i % 2 != j % 2)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            radii = exterior_radii(m)
+            times.append(time.perf_counter() - start)
+        return m, radii, min(times)
+
+    def test_a_generic_g4_map_gets_every_mu_at_once(self):
+        from dyndeg.abelian import exterior_algebra, exterior_pullback
+        from dyndeg.spectral import spectral_radius
+
+        m, radii, seconds = self._generic(4)
+        assert seconds < 0.1
+        # against the certifier on the blocks of the validated map
+        f = exterior_pullback(exterior_algebra(4), m)
+        for k in (1, 2, 7, 8):
+            rho, err = radii[k]
+            want, werr = spectral_radius(f.blocks[k])
+            assert abs(rho - want) <= err + werr, k
+            assert format(rho, ".12g") == format(want, ".12g"), k
+
+    def test_a_generic_g5_map_gets_every_mu_at_once(self):
+        # the exterior-power polynomials of such a map took over 20 minutes
+        from dyndeg.spectral import spectral_radius
+
+        m, radii, seconds = self._generic(5)
+        assert seconds < 0.1
+        assert len(radii) == 11 and radii[0] == (1.0, 1e-15)
+        rho, err = radii[1]
+        want, werr = spectral_radius(m)
+        assert abs(rho - want) <= err + werr
+        assert all(err <= 1e-9 * max(1.0, rho) for rho, err in radii)
 
 
 class TestComputeWorkloadBytes:

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,10 @@ from dyndeg.estimators import (
 from dyndeg.gromov import gromov_closure
 from dyndeg.linalg import as_matrix
 from dyndeg.spectral import char_poly, spectral_radius
-from support import (builder_battery, fraction_squarefree_part, mat_mul,
-                     mpmath_max_root_modulus, perfbench_workload, trace)
+from support import (builder_battery, exterior_char_polys,
+                     fraction_multiplicities, fraction_squarefree_part, mat_mul,
+                     mpmath_max_root_modulus, oracle_exterior_radii,
+                     perfbench_workload, trace)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -55,12 +58,13 @@ class TestCharPoly:
 
 
 class TestExteriorCharPolys:
-    """``exterior_char_polys`` (power sums and Newton's identities) against
-    Berkowitz on every block of the validated pullback."""
+    """The oracle ``support.exterior_char_polys`` (power sums and Newton's
+    identities) against Berkowitz on every block of the validated
+    pullback."""
 
     @staticmethod
     def _agree(pull):
-        polys = spectral.exterior_char_polys(pull.blocks[1])
+        polys = exterior_char_polys(pull.blocks[1])
         assert len(polys) == len(pull.blocks)
         for k, block in enumerate(pull.blocks):
             assert polys[k] == char_poly(block), k
@@ -122,7 +126,124 @@ class TestExteriorCharPolys:
         model, pull = abelian_variety(g, m)
         fast = spectral_chain(model, gromov_closure(pull, model.h))
         monkeypatch.setattr(model.algebra, "exterior", False)
-        assert spectral_chain(model, gromov_closure(pull, model.h)) == fast
+        slow = spectral_chain(model, gromov_closure(pull, model.h))
+        # the radii bit for bit; each route bounds its own error
+        assert fast._replace(mu_error=None) == slow._replace(mu_error=None)
+        assert 0 < fast.mu_error <= 1e-9 * fast.max_mu
+
+
+def _conjugated(draw, m):
+    """``m`` conjugated by two drawn elementary integer matrices I + t E_ij."""
+    n = len(m)
+    for _ in range(2):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        t = draw(st.integers(-2, 2))
+        if i == j or not t:
+            continue
+        p = [[int(r == c) + (t if (r, c) == (i, j) else 0) for c in range(n)]
+             for r in range(n)]
+        q = [[int(r == c) - (t if (r, c) == (i, j) else 0) for c in range(n)]
+             for r in range(n)]
+        m = mat_mul(mat_mul(p, m), q)
+    return [list(row) for row in m]
+
+
+@st.composite
+def _exterior_matrices(draw):
+    """2g x 2g matrices, g <= 3, with integer or rational entries: generic,
+    A (x) I_2 (every eigenvalue repeated), singular, rotation blocks
+    [[a, -b], [b, a]] (conjugate pairs, moduli that tie) and blocks
+    [[0, c], [1, 0]] (eigenvalue pairs +-sqrt(c)), each conjugated by
+    elementary integer matrices."""
+    g = draw(st.integers(1, 3))
+    n = 2 * g
+    den = draw(st.sampled_from((1, 1, 2, 3)))
+    entry = st.integers(-3, 3).map(lambda x: Fraction(x, den))
+    kind = draw(st.sampled_from(
+        ("generic", "kron", "singular", "rotation", "plusminus")))
+    if kind in ("generic", "singular"):
+        m = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        if kind == "singular":
+            m[-1] = list(m[0])
+    elif kind == "kron":
+        a = [[draw(entry) for _ in range(g)] for _ in range(g)]
+        m = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0 for j in range(n)]
+             for i in range(n)]
+    else:
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for b in range(0, n, 2):
+            x, y = draw(entry), draw(entry)
+            m[b][b], m[b][b + 1], m[b + 1][b], m[b + 1][b + 1] = (
+                (x, -y, y, x) if kind == "rotation" else (0, x, 1, 0))
+    return _conjugated(draw, m)
+
+
+class TestExteriorRadii:
+    """``exterior_radii`` (products of the certified moduli of the degree-1
+    block's roots) against the oracle: the certifier on every polynomial of
+    ``support.exterior_char_polys``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_exterior_matrices())
+    def test_it_matches_the_exterior_polynomials(self, m):
+        got = spectral.exterior_radii(m)
+        want = oracle_exterior_radii(m)
+        assert len(got) == len(want) == len(m) + 1
+        for k, ((rho, err), (wrho, werr)) in enumerate(zip(got, want)):
+            assert err <= 1e-9 * max(1.0, rho), k
+            assert abs(rho - wrho) <= err + werr, k
+            assert abs(rho - wrho) <= err, k  # the bracket holds the oracle's
+            assert format(rho, ".12g") == format(wrho, ".12g"), k
+
+    def test_exact_moduli(self):
+        # eigenvalues 2, 2, -3, 0: mu_k = 3, 6, 12, 0 after mu_0 = 1
+        m = [[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, -3, 0], [0, 0, 5, 0]]
+        radii = spectral.exterior_radii(m)
+        assert [rho for rho, _ in radii] == [1.0, 3.0, 6.0, 12.0, 0.0]
+        assert radii[-1] == (0.0, 1e-15)
+
+    def test_conjugate_pairs_tie(self):
+        # eigenvalues 1 +- 2i and 2 +- i: four moduli sqrt(5)
+        m = [[1, -2, 0, 0], [2, 1, 0, 0], [0, 0, 2, -1], [0, 0, 1, 2]]
+        for k, (rho, err) in enumerate(spectral.exterior_radii(m)):
+            assert abs(rho - 5 ** (k / 2)) <= err, k
+
+    def test_the_bracket_widens_with_the_disks(self, monkeypatch):
+        # centres 1, 2 and 3.001 for the roots 1, 2 and 3: the last disk has
+        # a radius near 3e-3, and each mu_k's bracket must still hold mu_k
+        e, one = 128, 1 << 128
+        centres = [(one, 0), (2 * one, 0), (3 * one + one // 1000, 0)]
+        disks = spectral._certify([1, -6, 11, -6], centres, e)
+        monkeypatch.setattr(spectral, "_root_disks",
+                            lambda poly: iter([(e, disks)] * 6))
+        radii = spectral.exterior_radii([[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+                                        tol=1e-2)
+        for (rho, err), true in zip(radii, [1, 3, 6, 6]):
+            assert abs(rho - true) <= err
+        assert radii[1][0] == pytest.approx(3.001)
+        assert 2e-3 <= radii[1][1] < 1e-2
+
+    def test_the_empty_matrix(self):
+        assert spectral.exterior_radii([]) == [(1.0, 1e-15)]
+
+    def test_a_nan_tol_is_rejected(self):
+        with pytest.raises(ShapeMismatch, match="tol must be positive"):
+            spectral.exterior_radii([[1, 1], [1, 0]], tol=float("nan"))
+
+    def test_a_product_past_the_float_range_fails_at_once(self):
+        # roots about 1e200, 2e200 and 3e200 are floats; mu_2 is not
+        big = Fraction(10**200)
+        m = [[big, 1, 0, 0], [1, big, 0, 0],
+             [0, 0, 3 * big, 1], [0, 0, 1, 2 * big]]
+        start = time.perf_counter()
+        with pytest.raises(SpectralNonconvergence, match="past the float range"):
+            spectral.exterior_radii(m)
+        assert time.perf_counter() - start < 0.1
+        # |det| fits, mu_2 = 1e400 does not: found from the certified roots
+        m = [[big, 0, 0, 0], [0, big, 0, 0],
+             [0, 0, 1 / big, 0], [0, 0, 0, 1 / big]]
+        with pytest.raises(SpectralNonconvergence, match="past the float range"):
+            spectral.exterior_radii(m)
 
 
 class TestSpectralRadius:
@@ -484,6 +605,65 @@ class TestIntegerSquarefreePart:
         assert spectral._squarefree_part(coeffs) == want
 
 
+_CYCLOTOMIC = ([1, -1], [1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1],
+               [1, 1, 1, 1, 1], [1, 0, 0, 0, 1])
+
+
+@st.composite
+def _multiplicity_polys(draw):
+    """content * x^zeros * prod f_i^(m_i) with random factors of degree 1
+    and 2 and cyclotomic ones, multiplicities up to 4."""
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            f = draw(st.sampled_from(_CYCLOTOMIC))
+        else:
+            f = [draw(_COEFF.filter(bool))] + draw(
+                st.lists(_COEFF, min_size=1, max_size=2))
+        factors += [[Fraction(c) for c in f]] * draw(st.integers(1, 4))
+    content = draw(_COEFF.filter(bool))
+    return tuple(_product([[content]] + factors)
+                 + [Fraction(0)] * draw(st.integers(0, 3)))
+
+
+def _monic(q):
+    return [Fraction(c, q[0]) for c in q]
+
+
+class TestMultiplicities:
+    """``spectral._multiplicities`` (repeated square-free parts in ``int``)
+    against Yun's decomposition in ``Fraction`` with the ``support``
+    oracles' gcd (``support.fraction_multiplicities``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_multiplicity_polys())
+    def test_it_matches_yuns_decomposition(self, p):
+        zeros, factors = spectral._multiplicities(p)
+        want_zeros, want = fraction_multiplicities(p)
+        assert zeros == want_zeros
+        assert [(_monic(q), m) for q, m in factors] == want
+        for q, _ in factors:
+            assert q[0] > 0 and math.gcd(*q) == 1
+        # the factors give p back exactly, and their product is the
+        # square-free part
+        back = _product([[p[0]]] + [_monic(q) for q, m in factors
+                                    for _ in range(m)])
+        assert back + [Fraction(0)] * zeros == list(p)
+        if factors:
+            assert _monic(_product([q for q, _ in factors])) == _monic(
+                fraction_squarefree_part(p))
+
+    def test_a_kronecker_square(self):
+        # det(xI - A (x) I_2) = det(xI - A)^2
+        a = [[2, 1, 0], [1, 1, 1], [0, 1, 3]]
+        m = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0 for j in range(6)]
+             for i in range(6)]
+        zeros, factors = spectral._multiplicities(char_poly(m))
+        assert zeros == 0
+        assert factors == [([1, -6, 9, -1], 2)]
+        assert char_poly(a) == [1, -6, 9, -1]
+
+
 class TestIntegerRootCertificate:
     """The integer certifier against mpmath's, kept in ``support`` as its
     oracle: the same ``(rho, err)`` floats, bit for bit."""
@@ -574,6 +754,28 @@ class TestIntegerRootCertificate:
         with pytest.raises(SpectralNonconvergence):
             _uncached((Fraction(1), Fraction(-(2**1100))))
 
+    def test_a_radius_past_the_float_range_fails_at_once(self, monkeypatch):
+        calls = []
+        certify = spectral._certify
+
+        def counted(*args):
+            calls.append(certify(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(spectral, "_certify", counted)
+        # roots 2^1100 and 3: no round follows the first certificate
+        a, b = Fraction(2**1100), Fraction(3)
+        with pytest.raises(SpectralNonconvergence, match="past the float range"):
+            _uncached((Fraction(1), -(a + b), a * b))
+        assert calls[-1] is not None
+        assert all(c is None for c in calls[:-1])
+        # |z|^2 = 2^2100 for both roots: their geometric mean is past the
+        # float range, so no disk is needed
+        calls.clear()
+        with pytest.raises(SpectralNonconvergence, match="past the float range"):
+            _uncached((Fraction(1), Fraction(1), Fraction(2**2100)))
+        assert calls == []
+
     def test_roots_closer_than_the_first_grids_are_certified(self):
         # Aberth closes in on an unresolved pair about 2 bits a sweep; the
         # pair 2^-700 apart is resolved once the grid is 1,024 bits fine
@@ -600,7 +802,10 @@ class TestIntegerRootCertificate:
         e, one = 128, 1 << 128
         poly = [1, -6, 11, -6]
         centres = [(one, 0), (2 * one, 0), (3 * one + one // 1000, 0)]
-        rho, err = spectral._certify(poly, centres, e)
+        disks = spectral._certify(poly, centres, e)
+        assert [s for s, _ in disks] == [x * x for x, _ in centres]
+        rho = math.sqrt(disks[2][0]) / 2**e
+        err = disks[2][1] / 2**e
         assert rho == pytest.approx(3.001)
         assert 1e-3 <= err < 1e-2
         assert abs(rho - 3) <= err
