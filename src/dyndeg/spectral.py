@@ -25,8 +25,7 @@ from typing import Sequence
 from .errors import ShapeMismatch, SpectralNonconvergence
 from .linalg import as_matrix, scaled_matrix
 
-# root certification: first fixed-point precision and float iteration cap,
-# and the error for a radius that no float holds
+# root certification: first fixed-point precision and float iteration cap
 _START_BITS = 128
 _FLOAT_SWEEPS = 100
 _PAST_RANGE = "spectral radius past the float range"
@@ -142,9 +141,12 @@ def spectral_radius(matrix: Sequence[Sequence], tol: float = 1e-9):
 
 @functools.lru_cache(maxsize=64)
 def _max_root_modulus(coeffs: tuple[Fraction, ...], tol: float):
-    """Certified ``(rho, error_bound)`` for the polynomial ``coeffs``; pure,
-    so a closure block and a graded block with the same characteristic
-    polynomial share one certificate per process."""
+    """Certified ``(rho, error_bound)`` for the polynomial ``coeffs``.
+
+    Pure in its arguments, so each distinct polynomial is certified once per
+    process: a closure block and a graded block with the same characteristic
+    polynomial share the result.
+    """
     poly = _squarefree_part(coeffs)
     if len(poly) == 1:
         return 0.0, 0.0
@@ -163,7 +165,7 @@ def _max_root_modulus(coeffs: tuple[Fraction, ...], tol: float):
         rho = min(_sqrt_float(max(s for s, _ in disks), 1 << 2 * e), cauchy)
         yield rho, (_float(Fraction(max(r for _, r in disks), 1 << e))
                     + 1e-15 * max(1.0, rho))
-    return _certified([poly], read, tol)[0]
+    return _certified([poly], read, tol, (0.0, cauchy))[0]
 
 
 def exterior_radii(matrix: Sequence[Sequence], tol: float = 1e-9):
@@ -195,21 +197,22 @@ def exterior_radii(matrix: Sequence[Sequence], tol: float = 1e-9):
             c, lo, hi = (math.prod(col[:k], start=Fraction(1)) for col in columns)
             rho = _sqrt_float(c.numerator, c.denominator)
             yield rho, _float(hi - lo) + 1e-15 * max(1.0, rho)
-    return _certified([q for q, _ in factors], read, tol)
+    # every mu_k is at most c^n, c = 1 + max |a_i| >= 1 the Cauchy bound
+    cauchy = 1 + max(map(abs, coeffs[1:]), default=0)
+    return _certified([q for q, _ in factors], read, tol,
+                      (0.0, _float(cauchy ** (len(coeffs) - 1))))
 
 
-def _certified(polys: list[list[int]], read, tol: float):
+def _certified(polys: list[list[int]], read, tol: float, best):
     """``read(certs)``'s ``(rho, err)`` pairs once every err meets ``tol``,
     certs the ``(e, disks)`` of the square-free ``polys`` from one round of
-    :func:`_root_disks`, each round adding precision to all of them."""
-    rounds, certs = [_root_disks(q) for q in polys], [None] * len(polys)
-    best = (0.0, math.inf)
+    :func:`_root_disks`, each round adding precision to all of them; the
+    error carries the worst pair of the last round that certified them all,
+    else ``best``, a bracket found without disks."""
+    rounds = [_root_disks(q) for q in polys]
     for _ in range(6):
-        for i, disks in enumerate(rounds):
-            e, got = next(disks)
-            if got is not None:
-                certs[i] = e, got
-        if None not in certs:
+        certs = [next(disks) for disks in rounds]
+        if all(disks is not None for _, disks in certs):
             radii = list(read(certs))
             best = max(radii, key=lambda r: r[1] / max(1.0, r[0]))
             if best[1] <= tol * max(1.0, best[0]):
@@ -300,12 +303,15 @@ def _gauss_horner(coeffs: list[int], zr: int, zi: int, e: int) -> tuple[int, int
 
 def _separate(roots):
     """``roots`` with each one that equals an earlier one moved by a few
-    units of their grid: two approximations on one grid point sit in a
-    cluster the grid does not resolve, where ``_polish`` skips their Aberth
-    term and an exact root p(z) = 0 stops both, so unmoved they would never
-    part.  The move comes before the shift to the finer grid, where a few
-    units would leave the pair inside the cluster and 1 - N S would cancel to
-    rounding noise."""
+    units of their grid.
+
+    Two approximations on one grid point sit in a cluster of roots that the
+    grid does not resolve.  ``_polish`` skips the Aberth term of the pair,
+    and on an exact root p(z) = 0 stops both, so without the move they would
+    never part.  The move is made before the shift to the finer grid: a few
+    units of the finer grid would leave the pair inside the cluster, where
+    1 - N S cancels to rounding noise.
+    """
     seen = set()
     out = []
     for z in roots:

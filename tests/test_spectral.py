@@ -127,9 +127,10 @@ class TestExteriorCharPolys:
         fast = spectral_chain(model, gromov_closure(pull, model.h))
         monkeypatch.setattr(model.algebra, "exterior", False)
         slow = spectral_chain(model, gromov_closure(pull, model.h))
-        # the radii bit for bit; each route bounds its own error
-        assert fast._replace(mu_error=None) == slow._replace(mu_error=None)
-        assert 0 < fast.mu_error <= 1e-9 * fast.max_mu
+        assert slow == fast
+        assert ((slow.chain_holds, slow.equality_holds)
+                == (fast.chain_holds, fast.equality_holds))
+        assert 0 < fast.mu_error <= max(slow.mu_error, 1e-9 * fast.max_mu)
 
 
 def _conjugated(draw, m):
@@ -745,6 +746,24 @@ class TestIntegerRootCertificate:
         assert scale and all(abs(z) == pytest.approx(1) for z in start)
         rho, err = _uncached(tuple(Fraction(c) for c in coeffs))
         assert abs(rho - true_rho) <= err
+
+    def test_a_stall_reports_the_best_bracket(self, monkeypatch):
+        # x^2 - 3x + 1: a tol below the rounding term is never met, and the
+        # error carries the last certified bracket
+        coeffs = (Fraction(1), Fraction(-3), Fraction(1))
+        with pytest.raises(SpectralNonconvergence) as got:
+            _uncached(coeffs, tol=1e-17)
+        assert (got.value.estimate, got.value.error_bound) == _uncached(coeffs)
+        # with no certificate it carries the Cauchy bound 1 + 3, and the
+        # exterior radii of [[2, 1], [1, 1]] that bound squared
+        monkeypatch.setattr(spectral, "_certify", lambda *args: None)
+        with pytest.raises(SpectralNonconvergence) as got:
+            _uncached(coeffs)
+        assert (got.value.estimate, got.value.error_bound) == (0.0, 4.0)
+        assert "stalled at 0.0 ± 4.0" in str(got.value)
+        with pytest.raises(SpectralNonconvergence) as got:
+            spectral.exterior_radii([[2, 1], [1, 1]])
+        assert (got.value.estimate, got.value.error_bound) == (0.0, 16.0)
 
     def test_a_root_past_the_float_range_is_not_certified(self):
         # |z|^2 = 2^2100 for both roots: rho would read inf
