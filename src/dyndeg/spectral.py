@@ -141,12 +141,9 @@ def spectral_radius(matrix: Sequence[Sequence], tol: float = 1e-9):
 
 @functools.lru_cache(maxsize=64)
 def _max_root_modulus(coeffs: tuple[Fraction, ...], tol: float):
-    """Certified ``(rho, error_bound)`` for the polynomial ``coeffs``.
-
-    Pure in its arguments, so each distinct polynomial is certified once per
-    process: a closure block and a graded block with the same characteristic
-    polynomial share the result.
-    """
+    """Certified ``(rho, error_bound)`` for the polynomial ``coeffs``; pure,
+    so a closure block and a graded block with the same characteristic
+    polynomial share one certificate per process."""
     poly = _squarefree_part(coeffs)
     if len(poly) == 1:
         return 0.0, 0.0
@@ -178,7 +175,8 @@ def exterior_radii(matrix: Sequence[Sequence], tol: float = 1e-9):
     the correctly rounded root of the exact product of the k largest |z|^2,
     bracketed, also where moduli tie, by the products of the k largest
     |z| -/+ radius; the error bound is the bracket's width plus 1e-15
-    max(1, mu_k).  Raises as :func:`spectral_radius` does."""
+    max(1, mu_k).  Raises as :func:`spectral_radius` does, with the bracket
+    (0, c^n), c >= 1 the Cauchy bound, if no round certifies every root."""
     if not tol > 0:
         raise ShapeMismatch("tol must be positive")
     coeffs = char_poly(matrix)
@@ -197,18 +195,14 @@ def exterior_radii(matrix: Sequence[Sequence], tol: float = 1e-9):
             c, lo, hi = (math.prod(col[:k], start=Fraction(1)) for col in columns)
             rho = _sqrt_float(c.numerator, c.denominator)
             yield rho, _float(hi - lo) + 1e-15 * max(1.0, rho)
-    # every mu_k is at most c^n, c = 1 + max |a_i| >= 1 the Cauchy bound
-    cauchy = 1 + max(map(abs, coeffs[1:]), default=0)
-    return _certified([q for q, _ in factors], read, tol,
-                      (0.0, _float(cauchy ** (len(coeffs) - 1))))
+    return _certified([q for q, _ in factors], read, tol, (0.0, _float(
+        (1 + max(map(abs, coeffs[1:]), default=0)) ** (len(coeffs) - 1))))
 
 
 def _certified(polys: list[list[int]], read, tol: float, best):
-    """``read(certs)``'s ``(rho, err)`` pairs once every err meets ``tol``,
-    certs the ``(e, disks)`` of the square-free ``polys`` from one round of
-    :func:`_root_disks`, each round adding precision to all of them; the
-    error carries the worst pair of the last round that certified them all,
-    else ``best``, a bracket found without disks."""
+    """``read(certs)`` once all its ``(rho, err)`` meet ``tol``, certs the
+    ``(e, disks)`` of ``polys`` from one :func:`_root_disks` round that
+    certifies them all; else raises with the worst pair read, or ``best``."""
     rounds = [_root_disks(q) for q in polys]
     for _ in range(6):
         certs = [next(disks) for disks in rounds]
