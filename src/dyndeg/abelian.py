@@ -16,8 +16,8 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-# ``core.build_algebra`` and ``endo.validate_pullback`` are looked up when
-# called, so a wrapper bound there (a tracer's) is the one that runs
+# ``core.build_algebra`` is looked up when called, so a wrapper bound there
+# (a tracer's) is the one that runs
 from . import SUPER_COMMUTATIVE, core, endo
 from .errors import (AmpleClassDegenerate, DegreeNotPositive, SchemaError,
                      ShapeMismatch)
@@ -30,7 +30,8 @@ def exterior_algebra(g: int) -> core.GradedAlgebra:
     """Exterior algebra on 2g degree-1 generators with top-form integration,
     the tensor product of 2g exterior algebras on one generator.
 
-    Cached: instances are immutable, so one validated copy per g is shared.
+    Cached: instances are immutable, so one copy per g is shared.  It is
+    valid by construction (``core.tensor_product``), so not validated again.
     """
     if g < 1:
         raise ShapeMismatch("genus must be >= 1")
@@ -50,8 +51,8 @@ def exterior_pullback(
     ``ShapeMismatch``) with degree-1 block B = matrix^T and degree-k block
     wedge^k B: ``endo.tensor_pullback`` with e_i sent to row i.
 
-    Multiplicative by functoriality of exterior powers, but still run through
-    the validator (validation soundness is an invariant worth paying for).
+    Multiplicative by functoriality of exterior powers; ``tensor_pullback``
+    checks it on the letters only: (row i)^2 = 0 as e_i^2 = 0.
     """
     if not algebra.exterior:
         raise ShapeMismatch("exterior_pullback needs exterior_algebra(g)")

@@ -21,7 +21,8 @@ and pullbacks do no ``Fraction`` arithmetic.  ``GradedAlgebra.element``, and
 ``one``, ``basis_element`` and ``homogeneous`` through it, builds that form
 sparse from the given entries; ``Element.coords`` is the ``Fraction`` view.
 The pullback blocks, Berkowitz's characteristic polynomial and ``Echelon``
-run in ``int`` as well.  :func:`tensor_product` orders every product basis.
+run in ``int`` as well.  :func:`tensor_product` is the second constructor of
+valid instances, valid by construction; it orders every product basis.
 Instances are immutable after construction and all operations are pure.  The
 tests replay the Gromov certificates with a Fraction basis-pair product,
 which checks that kernel independently.
@@ -176,8 +177,8 @@ class ScaledTable(namedtuple("ScaledTable", "denominator rows")):
 class GradedAlgebra:
     """Graded algebra with explicit structure constants.
 
-    Use :func:`build_algebra` to construct a validated instance; the raw
-    constructor trusts its inputs.
+    :func:`build_algebra` and :func:`tensor_product` (of valid instances)
+    construct valid instances; the raw constructor trusts its inputs.
     """
 
     # True on ``abelian.exterior_algebra(g)``, generated by its degree-1
@@ -194,10 +195,11 @@ class GradedAlgebra:
         self.integrate_coords = tuple(integrate_coords)
         self.dimension = sum(self.dims)
         self._integrate_scaled = scaled_matrix([self.integrate_coords])
-        # ``words[d][p]``: the factors' basis vectors whose tensor is e_(d,p),
-        # one factor unless :func:`tensor_product` built the algebra
+        # ``words[d][p]``: the ``factors``' basis vectors whose tensor is
+        # e_(d,p); one factor, the algebra, unless tensor_product built it
         self.words = tuple(tuple(((d, p),) for p in range(n))
                            for d, n in enumerate(self.dims))
+        self.factors = (self,)
 
     # -- element constructors -------------------------------------------------
 
@@ -453,9 +455,10 @@ def build_algebra(
 
 
 def tensor_product(*factors: GradedAlgebra) -> GradedAlgebra:
-    """The graded tensor product of validated algebras, validated again by
-    :func:`build_algebra`.  Its basis vectors are the words (x_1, ..., x_k)
-    of the factors' basis vectors (``words``), in each degree by the key
+    """The graded tensor product of valid algebras, recorded as ``factors``:
+    their coproduct as graded-commutative algebras, valid by construction and
+    not validated again.  Its basis vectors are the words (x_1, ..., x_k) of
+    the factors' basis vectors (``words``), in each degree by the key
     (-deg x_1, x_1, ..., -deg x_k, x_k): descending exponents on (P^n)^k,
     lexicographic subsets on an exterior algebra.  The products are built
     factor by factor from the nonzero ones, (X (x) x)(Y (x) y) =
@@ -464,7 +467,7 @@ def tensor_product(*factors: GradedAlgebra) -> GradedAlgebra:
     sign_rule = SUPER_COMMUTATIVE if any(
         a.sign_rule == SUPER_COMMUTATIVE for a in factors) else COMMUTATIVE
     # (X, Y, deg Y, {W: coefficient over den}) for each nonzero product XY of
-    # the words so far with X <= Y; build_algebra fills in YX by the sign rule
+    # the words so far with X <= Y; _read_table fills in YX by the sign rule
     products, den, words = [((), (), 0, {(): 1})], 1, [()]
     for a in factors:
         den *= a.scaled_table.denominator
@@ -490,13 +493,13 @@ def tensor_product(*factors: GradedAlgebra) -> GradedAlgebra:
         (index[x], index[y]): {index[w][1]: Fraction(c, den) for w, c in vec.items()}
         for x, y, _, vec in products if x != by_degree[0][0]  # 1 * y is forced
     }
-    algebra = build_algebra(  # the module global, so a tracer's wrapper runs
-        top, [len(ws) for ws in by_degree], sign_rule, structure,
-        integrate=[math.prod(a.integrate_coords[p] for a, (_, p) in zip(factors, w))
-                   for w in by_degree[top]],
-        unit=[math.prod(a.unit_coords[0] for a in factors)],
-    )
-    algebra.words = tuple(map(tuple, by_degree))
+    dims = [len(ws) for ws in by_degree]
+    unit = math.prod(a.unit_coords[0] for a in factors)
+    algebra = GradedAlgebra(
+        top, dims, sign_rule, _read_table(top, dims, sign_rule, structure, unit),
+        [unit], [math.prod(a.integrate_coords[p] for a, (_, p) in zip(factors, w))
+                 for w in by_degree[top]])
+    algebra.words, algebra.factors = tuple(map(tuple, by_degree)), factors
     return algebra
 
 

@@ -82,8 +82,8 @@ def validate_pullback(
     That is enough for every pair: the x with f*(x y) = f*(x) f*(y) for all
     y form a subspace that holds 1 and, the algebra being associative, is
     closed under left multiplication by each such s, so it is the whole
-    algebra, which S generates.  f*(s y) is ``apply_scaled`` on the table's
-    row for (s, y).  Violations name the pair (s, y) as ``(degree, index)``.
+    algebra, which S generates (:func:`_check_multiplicative`).  Violations
+    name the pair (s, y) as ``(degree, index)``.
     """
     if len(matrices) != algebra.top_degree + 1:
         raise ShapeMismatch(
@@ -106,26 +106,36 @@ def validate_pullback(
     one = algebra.one()
     if candidate.apply(one) != one:
         raise UnitViolation(message="pullback does not fix the unit: f*(1) != 1")
+    _check_multiplicative(candidate, algebra, lambda b: b)
+    return candidate
 
+
+def _check_multiplicative(f: PullbackMap, source: GradedAlgebra, word):
+    """Raise ``MultiplicativityViolation((s, y))`` at the first s in
+    ``source.generators`` and basis vector y of degree >= 1 of ``source``
+    with f*(s y) != f*(s) f*(y), s and y read as the basis vectors
+    ``word(s)``, ``word(y)`` of ``f.algebra``.  The ``word(y)`` and 1 must
+    span a subalgebra that the ``word(s)`` generate: ``source`` itself, or
+    a factor's copy in a tensor product.  f*(s y) is ``apply_scaled`` on the
+    table's row for (s, y).
+    """
     # pairs with a degree-0 member are forced by f*(1) = 1 and linearity.
     # With B_k = D_f M_k integer and P the structure table scaled by D,
     # f*(e_s e_y) = f*(e_s) f*(e_y) reads D_f (B P_sy) = sum fs_p fy_q P_pq:
-    # both sides are the rational ones times D_f^2 D.
-    table = algebra.scaled_table
-    den, columns = candidate.scaled_blocks
-    top = algebra.top_degree
-    basis = [b for b in algebra.basis() if b[0] >= 1]
-    for s in algebra.generators:
+    # both sides are the rational ones times D_f^2 D.  A zero P_sy, as past
+    # the top degree, has image zero
+    table = f.algebra.scaled_table
+    den, columns = f.scaled_blocks
+    basis = [word(b) for b in source.basis() if b[0] >= 1]
+    for s in map(word, source.generators):
         i, p = s
         for y in basis:
             j, q = y
-            if i + j > top:
-                continue
-            lhs = candidate.apply_scaled(i + j, table.product(s, y))
+            sy = table.product(s, y)
+            lhs = f.apply_scaled(i + j, sy) if sy else {}
             rhs = table.multiply(i, columns[i][p], j, columns[j][q])
             if {k: den * v for k, v in lhs.items()} != rhs:
                 raise MultiplicativityViolation((s, y))
-    return candidate
 
 
 def tensor_pullback(
@@ -135,8 +145,9 @@ def tensor_pullback(
     provenance: str | None = None,
 ) -> PullbackMap:
     """The ring map sending each factor letter ``(i, (d, p))`` of
-    ``algebra.words`` to the degree-d element ``images[i, (d, p)]``,
-    checked by :func:`validate_pullback`.
+    ``algebra.words`` to the degree-d element ``images[i, (d, p)]``; a
+    letter with no image, or with one of another degree, is a
+    ``ShapeMismatch`` naming it.
 
     In :func:`core.tensor_product`'s factor order a basis word w is its
     first non-unit letter x times the rest r of the word (w with x made a
@@ -144,23 +155,34 @@ def tensor_pullback(
     f*(e_w) = u f*(e_x) f*(e_r), one ``ScaledTable.multiply`` of integer
     vectors over a running denominator, f*(e_r) being known as the words
     are visited degree by degree.  On an algebra that is no tensor product
-    every word is one letter, and r the unit.
+    every word is one letter, and r the unit.  ``algebra`` is the coproduct
+    of its valid factors, so f* is a ring map once it is one on each
+    factor's copy, spanned by its one-letter words, and
+    :func:`_check_multiplicative` runs on these copies only.
     """
     table, u = algebra.scaled_table, algebra.unit_coords[0]
     one = algebra.words[0][0]
     pulled = {one: ({0: 1}, 1)}  # f*(e_w) as ({index: numerator}, denominator)
-    blocks = [[[Fraction(1)]]]
+    blocks = [((Fraction(1),),)]
     for d, words in enumerate(algebra.words[1:], 1):
         for w in words:
             m, c = next((i, c) for i, (c, _) in enumerate(w) if c)
-            image, (vec, den) = images[m, w[m]], pulled[one[:m + 1] + w[m + 1:]]
+            image = images.get((m, w[m]))
+            if image is None or image.degrees() not in ((), (c,)):
+                raise ShapeMismatch(f"letter {(m, w[m])} needs a degree-{c} image")
+            vec, den = pulled[one[:m + 1] + w[m + 1:]]
             product = table.multiply(c, image.pieces[c], d - c, vec.items())
             pulled[w] = ({k: u.numerator * v for k, v in product.items()},
                          image.denominator * den * table.denominator * u.denominator)
-        columns = [pulled[w] for w in words]
-        blocks.append([[Fraction(vec.get(p, 0), den) for vec, den in columns]
-                       for p in range(len(words))])
-    return validate_pullback(algebra, blocks, realizability, provenance)
+        columns = [[Fraction(vec.get(p, 0), den) for p in range(len(words))]
+                   for vec, den in map(pulled.get, words)]
+        blocks.append(tuple(zip(*columns)))
+    pull = PullbackMap(algebra, tuple(blocks), realizability, provenance)
+    for i, factor in enumerate(algebra.factors):  # e_b -> its one-letter word
+        word = {b: (b[0], algebra.words[b[0]].index(one[:i] + (b,) + one[i + 1:]))
+                for b in factor.basis()}
+        _check_multiplicative(pull, factor, word.get)
+    return pull
 
 
 def identity_map(algebra: GradedAlgebra) -> PullbackMap:

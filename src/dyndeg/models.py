@@ -2,7 +2,7 @@
 
 An :class:`EmbeddedModel` is an algebra with an ample class, the ambient
 dimension and deg(X), plus the :class:`EffectiveClass` list a builder vouches
-for.  Every builder emits a fully validated one together with validated
+for.  Every builder emits a valid one together with valid
 pullbacks.  Builders are also where realizability is decided: a
 power map of projective space or an integer matrix acting on a product of
 elliptic curves comes from an actual morphism, so those maps carry

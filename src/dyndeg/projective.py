@@ -2,7 +2,7 @@
 
 P^n is the rank-one quotient model Q[x]/(x^{n+1}), and P^{n_1} x ... x
 P^{n_k} their tensor product (``core.tensor_product``), embedded by Segre,
-whose words the product map reads the factors off.  The maps are pullbacks
+whose factors and words the product map reads.  The maps are pullbacks
 of power maps and of permuted products of them, which are morphisms, so the
 builders assert them.  The CLI's adapters for the ``projective`` and
 ``multiprojective`` kinds, and the latter's cross-field check, live here too.
@@ -108,7 +108,7 @@ def product_map(
 ) -> endo.PullbackMap:
     """Pullback of a permuted product of power maps: h_i -> d_i * h_{perm(i)}.
 
-    The factors are read off the algebra's words, so the model must be a
+    The factors are read off ``algebra.factors``, so the model must be a
     product of projective spaces, P^n included (else ``ShapeMismatch``).
     It is ``endo.tensor_pullback`` on the letters x_i^e -> d_i^e x_perm(i)^e.
     Realizable whenever the permutation only swaps factors of equal dimension,
@@ -116,9 +116,8 @@ def product_map(
     the perm(i)-th input factor).
     """
     algebra = model.algebra
-    ns = tuple(d // 2 for d, _ in algebra.words[-1][0])
-    if algebra.dimension != math.prod(n + 1 for n in ns) or any(
-            d % 2 or p for words in algebra.words for w in words for d, p in w):
+    ns = tuple(a.top_degree // 2 for a in algebra.factors)
+    if any(a.dims != (1, 0) * n + (1,) for a, n in zip(algebra.factors, ns)):
         raise ShapeMismatch("product_map needs a product of projective spaces,"
                             f" not {model.provenance}")
     k = len(ns)

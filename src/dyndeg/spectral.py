@@ -251,20 +251,21 @@ def _horner(coeffs, z):
 def _aberth_proposal(poly: list[int]) -> tuple[list[complex], int]:
     """Approximations ``z * 2^scale`` of all n roots of ``poly``.
 
-    Aberth's iteration in complex floats, started on a circle whose radius is
-    about the geometric mean |a_n/a_0|^(1/n) of the root moduli; a root stops
-    moving once |p(z)| is within the rounding error of Horner's rule.  If the
-    floats overflow, the circle itself is returned, with the radius in
-    ``scale``, for the exact iteration to refine.
+    Aberth's iteration in complex floats on 2^(-sn) p(2^s x), s = ``scale``
+    near log2 of the geometric mean |a_n/a_0|^(1/n) of the root moduli, from
+    the unit circle (exact scaling: where p's floats fit, it is the run on p);
+    a root stops once |p(z)| is within the rounding error of Horner's rule.
+    On a float overflow the circle is returned, for the exact rounds to refine.
     """
     n = len(poly) - 1
     scale = round((abs(poly[-1]).bit_length() - abs(poly[0]).bit_length()) / n)
     circle = [cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
     try:
-        a = [c / poly[0] for c in poly]
+        a = [float(Fraction(c, poly[0]) / Fraction(2) ** (scale * k))
+             for k, c in enumerate(poly)]
         da = _poly_derivative(a)
         size = [abs(c) * (4 * n + 2) * 2.0**-53 for c in a]
-        z = [math.ldexp(1.0, scale) * u for u in circle]
+        z = list(circle)
         moving = set(range(n))
         for _ in range(_FLOAT_SWEEPS):
             for k in list(moving):
@@ -284,7 +285,7 @@ def _aberth_proposal(poly: list[int]) -> tuple[list[complex], int]:
         return circle, scale
     if not all(cmath.isfinite(zk) for zk in z):
         return circle, scale
-    return z, 0
+    return z, scale
 
 
 def _gauss_horner(coeffs: list[int], zr: int, zi: int, e: int) -> tuple[int, int]:

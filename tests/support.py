@@ -19,7 +19,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from dyndeg import COMMUTATIVE, SUPER_COMMUTATIVE
-from dyndeg.core import Element, GradedAlgebra, ScaledTable, _validate
+from dyndeg.core import (Element, GradedAlgebra, ScaledTable, _validate,
+                         build_algebra)
 from dyndeg.endo import PullbackMap, validate_pullback
 from dyndeg.linalg import (Matrix, as_fraction, as_matrix, identity, scaled_matrix,
                            transpose)
@@ -203,6 +204,19 @@ def monomial_substitution(model: EmbeddedModel, targets, scalars) -> PullbackMap
                 m[index[target][1]][q] = coeff
         blocks.append(m)
     return validate_pullback(model.algebra, blocks)
+
+
+def tensor_factors():
+    """Small validated factors for ``tensor_product``: P^1, P^2, the
+    exterior algebra on one class, and a super-commutative algebra with two
+    classes in degree 1, a unit of 2 and fractional constants."""
+    return (
+        projective_space(1).algebra, projective_space(2).algebra,
+        build_algebra(1, [1, 1], SUPER_COMMUTATIVE, {}, integrate=(1,)),
+        build_algebra(2, [1, 2, 1], SUPER_COMMUTATIVE,
+                      {((1, 0), (1, 1)): {0: Fraction(3, 2)}},
+                      integrate=(Fraction(2, 3),), unit=(2,)),
+    )
 
 
 def random_valid_pullbacks(rng, count):

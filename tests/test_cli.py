@@ -1021,16 +1021,19 @@ ABELIAN_G5_SHA256 = (
 
 class TestScaleLadder:
     @staticmethod
-    def _report_sha256(a, tmp_path, capsys):
+    def _times_i2(a):
+        """A (x) I_2, the action of A in End(E^g) on H^1."""
+        n = 2 * len(a)
+        return [[a[i // 2][j // 2] if i % 2 == j % 2 else 0 for j in range(n)]
+                for i in range(n)]
+
+    @classmethod
+    def _report_sha256(cls, a, tmp_path, capsys):
         """sha256 of the ``gromov`` + ``chain`` report on the abelian
         variety of dimension g = len(a), with the map A (x) I_2."""
-        n = 2 * len(a)
         cfg = {
             "model": {"kind": "abelian", "g": len(a)},
-            "map": {"kind": "exterior", "matrix": [
-                [a[i // 2][j // 2] if i % 2 == j % 2 else 0 for j in range(n)]
-                for i in range(n)
-            ]},
+            "map": {"kind": "exterior", "matrix": cls._times_i2(a)},
             "analyses": ["gromov", "chain"],
         }
         path = tmp_path / f"abelian_g{len(a)}.json"
@@ -1044,9 +1047,21 @@ class TestScaleLadder:
 
     @pytest.mark.slow
     def test_abelian_g5_report_bytes_are_pinned(self, tmp_path, capsys):
-        # about 9 s on a 2-core VM; run with ``pytest -m slow``
+        # about 5 s on a 2-core VM; run with ``pytest -m slow``
         assert self._report_sha256(ABELIAN_G5_A, tmp_path, capsys) == (
             ABELIAN_G5_SHA256)
+
+    @pytest.mark.slow
+    def test_abelian_g5_algebra_and_map_revalidate(self):
+        # the full checks that the tensor builders skip, at g = 5
+        from dyndeg.core import _validate
+        from dyndeg.endo import validate_pullback
+        from dyndeg.models import abelian_variety, exterior_algebra
+
+        _validate(exterior_algebra(5))
+        _, pull = abelian_variety(5, self._times_i2(ABELIAN_G5_A))
+        assert validate_pullback(pull.algebra, [
+            list(map(list, b)) for b in pull.blocks]).blocks == pull.blocks
 
     @staticmethod
     def _generic(g):

@@ -11,6 +11,7 @@ from dyndeg.core import (
     SUPER_COMMUTATIVE,
     Element,
     _read_table,
+    _validate,
     build_algebra,
     tensor_product,
 )
@@ -39,6 +40,7 @@ from support import (
     oracle_scaled_table,
     pair_by_product,
     poincare_determinants,
+    tensor_factors,
 )
 
 small_fractions = st.fractions(
@@ -56,19 +58,6 @@ def quotient_ring(n):
         if 0 < a + b <= n
     }
     return build_algebra(2 * n, dims, COMMUTATIVE, products, integrate=(1,))
-
-
-def tensor_factors():
-    """Small validated factors for ``tensor_product``: P^1, P^2, the
-    exterior algebra on one class, and a super-commutative algebra with two
-    classes in degree 1, a unit of 2 and fractional constants."""
-    return (
-        quotient_ring(1), quotient_ring(2),
-        build_algebra(1, [1, 1], SUPER_COMMUTATIVE, {}, integrate=(1,)),
-        build_algebra(2, [1, 2, 1], SUPER_COMMUTATIVE,
-                      {((1, 0), (1, 1)): {0: Fraction(3, 2)}},
-                      integrate=(Fraction(2, 3),), unit=(2,)),
-    )
 
 
 class TestAsFraction:
@@ -593,6 +582,7 @@ class TestTensorProduct:
         factors = data.draw(st.lists(st.sampled_from(tensor_factors()),
                                      min_size=2, max_size=3))
         alg = tensor_product(*factors)
+        _validate(alg)  # the checks that tensor_product trusts its factors for
         dims = [1]  # the convolution of the factors' dims
         for f in factors:
             dims = [sum(dims[i] * f.dims[d - i] for i in range(len(dims))

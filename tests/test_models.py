@@ -1,11 +1,15 @@
 import itertools
 import math
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyndeg import endo
+from dyndeg.core import _validate, tensor_product
 from dyndeg.degrees import delta_table
 from dyndeg.endo import tensor_pullback, validate_pullback
 from dyndeg.errors import (
@@ -35,7 +39,8 @@ from dyndeg.spectral import char_poly
 from support import (builder_battery, det_wedge_blocks, fraction_det,
                      gram_matrix, mat_mul, monomial_substitution,
                      monomials_by_degree, oracle_exterior_algebra,
-                     oracle_multiprojective_algebra, pair_by_product, trace)
+                     oracle_multiprojective_algebra, pair_by_product,
+                     tensor_factors, trace)
 
 
 class TestProjectiveSpace:
@@ -188,6 +193,47 @@ class TestTensorPullback:
         assert tensor_pullback(algebra, images).blocks == monomial_substitution(
             model, targets, scalars).blocks
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_the_letter_check_accepts_what_the_full_check_accepts(self, data):
+        # each slot's letters go to c^deg times the same letters of a slot
+        # holding the same factor, a ring map, and then one image may be
+        # bumped; the factors include one whose unit is 2.  The letter check
+        # must accept exactly when validate_pullback accepts the blocks
+        factors = data.draw(st.lists(st.sampled_from(tensor_factors()),
+                                     min_size=1, max_size=3))
+        algebra = tensor_product(*factors)
+        k = len(factors)
+
+        def letter(i, b):
+            w = tuple(b if j == i else (0, 0) for j in range(k))
+            return algebra.basis_element(b[0], algebra.words[b[0]].index(w))
+
+        images = {}
+        for i, factor in enumerate(factors):
+            t = data.draw(st.sampled_from(
+                [j for j in range(k) if factors[j] is factor]))
+            c = data.draw(st.sampled_from([-2, -1, 1, Fraction(1, 2), 3]))
+            images.update({(i, b): c ** b[0] * letter(t, b)
+                           for b in factor.basis() if b[0]})
+        if data.draw(st.booleans()):
+            i, b = data.draw(st.sampled_from(sorted(images)))
+            bump = data.draw(st.sampled_from(range(algebra.dims[b[0]])))
+            images[i, b] += algebra.basis_element(b[0], bump)
+        with mock.patch.object(endo, "_check_multiplicative", lambda *args: None):
+            blocks = tensor_pullback(algebra, images).blocks
+        try:
+            validate_pullback(algebra, blocks)
+            full = True
+        except MultiplicativityViolation:
+            full = False
+        try:
+            assert tensor_pullback(algebra, images).blocks == blocks
+            letters = True
+        except MultiplicativityViolation:
+            letters = False
+        assert letters == full
+
     def test_a_letter_image_that_breaks_a_relation_is_rejected(self):
         # x_0 -> x_0 + x_1 on (P^1)^2 builds, but (x_0 + x_1)^2 = 2 x_0 x_1
         # while x_0^2 = 0
@@ -195,6 +241,30 @@ class TestTensorPullback:
         x0, x1 = algebra.basis_element(2, 0), algebra.basis_element(2, 1)
         with pytest.raises(MultiplicativityViolation):
             tensor_pullback(algebra, {(0, (2, 0)): x0 + x1, (1, (2, 0)): x1})
+
+    @staticmethod
+    def _p1xp1():
+        algebra = multiprojective([1, 1]).algebra
+        return algebra, algebra.basis_element(2, 0), algebra.basis_element(2, 1)
+
+    def test_an_image_with_a_unit_part_is_rejected(self):
+        # x_0 -> x_0 + 1 is no degree-2 image; its unit part is not dropped
+        algebra, x0, x1 = self._p1xp1()
+        with pytest.raises(ShapeMismatch, match=r"letter \(0, \(2, 0\)\)"):
+            tensor_pullback(algebra, {(0, (2, 0)): x0 + algebra.one(),
+                                      (1, (2, 0)): x1})
+
+    def test_an_image_of_another_degree_is_rejected(self):
+        # x_0 -> x_0 x_1 lies in degree 4, not 2; it is not read as x_0 -> 0
+        algebra, x0, x1 = self._p1xp1()
+        with pytest.raises(ShapeMismatch, match=r"letter \(0, \(2, 0\)\)"):
+            tensor_pullback(algebra, {(0, (2, 0)): algebra.mul(x0, x1),
+                                      (1, (2, 0)): x1})
+
+    def test_a_letter_with_no_image_is_rejected(self):
+        algebra, x0, _ = self._p1xp1()
+        with pytest.raises(ShapeMismatch, match=r"letter \(1, \(2, 0\)\)"):
+            tensor_pullback(algebra, {(0, (2, 0)): x0})
 
     def test_exterior_pullback_takes_only_an_exterior_algebra(self):
         # P^2, and the exterior algebra on two classes written out by hand:
@@ -452,12 +522,43 @@ class TestCustomModel:
 
 
 class TestBuilderSoundness:
+    """``tensor_product`` and ``tensor_pullback`` trust their validated
+    factors and check only each factor's letters; these tests run the full
+    checks that they skip on what they build."""
+
     def test_every_builder_map_revalidates(self):
-        for name, model, pull in builder_battery():
+        maps = [(name, pull) for name, _, pull in builder_battery()]
+        rng = random.Random(32)
+        for g in (1, 2, 3):
+            for trial in range(3):
+                m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in range(2 * g)] for _ in range(2 * g)]
+                maps.append((f"exterior g={g} #{trial}",
+                             exterior_pullback(exterior_algebra(g), m)))
+        for name, pull in maps:
             revalidated = validate_pullback(
-                model.algebra, [list(map(list, b)) for b in pull.blocks]
+                pull.algebra, [list(map(list, b)) for b in pull.blocks]
             )
             assert revalidated.blocks == pull.blocks, name
+
+    def test_the_tensor_builders_run_neither_full_check(self):
+        factors = [projective_space(n).algebra for n in (1, 2)]
+        model, exterior = multiprojective([1, 1]), exterior_algebra(2)
+        with mock.patch("dyndeg.core._validate", side_effect=AssertionError), \
+                mock.patch.object(endo, "validate_pullback",
+                                  side_effect=AssertionError):
+            tensor_product(*factors)
+            product_map(model, [2, 3], [1, 0])
+            exterior_pullback(exterior, [[1, 1, 0, 0], [0, 1, 0, 0],
+                                         [0, 0, 1, 0], [0, 0, 0, 1]])
+
+    def test_every_tensor_algebra_revalidates(self):
+        algebras = [model.algebra for _, model, _ in builder_battery()
+                    if len(model.algebra.factors) > 1]
+        algebras += [exterior_algebra(g) for g in (1, 2, 3, 4)]
+        assert len(algebras) > 4
+        for algebra in algebras:
+            _validate(algebra)
 
     def test_every_builder_model_has_positive_degree(self):
         for name, model, _ in builder_battery():

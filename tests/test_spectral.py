@@ -732,20 +732,36 @@ class TestIntegerRootCertificate:
         assert format(rho, ".12g") == format(want, ".12g")
         assert abs(rho - want) <= err + werr
 
-    @pytest.mark.parametrize("coeffs, true_rho", [
-        (_from_roots([10**200, 3, Fraction(1, 10**5)]), 1e200),
-        # |z|^2 = c for both roots of x^2 + x + c
-        ((1, 1, 2**1200 - 1), float(math.isqrt(2**1200 - 1))),
-    ], ids=["roots 1e200, 3, 1e-5", "1200-bit constant term"])
-    def test_float_overflow_falls_back_to_the_circle_start(
-        self, coeffs, true_rho
-    ):
+    def test_float_overflow_falls_back_to_the_circle_start(self):
+        # roots 1e200, 3 and 1e-5: scaled by 2^-216, p(z) still overflows
+        # near the largest root, so the exact rounds start from the circle
+        coeffs = _from_roots([10**200, 3, Fraction(1, 10**5)])
         den = math.lcm(*(Fraction(c).denominator for c in coeffs))
         start, scale = spectral._aberth_proposal(
             [int(Fraction(c) * den) for c in coeffs])
         assert scale and all(abs(z) == pytest.approx(1) for z in start)
         rho, err = _uncached(tuple(Fraction(c) for c in coeffs))
-        assert abs(rho - true_rho) <= err
+        assert abs(rho - 1e200) <= err
+
+    @pytest.mark.parametrize("coeffs, true_rho", [
+        ((1, -4 * 10**200, 3 * 10**400), 3e200),  # roots 1e200 and 3e200
+        # |z|^2 = c for both roots of x^2 + x + c
+        ((1, 1, 2**1200 - 1), float(math.isqrt(2**1200 - 1))),
+    ], ids=["roots 1e200, 3e200", "1200-bit constant term"])
+    def test_coefficients_past_the_float_range_certify_in_one_round(
+        self, monkeypatch, coeffs, true_rho
+    ):
+        # the floats iterate on 2^(-sn) p(2^s x), whose coefficients fit, so
+        # the proposal is already good: the first round certifies
+        start, scale = spectral._aberth_proposal(list(coeffs))
+        assert scale and max(map(abs, start)) * 2.0**scale == pytest.approx(
+            true_rho, rel=1e-12)
+        calls = []
+        certify = spectral._certify
+        monkeypatch.setattr(spectral, "_certify",
+                            lambda *args: calls.append(certify(*args)) or calls[-1])
+        rho, err = _uncached(tuple(Fraction(c) for c in coeffs))
+        assert abs(rho - true_rho) <= err and len(calls) == 1
 
     def test_a_stall_reports_the_best_bracket(self, monkeypatch):
         # x^2 - 3x + 1: a tol below the rounding term is never met, and the
