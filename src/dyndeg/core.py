@@ -20,9 +20,9 @@ numerators over one denominator too, so its sums, scalar multiples, products
 and pullbacks do no ``Fraction`` arithmetic.  ``GradedAlgebra.element``, and
 ``one``, ``basis_element`` and ``homogeneous`` through it, builds that form
 sparse from the given entries; ``Element.coords`` is the ``Fraction`` view.
-The pullback blocks, Berkowitz's characteristic polynomial and ``Echelon``
-run in ``int`` as well.  :func:`tensor_product` is the second constructor of
-valid instances, valid by construction; it orders every product basis.
+Pullbacks, Berkowitz's characteristic polynomial and ``Echelon`` run in
+``int`` as well, and so does :func:`tensor_product`, the second constructor
+of valid instances, valid by construction; it orders every product basis.
 Instances are immutable after construction and all operations are pure.  The
 tests replay the Gromov certificates with a Fraction basis-pair product,
 which checks that kernel independently.
@@ -147,7 +147,7 @@ class ScaledTable(namedtuple("ScaledTable", "denominator rows")):
     of e_(i,p) * e_(j,q), in increasing k, where D is ``denominator``; an
     absent q (or an absent block) is a zero product.  Comparing scaled
     vectors is exactly comparing the rational ones.  :func:`build_algebra`
-    writes it once, from the user's constants, the unit and the sign rule.
+    writes it once, and :func:`tensor_product` from its factors' tables.
     """
 
     __slots__ = ()
@@ -346,13 +346,10 @@ def _koszul_sign(sign_rule: str, i: int, j: int) -> int:
 
 def _read_table(top_degree, dims, sign_rule, structure_constants, unit):
     """The :class:`ScaledTable` of user structure constants
-    ``{((i, p), (j, q)): {k: scalar}}``, each scalar read once, built on one
-    flat map ``{(a, b): [(k, c), ...]}`` of nonzero coordinates: the supplied
+    ``{((i, p), (j, q)): {k: scalar}}``, each scalar read once into one flat
+    map ``{(a, b): [(k, c), ...]}`` of nonzero coordinates: the supplied
     products (a zero one stays, so the sign rule still compares it with its
-    mirror), then e_0 e_q = e_q e_0 = e_q / unit where not supplied, then the
-    sign-rule mirror of each product whose mirror is missing.  Each block
-    (i, j) the map touches gets its rows, all zero or not.
-    """
+    mirror), then e_0 e_q = e_q e_0 = e_q / unit where not supplied."""
     table: dict[tuple[BasisIndex, BasisIndex], list] = {}
     for key, value in structure_constants.items():
         try:
@@ -386,19 +383,27 @@ def _read_table(top_degree, dims, sign_rule, structure_constants, unit):
             table.setdefault(((0, 0), (j, q)), [(q, inv_u)])
             table.setdefault(((j, q), (0, 0)), [(q, inv_u)])
 
+    den = math.lcm(*{c.denominator for vec in table.values() for _, c in vec})
+    return _scaled_table(dims, sign_rule, den, {
+        ab: [(k, c.numerator * (den // c.denominator)) for k, c in vec]
+        for ab, vec in table.items()})
+
+
+def _scaled_table(dims, sign_rule, den, table) -> ScaledTable:
+    """The :class:`ScaledTable` of the flat map ``{(a, b): [(k, n), ...]}``,
+    e_a e_b = sum n e_k / den with den in lowest terms, the sign-rule mirror
+    of each product whose mirror is missing filled in; each block (i, j) the
+    map touches gets its rows, all zero or not."""
     for (a, b), vec in list(table.items()):
         if (b, a) not in table:
             table[b, a] = vec if _koszul_sign(sign_rule, a[0], b[0]) == 1 else [
-                (k, -c) for k, c in vec]
-
-    den = math.lcm(*{c.denominator for vec in table.values() for _, c in vec})
+                (k, -v) for k, v in vec]
     rows: dict[tuple[int, int], list[dict]] = {}
     for ((i, p), (j, q)), vec in table.items():
         if (i, j) not in rows:
             rows[i, j] = [{} for _ in range(dims[i])]
         if vec:
-            rows[i, j][p][q] = tuple(sorted(
-                (k, c.numerator * (den // c.denominator)) for k, c in vec))
+            rows[i, j][p][q] = tuple(sorted(vec))
     return ScaledTable(den, rows)
 
 
@@ -467,7 +472,7 @@ def tensor_product(*factors: GradedAlgebra) -> GradedAlgebra:
     sign_rule = SUPER_COMMUTATIVE if any(
         a.sign_rule == SUPER_COMMUTATIVE for a in factors) else COMMUTATIVE
     # (X, Y, deg Y, {W: coefficient over den}) for each nonzero product XY of
-    # the words so far with X <= Y; _read_table fills in YX by the sign rule
+    # the words so far with X <= Y; _scaled_table fills in YX by the sign rule
     products, den, words = [((), (), 0, {(): 1})], 1, [()]
     for a in factors:
         den *= a.scaled_table.denominator
@@ -489,16 +494,14 @@ def tensor_product(*factors: GradedAlgebra) -> GradedAlgebra:
     for w in sorted(words, key=lambda w: [(-d, p) for d, p in w]):
         by_degree[sum(d for d, _ in w)].append(w)
     index = {w: (d, p) for d, ws in enumerate(by_degree) for p, w in enumerate(ws)}
-    structure = {
-        (index[x], index[y]): {index[w][1]: Fraction(c, den) for w, c in vec.items()}
-        for x, y, _, vec in products if x != by_degree[0][0]  # 1 * y is forced
-    }
     dims = [len(ws) for ws in by_degree]
-    unit = math.prod(a.unit_coords[0] for a in factors)
+    table = _scaled_table(dims, sign_rule, den, {
+        (index[x], index[y]): [(index[w][1], c) for w, c in vec.items()]
+        for x, y, _, vec in products})
     algebra = GradedAlgebra(
-        top, dims, sign_rule, _read_table(top, dims, sign_rule, structure, unit),
-        [unit], [math.prod(a.integrate_coords[p] for a, (_, p) in zip(factors, w))
-                 for w in by_degree[top]])
+        top, dims, sign_rule, table, [math.prod(a.unit_coords[0] for a in factors)],
+        [math.prod(a.integrate_coords[p] for a, (_, p) in zip(factors, w))
+         for w in by_degree[top]])
     algebra.words, algebra.factors = tuple(map(tuple, by_degree)), factors
     return algebra
 

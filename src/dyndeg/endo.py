@@ -1,11 +1,11 @@
 """Pullback maps on graded algebras and their validation.
 
 A pullback is a degree-preserving unital ring endomorphism, stored as one
-exact rational matrix per graded piece (column convention: the image of the
-q-th basis vector is the q-th column).  Geometric realizability cannot be
-decided at this level; maps carry a flag that builders set and everything
-downstream merely propagates ("asserted" from builders, "unverified" for
-hand-supplied matrices).
+integer matrix per graded piece over one denominator (column convention:
+the image of the q-th basis vector is the q-th column).  Geometric
+realizability cannot be decided at this level; maps carry a flag that
+builders set and everything downstream merely propagates ("asserted" from
+builders, "unverified" for hand-supplied matrices).
 """
 
 from __future__ import annotations
@@ -17,40 +17,33 @@ from typing import Mapping, Sequence
 
 from .core import BasisIndex, Element, GradedAlgebra
 from .errors import MultiplicativityViolation, ShapeMismatch, UnitViolation
-from .linalg import Matrix, as_matrix, identity
+from .linalg import Matrix, as_matrix
 
 
 class PullbackMap:
-    """Validated unital graded ring endomorphism f*.
-
-    The blocks are also held once as integers over one common denominator
-    (``scaled_blocks``); ``apply`` and the Gromov closure run on that copy.
+    """Validated unital graded ring endomorphism f*, stored only as
+    ``scaled_blocks = (D, columns)``: D is the lcm of all entry denominators
+    and ``columns[k][q]`` the nonzero entries ``((p, D * m_pq), ...)`` of
+    column q of block k, in increasing p.  ``apply`` and the Gromov closure
+    run on it; ``blocks`` is its ``Fraction`` view.
     """
 
-    def __init__(self, algebra: GradedAlgebra, blocks: tuple[Matrix, ...],
+    def __init__(self, algebra: GradedAlgebra, scaled_blocks: tuple[int, tuple],
                  realizability: str = "unverified",
                  provenance: str | None = None):
         self.algebra = algebra
-        self.blocks = blocks
+        self.scaled_blocks = scaled_blocks
         self.realizability = realizability
         self.provenance = provenance
 
     @functools.cached_property
-    def scaled_blocks(self) -> tuple[int, tuple]:
-        """``(D, columns)``: D is the lcm of all entry denominators and
-        ``columns[k][q]`` the nonzero entries ``((p, D * m_pq), ...)`` of
-        column q of block k."""
-        den = math.lcm(
-            *(x.denominator for m in self.blocks for row in m for x in row)
-        )
-        return den, tuple(
-            tuple(
-                tuple((p, x.numerator * (den // x.denominator))
-                      for p, x in enumerate(col) if x)
-                for col in zip(*m)
-            )
-            for m in self.blocks
-        )
+    def blocks(self) -> tuple[Matrix, ...]:
+        """One ``Fraction`` matrix per graded piece, read off ``scaled_blocks``."""
+        den, columns = self.scaled_blocks
+        zero = Fraction(0)
+        return tuple(tuple(zip(*(
+            [Fraction(c[p], den) if p in c else zero for p in range(len(cols))]
+            for c in map(dict, cols)))) for cols in columns)
 
     def apply_scaled(self, degree: int, vec) -> dict[int, int]:
         """D times block ``degree`` applied to the sparse integer vector
@@ -99,15 +92,24 @@ def validate_pullback(
                 f" expected {d}x{d}"
             )
         blocks.append(m)
-    blocks = tuple(blocks)
 
-    candidate = PullbackMap(algebra, blocks, realizability, provenance)
+    candidate = PullbackMap(algebra, _scaled_columns(blocks), realizability,
+                            provenance)
 
     one = algebra.one()
     if candidate.apply(one) != one:
         raise UnitViolation(message="pullback does not fix the unit: f*(1) != 1")
     _check_multiplicative(candidate, algebra, lambda b: b)
     return candidate
+
+
+def _scaled_columns(blocks: Sequence[Matrix]) -> tuple[int, tuple]:
+    """``PullbackMap.scaled_blocks`` of the ``Fraction`` matrices ``blocks``."""
+    den = math.lcm(*(x.denominator for m in blocks for row in m for x in row))
+    return den, tuple(
+        tuple(tuple((p, x.numerator * (den // x.denominator))
+                    for p, x in enumerate(col) if x) for col in zip(*m))
+        for m in blocks)
 
 
 def _check_multiplicative(f: PullbackMap, source: GradedAlgebra, word):
@@ -145,25 +147,29 @@ def tensor_pullback(
     provenance: str | None = None,
 ) -> PullbackMap:
     """The ring map sending each factor letter ``(i, (d, p))`` of
-    ``algebra.words`` to the degree-d element ``images[i, (d, p)]``; a
-    letter with no image, or with one of another degree, is a
-    ``ShapeMismatch`` naming it.
+    ``algebra.words``, d >= 1, to the degree-d element ``images[i, (d, p)]``;
+    a letter with no image, or one of another degree, or a key that is no
+    such letter is a ``ShapeMismatch`` naming it.
 
     In :func:`core.tensor_product`'s factor order a basis word w is its
     first non-unit letter x times the rest r of the word (w with x made a
     unit): e_x e_r = e_w / u, u the unit coordinate, with sign +1.  So
     f*(e_w) = u f*(e_x) f*(e_r), one ``ScaledTable.multiply`` of integer
-    vectors over a running denominator, f*(e_r) being known as the words
-    are visited degree by degree.  On an algebra that is no tensor product
-    every word is one letter, and r the unit.  ``algebra`` is the coproduct
-    of its valid factors, so f* is a ring map once it is one on each
-    factor's copy, spanned by its one-letter words, and
+    vectors over a denominator kept in lowest terms, f*(e_r) being known as
+    the words are visited degree by degree.  On an algebra that is no tensor
+    product every word is one letter, and r the unit.  ``algebra`` is the
+    coproduct of its valid factors, so f* is a ring map once it is one on
+    each factor's copy, spanned by its one-letter words, and
     :func:`_check_multiplicative` runs on these copies only.
     """
+    letters = {(i, b) for i, factor in enumerate(algebra.factors)
+               for b in factor.basis() if b[0]}
+    for key in images:
+        if key not in letters:
+            raise ShapeMismatch(f"images key {key!r} names no letter")
     table, u = algebra.scaled_table, algebra.unit_coords[0]
     one = algebra.words[0][0]
     pulled = {one: ({0: 1}, 1)}  # f*(e_w) as ({index: numerator}, denominator)
-    blocks = [((Fraction(1),),)]
     for d, words in enumerate(algebra.words[1:], 1):
         for w in words:
             m, c = next((i, c) for i, (c, _) in enumerate(w) if c)
@@ -172,12 +178,15 @@ def tensor_pullback(
                 raise ShapeMismatch(f"letter {(m, w[m])} needs a degree-{c} image")
             vec, den = pulled[one[:m + 1] + w[m + 1:]]
             product = table.multiply(c, image.pieces[c], d - c, vec.items())
-            pulled[w] = ({k: u.numerator * v for k, v in product.items()},
-                         image.denominator * den * table.denominator * u.denominator)
-        columns = [[Fraction(vec.get(p, 0), den) for p in range(len(words))]
-                   for vec, den in map(pulled.get, words)]
-        blocks.append(tuple(zip(*columns)))
-    pull = PullbackMap(algebra, tuple(blocks), realizability, provenance)
+            den *= image.denominator * table.denominator * u.denominator
+            g = math.gcd(den, *(u.numerator * v for v in product.values()))
+            pulled[w] = ({k: u.numerator * v // g for k, v in product.items()},
+                         den // g)
+    den = math.lcm(*(e for _, e in pulled.values()))
+    pull = PullbackMap(algebra, (den, tuple(
+        tuple(tuple(sorted((p, v * (den // e)) for p, v in vec.items()))
+              for vec, e in map(pulled.get, words))
+        for words in algebra.words)), realizability, provenance)
     for i, factor in enumerate(algebra.factors):  # e_b -> its one-letter word
         word = {b: (b[0], algebra.words[b[0]].index(one[:i] + (b,) + one[i + 1:]))
                 for b in factor.basis()}
@@ -186,9 +195,6 @@ def tensor_pullback(
 
 
 def identity_map(algebra: GradedAlgebra) -> PullbackMap:
-    return PullbackMap(
-        algebra,
-        tuple(identity(d) for d in algebra.dims),
-        realizability="asserted",
-        provenance="identity",
-    )
+    units = tuple(tuple(((q, 1),) for q in range(d)) for d in algebra.dims)
+    return PullbackMap(algebra, (1, units), realizability="asserted",
+                       provenance="identity")

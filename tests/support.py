@@ -19,9 +19,9 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from dyndeg import COMMUTATIVE, SUPER_COMMUTATIVE
-from dyndeg.core import (Element, GradedAlgebra, ScaledTable, _validate,
-                         build_algebra)
-from dyndeg.endo import PullbackMap, validate_pullback
+from dyndeg.core import (Element, GradedAlgebra, ScaledTable, _koszul_sign,
+                         _read_table, _validate, build_algebra)
+from dyndeg.endo import PullbackMap, _scaled_columns, validate_pullback
 from dyndeg.linalg import (Matrix, as_fraction, as_matrix, identity, scaled_matrix,
                            transpose)
 from dyndeg.errors import ShapeMismatch, SpectralNonconvergence
@@ -178,6 +178,42 @@ def oracle_exterior_algebra(g: int) -> GradedAlgebra:
                             index[tuple(sorted(s + t))]: (-1) ** inversions}
     return oracle_build_algebra(n, [len(by_size) for by_size in subsets],
                                 SUPER_COMMUTATIVE, products, integrate=(1,))
+
+
+def oracle_tensor_table(*factors: GradedAlgebra) -> ScaledTable:
+    """The table of ``core.tensor_product(*factors)`` by the route its
+    integer build replaced: each product of the words a ``Fraction``
+    structure constant over the product of the factors' denominators, the
+    products with the unit word left out, all read back by
+    ``core._read_table``, which forces those and fills in the mirrors."""
+    sign_rule = SUPER_COMMUTATIVE if any(
+        a.sign_rule == SUPER_COMMUTATIVE for a in factors) else COMMUTATIVE
+    products, den, words = [((), (), 0, {(): 1})], 1, [()]
+    for a in factors:
+        den *= a.scaled_table.denominator
+        words = [w + (b,) for b in a.basis() for w in words]
+        full = [((i, p), (j, q), xy)
+                for (i, j), rows in a.scaled_table.rows.items()
+                for p, row in enumerate(rows) for q, xy in row.items()]
+        upper = [entry for entry in full if entry[0] <= entry[1]]
+        products = [
+            (x_word + (x,), y_word + (y,), dy + y[0], {
+                w + ((x[0] + y[0], k),): _koszul_sign(sign_rule, x[0], dy) * c * v
+                for w, c in vec.items() for k, v in xy})
+            for x_word, y_word, dy, vec in products
+            for x, y, xy in (upper if x_word == y_word else full)
+        ]
+    top = sum(a.top_degree for a in factors)
+    by_degree = [[] for _ in range(top + 1)]
+    for w in sorted(words, key=lambda w: [(-d, p) for d, p in w]):
+        by_degree[sum(d for d, _ in w)].append(w)
+    index = {w: (d, p) for d, ws in enumerate(by_degree) for p, w in enumerate(ws)}
+    structure = {
+        (index[x], index[y]): {index[w][1]: Fraction(c, den) for w, c in vec.items()}
+        for x, y, _, vec in products if x != by_degree[0][0]
+    }
+    return _read_table(top, [len(ws) for ws in by_degree], sign_rule, structure,
+                       math.prod(a.unit_coords[0] for a in factors))
 
 
 def monomial_substitution(model: EmbeddedModel, targets, scalars) -> PullbackMap:
@@ -645,7 +681,7 @@ def power_map(f: PullbackMap, m: int) -> PullbackMap:
         return f
     return PullbackMap(
         f.algebra,
-        tuple(mat_pow(b, m) if b else () for b in f.blocks),
+        _scaled_columns([mat_pow(b, m) if b else () for b in f.blocks]),
         realizability=f.realizability,
         provenance=f"({f.provenance})^{m}" if f.provenance else None,
     )

@@ -1047,7 +1047,7 @@ class TestScaleLadder:
 
     @pytest.mark.slow
     def test_abelian_g5_report_bytes_are_pinned(self, tmp_path, capsys):
-        # about 5 s on a 2-core VM; run with ``pytest -m slow``
+        # about 4 s on a 2-core VM; run with ``pytest -m slow``
         assert self._report_sha256(ABELIAN_G5_A, tmp_path, capsys) == (
             ABELIAN_G5_SHA256)
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyndeg import endo
-from dyndeg.core import _validate, tensor_product
+from dyndeg import COMMUTATIVE, SUPER_COMMUTATIVE, endo
+from dyndeg.core import _validate, build_algebra, tensor_product
 from dyndeg.degrees import delta_table
 from dyndeg.endo import tensor_pullback, validate_pullback
 from dyndeg.errors import (
@@ -39,8 +39,20 @@ from dyndeg.spectral import char_poly
 from support import (builder_battery, det_wedge_blocks, fraction_det,
                      gram_matrix, mat_mul, monomial_substitution,
                      monomials_by_degree, oracle_exterior_algebra,
-                     oracle_multiprojective_algebra, pair_by_product,
-                     tensor_factors, trace)
+                     oracle_multiprojective_algebra, oracle_tensor_table,
+                     pair_by_product, tensor_factors, trace)
+
+
+def _mixed_factors():
+    """Two factors with non-unit units (2 and 1/3), a constant 1/2 and an
+    integral 3/2 each: the a and b of the product a (x) b (x) a."""
+    half, three_halves = Fraction(1, 2), (Fraction(3, 2),)
+    a = build_algebra(2, [1, 2, 1], SUPER_COMMUTATIVE,
+                      {((1, 0), (1, 1)): {0: half}}, three_halves, unit=(2,))
+    b = build_algebra(4, [1, 0, 1, 0, 1], COMMUTATIVE,
+                      {((2, 0), (2, 0)): {0: half}}, three_halves,
+                      unit=(Fraction(1, 3),))
+    return a, b
 
 
 class TestProjectiveSpace:
@@ -149,6 +161,22 @@ class TestTensorBuilders:
         assert algebra.scaled_table == oracle.scaled_table
         assert algebra.unit_coords == oracle.unit_coords
         assert algebra.integrate_coords == oracle.integrate_coords
+
+    def test_the_integer_table_is_the_fraction_route(self):
+        # the table that tensor_product writes in int against the one read
+        # back from Fraction structure constants by _read_table
+        algebras = [model.algebra for _, model, _ in builder_battery()]
+        algebras += [exterior_algebra(g) for g in (1, 2, 3, 4)]
+        for algebra in algebras:
+            factors = algebra.factors
+            assert tensor_product(*factors).scaled_table == oracle_tensor_table(
+                *factors), algebra.dims
+
+    def test_a_mixed_product_is_the_fraction_route(self):
+        a, b = _mixed_factors()
+        table = tensor_product(a, b, a).scaled_table
+        assert table.denominator > 1
+        assert table == oracle_tensor_table(a, b, a)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_compound_blocks_list_the_subsets_as_the_words(self, g):
@@ -266,6 +294,39 @@ class TestTensorPullback:
         with pytest.raises(ShapeMismatch, match=r"letter \(1, \(2, 0\)\)"):
             tensor_pullback(algebra, {(0, (2, 0)): x0})
 
+    def test_a_key_that_names_no_letter_is_rejected(self):
+        # (P^1)^2 has no third slot; the key is not ignored
+        algebra, x0, x1 = self._p1xp1()
+        with pytest.raises(ShapeMismatch, match=r"key \(2, \(2, 0\)\)"):
+            tensor_pullback(algebra, {(0, (2, 0)): x0, (1, (2, 0)): x1,
+                                      (2, (2, 0)): x0})
+
+    def test_the_columns_are_the_scaled_validated_blocks(self):
+        # the integer columns, with their lowest-terms D, against
+        # validate_pullback's scaling of the Fraction view
+        maps = [pull for _, _, pull in builder_battery()]
+        maps.append(exterior_pullback(exterior_algebra(2), [
+            [Fraction(1, 2), 1, 0, 0], [0, Fraction(-2, 3), 0, 1],
+            [1, 0, 3, 0], [0, 0, Fraction(1, 4), 1]]))
+        a, b = _mixed_factors()
+        algebra = tensor_product(a, b, a)
+
+        def letter(i, x):
+            w = tuple(x if j == i else (0, 0) for j in range(3))
+            return algebra.basis_element(x[0], algebra.words[x[0]].index(w))
+
+        # swap the two copies of a, scaling degree d by (1/2)^d, and scale
+        # b's degree d by 3^d: a ring map with rational images
+        maps.append(tensor_pullback(algebra, {
+            (i, x): c ** x[0] * letter(t, x)
+            for i, t, c, factor in ((0, 2, Fraction(1, 2), a), (1, 1, 3, b),
+                                    (2, 0, Fraction(1, 2), a))
+            for x in factor.basis() if x[0]}))
+        assert maps[-1].scaled_blocks[0] > 1 and maps[-2].scaled_blocks[0] > 1
+        for pull in maps:
+            assert validate_pullback(
+                pull.algebra, pull.blocks).scaled_blocks == pull.scaled_blocks
+
     def test_exterior_pullback_takes_only_an_exterior_algebra(self):
         # P^2, and the exterior algebra on two classes written out by hand:
         # neither is ``exterior_algebra(g)``
@@ -273,6 +334,36 @@ class TestTensorPullback:
             exterior_pullback(projective_space(2).algebra, [])
         with pytest.raises(ShapeMismatch, match="exterior_algebra"):
             exterior_pullback(oracle_exterior_algebra(1), [[1, 0], [0, 1]])
+
+
+class TestFractionCount:
+    """The tensor builders write their tables and maps in int: a
+    deterministic guard on the ``Fraction`` objects that they construct."""
+
+    @staticmethod
+    def _fractions_built(monkeypatch, build) -> int:
+        new, count = Fraction.__new__, [0]
+
+        def counting(cls, *args, **kwargs):
+            count[0] += 1
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counting))
+            build()
+        return count[0]
+
+    def test_the_g4_algebra_and_map_build_few_fractions(self, monkeypatch):
+        # 19 and 76 on CPython 3.11; the Fraction route built 3,865 and
+        # 12,946.  ``__wrapped__`` builds past the cache, as a cleared one
+        assert self._fractions_built(
+            monkeypatch, lambda: exterior_algebra.__wrapped__(4)) < 100
+        a = [[2, 1, 0, 0], [1, 1, 1, 0], [0, 1, 3, 1], [1, 0, 0, 2]]
+        a_i2 = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0 for j in range(8)]
+                for i in range(8)]
+        exterior_algebra(4)
+        assert self._fractions_built(
+            monkeypatch, lambda: abelian_variety(4, a_i2)) < 200
 
 
 class TestAbelianVariety:
