@@ -36,9 +36,7 @@ def exterior_algebra(g: int) -> core.GradedAlgebra:
     if g < 1:
         raise ShapeMismatch("genus must be >= 1")
     line = core.build_algebra(1, (1, 1), SUPER_COMMUTATIVE, {}, integrate=(1,))
-    algebra = core.tensor_product(*[line] * (2 * g))
-    algebra.exterior = True
-    return algebra
+    return core.tensor_product(*[line] * (2 * g))
 
 
 def exterior_pullback(
@@ -47,9 +45,10 @@ def exterior_pullback(
     realizability: str = "unverified",
     provenance: str | None = None,
 ) -> endo.PullbackMap:
-    """Pullback of ``exterior_algebra(g)`` (another algebra is a
-    ``ShapeMismatch``) with degree-1 block B = matrix^T and degree-k block
-    wedge^k B: ``endo.tensor_pullback`` with e_i sent to row i.
+    """Pullback of an ``exterior`` algebra, any tensor product of exterior
+    algebras on one class (another is a ``ShapeMismatch``), with degree-1
+    block B = matrix^T and degree-k block wedge^k B: ``endo.tensor_pullback``
+    with e_i sent to row i.
 
     Multiplicative by functoriality of exterior powers; ``tensor_pullback``
     checks it on the letters only: (row i)^2 = 0 as e_i^2 = 0.
@@ -102,10 +101,10 @@ def abelian_variety(
             raise ShapeMismatch(f"omega indices ({i}, {j}) out of range")
         entries[(2, pair_index[(i, j)])] = coeff
     w = algebra.element(entries)
-    if algebra.power(w, g).is_zero():
+    if (top := algebra.power(w, g)).is_zero():
         raise AmpleClassDegenerate("omega^g = 0: not a valid polarization class")
 
-    chi = algebra.integrate(algebra.power(w, g)) / math.factorial(g)
+    chi = algebra.integrate(top) / math.factorial(g)
     if chi > 0 and chi.denominator == 1:
         ambient = 3**g * int(chi) - 1
     else:

@@ -91,6 +91,22 @@ class Element:
             if piece else () for piece in pieces
         ))
 
+    @classmethod
+    def combination(cls, dims, terms) -> "Element":
+        """sum c a over the pairs ``(c, a)`` of the sequence ``terms``, c
+        rational and a of the grading ``dims`` (a tuple): integer numerators
+        over the lcm of the c a's denominators, in lowest terms."""
+        if any(a.dims != dims for _, a in terms):
+            raise ShapeMismatch("elements live in different gradings")
+        den = math.lcm(*(c.denominator * a.denominator for c, a in terms))
+        total: list[dict[int, int]] = [{} for _ in dims]
+        for c, a in terms:
+            scale = c.numerator * (den // (c.denominator * a.denominator))
+            for acc, piece in zip(total, a.pieces):
+                for k, x in piece:
+                    acc[k] = acc.get(k, 0) + scale * x
+        return cls.scaled(dims, den, total)
+
     @property
     def coords(self) -> tuple[tuple[Fraction, ...], ...]:
         """``coords[i]``: the degree-i component as a ``Fraction`` vector."""
@@ -114,27 +130,13 @@ class Element:
         return degs[0] if degs else None
 
     def __add__(self, other: "Element") -> "Element":
-        if self.dims != other.dims:
-            raise ShapeMismatch("elements live in different gradings")
-        da, db = self.denominator, other.denominator
-        den = math.lcm(da, db)
-        fa, fb = den // da, den // db
-        out = []
-        for pa, pb in zip(self.pieces, other.pieces):
-            acc = {k: fa * v for k, v in pa}
-            for k, v in pb:
-                acc[k] = acc.get(k, 0) + fb * v
-            out.append(acc)
-        return Element.scaled(self.dims, den, out)
+        return Element.combination(self.dims, ((1, self), (1, other)))
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-1) * other
+        return Element.combination(self.dims, ((1, self), (-1, other)))
 
     def __rmul__(self, scalar) -> "Element":
-        c = as_fraction(scalar)
-        return Element.scaled(self.dims, self.denominator * c.denominator, [
-            {k: c.numerator * v for k, v in piece} for piece in self.pieces
-        ])
+        return Element.combination(self.dims, ((as_fraction(scalar), self),))
 
     def __neg__(self) -> "Element":
         return (-1) * self
@@ -181,10 +183,6 @@ class GradedAlgebra:
     construct valid instances; the raw constructor trusts its inputs.
     """
 
-    # True on ``abelian.exterior_algebra(g)``, generated by its degree-1
-    # piece: a ring map of it is wedge^k of its degree-1 block in degree k
-    exterior = False
-
     def __init__(self, top_degree, dims, sign_rule, scaled_table, unit_coords,
                  integrate_coords):
         self.top_degree = top_degree
@@ -200,6 +198,14 @@ class GradedAlgebra:
         self.words = tuple(tuple(((d, p),) for p in range(n))
                            for d, n in enumerate(self.dims))
         self.factors = (self,)
+
+    @property
+    def exterior(self) -> bool:
+        """True when each of ``factors`` is an exterior algebra on one class
+        (dims (1, 1), super-commutative): generated by degree 1, so a ring
+        map is wedge^k of its degree-1 block in degree k."""
+        return all(a.dims == (1, 1) and a.sign_rule == SUPER_COMMUTATIVE
+                   for a in self.factors)
 
     # -- element constructors -------------------------------------------------
 

@@ -195,7 +195,7 @@ def segre_graph_degree(
     if model.provenance.startswith("projective_space") and (
         f.provenance or ""
     ).startswith("power:"):
-        expected = model.deg_x * (1 + f.blocks[2][0][0] ** m) ** r
+        expected = model.deg_x * (1 + f.block(2)[0][0] ** m) ** r
         matches = total == expected
     return SegreDegree(value=total, expected=expected, matches=matches)
 

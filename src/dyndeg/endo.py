@@ -10,7 +10,6 @@ builders, "unverified" for hand-supplied matrices).
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -25,7 +24,7 @@ class PullbackMap:
     ``scaled_blocks = (D, columns)``: D is the lcm of all entry denominators
     and ``columns[k][q]`` the nonzero entries ``((p, D * m_pq), ...)`` of
     column q of block k, in increasing p.  ``apply`` and the Gromov closure
-    run on it; ``blocks`` is its ``Fraction`` view.
+    run on it; ``block(k)`` reads one degree as a ``Fraction`` matrix.
     """
 
     def __init__(self, algebra: GradedAlgebra, scaled_blocks: tuple[int, tuple],
@@ -36,14 +35,18 @@ class PullbackMap:
         self.realizability = realizability
         self.provenance = provenance
 
-    @functools.cached_property
-    def blocks(self) -> tuple[Matrix, ...]:
-        """One ``Fraction`` matrix per graded piece, read off ``scaled_blocks``."""
+    def block(self, degree: int) -> Matrix:
+        """Block ``degree`` as a ``Fraction`` matrix, read off ``scaled_blocks``."""
         den, columns = self.scaled_blocks
-        zero = Fraction(0)
-        return tuple(tuple(zip(*(
+        cols, zero = columns[degree], Fraction(0)
+        return tuple(zip(*(
             [Fraction(c[p], den) if p in c else zero for p in range(len(cols))]
-            for c in map(dict, cols)))) for cols in columns)
+            for c in map(dict, cols))))
+
+    @property
+    def blocks(self) -> tuple[Matrix, ...]:
+        """``block(k)`` of every degree k, built on each read."""
+        return tuple(map(self.block, range(len(self.scaled_blocks[1]))))
 
     def apply_scaled(self, degree: int, vec) -> dict[int, int]:
         """D times block ``degree`` applied to the sparse integer vector

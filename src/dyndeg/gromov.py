@@ -23,7 +23,6 @@ class from the closure, and holds the one realizability rule of the verdict.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -70,9 +69,8 @@ class GromovSubalgebra:
         Each distinct word (by identity) is evaluated once per call, with
         ``GradedAlgebra.mul`` and ``PullbackMap.apply``; the memo is keyed by
         ``id`` and lives only in this call, while the certificates hold the
-        words.  The sum of the terms c_g w_g is taken as integer numerators
-        over one denominator, the lcm of theirs, and compared exactly as one
-        ``Element``.
+        words.  The sum of the terms c_g w_g is ``Element.combination``,
+        compared exactly with the basis vector.
         """
         algebra, f = self.algebra, self.pullback
         memo: dict[int, Element] = {}
@@ -95,18 +93,9 @@ class GromovSubalgebra:
             return value
 
         dims = algebra.dims
-        for vec, cert in zip(self.basis, self.certificates):
-            terms = [(coeff, evaluate(word)) for coeff, word in cert]
-            den = math.lcm(*(c.denominator * w.denominator for c, w in terms))
-            total: list[dict[int, int]] = [{} for _ in dims]
-            for c, w in terms:
-                scale = c.numerator * (den // (c.denominator * w.denominator))
-                for acc, piece in zip(total, w.pieces):
-                    for k, x in piece:
-                        acc[k] = acc.get(k, 0) + scale * x
-            if Element.scaled(dims, den, total) != vec:
-                return False
-        return True
+        return all(
+            Element.combination(dims, [(c, evaluate(w)) for c, w in cert]) == vec
+            for vec, cert in zip(self.basis, self.certificates))
 
 
 def gromov_closure(
@@ -304,7 +293,7 @@ def spectral_chain(
 
     # on an exterior algebra, f* (a ring map) is wedge^j of its degree-1
     # block in degree j, so every radius comes from that block's roots
-    radii = (exterior_radii(f.blocks[1], tol) if algebra.exterior else
+    radii = (exterior_radii(f.block(1), tol) if algebra.exterior else
              [spectral_radius(block, tol) if dim else (0.0, 0.0)
               for dim, block in zip(algebra.dims, f.blocks)])
     mu = tuple(r for r, _ in radii)

@@ -188,7 +188,7 @@ def test_criterion_6_estimator_convergence():
         for degree in range(model.algebra.top_degree + 1):
             if model.algebra.dims[degree] == 0:
                 continue
-            block = pull.blocks[degree]
+            block = pull.block(degree)
             rho, _ = spectral_radius(block, tol=1e-10)
             gel = gelfand_sequence(block, 10)[-1][1]
             tail = trace_radius_estimate(block, 64)

@@ -1095,7 +1095,7 @@ class TestScaleLadder:
         f = exterior_pullback(exterior_algebra(4), m)
         for k in (1, 2, 7, 8):
             rho, err = radii[k]
-            want, werr = spectral_radius(f.blocks[k])
+            want, werr = spectral_radius(f.block(k))
             assert abs(rho - want) <= err + werr, k
             assert format(rho, ".12g") == format(want, ".12g"), k
 
@@ -1113,23 +1113,33 @@ class TestScaleLadder:
 
 
 class TestComputeWorkloadBytes:
-    """The seed-0 ``exact-core`` benchmark reports, run in-process, against
-    the sha256 values the benchmark checks (``perfbench/golden.json``)."""
+    """Every seed-0 benchmark invocation, run in-process: each pinned one
+    against the sha256 the benchmark checks (``perfbench/golden.json``),
+    each malformed one against the exit-2 contract."""
 
-    def test_exact_core_reports_match_the_golden_hashes(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("name, pinned, malformed", [
+        ("cli-small", 24, 12), ("exact-core", 6, 0), ("iterate-tables", 4, 0)])
+    def test_every_invocation_matches_the_benchmark(
+        self, tmp_path, capsys, monkeypatch, name, pinned, malformed
     ):
-        import hashlib
-
-        workload, golden = perfbench_workload(monkeypatch, "exact-core")
+        workload, golden = perfbench_workload(monkeypatch, name)
         paths = workload.write(tmp_path)
-        assert len(workload.invocations) == 6
-        for command, name in workload.invocations:
-            assert main([command, "--config", str(paths[name])]) == 0
-            out = capsys.readouterr().out.encode("utf-8")
-            assert hashlib.sha256(out).hexdigest() == golden[
-                f"{command} {name}"
-            ], name
+        bad = [(c, n) for c, n in workload.invocations if n in workload.malformed]
+        assert (len(workload.invocations) - len(bad), len(bad)) == (
+            pinned, malformed)
+        assert len(golden) == pinned
+        for command, config in workload.invocations:
+            code = main([command, "--config", str(paths[config])])
+            out, err = capsys.readouterr()
+            key = f"{command} {config}"
+            if (command, config) in bad:
+                assert (code, out) == (2, ""), key
+                assert len(err.splitlines()) == 1, key
+                assert isinstance(json.loads(err), dict), key
+            else:
+                assert code == 0, key
+                assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+                    golden[key]), key
 
 
 class TestLazyImports:

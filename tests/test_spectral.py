@@ -107,27 +107,72 @@ class TestExteriorCharPolys:
         _, pull = cli.build_model_and_map(cli.parse_config(json.dumps(cfg)))
         self._agree(pull)
 
+    @staticmethod
+    def _custom_exterior_model():
+        """The exterior algebra on two classes as one custom algebra, dims
+        [1, 2, 1]: no tensor product of exterior algebras on one class."""
+        from dyndeg import SUPER_COMMUTATIVE
+        from dyndeg.custom import custom_model
+
+        return custom_model({
+            "top_degree": 2, "dims": [1, 2, 1], "sign_rule": SUPER_COMMUTATIVE,
+            "products": [{"a": [1, 0], "b": [1, 1], "value": {"0": 1}}],
+            "integrate": [1], "h": [1], "ambient_dim": 1})
+
     def test_only_the_exterior_algebra_is_marked(self):
-        from dyndeg.abelian import exterior_algebra
+        from dyndeg import SUPER_COMMUTATIVE, core
+        from dyndeg.abelian import exterior_algebra, exterior_pullback
+        from dyndeg.lattice import surface_lattice
         from dyndeg.projective import multiprojective, projective_space
 
         assert exterior_algebra(2).exterior
-        assert not projective_space(2).algebra.exterior
-        assert not multiprojective([1, 1]).algebra.exterior
+        # built by hand, not by exterior_algebra(g): the factors say it
+        line = core.build_algebra(1, (1, 1), SUPER_COMMUTATIVE, {},
+                                  integrate=(1,))
+        algebra = core.tensor_product(line, line)
+        assert algebra.exterior
+        assert exterior_pullback(algebra, [[2, 1], [1, 1]]).block(2) == ((1,),)
+        lattice, _ = surface_lattice([[1, 0], [0, -2]], [[3, 4], [2, 3]],
+                                     [1, 0])
+        for model in (projective_space(1), projective_space(2),
+                      multiprojective([1, 1]), lattice,
+                      self._custom_exterior_model()):
+            assert not model.algebra.exterior, model.provenance
+
+    def test_a_custom_exterior_model_keeps_the_per_block_route(
+            self, monkeypatch):
+        from dyndeg import gromov
+        from dyndeg.endo import validate_pullback
+
+        def refuse(*args):
+            raise AssertionError("exterior_radii on a custom algebra")
+
+        model = self._custom_exterior_model()
+        pull = validate_pullback(model.algebra, [[[1]], [[2, 1], [1, 1]],
+                                                 [[1]]])
+        monkeypatch.setattr(gromov, "exterior_radii", refuse)
+        rep = gromov.spectral_chain(model, gromov_closure(pull, model.h))
+        assert rep.mu_by_degree == tuple(
+            spectral_radius(block)[0] for block in pull.blocks)
+        assert rep.mu_by_degree[1] == pytest.approx((3 + 5 ** 0.5) / 2)
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_the_chain_is_the_berkowitz_chain(self, monkeypatch, g):
         from dyndeg.abelian import abelian_variety
-        from dyndeg.gromov import spectral_chain
+        from dyndeg.core import GradedAlgebra
+        from dyndeg.gromov import ChainReport, spectral_chain
 
         a = [[2, 1, 0], [1, 1, 1], [0, 1, 3]]
         m = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0
               for j in range(2 * g)] for i in range(2 * g)]
         model, pull = abelian_variety(g, m)
         fast = spectral_chain(model, gromov_closure(pull, model.h))
-        monkeypatch.setattr(model.algebra, "exterior", False)
+        # the flag is a property read off the factors: patched on the class
+        monkeypatch.setattr(GradedAlgebra, "exterior",
+                            property(lambda self: False))
         slow = spectral_chain(model, gromov_closure(pull, model.h))
-        assert slow == fast
+        for field in ChainReport._fields:
+            assert getattr(slow, field) == getattr(fast, field), field
         assert ((slow.chain_holds, slow.equality_holds)
                 == (fast.chain_holds, fast.equality_holds))
         assert 0 < fast.mu_error <= max(slow.mu_error, 1e-9 * fast.max_mu)
