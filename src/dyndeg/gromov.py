@@ -14,11 +14,13 @@ reduced row echelon form of each piece, lowest degree first, so it does not
 depend on the order generators are processed in.  f* on the closure is kept
 as its blocks, one per occupied degree.
 
-Each basis vector carries a generation certificate: an exact rational
-combination of formal words ("one",), ("omega",), ("pull", w) and
-("mul", w1, w2) that re-evaluates to the vector, witnessing membership
-constructively.  ``spectral_chain(model, closure)`` reads the map and the
-class from the closure, and holds the one realizability rule of the verdict.
+The generators form a straight-line program, ``words``: recipes ("one",),
+("omega",), ("pull", i) and ("mul", i, j), where i and j index earlier
+recipes.  Each basis vector carries a generation certificate, terms
+(coefficient, index) whose exact rational combination of those words
+re-evaluates to the vector, witnessing membership constructively.
+``spectral_chain(model, closure)`` reads the map and the class from the
+closure, and holds the one realizability rule of the verdict.
 """
 
 from __future__ import annotations
@@ -40,13 +42,15 @@ if TYPE_CHECKING:
 class GromovSubalgebra:
     """``basis`` is homogeneous, sorted by degree and in RREF within each
     degree; ``blocks`` holds ``(degree, block)`` per occupied degree, column j
-    of the block the coordinates of f* of that degree's j-th basis vector."""
+    of the block the coordinates of f* of that degree's j-th basis vector.
+    ``words`` are the generators' recipes, each naming only earlier ones by
+    index, and each certificate is a tuple of ``(coefficient, index)``."""
 
     def __init__(self, algebra: GradedAlgebra, pullback: PullbackMap,
                  omega: Element, basis: tuple[Element, ...],
                  blocks: tuple[tuple[int, Matrix], ...],
-                 dims_by_degree: tuple[int, ...],
-                 certificates: tuple[tuple[tuple[Fraction, tuple], ...], ...],
+                 dims_by_degree: tuple[int, ...], words: tuple[tuple, ...],
+                 certificates: tuple[tuple[tuple[Fraction, int], ...], ...],
                  sweeps: int):
         self.algebra = algebra
         self.pullback = pullback
@@ -54,6 +58,7 @@ class GromovSubalgebra:
         self.basis = basis
         self.blocks = blocks
         self.dims_by_degree = dims_by_degree
+        self.words = words
         self.certificates = certificates
         self.sweeps = sweeps
         # lambda_gr results by tol, so that a report asking twice computes once
@@ -66,35 +71,33 @@ class GromovSubalgebra:
     def verify_certificates(self) -> bool:
         """Re-evaluate every certificate and compare with its basis vector.
 
-        Each distinct word (by identity) is evaluated once per call, with
-        ``GradedAlgebra.mul`` and ``PullbackMap.apply``; the memo is keyed by
-        ``id`` and lives only in this call, while the certificates hold the
-        words.  The sum of the terms c_g w_g is ``Element.combination``,
-        compared exactly with the basis vector.
+        The recipes in ``words`` run once each, in order, with
+        ``GradedAlgebra.mul`` and ``PullbackMap.apply``; a recipe that names
+        no earlier one, or has an unknown tag, raises ``ShapeMismatch``.  The
+        sum of the terms c_g w_g is ``Element.combination``, compared exactly
+        with the basis vector.
         """
         algebra, f = self.algebra, self.pullback
-        memo: dict[int, Element] = {}
-
-        def evaluate(word) -> Element:
-            value = memo.get(id(word))
-            if value is None:
-                tag = word[0]
-                if tag == "one":
-                    value = algebra.one()
-                elif tag == "omega":
-                    value = self.omega
-                elif tag == "pull":
-                    value = f.apply(evaluate(word[1]))
-                elif tag == "mul":
-                    value = algebra.mul(evaluate(word[1]), evaluate(word[2]))
-                else:
-                    raise ShapeMismatch(f"unknown certificate word {word!r}")
-                memo[id(word)] = value
-            return value
+        values: list[Element] = []
+        for n, recipe in enumerate(self.words):
+            if not all(type(i) is int and 0 <= i < n for i in recipe[1:]):
+                raise ShapeMismatch(
+                    f"recipe {n}, {recipe!r}, names no earlier one")
+            match recipe:
+                case ("one",):
+                    values.append(algebra.one())
+                case ("omega",):
+                    values.append(self.omega)
+                case ("pull", i):
+                    values.append(f.apply(values[i]))
+                case ("mul", i, j):
+                    values.append(algebra.mul(values[i], values[j]))
+                case _:
+                    raise ShapeMismatch(f"unknown certificate recipe {recipe!r}")
 
         dims = algebra.dims
         return all(
-            Element.combination(dims, [(c, evaluate(w)) for c, w in cert]) == vec
+            Element.combination(dims, [(c, values[g]) for c, g in cert]) == vec
             for vec, cert in zip(self.basis, self.certificates))
 
 
@@ -130,17 +133,17 @@ def gromov_closure(
     dims, top = algebra.dims, algebra.top_degree
     # f* keeps degrees and products add them: one echelon form per degree
     echelons = [Echelon(dim) for dim in dims]
-    words: list[tuple] = []
+    words: list[tuple] = []  # the recipe of each generator
     gens: list[Element] = []
 
-    def try_add(word, element: Element) -> bool:
+    def try_add(recipe: tuple, element: Element) -> bool:
         degree = element.degree()
         if degree is None:
             return False
         # the combo is 1 * generator, i.e. den over den
         if echelons[degree].insert_scaled(dict(element.pieces[degree]),
                                           {len(gens): element.denominator}):
-            words.append(word)
+            words.append(recipe)
             gens.append(element)
             return True
         return False
@@ -153,29 +156,24 @@ def gromov_closure(
 
     # generators below ``start`` have been pulled back and multiplied with
     # each other; a sweep visits only what involves a newer one
-    start = 0
-    sweeps = 0
+    start = sweeps = 0
     while True:
         sweeps += 1
         grew = False
         count = len(gens)
         pulls = list(range(start, count))
-        muls = [
-            (i, j)
-            for i in range(count)
-            for j in range(max(i, start), count)
-        ]
+        muls = [(i, j) for i in range(count)
+                for j in range(max(i, start), count)]
         start = count
         if sweep_order == "reversed":
             pulls.reverse()
             muls.reverse()
         for i in pulls:
             if open_degree(gens[i].degree()):
-                grew |= try_add(("pull", words[i]), f.apply(gens[i]))
+                grew |= try_add(("pull", i), f.apply(gens[i]))
         for i, j in muls:
             if open_degree(gens[i].degree() + gens[j].degree()):
-                grew |= try_add(("mul", words[i], words[j]),
-                                algebra.mul(gens[i], gens[j]))
+                grew |= try_add(("mul", i, j), algebra.mul(gens[i], gens[j]))
         if not grew:
             break
 
@@ -200,10 +198,8 @@ def gromov_closure(
                     "closure is not pullback-stable (internal error)")
             columns.append(coords)
         basis += vectors
-        certificates += [
-            tuple((coeff, words[g]) for g, coeff in sorted(combo.items()))
-            for combo in ech.combos
-        ]
+        certificates += [tuple((c, g) for g, c in sorted(combo.items()))
+                         for combo in ech.combos]
         blocks.append((degree, tuple(zip(*columns))))
 
     return GromovSubalgebra(
@@ -213,6 +209,7 @@ def gromov_closure(
         basis=tuple(basis),
         blocks=tuple(blocks),
         dims_by_degree=tuple(len(ech.pivots) for ech in echelons),
+        words=tuple(words),
         certificates=tuple(certificates),
         sweeps=sweeps,
     )
@@ -223,7 +220,9 @@ def lambda_gr(closure: GromovSubalgebra, tol: float = 1e-9):
 
     The closure is the direct sum of its graded pieces, so this is the
     largest radius over ``closure.blocks``, computed once per closure and
-    ``tol``: the result is kept on the closure.
+    ``tol``: the result is kept on the closure.  The error bound is a running
+    max that resets to a block's own error whenever its radius is the largest
+    so far, so an earlier block's larger error drops out.
     """
     got = closure._radii.get(tol)
     if got is None:

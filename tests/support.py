@@ -483,29 +483,26 @@ def fraction_mul(algebra: GradedAlgebra, a: Element, b: Element) -> Element:
 
 
 def replay_certificates(closure) -> bool:
-    """Re-evaluate every certificate of a Gromov closure with
-    :func:`fraction_mul` and :func:`apply_blocks`, and compare with its basis
-    vector; each distinct word (by identity) is evaluated once."""
+    """Evaluate the recipes of a Gromov closure in order with
+    :func:`fraction_mul` and :func:`apply_blocks`, each once, and compare
+    every certificate's sum with its basis vector."""
     alg, blocks = closure.algebra, closure.pullback.blocks
-    memo = {}
-
-    def value(word):
-        if id(word) not in memo:
-            tag = word[0]
-            if tag == "one":
-                memo[id(word)] = alg.one()
-            elif tag == "omega":
-                memo[id(word)] = closure.omega
-            elif tag == "pull":
-                memo[id(word)] = apply_blocks(alg, blocks, value(word[1]))
-            else:
-                memo[id(word)] = fraction_mul(alg, value(word[1]), value(word[2]))
-        return memo[id(word)]
+    values = []
+    for tag, *args in closure.words:
+        assert all(0 <= i < len(values) for i in args), (tag, args)
+        if tag == "one":
+            values.append(alg.one())
+        elif tag == "omega":
+            values.append(closure.omega)
+        elif tag == "pull":
+            values.append(apply_blocks(alg, blocks, values[args[0]]))
+        else:
+            values.append(fraction_mul(alg, values[args[0]], values[args[1]]))
 
     for vec, cert in zip(closure.basis, closure.certificates):
         total = alg.zero()
-        for coeff, word in cert:
-            total = total + coeff * value(word)
+        for coeff, g in cert:
+            total = total + coeff * values[g]
         if total != vec:
             return False
     return True

@@ -628,6 +628,16 @@ class TestProcessEntry:
             codes.add(code)
         assert codes == {0, 2}
 
+    def test_the_cli_module_runs_as_the_package_does(self):
+        # ``python -m dyndeg.cli`` ends through ``cli.entry`` too
+        package = self._child(["--help"], False)
+        module = subprocess.run(
+            [sys.executable, "-m", "dyndeg.cli", "--help"],
+            capture_output=True)
+        assert package.returncode == module.returncode == 0
+        assert (package.stdout, package.stderr) == (module.stdout, module.stderr)
+        assert b"usage" in module.stdout
+
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_an_out_file_is_complete(self, tmp_path, capsys, unbuffered):
         path = str(ROOT / "configs" / "p2_power2.json")

@@ -366,13 +366,14 @@ class TestCertificateReplay:
             assert verdicts == [True] + [False] * closure.dimension, name
 
     @staticmethod
-    def _tampered(closure, basis=None, certificates=None):
-        """The closure with its basis or certificates swapped, built through
-        the constructor."""
+    def _tampered(closure, basis=None, words=None, certificates=None):
+        """The closure with its basis, words or certificates swapped, built
+        through the constructor."""
         return GromovSubalgebra(
             closure.algebra, closure.pullback, closure.omega,
             closure.basis if basis is None else basis,
             closure.blocks, closure.dims_by_degree,
+            closure.words if words is None else words,
             closure.certificates if certificates is None else certificates,
             closure.sweeps,
         )
@@ -404,8 +405,8 @@ class TestCertificateReplay:
         assert not bad.verify_certificates()
 
     def test_each_shared_word_is_evaluated_once(self, monkeypatch):
-        # on (P^1)^3 the certificate words share subwords: without the memo
-        # the replay makes 11 products for 3 distinct product words
+        # on (P^1)^3 the certificates share sub-words: spelled out as nested
+        # words, the replay would make 11 products for 3 "mul" recipes
         model = multiprojective([1, 1, 1])
         f = product_map(model, [2, 3, 1], [1, 2, 0])
         closure = gromov_closure(f, model.h)
@@ -418,21 +419,37 @@ class TestCertificateReplay:
 
         monkeypatch.setattr(closure.algebra, "mul", counted)
         assert closure.verify_certificates()
-        seen, distinct = set(), 0
+        assert len(muls) == sum(tag == "mul" for tag, *_ in closure.words) == 3
 
-        def walk(word):
-            nonlocal distinct
-            if id(word) in seen:
-                return
-            seen.add(id(word))
-            distinct += word[0] == "mul"
-            for sub in word[1:]:
-                walk(sub)
+    def test_the_words_are_a_straight_line_program(self):
+        # every recipe names only earlier recipes, and every generator is
+        # named by some certificate, so the replay evaluates no idle word
+        for name, model, f in builder_battery():
+            closure = gromov_closure(f, model.h)
+            for n, (tag, *args) in enumerate(closure.words):
+                assert tag in ("one", "omega", "pull", "mul"), name
+                assert len(args) == {"pull": 1, "mul": 2}.get(tag, 0), name
+                assert all(0 <= i < n for i in args), name
+            named = {g for cert in closure.certificates for _, g in cert}
+            assert named == set(range(len(closure.words))), name
 
-        for cert in closure.certificates:
-            for _, word in cert:
-                walk(word)
-        assert len(muls) == distinct
+    @pytest.mark.parametrize("recipe, message", [
+        (("pull", 2), "names no earlier one"),  # itself
+        (("mul", 0, 3), "names no earlier one"),  # a later recipe
+        (("pull", -1), "names no earlier one"),
+        (("pull", True), "names no earlier one"),
+        (("square", 1), "unknown certificate recipe"),
+        (("pull", 0, 1), "unknown certificate recipe"),
+        ((), "unknown certificate recipe"),
+    ])
+    def test_a_malformed_recipe_is_rejected(self, recipe, message):
+        closure = self._closure()
+        assert len(closure.words) > 3
+        words = list(closure.words)
+        words[2] = recipe
+        bad = self._tampered(closure, words=tuple(words))
+        with pytest.raises(ShapeMismatch, match=message):
+            bad.verify_certificates()
 
 
 CUSTOM_P2 = {

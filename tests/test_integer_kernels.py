@@ -258,15 +258,26 @@ def block_diagonal(blocks) -> list[list]:
     return matrix
 
 
+def spelled_out(words) -> list[tuple]:
+    """Each index recipe of ``words`` as the nested word it names, such as
+    ``("pull", ("omega",))`` for ``("pull", 1)``: the form the digest was
+    recorded in."""
+    nested = []
+    for tag, *args in words:
+        nested.append((tag, *(nested[i] for i in args)))
+    return nested
+
+
 def closure_digest() -> str:
     digest = hashlib.sha256()
     for name, model, f in builder_battery():
         for order in ("forward", "reversed"):
             c = gromov_closure(f, model.h, sweep_order=order)
+            words = spelled_out(c.words)
             digest.update(repr((
                 name, order, c.sweeps, c.dims_by_degree,
                 [[str(x) for piece in b.coords for x in piece] for b in c.basis],
-                [[(str(k), w) for k, w in cert] for cert in c.certificates],
+                [[(str(k), words[g]) for k, g in cert] for cert in c.certificates],
                 [[str(x) for x in row] for row in block_diagonal(c.blocks)],
             )).encode())
     return digest.hexdigest()

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -871,6 +872,31 @@ class TestIntegerRootCertificate:
         a, b = Fraction(2), 2 + Fraction(1, 2**700)
         rho, err = _uncached((Fraction(1), -(a + b), a * b), 1e-9)
         assert rho == 2.0 and err <= 1e-9 * rho
+
+    def test_a_pair_mahlers_bound_calls_hopeless_certifies_in_round_one(
+        self, monkeypatch
+    ):
+        # Mahler's bound is a lower bound on root separation: it says when a
+        # grid is fine enough, never that one is too coarse.  On this random
+        # 20 x 20 matrix it asks, with |disc| >= 1, for more bits than the
+        # last round's 4,096, yet the first round's grid certifies every root
+        rng = random.Random(7)
+        m = [[rng.randint(-2**12, 2**12) for _ in range(20)] for _ in range(20)]
+        coeffs = tuple(char_poly(m))
+        poly = spectral._squarefree_part(coeffs)
+        n = len(poly) - 1
+        assert n == 20 and max(abs(c).bit_length() for c in poly) == 254
+        # sep >= sqrt(3) n^(-(n+2)/2) ||p||_2^(-(n-1)) for square-free p
+        mahler_bits = ((n + 2) / 2 * math.log2(n) - math.log2(3) / 2
+                       + (n - 1) * math.log2(math.sqrt(sum(c * c for c in poly))))
+        assert mahler_bits > 4096
+        calls = []
+        certify = spectral._certify
+        monkeypatch.setattr(spectral, "_certify",
+                            lambda *args: calls.append(certify(*args)) or calls[-1])
+        rho, err = _uncached(coeffs)
+        assert len(calls) == 1 and calls[0] is not None
+        assert rho == 11838.427618874142 and err <= 1e-9 * rho
 
     def test_two_centres_on_one_root_give_no_certificate(self):
         e, one = 128, 1 << 128
