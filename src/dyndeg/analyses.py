@@ -27,7 +27,7 @@ def _run_gromov(model, pull, config, closure):
     return {
         "dimension": closure.dimension,
         "dims_by_degree": list(closure.dims_by_degree),
-        "certificates": len(closure.certificates),
+        "certificates": closure.dimension,
         "certificates_verified": closure.verify_certificates(),
         "sweeps": closure.sweeps,
         "lambda_gr": rho,

@@ -24,7 +24,7 @@ Pullbacks, Berkowitz's characteristic polynomial and ``Echelon`` run in
 ``int`` as well, and so does :func:`tensor_product`, the second constructor
 of valid instances, valid by construction; it orders every product basis.
 Instances are immutable after construction and all operations are pure.  The
-tests replay the Gromov certificates with a Fraction basis-pair product,
+tests replay the Gromov closure's words with a Fraction basis-pair product,
 which checks that kernel independently.
 """
 
@@ -264,9 +264,9 @@ class GradedAlgebra:
             echelon = Echelon(self.dims[d])
             for s in chosen:
                 for y in range(self.dims[d - s[0]]):
-                    echelon.insert_scaled(dict(table.product(s, (d - s[0], y))), {})
+                    echelon.insert_scaled(dict(table.product(s, (d - s[0], y))))
             for q in range(self.dims[d]):
-                if echelon.insert_scaled({q: 1}, {}):
+                if echelon.insert_scaled({q: 1}):
                     chosen.append((d, q))
         return tuple(chosen)
 

@@ -16,9 +16,10 @@ as its blocks, one per occupied degree.
 
 The generators form a straight-line program, ``words``: recipes ("one",),
 ("omega",), ("pull", i) and ("mul", i, j), where i and j index earlier
-recipes.  Each basis vector carries a generation certificate, terms
-(coefficient, index) whose exact rational combination of those words
-re-evaluates to the vector, witnessing membership constructively.
+recipes.  The words are the certificate: each enlarged its degree's span,
+so a degree holds as many words as basis vectors, and replaying them and
+reading each value off the basis at its pivots shows that the two span
+the same space (``GromovSubalgebra.verify_certificates``).
 ``spectral_chain(model, closure)`` reads the map and the class from the
 closure, and holds the one realizability rule of the verdict.
 """
@@ -44,13 +45,13 @@ class GromovSubalgebra:
     degree; ``blocks`` holds ``(degree, block)`` per occupied degree, column j
     of the block the coordinates of f* of that degree's j-th basis vector.
     ``words`` are the generators' recipes, each naming only earlier ones by
-    index, and each certificate is a tuple of ``(coefficient, index)``."""
+    index; in each degree they are as many as the basis vectors there and
+    span what those span, which ``verify_certificates`` checks."""
 
     def __init__(self, algebra: GradedAlgebra, pullback: PullbackMap,
                  omega: Element, basis: tuple[Element, ...],
                  blocks: tuple[tuple[int, Matrix], ...],
                  dims_by_degree: tuple[int, ...], words: tuple[tuple, ...],
-                 certificates: tuple[tuple[tuple[Fraction, int], ...], ...],
                  sweeps: int):
         self.algebra = algebra
         self.pullback = pullback
@@ -59,7 +60,6 @@ class GromovSubalgebra:
         self.blocks = blocks
         self.dims_by_degree = dims_by_degree
         self.words = words
-        self.certificates = certificates
         self.sweeps = sweeps
         # lambda_gr results by tol, so that a report asking twice computes once
         self._radii: dict = {}
@@ -69,14 +69,14 @@ class GromovSubalgebra:
         return len(self.basis)
 
     def verify_certificates(self) -> bool:
-        """Re-evaluate every certificate and compare with its basis vector.
+        """Replay the words and check that they span what the basis spans.
 
-        The recipes in ``words`` run once each, in order, with
-        ``GradedAlgebra.mul`` and ``PullbackMap.apply``; a recipe that names
-        no earlier one, or has an unknown tag, raises ``ShapeMismatch``.  The
-        sum of the terms c_g w_g is ``Element.combination``, compared exactly
-        with the basis vector.
-        """
+        The recipes run once each, in order, with ``GradedAlgebra.mul`` and
+        ``PullbackMap.apply``; a recipe that names no earlier one, or has an
+        unknown tag, raises ``ShapeMismatch``.  Each degree must then hold
+        as many word values as basis vectors, each value g must be
+        sum_i g[p_i] b_i, p_i the pivot of b_i, and the matrix of the
+        g[p_i] must be invertible."""
         algebra, f = self.algebra, self.pullback
         values: list[Element] = []
         for n, recipe in enumerate(self.words):
@@ -95,10 +95,47 @@ class GromovSubalgebra:
                 case _:
                     raise ShapeMismatch(f"unknown certificate recipe {recipe!r}")
 
-        dims = algebra.dims
-        return all(
-            Element.combination(dims, [(c, values[g]) for c, g in cert]) == vec
-            for vec, cert in zip(self.basis, self.certificates))
+        words, basis = {}, {}
+        for by_degree, elements in ((words, values), (basis, self.basis)):
+            for e in elements:
+                by_degree.setdefault(e.degrees(), []).append(e)
+        if words.keys() != basis.keys() or any(len(k) != 1 for k in basis):
+            return False
+        for key, vectors in basis.items():
+            d, gens = key[0], words[key]
+            pivots = [b.pieces[d][0][0] for b in vectors]
+            # row k: the numerators of the k-th word value at the pivots
+            rows = [[piece.get(p, 0) for p in pivots]
+                    for piece in (dict(g.pieces[d]) for g in gens)]
+            if len(rows) != len(vectors) or any(
+                    Element.combination(algebra.dims, [
+                        (Fraction(x, g.denominator), b)
+                        for x, b in zip(row, vectors) if x]) != g
+                    for g, row in zip(gens, rows)) or not _invertible(rows):
+                return False
+        return True
+
+
+_PRIMES = (2**61 - 1, 2**89 - 1, 2**127 - 1)  # tried in turn by _invertible
+
+
+def _invertible(rows: list[list[int]]) -> bool:
+    """Whether the square integer matrix ``rows`` is invertible over Q: of
+    full rank modulo one of ``_PRIMES`` (its determinant is then nonzero)
+    or, failing that, exactly through ``Echelon``, so that a true closure
+    never reads as unverified."""
+    for p in _PRIMES:
+        m = [[x % p for x in row] for row in rows]
+        # clear the first column with a row that leads it, then drop both
+        while m and (lead := next((r for r in m if r[0]), None)):
+            inv = pow(lead[0], -1, p)
+            m = [[(x - c * y) % p for x, y in zip(r[1:], lead[1:])]
+                 for r in m if r is not lead for c in [r[0] * inv % p]]
+        if not m:
+            return True
+    ech = Echelon(len(rows))
+    return all(ech.insert_scaled({j: x for j, x in enumerate(row) if x})
+               for row in rows)
 
 
 def gromov_closure(
@@ -113,16 +150,15 @@ def gromov_closure(
     testable).
 
     Generators are homogeneous elements, inserted into their degree's
-    echelon form as integer numerators over their denominator; products and
-    pullbacks are ``GradedAlgebra.mul`` and ``PullbackMap.apply``, the ones
-    the certificates are replayed with.  ``Fraction`` appears only in the
-    certificates and the blocks.
+    echelon form as integer numerators; products and pullbacks are
+    ``GradedAlgebra.mul`` and ``PullbackMap.apply``, the ones the words are
+    replayed with.  ``Fraction`` appears only in the blocks.  A word is
+    kept only when its value enlarged its degree's span.
 
     A pullback or product is computed only when its degree is at most the
     top and that degree's echelon form is below the piece's dimension.  The
     echelon form would reject every skipped candidate unchanged, so the
-    words, certificates, sweeps, basis and blocks are those of the full
-    scan.
+    words, sweeps, basis and blocks are those of the full scan.
     """
     if omega.degrees() != (2,):
         raise ShapeMismatch("omega must be homogeneous of degree 2 and nonzero")
@@ -136,17 +172,12 @@ def gromov_closure(
     words: list[tuple] = []  # the recipe of each generator
     gens: list[Element] = []
 
-    def try_add(recipe: tuple, element: Element) -> bool:
+    def try_add(recipe: tuple, element: Element):
         degree = element.degree()
-        if degree is None:
-            return False
-        # the combo is 1 * generator, i.e. den over den
-        if echelons[degree].insert_scaled(dict(element.pieces[degree]),
-                                          {len(gens): element.denominator}):
+        if degree is not None and echelons[degree].insert_scaled(
+                dict(element.pieces[degree])):
             words.append(recipe)
             gens.append(element)
-            return True
-        return False
 
     def open_degree(degree: int) -> bool:  # can a candidate there add a row
         return degree <= top and len(echelons[degree].pivots) < dims[degree]
@@ -159,7 +190,6 @@ def gromov_closure(
     start = sweeps = 0
     while True:
         sweeps += 1
-        grew = False
         count = len(gens)
         pulls = list(range(start, count))
         muls = [(i, j) for i in range(count)
@@ -170,16 +200,16 @@ def gromov_closure(
             muls.reverse()
         for i in pulls:
             if open_degree(gens[i].degree()):
-                grew |= try_add(("pull", i), f.apply(gens[i]))
+                try_add(("pull", i), f.apply(gens[i]))
         for i, j in muls:
             if open_degree(gens[i].degree() + gens[j].degree()):
-                grew |= try_add(("mul", i, j), algebra.mul(gens[i], gens[j]))
-        if not grew:
+                try_add(("mul", i, j), algebra.mul(gens[i], gens[j]))
+        if len(gens) == count:
             break
 
-    # per occupied degree, in order: its basis, their certificates, and the
-    # block of f* whose columns are the coordinates of the basis' images
-    basis, certificates, blocks = [], [], []
+    # per occupied degree, in order: its basis and the block of f* whose
+    # columns are the coordinates of the basis' images
+    basis, blocks = [], []
     for degree, ech in enumerate(echelons):
         if not ech.pivots:
             continue
@@ -198,21 +228,12 @@ def gromov_closure(
                     "closure is not pullback-stable (internal error)")
             columns.append(coords)
         basis += vectors
-        certificates += [tuple((c, g) for g, c in sorted(combo.items()))
-                         for combo in ech.combos]
         blocks.append((degree, tuple(zip(*columns))))
 
     return GromovSubalgebra(
-        algebra=algebra,
-        pullback=f,
-        omega=omega,
-        basis=tuple(basis),
-        blocks=tuple(blocks),
-        dims_by_degree=tuple(len(ech.pivots) for ech in echelons),
-        words=tuple(words),
-        certificates=tuple(certificates),
-        sweeps=sweeps,
-    )
+        algebra=algebra, pullback=f, omega=omega, basis=tuple(basis),
+        blocks=tuple(blocks), words=tuple(words), sweeps=sweeps,
+        dims_by_degree=tuple(len(ech.pivots) for ech in echelons))
 
 
 def lambda_gr(closure: GromovSubalgebra, tol: float = 1e-9):

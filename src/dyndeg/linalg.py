@@ -5,8 +5,8 @@ product, takes row lists of ``int``, ``float`` or ``Fraction`` alike.
 
 ``Echelon``, the one elimination, runs in ``int``: it keeps each row as
 integer numerators over one denominator, takes sparse integer vectors and
-gives its basis in that form, with ``Fraction`` only in the combos and
-coordinates it returns.
+gives its basis in that form, with ``Fraction`` only in the coordinates
+it returns.
 """
 
 from __future__ import annotations
@@ -75,65 +75,51 @@ def transpose(a: Matrix) -> Matrix:
 
 
 class Echelon:
-    """Incrementally maintained reduced row echelon form with provenance.
+    """Incrementally maintained reduced row echelon form.
 
-    Each inserted vector carries an opaque ``tag`` combo (mapping generator
-    index -> coefficient).  Row operations update the combos, so a surviving
-    row always knows the exact linear combination of inserted generators that
-    produced it.  The row set is kept fully reduced and sorted by pivot, which
-    makes the basis the canonical RREF of the spanned subspace regardless of
-    insertion order.
-
-    Rows are stored fraction-free: row i is the sparse integer vector
+    The row set is kept fully reduced and sorted by pivot, which makes the
+    basis the canonical RREF of the spanned subspace regardless of insertion
+    order.  Rows are stored fraction-free: row i is the sparse integer vector
     ``{column: numerator}`` over one positive denominator, its pivot
-    numerator equal to that denominator, and its combo has numerators over
-    the same denominator; each row is kept in lowest terms.
+    numerator equal to that denominator, in lowest terms.
     ``insert_scaled``, ``scaled_basis`` and ``coordinates_scaled`` take and
-    give that integer form; ``combos`` and the coordinates are ``Fraction``.
+    give that integer form; only the coordinates are ``Fraction``.
     """
 
     def __init__(self, width: int):
         self.width = width
         self.pivots: list[int] = []
-        # (denominator, {column: numerator}, {generator: numerator}) per row
-        self._rows: list[tuple[int, dict[int, int], dict[int, int]]] = []
+        self._rows: list[tuple[int, dict[int, int]]] = []  # (den, numerators)
 
-    def _reduce(self, vec: dict[int, int]):
-        """``(rest, scale, hits)`` with rest = scale*vec - sum f*row over
-        ``(f, row)`` in hits: vec minus its parts along the rows, times
-        ``scale``.  The combos follow with the same factors."""
+    def _reduce(self, vec: dict[int, int]) -> dict[int, int]:
+        """vec minus its parts along the rows, times the lcm of those rows'
+        denominators."""
         # rows are zero at each other's pivots, so every coefficient can be
         # read off vec before any row is subtracted
         hits = [(vec[p], row) for p, row in zip(self.pivots, self._rows)
                 if p in vec]
-        scale = math.lcm(*(row[0] for _, row in hits))
-        hits = [(c * (scale // row[0]), row) for c, row in hits]
-        rest = _combine(scale, vec, [(f, row[1]) for f, row in hits])
-        return rest, scale, hits
+        scale = math.lcm(*(den for _, (den, _) in hits))
+        return _combine(scale, vec,
+                        [(c * (scale // den), row) for c, (den, row) in hits])
 
-    def insert_scaled(self, vec: dict[int, int], combo: dict[int, int]) -> bool:
-        """Insert a vector and its combo given as integer numerators over one
-        common positive denominator, the vector by its nonzero entries.  The
-        denominator cancels when the new row is normalised, so it is not
-        passed.  Returns True when the vector enlarged the span."""
-        rest, scale, hits = self._reduce(vec)
+    def insert_scaled(self, vec: dict[int, int]) -> bool:
+        """Insert a vector given by the nonzero integer numerators over a
+        common positive denominator; the denominator cancels when the new
+        row is normalised, so it is not passed.  Returns True when the
+        vector enlarged the span."""
+        rest = self._reduce(vec)
         if not rest:
             return False
-        combo = _combine(scale, combo, [(f, row[2]) for f, row in hits])
-        # the new row is rest / rest[pivot], its combo likewise
+        # the new row is rest / rest[pivot]
         pivot = min(rest)
-        new = _lowest_terms(rest[pivot], rest, combo)
+        nden, nvec = new = _lowest_terms(rest[pivot], rest)
         # back-substitute into existing rows to stay fully reduced:
         # R/d - (R[pivot]/d) N/n = (n R - R[pivot] N) / (d n)
-        nden, nvec, ncombo = new
-        for i, (rden, rvec, rcombo) in enumerate(self._rows):
+        for i, (rden, rvec) in enumerate(self._rows):
             c = rvec.get(pivot)
             if c:
                 self._rows[i] = _lowest_terms(
-                    rden * nden,
-                    _combine(nden, rvec, [(c, nvec)]),
-                    _combine(nden, rcombo, [(c, ncombo)]),
-                )
+                    rden * nden, _combine(nden, rvec, [(c, nvec)]))
         at = bisect.bisect(self.pivots, pivot)
         self.pivots.insert(at, pivot)
         self._rows.insert(at, new)
@@ -141,20 +127,14 @@ class Echelon:
 
     def scaled_basis(self) -> list[tuple[int, dict[int, int]]]:
         """The basis rows as ``(denominator, {column: numerator})``."""
-        return [(den, vec) for den, vec, _ in self._rows]
-
-    @property
-    def combos(self) -> list[dict[int, Fraction]]:
-        """Per row, the generator combination that produced it."""
-        return [{g: Fraction(c, den) for g, c in combo.items()}
-                for den, _, combo in self._rows]
+        return list(self._rows)
 
     def coordinates_scaled(
         self, den: int, vec: dict[int, int]
     ) -> list[Fraction] | None:
         """Coordinates of vec/den (nonzero numerators by column), or None if
         outside the span."""
-        if self._reduce(vec)[0]:
+        if self._reduce(vec):
             return None
         return [Fraction(vec.get(p, 0), den) for p in self.pivots]
 
@@ -176,16 +156,12 @@ def _combine(a: int, x: dict[int, int], terms) -> dict[int, int]:
     return {k: v for k, v in out.items() if v}
 
 
-def _lowest_terms(den: int, vec: dict[int, int], combo: dict[int, int]):
+def _lowest_terms(den: int, vec: dict[int, int]):
     """Divide a row's denominator and numerators by their gcd, signed so
     that the denominator comes out positive."""
-    g = math.gcd(den, *vec.values(), *combo.values())
+    g = math.gcd(den, *vec.values())
     if den < 0:
         g = -g
     if g == 1:
-        return den, vec, combo
-    return (
-        den // g,
-        {k: v // g for k, v in vec.items()},
-        {k: v // g for k, v in combo.items()},
-    )
+        return den, vec
+    return den // g, {k: v // g for k, v in vec.items()}

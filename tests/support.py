@@ -482,14 +482,15 @@ def fraction_mul(algebra: GradedAlgebra, a: Element, b: Element) -> Element:
     return from_coords(out)
 
 
-def replay_certificates(closure) -> bool:
-    """Evaluate the recipes of a Gromov closure in order with
-    :func:`fraction_mul` and :func:`apply_blocks`, each once, and compare
-    every certificate's sum with its basis vector."""
+def replay_words(closure):
+    """The values of a Gromov closure's recipes, each evaluated once, in
+    order, with :func:`fraction_mul` and :func:`apply_blocks`; None if a
+    recipe names no earlier one."""
     alg, blocks = closure.algebra, closure.pullback.blocks
     values = []
     for tag, *args in closure.words:
-        assert all(0 <= i < len(values) for i in args), (tag, args)
+        if not all(0 <= i < len(values) for i in args):
+            return None
         if tag == "one":
             values.append(alg.one())
         elif tag == "omega":
@@ -498,12 +499,35 @@ def replay_certificates(closure) -> bool:
             values.append(apply_blocks(alg, blocks, values[args[0]]))
         else:
             values.append(fraction_mul(alg, values[args[0]], values[args[1]]))
+    return values
 
-    for vec, cert in zip(closure.basis, closure.certificates):
-        total = alg.zero()
-        for coeff, g in cert:
-            total = total + coeff * values[g]
-        if total != vec:
+
+def replay_certificates(closure) -> bool:
+    """Whether the words of a Gromov closure certify its basis: replayed by
+    :func:`replay_words`, in each degree the values and the basis vectors
+    there are independent, as many, and span one space (compared as their
+    :class:`FractionEchelon` bases), and each basis vector is 1 at its own
+    pivot and 0 at the others'."""
+    values = replay_words(closure)
+    if values is None:
+        return False
+    degrees = {e.degrees() for e in (*values, *closure.basis)}
+    if any(len(ds) != 1 for ds in degrees):  # zero or inhomogeneous
+        return False
+    for (d,) in degrees:
+        gens = [v.coords[d] for v in values if v.degrees() == (d,)]
+        vecs = [b.coords[d] for b in closure.basis if b.degrees() == (d,)]
+        pivots = [next(k for k, x in enumerate(v) if x) for v in vecs]
+        if any(v[p] != int(i == j) for i, v in enumerate(vecs)
+               for j, p in enumerate(pivots)):
+            return False
+        spans = []
+        for rows in (gens, vecs):
+            ech = FractionEchelon(closure.algebra.dims[d])
+            if not all(ech.insert(row, {}) for row in rows):
+                return False
+            spans.append(ech.basis())
+        if len(gens) != len(vecs) or spans[0] != spans[1]:
             return False
     return True
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -33,6 +34,7 @@ from support import (
     builder_battery,
     random_valid_pullbacks,
     replay_certificates,
+    replay_words,
 )
 
 PHI_SQUARED = 2.618033988749895  # (3 + sqrt 5) / 2, from the quadratic formula
@@ -241,6 +243,7 @@ class TestRandomClosures:
                 assert image == f.apply(b), name
 
         assert replay_certificates(closure), name
+        assert closure.verify_certificates(), name
 
 
 class TestLambdaGr:
@@ -342,60 +345,91 @@ class TestCertificateReplay:
         assert self._closure().verify_certificates()
 
     def test_battery_certificates_replay_with_the_fraction_product(self):
-        # verify_certificates multiplies with the closure's own kernel; this
-        # replay multiplies with the Fraction basis-pair oracle instead
+        # verify_certificates multiplies with the closure's own kernel and
+        # reads ranks modulo a prime; this replay multiplies with the
+        # Fraction basis-pair oracle and compares spans in Fraction
         for name, model, f in builder_battery():
             for order in ("forward", "reversed"):
                 closure = gromov_closure(f, model.h, order)
                 assert replay_certificates(closure), (name, order)
 
-    def test_the_integer_replay_agrees_with_the_fraction_replay(self):
-        # the one-denominator integer sums give the verdict of the Fraction
-        # Element sums, on every battery closure and on it with each
-        # certificate's first coefficient moved
-        for name, model, f in builder_battery():
-            closure = gromov_closure(f, model.h)
-            variants = [closure]
-            for i, cert in enumerate(closure.certificates):
-                (coeff, word), *rest = cert
-                certs = list(closure.certificates)
-                certs[i] = ((coeff + Fraction(1, 3), word), *rest)
-                variants.append(self._tampered(closure, certificates=tuple(certs)))
-            verdicts = [c.verify_certificates() for c in variants]
-            assert verdicts == [replay_certificates(c) for c in variants], name
-            assert verdicts == [True] + [False] * closure.dimension, name
-
     @staticmethod
-    def _tampered(closure, basis=None, words=None, certificates=None):
-        """The closure with its basis, words or certificates swapped, built
+    def _tampered(closure, basis=None, words=None, omega=None):
+        """The closure with its basis, words or ample class swapped, built
         through the constructor."""
         return GromovSubalgebra(
-            closure.algebra, closure.pullback, closure.omega,
+            closure.algebra, closure.pullback,
+            closure.omega if omega is None else omega,
             closure.basis if basis is None else basis,
             closure.blocks, closure.dims_by_degree,
             closure.words if words is None else words,
-            closure.certificates if certificates is None else certificates,
             closure.sweeps,
         )
 
-    def test_a_tampered_coefficient_is_caught(self):
-        closure = self._closure()
-        certs = list(closure.certificates)
-        i = next(k for k, cert in enumerate(certs) if cert)
-        (coeff, word), *rest = certs[i]
-        certs[i] = ((coeff + Fraction(1, 3), word), *rest)
-        bad = self._tampered(closure, certificates=tuple(certs))
-        assert not bad.verify_certificates()
+    @classmethod
+    def _mutants(cls, closure):
+        """``(kind, closure)`` for each way the certificate is broken that
+        applies to ``closure``."""
+        algebra, words = closure.algebra, closure.words
+        yield "dropped word", cls._tampered(closure, words=words[:-1])
+        # one more word of degree 2, f* omega: in the span, but one too many
+        yield "word count", cls._tampered(closure, words=(*words, ("pull", 1)))
+        later = (*words[:-2], ("pull", len(words) - 1), words[-1])
+        yield "later recipe", cls._tampered(closure, words=later)
+        # a word repeated in place of a later one of its degree: the counts
+        # and the spans' inclusion hold, but the words are dependent
+        degrees = [b.degree() for b in replay_words(closure)]
+        pairs = [(i, k) for k in range(len(words)) for i in range(k)
+                 if degrees[i] == degrees[k]]
+        if pairs:
+            i, k = pairs[0]
+            repeated = (*words[:k], words[i], *words[k + 1:])
+            yield "repeated word", cls._tampered(closure, words=repeated)
+        for i, b in enumerate(closure.basis):
+            d = b.degree()
+            pivot = b.pieces[d][0][0]
+            basis = list(closure.basis)
+            basis[i] = b + algebra.basis_element(d, pivot)
+            yield "pivot coordinate", cls._tampered(closure, basis=tuple(basis))
+        # a degree-2 class off the closure's span: zero at every pivot there
+        pivots = {b.pieces[2][0][0] for b in closure.basis if b.degree() == 2}
+        off = [q for q in range(algebra.dims[2]) if q not in pivots]
+        if off:
+            omega = closure.omega + algebra.basis_element(2, off[0])
+            yield "outside the span", cls._tampered(closure, omega=omega)
 
-    def test_a_coefficient_moved_by_two_to_the_minus_eighty_is_caught(self):
+    @staticmethod
+    def _verdict(closure) -> bool:
+        try:
+            return closure.verify_certificates()
+        except ShapeMismatch:  # a recipe naming no earlier one
+            return False
+
+    def test_each_mutant_is_rejected_as_the_fraction_replay_rejects_it(self):
+        kinds = set()
+        for name, model, f in builder_battery():
+            closure = gromov_closure(f, model.h)
+            assert self._verdict(closure), name
+            for kind, bad in self._mutants(closure):
+                kinds.add(kind)
+                assert not self._verdict(bad), (name, kind)
+                assert not replay_certificates(bad), (name, kind)
+        assert kinds == {"dropped word", "word count", "later recipe",
+                         "repeated word", "pivot coordinate",
+                         "outside the span"}
+
+    def test_a_basis_entry_moved_by_two_to_the_minus_eighty_is_caught(self):
         # far below float resolution, so only an exact comparison sees it
         closure = self._closure()
-        for i, cert in enumerate(closure.certificates):
-            certs = list(closure.certificates)
-            (coeff, word), *rest = cert
-            certs[i] = ((coeff + Fraction(1, 2**80), word), *rest)
-            bad = self._tampered(closure, certificates=tuple(certs))
-            assert not bad.verify_certificates(), i
+        algebra = closure.algebra
+        for i, b in enumerate(closure.basis):
+            d = b.degree()
+            for q in range(algebra.dims[d]):
+                basis = list(closure.basis)
+                basis[i] = b + Fraction(1, 2**80) * algebra.basis_element(d, q)
+                bad = self._tampered(closure, basis=tuple(basis))
+                assert not bad.verify_certificates(), (i, q)
+                assert not replay_certificates(bad), (i, q)
 
     def test_a_tampered_basis_vector_is_caught(self):
         closure = self._closure()
@@ -403,9 +437,10 @@ class TestCertificateReplay:
         basis[-1] = basis[-1] + closure.algebra.one()
         bad = self._tampered(closure, basis=tuple(basis))
         assert not bad.verify_certificates()
+        assert not replay_certificates(bad)
 
     def test_each_shared_word_is_evaluated_once(self, monkeypatch):
-        # on (P^1)^3 the certificates share sub-words: spelled out as nested
+        # on (P^1)^3 the words share sub-words: spelled out as nested
         # words, the replay would make 11 products for 3 "mul" recipes
         model = multiprojective([1, 1, 1])
         f = product_map(model, [2, 3, 1], [1, 2, 0])
@@ -422,16 +457,19 @@ class TestCertificateReplay:
         assert len(muls) == sum(tag == "mul" for tag, *_ in closure.words) == 3
 
     def test_the_words_are_a_straight_line_program(self):
-        # every recipe names only earlier recipes, and every generator is
-        # named by some certificate, so the replay evaluates no idle word
+        # every recipe names only earlier recipes, and each degree holds as
+        # many words as basis vectors, so the replay evaluates no idle word
         for name, model, f in builder_battery():
             closure = gromov_closure(f, model.h)
+            degrees = []
             for n, (tag, *args) in enumerate(closure.words):
                 assert tag in ("one", "omega", "pull", "mul"), name
                 assert len(args) == {"pull": 1, "mul": 2}.get(tag, 0), name
                 assert all(0 <= i < n for i in args), name
-            named = {g for cert in closure.certificates for _, g in cert}
-            assert named == set(range(len(closure.words))), name
+                degrees.append({"one": 0, "omega": 2}.get(
+                    tag, sum(degrees[i] for i in args)))
+            assert tuple(degrees.count(d) for d in range(
+                len(model.algebra.dims))) == closure.dims_by_degree, name
 
     @pytest.mark.parametrize("recipe, message", [
         (("pull", 2), "names no earlier one"),  # itself
@@ -450,6 +488,73 @@ class TestCertificateReplay:
         bad = self._tampered(closure, words=tuple(words))
         with pytest.raises(ShapeMismatch, match=message):
             bad.verify_certificates()
+
+
+class TestInvertible:
+    # the rank test of the pivot matrices: modulo each prime of
+    # ``gromov._PRIMES`` in turn, then exactly through ``Echelon``
+    @staticmethod
+    def _exact_ranks(monkeypatch) -> list:
+        """The widths of the ``Echelon`` forms the rank test builds."""
+        built = []
+
+        class Recording(Echelon):
+            def __init__(self, width):
+                super().__init__(width)
+                built.append(width)
+
+        monkeypatch.setattr(gromov, "Echelon", Recording)
+        return built
+
+    def test_a_determinant_the_first_prime_divides_is_read_by_the_second(
+        self, monkeypatch
+    ):
+        built = self._exact_ranks(monkeypatch)
+        p1 = gromov._PRIMES[0]
+        assert gromov._invertible([[p1, 0], [0, 1]])
+        assert gromov._invertible([[1, 1], [1, 1 + p1]])
+        assert built == []
+
+    def test_a_determinant_every_prime_divides_reaches_the_exact_rank(
+        self, monkeypatch
+    ):
+        built = self._exact_ranks(monkeypatch)
+        assert gromov._invertible([[math.prod(gromov._PRIMES), 0], [0, 1]])
+        assert built == [2]
+
+    def test_a_matrix_singular_over_q_is_rejected(self, monkeypatch):
+        built = self._exact_ranks(monkeypatch)
+        p1 = gromov._PRIMES[0]
+        assert not gromov._invertible([[p1, 2 * p1], [3, 6]])
+        assert not gromov._invertible([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+        assert built == [2, 3]
+
+
+class TestGenericClosure:
+    # an 8 x 8 integer map on the abelian variety of dimension 4, drawn row
+    # by row from random.Random(3).randint(-3, 3); its closure runs
+    # combinations of thousands of bits through the echelon forms
+    SHA256 = "fcb78e46cdc301b52c60b047d598c361cccbb308909436f1c5ca5e881bca862b"
+
+    @pytest.mark.slow
+    def test_a_generic_g4_closure_is_pinned(self):
+        # about 1 s on a 2-core VM; run with ``pytest -m slow``
+        rng = random.Random(3)
+        m = [[rng.randint(-3, 3) for _ in range(8)] for _ in range(8)]
+        model, f = abelian_variety(4, m)
+        closure = gromov_closure(f, model.h)
+        assert closure.dims_by_degree == (1, 0, 28, 0, 70, 0, 28, 0, 1)
+        assert (closure.sweeps, len(closure.words)) == (28, 128)
+        assert closure.verify_certificates()
+        # the basis, and the blocks by degree, recorded before the echelon
+        # forms dropped their per-row combinations
+        digest = hashlib.sha256(repr((
+            [[str(x) for piece in b.coords for x in piece]
+             for b in closure.basis],
+            [(d, [[str(x) for x in row] for row in block])
+             for d, block in closure.blocks],
+        )).encode()).hexdigest()
+        assert digest == self.SHA256
 
 
 CUSTOM_P2 = {

@@ -17,7 +17,7 @@ shows that the spanning set is what makes the checks complete.
 ``integrate`` and ``pair`` are compared with Fraction oracles on random
 elements of algebras whose constants are non-integer, and the certificate
 replay and the delta table are checked to do no Fraction arithmetic; the
-Gromov certificates are replayed with the oracle product in ``test_gromov.py``.
+Gromov closures' words are replayed with the oracle product in ``test_gromov.py``.
 """
 
 import random

@@ -28,6 +28,7 @@ from support import (
     fraction_char_poly,
     fraction_det,
     mat_mul as fraction_mat_mul,
+    replay_words,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -145,28 +146,20 @@ class TestCharPolyAndDet:
         assert fraction_det(((0, 0), (1, 0))) == 0
 
 
-def scaled(vector, combo=None):
-    """``(den, vec, combo)``: ``vector`` and ``combo`` as integer numerators
-    over one common denominator, the vector by its nonzero entries."""
-    combo = combo or {}
-    den = math.lcm(*(Fraction(x).denominator
-                     for x in (*vector, *combo.values())))
+def scaled(vector):
+    """``(den, vec)``: ``vector`` as integer numerators over one common
+    denominator, by its nonzero entries."""
+    den = math.lcm(*(Fraction(x).denominator for x in vector))
     nums = [x.numerator * (den // x.denominator) for x in vector]
-    return (
-        den,
-        {j: x for j, x in enumerate(nums) if x},
-        {g: c.numerator * (den // c.denominator) for g, c in combo.items()},
-    )
+    return den, {j: x for j, x in enumerate(nums) if x}
 
 
-def insert(ech, vector, combo):
-    _, vec, combo = scaled(vector, combo)
-    return ech.insert_scaled(vec, combo)
+def insert(ech, vector):
+    return ech.insert_scaled(scaled(vector)[1])
 
 
 def coordinates(ech, vector):
-    den, vec, _ = scaled(vector)
-    return ech.coordinates_scaled(den, vec)
+    return ech.coordinates_scaled(*scaled(vector))
 
 
 def basis(ech):
@@ -182,9 +175,8 @@ class TestEchelon:
         width, vectors = data
         ech = Echelon(width)
         oracle = FractionEchelon(width)
-        for g, vec in enumerate(vectors):
-            combo = {g: Fraction(1)}
-            assert insert(ech, vec, combo) == oracle.insert(vec, combo)
+        for vec in vectors:
+            assert insert(ech, vec) == oracle.insert(vec, {})
         rows = basis(ech)
         if vectors:
             rref, pivots = to_sympy(vectors).rref()
@@ -196,13 +188,6 @@ class TestEchelon:
             expected = []
         assert rows == expected == oracle.basis()
         assert len(ech.pivots) == len(expected)
-        # every combo re-evaluates to its basis row
-        assert ech.combos == oracle.combos
-        for row, combo in zip(rows, ech.combos):
-            value = [Fraction(0)] * width
-            for g, c in combo.items():
-                value = [v + c * x for v, x in zip(value, vectors[g])]
-            assert tuple(value) == row
         # every inserted vector has coordinates that rebuild it
         for vec in vectors:
             coords = coordinates(ech, vec)
@@ -218,28 +203,27 @@ class TestEchelon:
         width, vectors = data
         ech = Echelon(width)
         oracle = FractionEchelon(width)
-        for g, vec in enumerate(vectors):
-            insert(ech, vec, {g: Fraction(1)})
-            oracle.insert(vec, {g: Fraction(1)})
+        for vec in vectors:
+            insert(ech, vec)
+            oracle.insert(vec, {})
         probe = tuple(draw.draw(scalars) for _ in range(width))
         rank = to_sympy(vectors).rank() if vectors else 0
         inside = to_sympy([*vectors, probe]).rank() == rank
         assert (coordinates(ech, probe) is not None) == inside
         assert oracle.contains(probe) == inside
 
-    def test_combo_coefficients_may_be_rational(self):
+    def test_a_rational_row_is_kept_in_lowest_terms(self):
         ech = Echelon(2)
-        assert insert(ech, (Fraction(-2, 3), 1), {0: Fraction(5, 7)})
+        assert insert(ech, (Fraction(-2, 3), 1))
         assert basis(ech) == [(1, Fraction(-3, 2))]
-        # the row shares its denominator with its combo
-        assert ech.scaled_basis() == [(14, {0: 14, 1: -21})]
-        assert ech.combos == [{0: Fraction(-15, 14)}]
-        assert not insert(ech, (2, -3), {1: Fraction(1)})
+        assert ech.scaled_basis() == [(2, {0: 2, 1: -3})]
+        assert not insert(ech, (2, -3))
 
 
-# sha256 of every battery closure (both sweep orders): basis, certificates,
-# restricted matrix (the blocks on the diagonal), dims and sweeps, recorded
-# with the Fraction closure
+# sha256 of every battery closure (both sweep orders): basis, per-vector
+# certificates (rebuilt from the words by ``certificates``), restricted
+# matrix (the blocks on the diagonal), dims and sweeps, recorded with the
+# Fraction closure
 BATTERY_CLOSURE_SHA256 = (
     "ff832435a3bc192553a27ed0a0aae949c48158f8a554207e3ce8182fd38d940e"
 )
@@ -268,6 +252,25 @@ def spelled_out(words) -> list[tuple]:
     return nested
 
 
+def certificates(closure) -> list[list[tuple]]:
+    """Per basis vector, the terms ``(word index, coefficient)`` that sum
+    the word values to it, by index: the form the digest was recorded in.  Each
+    degree's values go into a ``FractionEchelon`` in word order, each with
+    the combo ``{index: 1}``; every word enlarged its degree's span, so
+    the rows are the closure's basis and their combos its certificates."""
+    values = replay_words(closure)
+    certs = []
+    for d, dim in enumerate(closure.algebra.dims):
+        ech = FractionEchelon(dim)
+        for g, v in enumerate(values):
+            if v.degree() == d:
+                assert ech.insert(v.coords[d], {g: Fraction(1)})
+        assert ech.basis() == [b.coords[d] for b in closure.basis
+                               if b.degree() == d]
+        certs += [sorted(combo.items()) for combo in ech.combos]
+    return certs
+
+
 def closure_digest() -> str:
     digest = hashlib.sha256()
     for name, model, f in builder_battery():
@@ -277,7 +280,8 @@ def closure_digest() -> str:
             digest.update(repr((
                 name, order, c.sweeps, c.dims_by_degree,
                 [[str(x) for piece in b.coords for x in piece] for b in c.basis],
-                [[(str(k), words[g]) for k, g in cert] for cert in c.certificates],
+                [[(str(k), words[g]) for g, k in cert]
+                 for cert in certificates(c)],
                 [[str(x) for x in row] for row in block_diagonal(c.blocks)],
             )).encode())
     return digest.hexdigest()
