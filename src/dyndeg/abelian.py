@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 # ``core.build_algebra`` is looked up when called, so a wrapper bound there
 # (a tracer's) is the one that runs
 from . import SUPER_COMMUTATIVE, core, endo
-from .errors import (AmpleClassDegenerate, DegreeNotPositive, SchemaError,
-                     ShapeMismatch)
+from .errors import (AmpleClassDegenerate, AmpleNotPositive, DegreeNotPositive,
+                     SchemaError, ShapeMismatch)
 from .linalg import as_matrix, identity
 from .models import EffectiveClass, EmbeddedModel, check_square
 
@@ -79,6 +79,9 @@ def abelian_variety(
     from an endomorphism (for alpha in End(E), (tr alpha)^2 <= 4 deg alpha).
     ``omega`` maps generator pairs (i, j), i < j, to coefficients; the
     default is the standard product polarization e_0^e_1 + e_2^e_3 + ...
+    It must be ample, omega_H = sum_i H_ii e_2i^e_2i+1 + sum_i<j H_ij
+    (e_2i^e_2j+1 + e_2j^e_2i+1) for H positive definite, as for E without
+    CM (Birkenhake and Lange); else it raises ``AmpleNotPositive``.
 
     Integration is the raw top-form coefficient, so deg(X) = integrate(h^g)
     already carries the g! of the classical chi = omega^g / g! convention;
@@ -120,6 +123,15 @@ def abelian_variety(
         provenance=f"abelian_variety:{g}",
         effective=effective,
     ).validate()
+    # omega_H over omega's denominator: H up to a positive scale
+    num = dict(w.pieces[2])
+    c = {ij: num.get(p, 0) for ij, p in pair_index.items()}
+    h = [[c[2 * min(i, j), 2 * max(i, j) + 1] for j in range(g)] for i in range(g)]
+    if any(c[2 * i, 2 * j] or c[2 * i + 1, 2 * j + 1]
+           or c[2 * i, 2 * j + 1] + c[2 * i + 1, 2 * j]
+           for i in range(g) for j in range(i + 1, g)) or not _positive_definite(h):
+        raise AmpleNotPositive(
+            "omega is not ample: it is not omega_H for a positive definite H")
     integer_scalar_blocks = all(
         m[2 * i][2 * j].denominator == 1
         and m[2 * i][2 * j] == m[2 * i + 1][2 * j + 1]
@@ -132,6 +144,21 @@ def abelian_variety(
         provenance="exterior",
     )
     return model, pull
+
+
+def _positive_definite(h) -> bool:
+    """Whether the symmetric integer matrix ``h`` is positive definite: by
+    Sylvester's criterion, whether its leading principal minors are, the
+    pivots of Bareiss's fraction-free elimination without row exchanges."""
+    h, last = [list(row) for row in h], 1
+    for k, row in enumerate(h):
+        if row[k] <= 0:
+            return False
+        for below in h[k + 1:]:
+            below[k + 1:] = [(row[k] * x - below[k] * y) // last
+                             for x, y in zip(below[k + 1:], row[k + 1:])]
+        last = row[k]
+    return True
 
 
 def elliptic_square(
@@ -162,8 +189,9 @@ def build_abelian(spec, map_spec):
         omega = {(i, j): coeff for i, j, coeff in spec["omega"]}
     try:
         return abelian_variety(g, map_spec.get("matrix", identity(2 * g)), omega)
-    except (AmpleClassDegenerate, DegreeNotPositive) as exc:
-        # omega^g = 0 or deg(X) = integrate(omega^g) <= 0: omega alone decides
+    except (AmpleClassDegenerate, DegreeNotPositive, AmpleNotPositive) as exc:
+        # omega^g = 0, deg(X) = integrate(omega^g) <= 0 or omega not ample:
+        # omega alone decides
         raise SchemaError([("/model/omega", str(exc))]) from exc
 
 

@@ -7,25 +7,20 @@ lets the same container model Chow-type rings (even degrees only) and full
 cohomology rings of abelian varieties (odd generators) side by side.
 
 Scalars at the interface are ``fractions.Fraction``; inside, everything is
-integers over one denominator.  :func:`build_algebra` reads the structure
-constants once, straight into the integer table (:class:`ScaledTable`); every
-product goes through its one kernel, ``ScaledTable.multiply``: the
-associativity check and the choice of generators here, ``GradedAlgebra.mul``,
-the multiplicativity check of a pullback and the products of the Gromov
-closure.  ``GradedAlgebra.pair`` is no product: it reads one integer pairing
-form, built once per algebra from the table blocks of complementary degrees.
-Associativity and multiplicativity are checked on a generating set only
-(Light's test, see ``_validate``).  An :class:`Element` is sparse integer
-numerators over one denominator too, so its sums, scalar multiples, products
-and pullbacks do no ``Fraction`` arithmetic.  ``GradedAlgebra.element``, and
-``one``, ``basis_element`` and ``homogeneous`` through it, builds that form
-sparse from the given entries; ``Element.coords`` is the ``Fraction`` view.
-Pullbacks, Berkowitz's characteristic polynomial and ``Echelon`` run in
-``int`` as well, and so does :func:`tensor_product`, the second constructor
-of valid instances, valid by construction; it orders every product basis.
-Instances are immutable after construction and all operations are pure.  The
-tests replay the Gromov closure's words with a Fraction basis-pair product,
-which checks that kernel independently.
+integers over one denominator, from f* to the certified spectral radii.
+:func:`build_algebra` reads the structure constants once, straight into the
+integer table (:class:`ScaledTable`); every product goes through its one
+kernel, ``ScaledTable.multiply``: the associativity check and the choice of
+generators here, ``GradedAlgebra.mul``, the multiplicativity check of a
+pullback and the products of the Gromov closure.  ``GradedAlgebra.pair``
+reads one integer pairing form, built once per algebra from the table
+blocks of complementary degrees.  Associativity and multiplicativity are
+checked on a generating set only (Light's test, see ``_validate``).  An
+:class:`Element` is sparse integer numerators over one denominator too;
+``GradedAlgebra.element`` builds it from the given entries, and
+``Element.coords`` is the ``Fraction`` view.  :func:`tensor_product`, the
+second constructor of valid instances, is valid by construction and orders
+every product basis.  Instances are immutable and all operations are pure.
 """
 
 from __future__ import annotations

@@ -195,7 +195,9 @@ def segre_graph_degree(
     if model.provenance.startswith("projective_space") and (
         f.provenance or ""
     ).startswith("power:"):
-        expected = model.deg_x * (1 + f.block(2)[0][0] ** m) ** r
+        den, columns = f.scaled_blocks
+        d = Fraction(dict(columns[2][0]).get(0, 0), den)
+        expected = model.deg_x * (1 + d**m) ** r
         matches = total == expected
     return SegreDegree(value=total, expected=expected, matches=matches)
 

@@ -11,7 +11,6 @@ builders, "unverified" for hand-supplied matrices).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .core import BasisIndex, Element, GradedAlgebra
@@ -23,8 +22,8 @@ class PullbackMap:
     """Validated unital graded ring endomorphism f*, stored only as
     ``scaled_blocks = (D, columns)``: D is the lcm of all entry denominators
     and ``columns[k][q]`` the nonzero entries ``((p, D * m_pq), ...)`` of
-    column q of block k, in increasing p.  ``apply`` and the Gromov closure
-    run on it; ``block(k)`` reads one degree as a ``Fraction`` matrix.
+    column q of block k, in increasing p.  ``apply``, the Gromov closure,
+    the spectral radii and the degree tables all read this one form.
     """
 
     def __init__(self, algebra: GradedAlgebra, scaled_blocks: tuple[int, tuple],
@@ -34,19 +33,6 @@ class PullbackMap:
         self.scaled_blocks = scaled_blocks
         self.realizability = realizability
         self.provenance = provenance
-
-    def block(self, degree: int) -> Matrix:
-        """Block ``degree`` as a ``Fraction`` matrix, read off ``scaled_blocks``."""
-        den, columns = self.scaled_blocks
-        cols, zero = columns[degree], Fraction(0)
-        return tuple(zip(*(
-            [Fraction(c[p], den) if p in c else zero for p in range(len(cols))]
-            for c in map(dict, cols))))
-
-    @property
-    def blocks(self) -> tuple[Matrix, ...]:
-        """``block(k)`` of every degree k, built on each read."""
-        return tuple(map(self.block, range(len(self.scaled_blocks[1]))))
 
     def apply_scaled(self, degree: int, vec) -> dict[int, int]:
         """D times block ``degree`` applied to the sparse integer vector

@@ -12,29 +12,29 @@ already fills is skipped before its product or pullback is computed: the
 echelon form would reject it and stay as it is.  The basis is the canonical
 reduced row echelon form of each piece, lowest degree first, so it does not
 depend on the order generators are processed in.  f* on the closure is kept
-as its blocks, one per occupied degree.
+as its blocks, one per occupied degree, integer matrices over a denominator.
 
 The generators form a straight-line program, ``words``: recipes ("one",),
 ("omega",), ("pull", i) and ("mul", i, j), where i and j index earlier
 recipes.  The words are the certificate: each enlarged its degree's span,
 so a degree holds as many words as basis vectors, and replaying them and
-reading each value off the basis at its pivots shows that the two span
-the same space (``GromovSubalgebra.verify_certificates``).
+reading each value off the basis at its pivots shows, in ``int``, that
+the two span the same space (``GromovSubalgebra.verify_certificates``).
 ``spectral_chain(model, closure)`` reads the map and the class from the
 closure, and holds the one realizability rule of the verdict.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .core import Element, GradedAlgebra
 from .endo import PullbackMap
 from .errors import ShapeMismatch
-from .linalg import Echelon, Matrix
-from .spectral import exterior_radii, spectral_radius
+from .linalg import Echelon, combine
+from .spectral import exterior_radii, scaled_radius
 
 if TYPE_CHECKING:
     from .models import EmbeddedModel
@@ -42,15 +42,15 @@ if TYPE_CHECKING:
 
 class GromovSubalgebra:
     """``basis`` is homogeneous, sorted by degree and in RREF within each
-    degree; ``blocks`` holds ``(degree, block)`` per occupied degree, column j
-    of the block the coordinates of f* of that degree's j-th basis vector.
+    degree; ``blocks`` holds ``(degree, (D, A))`` per occupied degree, column j
+    of A / D the coordinates of f* of that degree's j-th basis vector.
     ``words`` are the generators' recipes, each naming only earlier ones by
     index; in each degree they are as many as the basis vectors there and
     span what those span, which ``verify_certificates`` checks."""
 
     def __init__(self, algebra: GradedAlgebra, pullback: PullbackMap,
                  omega: Element, basis: tuple[Element, ...],
-                 blocks: tuple[tuple[int, Matrix], ...],
+                 blocks: tuple[tuple[int, tuple[int, tuple]], ...],
                  dims_by_degree: tuple[int, ...], words: tuple[tuple, ...],
                  sweeps: int):
         self.algebra = algebra
@@ -76,7 +76,8 @@ class GromovSubalgebra:
         unknown tag, raises ``ShapeMismatch``.  Each degree must then hold
         as many word values as basis vectors, each value g must be
         sum_i g[p_i] b_i, p_i the pivot of b_i, and the matrix of the
-        g[p_i] must be invertible."""
+        g[p_i] must be invertible.  The sum is checked on numerators, as
+        L N_g = sum_i N_g[p_i] (L / D_i) B_i, L the lcm of the D_i."""
         algebra, f = self.algebra, self.pullback
         values: list[Element] = []
         for n, recipe in enumerate(self.words):
@@ -104,14 +105,14 @@ class GromovSubalgebra:
         for key, vectors in basis.items():
             d, gens = key[0], words[key]
             pivots = [b.pieces[d][0][0] for b in vectors]
+            lcm = math.lcm(*(b.denominator for b in vectors))
+            scaled = [(lcm // b.denominator, dict(b.pieces[d])) for b in vectors]
             # row k: the numerators of the k-th word value at the pivots
-            rows = [[piece.get(p, 0) for p in pivots]
-                    for piece in (dict(g.pieces[d]) for g in gens)]
-            if len(rows) != len(vectors) or any(
-                    Element.combination(algebra.dims, [
-                        (Fraction(x, g.denominator), b)
-                        for x, b in zip(row, vectors) if x]) != g
-                    for g, row in zip(gens, rows)) or not _invertible(rows):
+            pieces = [dict(g.pieces[d]) for g in gens]
+            rows = [[piece.get(p, 0) for p in pivots] for piece in pieces]
+            if len(rows) != len(vectors) or any(combine(lcm, piece, [
+                    (x * s, b) for x, (s, b) in zip(row, scaled) if x])
+                    for piece, row in zip(pieces, rows)) or not _invertible(rows):
                 return False
         return True
 
@@ -152,8 +153,8 @@ def gromov_closure(
     Generators are homogeneous elements, inserted into their degree's
     echelon form as integer numerators; products and pullbacks are
     ``GradedAlgebra.mul`` and ``PullbackMap.apply``, the ones the words are
-    replayed with.  ``Fraction`` appears only in the blocks.  A word is
-    kept only when its value enlarged its degree's span.
+    replayed with.  A word is kept only when its value enlarged its
+    degree's span.  A block's D is the lcm of its images' denominators.
 
     A pullback or product is computed only when its degree is at most the
     top and that degree's echelon form is below the piece's dimension.  The
@@ -213,22 +214,19 @@ def gromov_closure(
     for degree, ech in enumerate(echelons):
         if not ech.pivots:
             continue
-        vectors = [
-            Element.scaled(dims, den, [row if d == degree else {}
-                                       for d in range(top + 1)])
-            for den, row in ech.scaled_basis()
-        ]
-        columns = []
-        for b in vectors:
-            image = f.apply(b)
-            coords = ech.coordinates_scaled(image.denominator,
-                                            dict(image.pieces[degree]))
+        vectors = [Element.scaled(dims, den, [row if d == degree else {}
+                                              for d in range(top + 1)])
+                   for den, row in ech.scaled_basis()]
+        images = list(map(f.apply, vectors))
+        lcm, columns = math.lcm(*(image.denominator for image in images)), []
+        for image in images:
+            coords = ech.coordinates_scaled(dict(image.pieces[degree]))
             if coords is None:
                 raise ShapeMismatch(
                     "closure is not pullback-stable (internal error)")
-            columns.append(coords)
+            columns.append([x * (lcm // image.denominator) for x in coords])
         basis += vectors
-        blocks.append((degree, tuple(zip(*columns))))
+        blocks.append((degree, (lcm, tuple(zip(*columns)))))
 
     return GromovSubalgebra(
         algebra=algebra, pullback=f, omega=omega, basis=tuple(basis),
@@ -249,8 +247,8 @@ def lambda_gr(closure: GromovSubalgebra, tol: float = 1e-9):
     if got is None:
         rho = 0.0
         err = 0.0
-        for _, block in closure.blocks:
-            r, e = spectral_radius(block, tol)
+        for _, (den, block) in closure.blocks:
+            r, e = scaled_radius(den, block, tol)
             if r > rho:
                 rho, err = r, e
             err = max(err, e)
@@ -313,9 +311,12 @@ def spectral_chain(
 
     # on an exterior algebra, f* (a ring map) is wedge^j of its degree-1
     # block in degree j, so every radius comes from that block's roots
-    radii = (exterior_radii(f.block(1), tol) if algebra.exterior else
-             [spectral_radius(block, tol) if dim else (0.0, 0.0)
-              for dim, block in zip(algebra.dims, f.blocks)])
+    den, columns = f.scaled_blocks
+    # column q of a block as row q: its transpose, with the same polynomial
+    dense = [[[c.get(p, 0) for p in range(len(cols))] for c in map(dict, cols)]
+             for cols in (columns[1:2] if algebra.exterior else columns)]
+    radii = (exterior_radii(den, dense[0], tol) if algebra.exterior else
+             [scaled_radius(den, a, tol) if a else (0.0, 0.0) for a in dense])
     mu = tuple(r for r, _ in radii)
     lam = mu[::2]  # the algebraic pieces, of even degree
     realizability = (model.realizability if f.realizability == "asserted"

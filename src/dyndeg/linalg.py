@@ -1,12 +1,11 @@
-"""Exact rational linear algebra on plain nested tuples of ``Fraction``.
-
-Matrices are immutable tuples of row tuples; ``mat_mul``, the one matrix
-product, takes row lists of ``int``, ``float`` or ``Fraction`` alike.
+"""Exact linear algebra: ``as_matrix`` reads a matrix into ``Fraction``
+once, and ``scaled_matrix`` turns it into integer rows over one
+denominator, the form everything downstream computes on.  ``mat_mul``, the
+one matrix product, takes row lists of ``int``, ``float`` or ``Fraction``.
 
 ``Echelon``, the one elimination, runs in ``int``: it keeps each row as
 integer numerators over one denominator, takes sparse integer vectors and
-gives its basis in that form, with ``Fraction`` only in the coordinates
-it returns.
+gives its basis and coordinates in that form.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ class Echelon:
     ``{column: numerator}`` over one positive denominator, its pivot
     numerator equal to that denominator, in lowest terms.
     ``insert_scaled``, ``scaled_basis`` and ``coordinates_scaled`` take and
-    give that integer form; only the coordinates are ``Fraction``.
+    give that integer form.
     """
 
     def __init__(self, width: int):
@@ -99,8 +98,8 @@ class Echelon:
         hits = [(vec[p], row) for p, row in zip(self.pivots, self._rows)
                 if p in vec]
         scale = math.lcm(*(den for _, (den, _) in hits))
-        return _combine(scale, vec,
-                        [(c * (scale // den), row) for c, (den, row) in hits])
+        return combine(scale, vec,
+                       [(c * (scale // den), row) for c, (den, row) in hits])
 
     def insert_scaled(self, vec: dict[int, int]) -> bool:
         """Insert a vector given by the nonzero integer numerators over a
@@ -119,7 +118,7 @@ class Echelon:
             c = rvec.get(pivot)
             if c:
                 self._rows[i] = _lowest_terms(
-                    rden * nden, _combine(nden, rvec, [(c, nvec)]))
+                    rden * nden, combine(nden, rvec, [(c, nvec)]))
         at = bisect.bisect(self.pivots, pivot)
         self.pivots.insert(at, pivot)
         self._rows.insert(at, new)
@@ -129,14 +128,12 @@ class Echelon:
         """The basis rows as ``(denominator, {column: numerator})``."""
         return list(self._rows)
 
-    def coordinates_scaled(
-        self, den: int, vec: dict[int, int]
-    ) -> list[Fraction] | None:
-        """Coordinates of vec/den (nonzero numerators by column), or None if
-        outside the span."""
+    def coordinates_scaled(self, vec: dict[int, int]) -> list[int] | None:
+        """Coordinates of a vector (nonzero numerators by column), as
+        numerators over its denominator, or None if outside the span."""
         if self._reduce(vec):
             return None
-        return [Fraction(vec.get(p, 0), den) for p in self.pivots]
+        return [vec.get(p, 0) for p in self.pivots]
 
 
 def scaled_matrix(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
@@ -146,7 +143,7 @@ def scaled_matrix(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:
                  for row in rows]
 
 
-def _combine(a: int, x: dict[int, int], terms) -> dict[int, int]:
+def combine(a: int, x: dict[int, int], terms) -> dict[int, int]:
     """a*x - sum f*y over ``(f, y)`` in terms, on sparse integer vectors,
     zeros dropped."""
     out = {k: a * v for k, v in x.items()}

@@ -1,11 +1,13 @@
 """Spectral radius, exactly: the characteristic polynomial by Berkowitz
-elimination in ``int``, and certified brackets of its root moduli.
+elimination in ``int``, of a block held as an integer matrix A = D*M and its
+denominator D (as ``PullbackMap.scaled_blocks`` and the Gromov closure hold
+it), made primitive, and certified brackets of its root moduli.
 
 Roots are certified in integers, on square-free polynomials from the
 primitive remainder sequence: Aberth's iteration proposes them in floats,
 they are polished as Gaussian integers over 2^B, and pairwise disjoint
 Newton disks of radius n|p(z)/p'(z)|, evaluated exactly, certify them.
-:func:`spectral_radius` reads the largest modulus; :func:`exterior_radii`
+:func:`scaled_radius` reads the largest modulus; :func:`exterior_radii`
 the radius of each exterior power of a matrix, from that matrix's roots.
 
 The floating estimators (norm doubling, trace growth) and the limsup
@@ -32,18 +34,20 @@ _PAST_RANGE = "spectral radius past the float range"
 
 
 def char_poly(matrix: Sequence[Sequence]) -> list[Fraction]:
-    """Coefficients of det(xI - M), descending, by Berkowitz elimination.
+    """Coefficients of det(xI - M), descending: :func:`_scaled_poly` over
+    its leading coefficient.  [1] for the empty matrix."""
+    p = _scaled_poly(*scaled_matrix(as_matrix(matrix)))
+    return [Fraction(c, p[0]) for c in p]
 
-    Division-free, so it runs in ``int`` on A = D*M, D the lcm of the entry
-    denominators: coefficient k of det(xI - A) is D^k times coefficient k of
-    det(xI - M).  [1] for the empty matrix.
-    """
-    m = as_matrix(matrix)
-    n = len(m)
-    if any(len(row) != n for row in m):
+
+def _scaled_poly(den: int, a) -> tuple[int, ...]:
+    """det(D x I - A) = D^n det(xI - A/D), descending, made primitive:
+    coefficient k of det(xI - A), by Berkowitz in ``int``, times D^(n-k)."""
+    if any(len(row) != len(a) for row in a):
         raise ShapeMismatch("characteristic polynomial of a non-square matrix")
-    den, a = scaled_matrix(m)
-    return [Fraction(c, den**k) for k, c in enumerate(_berkowitz(a))]
+    coeffs = _berkowitz(a)
+    n = len(coeffs) - 1
+    return tuple(_primitive([c * den ** (n - k) for k, c in enumerate(coeffs)]))
 
 
 def _berkowitz(a: list[list[int]]) -> list[int]:
@@ -94,10 +98,10 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
 
 
 def _squarefree_part(coeffs) -> list[int]:
-    """The square-free part of the rational polynomial ``coeffs`` without
-    its zero roots, primitive in Z[x] with a positive leading coefficient:
-    p over the last term of the primitive remainder sequence of p and p'."""
-    p = scaled_matrix([coeffs])[1][0]
+    """The square-free part of the integer polynomial ``coeffs`` without
+    its zero roots, primitive with a positive leading coefficient: p over
+    the last term of the primitive remainder sequence of p and p'."""
+    p = list(coeffs)
     while len(p) > 1 and not p[-1]:
         p.pop()
     p = _primitive(p)
@@ -112,11 +116,11 @@ def _squarefree_part(coeffs) -> list[int]:
 def _multiplicities(coeffs) -> tuple[int, list[tuple[list[int], int]]]:
     """``(z, factors)``: z the multiplicity of the root 0 of ``coeffs``, and
     ``(q, m)`` for each multiplicity m of its other roots, q their product of
-    x - a as :func:`_squarefree_part` gives.  The square-free parts s_1, s_2,
-    ... of p, p / s_1, p / (s_1 s_2), ... hold the roots of multiplicity at
-    least 1, 2, ...; q = s_m / s_(m+1), exact and by Gauss's lemma primitive."""
+    x - a as :func:`_squarefree_part` gives, for integer ``coeffs``.  The
+    square-free parts s_1, s_2, ... of p, p / s_1, p / (s_1 s_2), ... hold
+    the roots of multiplicity at least 1, 2, ...; q = s_m / s_(m+1)."""
     zeros = next(i for i, c in enumerate(reversed(coeffs)) if c)
-    p, levels = scaled_matrix([coeffs])[1][0], []
+    p, levels = list(coeffs), []
     while len(s := _squarefree_part(p)) > 1:
         levels.append(s)
         p = _pseudo_divmod(p, s)[0]
@@ -126,9 +130,15 @@ def _multiplicities(coeffs) -> tuple[int, list[tuple[list[int], int]]]:
 
 
 def spectral_radius(matrix: Sequence[Sequence], tol: float = 1e-9):
-    """Certified max modulus of eigenvalues: returns ``(rho, error_bound)``.
+    """:func:`scaled_radius` of the rational square ``matrix``."""
+    return scaled_radius(*scaled_matrix(as_matrix(matrix)), tol)
 
-    Each root of the square-free part of det(xI - M) gets a disk of
+
+def scaled_radius(den: int, a, tol: float = 1e-9):
+    """Certified max modulus of the eigenvalues of ``a`` / ``den``, ``a``
+    a square integer matrix: returns ``(rho, error_bound)``.
+
+    Each root of the square-free part of det(D x I - A) gets a disk of
     :func:`_root_disks`: rho is the largest |z| correctly rounded and capped
     at the Cauchy bound, the error bound the largest radius plus 1e-15
     max(1, rho).  Raises :class:`SpectralNonconvergence` (with the best
@@ -136,14 +146,14 @@ def spectral_radius(matrix: Sequence[Sequence], tol: float = 1e-9):
     is past the float range."""
     if not tol > 0:
         raise ShapeMismatch("tol must be positive")
-    return _max_root_modulus(tuple(char_poly(matrix)), tol)
+    return _max_root_modulus(_scaled_poly(den, a), tol)
 
 
 @functools.lru_cache(maxsize=64)
-def _max_root_modulus(coeffs: tuple[Fraction, ...], tol: float):
-    """Certified ``(rho, error_bound)`` for the polynomial ``coeffs``; pure,
-    so a closure block and a graded block with the same characteristic
-    polynomial share one certificate per process."""
+def _max_root_modulus(coeffs: tuple[int, ...], tol: float):
+    """Certified ``(rho, error_bound)`` for the integer polynomial
+    ``coeffs``; pure, so a closure block and a graded block with the same
+    primitive characteristic polynomial share one certificate per process."""
     poly = _squarefree_part(coeffs)
     if len(poly) == 1:
         return 0.0, 0.0
@@ -165,9 +175,9 @@ def _max_root_modulus(coeffs: tuple[Fraction, ...], tol: float):
     return _certified([poly], read, tol, (0.0, cauchy))[0]
 
 
-def exterior_radii(matrix: Sequence[Sequence], tol: float = 1e-9):
+def exterior_radii(den: int, a, tol: float = 1e-9):
     """Certified ``(mu_k, error_bound)`` for k = 0..n, mu_k the spectral
-    radius of the k-th exterior power of the n x n ``matrix``.
+    radius of the k-th exterior power of the n x n M = ``a`` / ``den``.
 
     The eigenvalues of wedge^k M are the products of k eigenvalues of M
     (Marcus, *Finite Dimensional Multilinear Algebra* I), so mu_k is the
@@ -175,12 +185,12 @@ def exterior_radii(matrix: Sequence[Sequence], tol: float = 1e-9):
     the correctly rounded root of the exact product of the k largest |z|^2,
     bracketed, also where moduli tie, by the products of the k largest
     |z| -/+ radius; the error bound is the bracket's width plus 1e-15
-    max(1, mu_k).  Raises as :func:`spectral_radius` does, with the bracket
+    max(1, mu_k).  Raises as :func:`scaled_radius` does, with the bracket
     (0, c^n), c >= 1 the Cauchy bound, if no round certifies every root."""
     if not tol > 0:
         raise ShapeMismatch("tol must be positive")
-    coeffs = char_poly(matrix)
-    if abs(coeffs[-1]) >= 2**1024:  # mu_n = |det M|, found with no disks
+    coeffs = _scaled_poly(den, a)
+    if abs(coeffs[-1]) >= coeffs[0] << 1024:  # mu_n = |det M|, with no disks
         raise SpectralNonconvergence(message=_PAST_RANGE)
     zeros, factors = _multiplicities(coeffs)
 
@@ -195,8 +205,8 @@ def exterior_radii(matrix: Sequence[Sequence], tol: float = 1e-9):
             c, lo, hi = (math.prod(col[:k], start=Fraction(1)) for col in columns)
             rho = _sqrt_float(c.numerator, c.denominator)
             yield rho, _float(hi - lo) + 1e-15 * max(1.0, rho)
-    return _certified([q for q, _ in factors], read, tol, (0.0, _float(
-        (1 + max(map(abs, coeffs[1:]), default=0)) ** (len(coeffs) - 1))))
+    return _certified([q for q, _ in factors], read, tol, (0.0, _float((1 + Fraction(
+        max(map(abs, coeffs[1:]), default=0), coeffs[0])) ** (len(coeffs) - 1))))
 
 
 def _certified(polys: list[list[int]], read, tol: float, best):

@@ -332,6 +332,41 @@ def from_coords(coords) -> Element:
                           [dict(enumerate(piece)) for piece in nums])
 
 
+def fraction_block(f: PullbackMap, degree: int) -> Matrix:
+    """Block ``degree`` of f* as a ``Fraction`` matrix, read off
+    ``f.scaled_blocks``: the tests' view of the integer columns."""
+    den, columns = f.scaled_blocks
+    cols, zero = columns[degree], Fraction(0)
+    return tuple(zip(*(
+        [Fraction(c[p], den) if p in c else zero for p in range(len(cols))]
+        for c in map(dict, cols))))
+
+
+def fraction_blocks(f: PullbackMap) -> tuple[Matrix, ...]:
+    """:func:`fraction_block` of every degree."""
+    return tuple(fraction_block(f, k) for k in range(len(f.scaled_blocks[1])))
+
+
+def closure_blocks(closure) -> tuple[tuple[int, Matrix], ...]:
+    """A Gromov closure's ``(degree, (D, A))`` blocks as ``(degree, A / D)``,
+    ``Fraction`` matrices."""
+    return tuple((degree, tuple(tuple(Fraction(x, den) for x in row)
+                                for row in rows))
+                 for degree, (den, rows) in closure.blocks)
+
+
+def scaled(matrix) -> tuple[int, list[list[int]]]:
+    """``(D, D * matrix)``: a rational matrix in the integer form that
+    ``spectral.scaled_radius`` and ``spectral.exterior_radii`` take."""
+    return scaled_matrix(as_matrix(matrix))
+
+
+def integer_poly(coeffs) -> tuple[int, ...]:
+    """The rational polynomial ``coeffs`` times the lcm of its
+    denominators: the integer form the spectral kernel takes."""
+    return tuple(scaled_matrix([[Fraction(c) for c in coeffs]])[1][0])
+
+
 def apply_blocks(algebra: GradedAlgebra, blocks, element):
     """Apply raw per-degree matrices to an element (no validation)."""
     return from_coords(
@@ -419,7 +454,7 @@ def builder_battery():
 def mutate_blocks(rng, pull: PullbackMap):
     """Copy the map's blocks and bump one entry in a degree >= 2 block."""
     blocks = [
-        [[x for x in row] for row in block] for block in pull.blocks
+        [[x for x in row] for row in block] for block in fraction_blocks(pull)
     ]
     candidates = [
         i for i in range(2, len(blocks)) if pull.algebra.dims[i] > 0
@@ -486,7 +521,7 @@ def replay_words(closure):
     """The values of a Gromov closure's recipes, each evaluated once, in
     order, with :func:`fraction_mul` and :func:`apply_blocks`; None if a
     recipe names no earlier one."""
-    alg, blocks = closure.algebra, closure.pullback.blocks
+    alg, blocks = closure.algebra, fraction_blocks(closure.pullback)
     values = []
     for tag, *args in closure.words:
         if not all(0 <= i < len(values) for i in args):
@@ -632,7 +667,7 @@ def exterior_char_polys(matrix) -> list[list[Fraction]]:
 def oracle_exterior_radii(matrix, tol=1e-9):
     """``(rho, error_bound)`` of each exterior power of ``matrix``: the
     integer certifier on each polynomial of :func:`exterior_char_polys`."""
-    return [_max_root_modulus.__wrapped__(tuple(p), tol)
+    return [_max_root_modulus.__wrapped__(integer_poly(p), tol)
             for p in exterior_char_polys(matrix)]
 
 
@@ -702,7 +737,8 @@ def power_map(f: PullbackMap, m: int) -> PullbackMap:
         return f
     return PullbackMap(
         f.algebra,
-        _scaled_columns([mat_pow(b, m) if b else () for b in f.blocks]),
+        _scaled_columns([mat_pow(b, m) if b else ()
+                         for b in fraction_blocks(f)]),
         realizability=f.realizability,
         provenance=f"({f.provenance})^{m}" if f.provenance else None,
     )

@@ -38,6 +38,8 @@ from dyndeg.spectral import spectral_radius
 from support import (
     basis_product,
     builder_battery,
+    fraction_block,
+    fraction_blocks,
     mat_vec,
     mul_vectors,
     multiplicativity_witness,
@@ -188,7 +190,7 @@ def test_criterion_6_estimator_convergence():
         for degree in range(model.algebra.top_degree + 1):
             if model.algebra.dims[degree] == 0:
                 continue
-            block = pull.block(degree)
+            block = fraction_block(pull, degree)
             rho, _ = spectral_radius(block, tol=1e-10)
             gel = gelfand_sequence(block, 10)[-1][1]
             tail = trace_radius_estimate(block, 64)
@@ -241,7 +243,8 @@ def test_criterion_8_validation_soundness_under_mutation():
         elliptic_square([[1, 1], [1, 0]])[1],
     ]
     for pull in hosts:
-        validate_pullback(pull.algebra, [list(map(list, b)) for b in pull.blocks])
+        validate_pullback(pull.algebra,
+                          [list(map(list, b)) for b in fraction_blocks(pull)])
 
     rng = random.Random(55555)
     rejected = 0

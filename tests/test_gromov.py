@@ -32,6 +32,7 @@ from dyndeg.models import (
 from support import (
     FractionEchelon,
     builder_battery,
+    closure_blocks,
     random_valid_pullbacks,
     replay_certificates,
     replay_words,
@@ -111,7 +112,7 @@ class TestGromovClosure:
         model = multiprojective([1, 1])
         f = product_map(model, [2, 3], [1, 0])
         closure = gromov_closure(f, model.h)
-        blocks = dict(closure.blocks)
+        blocks = dict(closure_blocks(closure))
         assert blocks[0] == ((1,),)
         assert blocks[4] == ((6,),)
         assert sorted(x for row in blocks[2] for x in row) == [0, 0, 2, 3]
@@ -234,7 +235,7 @@ class TestRandomClosures:
 
         # block j-th column: the coordinates of f* of the j-th basis vector
         assert [d for d, _ in closure.blocks] == sorted(by_degree), name
-        for degree, block in closure.blocks:
+        for degree, block in closure_blocks(closure):
             vectors = by_degree[degree]
             for j, b in enumerate(vectors):
                 image = algebra.zero()
@@ -265,7 +266,7 @@ class TestLambdaGr:
         closure = gromov_closure(product_map(model, [2, 3], [1, 0]), model.h)
         rho, _ = lambda_gr(closure)
         assert rho == pytest.approx(6.0, abs=1e-9)
-        deg2 = dict(closure.blocks)[2]
+        deg2 = dict(closure_blocks(closure))[2]
         from dyndeg.spectral import spectral_radius
 
         assert spectral_radius(deg2)[0] == pytest.approx(math.sqrt(6), abs=1e-9)
@@ -405,9 +406,14 @@ class TestCertificateReplay:
         except ShapeMismatch:  # a recipe naming no earlier one
             return False
 
+    # an exterior map whose closure's degree-2 basis rows have the
+    # denominators 1, 6, 4 and 2: the replay's scales L / D_i are not all 1
+    MIXED = [[2, -3, 0, 0], [0, 0, 0, 1], [-2, 3, 0, -3], [0, -2, 3, -3]]
+
     def test_each_mutant_is_rejected_as_the_fraction_replay_rejects_it(self):
         kinds = set()
-        for name, model, f in builder_battery():
+        mixed = ("mixed denominators", *abelian_variety(2, self.MIXED))
+        for name, model, f in (*builder_battery(), mixed):
             closure = gromov_closure(f, model.h)
             assert self._verdict(closure), name
             for kind, bad in self._mutants(closure):
@@ -552,7 +558,7 @@ class TestGenericClosure:
             [[str(x) for piece in b.coords for x in piece]
              for b in closure.basis],
             [(d, [[str(x) for x in row] for row in block])
-             for d, block in closure.blocks],
+             for d, block in closure_blocks(closure)],
         )).encode()).hexdigest()
         assert digest == self.SHA256
 

@@ -56,6 +56,7 @@ from support import (
     apply_blocks,
     basis_product,
     builder_battery,
+    fraction_blocks,
     fraction_mul,
     from_coords,
     mul_vectors,
@@ -387,7 +388,7 @@ class TestLightsTest:
         matrix = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0
                    for j in range(6)] for i in range(6)]
         blocks = [[list(row) for row in b]
-                  for b in abelian_variety(3, matrix)[1].blocks]
+                  for b in fraction_blocks(abelian_variety(3, matrix)[1])]
         calls = []
         multiply = ScaledTable.multiply
 
@@ -529,7 +530,7 @@ def pullback_hosts():
 
 def rational_bump(rng, pull):
     """Bump one entry of any block, degree 0 included, by a rational."""
-    blocks = [[list(row) for row in block] for block in pull.blocks]
+    blocks = [[list(row) for row in block] for block in fraction_blocks(pull)]
     degrees = [i for i, d in enumerate(pull.algebra.dims) if d > 0]
     i = rng.choice(degrees)
     d = pull.algebra.dims[i]
@@ -541,7 +542,7 @@ def rational_bump(rng, pull):
 class TestIntegerPullbackCheck:
     def test_hosts_are_valid(self):
         for pull in pullback_hosts():
-            blocks = [[list(row) for row in b] for b in pull.blocks]
+            blocks = [[list(row) for row in b] for b in fraction_blocks(pull)]
             assert pullback_outcome(pull.algebra, blocks) is None
             validate_pullback(pull.algebra, blocks)
 
@@ -564,9 +565,9 @@ class TestIntegerPullbackCheck:
     def test_non_integer_pullback_blocks(self):
         model = projective_space(2)
         pull = scalar_power_pullback(model, Fraction(3, 2))
-        assert pull.blocks[4] == ((Fraction(9, 4),),)
+        assert fraction_blocks(pull)[4] == ((Fraction(9, 4),),)
         # 9/4 -> 9/4 + 1/3 breaks f*(h) f*(h) = f*(h^2) by exactly 1/3
-        blocks = [[list(row) for row in b] for b in pull.blocks]
+        blocks = [[list(row) for row in b] for b in fraction_blocks(pull)]
         blocks[4][0][0] += Fraction(1, 3)
         expected = pullback_outcome(model.algebra, blocks)
         assert expected == MultiplicativityViolation(((2, 0), (2, 0))).payload()
@@ -583,7 +584,7 @@ class TestIntegerPullbackCheck:
         matrix = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0
                    for j in range(6)] for i in range(6)]
         _, pull = abelian_variety(3, matrix)
-        blocks = [[list(row) for row in b] for b in pull.blocks]
+        blocks = [[list(row) for row in b] for b in fraction_blocks(pull)]
         start = time.perf_counter()
         validate_pullback(pull.algebra, blocks)
         # the Fraction loop took about 1.3 s here; allow a wide margin

@@ -25,6 +25,7 @@ from dyndeg.spectral import char_poly
 from support import (
     FractionEchelon,
     builder_battery,
+    closure_blocks,
     fraction_char_poly,
     fraction_det,
     mat_mul as fraction_mat_mul,
@@ -159,7 +160,11 @@ def insert(ech, vector):
 
 
 def coordinates(ech, vector):
-    return ech.coordinates_scaled(*scaled(vector))
+    """The coordinates as Fractions: numerators over the vector's
+    denominator, or None outside the span."""
+    den, vec = scaled(vector)
+    coords = ech.coordinates_scaled(vec)
+    return None if coords is None else [Fraction(x, den) for x in coords]
 
 
 def basis(ech):
@@ -282,7 +287,7 @@ def closure_digest() -> str:
                 [[str(x) for piece in b.coords for x in piece] for b in c.basis],
                 [[(str(k), words[g]) for g, k in cert]
                  for cert in certificates(c)],
-                [[str(x) for x in row] for row in block_diagonal(c.blocks)],
+                [[str(x) for x in row] for row in block_diagonal(closure_blocks(c))],
             )).encode())
     return digest.hexdigest()
 

@@ -32,6 +32,9 @@ ALLOWED = {
     "core.Element.__neg__": "element arithmetic the tests write as -a",
     "core.Element.__sub__": "element arithmetic the tests write as a - b",
     "core.Element.__rmul__": "element arithmetic the tests write as c * a",
+    "core.Element.combination": "the one weighted sum under that arithmetic; "
+                                "the closure's replay now checks its sums "
+                                "in int",
     "core.Element.coords": "the Fraction view; acceptance criterion 8 reads "
                            "it through support.apply_blocks",
     "cli._io_error": "only an unreadable config or --out path reaches it "
@@ -44,6 +47,9 @@ ALLOWED = {
     "lattice.check_surface_lattice": "as lattice.build_surface_lattice",
     "errors.DynDegError.payload": "the stderr payload of a failure without "
                                   "its own, such as a UsageError",
+    "spectral.char_poly": "the rational polynomial for library callers: "
+                          "perfbench's tracer wraps it as a span, and "
+                          "test_spectral compares it with the oracles",
     "spectral._separate": "runs only when the first polish round does not "
                           "certify, as on close or huge roots "
                           "(test_spectral's root-certificate cases)",

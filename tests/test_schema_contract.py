@@ -364,6 +364,21 @@ REJECTED = {
                {"kind": "identity"}),
         ("SchemaError", ["/model/omega"]),
     ),
+    # deg(X) > 0, yet no ample class: omega in wedge^2 V (x) Sym^2 W, once
+    # asserted with an equality verdict that failed, and omega_H for the
+    # indefinite H = diag(1, -1, -1)
+    "abelian-omega-no-divisor-class": (
+        config({"kind": "abelian", "g": 2, "omega": [[0, 2, 1], [1, 3, -1]]},
+               {"kind": "exterior", "matrix": [[2, 0, 1, 0], [0, 2, 0, 1],
+                                               [1, 0, 1, 0], [0, 1, 0, 1]]}),
+        ("SchemaError", ["/model/omega"]),
+    ),
+    "abelian-omega-indefinite": (
+        config({"kind": "abelian", "g": 3,
+                "omega": [[0, 1, 1], [2, 3, -1], [4, 5, -1]]},
+               {"kind": "identity"}),
+        ("SchemaError", ["/model/omega"]),
+    ),
     # an ample override with deg(X) < 0 and one with h^r = 0, once rejected
     # by the model check with no JSON pointer
     "ample-degree-negative": (

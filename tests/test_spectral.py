@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +23,16 @@ from dyndeg.estimators import (
     limsup_root,
     trace_sequence,
 )
-from dyndeg.gromov import gromov_closure
+from dyndeg.gromov import gromov_closure, lambda_gr, spectral_chain
 from dyndeg.linalg import as_matrix
+from dyndeg.projective import projective_space
 from dyndeg.spectral import char_poly, spectral_radius
-from support import (builder_battery, exterior_char_polys,
-                     fraction_multiplicities, fraction_squarefree_part, mat_mul,
-                     mpmath_max_root_modulus, oracle_exterior_radii,
-                     perfbench_workload, trace)
+from support import (builder_battery, closure_blocks, exterior_char_polys,
+                     fraction_block, fraction_blocks, fraction_char_poly,
+                     fraction_multiplicities, fraction_squarefree_part,
+                     integer_poly, mat_mul, mpmath_max_root_modulus,
+                     oracle_exterior_radii, perfbench_workload,
+                     scalar_power_pullback, scaled, trace)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -65,9 +69,9 @@ class TestExteriorCharPolys:
 
     @staticmethod
     def _agree(pull):
-        polys = exterior_char_polys(pull.blocks[1])
-        assert len(polys) == len(pull.blocks)
-        for k, block in enumerate(pull.blocks):
+        polys = exterior_char_polys(fraction_blocks(pull)[1])
+        assert len(polys) == len(fraction_blocks(pull))
+        for k, block in enumerate(fraction_blocks(pull)):
             assert polys[k] == char_poly(block), k
 
     @pytest.mark.parametrize("g", [1, 2, 3])
@@ -132,7 +136,8 @@ class TestExteriorCharPolys:
                                   integrate=(1,))
         algebra = core.tensor_product(line, line)
         assert algebra.exterior
-        assert exterior_pullback(algebra, [[2, 1], [1, 1]]).block(2) == ((1,),)
+        assert fraction_block(
+            exterior_pullback(algebra, [[2, 1], [1, 1]]), 2) == ((1,),)
         lattice, _ = surface_lattice([[1, 0], [0, -2]], [[3, 4], [2, 3]],
                                      [1, 0])
         for model in (projective_space(1), projective_space(2),
@@ -154,7 +159,7 @@ class TestExteriorCharPolys:
         monkeypatch.setattr(gromov, "exterior_radii", refuse)
         rep = gromov.spectral_chain(model, gromov_closure(pull, model.h))
         assert rep.mu_by_degree == tuple(
-            spectral_radius(block)[0] for block in pull.blocks)
+            spectral_radius(block)[0] for block in fraction_blocks(pull))
         assert rep.mu_by_degree[1] == pytest.approx((3 + 5 ** 0.5) / 2)
 
     @pytest.mark.parametrize("g", [2, 3])
@@ -233,7 +238,7 @@ class TestExteriorRadii:
     @settings(max_examples=60, deadline=None)
     @given(_exterior_matrices())
     def test_it_matches_the_exterior_polynomials(self, m):
-        got = spectral.exterior_radii(m)
+        got = spectral.exterior_radii(*scaled(m))
         want = oracle_exterior_radii(m)
         assert len(got) == len(want) == len(m) + 1
         for k, ((rho, err), (wrho, werr)) in enumerate(zip(got, want)):
@@ -245,14 +250,14 @@ class TestExteriorRadii:
     def test_exact_moduli(self):
         # eigenvalues 2, 2, -3, 0: mu_k = 3, 6, 12, 0 after mu_0 = 1
         m = [[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, -3, 0], [0, 0, 5, 0]]
-        radii = spectral.exterior_radii(m)
+        radii = spectral.exterior_radii(*scaled(m))
         assert [rho for rho, _ in radii] == [1.0, 3.0, 6.0, 12.0, 0.0]
         assert radii[-1] == (0.0, 1e-15)
 
     def test_conjugate_pairs_tie(self):
         # eigenvalues 1 +- 2i and 2 +- i: four moduli sqrt(5)
         m = [[1, -2, 0, 0], [2, 1, 0, 0], [0, 0, 2, -1], [0, 0, 1, 2]]
-        for k, (rho, err) in enumerate(spectral.exterior_radii(m)):
+        for k, (rho, err) in enumerate(spectral.exterior_radii(*scaled(m))):
             assert abs(rho - 5 ** (k / 2)) <= err, k
 
     def test_the_bracket_widens_with_the_disks(self, monkeypatch):
@@ -263,7 +268,7 @@ class TestExteriorRadii:
         disks = spectral._certify([1, -6, 11, -6], centres, e)
         monkeypatch.setattr(spectral, "_root_disks",
                             lambda poly: iter([(e, disks)] * 6))
-        radii = spectral.exterior_radii([[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+        radii = spectral.exterior_radii(1, [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
                                         tol=1e-2)
         for (rho, err), true in zip(radii, [1, 3, 6, 6]):
             assert abs(rho - true) <= err
@@ -271,11 +276,11 @@ class TestExteriorRadii:
         assert 2e-3 <= radii[1][1] < 1e-2
 
     def test_the_empty_matrix(self):
-        assert spectral.exterior_radii([]) == [(1.0, 1e-15)]
+        assert spectral.exterior_radii(1, []) == [(1.0, 1e-15)]
 
     def test_a_nan_tol_is_rejected(self):
         with pytest.raises(ShapeMismatch, match="tol must be positive"):
-            spectral.exterior_radii([[1, 1], [1, 0]], tol=float("nan"))
+            spectral.exterior_radii(1, [[1, 1], [1, 0]], tol=float("nan"))
 
     def test_a_product_past_the_float_range_fails_at_once(self):
         # roots about 1e200, 2e200 and 3e200 are floats; mu_2 is not
@@ -284,13 +289,13 @@ class TestExteriorRadii:
              [0, 0, 3 * big, 1], [0, 0, 1, 2 * big]]
         start = time.perf_counter()
         with pytest.raises(SpectralNonconvergence, match="past the float range"):
-            spectral.exterior_radii(m)
+            spectral.exterior_radii(*scaled(m))
         assert time.perf_counter() - start < 0.1
         # |det| fits, mu_2 = 1e400 does not: found from the certified roots
         m = [[big, 0, 0, 0], [0, big, 0, 0],
              [0, 0, 1 / big, 0], [0, 0, 0, 1 / big]]
         with pytest.raises(SpectralNonconvergence, match="past the float range"):
-            spectral.exterior_radii(m)
+            spectral.exterior_radii(*scaled(m))
 
 
 class TestSpectralRadius:
@@ -577,15 +582,15 @@ def _battery_polys():
     of their Gromov closures' blocks."""
     polys = set()
     for _, model, pull in builder_battery():
-        polys.update(tuple(char_poly(b)) for b in pull.blocks if b)
+        polys.update(tuple(char_poly(b)) for b in fraction_blocks(pull) if b)
         closure = gromov_closure(pull, model.h)
-        polys.update(tuple(char_poly(b)) for _, b in closure.blocks)
+        polys.update(tuple(char_poly(b)) for _, b in closure_blocks(closure))
     return polys
 
 
 def _uncached(coeffs, tol=1e-9):
     """The integer certifier, past its cache."""
-    return spectral._max_root_modulus.__wrapped__(tuple(coeffs), tol)
+    return spectral._max_root_modulus.__wrapped__(integer_poly(coeffs), tol)
 
 
 HARD = {
@@ -636,7 +641,7 @@ class TestIntegerSquarefreePart:
     @settings(max_examples=300, deadline=None)
     @given(_factored_polys())
     def test_it_matches_the_fraction_route(self, p):
-        got = spectral._squarefree_part(p)
+        got = spectral._squarefree_part(integer_poly(p))
         assert got == fraction_squarefree_part(p)
         assert got[0] > 0 and math.gcd(*got) == 1
 
@@ -649,7 +654,7 @@ class TestIntegerSquarefreePart:
     ], ids=["constant", "linear", "double root and zero roots",
             "negative rational lead", "repeated rational roots"])
     def test_small_cases(self, coeffs, want):
-        assert spectral._squarefree_part(coeffs) == want
+        assert spectral._squarefree_part(integer_poly(coeffs)) == want
 
 
 _CYCLOTOMIC = ([1, -1], [1, 1], [1, 1, 1], [1, 0, 1], [1, -1, 1],
@@ -685,7 +690,7 @@ class TestMultiplicities:
     @settings(max_examples=200, deadline=None)
     @given(_multiplicity_polys())
     def test_it_matches_yuns_decomposition(self, p):
-        zeros, factors = spectral._multiplicities(p)
+        zeros, factors = spectral._multiplicities(integer_poly(p))
         want_zeros, want = fraction_multiplicities(p)
         assert zeros == want_zeros
         assert [(_monic(q), m) for q, m in factors] == want
@@ -705,10 +710,70 @@ class TestMultiplicities:
         a = [[2, 1, 0], [1, 1, 1], [0, 1, 3]]
         m = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0 for j in range(6)]
              for i in range(6)]
-        zeros, factors = spectral._multiplicities(char_poly(m))
+        zeros, factors = spectral._multiplicities(spectral._scaled_poly(1, m))
         assert zeros == 0
         assert factors == [([1, -6, 9, -1], 2)]
         assert char_poly(a) == [1, -6, 9, -1]
+
+
+@st.composite
+def _mixed_matrices(draw):
+    """An :func:`_exterior_matrices` draw conjugated by a drawn rational
+    diagonal matrix: the same roots (zero, repeated, conjugate pairs),
+    with entries over mixed denominators."""
+    m = draw(_exterior_matrices())
+    s = [Fraction(draw(st.sampled_from((1, 2, 3, Fraction(1, 2),
+                                        Fraction(5, 3))))) for _ in m]
+    return [[x * s[i] / s[j] for j, x in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+class TestIntegerSpectralRoute:
+    """The integer route from a block (D, A) to its radii against the
+    ``Fraction`` route it replaced: the polynomial, its square-free part and
+    its multiplicities are the ``support`` oracles' on the ``Fraction``
+    characteristic polynomial, and the radii are the certifier's on that
+    polynomial, bit for bit, whatever the denominator M is written over."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_mixed_matrices(), st.integers(1, 6))
+    def test_it_matches_the_fraction_route(self, m, k):
+        den, a = scaled(m)
+        poly = spectral._scaled_poly(den, a)
+        want = fraction_char_poly(m)
+        assert char_poly(m) == want == [Fraction(c, poly[0]) for c in poly]
+        assert spectral._squarefree_part(poly) == fraction_squarefree_part(want)
+        zeros, factors = spectral._multiplicities(poly)
+        assert (zeros, [(_monic(q), e) for q, e in factors]) == (
+            fraction_multiplicities(want))
+        assert spectral_radius(m) == _uncached(want)
+        # the route that read the Fraction polynomial
+        with mock.patch.object(spectral, "_scaled_poly",
+                               lambda *_: integer_poly(want)):
+            fraction_radii = spectral.exterior_radii(den, a)
+        assert spectral.exterior_radii(den, a) == fraction_radii
+        # M over k D: the one primitive polynomial
+        ka = [[k * x for x in row] for row in a]
+        assert spectral._scaled_poly(k * den, ka) == poly
+        assert spectral.scaled_radius(k * den, ka) == spectral_radius(m)
+
+    def test_a_closure_block_and_its_graded_block_share_a_certificate(self):
+        # f* = 3/2 on h: f's blocks are over D = 4 ([[6]], [[9]]), the
+        # closure's over the images' denominators ([[3]] over 2, [[9]] over
+        # 4); each of the three polynomials is certified once
+        model = projective_space(2)
+        f = scalar_power_pullback(model, Fraction(3, 2))
+        closure = gromov_closure(f, model.h)
+        assert f.scaled_blocks[0] == 4
+        assert [den for _, (den, _) in closure.blocks] == [1, 2, 4]
+        spectral._max_root_modulus.cache_clear()
+        lambda_gr(closure)
+        before = spectral._max_root_modulus.cache_info()
+        assert (before.hits, before.misses) == (0, 3)
+        report = spectral_chain(model, closure)
+        after = spectral._max_root_modulus.cache_info()
+        assert (after.hits, after.misses) == (3, 3)
+        assert report.mu_by_degree == (1.0, 0.0, 1.5, 0.0, 2.25)
 
 
 class TestIntegerRootCertificate:
@@ -747,7 +812,8 @@ class TestIntegerRootCertificate:
             m.setattr(spectral, "_squarefree_part", fraction_squarefree_part)
             want = {p: _uncached(p) for p in polys}
         for p in polys:
-            assert spectral._squarefree_part(p) == fraction_squarefree_part(p)
+            assert spectral._squarefree_part(integer_poly(p)) == (
+                fraction_squarefree_part(p))
             assert _uncached(p) == want[p], p
 
     @pytest.mark.parametrize("name", sorted(HARD))
@@ -824,7 +890,7 @@ class TestIntegerRootCertificate:
         assert (got.value.estimate, got.value.error_bound) == (0.0, 4.0)
         assert "stalled at 0.0 ± 4.0" in str(got.value)
         with pytest.raises(SpectralNonconvergence) as got:
-            spectral.exterior_radii([[2, 1], [1, 1]])
+            spectral.exterior_radii(1, [[2, 1], [1, 1]])
         assert (got.value.estimate, got.value.error_bound) == (0.0, 16.0)
 
     def test_a_root_past_the_float_range_is_not_certified(self):
@@ -882,7 +948,7 @@ class TestIntegerRootCertificate:
         # last round's 4,096, yet the first round's grid certifies every root
         rng = random.Random(7)
         m = [[rng.randint(-2**12, 2**12) for _ in range(20)] for _ in range(20)]
-        coeffs = tuple(char_poly(m))
+        coeffs = spectral._scaled_poly(1, m)
         poly = spectral._squarefree_part(coeffs)
         n = len(poly) - 1
         assert n == 20 and max(abs(c).bit_length() for c in poly) == 254
@@ -925,10 +991,10 @@ _WITHOUT_NUMPY = """
 import runpy, sys
 sys.modules["numpy"] = None
 sys.modules["mpmath"] = None
-from support import builder_battery
+from support import builder_battery, fraction_blocks
 from dyndeg.estimators import gelfand_sequence, trace_radius_estimate, trace_sequence
 for _, model, pull in builder_battery():
-    for block in pull.blocks:
+    for block in fraction_blocks(pull):
         if block:
             gelfand_sequence(block, 10)
             trace_radius_estimate(block, 64)
