@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 # ``core.build_algebra`` is looked up when called, so a wrapper bound there
@@ -79,9 +78,8 @@ def abelian_variety(
     from an endomorphism (for alpha in End(E), (tr alpha)^2 <= 4 deg alpha).
     ``omega`` maps generator pairs (i, j), i < j, to coefficients; the
     default is the standard product polarization e_0^e_1 + e_2^e_3 + ...
-    It must be ample, omega_H = sum_i H_ii e_2i^e_2i+1 + sum_i<j H_ij
-    (e_2i^e_2j+1 + e_2j^e_2i+1) for H positive definite, as for E without
-    CM (Birkenhake and Lange); else it raises ``AmpleNotPositive``.
+    ``EmbeddedModel.validate`` requires it to be ample, omega_H for H
+    positive definite (:func:`check_polarization`).
 
     Integration is the raw top-form coefficient, so deg(X) = integrate(h^g)
     already carries the g! of the classical chi = omega^g / g! convention;
@@ -116,22 +114,9 @@ def abelian_variety(
         EffectiveClass(f"omega^{j}", algebra.power(w, j)) for j in range(g + 1)
     )
     model = EmbeddedModel(
-        algebra,
-        w,
-        ambient_dim=ambient,
-        realizability="asserted",
-        provenance=f"abelian_variety:{g}",
-        effective=effective,
+        algebra, w, ambient_dim=ambient, realizability="asserted",
+        provenance=f"abelian_variety:{g}", effective=effective,
     ).validate()
-    # omega_H over omega's denominator: H up to a positive scale
-    num = dict(w.pieces[2])
-    c = {ij: num.get(p, 0) for ij, p in pair_index.items()}
-    h = [[c[2 * min(i, j), 2 * max(i, j) + 1] for j in range(g)] for i in range(g)]
-    if any(c[2 * i, 2 * j] or c[2 * i + 1, 2 * j + 1]
-           or c[2 * i, 2 * j + 1] + c[2 * i + 1, 2 * j]
-           for i in range(g) for j in range(i + 1, g)) or not _positive_definite(h):
-        raise AmpleNotPositive(
-            "omega is not ample: it is not omega_H for a positive definite H")
     integer_scalar_blocks = all(
         m[2 * i][2 * j].denominator == 1
         and m[2 * i][2 * j] == m[2 * i + 1][2 * j + 1]
@@ -144,6 +129,23 @@ def abelian_variety(
         provenance="exterior",
     )
     return model, pull
+
+
+def check_polarization(model: EmbeddedModel) -> None:
+    """Raise ``AmpleNotPositive`` unless ``model.h`` on E^g is omega_H =
+    sum_i H_ii e_2i^e_2i+1 + sum_i<j H_ij (e_2i^e_2j+1 + e_2j^e_2i+1) for H
+    positive definite: for E without CM, the ample classes (Birkenhake and
+    Lange).  ``EmbeddedModel.validate`` calls it last on an asserted model
+    whose algebra is ``exterior``."""
+    g, num = model.r, dict(model.h.pieces[2])  # H up to h's denominator
+    c = {tuple(i for i, (d, _) in enumerate(w) if d): num.get(p, 0)  # e_i ^ e_j
+         for p, w in enumerate(model.algebra.words[2])}
+    h = [[c[2 * min(i, j), 2 * max(i, j) + 1] for j in range(g)] for i in range(g)]
+    if any(c[2 * i, 2 * j] or c[2 * i + 1, 2 * j + 1]  # no wedge^2 V (x) Sym^2 W
+           or c[2 * i, 2 * j + 1] + c[2 * i + 1, 2 * j]
+           for i in range(g) for j in range(i + 1, g)) or not _positive_definite(h):
+        raise AmpleNotPositive(
+            "omega is not ample: it is not omega_H for a positive definite H")
 
 
 def _positive_definite(h) -> bool:
@@ -170,12 +172,8 @@ def elliptic_square(
         x.denominator != 1 for row in a for x in row
     ):
         raise ShapeMismatch("need an integer 2x2 matrix")
-    m = [[Fraction(0)] * 4 for _ in range(4)]
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                m[2 * i + k][2 * j + k] = a[i][j]
-    return abelian_variety(2, m)
+    return abelian_variety(2, [[a[i // 2][j // 2] if i % 2 == j % 2 else 0
+                                for j in range(4)] for i in range(4)])
 
 
 # ---------------------------------------------------------------------------

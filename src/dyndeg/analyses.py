@@ -107,12 +107,7 @@ def _run_bounds(model, pull, config):
         "constant": constant,
         "checks": checks,
         "violations": violations,
-        "moving_ledger": {
-            "k": ledger.k,
-            "v_degrees": list(ledger.v_degrees),
-            "e_degrees": list(ledger.e_degrees),
-            "bound": ledger.bound,
-        },
+        "moving_ledger": ledger._asdict(),
         "ledger_within_constant": ledger.bound <= constant,
     }
 

@@ -17,7 +17,6 @@ algebra can decide.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -159,15 +158,8 @@ def graph_class(table: DeltaTable, m: int) -> list[GraphComponent]:
     table in reverse.
     """
     r = table.r
-    return [
-        GraphComponent(coeff, (r - j, j), label) for j, (coeff, label) in
-        enumerate(zip(table.column(m)[::-1], _graph_labels(r)))
-    ]
-
-
-@functools.cache
-def _graph_labels(r: int) -> tuple[str, ...]:  # they do not depend on m
-    return tuple(f"[P^{r - j}]x[P^{j}]" for j in range(r + 1))
+    return [GraphComponent(coeff, (r - j, j), f"[P^{r - j}]x[P^{j}]")
+            for j, coeff in enumerate(table.column(m)[::-1])]
 
 
 # expected: closed form for power maps on P^n, else None

@@ -267,8 +267,8 @@ class ChainReport(namedtuple(
     block; the homological/numerical distinction collapses in explicit models,
     so a single lambda is recorded).  ``mu_by_degree[j]`` covers every graded
     piece.  The chain lambda_gr <= max lambda <= max mu holds for every valid
-    pullback; the equality verdict is the main-theorem property and is only
-    *asserted* when a builder vouched for both the model and the map.
+    pullback; the equality verdict, the main-theorem property, is *asserted*
+    only on the closure of ``model.h``, when builders vouched for model and map.
 
     ``chain_holds`` is the verdict lambda_gr <= max lambda, within the slack
     below.  The second link, max lambda <= max mu, needs no check:
@@ -301,8 +301,8 @@ def spectral_chain(
     for the map and ample class ``closure`` was built from, on ``model``.
 
     The realizability is the model's tag when the map is asserted, else the
-    map's; equality is asserted only when that tag is ``"asserted"`` and the
-    model has no scope note.
+    map's; equality is asserted only for the tag ``"asserted"``, no scope
+    note and a closure of ``model.h``: another class's chain is unasserted.
     """
     algebra, f = model.algebra, closure.pullback
     if closure.algebra is not algebra:
@@ -330,8 +330,8 @@ def spectral_chain(
         mu_error=max(e for _, e in radii),
         max_lambda=max(lam),
         max_mu=max(mu),
-        equality_asserted=(realizability == "asserted"
-                           and model.scope_note is None),
+        equality_asserted=(closure.omega == model.h and model.scope_note is None
+                           and realizability == "asserted"),
         realizability=realizability,
         tol=tol,
         gromov_dims=closure.dims_by_degree,

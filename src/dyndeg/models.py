@@ -81,6 +81,8 @@ class EmbeddedModel:
         return self.algebra.integrate(self.h_powers[self.r])
 
     def validate(self) -> "EmbeddedModel":
+        """The one ample check of every route to an asserted verdict: h^r != 0,
+        deg(X) > 0, Nakai-Moishezon on ``effective``, omega_H with H > 0 on E^g."""
         if self.h.degrees() != (2,):
             raise ShapeMismatch("h must be homogeneous of degree 2 and nonzero")
         if self.h_powers[self.r].is_zero():
@@ -99,6 +101,9 @@ class EmbeddedModel:
                         f"not ample: h^{power} on the effective class "
                         f"{e.label!r} is {value}, not positive"
                     )
+        if self.realizability == "asserted" and self.algebra.exterior:
+            from .abelian import check_polarization  # only E^g compiles it
+            check_polarization(self)
         return self
 
 

@@ -11,7 +11,6 @@ builders assert them.  The CLI's adapters for the ``projective`` and
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 # ``core.build_algebra`` and ``endo.validate_pullback`` are looked up when
@@ -51,7 +50,7 @@ def pn_power_map(model: EmbeddedModel, d: int) -> endo.PullbackMap:
     """Pullback of a degree-d self-map of P^n: x -> d*x (d = 0 allowed)."""
     if d < 0:
         raise ShapeMismatch("map degree must be >= 0")
-    blocks = [[[Fraction(d) ** (i // 2)]] if i % 2 == 0 else []
+    blocks = [[[d ** (i // 2)]] if i % 2 == 0 else []
               for i in range(2 * model.ambient_dim + 1)]
     return endo.validate_pullback(
         model.algebra, blocks, realizability="asserted", provenance=f"power:{d}"

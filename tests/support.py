@@ -332,6 +332,16 @@ def from_coords(coords) -> Element:
                           [dict(enumerate(piece)) for piece in nums])
 
 
+def omega_h(h) -> dict:
+    """omega_H on E^g as generator pairs: H_ii on (2i, 2i+1), and H_ij on
+    (2i, 2j+1) and -H_ij on (2i+1, 2j) for i < j."""
+    g = len(h)
+    omega = {(2 * i, 2 * i + 1): h[i][i] for i in range(g)}
+    for i, j in itertools.combinations(range(g), 2):
+        omega[2 * i, 2 * j + 1], omega[2 * i + 1, 2 * j] = h[i][j], -h[i][j]
+    return omega
+
+
 def fraction_block(f: PullbackMap, degree: int) -> Matrix:
     """Block ``degree`` of f* as a ``Fraction`` matrix, read off
     ``f.scaled_blocks``: the tests' view of the integer columns."""

@@ -323,6 +323,19 @@ class TestSpectralChain:
             assert rep.max_lambda <= rep.max_mu + slack, name
             assert rep.chain_holds, name
 
+    def test_only_the_models_own_class_asserts_equality(self):
+        # f = (z^2, w^3) on P^1 x P^1: the nef class h_1 is no ample class,
+        # and its closure misses the top radius; it keeps its chain, unasserted
+        model = multiprojective([1, 1])
+        f = product_map(model, [2, 3], [0, 1])
+        h1 = model.algebra.homogeneous(2, [1, 0])
+        nef = spectral_chain(model, gromov_closure(f, h1))
+        assert nef.gromov_dims == (1, 0, 1, 0, 0)
+        assert (nef.lambda_gr, nef.max_mu) == (2.0, 6.0)
+        assert nef.realizability == "asserted" and not nef.equality_asserted
+        own = spectral_chain(model, gromov_closure(f, model.h))
+        assert own.equality_asserted and own.equality_holds
+
     def test_verdicts_match_recorded_values(self):
         model, f = elliptic_square([[2, 1], [1, 1]])
         rep = spectral_chain(model, gromov_closure(f, model.h))

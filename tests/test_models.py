@@ -22,6 +22,7 @@ from dyndeg.errors import (
 )
 from dyndeg.gromov import gromov_closure, lambda_gr, spectral_chain
 from dyndeg.models import (
+    EmbeddedModel,
     abelian_variety,
     custom_model,
     elliptic_square,
@@ -38,7 +39,7 @@ from dyndeg.spectral import char_poly
 
 from support import (builder_battery, det_wedge_blocks, fraction_block,
                      fraction_blocks, fraction_det, gram_matrix, mat_mul,
-                     monomial_substitution, monomials_by_degree,
+                     monomial_substitution, monomials_by_degree, omega_h,
                      oracle_exterior_algebra,
                      oracle_multiprojective_algebra, oracle_tensor_table,
                      pair_by_product, tensor_factors, trace)
@@ -452,16 +453,6 @@ class TestAbelianVariety:
                                 [0, 0, 1, 0], [0, 0, 0, 1]],
                             omega={(0, 1): 1, (0, 2): 0})
 
-    @staticmethod
-    def _omega(h):
-        """omega_H: H_ii on (2i, 2i+1), and H_ij on (2i, 2j+1) and -H_ij on
-        (2i+1, 2j) for i < j."""
-        g = len(h)
-        omega = {(2 * i, 2 * i + 1): h[i][i] for i in range(g)}
-        for i, j in itertools.combinations(range(g), 2):
-            omega[2 * i, 2 * j + 1], omega[2 * i + 1, 2 * j] = h[i][j], -h[i][j]
-        return omega
-
     @pytest.mark.parametrize("g, omega", [
         # e_0^e_2 - e_1^e_3, in wedge^2 V (x) Sym^2 W: deg(X) = 2, no
         # divisor class
@@ -477,6 +468,22 @@ class TestAbelianVariety:
         with pytest.raises(AmpleNotPositive, match="omega is not ample"):
             abelian_variety(g, identity, omega=omega)
 
+    def test_validate_judges_a_hand_built_abelian_model(self):
+        # the builder's rule lives in EmbeddedModel.validate: a model built
+        # on exterior_algebra(2) with e_0^e_2 - e_1^e_3 is refused when
+        # asserted, and left alone when unverified
+        algebra = exterior_algebra(2)
+        model, _ = abelian_variety(2, [[int(i == j) for j in range(4)]
+                                       for i in range(4)])
+        h = algebra.homogeneous(2, [0, 1, 0, 0, -1, 0])
+        for tag in ("asserted", "unverified"):
+            hand = EmbeddedModel(algebra, h, model.ambient_dim, tag)
+            if tag == "asserted":
+                with pytest.raises(AmpleNotPositive, match="omega is not ample"):
+                    hand.validate()
+            else:
+                assert hand.validate() is hand
+
     def test_a_random_ample_omega_keeps_the_equality(self):
         # H = L L^T with L lower triangular of nonzero diagonal is positive
         # definite, so omega_H is ample; with the asserted A (x) I_2, every
@@ -490,7 +497,7 @@ class TestAbelianVariety:
             a = [[rng.randint(-3, 3) for _ in range(g)] for _ in range(g)]
             a_i2 = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0
                      for j in range(2 * g)] for i in range(2 * g)]
-            model, f = abelian_variety(g, a_i2, omega=self._omega(h))
+            model, f = abelian_variety(g, a_i2, omega=omega_h(h))
             report = spectral_chain(model, gromov_closure(f, model.h))
             assert report.equality_asserted, (g, h, a)
             assert report.equality_holds, (g, h, a)

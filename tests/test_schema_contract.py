@@ -304,6 +304,13 @@ def _custom(**fields):
     return config({**CUSTOM, **fields}, {"kind": "identity"})
 
 
+NOT_OMEGA_H = "omega is not ample: it is not omega_H for a positive definite H"
+
+# A (x) I_2 on E x E, A = [[2, 1], [1, 1]]: asserted
+_E_SQUARED_MAP = {"kind": "exterior", "matrix": [[2, 0, 1, 0], [0, 2, 0, 1],
+                                                 [1, 0, 1, 0], [0, 1, 0, 1]]}
+
+
 # configs that were once accepted (booleans as integers, a negative degree)
 # or crashed with a traceback (a degree above the top, an unhashable kind)
 REJECTED = {
@@ -369,8 +376,7 @@ REJECTED = {
     # indefinite H = diag(1, -1, -1)
     "abelian-omega-no-divisor-class": (
         config({"kind": "abelian", "g": 2, "omega": [[0, 2, 1], [1, 3, -1]]},
-               {"kind": "exterior", "matrix": [[2, 0, 1, 0], [0, 2, 0, 1],
-                                               [1, 0, 1, 0], [0, 1, 0, 1]]}),
+               _E_SQUARED_MAP),
         ("SchemaError", ["/model/omega"]),
     ),
     "abelian-omega-indefinite": (
@@ -378,6 +384,19 @@ REJECTED = {
                 "omega": [[0, 1, 1], [2, 3, -1], [4, 5, -1]]},
                {"kind": "identity"}),
         ("SchemaError", ["/model/omega"]),
+    ),
+    # the same rule on the ample override, which once skipped it: omega_I
+    # plus e_0^e_2 - e_1^e_3 (no divisor class), and omega_I plus
+    # e_0^e_3 + e_1^e_2 (a wedge^2 V (x) Sym^2 W part), with A (x) I_2
+    "abelian-ample-no-divisor-class": (
+        config({"kind": "abelian", "g": 2}, _E_SQUARED_MAP,
+               ample={"coords": [1, 1, 0, 0, -1, 1]}),
+        ("SchemaError", ["/ample/coords"]),
+    ),
+    "abelian-ample-mixed-part": (
+        config({"kind": "abelian", "g": 2}, _E_SQUARED_MAP,
+               ample={"coords": [1, 0, 1, 1, 0, 1]}),
+        ("SchemaError", ["/ample/coords"]),
     ),
     # an ample override with deg(X) < 0 and one with h^r = 0, once rejected
     # by the model check with no JSON pointer
@@ -609,6 +628,7 @@ def test_a_bad_polarization_keeps_its_message_at_the_omega_pointer(tmp_path):
         ("abelian-omega-degenerate",
          "omega^g = 0: not a valid polarization class"),
         ("abelian-omega-negative", "deg(X) = -1 must be positive"),
+        ("abelian-omega-no-divisor-class", NOT_OMEGA_H),
     ):
         code, out, err = validate(REJECTED[name][0], tmp_path)
         assert (code, out) == (2, ""), name
@@ -622,6 +642,8 @@ def test_a_bad_ample_override_keeps_its_message_at_the_coords_pointer(
     for name, message in (
         ("ample-degree-negative", "deg(X) = -1 must be positive"),
         ("ample-top-power-zero", "h^r vanishes: h is not a valid ample class"),
+        ("abelian-ample-no-divisor-class", NOT_OMEGA_H),
+        ("abelian-ample-mixed-part", NOT_OMEGA_H),
     ):
         code, out, err = validate(REJECTED[name][0], tmp_path)
         assert (code, out) == (2, ""), name
