@@ -120,8 +120,9 @@ def limsup_root(sequence: Sequence, window: int | None = None) -> float:
 GrowthRates = namedtuple("GrowthRates", "rates max_rate window")
 
 
-def growth_rates(table: DeltaTable, window: int | None = None) -> GrowthRates:
-    """Per-j limsup estimates of |delta_j(f^m)|^{1/m}, and their maximum.
+def growth_rates(table: DeltaTable) -> GrowthRates:
+    """Per-j limsup estimates of |delta_j(f^m)|^{1/m}, and their maximum,
+    over the trailing ``default_window(table.m_max)``.
 
     Each row is measured against its m-independent identity baseline
     delta_j(id) = deg(X) before taking roots.  Constants never change a
@@ -130,8 +131,7 @@ def growth_rates(table: DeltaTable, window: int | None = None) -> GrowthRates:
     inflation (the identity map then reports exactly 1 in every row).
     All-zero rows report rate 0 (non-dominant maps are allowed).
     """
-    if window is None:
-        window = default_window(table.m_max)
+    window = default_window(table.m_max)
     start = table.m_max - window  # limsup_root reads no entry before it
     rates = tuple(
         limsup_root(row[:start] + tuple(x / table.deg_x for x in row[start:]),

@@ -26,6 +26,7 @@ from .errors import FloatOverflow, ShapeMismatch, ZeroWeight
 from .linalg import Matrix, as_matrix, mat_mul, scaled_matrix
 
 _LN2 = math.log(2.0)
+_LIMSUP_TOL = 1e-6  # float slack on combined_limsup_bound's verdict
 
 
 # ---------------------------------------------------------------------------
@@ -129,17 +130,15 @@ CombinedLimsupBound = namedtuple(
 
 
 def combined_limsup_bound(
-    sequences: Sequence[Sequence],
-    weights: Sequence,
-    window: int | None = None,
-    tol: float = 1e-6,
+    sequences: Sequence[Sequence], weights: Sequence
 ) -> CombinedLimsupBound:
     """Check limsup |sum_i a_{m,i} b_i|^{1/m} <= max_i limsup |a_{m,i}|^{1/m}.
 
-    At finite m the left side carries a constant-factor inflation of at most
-    (s * max(1, max|b_i|))^{1/m}; the verdict allows exactly that provable
-    slack (plus ``tol``), so it is a theorem for every input, while staying
-    tight as the window moves out.
+    Both sides are read over the trailing ``default_window`` of the common
+    length.  At finite m the left side carries a constant-factor inflation
+    of at most (s * max(1, max|b_i|))^{1/m}; the verdict allows exactly that
+    provable slack (plus ``_LIMSUP_TOL``), so it is a theorem for every
+    input, while staying tight as the window moves out.
     """
     if not sequences:
         raise ShapeMismatch("need at least one sequence")
@@ -151,8 +150,7 @@ def combined_limsup_bound(
     length = len(sequences[0])
     if any(len(s) != length for s in sequences):
         raise ShapeMismatch("sequences must have equal length")
-    if window is None:
-        window = default_window(length)
+    window = default_window(length)
 
     combo = [
         sum(seq[m] * w for seq, w in zip(sequences, weights))
@@ -163,5 +161,5 @@ def combined_limsup_bound(
     m_min = length - window + 1
     big = len(sequences) * max(1.0, max(abs(float(w)) for w in weights))
     slack = big ** (1.0 / m_min)
-    return CombinedLimsupBound(lhs, rhs, lhs <= rhs * slack + tol, slack)
+    return CombinedLimsupBound(lhs, rhs, lhs <= rhs * slack + _LIMSUP_TOL, slack)
 

@@ -139,16 +139,14 @@ def _invertible(rows: list[list[int]]) -> bool:
                for row in rows)
 
 
-def gromov_closure(
-    f: PullbackMap, omega: Element, sweep_order: str = "forward"
-) -> GromovSubalgebra:
+def gromov_closure(f: PullbackMap, omega: Element) -> GromovSubalgebra:
     """Smallest f*-stable subalgebra of ``f.algebra`` containing the unit and
     ``omega``.
 
     ``omega`` must be homogeneous of degree 2 (an ample divisor class).
-    ``sweep_order`` only permutes the candidate processing order; the result
-    is the canonical echelon basis either way (exposed so the invariance is
-    testable).
+    A sweep pulls back each newer generator, then multiplies each pair
+    with a newer member, in index order; the loop ends at the first sweep
+    that adds none, so every image lies in the span.
 
     Generators are homogeneous elements, inserted into their degree's
     echelon form as integer numerators; products and pullbacks are
@@ -163,8 +161,6 @@ def gromov_closure(
     """
     if omega.degrees() != (2,):
         raise ShapeMismatch("omega must be homogeneous of degree 2 and nonzero")
-    if sweep_order not in ("forward", "reversed"):
-        raise ShapeMismatch("sweep_order must be 'forward' or 'reversed'")
 
     algebra = f.algebra
     dims, top = algebra.dims, algebra.top_degree
@@ -192,21 +188,16 @@ def gromov_closure(
     while True:
         sweeps += 1
         count = len(gens)
-        pulls = list(range(start, count))
-        muls = [(i, j) for i in range(count)
-                for j in range(max(i, start), count)]
-        start = count
-        if sweep_order == "reversed":
-            pulls.reverse()
-            muls.reverse()
-        for i in pulls:
+        for i in range(start, count):
             if open_degree(gens[i].degree()):
                 try_add(("pull", i), f.apply(gens[i]))
-        for i, j in muls:
-            if open_degree(gens[i].degree() + gens[j].degree()):
-                try_add(("mul", i, j), algebra.mul(gens[i], gens[j]))
+        for i in range(count):
+            for j in range(max(i, start), count):
+                if open_degree(gens[i].degree() + gens[j].degree()):
+                    try_add(("mul", i, j), algebra.mul(gens[i], gens[j]))
         if len(gens) == count:
             break
+        start = count
 
     # per occupied degree, in order: its basis and the block of f* whose
     # columns are the coordinates of the basis' images
@@ -221,9 +212,6 @@ def gromov_closure(
         lcm, columns = math.lcm(*(image.denominator for image in images)), []
         for image in images:
             coords = ech.coordinates_scaled(dict(image.pieces[degree]))
-            if coords is None:
-                raise ShapeMismatch(
-                    "closure is not pullback-stable (internal error)")
             columns.append([x * (lcm // image.denominator) for x in coords])
         basis += vectors
         blocks.append((degree, (lcm, tuple(zip(*columns)))))

@@ -289,11 +289,11 @@ def _aberth_proposal(poly: list[int]) -> tuple[list[complex], int]:
                 ratio = pz / _horner(da, zk)
                 s = sum(1 / (zk - zj) for j, zj in enumerate(z) if j != k)
                 z[k] = zk - ratio / (1 - ratio * s)
+                if not cmath.isfinite(z[k]):
+                    return circle, scale
             if not moving:
                 break
     except (OverflowError, ZeroDivisionError):
-        return circle, scale
-    if not all(cmath.isfinite(zk) for zk in z):
         return circle, scale
     return z, scale
 

@@ -223,7 +223,7 @@ def test_criterion_7_weighted_limsup_combinations():
             Fraction(rng.randint(1, 12), rng.randint(1, 6)) * rng.choice((1, -1))
             for _ in range(s)
         ]
-        res = combined_limsup_bound(seqs, weights, tol=1e-6)
+        res = combined_limsup_bound(seqs, weights)
         assert res.verdict, (trial, res)
     _report(7, "1000/1000 weighted limsup bounds verified at tol 1e-6")
 

@@ -99,15 +99,6 @@ class TestGromovClosure:
             for c in closure.basis:
                 assert ech.contains(flat(model.algebra.mul(b, c)))
 
-    def test_order_independence_of_canonical_basis(self):
-        model = multiprojective([1, 1])
-        f = product_map(model, [2, 3], [1, 0])
-        fwd = gromov_closure(f, model.h, sweep_order="forward")
-        rev = gromov_closure(f, model.h, sweep_order="reversed")
-        assert fwd.basis == rev.basis
-        assert fwd.blocks == rev.blocks
-        assert rev.verify_certificates()
-
     def test_restricted_matrix_blocks(self):
         model = multiprojective([1, 1])
         f = product_map(model, [2, 3], [1, 0])
@@ -119,10 +110,10 @@ class TestGromovClosure:
 
 
 class TestClosureWork:
-    # per battery member, the pullbacks and products the closure computes in
-    # either sweep order, besides the one pullback per column of a block; a
-    # scan of every generator and every pair within the top degree made
-    # (dim, pairs) of them, e.g. (9, 28) on P^2 x P^2
+    # per battery member, the pullbacks and products the closure computes,
+    # besides the one pullback per column of a block; a scan of every
+    # generator and every pair within the top degree made (dim, pairs) of
+    # them, e.g. (9, 28) on P^2 x P^2
     WORK = {
         "P1 d=0": (0, 0), "P1 d=1": (0, 0), "P1 d=2": (0, 0), "P1 d=3": (0, 0),
         "P2 d=0": (0, 1), "P2 d=1": (0, 1), "P2 d=2": (0, 1), "P2 d=3": (0, 1),
@@ -171,21 +162,19 @@ class TestClosureWork:
         monkeypatch.setattr(PullbackMap, "apply", counted_apply)
         monkeypatch.setattr(GradedAlgebra, "mul", counted_mul)
         for name, model, f in battery:
-            for order in ("forward", "reversed"):
-                pulls.clear()
-                muls.clear()
-                echelons.clear()
-                closure = gromov_closure(f, model.h,
-                                         sweep_order=order)
-                assert [e.width for e in echelons] == list(model.algebra.dims)
-                # the blocks pull back each basis vector last
-                n = len(pulls) - closure.dimension
-                assert [a for a, _, _ in pulls[n:]] == list(closure.basis)
-                visited = [(key, full) for _, key, full in pulls[:n]]
-                assert (n, len(muls)) == self.WORK[name], (name, order)
-                for keys in (visited, muls):
-                    assert not any(was_full for _, was_full in keys), (name, order)
-                    assert len({key for key, _ in keys}) == len(keys)
+            pulls.clear()
+            muls.clear()
+            echelons.clear()
+            closure = gromov_closure(f, model.h)
+            assert [e.width for e in echelons] == list(model.algebra.dims)
+            # the blocks pull back each basis vector last
+            n = len(pulls) - closure.dimension
+            assert [a for a, _, _ in pulls[n:]] == list(closure.basis)
+            visited = [(key, full) for _, key, full in pulls[:n]]
+            assert (n, len(muls)) == self.WORK[name], name
+            for keys in (visited, muls):
+                assert not any(was_full for _, was_full in keys), name
+                assert len({key for key, _ in keys}) == len(keys)
 
 
 class TestRandomClosures:
@@ -363,9 +352,7 @@ class TestCertificateReplay:
         # reads ranks modulo a prime; this replay multiplies with the
         # Fraction basis-pair oracle and compares spans in Fraction
         for name, model, f in builder_battery():
-            for order in ("forward", "reversed"):
-                closure = gromov_closure(f, model.h, order)
-                assert replay_certificates(closure), (name, order)
+            assert replay_certificates(gromov_closure(f, model.h)), name
 
     @staticmethod
     def _tampered(closure, basis=None, words=None, omega=None):

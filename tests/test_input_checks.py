@@ -16,7 +16,6 @@ from dyndeg.abelian import abelian_variety, exterior_algebra, exterior_pullback
 from dyndeg.cli import parse_config
 from dyndeg.degrees import _root_of_abs, delta_table, limsup_root
 from dyndeg.errors import FloatOverflow, SchemaError, ShapeMismatch, UnitViolation
-from dyndeg.gromov import gromov_closure
 from dyndeg.lattice import surface_lattice
 from dyndeg.linalg import as_matrix
 from dyndeg.models import EmbeddedModel
@@ -154,12 +153,6 @@ class TestEstimators:
     def test_sequences_of_equal_length(self):
         with raises(ShapeMismatch, "sequences must have equal length"):
             estimators.combined_limsup_bound([[1, 2], [3]], [1, 1])
-
-
-def test_gromov_sweep_order():
-    model = projective_space(1)
-    with raises(ShapeMismatch, "sweep_order must be 'forward' or 'reversed'"):
-        gromov_closure(pn_power_map(model, 2), model.h, sweep_order="backward")
 
 
 class TestLattice:

@@ -545,7 +545,7 @@ class TestCombinedLimsupBound:
             * data.draw(st.sampled_from((1, -1)))
             for _ in range(s)
         ]
-        assert combined_limsup_bound(seqs, weights, tol=1e-6).verdict
+        assert combined_limsup_bound(seqs, weights).verdict
 
 
 class TestRootCertificationCache:
@@ -854,6 +854,16 @@ class TestIntegerRootCertificate:
         assert scale and all(abs(z) == pytest.approx(1) for z in start)
         rho, err = _uncached(tuple(Fraction(c) for c in coeffs))
         assert abs(rho - 1e200) <= err
+
+    def test_a_non_finite_aberth_step_falls_back_to_the_circle_start(self):
+        # x^5 + 3 2^1012 x^3 + 1: at sweep 26 p(z) and p'(z) are finite, near
+        # the float maximum, and complex division overflows p(z)/p'(z) (about
+        # 4 in modulus) to a non-finite real part, so the new iterate is NaN
+        poly = [1, 0, 3 << 1012, 0, 0, 1]
+        start, scale = spectral._aberth_proposal(poly)
+        assert scale == 0 and all(abs(z) == pytest.approx(1) for z in start)
+        rho, err = _uncached(tuple(Fraction(c) for c in poly))
+        assert abs(rho - math.sqrt(3) * 2**506) <= err
 
     @pytest.mark.parametrize("coeffs, true_rho", [
         ((1, -4 * 10**200, 3 * 10**400), 3e200),  # roots 1e200 and 3e200
