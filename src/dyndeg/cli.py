@@ -55,9 +55,7 @@ ANALYSES = ("delta-table", "gromov", "chain", "graph-class", "bounds")
 
 
 class RunConfig(namedtuple(
-    "RunConfig", "model map analyses ample m_max tol out schema_version",
-    defaults=(None, 16, 1e-9, None, SCHEMA_VERSION),
-)):
+    "RunConfig", "model map analyses ample m_max tol out schema_version")):
     """A validated config; ``ample`` and ``out`` are None when not given."""
 
     __slots__ = ()

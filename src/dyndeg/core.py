@@ -86,22 +86,6 @@ class Element:
             if piece else () for piece in pieces
         ))
 
-    @classmethod
-    def combination(cls, dims, terms) -> "Element":
-        """sum c a over the pairs ``(c, a)`` of the sequence ``terms``, c
-        rational and a of the grading ``dims`` (a tuple): integer numerators
-        over the lcm of the c a's denominators, in lowest terms."""
-        if any(a.dims != dims for _, a in terms):
-            raise ShapeMismatch("elements live in different gradings")
-        den = math.lcm(*(c.denominator * a.denominator for c, a in terms))
-        total: list[dict[int, int]] = [{} for _ in dims]
-        for c, a in terms:
-            scale = c.numerator * (den // (c.denominator * a.denominator))
-            for acc, piece in zip(total, a.pieces):
-                for k, x in piece:
-                    acc[k] = acc.get(k, 0) + scale * x
-        return cls.scaled(dims, den, total)
-
     @property
     def coords(self) -> tuple[tuple[Fraction, ...], ...]:
         """``coords[i]``: the degree-i component as a ``Fraction`` vector."""
@@ -123,18 +107,6 @@ class Element:
         if len(degs) > 1:
             raise ShapeMismatch("element is not homogeneous")
         return degs[0] if degs else None
-
-    def __add__(self, other: "Element") -> "Element":
-        return Element.combination(self.dims, ((1, self), (1, other)))
-
-    def __sub__(self, other: "Element") -> "Element":
-        return Element.combination(self.dims, ((1, self), (-1, other)))
-
-    def __rmul__(self, scalar) -> "Element":
-        return Element.combination(self.dims, ((as_fraction(scalar), self),))
-
-    def __neg__(self) -> "Element":
-        return (-1) * self
 
 
 class ScaledTable(namedtuple("ScaledTable", "denominator rows")):
@@ -203,9 +175,6 @@ class GradedAlgebra:
                    for a in self.factors)
 
     # -- element constructors -------------------------------------------------
-
-    def zero(self) -> Element:
-        return Element(self.dims, 1, ((),) * len(self.dims))
 
     def one(self) -> Element:
         return self.homogeneous(0, self.unit_coords)

@@ -152,7 +152,8 @@ def gromov_closure(f: PullbackMap, omega: Element) -> GromovSubalgebra:
     echelon form as integer numerators; products and pullbacks are
     ``GradedAlgebra.mul`` and ``PullbackMap.apply``, the ones the words are
     replayed with.  A word is kept only when its value enlarged its
-    degree's span.  A block's D is the lcm of its images' denominators.
+    degree's span.  A block's D is the lcm of its images' denominators,
+    and its columns are the images' numerators at the pivots.
 
     A pullback or product is computed only when its degree is at most the
     top and that degree's echelon form is below the piece's dimension.  The
@@ -211,8 +212,9 @@ def gromov_closure(f: PullbackMap, omega: Element) -> GromovSubalgebra:
         images = list(map(f.apply, vectors))
         lcm, columns = math.lcm(*(image.denominator for image in images)), []
         for image in images:
-            coords = ech.coordinates_scaled(dict(image.pieces[degree]))
-            columns.append([x * (lcm // image.denominator) for x in coords])
+            piece = dict(image.pieces[degree])
+            columns.append([piece.get(p, 0) * (lcm // image.denominator)
+                            for p in ech.pivots])
         basis += vectors
         blocks.append((degree, (lcm, tuple(zip(*columns)))))
 

@@ -5,7 +5,7 @@ one matrix product, takes row lists of ``int``, ``float`` or ``Fraction``.
 
 ``Echelon``, the one elimination, runs in ``int``: it keeps each row as
 integer numerators over one denominator, takes sparse integer vectors and
-gives its basis and coordinates in that form.
+gives its basis in that form.
 """
 
 from __future__ import annotations
@@ -81,8 +81,9 @@ class Echelon:
     order.  Rows are stored fraction-free: row i is the sparse integer vector
     ``{column: numerator}`` over one positive denominator, its pivot
     numerator equal to that denominator, in lowest terms.
-    ``insert_scaled``, ``scaled_basis`` and ``coordinates_scaled`` take and
-    give that integer form.
+    ``insert_scaled`` and ``scaled_basis`` take and give that integer form.
+    Each row is 1 at its own pivot and 0 at every other, so a vector in the
+    span has its coordinates at ``pivots``: no elimination reads them.
     """
 
     def __init__(self, width: int):
@@ -90,23 +91,19 @@ class Echelon:
         self.pivots: list[int] = []
         self._rows: list[tuple[int, dict[int, int]]] = []  # (den, numerators)
 
-    def _reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        """vec minus its parts along the rows, times the lcm of those rows'
-        denominators."""
-        # rows are zero at each other's pivots, so every coefficient can be
-        # read off vec before any row is subtracted
-        hits = [(vec[p], row) for p, row in zip(self.pivots, self._rows)
-                if p in vec]
-        scale = math.lcm(*(den for _, (den, _) in hits))
-        return combine(scale, vec,
-                       [(c * (scale // den), row) for c, (den, row) in hits])
-
     def insert_scaled(self, vec: dict[int, int]) -> bool:
         """Insert a vector given by the nonzero integer numerators over a
         common positive denominator; the denominator cancels when the new
         row is normalised, so it is not passed.  Returns True when the
         vector enlarged the span."""
-        rest = self._reduce(vec)
+        # vec minus its parts along the rows, times the lcm of those rows'
+        # denominators: rows are zero at each other's pivots, so every
+        # coefficient can be read off vec before any row is subtracted
+        hits = [(vec[p], row) for p, row in zip(self.pivots, self._rows)
+                if p in vec]
+        scale = math.lcm(*(den for _, (den, _) in hits))
+        rest = combine(scale, vec,
+                       [(c * (scale // den), row) for c, (den, row) in hits])
         if not rest:
             return False
         # the new row is rest / rest[pivot]
@@ -127,13 +124,6 @@ class Echelon:
     def scaled_basis(self) -> list[tuple[int, dict[int, int]]]:
         """The basis rows as ``(denominator, {column: numerator})``."""
         return list(self._rows)
-
-    def coordinates_scaled(self, vec: dict[int, int]) -> list[int] | None:
-        """Coordinates of a vector (nonzero numerators by column), as
-        numerators over its denominator, or None if outside the span."""
-        if self._reduce(vec):
-            return None
-        return [vec.get(p, 0) for p in self.pivots]
 
 
 def scaled_matrix(rows: Sequence[Sequence]) -> tuple[int, list[list[int]]]:

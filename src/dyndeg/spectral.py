@@ -163,8 +163,11 @@ def _max_root_modulus(coeffs: tuple[int, ...], tol: float):
         return rho, 0.0 if rho == root else rho * 2.0**-52
     # Cauchy: every root has modulus at most 1 + max |a_i / a_0|
     cauchy = _float(1 + Fraction(max(map(abs, poly[1:])), poly[0]))
-    # rho is at least the geometric mean |a_n / a_0|^(1/n) of the moduli
-    if abs(poly[-1]) >> 1024 * (len(poly) - 1) >= poly[0]:
+    # |a_k / a_0| = |e_k(roots)| <= C(n, k) rho^k: a_k too large for any
+    # rho below 2^1024 puts rho past the float range, with no root round
+    n = len(poly) - 1
+    if any(abs(c) >> 1024 * k >= math.comb(n, k) * poly[0]
+           for k, c in enumerate(poly[1:], 1)):
         raise SpectralNonconvergence(message=_PAST_RANGE)
 
     def read(certs):

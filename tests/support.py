@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -330,6 +331,18 @@ def from_coords(coords) -> Element:
     den, nums = scaled_matrix(coords)
     return Element.scaled(tuple(map(len, coords)), den,
                           [dict(enumerate(piece)) for piece in nums])
+
+
+def lin_comb(*terms) -> Element:
+    """sum c a over the pairs ``(c, a)``, c rational, of elements of one
+    grading: ``Element.coords`` summed in ``Fraction`` and rebuilt by
+    :func:`from_coords`, a route apart from the product code."""
+    assert len({a.dims for _, a in terms}) == 1, "one grading"
+    scalars = [Fraction(c) for c, _ in terms]
+    return from_coords([
+        [sum(map(operator.mul, scalars, column), Fraction(0))
+         for column in zip(*vectors)]
+        for vectors in zip(*(a.coords for _, a in terms))])
 
 
 def omega_h(h) -> dict:

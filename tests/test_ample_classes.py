@@ -13,17 +13,22 @@ asserted map with an ample class must report ``equality_asserted`` and
 - on (P^n)^k, k <= 3, n_i <= 2: h = sum a_i h_i with every a_i >= 1, with a
   permuted product of power maps.  A class with some a_i = 0 is nef, not
   ample, and the override refuses it at ``/ample/coords``.
+
+The control shows the property can fail: random integer matrices on E^g,
+most of them no endomorphism, are never asserted, and some miss max mu.
 """
 
 import contextlib
 import io
 import json
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyndeg.abelian import exterior_algebra
+from dyndeg.abelian import abelian_variety, exterior_algebra
 from dyndeg.cli import main
+from dyndeg.gromov import gromov_closure, spectral_chain
 from dyndeg.projective import multiprojective
 
 from support import omega_h
@@ -143,3 +148,17 @@ def test_every_ample_class_is_asserted_and_reaches_max_mu(tmp_path_factory,
         assert code == 2, cfg
         assert payload["error"] == "SchemaError", (cfg, payload)
         assert [v["path"] for v in payload["violations"]] == [pointer], cfg
+
+
+def test_unverified_random_maps_are_never_asserted_and_some_miss_max_mu():
+    rng = random.Random(0)
+    for g in (2, 3):
+        misses = 0
+        for _ in range(30):
+            matrix = [[rng.randint(-3, 3) for _ in range(2 * g)]
+                      for _ in range(2 * g)]
+            model, f = abelian_variety(g, matrix)
+            chain = spectral_chain(model, gromov_closure(f, model.h))
+            assert not chain.equality_asserted, matrix
+            misses += not chain.equality_holds
+        assert misses, g

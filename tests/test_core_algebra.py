@@ -36,6 +36,7 @@ from support import (
     fraction_det,
     from_coords,
     gram_matrix,
+    lin_comb,
     oracle_build_algebra,
     oracle_scaled_table,
     pair_by_product,
@@ -100,7 +101,7 @@ class TestBuildAlgebra:
         }
         alg = build_algebra(2, [1, 2, 1], SUPER_COMMUTATIVE, products, (1,))
         e1, e2 = alg.basis_element(1, 0), alg.basis_element(1, 1)
-        assert alg.mul(e1, e2) == -alg.mul(e2, e1)
+        assert alg.mul(e1, e2) == lin_comb((-1, alg.mul(e2, e1)))
 
     def test_associativity_violation_names_triple(self):
         # e1^2 = e2, e2^2 = t, e1*e2 = 0: then (e1 e1) e2 = t but e1 (e1 e2) = 0
@@ -318,7 +319,7 @@ class TestMul:
     def test_koszul_sign_on_exterior_algebra(self):
         alg = exterior_algebra(1)
         e1, e2 = alg.basis_element(1, 0), alg.basis_element(1, 1)
-        assert alg.mul(e1, e2) == -alg.mul(e2, e1)
+        assert alg.mul(e1, e2) == lin_comb((-1, alg.mul(e2, e1)))
         assert alg.mul(e1, e1).is_zero()
 
     def test_shape_mismatch_between_algebras(self):
@@ -343,7 +344,7 @@ def _scalar_error(value) -> str:
 
 class TestElement:
     """``Element`` is a value: exact ``==`` and ``hash`` whatever built it,
-    scalars on the left only, and not a tuple."""
+    with no arithmetic of its own, and not a tuple."""
 
     def test_every_route_to_one_value_gives_one_element(self):
         alg = multiprojective([1, 1]).algebra
@@ -355,13 +356,14 @@ class TestElement:
             from_coords(((0,), (), (half, three_halves), (), (0,))),
             alg.element({(2, 0): half, (2, 1): three_halves}),
             alg.homogeneous(2, [half, three_halves]),
-            half * (a + 3 * b),
-            (a + b) + half * b - half * a,
-            -(-half * a - three_halves * b) + alg.zero(),
+            lin_comb((half, a), (3 * half, b)),
+            lin_comb((1, a), (1, b), (half, b), (-half, a)),
+            lin_comb((three_halves, b), (half, a), (0, alg.element({}))),
         ]
         assert all(x == routes[0] for x in routes)
         assert len({hash(x) for x in routes}) == 1
-        assert routes[0] != half * a and routes[0] != 2 * routes[0]
+        assert routes[0] != lin_comb((half, a))
+        assert routes[0] != lin_comb((2, routes[0]))
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -397,23 +399,12 @@ class TestElement:
             alg.element({**entries, key: value})
         assert str(err.value) == expected
 
-    def test_scalars_multiply_from_the_left(self):
-        alg = quotient_ring(2)
-        e = alg.one() + Fraction(3, 2) * alg.basis_element(2, 0)
-        for c in (2, Fraction(1, 2), -1):
-            assert (c * e).coords == tuple(
-                tuple(c * x for x in piece) for piece in e.coords
-            )
-        assert -e == (-1) * e and 2 * e == e + e
-        assert e - e == alg.zero() and (e - e).is_zero()
-        with pytest.raises(TypeError):
-            e * 2
-        with pytest.raises(TypeError):
-            e * Fraction(1, 2)
-
     def test_an_element_is_not_a_tuple(self):
-        zero = quotient_ring(2).zero()
+        zero = quotient_ring(2).element({})
         assert not isinstance(zero, tuple)
+        for repeat in (lambda e: 2 * e, lambda e: e * 2):
+            with pytest.raises(TypeError):
+                repeat(zero)
         assert zero != (zero.dims, zero.denominator, zero.pieces)
         assert repr(zero) == (
             "Element(dims=(1, 0, 1, 0, 1), denominator=1,"
@@ -439,7 +430,7 @@ class TestPower:
     @settings(max_examples=25, deadline=None)
     def test_power_additivity(self, j, k, c):
         alg = quotient_ring(3)
-        a = c * alg.basis_element(2, 0)
+        a = alg.element({(2, 0): c})
         assert alg.power(a, j + k) == alg.mul(alg.power(a, j), alg.power(a, k))
 
 
@@ -613,4 +604,4 @@ class TestTensorProduct:
         a_b = tensor({i: a, j: b})
         sign = -1 if alg.sign_rule == SUPER_COMMUTATIVE and a[0] * b[0] % 2 else 1
         assert alg.mul(tensor({i: a}), tensor({j: b})) == a_b
-        assert alg.mul(tensor({j: b}), tensor({i: a})) == sign * a_b
+        assert alg.mul(tensor({j: b}), tensor({i: a})) == lin_comb((sign, a_b))

@@ -24,8 +24,8 @@ from dyndeg.models import (
     projective_space,
 )
 
-from support import (builder_battery, delta, pair_by_product, power_map,
-                     scalar_power_pullback)
+from support import (builder_battery, delta, lin_comb, pair_by_product,
+                     power_map, scalar_power_pullback)
 
 
 def count_products(monkeypatch) -> list:
@@ -338,7 +338,8 @@ class TestIntersectionBound:
     def test_non_complementary_rejected(self):
         model = projective_space(2)
         with pytest.raises(NonComplementaryDegrees):
-            check_intersection_bound(model, model.h, model.h + model.algebra.one())
+            check_intersection_bound(
+                model, model.h, lin_comb((1, model.h), (1, model.algebra.one())))
         with pytest.raises(NonComplementaryDegrees):
             check_intersection_bound(
                 model, model.algebra.one(), model.h

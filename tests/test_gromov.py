@@ -33,6 +33,7 @@ from support import (
     FractionEchelon,
     builder_battery,
     closure_blocks,
+    lin_comb,
     random_valid_pullbacks,
     replay_certificates,
     replay_words,
@@ -227,9 +228,7 @@ class TestRandomClosures:
         for degree, block in closure_blocks(closure):
             vectors = by_degree[degree]
             for j, b in enumerate(vectors):
-                image = algebra.zero()
-                for row, v in zip(block, vectors):
-                    image = image + row[j] * v
+                image = lin_comb(*((row[j], v) for row, v in zip(block, vectors)))
                 assert image == f.apply(b), name
 
         assert replay_certificates(closure), name
@@ -390,13 +389,14 @@ class TestCertificateReplay:
             d = b.degree()
             pivot = b.pieces[d][0][0]
             basis = list(closure.basis)
-            basis[i] = b + algebra.basis_element(d, pivot)
+            basis[i] = lin_comb((1, b), (1, algebra.basis_element(d, pivot)))
             yield "pivot coordinate", cls._tampered(closure, basis=tuple(basis))
         # a degree-2 class off the closure's span: zero at every pivot there
         pivots = {b.pieces[2][0][0] for b in closure.basis if b.degree() == 2}
         off = [q for q in range(algebra.dims[2]) if q not in pivots]
         if off:
-            omega = closure.omega + algebra.basis_element(2, off[0])
+            omega = lin_comb((1, closure.omega),
+                             (1, algebra.basis_element(2, off[0])))
             yield "outside the span", cls._tampered(closure, omega=omega)
 
     @staticmethod
@@ -432,7 +432,8 @@ class TestCertificateReplay:
             d = b.degree()
             for q in range(algebra.dims[d]):
                 basis = list(closure.basis)
-                basis[i] = b + Fraction(1, 2**80) * algebra.basis_element(d, q)
+                basis[i] = lin_comb(
+                    (1, b), (Fraction(1, 2**80), algebra.basis_element(d, q)))
                 bad = self._tampered(closure, basis=tuple(basis))
                 assert not bad.verify_certificates(), (i, q)
                 assert not replay_certificates(bad), (i, q)
@@ -440,7 +441,7 @@ class TestCertificateReplay:
     def test_a_tampered_basis_vector_is_caught(self):
         closure = self._closure()
         basis = list(closure.basis)
-        basis[-1] = basis[-1] + closure.algebra.one()
+        basis[-1] = lin_comb((1, basis[-1]), (1, closure.algebra.one()))
         bad = self._tampered(closure, basis=tuple(basis))
         assert not bad.verify_certificates()
         assert not replay_certificates(bad)

@@ -38,8 +38,8 @@ from dyndeg.linalg import as_matrix, transpose
 from dyndeg.spectral import char_poly
 
 from support import (builder_battery, det_wedge_blocks, fraction_block,
-                     fraction_blocks, fraction_det, gram_matrix, mat_mul,
-                     monomial_substitution, monomials_by_degree, omega_h,
+                     fraction_blocks, fraction_det, gram_matrix, lin_comb,
+                     mat_mul, monomial_substitution, monomials_by_degree, omega_h,
                      oracle_exterior_algebra,
                      oracle_multiprojective_algebra, oracle_tensor_table,
                      pair_by_product, tensor_factors, trace)
@@ -217,7 +217,7 @@ class TestTensorPullback:
         h = [algebra.basis_element(2, algebra.words[2].index(
             tuple((2, 0) if j == t else (0, 0) for j in range(k))))
             for t in range(k)]
-        images = {(i, (2 * e, 0)): algebra.power(c * h[t], e)
+        images = {(i, (2 * e, 0)): algebra.power(lin_comb((c, h[t])), e)
                   for i, (n, t, c) in enumerate(zip(ns, targets, scalars))
                   for e in range(1, n + 1)}
         assert fraction_blocks(tensor_pullback(algebra, images)) == (
@@ -244,12 +244,13 @@ class TestTensorPullback:
             t = data.draw(st.sampled_from(
                 [j for j in range(k) if factors[j] is factor]))
             c = data.draw(st.sampled_from([-2, -1, 1, Fraction(1, 2), 3]))
-            images.update({(i, b): c ** b[0] * letter(t, b)
+            images.update({(i, b): lin_comb((c ** b[0], letter(t, b)))
                            for b in factor.basis() if b[0]})
         if data.draw(st.booleans()):
             i, b = data.draw(st.sampled_from(sorted(images)))
             bump = data.draw(st.sampled_from(range(algebra.dims[b[0]])))
-            images[i, b] += algebra.basis_element(b[0], bump)
+            images[i, b] = lin_comb(
+                (1, images[i, b]), (1, algebra.basis_element(b[0], bump)))
         with mock.patch.object(endo, "_check_multiplicative", lambda *args: None):
             blocks = fraction_blocks(tensor_pullback(algebra, images))
         try:
@@ -270,7 +271,8 @@ class TestTensorPullback:
         algebra = multiprojective([1, 1]).algebra
         x0, x1 = algebra.basis_element(2, 0), algebra.basis_element(2, 1)
         with pytest.raises(MultiplicativityViolation):
-            tensor_pullback(algebra, {(0, (2, 0)): x0 + x1, (1, (2, 0)): x1})
+            tensor_pullback(algebra, {(0, (2, 0)): lin_comb((1, x0), (1, x1)),
+                                      (1, (2, 0)): x1})
 
     @staticmethod
     def _p1xp1():
@@ -281,8 +283,9 @@ class TestTensorPullback:
         # x_0 -> x_0 + 1 is no degree-2 image; its unit part is not dropped
         algebra, x0, x1 = self._p1xp1()
         with pytest.raises(ShapeMismatch, match=r"letter \(0, \(2, 0\)\)"):
-            tensor_pullback(algebra, {(0, (2, 0)): x0 + algebra.one(),
-                                      (1, (2, 0)): x1})
+            tensor_pullback(algebra, {
+                (0, (2, 0)): lin_comb((1, x0), (1, algebra.one())),
+                (1, (2, 0)): x1})
 
     def test_an_image_of_another_degree_is_rejected(self):
         # x_0 -> x_0 x_1 lies in degree 4, not 2; it is not read as x_0 -> 0
@@ -320,7 +323,7 @@ class TestTensorPullback:
         # swap the two copies of a, scaling degree d by (1/2)^d, and scale
         # b's degree d by 3^d: a ring map with rational images
         maps.append(tensor_pullback(algebra, {
-            (i, x): c ** x[0] * letter(t, x)
+            (i, x): lin_comb((c ** x[0], letter(t, x)))
             for i, t, c, factor in ((0, 2, Fraction(1, 2), a), (1, 1, 3, b),
                                     (2, 0, Fraction(1, 2), a))
             for x in factor.basis() if x[0]}))

@@ -23,18 +23,6 @@ ALLOWED = {
     "core.Element.__hash__": "an element is a dict key or set member in the "
                              "tests; defining __eq__ alone would drop it",
     "core.Element.__repr__": "what a failing assertion prints",
-    "core.Element.__add__": "element arithmetic the tests write as a + b "
-                            "(test_core_algebra, test_integer_checks, "
-                            "test_degrees)",
-    "core.GradedAlgebra.zero": "the sum the tests start from "
-                               "(test_gromov, test_core_algebra, "
-                               "test_integer_checks)",
-    "core.Element.__neg__": "element arithmetic the tests write as -a",
-    "core.Element.__sub__": "element arithmetic the tests write as a - b",
-    "core.Element.__rmul__": "element arithmetic the tests write as c * a",
-    "core.Element.combination": "the one weighted sum under that arithmetic; "
-                                "the closure's replay now checks its sums "
-                                "in int",
     "core.Element.coords": "the Fraction view; acceptance criterion 8 reads "
                            "it through support.apply_blocks",
     "cli._io_error": "only an unreadable config or --out path reaches it "
