@@ -196,6 +196,24 @@ class TestEchelon:
             assert tuple(rebuilt) == vec
 
     @SETTINGS
+    @given(vector_lists(), st.data())
+    def test_a_vector_enlarges_the_span_exactly_when_outside_it(
+            self, data, draw):
+        # insert_scaled's reduction is the one span test the closure runs
+        width, vectors = data
+        ech = Echelon(width)
+        oracle = FractionEchelon(width)
+        for vec in vectors:
+            insert(ech, vec)
+            oracle.insert(vec, {})
+        probe = tuple(draw.draw(scalars) for _ in range(width))
+        rank = to_sympy(vectors).rank() if vectors else 0
+        inside = to_sympy([*vectors, probe]).rank() == rank
+        assert oracle.contains(probe) == inside
+        assert insert(ech, probe) == (not inside)
+        assert len(ech.pivots) == rank + (not inside)
+
+    @SETTINGS
     @given(vector_lists(), st.randoms(use_true_random=False))
     def test_the_basis_does_not_depend_on_insertion_order(self, data, rng):
         # the Gromov closure's basis is canonical because this holds

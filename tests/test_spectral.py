@@ -933,6 +933,18 @@ class TestIntegerRootCertificate:
             _uncached((Fraction(1), Fraction(1), Fraction(2**2100)))
         assert calls == []
 
+    def test_a_past_range_radius_with_a_zero_root_fails_at_once(
+            self, monkeypatch):
+        # roots 2^1100, 3 and 0: a_n = 0 says nothing of rho, the bound on
+        # a_1 raises before any certificate
+        calls = []
+        certify = spectral._certify
+        monkeypatch.setattr(spectral, "_certify",
+                            lambda *args: calls.append(certify(*args)) or calls[-1])
+        with pytest.raises(SpectralNonconvergence, match="past the float range"):
+            spectral.scaled_radius(1, [[2**1100, 0, 0], [0, 3, 0], [0, 0, 0]])
+        assert calls == []
+
     def test_roots_closer_than_the_first_grids_are_certified(self):
         # Aberth closes in on an unresolved pair about 2 bits a sweep; the
         # pair 2^-700 apart is resolved once the grid is 1,024 bits fine
