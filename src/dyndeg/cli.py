@@ -4,8 +4,7 @@ Reads a JSON run configuration (model + map + analyses), executes the
 requested analyses, and emits a canonical machine-readable JSON report:
 sorted keys, rationals as {"num": "...", "den": "..."} string pairs, floats
 normalized to 12 significant digits.  Two runs of the same config produce
-byte-identical reports; timing is therefore kept out of the report unless
-explicitly requested with --timing.
+byte-identical reports: a report holds no wall-clock value.
 
 The command line is ``COMMAND`` followed by ``--flag value`` or
 ``--flag=value`` pairs (see ``USAGE``), read by a small hand-written parser:
@@ -35,7 +34,6 @@ import json
 import math
 import os
 import sys
-import time
 from collections import namedtuple
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
@@ -50,12 +48,11 @@ if TYPE_CHECKING:
     from .models import EmbeddedModel
 
 SCHEMA_VERSION = "1"
-ANALYSIS_STAGE = "analysis"
 ANALYSES = ("delta-table", "gromov", "chain", "graph-class", "bounds")
 
 
 class RunConfig(namedtuple(
-    "RunConfig", "model map analyses ample m_max tol out schema_version")):
+    "RunConfig", "model map analyses ample m_max tol out")):
     """A validated config; ``ample`` and ``out`` are None when not given."""
 
     __slots__ = ()
@@ -64,7 +61,7 @@ class RunConfig(namedtuple(
         # the output path is delivery metadata, not an analysis input, so it
         # stays out: report bytes depend only on what was computed
         out = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "model": self.model,
             "map": self.map,
             "analyses": list(self.analyses),
@@ -74,26 +71,6 @@ class RunConfig(namedtuple(
         if self.ample is not None:
             out["ample"] = self.ample
         return out
-
-
-class Report(namedtuple("Report", "config results elapsed")):
-    """The results of ``config`` by analysis, and the seconds they took."""
-
-    __slots__ = ()
-
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "version": __version__,
-            "config": self.config.to_dict(),
-            "results": self.results,
-        }
-        if include_timing:
-            out["timing"] = {"elapsed_s": self.elapsed}
-        return out
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return dumps_canonical(self.to_dict(include_timing=include_timing))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +491,6 @@ def parse_config(text: str, overrides: Mapping | None = None) -> RunConfig:
         m_max=m_max,
         tol=float(tol),
         out=out,
-        schema_version=version,
     )
 
 
@@ -564,51 +540,44 @@ def build_model_and_map(config: RunConfig) -> tuple[EmbeddedModel, PullbackMap]:
 # analyses
 # ---------------------------------------------------------------------------
 
-def run(config: RunConfig) -> Report:
-    """Execute every requested analysis; deterministic for identical configs.
-
-    A :class:`DynDegError` raised once the model and map are built carries
-    ``stage = ANALYSIS_STAGE``; one raised while building them carries none.
-    """
-    started = time.monotonic()
-    model, pull = build_model_and_map(config)
-    results = {
-        "model_summary": {
-            "provenance": model.provenance,
-            "ambient_dim": model.ambient_dim,
-            "deg_x": model.deg_x,
-            "r": model.r,
-            "dims": list(model.algebra.dims),
-            "realizability": model.realizability,
-            "map_realizability": pull.realizability,
-        }
+def _model_summary(model: EmbeddedModel) -> dict:
+    """The model fields that ``validate`` and every report print."""
+    return {
+        "provenance": model.provenance,
+        "ambient_dim": model.ambient_dim,
+        "deg_x": model.deg_x,
+        "dims": list(model.algebra.dims),
+        "realizability": model.realizability,
     }
+
+
+def run(config: RunConfig, model: EmbeddedModel, pull: PullbackMap) -> dict:
+    """The results of every requested analysis of ``pull`` on ``model``, by
+    analysis; deterministic for identical configs."""
+    results = {"model_summary": {
+        **_model_summary(model), "r": model.r,
+        "map_realizability": pull.realizability,
+    }}
     from . import analyses
 
-    try:
-        table = closure = None
-        if not analyses.TABLE_ANALYSES.isdisjoint(config.analyses):
-            from .degrees import delta_table
+    table = closure = None
+    if not analyses.TABLE_ANALYSES.isdisjoint(config.analyses):
+        from .degrees import delta_table
 
-            table = delta_table(model, pull, config.m_max)
-        if not analyses.CLOSURE_ANALYSES.isdisjoint(config.analyses):
-            from .gromov import gromov_closure
+        table = delta_table(model, pull, config.m_max)
+    if not analyses.CLOSURE_ANALYSES.isdisjoint(config.analyses):
+        from .gromov import gromov_closure
 
-            closure = gromov_closure(pull, model.h)
-        for analysis in dict.fromkeys(config.analyses):
-            if analysis in analyses.TABLE_ANALYSES:
-                shared = (table,)
-            elif analysis in analyses.CLOSURE_ANALYSES:
-                shared = (closure,)
-            else:
-                shared = ()
-            results[analysis] = analyses.RUNNERS[analysis](
-                model, pull, config, *shared
-            )
-    except DynDegError as exc:
-        exc.stage = ANALYSIS_STAGE
-        raise
-    return Report(config=config, results=results, elapsed=time.monotonic() - started)
+        closure = gromov_closure(pull, model.h)
+    for analysis in dict.fromkeys(config.analyses):
+        if analysis in analyses.TABLE_ANALYSES:
+            shared = (table,)
+        elif analysis in analyses.CLOSURE_ANALYSES:
+            shared = (closure,)
+        else:
+            shared = ()
+        results[analysis] = analyses.RUNNERS[analysis](model, pull, config, *shared)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +586,7 @@ def run(config: RunConfig) -> Report:
 
 USAGE = """\
 usage: dyndeg {report,validate,delta} --config PATH [--out PATH]
-              [--max-power M] [--tol TOL] [--timing]
+              [--max-power M] [--tol TOL]
 
 dynamical degrees and spectral chains on exact graded models
 
@@ -631,8 +600,6 @@ flags, as --flag VALUE or --flag=VALUE (the last occurrence wins):
   --out PATH     output path (default stdout)
   --max-power M  override M, the largest iterate
   --tol TOL      override the numeric tolerance
-  --timing       include wall-clock timing in the report
-                 (makes output nondeterministic)
   -h, --help     show this text and exit
 """
 _COMMANDS = ("report", "validate", "delta")
@@ -654,8 +621,8 @@ def _read_value(text: str, kind):
         return text
 
 
-def _parse_argv(argv: Sequence[str]) -> tuple[str, str, dict, bool] | None:
-    """``(command, config path, overrides, timing)``, or None for help.
+def _parse_argv(argv: Sequence[str]) -> tuple[str, str, dict] | None:
+    """``(command, config path, overrides)``, or None for help.
 
     ``overrides`` maps the config fields ``out``, ``M`` and ``tol`` to the
     last value given for their flags; a number that does not parse stays a
@@ -670,17 +637,12 @@ def _parse_argv(argv: Sequence[str]) -> tuple[str, str, dict, bool] | None:
         raise UsageError(
             f"unknown command {command!r}; one of {', '.join(_COMMANDS)}"
         )
-    values, timing = {}, False
+    values = {}
     while rest:
         token = rest.pop(0)
         if token in _HELP:
             return None
         flag, eq, value = token.partition("=")
-        if flag == "--timing":
-            if eq:
-                raise UsageError("--timing takes no value")
-            timing = True
-            continue
         if flag not in _VALUE_FLAGS:
             raise UsageError(f"unknown argument {token!r}")
         if not eq:
@@ -694,7 +656,7 @@ def _parse_argv(argv: Sequence[str]) -> tuple[str, str, dict, bool] | None:
     if "config" not in values:
         raise UsageError("--config is required")
     path = values.pop("config")
-    return command, path, values, timing
+    return command, path, values
 
 
 def _load_config(path: str, overrides: dict) -> RunConfig:
@@ -737,7 +699,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(exc, 2)
     if parsed is None:
         return _emit(USAGE, None)
-    command, path, overrides, timing = parsed
+    command, path, overrides = parsed
 
     try:
         config = _load_config(path, overrides)
@@ -745,36 +707,31 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _io_error(exc)
     except SchemaError as exc:
         return _fail(exc, 2)
+    try:
+        model, pull = build_model_and_map(config)
+    except DynDegError as exc:  # bad input: the model or the map is invalid
+        return _fail(exc, 2)
 
     if command == "validate":
-        try:
-            model, pull = build_model_and_map(config)
-        except DynDegError as exc:
-            return _fail(exc, 2)
         summary = dumps_canonical({
             "ok": True,
-            "model": {
-                "provenance": model.provenance,
-                "dims": list(model.algebra.dims),
-                "deg_x": model.deg_x,
-                "ambient_dim": model.ambient_dim,
-                "realizability": model.realizability,
-            },
+            "model": _model_summary(model),
             "map": {"realizability": pull.realizability},
         })
         return _emit(summary, config.out)
 
     if command == "delta":
         config = config._replace(analyses=("delta-table",))
-
     try:
-        report = run(config)
-    except DynDegError as exc:
-        # model/map construction failures are validation errors (exit 2);
-        # anything raised past that point is an analysis error (exit 3)
-        return _fail(exc, 3 if getattr(exc, "stage", None) == ANALYSIS_STAGE else 2)
-
-    return _emit(report.to_json(include_timing=timing), config.out)
+        results = run(config, model, pull)
+    except DynDegError as exc:  # valid input that an analysis cannot handle
+        return _fail(exc, 3)
+    return _emit(dumps_canonical({
+        "schema_version": SCHEMA_VERSION,
+        "version": __version__,
+        "config": config.to_dict(),
+        "results": results,
+    }), config.out)
 
 
 def entry() -> NoReturn:

@@ -17,10 +17,10 @@ reads one integer pairing form, built once per algebra from the table
 blocks of complementary degrees.  Associativity and multiplicativity are
 checked on a generating set only (Light's test, see ``_validate``).  An
 :class:`Element` is sparse integer numerators over one denominator too;
-``GradedAlgebra.element`` builds it from the given entries, and
-``Element.coords`` is the ``Fraction`` view.  :func:`tensor_product`, the
-second constructor of valid instances, is valid by construction and orders
-every product basis.  Instances are immutable and all operations are pure.
+``GradedAlgebra.element`` builds it from the given entries.
+:func:`tensor_product`, the second constructor of valid instances, is valid
+by construction and orders every product basis.  Instances are immutable
+and all operations are pure.
 """
 
 from __future__ import annotations
@@ -85,14 +85,6 @@ class Element:
             tuple(sorted((k, v // g) for k, v in piece.items() if v))
             if piece else () for piece in pieces
         ))
-
-    @property
-    def coords(self) -> tuple[tuple[Fraction, ...], ...]:
-        """``coords[i]``: the degree-i component as a ``Fraction`` vector."""
-        return tuple(
-            tuple(Fraction(piece.get(k, 0), self.denominator) for k in range(d))
-            for d, piece in zip(self.dims, map(dict, self.pieces))
-        )
 
     def is_zero(self) -> bool:
         return not any(self.pieces)

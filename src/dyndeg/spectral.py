@@ -163,11 +163,7 @@ def _max_root_modulus(coeffs: tuple[int, ...], tol: float):
         return rho, 0.0 if rho == root else rho * 2.0**-52
     # Cauchy: every root has modulus at most 1 + max |a_i / a_0|
     cauchy = _float(1 + Fraction(max(map(abs, poly[1:])), poly[0]))
-    # |a_k / a_0| = |e_k(roots)| <= C(n, k) rho^k: a_k too large for any
-    # rho below 2^1024 puts rho past the float range, with no root round
-    n = len(poly) - 1
-    if any(abs(c) >> 1024 * k >= math.comb(n, k) * poly[0]
-           for k, c in enumerate(poly[1:], 1)):
+    if _past_range(poly):
         raise SpectralNonconvergence(message=_PAST_RANGE)
 
     def read(certs):
@@ -176,6 +172,16 @@ def _max_root_modulus(coeffs: tuple[int, ...], tol: float):
         yield rho, (_float(Fraction(max(r for _, r in disks), 1 << e))
                     + 1e-15 * max(1.0, rho))
     return _certified([poly], read, tol, (0.0, cauchy))[0]
+
+
+def _past_range(poly) -> bool:
+    """Whether the coefficients of ``poly`` (leading one positive) put its
+    largest root modulus rho past the float range, with no root round:
+    |a_k / a_0| = |e_k(roots)| <= C(n, k) rho^k, so an a_k too large for
+    any rho below 2^1024 proves it."""
+    n = len(poly) - 1
+    return any(abs(c) >> 1024 * k >= math.comb(n, k) * poly[0]
+               for k, c in enumerate(poly[1:], 1))
 
 
 def exterior_radii(den: int, a, tol: float = 1e-9):
@@ -193,7 +199,8 @@ def exterior_radii(den: int, a, tol: float = 1e-9):
     if not tol > 0:
         raise ShapeMismatch("tol must be positive")
     coeffs = _scaled_poly(den, a)
-    if abs(coeffs[-1]) >= coeffs[0] << 1024:  # mu_n = |det M|, with no disks
+    # mu_1 = rho, and mu_n = |det M|, which can pass the range without rho
+    if _past_range(coeffs) or abs(coeffs[-1]) >= coeffs[0] << 1024:
         raise SpectralNonconvergence(message=_PAST_RANGE)
     zeros, factors = _multiplicities(coeffs)
 

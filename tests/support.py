@@ -19,7 +19,7 @@ import operator
 from collections.abc import Mapping
 from fractions import Fraction
 
-from dyndeg import COMMUTATIVE, SUPER_COMMUTATIVE
+from dyndeg import COMMUTATIVE, SUPER_COMMUTATIVE, cli
 from dyndeg.core import (Element, GradedAlgebra, ScaledTable, _koszul_sign,
                          _read_table, _validate, build_algebra)
 from dyndeg.endo import PullbackMap, _scaled_columns, validate_pullback
@@ -324,25 +324,34 @@ def _abelian_g1_identity():
     return abelian_variety(1, [[1, 0], [0, 1]])
 
 
-def from_coords(coords) -> Element:
-    """The element with the dense rational coordinate vectors ``coords``,
+def coords(element: Element) -> tuple[tuple[Fraction, ...], ...]:
+    """``coords(element)[i]``: the degree-i component of ``element`` as a
+    ``Fraction`` vector; :func:`from_coords` reads it back."""
+    return tuple(
+        tuple(Fraction(piece.get(k, 0), element.denominator) for k in range(d))
+        for d, piece in zip(element.dims, map(dict, element.pieces))
+    )
+
+
+def from_coords(vectors) -> Element:
+    """The element with the dense rational coordinate vectors ``vectors``,
     through ``linalg.scaled_matrix``: the dense route that
     ``GradedAlgebra.element`` builds sparse."""
-    den, nums = scaled_matrix(coords)
-    return Element.scaled(tuple(map(len, coords)), den,
+    den, nums = scaled_matrix(vectors)
+    return Element.scaled(tuple(map(len, vectors)), den,
                           [dict(enumerate(piece)) for piece in nums])
 
 
 def lin_comb(*terms) -> Element:
     """sum c a over the pairs ``(c, a)``, c rational, of elements of one
-    grading: ``Element.coords`` summed in ``Fraction`` and rebuilt by
+    grading: :func:`coords` summed in ``Fraction`` and rebuilt by
     :func:`from_coords`, a route apart from the product code."""
     assert len({a.dims for _, a in terms}) == 1, "one grading"
     scalars = [Fraction(c) for c, _ in terms]
     return from_coords([
         [sum(map(operator.mul, scalars, column), Fraction(0))
          for column in zip(*vectors)]
-        for vectors in zip(*(a.coords for _, a in terms))])
+        for vectors in zip(*(coords(a) for _, a in terms))])
 
 
 def omega_h(h) -> dict:
@@ -353,6 +362,13 @@ def omega_h(h) -> dict:
     for i, j in itertools.combinations(range(g), 2):
         omega[2 * i, 2 * j + 1], omega[2 * i + 1, 2 * j] = h[i][j], -h[i][j]
     return omega
+
+
+def times_i2(a):
+    """A (x) I_2, the action of A in End(E^g) on H^1."""
+    n = 2 * len(a)
+    return [[a[i // 2][j // 2] if i % 2 == j % 2 else 0 for j in range(n)]
+            for i in range(n)]
 
 
 def fraction_block(f: PullbackMap, degree: int) -> Matrix:
@@ -395,7 +411,7 @@ def apply_blocks(algebra: GradedAlgebra, blocks, element):
     return from_coords(
         tuple(
             mat_vec(tuple(tuple(row) for row in m), piece) if piece else ()
-            for m, piece in zip(blocks, element.coords)
+            for m, piece in zip(blocks, coords(element))
         )
     )
 
@@ -446,6 +462,13 @@ def perfbench_workload(monkeypatch, name):
     spec.loader.exec_module(module)
     golden = json.loads((root / "perfbench" / "golden.json").read_text("utf-8"))
     return module.generate(name, 0, root), golden[name]
+
+
+def run_config(cfg: dict) -> dict:
+    """``cli.run``'s results on the config ``cfg``, its model and map built
+    first, as ``cli.main`` builds them."""
+    config = cli.parse_config(json.dumps(cfg))
+    return cli.run(config, *cli.build_model_and_map(config))
 
 
 def builder_battery():
@@ -533,8 +556,8 @@ def mul_vectors(algebra: GradedAlgebra, i, va, j, vb):
 def fraction_mul(algebra: GradedAlgebra, a: Element, b: Element) -> Element:
     """a * b from :func:`mul_vectors` on every pair of graded pieces."""
     out = [[Fraction(0)] * d for d in algebra.dims]
-    for i, pa in enumerate(a.coords):
-        for j, pb in enumerate(b.coords):
+    for i, pa in enumerate(coords(a)):
+        for j, pb in enumerate(coords(b)):
             for k, c in enumerate(mul_vectors(algebra, i, pa, j, pb)):
                 out[i + j][k] += c
     return from_coords(out)
@@ -573,8 +596,8 @@ def replay_certificates(closure) -> bool:
     if any(len(ds) != 1 for ds in degrees):  # zero or inhomogeneous
         return False
     for (d,) in degrees:
-        gens = [v.coords[d] for v in values if v.degrees() == (d,)]
-        vecs = [b.coords[d] for b in closure.basis if b.degrees() == (d,)]
+        gens = [coords(v)[d] for v in values if v.degrees() == (d,)]
+        vecs = [coords(b)[d] for b in closure.basis if b.degrees() == (d,)]
         pivots = [next(k for k, x in enumerate(v) if x) for v in vecs]
         if any(v[p] != int(i == j) for i, v in enumerate(vecs)
                for j, p in enumerate(pivots)):

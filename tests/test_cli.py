@@ -14,19 +14,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dyndeg.cli import (
-    dumps_canonical,
-    main,
-    parse_config,
-    run,
-)
+from dyndeg.cli import dumps_canonical, main, parse_config
 from dyndeg.errors import (AssociativityViolation, FloatOverflow,
                            MultiplicativityViolation, SchemaError, ShapeMismatch,
                            SignRuleViolation, SpectralNonconvergence,
                            UnitViolation)
 
 from support import (canonical_json, fraction_block, fraction_blocks,
-                     perfbench_workload)
+                     perfbench_workload, run_config, times_i2)
 
 
 def p2_config(**overrides):
@@ -173,8 +168,8 @@ class TestCoercionErrors:
         cfg = p2_config(map={"kind": "matrices",
                              "blocks": [[[1]], [], [["2"]], [], [[4]]]},
                         analyses=["delta-table"])
-        report = run(parse_config(json.dumps(cfg)))
-        assert report.results["delta-table"]["rows"][1][0] == 2
+        results = run_config(cfg)
+        assert results["delta-table"]["rows"][1][0] == 2
 
     @pytest.mark.parametrize("cfg", [BAD_PRODUCT, BAD_BLOCK],
                              ids=["product", "block"])
@@ -190,15 +185,14 @@ class TestCoercionErrors:
 
 class TestRun:
     def test_p2_full_report_values(self):
-        config = parse_config(json.dumps(p2_config(
+        results = run_config(p2_config(
             analyses=["chain", "delta-table", "gromov", "graph-class", "bounds"]
-        )))
-        report = run(config)
-        chain = report.results["chain"]
+        ))
+        chain = results["chain"]
         assert chain["lambda_gr"] == pytest.approx(4.0, abs=1e-9)
         assert chain["equality_holds"] and chain["equality_asserted"]
-        assert report.results["bounds"]["violations"] == 0
-        assert report.results["gromov"]["certificates_verified"]
+        assert results["bounds"]["violations"] == 0
+        assert results["gromov"]["certificates_verified"]
 
     def test_identity_on_abelian_rank_one(self):
         cfg = {
@@ -206,8 +200,7 @@ class TestRun:
             "map": {"kind": "identity"},
             "analyses": ["chain"],
         }
-        report = run(parse_config(json.dumps(cfg)))
-        chain = report.results["chain"]
+        chain = run_config(cfg)["chain"]
         assert chain["lambda_gr"] == pytest.approx(1.0, abs=1e-12)
         assert chain["max_mu"] == pytest.approx(1.0, abs=1e-12)
 
@@ -218,8 +211,8 @@ class TestRun:
             "analyses": ["chain"],
             "ample": {"coords": [1, 1]},
         }
-        report = run(parse_config(json.dumps(cfg)))
-        assert report.results["chain"]["lambda_gr"] == pytest.approx(6.0, abs=1e-9)
+        results = run_config(cfg)
+        assert results["chain"]["lambda_gr"] == pytest.approx(6.0, abs=1e-9)
 
     def test_ample_override_sets_the_degree(self):
         # h = h_1 + 2 h_2 on P^1 x P^1: h^2 = 4 h_1 h_2, so deg(X) = 4, not
@@ -231,7 +224,7 @@ class TestRun:
             "ample": {"coords": [1, 2]},
             "M": 4,
         }
-        results = run(parse_config(json.dumps(cfg))).results
+        results = run_config(cfg)
         assert results["model_summary"]["deg_x"] == 4
         assert results["delta-table"]["deg_x"] == 4
         assert results["delta-table"]["rows"][0] == [4] * 4
@@ -290,11 +283,11 @@ class TestRun:
                     "blocks": [[[1]], [], [[2]], [], [[4]]]},
             "analyses": ["chain", "bounds"],
         }
-        report = run(parse_config(json.dumps(cfg)))
-        chain = report.results["chain"]
+        results = run_config(cfg)
+        chain = results["chain"]
         assert chain["lambda_gr"] == pytest.approx(4.0, abs=1e-9)
         assert not chain["equality_asserted"]  # custom models are unverified
-        bounds = report.results["bounds"]
+        bounds = results["bounds"]
         assert bounds["violations"] == 0 and len(bounds["checks"]) == 3
 
 
@@ -307,7 +300,7 @@ class TestRun:
                     "blocks": [[[1]], [], [[2, 3], [0, 0]], [], [[0]]]},
             "analyses": ["chain"],
         }
-        results = run(parse_config(json.dumps(cfg))).results
+        results = run_config(cfg)
         assert results["model_summary"]["realizability"] == "asserted"
         assert results["model_summary"]["map_realizability"] == "unverified"
         assert results["chain"]["realizability"] == "unverified"
@@ -321,7 +314,7 @@ class TestRun:
             "map": {"kind": "identity"},
             "analyses": ["chain"],
         }
-        results = run(parse_config(json.dumps(cfg))).results
+        results = run_config(cfg)
         assert results["model_summary"]["map_realizability"] == "asserted"
         assert not results["chain"]["equality_asserted"]
 
@@ -334,7 +327,7 @@ class TestRun:
                 [2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]},
             "analyses": ["chain"],
         }
-        results = run(parse_config(json.dumps(cfg))).results
+        results = run_config(cfg)
         assert results["model_summary"]["realizability"] == "asserted"
         assert results["model_summary"]["map_realizability"] == "unverified"
         assert not results["chain"]["equality_asserted"]
@@ -349,7 +342,7 @@ class TestRun:
             "map": {"kind": "identity"},
             "analyses": ["chain"],
         }
-        results = run(parse_config(json.dumps(cfg))).results
+        results = run_config(cfg)
         assert results["model_summary"]["deg_x"] == 2
 
 
@@ -481,14 +474,15 @@ class TestMainCommand:
         ["report", "--config", "{path}", "--conf", "{path}"],
         ["report", "--config", "{path}", "--verbose"],
         ["report", "--config", "{path}", "extra"],
-        ["report", "--config", "{path}", "--timing=yes"],
+        ["report", "--config", "{path}", "--timing"],
+        ["report", "--config", "{path}", "--timing=1"],
         ["report", "--config", "{path}\0"],
         ["report", "--config", "{path}", "--out=out\0.json"],
     ], ids=[
         "no-command", "unknown-command", "flag-before-command", "no-config",
         "only-out", "config-at-end", "config-before-flag", "tol-at-end",
-        "abbreviated-flag", "unknown-flag", "positional", "timing-with-value",
-        "nul-in-config", "nul-in-out",
+        "abbreviated-flag", "unknown-flag", "positional", "timing",
+        "timing-with-value", "nul-in-config", "nul-in-out",
     ])
     def test_usage_errors_exit_two_with_json(self, tmp_path, capsys, argv):
         path = self._write(tmp_path, p2_config())
@@ -795,7 +789,7 @@ class TestExitCodes:
         assert err["error"] == "SpectralNonconvergence"
 
 
-    def test_stage_decides_the_exit_code_without_a_rebuild(
+    def test_the_failing_step_decides_the_exit_code_with_one_build(
         self, tmp_path, capsys, monkeypatch
     ):
         from dyndeg import analyses
@@ -818,15 +812,19 @@ class TestExitCodes:
         path.write_text(json.dumps(p2_config()))
         assert main(["report", "--config", str(path)]) == 3
         assert len(builds) == 1
-        # a map that fails validation at build time is still exit 2
-        builds.clear()
+        # a map that fails validation at build time is exit 2, every command
         path.write_text(json.dumps(p2_config(
             map={"kind": "matrices", "blocks": [[[1]], [], [[2]], [], [[5]]]}
         )))
-        assert main(["report", "--config", str(path)]) == 2
-        assert len(builds) == 1
-        err = json.loads(capsys.readouterr().err.splitlines()[-1])
-        assert err["error"] == "MultiplicativityViolation"
+        capsys.readouterr()
+        for command in ("report", "delta", "validate"):
+            builds.clear()
+            assert main([command, "--config", str(path)]) == 2, command
+            assert len(builds) == 1, command
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            err = json.loads(captured.err)
+            assert err["error"] == "MultiplicativityViolation", command
 
     def test_a_linear_root_past_the_float_range_exits_three(
         self, tmp_path, capsys
@@ -910,10 +908,9 @@ class TestOneDeltaTable:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(degrees, "delta_table", counted)
-        config = parse_config(json.dumps(p2_config(
+        results = run_config(p2_config(
             analyses=["delta-table", "graph-class", "bounds"], M=6
-        )))
-        results = run(config).results
+        ))
         assert len(calls) == 1
         rows = results["delta-table"]["rows"]
         for entry in results["graph-class"]["per_m"]:
@@ -928,7 +925,7 @@ class TestOneDeltaTable:
             raise AssertionError("delta_table built for a chain-only report")
 
         monkeypatch.setattr(degrees, "delta_table", forbidden)
-        run(parse_config(json.dumps(p2_config())))
+        run_config(p2_config())
 
 
 class TestOneClosure:
@@ -943,9 +940,9 @@ class TestOneClosure:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(gromov, "gromov_closure", counted)
-        results = run(parse_config(json.dumps(p2_config(
+        results = run_config(p2_config(
             analyses=["gromov", "chain", "delta-table"]
-        )))).results
+        ))
         assert len(calls) == 1
         assert results["gromov"]["lambda_gr"] == results["chain"]["lambda_gr"]
         assert results["gromov"]["certificates_verified"] is True
@@ -973,7 +970,7 @@ class TestOneClosure:
             "map": {"kind": "product", "d": [2, 3, 1], "perm": [1, 2, 0]},
             "analyses": ["gromov", "chain"],
         }
-        results = run(parse_config(json.dumps(cfg))).results
+        results = run_config(cfg)
         (closure,) = closures
         dims = closure.algebra.dims
         assert len(polys) == (
@@ -988,7 +985,7 @@ class TestOneClosure:
             raise AssertionError("closure built for a report without gromov/chain")
 
         monkeypatch.setattr(gromov, "gromov_closure", forbidden)
-        run(parse_config(json.dumps(p2_config(analyses=["delta-table"]))))
+        run_config(p2_config(analyses=["delta-table"]))
 
 
 # sha256 of `dyndeg report --config configs/<name>` stdout; any change to a
@@ -1032,19 +1029,12 @@ ABELIAN_G5_SHA256 = (
 
 class TestScaleLadder:
     @staticmethod
-    def _times_i2(a):
-        """A (x) I_2, the action of A in End(E^g) on H^1."""
-        n = 2 * len(a)
-        return [[a[i // 2][j // 2] if i % 2 == j % 2 else 0 for j in range(n)]
-                for i in range(n)]
-
-    @classmethod
-    def _report_sha256(cls, a, tmp_path, capsys):
+    def _report_sha256(a, tmp_path, capsys):
         """sha256 of the ``gromov`` + ``chain`` report on the abelian
         variety of dimension g = len(a), with the map A (x) I_2."""
         cfg = {
             "model": {"kind": "abelian", "g": len(a)},
-            "map": {"kind": "exterior", "matrix": cls._times_i2(a)},
+            "map": {"kind": "exterior", "matrix": times_i2(a)},
             "analyses": ["gromov", "chain"],
         }
         path = tmp_path / f"abelian_g{len(a)}.json"
@@ -1070,7 +1060,7 @@ class TestScaleLadder:
         from dyndeg.models import abelian_variety, exterior_algebra
 
         _validate(exterior_algebra(5))
-        _, pull = abelian_variety(5, self._times_i2(ABELIAN_G5_A))
+        _, pull = abelian_variety(5, times_i2(ABELIAN_G5_A))
         assert fraction_blocks(validate_pullback(pull.algebra, [
             list(map(list, b)) for b in fraction_blocks(pull)])) == fraction_blocks(pull)
 
@@ -1409,12 +1399,11 @@ class TestCanonicalEncoding:
         text = dumps_canonical({"x": Fraction(-5, 3)})
         assert json.loads(text)["x"] == {"num": "-5", "den": "3"}
 
-    def test_report_serialization_round_trips(self):
-        config = parse_config(json.dumps(p2_config(
-            analyses=["chain", "delta-table"]
-        )))
-        report = run(config)
-        text = report.to_json()
+    def test_report_serialization_round_trips(self, tmp_path):
+        path, out = tmp_path / "c.json", tmp_path / "report.json"
+        path.write_text(json.dumps(p2_config(analyses=["chain", "delta-table"])))
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 0
+        text = out.read_text()
         assert dumps_canonical(json.loads(text)) == text
 
     def test_floats_are_normalized_to_twelve_digits(self):
@@ -1459,13 +1448,7 @@ class TestCanonicalEncoding:
         assert successes and len(written) == successes
 
     def test_timing_only_with_flag(self, tmp_path):
-        cfg = p2_config()
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(cfg))
-        out1 = tmp_path / "plain.json"
-        out2 = tmp_path / "timed.json"
-        assert main(["report", "--config", str(path), "--out", str(out1)]) == 0
-        assert main(["report", "--config", str(path), "--out", str(out2),
-                     "--timing"]) == 0
-        assert "timing" not in json.loads(out1.read_text())
-        assert "timing" in json.loads(out2.read_text())
+        path, out = tmp_path / "c.json", tmp_path / "report.json"
+        path.write_text(json.dumps(p2_config()))
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 0
+        assert "timing" not in json.loads(out.read_text())

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import json
 import math
 import random
 from fractions import Fraction
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyndeg import gromov
-from dyndeg.cli import parse_config, run
 from dyndeg.core import GradedAlgebra
 from dyndeg.endo import PullbackMap, identity_map, validate_pullback
 from dyndeg.errors import ShapeMismatch
@@ -33,10 +31,12 @@ from support import (
     FractionEchelon,
     builder_battery,
     closure_blocks,
+    coords,
     lin_comb,
     random_valid_pullbacks,
     replay_certificates,
     replay_words,
+    run_config,
 )
 
 PHI_SQUARED = 2.618033988749895  # (3 + sqrt 5) / 2, from the quadratic formula
@@ -91,7 +91,7 @@ class TestGromovClosure:
         ech = FractionEchelon(model.algebra.dimension)
 
         def flat(element):
-            return [x for piece in element.coords for x in piece]
+            return [x for piece in coords(element) for x in piece]
 
         for i, b in enumerate(closure.basis):
             ech.insert(flat(b), {i: Fraction(1)})
@@ -202,7 +202,7 @@ class TestRandomClosures:
         assert closure.dims_by_degree == tuple(
             len(by_degree.get(d, ())) for d in range(len(algebra.dims))), name
         for degree, vectors in by_degree.items():
-            rows = [b.coords[degree] for b in vectors]
+            rows = [coords(b)[degree] for b in vectors]
             pivots = [next(k for k, x in enumerate(row) if x) for row in rows]
             assert pivots == sorted(set(pivots)), name
             for i, p in enumerate(pivots):
@@ -211,7 +211,7 @@ class TestRandomClosures:
 
         # the span holds 1 and omega and is closed under f* and products
         def flat(element):
-            return [x for piece in element.coords for x in piece]
+            return [x for piece in coords(element) for x in piece]
 
         span = FractionEchelon(algebra.dimension)
         for i, b in enumerate(closure.basis):
@@ -556,7 +556,7 @@ class TestGenericClosure:
         # the basis, and the blocks by degree, recorded before the echelon
         # forms dropped their per-row combinations
         digest = hashlib.sha256(repr((
-            [[str(x) for piece in b.coords for x in piece]
+            [[str(x) for piece in coords(b) for x in piece]
              for b in closure.basis],
             [(d, [[str(x) for x in row] for row in block])
              for d, block in closure_blocks(closure)],
@@ -621,7 +621,7 @@ class TestLibraryAgreesWithCli:
         self, model_spec, map_spec, tag, asserted,
     ):
         cfg = {"model": model_spec, "map": map_spec, "analyses": ["chain"]}
-        section = run(parse_config(json.dumps(cfg))).results["chain"]
+        section = run_config(cfg)["chain"]
         model, f = _builder_pair(model_spec, map_spec)
         rep = spectral_chain(model, gromov_closure(f, model.h))
         assert (rep.realizability, rep.equality_asserted) == (tag, asserted)

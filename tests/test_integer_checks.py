@@ -56,6 +56,7 @@ from support import (
     apply_blocks,
     basis_product,
     builder_battery,
+    coords,
     fraction_blocks,
     fraction_mul,
     from_coords,
@@ -463,16 +464,16 @@ class TestProductAgainstOracle:
             alg, blocks, a)
         top, w = alg.top_degree, alg.integrate_coords
         assert alg.integrate(a) == fraction_sum(
-            x * y for x, y in zip(a.coords[top], w))
+            x * y for x, y in zip(coords(a)[top], w))
         assert alg.pair(a, b) == fraction_sum(
-            x * y for x, y in zip(ab.coords[top], w))
+            x * y for x, y in zip(coords(ab)[top], w))
         # one rational reached by different routes: one Element, one hash
         s = lin_comb((1, a), (1, b))
         routes = [
             s, lin_comb((1, b), (1, a)), lin_comb((1, a), (-1, b), (2, b)),
             lin_comb((Fraction(1, 3), lin_comb((3, a), (3, b)))),
             lin_comb((c, a), (1, s), (-c, a)), alg.mul(alg.one(), s),
-            alg.element({(d, k): x for d, piece in enumerate(s.coords)
+            alg.element({(d, k): x for d, piece in enumerate(coords(s))
                          for k, x in enumerate(piece)}),
         ]
         assert all(x == routes[0] for x in routes)

@@ -26,6 +26,7 @@ from support import (
     FractionEchelon,
     builder_battery,
     closure_blocks,
+    coords,
     fraction_char_poly,
     fraction_det,
     mat_mul as fraction_mat_mul,
@@ -280,8 +281,8 @@ def certificates(closure) -> list[list[tuple]]:
         ech = FractionEchelon(dim)
         for g, v in enumerate(values):
             if v.degree() == d:
-                assert ech.insert(v.coords[d], {g: Fraction(1)})
-        assert ech.basis() == [b.coords[d] for b in closure.basis
+                assert ech.insert(coords(v)[d], {g: Fraction(1)})
+        assert ech.basis() == [coords(b)[d] for b in closure.basis
                                if b.degree() == d]
         certs += [sorted(combo.items()) for combo in ech.combos]
     return certs
@@ -294,7 +295,7 @@ def closure_digest() -> str:
         words = spelled_out(c.words)
         digest.update(repr((
             name, c.sweeps, c.dims_by_degree,
-            [[str(x) for piece in b.coords for x in piece] for b in c.basis],
+            [[str(x) for piece in coords(b) for x in piece] for b in c.basis],
             [[(str(k), words[g]) for g, k in cert]
              for cert in certificates(c)],
             [[str(x) for x in row] for row in block_diagonal(closure_blocks(c))],

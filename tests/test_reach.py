@@ -23,8 +23,6 @@ ALLOWED = {
     "core.Element.__hash__": "an element is a dict key or set member in the "
                              "tests; defining __eq__ alone would drop it",
     "core.Element.__repr__": "what a failing assertion prints",
-    "core.Element.coords": "the Fraction view; acceptance criterion 8 reads "
-                           "it through support.apply_blocks",
     "cli._io_error": "only an unreadable config or --out path reaches it "
                      "(test_cli's I/O cases)",
     "cli.entry": "it ends the process, so it runs only in a child "

@@ -945,6 +945,17 @@ class TestIntegerRootCertificate:
             spectral.scaled_radius(1, [[2**1100, 0, 0], [0, 3, 0], [0, 0, 0]])
         assert calls == []
 
+    def test_exterior_radii_refuse_a_past_range_radius_before_any_round(
+            self, monkeypatch):
+        # mu_n = |det M| = 0 is in range; the bound on a_1 shows that mu_1
+        # = rho is not, so no root round runs
+        calls = []
+        monkeypatch.setattr(spectral, "_root_disks",
+                            lambda poly: calls.append(poly))
+        with pytest.raises(SpectralNonconvergence, match="past the float range"):
+            spectral.exterior_radii(1, [[2**1100, 0, 0], [0, 3, 0], [0, 0, 0]])
+        assert calls == []
+
     def test_roots_closer_than_the_first_grids_are_certified(self):
         # Aberth closes in on an unresolved pair about 2 bits a sweep; the
         # pair 2^-700 apart is resolved once the grid is 1,024 bits fine
