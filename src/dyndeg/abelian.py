@@ -18,8 +18,7 @@ from typing import Mapping, Sequence
 # ``core.build_algebra`` is looked up when called, so a wrapper bound there
 # (a tracer's) is the one that runs
 from . import SUPER_COMMUTATIVE, core, endo
-from .errors import (AmpleClassDegenerate, AmpleNotPositive, DegreeNotPositive,
-                     SchemaError, ShapeMismatch)
+from .errors import AmpleNotPositive, SchemaError, ShapeMismatch
 from .linalg import as_matrix, identity
 from .models import EffectiveClass, EmbeddedModel, check_square
 
@@ -103,7 +102,7 @@ def abelian_variety(
         entries[(2, pair_index[(i, j)])] = coeff
     w = algebra.element(entries)
     if (top := algebra.power(w, g)).is_zero():
-        raise AmpleClassDegenerate("omega^g = 0: not a valid polarization class")
+        raise AmpleNotPositive("omega^g = 0: not a valid polarization class")
 
     chi = algebra.integrate(top) / math.factorial(g)
     if chi > 0 and chi.denominator == 1:
@@ -187,7 +186,7 @@ def build_abelian(spec, map_spec):
         omega = {(i, j): coeff for i, j, coeff in spec["omega"]}
     try:
         return abelian_variety(g, map_spec.get("matrix", identity(2 * g)), omega)
-    except (AmpleClassDegenerate, DegreeNotPositive, AmpleNotPositive) as exc:
+    except AmpleNotPositive as exc:
         # omega^g = 0, deg(X) = integrate(omega^g) <= 0 or omega not ample:
         # omega alone decides
         raise SchemaError([("/model/omega", str(exc))]) from exc

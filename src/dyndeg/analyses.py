@@ -81,9 +81,10 @@ def _run_bounds(model, pull, config):
 
     top = model.algebra.top_degree
     constant = bound_constant(model.r, model.deg_x)
-    # each homogeneous class with its degree and deg(v), read once
+    # each cycle (a homogeneous class of even degree), its degree and deg(v)
     classes = [(ec, d[0], ambient_degree(model, ec.element, d[0]))
-               for ec in model.effective if len(d := ec.element.degrees()) == 1]
+               for ec in model.effective
+               if len(d := ec.element.degrees()) == 1 and d[0] % 2 == 0]
     checks = []
     violations = 0
     for ec_v, dv, deg_v in classes:

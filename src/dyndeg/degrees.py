@@ -24,8 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .core import Element
 from .endo import PullbackMap
-from .errors import (FloatOverflow, NonComplementaryDegrees, ShapeMismatch,
-                     StepOutOfRange)
+from .errors import FloatOverflow, ShapeMismatch
 from .linalg import as_fraction
 
 if TYPE_CHECKING:
@@ -145,8 +144,7 @@ def growth_rates(table: DeltaTable) -> GrowthRates:
 # graph class and Segre degree
 # ---------------------------------------------------------------------------
 
-# factor_dims: (a, b) for the component [P^a] x [P^b]
-GraphComponent = namedtuple("GraphComponent", "coefficient factor_dims label")
+GraphComponent = namedtuple("GraphComponent", "coefficient label")
 
 
 def graph_class(table: DeltaTable, m: int) -> list[GraphComponent]:
@@ -158,7 +156,7 @@ def graph_class(table: DeltaTable, m: int) -> list[GraphComponent]:
     table in reverse.
     """
     r = table.r
-    return [GraphComponent(coeff, (r - j, j), f"[P^{r - j}]x[P^{j}]")
+    return [GraphComponent(coeff, f"[P^{r - j}]x[P^{j}]")
             for j, coeff in enumerate(table.column(m)[::-1])]
 
 
@@ -224,7 +222,7 @@ def moving_ledger(r: int, deg_x, deg_v, deg_w, k: int) -> MovingLedger:
     deg(V_j) <= deg(X)^j * deg(V) at every step.
     """
     if not (1 <= k <= r + 1):
-        raise StepOutOfRange(f"k = {k} outside [1, r + 1] = [1, {r + 1}]")
+        raise ShapeMismatch(f"k = {k} outside [1, r + 1] = [1, {r + 1}]")
     deg_x, deg_v, deg_w = as_fraction(deg_x), as_fraction(deg_v), as_fraction(deg_w)
     v_degrees = [deg_v]
     e_degrees = []
@@ -267,9 +265,9 @@ def check_intersection_bound(
     dv = v.degrees()
     dw = w.degrees()
     if len(dv) != 1 or len(dw) != 1:
-        raise NonComplementaryDegrees("classes must be homogeneous and nonzero")
+        raise ShapeMismatch("classes must be homogeneous and nonzero")
     if dv[0] % 2 or dw[0] % 2 or dv[0] + dw[0] != model.algebra.top_degree:
-        raise NonComplementaryDegrees(
+        raise ShapeMismatch(
             f"degrees {dv[0]} and {dw[0]} are not complementary even degrees"
         )
     deg_v = ambient_degree(model, v, dv[0]) if deg_v is None else deg_v

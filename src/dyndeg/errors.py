@@ -6,7 +6,7 @@ error that carries data declares it: it takes its ``fields`` as positional
 arguments (those not given are None) and keeps each as an attribute, its
 message, unless ``message`` is given, is ``template`` formatted with them, and
 its payload adds each ``shown`` field that is not None (JSON writes tuples as
-lists).
+lists).  Each class is one that a caller or the CLI's output tells apart.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class DynDegError(Exception):
 
 class ShapeMismatch(DynDegError):
     kind = "ShapeMismatch"
-
-
-class DegreeNotPositive(ShapeMismatch):
-    """deg(X) = integrate(h^r) is not positive; reported as a ShapeMismatch."""
 
 
 class AssociativityViolation(DynDegError):
@@ -76,26 +72,6 @@ class SpectralNonconvergence(DynDegError):
     kind = "SpectralNonconvergence"
     fields = ("estimate", "error_bound")
     template = "spectral radius bracket stalled at {estimate} ± {error_bound}"
-
-
-class ZeroWeight(DynDegError):
-    kind = "ZeroWeight"
-
-
-class StepOutOfRange(DynDegError):
-    kind = "StepOutOfRange"
-
-
-class NonComplementaryDegrees(DynDegError):
-    kind = "NonComplementaryDegrees"
-
-
-class PermutationShapeMismatch(DynDegError):
-    kind = "PermutationShapeMismatch"
-
-
-class AmpleClassDegenerate(DynDegError):
-    kind = "AmpleClassDegenerate"
 
 
 class NotIsometry(DynDegError):

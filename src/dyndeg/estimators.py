@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .degrees import _root_of_abs, default_window, limsup_root
-from .errors import FloatOverflow, ShapeMismatch, ZeroWeight
+from .errors import FloatOverflow, ShapeMismatch
 from .linalg import Matrix, as_matrix, mat_mul, scaled_matrix
 
 _LN2 = math.log(2.0)
@@ -146,7 +146,7 @@ def combined_limsup_bound(
     if len(weights) != len(sequences):
         raise ShapeMismatch("one weight per sequence")
     if any(w == 0 for w in weights):
-        raise ZeroWeight("weights must be nonzero")
+        raise ShapeMismatch("weights must be nonzero")
     length = len(sequences[0])
     if any(len(s) != length for s in sequences):
         raise ShapeMismatch("sequences must have equal length")

@@ -26,7 +26,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .core import Element, GradedAlgebra
-from .errors import AmpleNotPositive, DegreeNotPositive, ShapeMismatch
+from .errors import AmpleNotPositive, ShapeMismatch
 from .linalg import as_fraction
 
 _BUILDER_MODULES = ("projective", "abelian", "lattice", "custom")
@@ -88,7 +88,7 @@ class EmbeddedModel:
         if self.h_powers[self.r].is_zero():
             raise ShapeMismatch("h^r vanishes: h is not a valid ample class")
         if self.deg_x <= 0:
-            raise DegreeNotPositive(f"deg(X) = {self.deg_x} must be positive")
+            raise AmpleNotPositive(f"deg(X) = {self.deg_x} must be positive")
         # Nakai-Moishezon, on what the builder vouches for: h^(r-k) . e > 0
         # for each effective e of degree 2k
         for e in self.effective:

@@ -16,7 +16,7 @@ from typing import Sequence
 # ``core.build_algebra`` and ``endo.validate_pullback`` are looked up when
 # called, so a wrapper bound there (a tracer's) is the one that runs
 from . import COMMUTATIVE, core, endo
-from .errors import PermutationShapeMismatch, ShapeMismatch
+from .errors import ShapeMismatch
 from .models import EffectiveClass, EmbeddedModel
 
 
@@ -123,11 +123,11 @@ def product_map(
     degrees = [int(d) for d in degrees]
     perm = [int(p) for p in perm]
     if len(degrees) != k or any(d < 0 for d in degrees):
-        raise PermutationShapeMismatch(f"need {k} nonnegative degrees")
+        raise ShapeMismatch(f"need {k} nonnegative degrees")
     if sorted(perm) != list(range(k)):
-        raise PermutationShapeMismatch(f"perm must permute 0..{k - 1}")
+        raise ShapeMismatch(f"perm must permute 0..{k - 1}")
     if any(ns[perm[i]] != ns[i] for i in range(k)):
-        raise PermutationShapeMismatch(
+        raise ShapeMismatch(
             "permutation must match factor dimensions (n_i = n_perm(i))"
         )
 

@@ -31,7 +31,7 @@ from dyndeg.cli import main
 from dyndeg.gromov import gromov_closure, spectral_chain
 from dyndeg.projective import multiprojective
 
-from support import omega_h
+from support import omega_h, times_i2
 
 
 def report(cfg, tmp_path):
@@ -62,8 +62,7 @@ def abelian_draws(draw):
                       min_size=g, max_size=g))
     low = [[draw(st.integers(1, 3)) if j == i else draw(st.integers(-2, 2))
             if j < i else 0 for j in range(g)] for i in range(g)]
-    matrix = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0
-               for j in range(2 * g)] for i in range(2 * g)]
+    matrix = times_i2(a)
     pairs = {tuple(i for i, (d, _) in enumerate(w) if d): p
              for p, w in enumerate(exterior_algebra(g).words[2])}
 

@@ -405,6 +405,28 @@ class TestMainCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
 
+    def test_bounds_pair_only_the_cycles(self, tmp_path, capsys):
+        # an effective class of odd degree is no cycle: bounds skip it
+        # rather than pair it with itself (1 + 1 = top_degree)
+        cfg = {
+            "schema_version": "1",
+            "model": {
+                "kind": "custom", "top_degree": 2, "dims": [1, 2, 1],
+                "sign_rule": "super_commutative",
+                "products": [{"a": [1, 0], "b": [1, 1], "value": {"0": 1}}],
+                "integrate": [1], "h": [1], "ambient_dim": 2,
+                "effective": [{"label": "a", "degree": 1, "coords": [1, 0]},
+                              {"label": "pt", "degree": 2, "coords": [1]}],
+            },
+            "map": {"kind": "identity"},
+            "analyses": ["bounds"],
+        }
+        assert main(["report", "--config", self._write(tmp_path, cfg)]) == 0
+        captured = capsys.readouterr()
+        bounds = json.loads(captured.out)["results"]["bounds"]
+        assert captured.err == ""
+        assert (bounds["checks"], bounds["violations"]) == ([], 0)
+
     def test_schema_error_exits_two_with_stderr_json(self, tmp_path, capsys):
         path = self._write(tmp_path, {"map": {}, "analyses": ["chain"]})
         assert main(["report", "--config", path]) == 2

@@ -13,7 +13,7 @@ from dyndeg.degrees import (
     segre_graph_degree,
 )
 from dyndeg.endo import identity_map, validate_pullback
-from dyndeg.errors import NonComplementaryDegrees, ShapeMismatch, StepOutOfRange
+from dyndeg.errors import ShapeMismatch
 from dyndeg.gromov import gromov_closure, spectral_chain
 from dyndeg.models import (
     EmbeddedModel,
@@ -307,9 +307,9 @@ class TestMovingLedger:
         assert bounds == sorted(bounds)
 
     def test_step_out_of_range(self):
-        with pytest.raises(StepOutOfRange):
+        with pytest.raises(ShapeMismatch, match=r"^k = 4 outside \[1, r \+ 1\] = "):
             moving_ledger(2, 1, 1, 1, 4)
-        with pytest.raises(StepOutOfRange):
+        with pytest.raises(ShapeMismatch, match=r"^k = 0 outside "):
             moving_ledger(2, 1, 1, 1, 0)
 
 
@@ -337,10 +337,11 @@ class TestIntersectionBound:
 
     def test_non_complementary_rejected(self):
         model = projective_space(2)
-        with pytest.raises(NonComplementaryDegrees):
+        with pytest.raises(ShapeMismatch, match=r"^classes must be homogeneous and"):
             check_intersection_bound(
                 model, model.h, lin_comb((1, model.h), (1, model.algebra.one())))
-        with pytest.raises(NonComplementaryDegrees):
+        with pytest.raises(ShapeMismatch,
+                           match=r"^degrees 0 and 2 are not complementary even"):
             check_intersection_bound(
                 model, model.algebra.one(), model.h
             )

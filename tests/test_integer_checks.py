@@ -65,6 +65,7 @@ from support import (
     multiplicativity_witness,
     mutate_blocks,
     scalar_power_pullback,
+    times_i2,
 )
 
 
@@ -387,8 +388,7 @@ class TestLightsTest:
         # pair, 8,544 on generators, 372 once the tensor product was no
         # longer validated (the pullback's check alone)
         a = [[1, -1, 2], [2, 1, -1], [-1, 2, 1]]
-        matrix = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0
-                   for j in range(6)] for i in range(6)]
+        matrix = times_i2(a)
         blocks = [[list(row) for row in b]
                   for b in fraction_blocks(abelian_variety(3, matrix)[1])]
         calls = []
@@ -582,8 +582,7 @@ class TestIntegerPullbackCheck:
         from dyndeg.models import abelian_variety
 
         a = [[1, -1, 2], [2, 1, -1], [-1, 2, 1]]
-        matrix = [[a[i // 2][j // 2] if i % 2 == j % 2 else 0
-                   for j in range(6)] for i in range(6)]
+        matrix = times_i2(a)
         _, pull = abelian_variety(3, matrix)
         blocks = [[list(row) for row in b] for b in fraction_blocks(pull)]
         start = time.perf_counter()
