@@ -23,8 +23,9 @@ more than interpreter start-up.  Each model kind's builder, adapter
 module ``_MODELS`` names: ``projective``, ``abelian``, ``lattice`` or
 ``custom``, imported once the model's and the map's fields have passed, with
 ``models``, ``core``, ``endo`` and ``linalg``.  ``report`` and ``delta`` add
-``analyses``, ``degrees`` only for a delta table, graph class or bounds, and
-``gromov`` with ``spectral`` only for ``gromov`` and ``chain``.
+the modules that write their sections: ``degrees`` only for a delta table,
+graph class or bounds, and ``gromov`` with ``spectral`` only for ``gromov``
+and ``chain``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,13 @@ if TYPE_CHECKING:
     from .models import EmbeddedModel
 
 SCHEMA_VERSION = "1"
-ANALYSES = ("delta-table", "gromov", "chain", "graph-class", "bounds")
+# analysis -> (the module that writes its report section, as
+# ``<analysis>_section(model, pull, config, *shared)``, and what ``shared``
+# holds: the run's one DeltaTable, its one Gromov closure, or nothing)
+_SECTIONS = {"delta-table": ("degrees", "table"), "gromov": ("gromov", "closure"),
+             "chain": ("gromov", "closure"), "graph-class": ("degrees", "table"),
+             "bounds": ("degrees", None)}
+ANALYSES = tuple(_SECTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +528,11 @@ def _model_summary(model: EmbeddedModel) -> dict:
     }
 
 
+def _section_writer(analysis: str):
+    module = importlib.import_module(f".{_SECTIONS[analysis][0]}", __package__)
+    return getattr(module, analysis.replace("-", "_") + "_section")
+
+
 def run(config: dict, model: EmbeddedModel, pull: PullbackMap) -> dict:
     """The results of every requested analysis of ``pull`` on ``model``, by
     analysis; deterministic for identical configs."""
@@ -528,26 +540,19 @@ def run(config: dict, model: EmbeddedModel, pull: PullbackMap) -> dict:
         **_model_summary(model), "r": model.r,
         "map_realizability": pull.realizability,
     }}
-    from . import analyses
-
-    table = closure = None
     requested = config["analyses"]
-    if not analyses.TABLE_ANALYSES.isdisjoint(requested):
+    shared, takes = {None: ()}, {_SECTIONS[a][1] for a in requested}
+    if "table" in takes:
         from .degrees import delta_table
 
-        table = delta_table(model, pull, config["M"])
-    if not analyses.CLOSURE_ANALYSES.isdisjoint(requested):
+        shared["table"] = (delta_table(model, pull, config["M"]),)
+    if "closure" in takes:
         from .gromov import gromov_closure
 
-        closure = gromov_closure(pull, model.h)
+        shared["closure"] = (gromov_closure(pull, model.h),)
     for analysis in dict.fromkeys(requested):
-        if analysis in analyses.TABLE_ANALYSES:
-            shared = (table,)
-        elif analysis in analyses.CLOSURE_ANALYSES:
-            shared = (closure,)
-        else:
-            shared = ()
-        results[analysis] = analyses.RUNNERS[analysis](model, pull, config, *shared)
+        write = _section_writer(analysis)
+        results[analysis] = write(model, pull, config, *shared[_SECTIONS[analysis][1]])
     return results
 
 

@@ -277,3 +277,58 @@ def check_intersection_bound(
         constant=constant,
         ok=abs(value) <= constant * deg_v * deg_w,
     )
+
+
+# ---------------------------------------------------------------------------
+# report sections: each writes one analysis of ``cli.run`` from its records
+# ---------------------------------------------------------------------------
+
+def delta_table_section(model, pull, config, table) -> dict:
+    rates = growth_rates(table)
+    return {"m_max": table.m_max, "deg_x": table.deg_x,
+            "rows": [list(row) for row in table.rows],
+            "growth_rates": list(rates.rates), "max_rate": rates.max_rate,
+            "window": rates.window}
+
+
+def graph_class_section(model, pull, config, table) -> dict:
+    per_m = []
+    for m in range(1, config["M"] + 1):
+        comps = graph_class(table, m)
+        segre = segre_graph_degree(model, pull, table, m)
+        per_m.append({
+            "m": m,
+            "coefficients": [comp.coefficient for comp in comps],
+            "labels": [comp.label for comp in comps],
+            "segre_degree": segre.value,
+            "segre_expected": segre.expected,
+            "segre_matches": segre.matches,
+        })
+    return {"per_m": per_m}
+
+
+def bounds_section(model, pull, config) -> dict:
+    """Each :class:`IntersectionBoundCheck` of two effective cycles of
+    complementary degrees, less the ``constant`` printed once beside them."""
+    top = model.algebra.top_degree
+    constant = bound_constant(model.r, model.deg_x)
+    # each cycle (a homogeneous class of even degree), its degree and deg(v)
+    classes = [(ec, d[0], ambient_degree(model, ec.element, d[0]))
+               for ec in model.effective
+               if len(d := ec.element.degrees()) == 1 and d[0] % 2 == 0]
+    checks = []
+    for ec_v, dv, deg_v in classes:
+        for ec_w, dw, deg_w in classes:
+            if dv + dw == top:
+                check = check_intersection_bound(
+                    model, ec_v.element, ec_w.element, deg_v, deg_w)._asdict()
+                del check["constant"]
+                checks.append({**check, "v": ec_v.label, "w": ec_w.label})
+    ledger = moving_ledger(model.r, model.deg_x, 1, 1, model.r + 1)
+    return {
+        "constant": constant,
+        "checks": checks,
+        "violations": sum(not check["ok"] for check in checks),
+        "moving_ledger": ledger._asdict(),
+        "ledger_within_constant": ledger.bound <= constant,
+    }

@@ -327,3 +327,30 @@ def spectral_chain(
         gromov_dims=closure.dims_by_degree,
         scope_note=model.scope_note,
     )
+
+
+# ---------------------------------------------------------------------------
+# report sections: each writes one analysis of ``cli.run`` from its records
+# ---------------------------------------------------------------------------
+
+def gromov_section(model, pull, config, closure) -> dict:
+    rho, err = lambda_gr(closure, config["tol"])
+    return {"dimension": closure.dimension,
+            "dims_by_degree": list(closure.dims_by_degree),
+            "certificates": closure.dimension,
+            "certificates_verified": closure.verify_certificates(),
+            "sweeps": closure.sweeps, "lambda_gr": rho, "lambda_gr_error": err}
+
+
+def chain_section(model, pull, config, closure) -> dict:
+    """The :class:`ChainReport`, its tuples as lists, with its verdicts and
+    less ``mu_error``, which the verdicts' slack already holds."""
+    report = spectral_chain(model, closure, config["tol"])
+    section = {key: list(value) if isinstance(value, tuple) else value
+               for key, value in report._asdict().items() if key != "mu_error"}
+    return {
+        **section,
+        "chain_holds": report.chain_holds,
+        "equality_holds": report.equality_holds,
+        "chi_note": "homological and numerical radii coincide in explicit models",
+    }

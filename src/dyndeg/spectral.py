@@ -143,9 +143,10 @@ def scaled_radius(den: int, a, tol: float = 1e-9):
     Each root of the square-free part of det(D x I - A) gets a disk of
     :func:`_root_disks`: rho is the largest |z| correctly rounded and capped
     at the Cauchy bound, the error bound the largest radius plus 1e-15
-    max(1, rho).  Raises :class:`SpectralNonconvergence` (with the best
-    bracket) if no round shrinks the disks below ``tol``, and at once if rho
-    is past the float range."""
+    max(1, rho), or rho's rounding error if the square-free part is linear.
+    Raises :class:`SpectralNonconvergence` (with the best bracket) if the
+    error does not fall to ``tol`` max(1, rho), and at once if rho is past
+    the float range."""
     if not tol > 0:
         raise ShapeMismatch("tol must be positive")
     return _max_root_modulus(_scaled_poly(den, a), tol)
@@ -162,7 +163,10 @@ def _max_root_modulus(coeffs: tuple[int, ...], tol: float):
     if len(poly) == 2:
         root = abs(Fraction(poly[1], poly[0]))
         rho = _sqrt_float(root.numerator**2, root.denominator**2)
-        return rho, 0.0 if rho == root else rho * 2.0**-52
+        err = 0.0 if rho == root else rho * 2.0**-52
+        if err > tol * max(1.0, rho):
+            raise SpectralNonconvergence(rho, err)
+        return rho, err
     # Cauchy: every root has modulus at most 1 + max |a_i / a_0|
     cauchy = _float(1 + Fraction(max(map(abs, poly[1:])), poly[0]))
     if _past_range(poly):

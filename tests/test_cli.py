@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dyndeg import cli
 from dyndeg.cli import dumps_canonical, main, parse_config
 from dyndeg.errors import (AssociativityViolation, FloatOverflow,
                            MultiplicativityViolation, SchemaError, ShapeMismatch,
@@ -804,13 +805,13 @@ class TestErrorPayloads:
 class TestExitCodes:
     def test_analysis_error_exits_three(self, tmp_path, capsys, monkeypatch):
         # model and map build fine; force the analysis itself to fail
-        from dyndeg import analyses
+        from dyndeg import gromov
         from dyndeg.errors import SpectralNonconvergence
 
         def boom(model, pull, config, closure):
             raise SpectralNonconvergence(1.0, 0.5)
 
-        monkeypatch.setitem(analyses.RUNNERS, "chain", boom)
+        monkeypatch.setattr(gromov, "chain_section", boom)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(p2_config()))
         assert main(["report", "--config", str(path)]) == 3
@@ -821,8 +822,8 @@ class TestExitCodes:
     def test_the_failing_step_decides_the_exit_code_with_one_build(
         self, tmp_path, capsys, monkeypatch
     ):
-        from dyndeg import analyses
         from dyndeg import cli as cli_module
+        from dyndeg import gromov
         from dyndeg.errors import SpectralNonconvergence
 
         builds = []
@@ -836,7 +837,7 @@ class TestExitCodes:
             raise SpectralNonconvergence(1.0, 0.5)
 
         monkeypatch.setattr(cli_module, "build_model_and_map", counting_build)
-        monkeypatch.setitem(analyses.RUNNERS, "chain", boom)
+        monkeypatch.setattr(gromov, "chain_section", boom)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(p2_config()))
         assert main(["report", "--config", str(path)]) == 3
@@ -864,6 +865,20 @@ class TestExitCodes:
             "model": {"kind": "projective", "n": 1},
             "map": {"kind": "matrices", "blocks": [[[1]], [], [[str(2**1100)]]]},
             "analyses": ["chain"],
+        }))
+        assert main(["report", "--config", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "SpectralNonconvergence"
+
+    def test_a_linear_root_short_of_tol_exits_three(self, tmp_path, capsys):
+        # x - 1/3: the float 1/3 is 2^-52 relative off, past a tol of 1e-17
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "model": {"kind": "projective", "n": 1},
+            "map": {"kind": "matrices", "blocks": [[[1]], [], [["1/3"]]]},
+            "analyses": ["chain"],
+            "tol": 1e-17,
         }))
         assert main(["report", "--config", str(path)]) == 3
         captured = capsys.readouterr()
@@ -921,6 +936,45 @@ class TestExitCodes:
                 "message": "non-finite float entries at positions "
                            "[(1, 'root')]",
             }, command
+
+
+class TestReportSections:
+    def test_each_section_has_exactly_its_keys(self):
+        # a field added to a record must fail here, not grow the report;
+        # ChainReport.mu_error and IntersectionBoundCheck.constant stay out
+        results = run_config(p2_config(analyses=list(cli.ANALYSES)))
+        assert set(results) == {"model_summary", *cli.ANALYSES}
+        assert set(results["delta-table"]) == {
+            "m_max", "deg_x", "rows", "growth_rates", "max_rate", "window"}
+        assert set(results["gromov"]) == {
+            "dimension", "dims_by_degree", "certificates",
+            "certificates_verified", "sweeps", "lambda_gr", "lambda_gr_error"}
+        assert set(results["chain"]) == {
+            "lambda_gr", "lambda_gr_error", "lambda_by_codim", "mu_by_degree",
+            "max_lambda", "max_mu", "chain_holds", "equality_holds",
+            "equality_asserted", "realizability", "scope_note", "tol",
+            "gromov_dims", "chi_note"}
+        (per_m, *_) = results["graph-class"]["per_m"]
+        assert set(results["graph-class"]) == {"per_m"}
+        assert set(per_m) == {"m", "coefficients", "labels", "segre_degree",
+                              "segre_expected", "segre_matches"}
+        bounds = results["bounds"]
+        assert set(bounds) == {"constant", "checks", "violations",
+                               "moving_ledger", "ledger_within_constant"}
+        assert bounds["checks"] and all(
+            set(check) == {"v", "w", "pairing", "deg_v", "deg_w", "ok"}
+            for check in bounds["checks"])
+        assert set(bounds["moving_ledger"]) == {
+            "k", "v_degrees", "e_degrees", "bound"}
+
+    def test_every_analysis_has_a_section_writer(self):
+        assert tuple(cli._SECTIONS) == cli.ANALYSES
+        for analysis in cli.ANALYSES:
+            module, shared = cli._SECTIONS[analysis]
+            writer = cli._section_writer(analysis)
+            assert callable(writer), analysis
+            assert writer.__module__ == f"dyndeg.{module}", analysis
+            assert shared in ("table", "closure", None), analysis
 
 
 class TestOneDeltaTable:
@@ -1256,8 +1310,8 @@ class TestLazyImports:
         )
         assert {"dyndeg.models", "dyndeg.abelian"} <= modules
         assert not modules & {
-            "dyndeg.projective", "dyndeg.lattice", "dyndeg.analyses",
-            "dyndeg.degrees", "dyndeg.estimators",
+            "dyndeg.projective", "dyndeg.lattice", "dyndeg.degrees",
+            "dyndeg.gromov", "dyndeg.estimators",
         }
 
     @pytest.mark.parametrize("command", ["delta", "report"])
@@ -1269,8 +1323,7 @@ class TestLazyImports:
         modules, _ = self._after_main(
             [command, "--config", str(path), "--out", str(tmp_path / "out")]
         )
-        assert {"dyndeg.projective", "dyndeg.analyses",
-                "dyndeg.degrees"} <= modules
+        assert {"dyndeg.projective", "dyndeg.degrees"} <= modules
         assert not modules & {"dyndeg.estimators", "dyndeg.abelian",
                               "dyndeg.lattice"}
 

@@ -349,12 +349,12 @@ class TestIntersectionBound:
     def test_bounds_report_builds_no_product(self, monkeypatch):
         # deg(v) is read once per class and every number is a value of the
         # pairing form, so once h^j and deg(X) are cached no product is built
-        from dyndeg.analyses import _run_bounds
+        from dyndeg.degrees import bounds_section
 
         model = multiprojective([2, 2, 2])
         model.h_powers, model.deg_x
         calls = count_products(monkeypatch)
-        result = _run_bounds(model, None, None)
+        result = bounds_section(model, None, None)
         assert len(calls) == 0
         monkeypatch.undo()
         alg, by_label = model.algebra, {e.label: e.element for e in model.effective}

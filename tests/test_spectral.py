@@ -908,6 +908,17 @@ class TestIntegerRootCertificate:
             spectral.exterior_radii(1, [[2, 1], [1, 1]])
         assert (got.value.estimate, got.value.error_bound) == (0.0, 16.0)
 
+    def test_a_linear_root_is_held_to_tol(self):
+        # x - 1/3: rho's rounding error 2^-52 rho passes 1e-9, not 1e-17
+        assert spectral.scaled_radius(3, [[1]], 1e-9) == (
+            0.3333333333333333, 7.401486830834377e-17)
+        with pytest.raises(SpectralNonconvergence) as got:
+            spectral.scaled_radius(3, [[1]], 1e-17)
+        assert (got.value.estimate, got.value.error_bound) == (
+            0.3333333333333333, 7.401486830834377e-17)
+        # an exact float root has error 0 and meets every tol
+        assert spectral.scaled_radius(2, [[1]], 1e-300) == (0.5, 0.0)
+
     def test_a_root_past_the_float_range_is_not_certified(self):
         # |z|^2 = 2^2100 for both roots: rho would read inf
         with pytest.raises(SpectralNonconvergence):
