@@ -7,14 +7,14 @@ verdicts.  Equality is expected exactly on the rows whose realizability a
 builder asserted; lattice-only surface models report it informationally.
 """
 
+from dyndeg.abelian import elliptic_square
 from dyndeg.gromov import gromov_closure, spectral_chain
-from dyndeg.models import (
-    elliptic_square,
+from dyndeg.lattice import surface_lattice
+from dyndeg.projective import (
     multiprojective,
     pn_power_map,
     product_map,
     projective_space,
-    surface_lattice,
 )
 
 

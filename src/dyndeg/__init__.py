@@ -24,10 +24,7 @@ SUPER_COMMUTATIVE = "super_commutative"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "abelian": (
-        "abelian_variety", "elliptic_square", "exterior_algebra",
-        "exterior_pullback",
-    ),
+    "abelian": ("abelian_variety", "elliptic_square", "exterior_pullback"),
     "core": ("Element", "GradedAlgebra", "build_algebra", "tensor_product"),
     "custom": ("custom_model",),
     "degrees": (
@@ -45,7 +42,7 @@ _EXPORTS = {
         "spectral_chain",
     ),
     "lattice": ("surface_lattice",),
-    "models": ("EffectiveClass", "EmbeddedModel"),
+    "models": ("EffectiveClass", "EmbeddedModel", "exterior_algebra"),
     "projective": (
         "multiprojective", "pn_power_map", "product_map", "projective_space",
     ),

@@ -5,36 +5,20 @@ the 2g classes of H^1, ``core.tensor_product`` of 2g exterior algebras on one
 class, and an endomorphism acts on degree k through the k-th exterior power
 of its action on H^1.  A map is asserted only when it is the action of an
 integer matrix of End(E^g) = M_g(Z), for E without complex multiplication
-(see :func:`abelian_variety`).  The CLI's adapter and cross-field check for
-the ``abelian`` kind live here too.
+(see :func:`abelian_variety`).  The ring itself is
+:func:`dyndeg.models.exterior_algebra`.  The CLI's adapter and cross-field
+check for the ``abelian`` kind live here too.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Mapping, Sequence
 
-# ``core.build_algebra`` is looked up when called, so a wrapper bound there
-# (a tracer's) is the one that runs
-from . import SUPER_COMMUTATIVE, core, endo
+from . import core, endo
 from .errors import AmpleNotPositive, SchemaError, ShapeMismatch
 from .linalg import as_matrix, identity
-from .models import EffectiveClass, EmbeddedModel, check_square
-
-
-@functools.lru_cache(maxsize=None)
-def exterior_algebra(g: int) -> core.GradedAlgebra:
-    """Exterior algebra on 2g degree-1 generators with top-form integration,
-    the tensor product of 2g exterior algebras on one generator.
-
-    Cached: instances are immutable, so one copy per g is shared.  It is
-    valid by construction (``core.tensor_product``), so not validated again.
-    """
-    if g < 1:
-        raise ShapeMismatch("genus must be >= 1")
-    line = core.build_algebra(1, (1, 1), SUPER_COMMUTATIVE, {}, integrate=(1,))
-    return core.tensor_product(*[line] * (2 * g))
+from .models import EffectiveClass, EmbeddedModel, check_square, exterior_algebra
 
 
 def exterior_pullback(

@@ -1,4 +1,4 @@
-"""Embedded models, the checks they share, and where the builders live.
+"""Embedded models, the checks they share, and the E^g cohomology ring.
 
 An :class:`EmbeddedModel` is an algebra with an ample class, the ambient
 dimension and deg(X), plus the :class:`EffectiveClass` list a builder vouches
@@ -13,33 +13,22 @@ library never guesses at - the flags just propagate into reports.
 The builders live in one module per model kind (``projective``, also for
 ``multiprojective``, ``abelian``, ``lattice`` and ``custom``), each with its
 kind's config adapter ``build_<kind>`` and cross-field check ``check_<kind>``,
-so a command compiles only the kind it builds; their public names resolve
-here too, on first access (PEP 562).  The ``check_*`` functions below are the
-config checks that several kinds or the CLI's ``ample`` override share.
+so a command compiles only the kind it builds.  Here are :func:`exterior_algebra`,
+the ring H*(E^g) that ``abelian`` builds on, and the ``check_*`` config checks
+that several kinds or the CLI's ``ample`` override share.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
 from collections import namedtuple
 from fractions import Fraction
 
-from .core import Element, GradedAlgebra
+# ``core.build_algebra`` is looked up when called, so a wrapper bound there
+# (a tracer's) is the one that runs
+from . import SUPER_COMMUTATIVE, core
 from .errors import AmpleNotPositive, ShapeMismatch
 from .linalg import as_fraction
-
-_BUILDER_MODULES = ("projective", "abelian", "lattice", "custom")
-
-
-def __getattr__(name):
-    from . import _OWNER  # the package's table of who defines each name
-
-    if _OWNER.get(name) not in _BUILDER_MODULES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_OWNER[name]}", __package__), name)
-    globals()[name] = value
-    return value
 
 
 class EffectiveClass(namedtuple("EffectiveClass", "label element")):
@@ -51,7 +40,7 @@ class EffectiveClass(namedtuple("EffectiveClass", "label element")):
 class EmbeddedModel:
     """Algebra + ample class + ambient dimension + degree, with provenance."""
 
-    def __init__(self, algebra: GradedAlgebra, h: Element, ambient_dim: int,
+    def __init__(self, algebra: core.GradedAlgebra, h: core.Element, ambient_dim: int,
                  realizability: str = "unverified", provenance: str = "custom",
                  effective: tuple[EffectiveClass, ...] = (),
                  scope_note: str | None = None):
@@ -68,7 +57,7 @@ class EmbeddedModel:
         return self.algebra.top_degree // 2
 
     @functools.cached_property
-    def h_powers(self) -> tuple[Element, ...]:
+    def h_powers(self) -> tuple[core.Element, ...]:
         """``(1, h, h^2, ..., h^r)``, computed once per model."""
         powers = [self.algebra.one()]
         for _ in range(self.r):
@@ -105,6 +94,17 @@ class EmbeddedModel:
             from .abelian import check_polarization  # only E^g compiles it
             check_polarization(self)
         return self
+
+
+@functools.lru_cache(maxsize=None)
+def exterior_algebra(g: int) -> core.GradedAlgebra:
+    """H*(E^g): the tensor product of 2g exterior algebras on one degree-1
+    generator, with top-form integration.  Cached, one immutable copy per g,
+    and valid by construction (``core.tensor_product``), so not validated."""
+    if g < 1:
+        raise ShapeMismatch("genus must be >= 1")
+    line = core.build_algebra(1, (1, 1), SUPER_COMMUTATIVE, {}, integrate=(1,))
+    return core.tensor_product(*[line] * (2 * g))
 
 
 # ---------------------------------------------------------------------------

@@ -199,8 +199,9 @@ def exterior_radii(den: int, a, tol: float = 1e-9):
     product of the k largest root moduli of det(xI - M), with multiplicity:
     the correctly rounded root of the exact product of the k largest |z|^2,
     bracketed, also where moduli tie, by the products of the k largest
-    |z| -/+ radius; the error bound is the bracket's width plus 1e-15
-    max(1, mu_k).  Raises as :func:`scaled_radius` does, with the bracket
+    |z| -/+ radius, exact for a factor with one root; the error bound is the
+    bracket's width plus 1e-15 max(1, mu_k), or mu_k's rounding error if that
+    width is 0.  Raises as :func:`scaled_radius` does, with the bracket
     (0, c^n), c >= 1 the Cauchy bound, if no round certifies every root."""
     if not tol > 0:
         raise ShapeMismatch("tol must be positive")
@@ -212,15 +213,19 @@ def exterior_radii(den: int, a, tol: float = 1e-9):
 
     def read(certs):
         moduli = [(0, 0, 0)] * zeros  # |z|^2, |z| - radius, |z| + radius
-        for (e, disks), (_, m) in zip(certs, factors):
-            moduli += [(Fraction(s, 1 << 2 * e),
-                        Fraction(max(0, (t := math.isqrt(s)) - r), 1 << e),
-                        Fraction(t + 1 + r, 1 << e)) for s, r in disks] * m
+        for (e, disks), (q, m) in zip(certs, factors):
+            if len(q) == 2:  # one root, of modulus |b| / a exactly
+                moduli += [((z := Fraction(abs(q[1]), q[0])) ** 2, z, z)] * m
+            else:
+                moduli += [(Fraction(s, 1 << 2 * e),
+                            Fraction(max(0, (t := math.isqrt(s)) - r), 1 << e),
+                            Fraction(t + 1 + r, 1 << e)) for s, r in disks] * m
         columns = [sorted(c, reverse=True) for c in zip(*moduli)] or [[]] * 3
         for k in range(len(moduli) + 1):
             c, lo, hi = (math.prod(col[:k], start=Fraction(1)) for col in columns)
             rho = _sqrt_float(c.numerator, c.denominator)
-            yield rho, _float(hi - lo) + _ERROR_FLOOR * max(1.0, rho)
+            yield rho, (_float(hi - lo) + _ERROR_FLOOR * max(1.0, rho) if hi != lo
+                        else 0.0 if rho == lo else rho * 2.0**-52)
     return _certified([q for q, _ in factors], read, tol, (0.0, _float((1 + Fraction(
         max(map(abs, coeffs[1:]), default=0), coeffs[0])) ** (len(coeffs) - 1))))
 

@@ -20,24 +20,22 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from dyndeg import COMMUTATIVE, SUPER_COMMUTATIVE, cli
+from dyndeg.abelian import abelian_variety, elliptic_square, exterior_pullback
 from dyndeg.core import (Element, GradedAlgebra, ScaledTable, _koszul_sign,
                          _read_table, _validate, build_algebra)
 from dyndeg.endo import PullbackMap, _scaled_columns, validate_pullback
+from dyndeg.errors import ShapeMismatch, SpectralNonconvergence
+from dyndeg.lattice import surface_lattice
 from dyndeg.linalg import (Matrix, as_fraction, as_matrix, identity, scaled_matrix,
                            transpose)
-from dyndeg.errors import ShapeMismatch, SpectralNonconvergence
-from dyndeg.spectral import _berkowitz, _max_root_modulus
-from dyndeg.models import (
-    EmbeddedModel,
-    elliptic_square,
-    exterior_algebra,
-    exterior_pullback,
+from dyndeg.models import EmbeddedModel, exterior_algebra
+from dyndeg.projective import (
     multiprojective,
     pn_power_map,
     product_map,
     projective_space,
-    surface_lattice,
 )
+from dyndeg.spectral import _berkowitz, _max_root_modulus
 
 
 def _random_fraction(rng, lo=-6, hi=6, max_den=4, nonzero=False):
@@ -319,8 +317,6 @@ def _abelian_like_model(g: int) -> EmbeddedModel:
 
 
 def _abelian_g1_identity():
-    from dyndeg.models import abelian_variety
-
     return abelian_variety(1, [[1, 0], [0, 1]])
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from dyndeg.abelian import abelian_variety, elliptic_square
 from dyndeg.degrees import (
     bound_constant,
     check_intersection_bound,
@@ -26,8 +27,7 @@ from dyndeg.estimators import (
     trace_radius_estimate,
 )
 from dyndeg.gromov import gromov_closure, spectral_chain
-from dyndeg.models import (
-    elliptic_square,
+from dyndeg.projective import (
     multiprojective,
     pn_power_map,
     product_map,
@@ -230,8 +230,6 @@ def test_criterion_7_weighted_limsup_combinations():
 
 def test_criterion_8_validation_soundness_under_mutation():
     """>= 500 non-multiplicative mutants rejected with a named basis pair."""
-    from dyndeg.models import abelian_variety
-
     hosts = [
         # on P^1 the only block above the unit is unconstrained, so mutants
         # there remain valid maps and must be *accepted*

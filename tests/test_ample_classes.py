@@ -26,9 +26,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyndeg.abelian import abelian_variety, exterior_algebra
+from dyndeg.abelian import abelian_variety
 from dyndeg.cli import main
 from dyndeg.gromov import gromov_closure, spectral_chain
+from dyndeg.models import exterior_algebra
 from dyndeg.projective import multiprojective
 
 from support import omega_h, times_i2

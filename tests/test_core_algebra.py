@@ -22,13 +22,10 @@ from dyndeg.errors import (
     SignRuleViolation,
     UnitViolation,
 )
+from dyndeg.lattice import surface_lattice
 from dyndeg.linalg import as_fraction
-from dyndeg.models import (
-    exterior_algebra,
-    multiprojective,
-    projective_space,
-    surface_lattice,
-)
+from dyndeg.models import exterior_algebra
+from dyndeg.projective import multiprojective, projective_space
 
 from support import (
     basis_product,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dyndeg.abelian import elliptic_square
 from dyndeg.degrees import (
     bound_constant,
     check_intersection_bound,
@@ -15,9 +16,8 @@ from dyndeg.degrees import (
 from dyndeg.endo import identity_map, validate_pullback
 from dyndeg.errors import ShapeMismatch
 from dyndeg.gromov import gromov_closure, spectral_chain
-from dyndeg.models import (
-    EmbeddedModel,
-    elliptic_square,
+from dyndeg.models import EmbeddedModel
+from dyndeg.projective import (
     multiprojective,
     pn_power_map,
     product_map,

@@ -1,5 +1,6 @@
 import pytest
 
+from dyndeg.abelian import abelian_variety
 from dyndeg.endo import validate_pullback
 from dyndeg.errors import (
     MultiplicativityViolation,
@@ -7,8 +8,7 @@ from dyndeg.errors import (
     UnitViolation,
 )
 from dyndeg.linalg import as_matrix, identity
-from dyndeg.models import (
-    abelian_variety,
+from dyndeg.projective import (
     multiprojective,
     pn_power_map,
     product_map,

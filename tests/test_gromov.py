@@ -9,22 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyndeg import gromov
+from dyndeg.abelian import abelian_variety, elliptic_square
 from dyndeg.core import GradedAlgebra
+from dyndeg.custom import custom_model
 from dyndeg.endo import PullbackMap, identity_map, validate_pullback
 from dyndeg.errors import ShapeMismatch
 from dyndeg.gromov import (
     GromovSubalgebra, gromov_closure, lambda_gr, spectral_chain,
 )
+from dyndeg.lattice import surface_lattice
 from dyndeg.linalg import Echelon
-from dyndeg.models import (
-    abelian_variety,
-    custom_model,
-    elliptic_square,
+from dyndeg.projective import (
     multiprojective,
     pn_power_map,
     product_map,
     projective_space,
-    surface_lattice,
 )
 
 from support import (

@@ -11,13 +11,13 @@ import re
 import pytest
 
 from dyndeg import core, estimators, spectral
-from dyndeg.abelian import abelian_variety, exterior_algebra, exterior_pullback
+from dyndeg.abelian import abelian_variety, exterior_pullback
 from dyndeg.cli import parse_config
 from dyndeg.degrees import _root_of_abs, delta_table
 from dyndeg.errors import FloatOverflow, SchemaError, ShapeMismatch, UnitViolation
 from dyndeg.lattice import surface_lattice
 from dyndeg.linalg import as_matrix
-from dyndeg.models import EmbeddedModel
+from dyndeg.models import EmbeddedModel, exterior_algebra
 from dyndeg.projective import multiprojective, pn_power_map, projective_space
 
 

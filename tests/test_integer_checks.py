@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyndeg import core
+from dyndeg.abelian import abelian_variety, elliptic_square
 from dyndeg.core import SUPER_COMMUTATIVE, ScaledTable, build_algebra
 from dyndeg.degrees import delta_table
 from dyndeg.endo import PullbackMap, _scaled_columns, validate_pullback
@@ -41,15 +42,13 @@ from dyndeg.errors import (
     UnitViolation,
 )
 from dyndeg.gromov import gromov_closure
-from dyndeg.models import (
-    abelian_variety,
-    elliptic_square,
-    exterior_algebra,
+from dyndeg.lattice import surface_lattice
+from dyndeg.models import exterior_algebra
+from dyndeg.projective import (
     multiprojective,
     pn_power_map,
     product_map,
     projective_space,
-    surface_lattice,
 )
 
 from support import (
@@ -303,7 +302,7 @@ class TestIntegerAlgebraChecks:
         # algebra whose products break the sign rule in two pairs, it names
         # the pair that the reference scan over every ordered pair finds
         # first, and building the model raises that payload
-        from dyndeg.models import custom_model
+        from dyndeg.custom import custom_model
 
         gram = [[1, 2, 3], [2, 0, 1], [3, 1, 1]]
         products = [{"a": [2, p], "b": [2, q], "value": {"0": gram[p][q]}}
@@ -578,8 +577,6 @@ class TestIntegerPullbackCheck:
 
     def test_abelian_g3_pullback_check_is_fast(self):
         import time
-
-        from dyndeg.models import abelian_variety
 
         a = [[1, -1, 2], [2, 1, -1], [-1, 2, 1]]
         matrix = times_i2(a)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyndeg import COMMUTATIVE, SUPER_COMMUTATIVE, endo, spectral
+from dyndeg.abelian import abelian_variety, elliptic_square, exterior_pullback
 from dyndeg.core import _validate, build_algebra, tensor_product
+from dyndeg.custom import custom_model
 from dyndeg.degrees import delta_table
 from dyndeg.endo import _scaled_columns, tensor_pullback, validate_pullback
 from dyndeg.errors import (
@@ -19,20 +21,15 @@ from dyndeg.errors import (
     ShapeMismatch,
 )
 from dyndeg.gromov import gromov_closure, lambda_gr, spectral_chain
-from dyndeg.models import (
-    EmbeddedModel,
-    abelian_variety,
-    custom_model,
-    elliptic_square,
-    exterior_algebra,
-    exterior_pullback,
+from dyndeg.lattice import surface_lattice
+from dyndeg.linalg import as_matrix, transpose
+from dyndeg.models import EmbeddedModel, exterior_algebra
+from dyndeg.projective import (
     multiprojective,
     pn_power_map,
     product_map,
     projective_space,
-    surface_lattice,
 )
-from dyndeg.linalg import as_matrix, transpose
 from dyndeg.spectral import char_poly
 
 from support import (builder_battery, det_wedge_blocks, fraction_block,

@@ -79,7 +79,8 @@ class TestExteriorCharPolys:
     def test_random_exterior_maps(self, g, rational):
         import random
 
-        from dyndeg.abelian import exterior_algebra, exterior_pullback
+        from dyndeg.abelian import exterior_pullback
+        from dyndeg.models import exterior_algebra
 
         rng = random.Random(f"exterior-polys:{g}:{rational}")
         n = 2 * g
@@ -126,8 +127,9 @@ class TestExteriorCharPolys:
 
     def test_only_the_exterior_algebra_is_marked(self):
         from dyndeg import SUPER_COMMUTATIVE, core
-        from dyndeg.abelian import exterior_algebra, exterior_pullback
+        from dyndeg.abelian import exterior_pullback
         from dyndeg.lattice import surface_lattice
+        from dyndeg.models import exterior_algebra
         from dyndeg.projective import multiprojective, projective_space
 
         assert exterior_algebra(2).exterior
@@ -249,7 +251,7 @@ class TestExteriorRadii:
         m = [[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, -3, 0], [0, 0, 5, 0]]
         radii = spectral.exterior_radii(*scaled(m))
         assert [rho for rho, _ in radii] == [1.0, 3.0, 6.0, 12.0, 0.0]
-        assert radii[-1] == (0.0, 1e-15)
+        assert radii[-1] == (0.0, 0.0)
 
     def test_conjugate_pairs_tie(self):
         # eigenvalues 1 +- 2i and 2 +- i: four moduli sqrt(5)
@@ -273,7 +275,27 @@ class TestExteriorRadii:
         assert 2e-3 <= radii[1][1] < 1e-2
 
     def test_the_empty_matrix(self):
-        assert spectral.exterior_radii(1, []) == [(1.0, 1e-15)]
+        assert spectral.exterior_radii(1, []) == [(1.0, 0.0)]
+
+    def test_a_repeated_root_is_read_as_a_linear_square_free_part_is(self):
+        # M = I/3: mu_1 = 1/3, with only its rounding error, as scaled_radius
+        # reads the root of 3x - 1
+        radii = spectral.exterior_radii(3, [[1, 0], [0, 1]])
+        assert radii[1] == spectral.scaled_radius(3, [[1]]) == (
+            0.3333333333333333, 7.401486830834377e-17)
+        assert radii[0] == (1.0, 0.0)
+        assert radii[2] == (0.1111111111111111, 0.1111111111111111 * 2.0**-52)
+
+    def test_certified_radii_keep_the_floor(self):
+        # diag(2, 3) is square-free of degree 2: its roots are certified
+        m = [[2, 0], [0, 3]]
+        rho, err = spectral.scaled_radius(1, m)
+        assert rho == 3.0 and err >= spectral._ERROR_FLOOR * rho
+        radii = spectral.exterior_radii(1, m)
+        assert [rho for rho, _ in radii] == [1.0, 3.0, 6.0]
+        assert radii[0] == (1.0, 0.0)
+        for rho, err in radii[1:]:
+            assert err >= spectral._ERROR_FLOOR * rho
 
     def test_a_nan_tol_is_rejected(self):
         with pytest.raises(ShapeMismatch, match="tol must be positive"):
