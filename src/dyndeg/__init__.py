@@ -8,12 +8,9 @@ an ample class, the radii on the algebraic graded pieces, and the radii on all
 graded pieces.  Exact rational arithmetic everywhere except inside spectral
 estimation.
 
-The public names below are resolved on first access (PEP 562), so
-``import dyndeg`` and ``python -m dyndeg`` load no submodule until one is
-used.
+Each name is imported from the module that defines it, and ``import dyndeg``
+loads no submodule (``python -m dyndeg`` loads only those its command runs).
 """
-
-import importlib
 
 __version__ = "0.1.0"
 
@@ -21,40 +18,3 @@ __version__ = "0.1.0"
 # x of degree i and y of degree j (here, so the CLI loads no submodule)
 COMMUTATIVE = "commutative"
 SUPER_COMMUTATIVE = "super_commutative"
-
-# submodule -> the public names it defines
-_EXPORTS = {
-    "abelian": ("abelian_variety", "elliptic_square", "exterior_pullback"),
-    "core": ("Element", "GradedAlgebra", "build_algebra", "tensor_product"),
-    "custom": ("custom_model",),
-    "degrees": (
-        "DeltaTable", "bound_constant", "check_intersection_bound",
-        "delta_table", "graph_class", "growth_rates", "limsup_root",
-        "moving_ledger", "segre_graph_degree",
-    ),
-    "endo": ("PullbackMap", "identity_map", "validate_pullback"),
-    "estimators": (
-        "combined_limsup_bound", "gelfand_sequence", "trace_radius_estimate",
-        "trace_sequence",
-    ),
-    "gromov": (
-        "ChainReport", "GromovSubalgebra", "gromov_closure", "lambda_gr",
-        "spectral_chain",
-    ),
-    "lattice": ("surface_lattice",),
-    "models": ("EffectiveClass", "EmbeddedModel", "exterior_algebra"),
-    "projective": (
-        "multiprojective", "pn_power_map", "product_map", "projective_space",
-    ),
-    "spectral": ("char_poly", "spectral_radius"),
-}
-_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = ["COMMUTATIVE", "SUPER_COMMUTATIVE", *_OWNER]
-
-
-def __getattr__(name):
-    if name not in _OWNER:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
-    globals()[name] = value
-    return value

@@ -210,23 +210,25 @@ def exterior_radii(den: int, a, tol: float = 1e-9):
     if _past_range(coeffs) or abs(coeffs[-1]) >= coeffs[0] << 1024:
         raise SpectralNonconvergence(message=_PAST_RANGE)
     zeros, factors = _multiplicities(coeffs)
+    exact = [(0, 0, 0)] * zeros  # |z|^2, |z| - radius, |z| + radius
+    for q, m in factors:
+        if len(q) == 2:  # one root, of modulus |b| / a exactly: no root round
+            exact += [((z := Fraction(abs(q[1]), q[0])) ** 2, z, z)] * m
+    rounded = [(q, m) for q, m in factors if len(q) > 2]
 
     def read(certs):
-        moduli = [(0, 0, 0)] * zeros  # |z|^2, |z| - radius, |z| + radius
-        for (e, disks), (q, m) in zip(certs, factors):
-            if len(q) == 2:  # one root, of modulus |b| / a exactly
-                moduli += [((z := Fraction(abs(q[1]), q[0])) ** 2, z, z)] * m
-            else:
-                moduli += [(Fraction(s, 1 << 2 * e),
-                            Fraction(max(0, (t := math.isqrt(s)) - r), 1 << e),
-                            Fraction(t + 1 + r, 1 << e)) for s, r in disks] * m
+        moduli = list(exact)
+        for (e, disks), (_, m) in zip(certs, rounded):
+            moduli += [(Fraction(s, 1 << 2 * e),
+                        Fraction(max(0, (t := math.isqrt(s)) - r), 1 << e),
+                        Fraction(t + 1 + r, 1 << e)) for s, r in disks] * m
         columns = [sorted(c, reverse=True) for c in zip(*moduli)] or [[]] * 3
         for k in range(len(moduli) + 1):
             c, lo, hi = (math.prod(col[:k], start=Fraction(1)) for col in columns)
             rho = _sqrt_float(c.numerator, c.denominator)
             yield rho, (_float(hi - lo) + _ERROR_FLOOR * max(1.0, rho) if hi != lo
                         else 0.0 if rho == lo else rho * 2.0**-52)
-    return _certified([q for q, _ in factors], read, tol, (0.0, _float((1 + Fraction(
+    return _certified([q for q, _ in rounded], read, tol, (0.0, _float((1 + Fraction(
         max(map(abs, coeffs[1:]), default=0), coeffs[0])) ** (len(coeffs) - 1))))
 
 

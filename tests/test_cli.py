@@ -1349,7 +1349,6 @@ class TestLazyImports:
     def test_models_defines_exterior_algebra_and_forwards_no_builder(self):
         # perfbench's tracer clears ``models.exterior_algebra``'s cache
         script = textwrap.dedent("""
-            import importlib, dyndeg
             from dyndeg import models
             assert models.exterior_algebra.__module__ == "dyndeg.models"
             models.exterior_algebra.cache_clear()
@@ -1360,10 +1359,6 @@ class TestLazyImports:
                 pass
             else:
                 raise AssertionError("a builder resolved through models")
-            for module, names in dyndeg._EXPORTS.items():
-                for name in names:
-                    assert getattr(dyndeg, name) is getattr(
-                        importlib.import_module("dyndeg." + module), name)
         """)
         subprocess.run([sys.executable, "-c", script], check=True)
 
@@ -1448,20 +1443,30 @@ class TestLazyImports:
         assert "dyndeg.projective" in modules
         assert not modules & {"dyndeg.custom", "dyndeg.abelian", "dyndeg.lattice"}
 
-    def test_star_import_binds_every_exported_name(self):
-        # each name is the object its module defines (a constant has no
-        # __module__ to compare)
+    def test_the_package_root_binds_only_its_constants(self):
+        # besides its submodules, the root holds the version and the sign
+        # rules that ``cli`` reads; each other name has one import path
         script = textwrap.dedent("""
-            import importlib, dyndeg
-            ns = {}
-            exec("from dyndeg import *", ns)
-            assert sorted(dyndeg.__all__) == sorted(n for n in ns if n[0] != "_")
-            for module, names in dyndeg._EXPORTS.items():
-                owner = importlib.import_module("dyndeg." + module)
-                for name in names:
-                    assert ns[name] is getattr(owner, name), name
-                    where = getattr(ns[name], "__module__", owner.__name__)
-                    assert where == owner.__name__, (name, where)
+            import sys, types, dyndeg
+
+            def public():
+                return {name for name, value in vars(dyndeg).items()
+                        if not name.startswith("_")
+                        and not isinstance(value, types.ModuleType)}
+
+            loaded = [m for m in sys.modules if m.split(".")[0] == "dyndeg"]
+            assert loaded == ["dyndeg"], loaded
+            assert public() == {"COMMUTATIVE", "SUPER_COMMUTATIVE"}
+            assert dyndeg.__version__
+            try:
+                from dyndeg import projective_space
+            except ImportError:
+                pass
+            else:
+                raise AssertionError("a builder resolved through the root")
+            from dyndeg import cli, COMMUTATIVE
+            assert cli.COMMUTATIVE is COMMUTATIVE == "commutative"
+            assert public() == {"COMMUTATIVE", "SUPER_COMMUTATIVE"}
         """)
         subprocess.run([sys.executable, "-c", script], check=True)
 

@@ -286,6 +286,28 @@ class TestExteriorRadii:
         assert radii[0] == (1.0, 0.0)
         assert radii[2] == (0.1111111111111111, 0.1111111111111111 * 2.0**-52)
 
+    def test_a_factor_with_one_root_gets_no_root_round(self, monkeypatch):
+        # I_10 has the one factor x - 1 and diag(2, 2, 3) the factors x - 2
+        # and x - 3: each modulus is read exactly, so no disk is computed
+        degrees, root_disks = [], spectral._root_disks
+
+        def counted(poly):
+            degrees.append(len(poly) - 1)
+            return root_disks(poly)
+
+        monkeypatch.setattr(spectral, "_root_disks", counted)
+        identity = [[int(i == j) for j in range(10)] for i in range(10)]
+        assert spectral.exterior_radii(1, identity) == [(1.0, 0.0)] * 11
+        assert spectral.exterior_radii(1, [[2, 0, 0], [0, 2, 0], [0, 0, 3]]) \
+            == [(1.0, 0.0), (3.0, 0.0), (6.0, 0.0), (12.0, 0.0)]
+        assert degrees == []
+        # beside x - 2, the golden factor x^2 - x - 1 still gets its rounds
+        m = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]]
+        got = spectral.exterior_radii(1, m)
+        assert degrees == [2]
+        for (rho, err), (want, _) in zip(got, oracle_exterior_radii(m)):
+            assert abs(rho - want) <= err
+
     def test_certified_radii_keep_the_floor(self):
         # diag(2, 3) is square-free of degree 2: its roots are certified
         m = [[2, 0], [0, 3]]
