@@ -320,11 +320,11 @@ def _kind_of(c: _Collector, raw: dict, part: str, kinds, error=SchemaError):
 # ---------------------------------------------------------------------------
 
 # model kind -> (its fields: name -> (required, check), as read by
-# _check_fields; the map kinds it takes besides _EVERY_MODEL_MAPS; the module
-# that builds it; whether it has a cross-field check).  That module defines
-# ``build_<kind>(spec, map_spec)``: the model and the pullback of the kind's
-# own map, read from its own map fields only, so a map spec without them
-# ("identity", "matrices") gives the identity.  A checked kind's
+# _check_fields; the map kinds it takes besides "matrices" and "identity",
+# which every kind takes; the module that builds it; whether it has a
+# cross-field check).  That module defines ``build_<kind>(spec, map_spec)``:
+# the model and the pullback of the kind's own map, read from its own map
+# fields only, so those two give the identity.  A checked kind's
 # ``check_<kind>(c, spec, map_spec)`` runs once both kinds and all their
 # fields have passed, so that what the builder would reject has a pointer.
 _MODELS = {
@@ -370,9 +370,6 @@ _MAPS = {
     "matrices": {"blocks": (True, _entries(_check_block, "per-degree matrices"))},
     "identity": {},
 }
-_EVERY_MODEL_MAPS = ("matrices", "identity")
-MODEL_KINDS = tuple(_MODELS)
-MAP_KINDS = tuple(_MAPS)
 
 
 def _kind_module(kind: str):
@@ -417,13 +414,13 @@ def parse_config(text: str, overrides: Mapping | None = None) -> dict:
         c.add("/schema_version", f"unsupported schema version {version!r}")
 
     before = len(c.violations)
-    model_kind = _kind_of(c, raw, "model", MODEL_KINDS, UnknownModelKind)
+    model_kind = _kind_of(c, raw, "model", tuple(_MODELS), UnknownModelKind)
     if model_kind is not None:
         fields, maps, _, checked = _MODELS[model_kind]
         _check_fields(c, "/model", raw["model"], fields)
-    map_kind = _kind_of(c, raw, "map", MAP_KINDS)
+    map_kind = _kind_of(c, raw, "map", tuple(_MAPS))
     if map_kind is not None:
-        if model_kind is not None and map_kind not in maps + _EVERY_MODEL_MAPS:
+        if model_kind is not None and map_kind not in maps + ("matrices", "identity"):
             c.add(
                 "/map/kind",
                 f"map kind {map_kind!r} does not apply to model kind {model_kind!r}",

@@ -150,7 +150,6 @@ class GradedAlgebra:
         self.scaled_table = scaled_table
         self.unit_coords = tuple(unit_coords)
         self.integrate_coords = tuple(integrate_coords)
-        self.dimension = sum(self.dims)
         self._integrate_scaled = scaled_matrix([self.integrate_coords])
         # ``words[d][p]``: the ``factors``' basis vectors whose tensor is
         # e_(d,p); one factor, the algebra, unless tensor_product built it

@@ -1,12 +1,13 @@
 """Exception hierarchy.
 
 Every validation error names the offending basis vectors as ``(degree, index)``
-pairs, and ``payload()`` is the JSON description the CLI writes to stderr.  An
-error that carries data declares it: it takes its ``fields`` as positional
-arguments (those not given are None) and keeps each as an attribute, its
-message, unless ``message`` is given, is ``template`` formatted with them, and
-its payload adds each ``shown`` field that is not None (JSON writes tuples as
-lists).  Each class is one that a caller or the CLI's output tells apart.
+pairs, and ``payload()`` is the JSON description the CLI writes to stderr: its
+``"error"`` is the class's name.  An error that carries data declares it: it
+takes its ``fields`` as positional arguments (those not given are None) and
+keeps each as an attribute, its message, unless ``message`` is given, is
+``template`` formatted with them, and its payload adds each ``shown`` field
+that is not None (JSON writes tuples as lists).  Each class is one that a
+caller or the CLI's output tells apart.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ class DynDegError(Exception):
     """Base class for all library errors; one without ``fields`` takes its
     message as its one argument."""
 
-    kind = "error"
     fields: tuple[str, ...] = ()
     template = ""
     shown: tuple[str, ...] = ()
@@ -29,36 +29,32 @@ class DynDegError(Exception):
         super().__init__(*args)
 
     def payload(self) -> dict:
-        out = {"error": self.kind, "message": str(self)}
+        out = {"error": type(self).__name__, "message": str(self)}
         out.update((name, getattr(self, name)) for name in self.shown
                    if getattr(self, name) is not None)
         return out
 
 
 class ShapeMismatch(DynDegError):
-    kind = "ShapeMismatch"
+    """An argument of the wrong shape, degree, index or range."""
 
 
 class AssociativityViolation(DynDegError):
-    kind = "AssociativityViolation"
     fields = shown = ("triple",)
     template = "associativity fails on basis triple {triple}"
 
 
 class SignRuleViolation(DynDegError):
-    kind = "SignRuleViolation"
     fields = shown = ("pair",)
     template = "sign rule fails on basis pair {pair}"
 
 
 class UnitViolation(DynDegError):
-    kind = "UnitViolation"
     fields = shown = ("basis",)
     template = "unit law fails on basis vector {basis}"
 
 
 class MultiplicativityViolation(DynDegError):
-    kind = "MultiplicativityViolation"
     fields = shown = ("pair",)
     template = "pullback is not multiplicative on basis pair {pair}"
 
@@ -69,21 +65,19 @@ class SpectralNonconvergence(DynDegError):
     Carries the best bracket found so the caller can still inspect it.
     """
 
-    kind = "SpectralNonconvergence"
     fields = ("estimate", "error_bound")
     template = "spectral radius bracket stalled at {estimate} ± {error_bound}"
 
 
 class NotIsometry(DynDegError):
-    kind = "NotIsometry"
+    """A surface lattice map that does not preserve the Gram matrix."""
 
 
 class AmpleNotPositive(DynDegError):
-    kind = "AmpleNotPositive"
+    """An ample class whose degree, effective pairings or H is not positive."""
 
 
 class FloatOverflow(DynDegError):
-    kind = "FloatOverflow"
     fields = ("entries",)
     template = "non-finite float entries at positions {entries}"
 
@@ -92,13 +86,10 @@ class UsageError(DynDegError):
     """A command line the CLI cannot read: no or an unknown command, an
     unknown flag, a flag without its value, or no ``--config``."""
 
-    kind = "UsageError"
-
 
 class SchemaError(DynDegError):
     """Config validation failure listing every violation with a JSON pointer."""
 
-    kind = "SchemaError"
     fields = ("violations",)  # (JSON pointer, message) pairs
 
     def __init__(self, violations):
@@ -109,14 +100,14 @@ class SchemaError(DynDegError):
     def payload(self):
         # one record per violation, and no message: the records are it
         return {
-            "error": self.kind,
+            "error": type(self).__name__,
             "violations": [{"path": p, "message": m} for p, m in self.violations],
         }
 
 
 class UnknownModelKind(SchemaError):
-    kind = "UnknownModelKind"
+    """A config whose model kind the CLI has no builder for."""
 
 
 class BadMatrixShape(SchemaError):
-    kind = "BadMatrixShape"
+    """A config matrix that is not a nonempty grid of exact rationals."""

@@ -15,7 +15,7 @@ from typing import Sequence
 from . import COMMUTATIVE, core, endo
 from .errors import (AmpleNotPositive, MultiplicativityViolation, NotIsometry,
                      SchemaError, ShapeMismatch)
-from .linalg import as_fraction, as_matrix, identity, transpose
+from .linalg import as_fraction, as_matrix, identity
 from .models import EffectiveClass, EmbeddedModel, check_square
 
 
@@ -40,7 +40,7 @@ def surface_lattice(
     rank = len(q)
     if rank == 0 or any(len(row) != rank for row in q):
         raise ShapeMismatch("gram matrix must be square and nonempty")
-    if q != transpose(q):
+    if q != tuple(zip(*q)):
         raise ShapeMismatch("gram matrix must be symmetric")
     g = as_matrix(isometry)
     if len(g) != rank or any(len(row) != rank for row in g):

@@ -69,10 +69,6 @@ def identity(n: int) -> Matrix:
     )
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 class Echelon:
     """Incrementally maintained reduced row echelon form.
 

@@ -26,8 +26,7 @@ from dyndeg.core import (Element, GradedAlgebra, ScaledTable, _koszul_sign,
 from dyndeg.endo import PullbackMap, _scaled_columns, validate_pullback
 from dyndeg.errors import ShapeMismatch, SpectralNonconvergence
 from dyndeg.lattice import surface_lattice
-from dyndeg.linalg import (Matrix, as_fraction, as_matrix, identity, scaled_matrix,
-                           transpose)
+from dyndeg.linalg import Matrix, as_fraction, as_matrix, identity, scaled_matrix
 from dyndeg.models import EmbeddedModel, exterior_algebra
 from dyndeg.projective import (
     multiprojective,
@@ -660,7 +659,7 @@ def det_wedge_blocks(matrix):
     """The blocks wedge^k (matrix^T), k = 0..n, of ``exterior_pullback``,
     with every entry a separate :func:`fraction_det` of a minor: the
     reference for the letter products that build them there."""
-    b = transpose(as_matrix(matrix))
+    b = tuple(zip(*as_matrix(matrix)))
     blocks = []
     for k in range(len(b) + 1):
         subsets = list(itertools.combinations(range(len(b)), k))

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dyndeg import cli
+from dyndeg import cli, errors
 from dyndeg.cli import dumps_canonical, main, parse_config
-from dyndeg.errors import (AssociativityViolation, FloatOverflow,
-                           MultiplicativityViolation, SchemaError, ShapeMismatch,
-                           SignRuleViolation, SpectralNonconvergence,
-                           UnitViolation)
+from dyndeg.errors import (AssociativityViolation, BadMatrixShape, DynDegError,
+                           FloatOverflow, MultiplicativityViolation, SchemaError,
+                           ShapeMismatch, SignRuleViolation,
+                           SpectralNonconvergence, UnitViolation)
 
 from support import (canonical_json, fraction_block, fraction_blocks,
                      perfbench_workload, run_config, times_i2)
@@ -800,6 +800,19 @@ class TestErrorPayloads:
             assert str(exc) == expected["message"]
         else:
             assert str(exc) == "/M: missing; /tol: bad"
+
+    def test_every_error_is_named_by_its_class_alone(self):
+        # no class restates its name: the payload's "error" is the class's
+        classes = [cls for cls in vars(errors).values()
+                   if isinstance(cls, type) and issubclass(cls, DynDegError)]
+        assert {DynDegError, SchemaError, BadMatrixShape} <= set(classes)
+        for cls in classes:
+            assert "kind" not in vars(cls), cls
+            if issubclass(cls, SchemaError):
+                exc = cls([("", "placeholder")])
+            else:
+                exc = cls(*["placeholder"] * max(1, len(cls.fields)))
+            assert exc.payload()["error"] == cls.__name__
 
 
 class TestExitCodes:

@@ -81,13 +81,13 @@ class TestGromovClosure:
                 model, [2, 3], [1, 0]
             )
             closure = gromov_closure(f, model.h)
-            assert closure.sweeps <= model.algebra.dimension + 1
+            assert closure.sweeps <= sum(model.algebra.dims) + 1
 
     def test_result_is_a_fixed_point(self):
         model = multiprojective([1, 1])
         f = product_map(model, [2, 3], [1, 0])
         closure = gromov_closure(f, model.h)
-        ech = FractionEchelon(model.algebra.dimension)
+        ech = FractionEchelon(sum(model.algebra.dims))
 
         def flat(element):
             return [x for piece in coords(element) for x in piece]
@@ -212,7 +212,7 @@ class TestRandomClosures:
         def flat(element):
             return [x for piece in coords(element) for x in piece]
 
-        span = FractionEchelon(algebra.dimension)
+        span = FractionEchelon(sum(algebra.dims))
         for i, b in enumerate(closure.basis):
             assert span.insert(flat(b), {i: Fraction(1)}), name
         assert span.contains(flat(algebra.one())), name

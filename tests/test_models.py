@@ -22,7 +22,7 @@ from dyndeg.errors import (
 )
 from dyndeg.gromov import gromov_closure, lambda_gr, spectral_chain
 from dyndeg.lattice import surface_lattice
-from dyndeg.linalg import as_matrix, transpose
+from dyndeg.linalg import as_matrix
 from dyndeg.models import EmbeddedModel, exterior_algebra
 from dyndeg.projective import (
     multiprojective,
@@ -560,7 +560,7 @@ class TestSurfaceLattice:
         q = as_matrix(gram)
 
         def preserves(g):
-            return mat_mul(mat_mul(transpose(g), q), g) == q
+            return mat_mul(mat_mul(tuple(zip(*g)), q), g) == q
 
         assert preserves(as_matrix(iso))
         surface_lattice(gram, iso, ample)
@@ -605,7 +605,7 @@ class TestSurfaceLattice:
                                        st.integers(0, rank - 1)))
             g[i][j] += data.draw(small.filter(bool))
         ample = [1] + [0] * (rank - 1)
-        if mat_mul(mat_mul(transpose(as_matrix(g)), q), as_matrix(g)) == q:
+        if mat_mul(mat_mul(tuple(zip(*as_matrix(g))), q), as_matrix(g)) == q:
             model, pull = surface_lattice(q, g, ample)
             assert fraction_blocks(pull)[2] == as_matrix(g)
         else:
