@@ -25,7 +25,6 @@ def exterior_pullback(
     algebra: core.GradedAlgebra,
     matrix: Sequence[Sequence],
     realizability: str = "unverified",
-    provenance: str | None = None,
 ) -> endo.PullbackMap:
     """Pullback of an ``exterior`` algebra, any tensor product of exterior
     algebras on one class (another is a ``ShapeMismatch``), with degree-1
@@ -42,9 +41,7 @@ def exterior_pullback(
         raise ShapeMismatch(f"matrix has {len(m)} rows, expected {algebra.dims[1]}")
     return endo.tensor_pullback(
         algebra, {(i, (1, 0)): algebra.homogeneous(1, row)
-                  for i, row in enumerate(m)},
-        realizability=realizability, provenance=provenance,
-    )
+                  for i, row in enumerate(m)}, realizability)
 
 
 def abelian_variety(
@@ -107,10 +104,7 @@ def abelian_variety(
         for i in range(g) for j in range(g)
     )
     pull = exterior_pullback(
-        algebra, m,
-        realizability="asserted" if integer_scalar_blocks else "unverified",
-        provenance="exterior",
-    )
+        algebra, m, "asserted" if integer_scalar_blocks else "unverified")
     return model, pull
 
 

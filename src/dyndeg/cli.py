@@ -492,10 +492,8 @@ def build_model_and_map(config: dict) -> tuple[EmbeddedModel, PullbackMap]:
         from .endo import validate_pullback
 
         # a custom model states its own realizability, and its map shares it
-        stated = {"realizability": model.realizability, "provenance": "custom"}
-        pull = validate_pullback(
-            model.algebra, map_spec["blocks"], **(stated if kind == "custom" else {})
-        )
+        stated = model.realizability if kind == "custom" else "unverified"
+        pull = validate_pullback(model.algebra, map_spec["blocks"], stated)
 
     if ample is not None:
         h = model.algebra.homogeneous(2, ample["coords"])

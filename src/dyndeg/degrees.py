@@ -156,7 +156,7 @@ def graph_class(table: DeltaTable, m: int) -> list[GraphComponent]:
             for j, coeff in enumerate(table.column(m)[::-1])]
 
 
-# expected: closed form for power maps on P^n, else None
+# expected: the closed form on a model with one divisor class, else None
 SegreDegree = namedtuple("SegreDegree", "value expected matches")
 
 
@@ -167,10 +167,11 @@ def segre_graph_degree(
 
     The component [P^a] x [P^b] has Segre degree binomial(a+b, a), so the
     total is sum_j delta_{r-j}(f^m) * binomial(r, j), read off ``table`` as
-    in :func:`graph_class`.  For degree-d power maps of P^n with ample class
-    h this must equal deg(X) * (1 + d^m)^n; on a ``projective_space`` model
-    with a ``power:`` map it is cross-checked, with d read off f*(h) = d h:
-    f^m multiplies h by d^m, so delta_j(f^m) = d^(mj) deg(X).
+    in :func:`graph_class`.  On a model with one divisor class (P^n, E, a
+    rank-1 lattice), H^2 = Q h, so the ring map f* has f*(h) = d h, with d
+    read off f*'s degree-2 block: f^m multiplies h by d^m, delta_j(f^m) =
+    d^(mj) deg(X), and the total is cross-checked against
+    deg(X) * (1 + d^m)^r.
     """
     r, coeffs = model.r, table.column(m)[::-1]
     den = math.lcm(*(c.denominator for c in coeffs))  # one Fraction, not r + 1
@@ -178,9 +179,7 @@ def segre_graph_degree(
                          for j, c in enumerate(coeffs)), den)
     expected = None
     matches = None
-    if model.provenance.startswith("projective_space") and (
-        f.provenance or ""
-    ).startswith("power:"):
+    if model.algebra.dims[2] == 1:
         den, columns = f.scaled_blocks
         d = Fraction(dict(columns[2][0]).get(0, 0), den)
         expected = model.deg_x * (1 + d**m) ** r

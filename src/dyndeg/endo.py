@@ -27,12 +27,10 @@ class PullbackMap:
     """
 
     def __init__(self, algebra: GradedAlgebra, scaled_blocks: tuple[int, tuple],
-                 realizability: str = "unverified",
-                 provenance: str | None = None):
+                 realizability: str = "unverified"):
         self.algebra = algebra
         self.scaled_blocks = scaled_blocks
         self.realizability = realizability
-        self.provenance = provenance
 
     def apply_scaled(self, degree: int, vec) -> dict[int, int]:
         """D times block ``degree`` applied to the sparse integer vector
@@ -56,7 +54,6 @@ def validate_pullback(
     algebra: GradedAlgebra,
     matrices: Sequence[Sequence[Sequence]],
     realizability: str = "unverified",
-    provenance: str | None = None,
 ) -> PullbackMap:
     """Check shapes, f*(1) = 1, and f*(s y) = f*(s) f*(y) for each s in
     ``algebra.generators`` and every basis vector y.
@@ -82,8 +79,7 @@ def validate_pullback(
             )
         blocks.append(m)
 
-    candidate = PullbackMap(algebra, _scaled_columns(blocks), realizability,
-                            provenance)
+    candidate = PullbackMap(algebra, _scaled_columns(blocks), realizability)
 
     one = algebra.one()
     if candidate.apply(one) != one:
@@ -133,7 +129,6 @@ def tensor_pullback(
     algebra: GradedAlgebra,
     images: Mapping[tuple[int, BasisIndex], Element],
     realizability: str = "unverified",
-    provenance: str | None = None,
 ) -> PullbackMap:
     """The ring map sending each factor letter ``(i, (d, p))`` of
     ``algebra.words``, d >= 1, to the degree-d element ``images[i, (d, p)]``;
@@ -175,7 +170,7 @@ def tensor_pullback(
     pull = PullbackMap(algebra, (den, tuple(
         tuple(tuple(sorted((p, v * (den // e)) for p, v in vec.items()))
               for vec, e in map(pulled.get, words))
-        for words in algebra.words)), realizability, provenance)
+        for words in algebra.words)), realizability)
     for i, factor in enumerate(algebra.factors):  # e_b -> its one-letter word
         word = {b: (b[0], algebra.words[b[0]].index(one[:i] + (b,) + one[i + 1:]))
                 for b in factor.basis()}
@@ -185,5 +180,4 @@ def tensor_pullback(
 
 def identity_map(algebra: GradedAlgebra) -> PullbackMap:
     units = tuple(tuple(((q, 1),) for q in range(d)) for d in algebra.dims)
-    return PullbackMap(algebra, (1, units), realizability="asserted",
-                       provenance="identity")
+    return PullbackMap(algebra, (1, units), realizability="asserted")

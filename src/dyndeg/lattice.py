@@ -53,10 +53,8 @@ def surface_lattice(
     # e_p e_q = q_pq [pt] and [pt] is fixed, so multiplicativity on the
     # generators is exactly g^T q g = q
     try:
-        pull = endo.validate_pullback(
-            algebra, [[[1]], [], g, [], [[1]]],
-            realizability="asserted-for-lattice", provenance="isometry",
-        )
+        pull = endo.validate_pullback(algebra, [[[1]], [], g, [], [[1]]],
+                                      realizability="asserted-for-lattice")
     except MultiplicativityViolation as exc:
         raise NotIsometry("isometry does not preserve the gram matrix") from exc
     v = [as_fraction(x) for x in ample]

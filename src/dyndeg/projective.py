@@ -52,9 +52,7 @@ def pn_power_map(model: EmbeddedModel, d: int) -> endo.PullbackMap:
         raise ShapeMismatch("map degree must be >= 0")
     blocks = [[[d ** (i // 2)]] if i % 2 == 0 else []
               for i in range(2 * model.ambient_dim + 1)]
-    return endo.validate_pullback(
-        model.algebra, blocks, realizability="asserted", provenance=f"power:{d}"
-    )
+    return endo.validate_pullback(model.algebra, blocks, realizability="asserted")
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +133,7 @@ def product_map(
     images = {(i, (2 * e, 0)): algebra.element({
         index[tuple(e if j == perm[i] else 0 for j in range(k))]: d**e})
         for i, d in enumerate(degrees) for e in range(1, ns[i] + 1)}
-    label = ",".join(f"{d}->{p}" for d, p in zip(degrees, perm))
-    return endo.tensor_pullback(
-        algebra, images, realizability="asserted",
-        provenance=f"product:{label}",
-    )
+    return endo.tensor_pullback(algebra, images, realizability="asserted")
 
 
 # ---------------------------------------------------------------------------

@@ -781,7 +781,6 @@ def power_map(f: PullbackMap, m: int) -> PullbackMap:
         _scaled_columns([mat_pow(b, m) if b else ()
                          for b in fraction_blocks(f)]),
         realizability=f.realizability,
-        provenance=f"({f.provenance})^{m}" if f.provenance else None,
     )
 
 

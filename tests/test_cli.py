@@ -997,6 +997,18 @@ class TestReportSections:
         assert set(bounds["moving_ledger"]) == {
             "k", "v_degrees", "e_degrees", "bound"}
 
+    def test_a_matrices_map_on_p2_is_segre_cross_checked(self):
+        # H^2 of P^2 is Q h, so the hand-written x -> 3x is checked against
+        # (1 + 3^m)^2 as a power map is
+        results = run_config(p2_config(
+            map={"kind": "matrices", "blocks": [[[1]], [], [[3]], [], [[9]]]},
+            analyses=["graph-class"], M=4))
+        per_m = results["graph-class"]["per_m"]
+        assert [entry["m"] for entry in per_m] == [1, 2, 3, 4]
+        for entry in per_m:
+            assert entry["segre_expected"] == (1 + 3 ** entry["m"]) ** 2
+            assert entry["segre_matches"] is True
+
     def test_every_analysis_has_a_section_writer(self):
         assert tuple(cli._SECTIONS) == cli.ANALYSES
         for analysis in cli.ANALYSES:

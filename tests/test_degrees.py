@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dyndeg.abelian import elliptic_square
+from dyndeg.abelian import abelian_variety, elliptic_square
 from dyndeg.degrees import (
     bound_constant,
     check_intersection_bound,
@@ -16,6 +16,7 @@ from dyndeg.degrees import (
 from dyndeg.endo import identity_map, validate_pullback
 from dyndeg.errors import ShapeMismatch
 from dyndeg.gromov import gromov_closure, spectral_chain
+from dyndeg.lattice import surface_lattice
 from dyndeg.models import EmbeddedModel
 from dyndeg.projective import (
     multiprojective,
@@ -252,16 +253,33 @@ class TestSegreGraphDegree:
                     assert res.expected == c**n * (1 + 2**m) ** n, (n, c, m)
                     assert res.value == res.expected and res.matches, (n, c, m)
 
-    @pytest.mark.parametrize("provenance", ["power:three", "power:2"],
-                             ids=["naming-no-degree", "naming-another-degree"])
-    def test_the_map_degree_is_read_off_the_blocks(self, provenance):
-        # x -> 3x on P^2: f*(h) = 3h, so the expected value is (1 + 3^2)^2,
-        # whatever the provenance says after ``power:``
+    def test_the_map_degree_is_read_off_the_blocks(self):
+        # x -> 3x on P^2: f*(h) = 3h, so the expected value is (1 + 3^2)^2
         model = projective_space(2)
-        f = validate_pullback(model.algebra, [[[1]], [], [[3]], [], [[9]]],
-                              provenance=provenance)
+        f = validate_pullback(model.algebra, [[[1]], [], [[3]], [], [[9]]])
         res = segre_graph_degree(model, f, delta_table(model, f, 2), 2)
         assert res.value == res.expected == 100 and res.matches
+
+    @pytest.mark.parametrize("name", ["product", "matrices", "lattice", "elliptic"])
+    def test_every_model_with_one_divisor_class_is_cross_checked(self, name):
+        # H^2 = Q h, so f*(h) = d h for whichever ring map f* is, and the
+        # total is deg(X) (1 + d^m)^r: (d, deg(X), r) is (3, 1, 2) on P^2,
+        # (1, 2, 2) for the identity of the lattice <2> and (1, 1, 1) for
+        # the det-1 map of E; the last entry is the total at m = 3
+        p2 = projective_space(2)
+        model, f, d, at_3 = {
+            "product": lambda: (p2, product_map(p2, [3], [0]), 3, 784),
+            "matrices": lambda: (p2, validate_pullback(
+                p2.algebra, [[[1]], [], [[3]], [], [[9]]]), 3, 784),
+            "lattice": lambda: (*surface_lattice([[2]], [[1]], [1]), 1, 8),
+            "elliptic": lambda: (*abelian_variety(1, [[2, 1], [1, 1]]), 1, 2),
+        }[name]()
+        table = delta_table(model, f, 4)
+        for m in range(1, 5):
+            res = segre_graph_degree(model, f, table, m)
+            assert res.expected == model.deg_x * (1 + d**m) ** model.r, m
+            assert res.value == res.expected and res.matches is True, m
+        assert segre_graph_degree(model, f, table, 3).expected == at_3
 
     def test_no_cross_check_for_other_models(self):
         model = multiprojective([1, 1])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyndeg import gromov
+from dyndeg import gromov, spectral
 from dyndeg.abelian import abelian_variety, elliptic_square
 from dyndeg.core import GradedAlgebra
 from dyndeg.custom import custom_model
@@ -542,13 +542,17 @@ class TestGenericClosure:
     # combinations of thousands of bits through the echelon forms
     SHA256 = "fcb78e46cdc301b52c60b047d598c361cccbb308909436f1c5ca5e881bca862b"
 
-    @pytest.mark.slow
-    def test_a_generic_g4_closure_is_pinned(self):
-        # about 1 s on a 2-core VM; run with ``pytest -m slow``
+    @staticmethod
+    def _closure():
         rng = random.Random(3)
         m = [[rng.randint(-3, 3) for _ in range(8)] for _ in range(8)]
         model, f = abelian_variety(4, m)
-        closure = gromov_closure(f, model.h)
+        return model, gromov_closure(f, model.h)
+
+    @pytest.mark.slow
+    def test_a_generic_g4_closure_is_pinned(self):
+        # about 1 s on a 2-core VM; run with ``pytest -m slow``
+        model, closure = self._closure()
         assert closure.dims_by_degree == (1, 0, 28, 0, 70, 0, 28, 0, 1)
         assert (closure.sweeps, len(closure.words)) == (28, 128)
         assert closure.verify_certificates()
@@ -561,6 +565,24 @@ class TestGenericClosure:
              for d, block in closure_blocks(closure)],
         )).encode()).hexdigest()
         assert digest == self.SHA256
+
+    @pytest.mark.slow
+    def test_the_generic_g4_lambda_gr_route_is_pinned(self):
+        # 3.5 to 5 s on a 2-core VM; run with ``pytest -m slow``.  lambda_gr
+        # runs each closure block, the middle three 28 x 28, 70 x 70 and
+        # 28 x 28, through Berkowitz, the square-free part and the root
+        # certifier, while the chain reads every mu off the roots of f*'s
+        # degree-1 block alone; the two routes must agree
+        model, closure = self._closure()
+        chain = spectral_chain(model, closure)
+        assert [len(a) for _, (_, a) in closure.blocks] == [1, 28, 70, 28, 1]
+        for degree, (den, a) in closure.blocks:
+            rho, _ = spectral.scaled_radius(den, a)
+            assert rho == pytest.approx(chain.mu_by_degree[degree], rel=1e-12), degree
+        assert lambda_gr(closure) == (17127.0, 0.0)
+        assert chain.max_mu == pytest.approx(17655.2072315, abs=1e-7)
+        assert chain.mu_by_degree.index(chain.max_mu) == 7
+        assert chain.chain_holds and not chain.equality_holds
 
 
 CUSTOM_P2 = {

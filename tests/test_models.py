@@ -112,7 +112,6 @@ class TestMultiprojective:
             for d in (0, 2, 3):
                 f = product_map(model, [d], [0])
                 assert fraction_blocks(f) == fraction_blocks(pn_power_map(model, d))
-                assert f.provenance == f"product:{d}->0"
 
     def test_product_map_rejects_a_model_that_is_no_product_of_projective_spaces(self):
         # the words of a custom algebra with two classes in degree 2, and of
