@@ -253,9 +253,14 @@ class TestSegreGraphDegree:
                     assert res.expected == c**n * (1 + 2**m) ** n, (n, c, m)
                     assert res.value == res.expected and res.matches, (n, c, m)
 
-    def test_the_map_degree_is_read_off_the_blocks(self):
-        # x -> 3x on P^2: f*(h) = 3h, so the expected value is (1 + 3^2)^2
-        model = projective_space(2)
+    @pytest.mark.parametrize("provenance", ["custom", "power:2"],
+                             ids=["naming-no-degree", "naming-another-degree"])
+    def test_the_map_degree_is_read_off_the_blocks(self, provenance):
+        # x -> 3x on P^2: f*(h) = 3h, so the expected value is (1 + 3^2)^2,
+        # whatever the model's provenance string names
+        p2 = projective_space(2)
+        model = EmbeddedModel(p2.algebra, p2.h, p2.ambient_dim,
+                              provenance=provenance)
         f = validate_pullback(model.algebra, [[[1]], [], [[3]], [], [[9]]])
         res = segre_graph_degree(model, f, delta_table(model, f, 2), 2)
         assert res.value == res.expected == 100 and res.matches
